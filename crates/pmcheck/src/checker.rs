@@ -1,11 +1,13 @@
-//! The streaming checker: one pass, per-line state machines, plus a
-//! vector-clock happens-before engine ([`crate::hb`]) that founds the
-//! concurrency rules (`P-CROSS-DEP`, `P-EPOCH-RACE`) on provable
-//! ordering rather than the recorded interleaving.
+//! The streaming checker: one pass over the line table's line-state
+//! automaton ([`crate::table`]), plus a vector-clock happens-before
+//! engine ([`crate::hb`]) that founds the concurrency rules
+//! (`P-CROSS-DEP`, `P-EPOCH-RACE`) on provable ordering rather than the
+//! recorded interleaving.
 
 use crate::hb::HbEngine;
 use crate::rules::{Rule, RuleSet, Severity};
-use pmem::{lines_spanning, FxHashMap, FxHashSet, Line};
+use crate::table::{LineId, LineState};
+use pmem::{lines_spanning, Line};
 use pmtrace::{Category, Event, EventKind, Tid, TxId};
 
 /// One rule violation, anchored to the event that triggered it.
@@ -105,45 +107,16 @@ impl CheckReport {
     }
 }
 
-/// Durability progress of one cache line.
-///
-/// Absent from the map ⇒ *Clean*: never stored to (or explicitly
-/// reset). `Flushed`/`Durable` record which thread's fence is / was the
-/// covering ordering point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LineState {
-    /// Cacheable store landed; no covering flush yet.
-    Dirty {
-        /// Last storing thread.
-        by: Tid,
-    },
-    /// A `clwb`/`clflushopt` snapshot or an NT store is in flight;
-    /// durable once `by` fences.
-    Flushed {
-        /// Thread whose fence will complete the flush.
-        by: Tid,
-        /// When the covering operation was issued.
-        at_ns: u64,
-        /// True when the coverage is a write-combining NT store
-        /// (which may legally keep combining until the fence) rather
-        /// than a `clwb`/`clflushopt` snapshot.
-        nt: bool,
-    },
-    /// Flushed and fenced: persistent as of the fence.
-    Durable,
-}
-
-/// Per-thread bookkeeping.
+/// Per-thread bookkeeping, indexed by the line table's thread slot.
 #[derive(Debug, Default)]
 struct ThreadState {
     /// Fences completed — the current epoch ordinal.
     epoch: u64,
     /// Active durable transaction.
     tx: Option<TxId>,
-    /// Lines stored (cacheably or NT) inside the active transaction.
-    tx_lines: FxHashSet<Line>,
-    /// Lines whose `Flushed` state is waiting on this thread's fence.
-    pending_flush: FxHashSet<Line>,
+    /// Lines stored (cacheably or NT) inside the active transaction,
+    /// once per store; sorted and deduplicated at commit.
+    tx_lines: Vec<LineId>,
     /// Whether any PM store or flush happened since the last fence.
     pm_work: bool,
     /// Whether this thread has fenced before (first fence is exempt
@@ -156,27 +129,28 @@ struct ThreadState {
 /// or use [`check_events`] for the common whole-trace case.
 #[derive(Debug, Default)]
 pub struct Checker {
-    lines: FxHashMap<Line, LineState>,
-    /// Happens-before engine: founds `P-CROSS-DEP` and `P-EPOCH-RACE`.
+    /// Happens-before engine: founds `P-CROSS-DEP` and `P-EPOCH-RACE`,
+    /// and owns the line table (line records, thread slots, the
+    /// line-state automaton) the checker works on. Its clocks are
+    /// driven only when [`RuleSet::needs_hb`].
     hb: HbEngine,
-    /// Which rules' findings are reported (state machines always run).
+    /// Which rules' findings are reported.
     rules: RuleSet,
-    threads: FxHashMap<Tid, ThreadState>,
-    /// Lines ever stored under an open durable transaction — the
-    /// tx-managed region model behind `P-TX-ATOMICITY`.
-    tx_managed: FxHashSet<Line>,
+    threads: Vec<ThreadState>,
     /// True once a `RecoveryBegin` marker was seen.
     recovery: bool,
-    /// Lines durable at the recovery marker (the crash point).
-    durable_at_recovery: FxHashSet<Line>,
-    /// Lines rewritten during recovery (reads of these are fine).
-    recovery_stores: FxHashSet<Line>,
     findings: Vec<Finding>,
     events_visited: u64,
     last_ns: u64,
     /// Index of the event currently being folded in (`None` once
     /// [`finish`](Checker::finish) starts its end-of-trace scan).
     cur_index: Option<usize>,
+}
+
+/// The threads of a conflict set, as a finding message lists them.
+fn join_tids(tids: &[Tid]) -> String {
+    let names: Vec<String> = tids.iter().map(ToString::to_string).collect();
+    names.join(",")
 }
 
 impl Checker {
@@ -193,6 +167,17 @@ impl Checker {
         }
     }
 
+    /// The slot of `tid` in the line table and in `self.threads`.
+    fn slot(&mut self, tid: Tid) -> usize {
+        let s = self.hb.table.slot(tid);
+        if self.threads.len() <= s {
+            self.threads.resize_with(s + 1, ThreadState::default);
+        }
+        s
+    }
+
+    /// Record a finding — if `rule` is selected; `message` is only
+    /// built then.
     fn report(
         &mut self,
         rule: Rule,
@@ -200,12 +185,13 @@ impl Checker {
         tid: Tid,
         at_ns: u64,
         line: Option<Line>,
-        message: String,
+        message: impl FnOnce() -> String,
     ) {
         if !self.rules.contains(rule) {
             return;
         }
-        let t = self.threads.entry(tid).or_default();
+        let s = self.slot(tid);
+        let t = &self.threads[s];
         self.findings.push(Finding {
             rule,
             severity,
@@ -215,7 +201,7 @@ impl Checker {
             epoch: t.epoch,
             tx: t.tx,
             at_index: self.cur_index,
-            message,
+            message: message(),
         });
     }
 
@@ -225,34 +211,44 @@ impl Checker {
         self.events_visited += 1;
         self.cur_index = Some((self.events_visited - 1) as usize);
         self.last_ns = self.last_ns.max(ev.at_ns);
-        self.hb.begin_event(ev.tid, ev.at_ns);
+        let s = self.slot(ev.tid);
+        let hb = self.rules.needs_hb();
+        if hb {
+            self.hb.begin_event_in(s, ev.at_ns);
+        }
         match ev.kind {
             EventKind::PmStore { addr, len, nt, cat } => {
                 for (line, _, _) in lines_spanning(addr, len as usize) {
-                    self.on_store(ev.tid, ev.at_ns, line, nt, cat);
+                    let id = self.hb.table.intern(line);
+                    self.on_store(s, ev, line, id, nt, cat);
                 }
             }
-            EventKind::Flush { addr } => self.on_flush(ev.tid, ev.at_ns, Line::containing(addr)),
-            EventKind::Fence => {
-                self.on_fence(ev.tid, ev.at_ns);
-                self.hb.fence(false);
-            }
-            EventKind::DFence => {
-                self.on_fence(ev.tid, ev.at_ns);
-                self.hb.fence(true);
+            EventKind::Flush { addr } => self.on_flush(s, ev, Line::containing(addr)),
+            EventKind::Fence | EventKind::DFence => {
+                self.on_fence(s, ev);
+                if hb {
+                    self.hb.fence(ev.kind == EventKind::DFence);
+                }
             }
             EventKind::TxBegin { id } => {
-                self.hb.tx_begin();
-                let t = self.threads.entry(ev.tid).or_default();
+                if hb {
+                    self.hb.tx_begin();
+                }
+                let t = &mut self.threads[s];
                 t.tx = Some(id);
                 t.tx_lines.clear();
             }
             EventKind::TxEnd { id } => {
-                self.on_tx_end(ev.tid, ev.at_ns, id);
-                self.hb.tx_end();
+                self.on_tx_end(s, ev, id);
+                if hb {
+                    self.hb.tx_end();
+                }
             }
             EventKind::PmLoad { addr } => {
-                self.on_load(ev.tid, ev.at_ns, Line::containing(addr));
+                // A load only matters to the clocks and to recovery.
+                if hb || self.recovery {
+                    self.on_load(ev, Line::containing(addr));
+                }
             }
             EventKind::RecoveryBegin => {
                 // The marker declares: everything before it is the
@@ -260,314 +256,216 @@ impl Checker {
                 // Snapshot what the discipline *proved* durable — the
                 // only lines recovery may rely on.
                 self.recovery = true;
-                self.durable_at_recovery = self
-                    .lines
-                    .iter()
-                    .filter(|(_, s)| matches!(s, LineState::Durable))
-                    .map(|(l, _)| *l)
-                    .collect();
-                self.recovery_stores.clear();
+                for rec in &mut self.hb.table.recs {
+                    rec.durable_at_recovery = rec.state == LineState::Durable;
+                    rec.recovery_store = false;
+                }
             }
         }
     }
 
-    fn on_store(&mut self, tid: Tid, at_ns: u64, line: Line, nt: bool, cat: Category) {
+    fn on_store(&mut self, s: usize, ev: &Event, line: Line, id: LineId, nt: bool, cat: Category) {
+        let (tid, at_ns) = (ev.tid, ev.at_ns);
+        let hb = self.rules.needs_hb();
         // P-CROSS-DEP: a prior store to this line by another thread is
         // happens-before-concurrent with this one — no fence, commit,
         // or observed communication orders the two epochs, so whichever
         // one a crash cuts, the line's durable value is a race outcome.
-        let conflicts = self.hb.store(line);
-        if !conflicts.is_empty() {
-            let others: Vec<String> = conflicts.iter().map(ToString::to_string).collect();
-            self.report(
-                Rule::CrossDep,
-                Severity::Error,
-                tid,
-                at_ns,
-                Some(line),
-                format!(
-                    "store to {line} races happens-before-concurrent store(s) from {} — no ordering fence between the epochs",
-                    others.join(",")
-                ),
-            );
+        if hb {
+            let conflicts = self.hb.store_id(id);
+            if !conflicts.is_empty() {
+                self.report(Rule::CrossDep, Severity::Error, tid, at_ns, Some(line), || {
+                    format!(
+                        "store to {line} races happens-before-concurrent store(s) from {} — no ordering fence between the epochs",
+                        join_tids(&conflicts)
+                    )
+                });
+            }
         }
 
         // P-TX-ATOMICITY: a store into the tx-managed region (a line
         // previously written under a durable transaction) while no
         // transaction is open bypasses undo/redo-log protection.
-        let in_tx = self.threads.get(&tid).is_some_and(|t| t.tx.is_some());
+        let in_tx = self.threads[s].tx.is_some();
+        let rec = &mut self.hb.table.recs[id as usize];
+        if self.recovery {
+            rec.recovery_store = true;
+        }
         if cat == Category::UserData {
             if in_tx {
-                self.tx_managed.insert(line);
-            } else if self.tx_managed.contains(&line) {
-                self.report(
-                    Rule::TxAtomicity,
-                    Severity::Error,
-                    tid,
-                    at_ns,
-                    Some(line),
+                rec.tx_managed = true;
+            } else if rec.tx_managed {
+                self.report(Rule::TxAtomicity, Severity::Error, tid, at_ns, Some(line), || {
                     format!(
                         "store to tx-managed {line} with no transaction open — the update bypasses undo/redo-log protection"
-                    ),
-                );
+                    )
+                });
             }
-        }
-        if self.recovery {
-            self.recovery_stores.insert(line);
         }
 
         // P-EPOCH-RACE (NT path): an NT store is its own persist; if a
         // foreign persist of the line is still pending and unordered,
         // the device may apply the writebacks in either order.
-        if nt {
-            let pconf = self.hb.persist(line);
+        if nt && hb {
+            let pconf = self.hb.persist_id(id);
             if !pconf.is_empty() {
-                let others: Vec<String> = pconf.iter().map(ToString::to_string).collect();
-                self.report(
-                    Rule::EpochRace,
-                    Severity::Error,
-                    tid,
-                    at_ns,
-                    Some(line),
+                self.report(Rule::EpochRace, Severity::Error, tid, at_ns, Some(line), || {
                     format!(
                         "NT store persists {line} concurrently with unfenced persist(s) from {} — writeback order is a race",
-                        others.join(",")
-                    ),
-                );
+                        join_tids(&pconf)
+                    )
+                });
             }
         }
 
-        let prev = self.lines.get(&line).copied();
-        if let Some(LineState::Flushed {
+        if let LineState::Flushed {
             by,
             at_ns: f_ns,
-            nt: was_nt,
-        }) = prev
+            nt: false,
+        } = self.hb.table.store(id, s, at_ns, nt)
         {
-            if !was_nt {
-                // P-UNORDERED: a dependent store lands before the
-                // pending `clwb` was fenced — the snapshot taken at
-                // flush time no longer covers the line's newest data,
-                // and the flush itself has no ordering point yet.
-                // (An in-flight *NT* entry instead legally keeps
-                // write-combining, or is superseded by a cacheable
-                // store that takes over durability — neither is a
-                // violation on its own.)
+            // P-UNORDERED: a dependent store lands before the
+            // pending `clwb` was fenced — the snapshot taken at
+            // flush time no longer covers the line's newest data,
+            // and the flush itself has no ordering point yet.
+            // (An in-flight *NT* entry instead legally keeps
+            // write-combining, or is superseded by a cacheable
+            // store that takes over durability — neither is a
+            // violation on its own.)
+            self.report(Rule::Unordered, Severity::Error, tid, at_ns, Some(line), || {
+                format!(
+                    "store to {line} before the flush issued by {by} at {f_ns} ns was fenced — the flushed data has no ordering point"
+                )
+            });
+        }
+
+        let t = &mut self.threads[s];
+        t.pm_work = true;
+        if t.tx.is_some() {
+            t.tx_lines.push(id);
+        }
+    }
+
+    fn on_flush(&mut self, s: usize, ev: &Event, line: Line) {
+        let (tid, at_ns) = (ev.tid, ev.at_ns);
+        self.threads[s].pm_work = true;
+        let id = self.hb.table.intern(line);
+        match self.hb.table.flush(id, s, at_ns) {
+            found @ (LineState::Clean | LineState::Durable) => {
                 self.report(
-                    Rule::Unordered,
-                    Severity::Error,
+                    Rule::RedundantFlush,
+                    Severity::Warn,
                     tid,
                     at_ns,
                     Some(line),
-                    format!(
-                        "store to {line} before the flush issued by {by} at {f_ns} ns was fenced — the flushed data has no ordering point"
-                    ),
-                );
-            }
-            if by != tid || !nt {
-                if let Some(f) = self.threads.get_mut(&by) {
-                    f.pending_flush.remove(&line);
-                }
-            }
-        }
-        let next = if nt {
-            // An NT store bypasses the cache into the write-combining
-            // buffer: it is its own flush, pending this thread's fence.
-            LineState::Flushed {
-                by: tid,
-                at_ns,
-                nt: true,
-            }
-        } else {
-            LineState::Dirty { by: tid }
-        };
-        self.lines.insert(line, next);
-
-        let t = self.threads.entry(tid).or_default();
-        t.pm_work = true;
-        if nt {
-            t.pending_flush.insert(line);
-        }
-        if t.tx.is_some() {
-            t.tx_lines.insert(line);
-        }
-    }
-
-    /// `P-EPOCH-RACE` (flush path): this flush persists `line` while a
-    /// foreign persist of the same line is pending and unordered.
-    /// Called only for flushes that actually persist something — a
-    /// redundant flush (clean/durable line) has no happens-before
-    /// effect, which is what keeps [`crate::rewrite`]'s elision sound.
-    fn persist_race_check(&mut self, tid: Tid, at_ns: u64, line: Line) {
-        let pconf = self.hb.persist(line);
-        if !pconf.is_empty() {
-            let others: Vec<String> = pconf.iter().map(ToString::to_string).collect();
-            self.report(
-                Rule::EpochRace,
-                Severity::Error,
-                tid,
-                at_ns,
-                Some(line),
-                format!(
-                    "flush persists {line} concurrently with unfenced persist(s) from {} — writeback order is a race",
-                    others.join(",")
-                ),
-            );
-        }
-    }
-
-    fn on_flush(&mut self, tid: Tid, at_ns: u64, line: Line) {
-        self.threads.entry(tid).or_default().pm_work = true;
-        match self.lines.get(&line).copied() {
-            None => self.report(
-                Rule::RedundantFlush,
-                Severity::Warn,
-                tid,
-                at_ns,
-                Some(line),
-                format!("flush of clean {line} — nothing was stored there"),
-            ),
-            Some(LineState::Durable) => self.report(
-                Rule::RedundantFlush,
-                Severity::Warn,
-                tid,
-                at_ns,
-                Some(line),
-                format!("flush of already-flushed-and-fenced {line}"),
-            ),
-            Some(LineState::Dirty { .. }) => {
-                self.persist_race_check(tid, at_ns, line);
-                self.lines.insert(
-                    line,
-                    LineState::Flushed {
-                        by: tid,
-                        at_ns,
-                        nt: false,
+                    || match found {
+                        LineState::Clean => {
+                            format!("flush of clean {line} — nothing was stored there")
+                        }
+                        _ => format!("flush of already-flushed-and-fenced {line}"),
                     },
                 );
-                self.threads
-                    .entry(tid)
-                    .or_default()
-                    .pending_flush
-                    .insert(line);
             }
-            Some(LineState::Flushed { by, nt, .. }) => {
-                self.persist_race_check(tid, at_ns, line);
-                // Re-flush of a still-pending line: not redundant per
-                // the rule (only clean/durable lines are). For a
-                // pending `clwb` from another thread, the later flush
-                // takes over coverage; a pending *NT* entry drains on
-                // its storing thread's fence, which a foreign flush
-                // cannot accelerate, so its ownership is untouched.
-                if !nt && by != tid {
-                    if let Some(f) = self.threads.get_mut(&by) {
-                        f.pending_flush.remove(&line);
-                    }
-                    self.lines.insert(
-                        line,
-                        LineState::Flushed {
-                            by: tid,
-                            at_ns,
-                            nt: false,
-                        },
-                    );
-                    self.threads
-                        .entry(tid)
-                        .or_default()
-                        .pending_flush
-                        .insert(line);
+            // `P-EPOCH-RACE` (flush path): this flush persists `line`
+            // while a foreign persist of the same line is pending and
+            // unordered. Only flushes that actually persist something
+            // get here — a redundant flush (clean/durable line) has no
+            // happens-before effect, which is what keeps
+            // [`crate::rewrite`]'s elision sound. A re-flush of a
+            // still-pending line is not redundant per the rule.
+            LineState::Dirty { .. } | LineState::Flushed { .. } if self.rules.needs_hb() => {
+                let pconf = self.hb.persist_id(id);
+                if !pconf.is_empty() {
+                    self.report(Rule::EpochRace, Severity::Error, tid, at_ns, Some(line), || {
+                        format!(
+                            "flush persists {line} concurrently with unfenced persist(s) from {} — writeback order is a race",
+                            join_tids(&pconf)
+                        )
+                    });
                 }
             }
+            LineState::Dirty { .. } | LineState::Flushed { .. } => {}
         }
     }
 
-    fn on_fence(&mut self, tid: Tid, at_ns: u64) {
-        let t = self.threads.entry(tid).or_default();
-        let idle = !t.pm_work && t.fenced_before;
-        if idle {
+    fn on_fence(&mut self, s: usize, ev: &Event) {
+        let t = &self.threads[s];
+        if !t.pm_work && t.fenced_before {
             // Report before the epoch counter advances: the useless
             // fence belongs to the epoch it closes.
             self.report(
                 Rule::DoubleFence,
                 Severity::Warn,
-                tid,
-                at_ns,
+                ev.tid,
+                ev.at_ns,
                 None,
-                "fence with no PM store or flush since the previous fence".to_string(),
+                || "fence with no PM store or flush since the previous fence".to_string(),
             );
         }
-        let t = self.threads.entry(tid).or_default();
-        // Retire this thread's pending flushes. (The happens-before
-        // engine retires its in-flight stores and pending persists in
-        // [`HbEngine::fence`], driven from [`push`](Checker::push).)
-        let pending: Vec<Line> = t.pending_flush.drain().collect();
+        let t = &mut self.threads[s];
         t.pm_work = false;
         t.fenced_before = true;
         t.epoch += 1;
-        for line in pending {
-            // The set can be momentarily stale (a dependent store or
-            // another thread's flush displaced the entry); only retire
-            // lines still waiting on this thread.
-            if let Some(LineState::Flushed { by, .. }) = self.lines.get(&line) {
-                if *by == tid {
-                    self.lines.insert(line, LineState::Durable);
-                }
-            }
-        }
+        // Retire this thread's pending flushes. (The happens-before
+        // engine retires its in-flight stores and pending persists in
+        // [`HbEngine::fence`], driven from [`push`](Checker::push).)
+        self.hb.table.fence(s);
     }
 
     /// `P-RECOVERY-READ`: during recovery, a load of a line that was
     /// written before the crash point but not proven durable at any
     /// fence preceding it — and not rewritten by recovery itself — is
     /// consuming a value the crash may not have preserved.
-    fn on_load(&mut self, tid: Tid, at_ns: u64, line: Line) {
-        self.hb.load(line);
+    fn on_load(&mut self, ev: &Event, line: Line) {
+        let id = self.hb.table.intern(line);
+        if self.rules.needs_hb() {
+            self.hb.load_id(id);
+        }
+        let rec = &self.hb.table.recs[id as usize];
         if self.recovery
-            && self.lines.contains_key(&line)
-            && !self.durable_at_recovery.contains(&line)
-            && !self.recovery_stores.contains(&line)
+            && rec.state != LineState::Clean
+            && !rec.durable_at_recovery
+            && !rec.recovery_store
         {
-            self.report(
-                Rule::RecoveryRead,
-                Severity::Error,
-                tid,
-                at_ns,
-                Some(line),
+            self.report(Rule::RecoveryRead, Severity::Error, ev.tid, ev.at_ns, Some(line), || {
                 format!(
                     "recovery reads {line}, written before the crash point but never proven durable at a preceding fence"
-                ),
-            );
+                )
+            });
         }
     }
 
-    fn on_tx_end(&mut self, tid: Tid, at_ns: u64, id: TxId) {
-        let t = self.threads.entry(tid).or_default();
-        let mut tx_lines: Vec<Line> = t.tx_lines.drain().collect();
-        tx_lines.sort_unstable();
+    fn on_tx_end(&mut self, s: usize, ev: &Event, id: TxId) {
+        let (tid, at_ns) = (ev.tid, ev.at_ns);
+        let table = &self.hb.table;
+        let mut tx_lines: Vec<(Line, LineState)> = self.threads[s]
+            .tx_lines
+            .drain(..)
+            .map(|l| &table.recs[l as usize])
+            .map(|rec| (rec.line, rec.state))
+            .collect();
+        tx_lines.sort_unstable_by_key(|(line, _)| *line);
+        tx_lines.dedup_by_key(|(line, _)| *line);
         // The transaction stays "active" through the commit checks so
         // findings carry the committing tx as context.
-        for line in tx_lines {
-            match self.lines.get(&line).copied() {
-                Some(LineState::Dirty { by }) => self.report(
-                    Rule::Unflushed,
-                    Severity::Error,
-                    tid,
-                    at_ns,
-                    Some(line),
-                    format!("tx {id} committed while {line} (stored by {by}) is dirty with no covering clwb/clflushopt/NT store"),
-                ),
-                Some(LineState::Flushed { by, at_ns: f_ns, .. }) => self.report(
-                    Rule::Unordered,
-                    Severity::Error,
-                    tid,
-                    at_ns,
-                    Some(line),
-                    format!("tx {id} committed while the flush of {line} (issued by {by} at {f_ns} ns) awaits a fence"),
-                ),
-                Some(LineState::Durable) | None => {}
+        for (line, state) in tx_lines {
+            match state {
+                LineState::Dirty { by } => {
+                    self.report(Rule::Unflushed, Severity::Error, tid, at_ns, Some(line), || {
+                        format!("tx {id} committed while {line} (stored by {by}) is dirty with no covering clwb/clflushopt/NT store")
+                    });
+                }
+                LineState::Flushed {
+                    by, at_ns: f_ns, ..
+                } => {
+                    self.report(Rule::Unordered, Severity::Error, tid, at_ns, Some(line), || {
+                        format!("tx {id} committed while the flush of {line} (issued by {by} at {f_ns} ns) awaits a fence")
+                    });
+                }
+                LineState::Durable | LineState::Clean => {}
             }
         }
-        self.threads.entry(tid).or_default().tx = None;
+        self.threads[s].tx = None;
     }
 
     /// End-of-trace scan: anything still dirty or pending is reported
@@ -577,23 +475,27 @@ impl Checker {
     pub fn finish(mut self) -> CheckReport {
         self.cur_index = None;
         let mut tail: Vec<(Line, LineState)> = self
-            .lines
+            .hb
+            .table
+            .recs
             .iter()
-            .filter(|(_, s)| !matches!(s, LineState::Durable))
-            .map(|(l, s)| (*l, *s))
+            .filter(|rec| !matches!(rec.state, LineState::Clean | LineState::Durable))
+            .map(|rec| (rec.line, rec.state))
             .collect();
         tail.sort_unstable_by_key(|(l, _)| *l);
         let at_ns = self.last_ns;
         for (line, state) in tail {
             match state {
-                LineState::Dirty { by } => self.report(
-                    Rule::Unflushed,
-                    Severity::Warn,
-                    by,
-                    at_ns,
-                    Some(line),
-                    format!("{line} still dirty at trace end — stored but never flushed"),
-                ),
+                LineState::Dirty { by } => {
+                    self.report(
+                        Rule::Unflushed,
+                        Severity::Warn,
+                        by,
+                        at_ns,
+                        Some(line),
+                        || format!("{line} still dirty at trace end — stored but never flushed"),
+                    );
+                }
                 LineState::Flushed {
                     by, at_ns: f_ns, ..
                 } => self.report(
@@ -602,9 +504,13 @@ impl Checker {
                     by,
                     at_ns,
                     Some(line),
-                    format!("flush of {line} (issued at {f_ns} ns) never fenced before trace end"),
+                    || {
+                        format!(
+                            "flush of {line} (issued at {f_ns} ns) never fenced before trace end"
+                        )
+                    },
                 ),
-                LineState::Durable => unreachable!("filtered above"),
+                LineState::Clean | LineState::Durable => unreachable!("filtered above"),
             }
         }
         CheckReport {

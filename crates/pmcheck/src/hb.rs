@@ -28,56 +28,134 @@
 //! clean under the recorded order stays clean under the HB refounding
 //! (no new false positives), while transitivity lets the rules catch
 //! races the recorded interleaving hid (fewer false negatives).
+//!
+//! All per-line state — last-write and pending-persist ticks, the
+//! release clock and its releasing node — lives in the line's record
+//! in the engine's [`LineTable`]; the per-thread sets are id lists
+//! whose membership is read off those ticks.
 
-use pmem::{lines_spanning, FxHashMap, FxHashSet, Line};
+use crate::table::{LineId, LineState, LineTable};
+use pmem::{lines_spanning, Line};
 use pmobs::Json;
 use pmtrace::{Event, EventKind, Tid};
+
+/// Clock components stored inline (thread slots `0..8`).
+const INLINE_SLOTS: usize = 8;
 
 /// A vector clock: one logical-time component per thread slot.
 ///
 /// Slots are dense indices allocated by the engine in order of first
-/// appearance; missing components read as 0.
+/// appearance; missing components read as 0. The first eight live
+/// inline, so clocks of the usual handful of threads never allocate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VClock {
-    c: Vec<u64>,
+    head: [u64; INLINE_SLOTS],
+    /// Components of slots `8..`.
+    tail: Vec<u64>,
 }
 
 impl VClock {
     /// The component for `slot` (0 if never set).
     pub fn get(&self, slot: usize) -> u64 {
-        self.c.get(slot).copied().unwrap_or(0)
+        match slot.checked_sub(INLINE_SLOTS) {
+            None => self.head[slot],
+            Some(i) => self.tail.get(i).copied().unwrap_or(0),
+        }
     }
 
     fn tick(&mut self, slot: usize) {
-        if self.c.len() <= slot {
-            self.c.resize(slot + 1, 0);
+        match slot.checked_sub(INLINE_SLOTS) {
+            None => self.head[slot] += 1,
+            Some(i) => {
+                if self.tail.len() <= i {
+                    self.tail.resize(i + 1, 0);
+                }
+                self.tail[i] += 1;
+            }
         }
-        self.c[slot] += 1;
     }
 
     /// Pointwise maximum with `other`.
     pub fn join(&mut self, other: &VClock) {
-        if self.c.len() < other.c.len() {
-            self.c.resize(other.c.len(), 0);
+        for (mine, theirs) in self.head.iter_mut().zip(&other.head) {
+            *mine = (*mine).max(*theirs);
         }
-        for (i, v) in other.c.iter().enumerate() {
-            if self.c[i] < *v {
-                self.c[i] = *v;
-            }
+        if self.tail.len() < other.tail.len() {
+            self.tail.resize(other.tail.len(), 0);
+        }
+        for (mine, theirs) in self.tail.iter_mut().zip(&other.tail) {
+            *mine = (*mine).max(*theirs);
         }
     }
 }
 
-/// Per-line release record: the join of every releasing epoch's clock,
-/// plus provenance for graph edges and (in recording mode) for
-/// edge-reachability cross-checks.
+/// A short list of `(thread slot, tick)` pairs in insertion order,
+/// the first stored inline — nearly every line has one writer.
 #[derive(Debug, Default)]
-struct Release {
-    clock: VClock,
+struct SlotTicks {
+    /// `(slot + 1, tick)`; slot field 0 when the list is empty.
+    first: (u32, u64),
+    rest: Vec<(u32, u64)>,
+}
+
+impl SlotTicks {
+    fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let first = (self.first.0 != 0).then_some(self.first);
+        first
+            .into_iter()
+            .chain(self.rest.iter().copied())
+            .map(|(tag, tick)| (tag as usize - 1, tick))
+    }
+
+    /// Set `slot`'s tick, appending the slot if it is new. Returns the
+    /// tick it replaced.
+    fn set(&mut self, slot: usize, tick: u64) -> Option<u64> {
+        let tag = slot as u32 + 1;
+        if self.first.0 == 0 {
+            self.first = (tag, tick);
+            return None;
+        }
+        let entry = std::iter::once(&mut self.first)
+            .chain(&mut self.rest)
+            .find(|e| e.0 == tag);
+        match entry {
+            Some(e) => Some(std::mem::replace(&mut e.1, tick)),
+            None => {
+                self.rest.push((tag, tick));
+                None
+            }
+        }
+    }
+
+    /// Drop `slot`'s entry, keeping the others in order.
+    fn remove(&mut self, slot: usize) {
+        let tag = slot as u32 + 1;
+        if self.first.0 == tag {
+            self.first = if self.rest.is_empty() {
+                (0, 0)
+            } else {
+                self.rest.remove(0)
+            };
+        } else {
+            self.rest.retain(|e| e.0 != tag);
+        }
+    }
+}
+
+/// What the engine knows about one line, under the line table's id.
+#[derive(Debug, Default)]
+struct HbLine {
+    /// Last write per thread slot: the writer's own-component tick.
+    /// The tick doubles as the membership stamp of the slot's
+    /// open-epoch and open-transaction line lists.
+    writes: SlotTicks,
+    /// Pending (unfenced) persist per thread slot. An entry for a slot
+    /// is exactly membership in that slot's open-persist list.
+    persists: SlotTicks,
+    /// Join of every releasing epoch's / commit's clock.
+    release: VClock,
     /// Last *fence*-releasing closed epoch node (graph provenance).
-    node: Option<u32>,
-    /// Recording mode: every release event's id (acquire edges).
-    events: Vec<u32>,
+    release_node: Option<u32>,
 }
 
 /// Recording-mode state backing [`HbIndex`].
@@ -88,12 +166,29 @@ struct Recording {
     edges: Vec<(u32, u32)>,
     last_of_slot: Vec<Option<u32>>,
     pending: Option<usize>,
+    /// Per line id: every release event's id (acquire edges).
+    releases: Vec<Vec<u32>>,
 }
 
 impl Recording {
-    fn seal(&mut self, clocks: &[VClock]) {
+    /// Stamp the previous event with its thread's clock, now final.
+    fn seal(&mut self, threads: &[HbThread]) {
         if let Some(s) = self.pending.take() {
-            self.stamps.push(clocks[s].clone());
+            self.stamps.push(threads[s].clock.clone());
+        }
+    }
+
+    fn released(&mut self, line: LineId, event: u32) {
+        let line = line as usize;
+        if self.releases.len() <= line {
+            self.releases.resize_with(line + 1, Vec::new);
+        }
+        self.releases[line].push(event);
+    }
+
+    fn acquired(&mut self, line: LineId, event: u32) {
+        if let Some(sources) = self.releases.get(line as usize) {
+            self.edges.extend(sources.iter().map(|&src| (src, event)));
         }
     }
 }
@@ -105,12 +200,17 @@ struct BuildNode {
     index: u64,
     start_ns: u64,
     end_ns: u64,
-    open_clock: VClock,
+    /// Where the clock at the node's first store sits in
+    /// [`GraphBuilder::clocks`], and how many components it has.
+    open_clock: (usize, usize),
     close_tick: u64,
-    lines: FxHashSet<Line>,
+    lines: usize,
     stores: u32,
     durable: bool,
     closed: bool,
+    /// Source of the last cross edge into this node (an epoch's
+    /// acquires mostly repeat one releasing epoch).
+    last_src: Option<u32>,
 }
 
 /// Graph-mode state backing [`EpochGraph`].
@@ -119,7 +219,10 @@ struct GraphBuilder {
     nodes: Vec<BuildNode>,
     open: Vec<Option<u32>>,
     index_ctr: Vec<u64>,
-    edges: FxHashSet<(u32, u32)>,
+    /// Cross edges; deduplicated when the graph is built.
+    edges: Vec<(u32, u32)>,
+    /// Every node's open clock, back to back.
+    clocks: Vec<u64>,
 }
 
 impl GraphBuilder {
@@ -131,31 +234,30 @@ impl GraphBuilder {
     }
 
     /// The open node for `slot`, created at this (first) store.
-    fn touch(&mut self, slot: usize, at_ns: u64, clock: &VClock, line: Line) -> u32 {
+    /// `threads` is how many slots exist, i.e. how many components of
+    /// `clock` can be non-zero.
+    fn touch(&mut self, slot: usize, at_ns: u64, clock: &VClock, threads: usize) -> u32 {
         self.grow(slot);
-        let id = match self.open[slot] {
-            Some(id) => id,
-            None => {
-                let id = self.nodes.len() as u32;
-                self.nodes.push(BuildNode {
-                    slot,
-                    index: self.index_ctr[slot],
-                    start_ns: at_ns,
-                    end_ns: at_ns,
-                    open_clock: clock.clone(),
-                    close_tick: 0,
-                    lines: FxHashSet::default(),
-                    stores: 0,
-                    durable: false,
-                    closed: false,
-                });
-                self.open[slot] = Some(id);
-                id
-            }
-        };
-        let n = &mut self.nodes[id as usize];
-        n.lines.insert(line);
-        n.stores += 1;
+        if let Some(id) = self.open[slot] {
+            return id;
+        }
+        let id = self.nodes.len() as u32;
+        let at = self.clocks.len();
+        self.clocks.extend((0..threads).map(|s| clock.get(s)));
+        self.nodes.push(BuildNode {
+            slot,
+            index: self.index_ctr[slot],
+            start_ns: at_ns,
+            end_ns: at_ns,
+            open_clock: (at, threads),
+            close_tick: 0,
+            lines: 0,
+            stores: 0,
+            durable: false,
+            closed: false,
+            last_src: None,
+        });
+        self.open[slot] = Some(id);
         id
     }
 
@@ -172,6 +274,26 @@ impl GraphBuilder {
     }
 }
 
+/// Per-thread engine state.
+#[derive(Debug, Default)]
+struct HbThread {
+    clock: VClock,
+    /// Lines stored in the open epoch: released by the next fence. A
+    /// line is listed iff its write tick for this slot is newer than
+    /// `epoch_tick`.
+    open_lines: Vec<LineId>,
+    /// Lines with a pending persist entry for this slot.
+    open_persists: Vec<LineId>,
+    /// Lines stored in the open transaction: released by its commit. A
+    /// line is listed iff its write tick is newer than `tx_tick`.
+    tx_lines: Vec<LineId>,
+    in_tx: bool,
+    /// Own-component tick of this thread's last fence.
+    epoch_tick: u64,
+    /// Own-component tick of this thread's last transaction begin.
+    tx_tick: u64,
+}
+
 /// Streaming vector-clock happens-before engine.
 ///
 /// Drive it either with [`apply`](HbEngine::apply) (one call per trace
@@ -182,18 +304,13 @@ impl GraphBuilder {
 /// checker and ignored by `apply`).
 #[derive(Debug, Default)]
 pub struct HbEngine {
-    slots: FxHashMap<Tid, usize>,
-    tids: Vec<Tid>,
-    clocks: Vec<VClock>,
-    /// Last write per (line, slot): the writer's own-component tick.
-    writes: FxHashMap<Line, Vec<(usize, u64)>>,
-    released: FxHashMap<Line, Release>,
-    /// Pending (unfenced) persist per (line, slot).
-    persists: FxHashMap<Line, Vec<(usize, u64)>>,
-    open_lines: Vec<FxHashSet<Line>>,
-    open_persists: Vec<FxHashSet<Line>>,
-    tx_lines: Vec<FxHashSet<Line>>,
-    in_tx: Vec<bool>,
+    /// Lines, thread slots, and the line-state automaton. The checker
+    /// shares it, so a line is interned once per event.
+    pub(crate) table: LineTable,
+    /// Per-line clocks, indexed by the table's line ids and grown to
+    /// the table's size when the engine first meets an id past its end.
+    lines: Vec<HbLine>,
+    threads: Vec<HbThread>,
     cur: Option<(usize, u32)>,
     cur_ns: u64,
     events_seen: u32,
@@ -217,38 +334,29 @@ impl HbEngine {
         self.graph = Some(GraphBuilder::default());
     }
 
-    fn slot(&mut self, tid: Tid) -> usize {
-        if let Some(s) = self.slots.get(&tid) {
-            return *s;
-        }
-        let s = self.tids.len();
-        self.slots.insert(tid, s);
-        self.tids.push(tid);
-        self.clocks.push(VClock::default());
-        self.open_lines.push(FxHashSet::default());
-        self.open_persists.push(FxHashSet::default());
-        self.tx_lines.push(FxHashSet::default());
-        self.in_tx.push(false);
-        if let Some(rec) = &mut self.record {
-            rec.last_of_slot.push(None);
-        }
-        s
-    }
-
     /// Start a new trace event on `tid` at `at_ns`: seals the previous
     /// event's stamp and ticks the thread's clock. Every subsequent
     /// per-line handler call belongs to this event.
     pub fn begin_event(&mut self, tid: Tid, at_ns: u64) {
-        let s = self.slot(tid);
-        if let Some(rec) = &mut self.record {
-            rec.seal(&self.clocks);
+        let s = self.table.slot(tid);
+        self.begin_event_in(s, at_ns);
+    }
+
+    /// [`begin_event`](HbEngine::begin_event) for a caller that
+    /// already resolved the thread's slot.
+    pub(crate) fn begin_event_in(&mut self, s: usize, at_ns: u64) {
+        if self.threads.len() <= s {
+            self.threads.resize_with(s + 1, HbThread::default);
         }
-        self.clocks[s].tick(s);
         let id = self.events_seen;
         self.events_seen += 1;
         self.cur = Some((s, id));
         self.cur_ns = at_ns;
         if let Some(rec) = &mut self.record {
+            rec.seal(&self.threads);
+            if rec.last_of_slot.len() <= s {
+                rec.last_of_slot.resize(s + 1, None);
+            }
             rec.slots.push(s);
             if let Some(prev) = rec.last_of_slot[s] {
                 rec.edges.push((prev, id));
@@ -256,21 +364,51 @@ impl HbEngine {
             rec.last_of_slot[s] = Some(id);
             rec.pending = Some(s);
         }
+        self.threads[s].clock.tick(s);
     }
 
     fn cur(&self) -> (usize, u32) {
         self.cur.expect("begin_event before handlers")
     }
 
+    /// Make sure `self.lines` reaches `line` (the first call for a
+    /// line the table interned after the last growth).
+    fn cover(&mut self, line: LineId) {
+        if self.lines.len() <= line as usize {
+            self.lines
+                .resize_with(self.table.recs.len(), HbLine::default);
+        }
+    }
+
+    /// The threads with an entry in `ticks` that the thread in slot `s`
+    /// (at `clock`) has not observed — a conflict set, in entry order.
+    fn concurrent(ticks: &SlotTicks, s: usize, clock: &VClock, tids: &[Tid]) -> Vec<Tid> {
+        ticks
+            .iter()
+            .filter(|&(u, k)| u != s && clock.get(u) < k)
+            .map(|(u, _)| tids[u])
+            .collect()
+    }
+
     /// Join `line`'s release clock into the current thread's clock.
-    fn acquire(&mut self, s: usize, id: u32, line: Line) {
-        if let Some(rel) = self.released.get(&line) {
-            self.clocks[s].join(&rel.clock);
-            if let Some(rec) = &mut self.record {
-                for &src in &rel.events {
-                    rec.edges.push((src, id));
-                }
-            }
+    fn acquire(&mut self, s: usize, event: u32, line: LineId) {
+        self.cover(line);
+        let clock = &mut self.threads[s].clock;
+        clock.join(&self.lines[line as usize].release);
+        if let Some(rec) = &mut self.record {
+            rec.acquired(line, event);
+        }
+    }
+
+    /// Join the current thread's clock into `line`'s release clock.
+    fn release(&mut self, s: usize, event: u32, line: LineId, node: Option<u32>) {
+        let l = &mut self.lines[line as usize];
+        l.release.join(&self.threads[s].clock);
+        if node.is_some() {
+            l.release_node = node;
+        }
+        if let Some(rec) = &mut self.record {
+            rec.released(line, event);
         }
     }
 
@@ -278,32 +416,35 @@ impl HbEngine {
     /// threads whose last write to the line is HB-concurrent with this
     /// one — the `P-CROSS-DEP` conflict set.
     pub fn store(&mut self, line: Line) -> Vec<Tid> {
-        let (s, id) = self.cur();
-        let rel_node = self.released.get(&line).and_then(|r| r.node);
-        self.acquire(s, id, line);
-        let mut conflicts = Vec::new();
-        if let Some(ws) = self.writes.get(&line) {
-            for &(u, k) in ws {
-                if u != s && self.clocks[s].get(u) < k {
-                    conflicts.push(self.tids[u]);
-                }
-            }
+        let id = self.table.intern(line);
+        self.store_id(id)
+    }
+
+    /// [`store`](HbEngine::store) of an interned line.
+    pub(crate) fn store_id(&mut self, line: LineId) -> Vec<Tid> {
+        let (s, event) = self.cur();
+        self.acquire(s, event, line);
+        let t = &mut self.threads[s];
+        let l = &mut self.lines[line as usize];
+        let conflicts = Self::concurrent(&l.writes, s, &t.clock, &self.table.tids);
+        // This slot's previous write tick, if it wrote the line before.
+        let prev = l.writes.set(s, t.clock.get(s));
+        let first_in_epoch = prev.is_none_or(|k| k <= t.epoch_tick);
+        if first_in_epoch {
+            t.open_lines.push(line);
         }
-        let own = self.clocks[s].get(s);
-        let ws = self.writes.entry(line).or_default();
-        match ws.iter_mut().find(|(u, _)| *u == s) {
-            Some(w) => w.1 = own,
-            None => ws.push((s, own)),
-        }
-        self.open_lines[s].insert(line);
-        if self.in_tx[s] {
-            self.tx_lines[s].insert(line);
+        if t.in_tx && prev.is_none_or(|k| k <= t.tx_tick) {
+            t.tx_lines.push(line);
         }
         if let Some(g) = &mut self.graph {
-            let node = g.touch(s, self.cur_ns, &self.clocks[s], line);
-            if let Some(src) = rel_node {
+            let node = g.touch(s, self.cur_ns, &t.clock, self.table.tids.len());
+            let n = &mut g.nodes[node as usize];
+            n.stores += 1;
+            n.lines += usize::from(first_in_epoch);
+            if let Some(src) = l.release_node.filter(|src| n.last_src != Some(*src)) {
+                n.last_src = Some(src);
                 if g.nodes[src as usize].slot != s {
-                    g.edges.insert((src, node));
+                    g.edges.push((src, node));
                 }
             }
         }
@@ -313,8 +454,14 @@ impl HbEngine {
     /// A load of `line`: acquire only (reading the line is
     /// coherence-ordered after every published epoch that wrote it).
     pub fn load(&mut self, line: Line) {
-        let (s, id) = self.cur();
-        self.acquire(s, id, line);
+        let id = self.table.intern(line);
+        self.load_id(id);
+    }
+
+    /// [`load`](HbEngine::load) of an interned line.
+    pub(crate) fn load_id(&mut self, line: LineId) {
+        let (s, event) = self.cur();
+        self.acquire(s, event, line);
     }
 
     /// A persist operation (covering flush or NT store) of `line`.
@@ -322,20 +469,21 @@ impl HbEngine {
     /// same line that is HB-concurrent with this one — the
     /// `P-EPOCH-RACE` conflict set.
     pub fn persist(&mut self, line: Line) -> Vec<Tid> {
+        let id = self.table.intern(line);
+        self.persist_id(id)
+    }
+
+    /// [`persist`](HbEngine::persist) of an interned line.
+    pub(crate) fn persist_id(&mut self, line: LineId) -> Vec<Tid> {
         let (s, _) = self.cur();
-        let mut conflicts = Vec::new();
-        let entries = self.persists.entry(line).or_default();
-        for &(u, k) in entries.iter() {
-            if u != s && self.clocks[s].get(u) < k {
-                conflicts.push(self.tids[u]);
-            }
+        // A flush can be the first the engine hears of a line.
+        self.cover(line);
+        let t = &mut self.threads[s];
+        let l = &mut self.lines[line as usize];
+        let conflicts = Self::concurrent(&l.persists, s, &t.clock, &self.table.tids);
+        if l.persists.set(s, t.clock.get(s)).is_none() {
+            t.open_persists.push(line);
         }
-        let own = self.clocks[s].get(s);
-        match entries.iter_mut().find(|(u, _)| *u == s) {
-            Some(e) => e.1 = own,
-            None => entries.push((s, own)),
-        }
-        self.open_persists[s].insert(line);
         conflicts
     }
 
@@ -343,30 +491,20 @@ impl HbEngine {
     /// releasing every line it stored and retiring the thread's
     /// pending persists.
     pub fn fence(&mut self, durable: bool) {
-        let (s, id) = self.cur();
+        let (s, event) = self.cur();
         let node = match &mut self.graph {
-            Some(g) => g.close(s, self.cur_ns, &self.clocks[s], durable),
+            Some(g) => g.close(s, self.cur_ns, &self.threads[s].clock, durable),
             None => None,
         };
-        let lines: Vec<Line> = self.open_lines[s].drain().collect();
-        for line in lines {
-            let r = self.released.entry(line).or_default();
-            r.clock.join(&self.clocks[s]);
-            if node.is_some() {
-                r.node = node;
-            }
-            if self.record.is_some() {
-                r.events.push(id);
-            }
+        let mut lines = std::mem::take(&mut self.threads[s].open_lines);
+        for line in lines.drain(..) {
+            self.release(s, event, line, node);
         }
-        let persisted: Vec<Line> = self.open_persists[s].drain().collect();
-        for line in persisted {
-            if let Some(entries) = self.persists.get_mut(&line) {
-                entries.retain(|(u, _)| *u != s);
-                if entries.is_empty() {
-                    self.persists.remove(&line);
-                }
-            }
+        let t = &mut self.threads[s];
+        t.open_lines = lines;
+        t.epoch_tick = t.clock.get(s);
+        for line in t.open_persists.drain(..) {
+            self.lines[line as usize].persists.remove(s);
         }
     }
 
@@ -374,23 +512,22 @@ impl HbEngine {
     /// set.
     pub fn tx_begin(&mut self) {
         let (s, _) = self.cur();
-        self.in_tx[s] = true;
-        self.tx_lines[s].clear();
+        let t = &mut self.threads[s];
+        t.in_tx = true;
+        t.tx_lines.clear();
+        t.tx_tick = t.clock.get(s);
     }
 
     /// Transaction commit: releases every line the transaction stored
     /// (commit publishes the writes).
     pub fn tx_end(&mut self) {
-        let (s, id) = self.cur();
-        self.in_tx[s] = false;
-        let lines: Vec<Line> = self.tx_lines[s].drain().collect();
-        for line in lines {
-            let r = self.released.entry(line).or_default();
-            r.clock.join(&self.clocks[s]);
-            if self.record.is_some() {
-                r.events.push(id);
-            }
+        let (s, event) = self.cur();
+        self.threads[s].in_tx = false;
+        let mut lines = std::mem::take(&mut self.threads[s].tx_lines);
+        for line in lines.drain(..) {
+            self.release(s, event, line, None);
         }
+        self.threads[s].tx_lines = lines;
     }
 
     /// Fold one whole trace event (the standalone-analysis driver; the
@@ -401,9 +538,10 @@ impl HbEngine {
         match ev.kind {
             EventKind::PmStore { addr, len, nt, .. } => {
                 for (line, _, _) in lines_spanning(addr, len as usize) {
-                    self.store(line);
+                    let id = self.table.intern(line);
+                    self.store_id(id);
                     if nt {
-                        self.persist(line);
+                        self.persist_id(id);
                     }
                 }
             }
@@ -440,7 +578,7 @@ impl HbIndex {
             eng.apply(ev);
         }
         let mut rec = eng.record.take().expect("recording enabled");
-        rec.seal(&eng.clocks);
+        rec.seal(&eng.threads);
         HbIndex {
             stamps: rec.stamps,
             slots: rec.slots,
@@ -512,7 +650,10 @@ pub struct EpochGraph {
     pub cross_edges: Vec<(u32, u32)>,
     /// Count of implicit per-thread program-order edges.
     pub po_edges: usize,
-    open_clocks: Vec<VClock>,
+    /// Every node's open clock, back to back; `open_clock_at[n]` is
+    /// node `n`'s `(offset, component count)`.
+    open_clocks: Vec<u64>,
+    open_clock_at: Vec<(usize, usize)>,
     close_ticks: Vec<u64>,
     node_slots: Vec<usize>,
     per_thread: Vec<Vec<u32>>,
@@ -529,12 +670,13 @@ impl EpochGraph {
             eng.apply(ev);
         }
         let g = eng.graph.take().expect("graph enabled");
+        let tids = eng.table.tids;
         let mut map: Vec<Option<u32>> = vec![None; g.nodes.len()];
         let mut nodes = Vec::new();
-        let mut open_clocks = Vec::new();
+        let mut open_clock_at = Vec::new();
         let mut close_ticks = Vec::new();
         let mut node_slots = Vec::new();
-        let mut per_thread: Vec<Vec<u32>> = vec![Vec::new(); eng.tids.len()];
+        let mut per_thread: Vec<Vec<u32>> = vec![Vec::new(); tids.len()];
         for (i, n) in g.nodes.iter().enumerate() {
             if !n.closed {
                 continue;
@@ -542,15 +684,15 @@ impl EpochGraph {
             let id = nodes.len() as u32;
             map[i] = Some(id);
             nodes.push(EpochNode {
-                tid: eng.tids[n.slot],
+                tid: tids[n.slot],
                 index: n.index,
                 start_ns: n.start_ns,
                 end_ns: n.end_ns,
-                lines: n.lines.len(),
+                lines: n.lines,
                 stores: n.stores,
                 durable: n.durable,
             });
-            open_clocks.push(n.open_clock.clone());
+            open_clock_at.push(n.open_clock);
             close_ticks.push(n.close_tick);
             node_slots.push(n.slot);
             per_thread[n.slot].push(id);
@@ -564,11 +706,12 @@ impl EpochGraph {
         cross_edges.dedup();
         let po_edges = per_thread.iter().map(|c| c.len().saturating_sub(1)).sum();
         EpochGraph {
-            threads: eng.tids,
+            threads: tids,
             nodes,
             cross_edges,
             po_edges,
-            open_clocks,
+            open_clocks: g.clocks,
+            open_clock_at,
             close_ticks,
             node_slots,
             per_thread,
@@ -592,7 +735,13 @@ impl EpochGraph {
         if sa == sb {
             return self.nodes[a as usize].index < self.nodes[b as usize].index;
         }
-        self.open_clocks[b as usize].get(sa) >= self.close_ticks[a as usize]
+        let (at, len) = self.open_clock_at[b as usize];
+        let seen = if sa < len {
+            self.open_clocks[at + sa]
+        } else {
+            0
+        };
+        seen >= self.close_ticks[a as usize]
     }
 
     /// The largest set of pairwise HB-concurrent epochs — the graph's
@@ -752,32 +901,25 @@ impl EpochGraph {
 /// the proof therefore stays empty until every thread that appears in
 /// the trace has fenced at least once.
 pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum S {
-        Dirty,
-        Flushed { by: Tid, nt: bool },
-        Durable,
+    // Coverage layer: the line-state automaton, as the checker runs it.
+    let mut table = LineTable::default();
+    // Untraced-setup guard: how many of the trace's threads have yet to
+    // drain their pre-trace in-flight entries with a traced fence.
+    for ev in events {
+        table.slot(ev.tid);
     }
-    // Coverage layer: the checker's line-state machine.
-    let mut lines: FxHashMap<Line, S> = FxHashMap::default();
-    let mut pending: FxHashMap<Tid, FxHashSet<Line>> = FxHashMap::default();
-    // Machine layer: live in-flight write-back entries per line. A
-    // `clwb` of a dirty line snapshots it (`snaps`, a multiset — the
-    // entry lives until the *flusher's* fence); an NT store occupies
-    // one WCB slot per (thread, line) until a fence or a superseding
-    // cacheable store.
-    let mut live: FxHashMap<Line, u32> = FxHashMap::default();
-    let mut snaps: FxHashMap<Tid, Vec<Line>> = FxHashMap::default();
-    let mut wcbs: FxHashMap<Tid, FxHashSet<Line>> = FxHashMap::default();
-    let unlive = |live: &mut FxHashMap<Line, u32>, line: Line| {
-        if let Some(n) = live.get_mut(&line) {
-            *n = n.saturating_sub(1);
-        }
-    };
-    // Untraced-setup guard: which threads have drained their pre-trace
-    // in-flight entries with a traced fence.
-    let all_tids: FxHashSet<Tid> = events.iter().map(|e| e.tid).collect();
-    let mut fenced: FxHashSet<Tid> = FxHashSet::default();
+    let mut fenced = vec![false; table.tids.len()];
+    let mut unfenced = fenced.len();
+    // Machine layer: live in-flight write-back entries, listed per
+    // thread and counted per line (`LineRec::live`). A `clwb` of a
+    // dirty line snapshots it (`snaps` — the entry lives until the
+    // *flusher's* fence); an NT store occupies a WCB slot (`wcbs`, with
+    // the line's WCB generation) until a fence or a superseding
+    // cacheable store. Repeated NT stores list and count the line
+    // repeatedly, which leaves "no live entry" — all the proof asks —
+    // unchanged.
+    let mut snaps: Vec<Vec<LineId>> = vec![Vec::new(); fenced.len()];
+    let mut wcbs: Vec<Vec<(LineId, u32)>> = vec![Vec::new(); fenced.len()];
     let mut out = Vec::with_capacity(points.len());
     let mut next = 0usize;
     let mut ordinal = 0u64;
@@ -786,109 +928,61 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
         if next == points.len() {
             break;
         }
+        let s = table.slot(ev.tid);
         match ev.kind {
             EventKind::PmStore { addr, len, nt, .. } => {
                 for (line, _, _) in lines_spanning(addr, len as usize) {
-                    if let Some(S::Flushed { by, nt: _ }) = lines.get(&line).copied() {
-                        if by != ev.tid || !nt {
-                            if let Some(p) = pending.get_mut(&by) {
-                                p.remove(&line);
-                            }
-                        }
-                    }
+                    let id = table.intern(line);
+                    table.store(id, s, ev.at_ns, nt);
+                    let rec = &mut table.recs[id as usize];
                     if nt {
-                        lines.insert(
-                            line,
-                            S::Flushed {
-                                by: ev.tid,
-                                nt: true,
-                            },
-                        );
-                        pending.entry(ev.tid).or_default().insert(line);
-                        if wcbs.entry(ev.tid).or_default().insert(line) {
-                            *live.entry(line).or_insert(0) += 1;
-                        }
+                        wcbs[s].push((id, rec.wcb_gen));
+                        rec.wcb_live += 1;
+                        rec.live += 1;
                     } else {
-                        lines.insert(line, S::Dirty);
                         // A cacheable store supersedes every WCB entry
                         // of the line — but not pending snapshots.
-                        for w in wcbs.values_mut() {
-                            if w.remove(&line) {
-                                unlive(&mut live, line);
-                            }
-                        }
+                        rec.live -= rec.wcb_live;
+                        rec.wcb_live = 0;
+                        rec.wcb_gen += 1;
                     }
                 }
             }
             EventKind::Flush { addr } => {
-                let line = Line::containing(addr);
-                match lines.get(&line).copied() {
-                    None | Some(S::Durable) => {}
-                    Some(S::Dirty) => {
-                        lines.insert(
-                            line,
-                            S::Flushed {
-                                by: ev.tid,
-                                nt: false,
-                            },
-                        );
-                        pending.entry(ev.tid).or_default().insert(line);
-                        // The machine snapshots a *dirty* line into the
-                        // flusher's pending set.
-                        snaps.entry(ev.tid).or_default().push(line);
-                        *live.entry(line).or_insert(0) += 1;
-                    }
-                    Some(S::Flushed { by, nt }) => {
-                        if !nt && by != ev.tid {
-                            // Coverage takeover only: the line is clean
-                            // in the machine, so no new snapshot.
-                            if let Some(p) = pending.get_mut(&by) {
-                                p.remove(&line);
-                            }
-                            lines.insert(
-                                line,
-                                S::Flushed {
-                                    by: ev.tid,
-                                    nt: false,
-                                },
-                            );
-                            pending.entry(ev.tid).or_default().insert(line);
-                        }
-                    }
+                let id = table.intern(Line::containing(addr));
+                // The machine snapshots a *dirty* line into the
+                // flusher's pending set; a coverage takeover finds the
+                // line clean in the machine, so no new snapshot.
+                if let LineState::Dirty { .. } = table.flush(id, s, ev.at_ns) {
+                    snaps[s].push(id);
+                    table.recs[id as usize].live += 1;
                 }
             }
             EventKind::Fence | EventKind::DFence => {
-                if let Some(p) = pending.get_mut(&ev.tid) {
-                    for line in p.drain() {
-                        if let Some(S::Flushed { by, .. }) = lines.get(&line) {
-                            if *by == ev.tid {
-                                lines.insert(line, S::Durable);
-                            }
-                        }
-                    }
-                }
+                table.fence(s);
                 // The fence drains every in-flight entry this thread
                 // owns (stale ones included).
-                if let Some(s) = snaps.get_mut(&ev.tid) {
-                    for line in s.drain(..) {
-                        unlive(&mut live, line);
+                for id in snaps[s].drain(..) {
+                    table.recs[id as usize].live -= 1;
+                }
+                for (id, gen) in wcbs[s].drain(..) {
+                    let rec = &mut table.recs[id as usize];
+                    if gen == rec.wcb_gen {
+                        rec.wcb_live -= 1;
+                        rec.live -= 1;
                     }
                 }
-                if let Some(w) = wcbs.get_mut(&ev.tid) {
-                    for line in std::mem::take(w) {
-                        unlive(&mut live, line);
-                    }
+                if !std::mem::replace(&mut fenced[s], true) {
+                    unfenced -= 1;
                 }
-                fenced.insert(ev.tid);
                 ordinal += 1;
                 while next < points.len() && points[next] == ordinal {
-                    let mut durable: Vec<Line> = if fenced.len() == all_tids.len() {
-                        lines
+                    let mut durable: Vec<Line> = if unfenced == 0 {
+                        table
+                            .recs
                             .iter()
-                            .filter(|(l, s)| {
-                                matches!(s, S::Durable) && live.get(l).copied().unwrap_or(0) == 0
-                            })
-                            .map(|(l, _)| *l)
+                            .filter(|rec| rec.state == LineState::Durable && rec.live == 0)
+                            .map(|rec| rec.line)
                             .collect()
                     } else {
                         Vec::new()

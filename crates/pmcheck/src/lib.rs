@@ -48,6 +48,7 @@ pub mod hb;
 pub mod rewrite;
 mod rules;
 pub mod seeded;
+mod table;
 
 pub use checker::{check_events, check_events_with, CheckReport, Checker, Finding};
 pub use rewrite::{rewrite_events, RewriteReport};

@@ -34,7 +34,7 @@
 //! segmentation stays aligned.
 
 use crate::checker::{CheckReport, Checker};
-use crate::rules::Rule;
+use crate::rules::{Rule, RuleSet};
 use pmtrace::{transform::TraceEdit, Event, EventKind};
 
 /// What one [`rewrite_events`] run did.
@@ -68,8 +68,12 @@ pub fn is_elidable(rule: Rule) -> bool {
     matches!(rule, Rule::RedundantFlush | Rule::DoubleFence)
 }
 
+/// One checking pass reporting only the elidable rules. Neither reads
+/// a vector clock, so the pass runs the line-state automaton alone.
 fn check_pass(events: &[Event]) -> CheckReport {
-    let mut c = Checker::new();
+    let mut c = Checker::with_rules(RuleSet::of(
+        Rule::ALL.into_iter().filter(|r| is_elidable(*r)),
+    ));
     for ev in events {
         c.push(ev);
     }
@@ -91,12 +95,7 @@ pub fn rewrite_events(events: &[Event]) -> RewriteReport {
     loop {
         out.rounds += 1;
         let report = check_pass(&current);
-        let mut targets: Vec<usize> = report
-            .findings
-            .iter()
-            .filter(|f| is_elidable(f.rule))
-            .filter_map(|f| f.at_index)
-            .collect();
+        let mut targets: Vec<usize> = report.findings.iter().filter_map(|f| f.at_index).collect();
         targets.sort_unstable();
         targets.dedup();
         if targets.is_empty() {

@@ -109,9 +109,15 @@ impl std::fmt::Display for Rule {
 
 /// A selection of rules to report, for `--check-rules`-style filtering.
 ///
-/// The checker always runs every state machine (later rules may depend
-/// on state earlier events built up); a `RuleSet` only filters which
-/// findings are *reported*.
+/// The checker always runs the line-state automaton and its per-thread
+/// epoch/transaction bookkeeping (later rules may depend on state
+/// earlier events built up); for those a `RuleSet` only filters which
+/// findings are *reported*. The one thing a `RuleSet` switches off is
+/// the vector-clock happens-before engine, which is skipped exactly
+/// when neither rule founded on it (`P-CROSS-DEP`, `P-EPOCH-RACE`) is
+/// selected. That cannot change a reported finding: the engine's
+/// clocks and conflict sets feed those two rules and nothing else —
+/// no other rule, and no line-state transition, reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleSet(u8);
 
@@ -129,6 +135,17 @@ impl RuleSet {
     /// True when no rule was filtered out.
     pub fn is_all(self) -> bool {
         self == RuleSet::all()
+    }
+
+    /// Exactly the rules in `rules`.
+    pub(crate) fn of(rules: impl IntoIterator<Item = Rule>) -> RuleSet {
+        RuleSet(rules.into_iter().fold(0, |set, r| set | 1 << r.bit()))
+    }
+
+    /// Whether a selected rule is founded on the happens-before engine
+    /// (see the type's docs).
+    pub(crate) fn needs_hb(self) -> bool {
+        self.contains(Rule::CrossDep) || self.contains(Rule::EpochRace)
     }
 
     /// The enabled rules, in [`Rule::ALL`] order.

@@ -5,79 +5,22 @@
 //! contains per-thread program order, and the vector-clock comparison
 //! agrees exactly with reachability over the explicit edge list
 //! (program order + release→acquire) the recording engine emits.
+//!
+//! The traces come from `common`: 1–70 sparse thread ids and stores
+//! that straddle a 4 KiB page boundary. On top of the order
+//! properties, the relation must not move when the same operations
+//! are relocated — to other lines and pages (page-granular line
+//! interning aliases nothing, wherever a store's lines cross a page
+//! end) or to later thread slots (the per-thread line lists and the clocks'
+//! spilled components have no thread-count cliff).
 
+mod common;
+
+use common::{all_ops, build, build_at, Layout, STRADDLING};
 use miniprop::prelude::*;
-use pmcheck::hb::HbIndex;
-use pmtrace::{Category, Event, Tid, TraceBuffer};
-
-#[derive(Debug, Clone, Copy)]
-enum TraceOp {
-    Store { tid: u8, slot: u8, nt: bool },
-    Load { tid: u8, slot: u8 },
-    Flush { tid: u8, slot: u8 },
-    Fence { tid: u8, durable: bool },
-    TxToggle { tid: u8 },
-}
-
-fn ops() -> impl Strategy<Value = Vec<TraceOp>> {
-    collection::vec(
-        prop_oneof![
-            (0u8..3, 0u8..6, any::<bool>()).prop_map(|(tid, slot, nt)| TraceOp::Store {
-                tid,
-                slot,
-                nt
-            }),
-            (0u8..3, 0u8..6).prop_map(|(tid, slot)| TraceOp::Load { tid, slot }),
-            (0u8..3, 0u8..6).prop_map(|(tid, slot)| TraceOp::Flush { tid, slot }),
-            (0u8..3, any::<bool>()).prop_map(|(tid, durable)| TraceOp::Fence { tid, durable }),
-            (0u8..3).prop_map(|tid| TraceOp::TxToggle { tid }),
-        ],
-        0..40,
-    )
-}
-
-fn build(ops: &[TraceOp]) -> Vec<Event> {
-    let mut t = TraceBuffer::new();
-    let mut now = 0u64;
-    let mut open_tx = [None::<u64>; 3];
-    let mut next_tx = 1u64;
-    for op in ops {
-        now += 2;
-        match *op {
-            TraceOp::Store { tid, slot, nt } => {
-                t.pm_store(
-                    Tid(tid as u32),
-                    slot as u64 * 64,
-                    8,
-                    nt,
-                    Category::UserData,
-                    now,
-                );
-            }
-            TraceOp::Load { tid, slot } => t.pm_load(Tid(tid as u32), slot as u64 * 64, now),
-            TraceOp::Flush { tid, slot } => t.flush(Tid(tid as u32), slot as u64 * 64, now),
-            TraceOp::Fence { tid, durable } => {
-                if durable {
-                    t.dfence(Tid(tid as u32), now);
-                } else {
-                    t.fence(Tid(tid as u32), now);
-                }
-            }
-            TraceOp::TxToggle { tid } => {
-                let slot = &mut open_tx[tid as usize];
-                match slot.take() {
-                    Some(id) => t.tx_end(Tid(tid as u32), id, now),
-                    None => {
-                        t.tx_begin(Tid(tid as u32), next_tx, now);
-                        *slot = Some(next_tx);
-                        next_tx += 1;
-                    }
-                }
-            }
-        }
-    }
-    t.into_events()
-}
+use pmcheck::check_events;
+use pmcheck::hb::{EpochGraph, HbIndex};
+use pmtrace::{Category, Tid, TraceBuffer};
 
 /// `reach[a][b]` ⇔ `b` is reachable from `a` over the explicit HB
 /// edges (one or more hops) — the ground truth the clocks summarize.
@@ -106,8 +49,8 @@ proptest! {
     /// Irreflexive and antisymmetric: no event precedes itself, and no
     /// two events precede each other.
     #[test]
-    fn hb_is_irreflexive_and_antisymmetric(ops in ops()) {
-        let events = build(&ops);
+    fn hb_is_irreflexive_and_antisymmetric((threads, ops) in all_ops(40)) {
+        let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         for a in 0..idx.len() {
             prop_assert!(!idx.happens_before(a, a), "event {a} precedes itself");
@@ -122,8 +65,8 @@ proptest! {
 
     /// Transitive: a ≺ b and b ≺ c imply a ≺ c.
     #[test]
-    fn hb_is_transitive(ops in ops()) {
-        let events = build(&ops);
+    fn hb_is_transitive((threads, ops) in all_ops(40)) {
+        let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         let n = idx.len();
         for a in 0..n {
@@ -145,8 +88,8 @@ proptest! {
 
     /// Per-thread program order is always contained in HB.
     #[test]
-    fn hb_contains_program_order(ops in ops()) {
-        let events = build(&ops);
+    fn hb_contains_program_order((threads, ops) in all_ops(40)) {
+        let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         for a in 0..events.len() {
             for b in (a + 1)..events.len() {
@@ -165,8 +108,8 @@ proptest! {
     /// every pair: the clocks are a sound *and* complete summary of
     /// the explicit ordering edges.
     #[test]
-    fn hb_clocks_agree_with_edge_reachability(ops in ops()) {
-        let events = build(&ops);
+    fn hb_clocks_agree_with_edge_reachability((threads, ops) in all_ops(40)) {
+        let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         let reach = reachability(&idx);
         for (a, row) in reach.iter().enumerate() {
@@ -180,6 +123,45 @@ proptest! {
                     "clock vs reachability disagree on ({}, {})", a, b
                 );
             }
+        }
+    }
+
+    /// Which lines the slots are — inside one page, across a page
+    /// boundary, a page or a page and a line apart — and which thread
+    /// slots the threads got changes neither the relation, nor the
+    /// epoch graph, nor what the checker finds.
+    #[test]
+    fn hb_is_invariant_under_relocation((threads, ops) in all_ops(40)) {
+        let relation = |layout: Layout| {
+            let events = build_at(threads, &ops, layout);
+            let skip = 2 * usize::from(layout.bystanders);
+            let idx = HbIndex::of(&events);
+            let n = idx.len() - skip;
+            let before: Vec<bool> = (0..n * n)
+                .map(|i| idx.happens_before(skip + i / n, skip + i % n))
+                .collect();
+            let graph = EpochGraph::build(&events[skip..]).to_json("x").to_pretty();
+            let findings: Vec<_> = check_events(&events[skip..])
+                .findings
+                .iter()
+                .map(|f| (f.rule, f.severity, f.tid, f.at_ns, f.epoch, f.tx, f.at_index))
+                .collect();
+            (before, format!("{graph}\n{findings:?}"))
+        };
+        let contiguous = relation(STRADDLING);
+        for first_line in [64 * 9 + 10, 64 * 9 + 58, 64 * 9 + 63] {
+            let moved = relation(Layout { first_line, ..STRADDLING });
+            prop_assert!(moved == contiguous, "contiguous slots from line {first_line}");
+        }
+        // Stores reach at most three lines past their slot, so slots
+        // 64 or 65 lines apart never share a line — and share a page
+        // offset only in the first case.
+        let apart = relation(Layout { stride: 64, ..STRADDLING });
+        let moved = relation(Layout { stride: 65, ..STRADDLING });
+        prop_assert!(moved == apart, "slots 65 lines apart");
+        for bystanders in [7, 8, 63, 64, 70] {
+            let (before, _) = relation(Layout { bystanders, ..STRADDLING });
+            prop_assert!(before == contiguous.0, "{bystanders} earlier thread slots");
         }
     }
 

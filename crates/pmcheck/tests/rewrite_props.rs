@@ -8,75 +8,12 @@
 //! finding. The pinning test fixes the exact elision counts for the
 //! seeded buggy-log trace so optimizer coverage changes are loud.
 
+mod common;
+
+use common::{build, write_ops};
 use miniprop::prelude::*;
 use pmcheck::{check_events, rewrite::rewrite_events, seeded, Rule, Severity};
-use pmtrace::{Category, Event, EventKind, Tid, TraceBuffer};
-
-#[derive(Debug, Clone, Copy)]
-enum TraceOp {
-    Store { tid: u8, slot: u8, nt: bool },
-    Flush { tid: u8, slot: u8 },
-    Fence { tid: u8, durable: bool },
-    TxToggle { tid: u8 },
-}
-
-fn ops() -> impl Strategy<Value = Vec<TraceOp>> {
-    collection::vec(
-        prop_oneof![
-            (0u8..3, 0u8..6, any::<bool>()).prop_map(|(tid, slot, nt)| TraceOp::Store {
-                tid,
-                slot,
-                nt
-            }),
-            (0u8..3, 0u8..6).prop_map(|(tid, slot)| TraceOp::Flush { tid, slot }),
-            (0u8..3, any::<bool>()).prop_map(|(tid, durable)| TraceOp::Fence { tid, durable }),
-            (0u8..3).prop_map(|tid| TraceOp::TxToggle { tid }),
-        ],
-        0..60,
-    )
-}
-
-fn build(ops: &[TraceOp]) -> Vec<Event> {
-    let mut t = TraceBuffer::new();
-    let mut now = 0u64;
-    let mut open_tx = [None::<u64>; 3];
-    let mut next_tx = 1u64;
-    for op in ops {
-        now += 2;
-        match *op {
-            TraceOp::Store { tid, slot, nt } => {
-                t.pm_store(
-                    Tid(tid as u32),
-                    slot as u64 * 64,
-                    8,
-                    nt,
-                    Category::UserData,
-                    now,
-                );
-            }
-            TraceOp::Flush { tid, slot } => t.flush(Tid(tid as u32), slot as u64 * 64, now),
-            TraceOp::Fence { tid, durable } => {
-                if durable {
-                    t.dfence(Tid(tid as u32), now);
-                } else {
-                    t.fence(Tid(tid as u32), now);
-                }
-            }
-            TraceOp::TxToggle { tid } => {
-                let slot = &mut open_tx[tid as usize];
-                match slot.take() {
-                    Some(id) => t.tx_end(Tid(tid as u32), id, now),
-                    None => {
-                        t.tx_begin(Tid(tid as u32), next_tx, now);
-                        *slot = Some(next_tx);
-                        next_tx += 1;
-                    }
-                }
-            }
-        }
-    }
-    t.into_events()
-}
+use pmtrace::{Event, EventKind, Tid};
 
 /// (rule, tid, at_ns, line) for every error finding — the identity of
 /// an error minus its (rewrite-shifted) event index.
@@ -94,8 +31,8 @@ proptest! {
 
     /// Optimizing an optimized trace elides nothing.
     #[test]
-    fn rewrite_is_idempotent(ops in ops()) {
-        let events = build(&ops);
+    fn rewrite_is_idempotent((threads, ops) in write_ops(60)) {
+        let events = build(threads, &ops);
         let first = rewrite_events(&events);
         let second = rewrite_events(&first.events);
         prop_assert_eq!(second.elided.len(), 0, "second pass elided {:?}", second.elided);
@@ -105,8 +42,8 @@ proptest! {
 
     /// The fixpoint trace is clean of both flagged rules.
     #[test]
-    fn rewritten_trace_has_no_elidable_findings(ops in ops()) {
-        let events = build(&ops);
+    fn rewritten_trace_has_no_elidable_findings((threads, ops) in write_ops(60)) {
+        let events = build(threads, &ops);
         let r = rewrite_events(&events);
         let after = check_events(&r.events);
         prop_assert_eq!(after.count(Rule::RedundantFlush), 0);
@@ -118,8 +55,8 @@ proptest! {
     /// anchor on — survives, in order, and the survivors are exactly
     /// the original trace minus the reported elision indices.
     #[test]
-    fn rewrite_never_removes_a_depended_on_event(ops in ops()) {
-        let events = build(&ops);
+    fn rewrite_never_removes_a_depended_on_event((threads, ops) in write_ops(60)) {
+        let events = build(threads, &ops);
         let r = rewrite_events(&events);
         for &i in &r.elided {
             prop_assert!(matches!(
@@ -145,8 +82,8 @@ proptest! {
     /// the original trace survives unchanged (same rule, thread,
     /// timestamp, line), and no new error appears.
     #[test]
-    fn rewrite_preserves_every_error(ops in ops()) {
-        let events = build(&ops);
+    fn rewrite_preserves_every_error((threads, ops) in write_ops(60)) {
+        let events = build(threads, &ops);
         let r = rewrite_events(&events);
         prop_assert_eq!(error_keys(&r.events), error_keys(&events));
     }
