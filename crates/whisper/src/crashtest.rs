@@ -46,14 +46,13 @@
 //! uncommitted transactions still exercise every rollback/replay path.
 //! See DESIGN.md § Crash testing.
 
-use crate::suite::default_parallelism;
+use crate::pool::fan_out;
+use crate::suite::{default_parallelism, SuiteConfig};
 use memsim::{CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine};
 use pmem::PmImage;
 use pmobs::Json;
 use pmtrace::{Event, EventKind, TraceBuffer};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A recovery oracle: given a materialized crash image and the
 /// `note_progress` value at the capture point, re-open the app's state
@@ -173,6 +172,15 @@ impl CampaignConfig {
             points: 4,
             adversarial_seeds: 8,
             parallelism: default_parallelism(),
+        }
+    }
+
+    /// The [`quick`](CampaignConfig::quick) campaign, fanned out across
+    /// the suite's worker count.
+    pub fn from_suite(cfg: &SuiteConfig) -> CampaignConfig {
+        CampaignConfig {
+            parallelism: cfg.parallelism,
+            ..CampaignConfig::quick()
         }
     }
 }
@@ -311,31 +319,10 @@ pub(crate) fn fan_rows<R: Send>(
     workers: usize,
     per_row: impl Fn(&'static str, usize, Runner) -> R + Sync,
 ) -> Vec<R> {
-    let workers = workers.clamp(1, ROWS.len());
-    if workers == 1 {
-        return ROWS
-            .iter()
-            .map(|(name, ops, runner)| per_row(name, *ops, *runner))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(ROWS.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((name, ops, runner)) = ROWS.get(i) else {
-                    break;
-                };
-                let report = per_row(name, *ops, *runner);
-                finished.lock().unwrap().push((i, report));
-            });
-        }
-    });
-    let mut slots = finished.into_inner().unwrap();
-    slots.sort_unstable_by_key(|(i, _)| *i);
-    slots.into_iter().map(|(_, r)| r).collect()
+    fan_out(workers, ROWS.len(), |i| {
+        let (name, ops, runner) = ROWS[i];
+        per_row(name, ops, runner)
+    })
 }
 
 /// Run the whole campaign across `cfg.parallelism` workers. Reports

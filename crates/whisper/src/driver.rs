@@ -1,0 +1,825 @@
+//! The `whisper-report` driver: one gate pipeline, written once.
+//!
+//! `whisper-report [EXPERIMENT] [FLAGS]` regenerates the paper's tables
+//! and figures; [`usage`] (what `--help` prints) lists every flag and
+//! experiment from the same `FLAGS` table the parser reads. [`run`]
+//! is the whole program: parse and validate, produce `results` (run the
+//! selected applications, or decode a `--from-trace` archive), run the
+//! selected gates in `RUN_ORDER`, write every requested document,
+//! print the report, and only then pick the exit code. Stdout carries
+//! only the report text; diagnostics go to stderr through the `pmobs`
+//! logger, and `--quiet` silences everything below error level.
+//!
+//! Applications run in parallel across one worker per core by default;
+//! `--parallel N` overrides the worker count (`--parallel 1` forces the
+//! serial runner) and never changes a result. `--threads N` (default 4,
+//! range 1..=64) sets how many logical clients the seeded scheduler
+//! interleaves *inside* redis, memcached, and vacation — unlike
+//! `--parallel` it changes the traces (`--threads 1` removes their
+//! cross-thread epoch dependencies), so it is echoed back as
+//! `config.worker_threads` in the JSON report.
+//!
+//! `--timing` runs the selected applications twice — serially, then in
+//! parallel — and reports each app's wall-clock (both runners) and
+//! simulated durations from the same span data, plus the overall
+//! speedup, instead of a paper table.
+//!
+//! `--dump-traces DIR` archives each application's event stream as a
+//! binary `.wtr` file (the `pmtrace::codec` format); `--from-trace
+//! FILE` re-analyzes such an archive offline instead of running a
+//! workload, through the same gates and the same EXPERIMENT selection.
+//!
+//! # Gates
+//!
+//! Each gate appends a table to the text report, fills its section of
+//! the JSON report, and — through its `--<gate>-json PATH` flag, which
+//! implies the gate — writes that section alone to PATH. All outputs of
+//! all gates are written before a failing gate's exit code is returned;
+//! when several fail, [`exit_code`] picks 3 → 4 → 6 → 5.
+//!
+//! * `--serve` — the open-loop serving engine ([`crate::serve`]): each
+//!   Table 1 app is calibrated across sharded machines, then swept
+//!   across offered-load points under paced or bursty arrivals
+//!   (`--serve-arrival`, default bursty; `--serve-shards`, default 4),
+//!   giving a throughput vs p50/p90/p99/p999 simulated-latency curve
+//!   per persistence mechanism. `--profile` (implies `--serve`)
+//!   attributes each request's simulated time to queue / replay /
+//!   fence-stall phases ([`crate::profile`]).
+//! * `--trace PATH` — not a gate, but a step between serve and check:
+//!   the simulated-time tracing subsystem (`pmobs::trace`) records the
+//!   suite run and the serving sweep, and the merged tracks are written
+//!   as Chrome trace-event JSON. Every timestamp is on the simulated
+//!   clock, so the file is byte-identical across hosts and `--parallel`
+//!   settings. Tracing is off again before the later gates re-run
+//!   workloads internally.
+//! * `--check` — the `pmcheck` persistency checker over every trace;
+//!   **exit 3** on any error-severity violation. `--check-rules ID,..`
+//!   restricts the checker to the named rules (implies `--check`; an
+//!   unknown id is a usage error); the selection is recorded as
+//!   `rules_enabled` so a filtered report cannot pass for a full one.
+//! * `--check-graph DIR` — the per-app epoch dependency graph
+//!   ([`crate::hbgraph`], paper §5.2): statistics under `hb.graph`, full
+//!   graphs to `DIR/<app>.json` and `DIR/<app>.dot`.
+//! * `--crash` — the crash-injection campaign ([`crate::crashtest`]):
+//!   every app's crash workload is interrupted at evenly spread fence
+//!   points, each state is materialized under the crash-spec lattice,
+//!   and the app's recovery oracle judges every image; **exit 4** on
+//!   any recovery failure.
+//! * `--crossval` — cross-validates the happens-before analysis against
+//!   the crash campaign ([`crate::crossval`]); **exit 6** if an image
+//!   contradicts a line proven durable, the proof set is vacuous, or
+//!   the seeded positive control goes dead.
+//! * `--optimize` — the ordering optimizer ([`crate::optimize`]):
+//!   rewrite every trace, price the speedup, re-check, and re-run the
+//!   crash campaign over the elided schedules; **exit 5** on leftover
+//!   elidable findings, new errors, or recovery failures.
+//!
+//! `--json PATH` writes the versioned machine-readable report
+//! ([`crate::json_report`], schema v8) and turns on `pmobs` metric
+//! recording for the run so its `metrics` block is populated.
+//! `--json-det PATH` writes only the deterministic subset
+//! ([`json_report::deterministic_subset`]) that CI byte-compares
+//! against the committed golden file.
+
+use crate::check;
+use crate::crashtest::{self, CampaignConfig};
+use crate::crossval::run_crossval;
+use crate::hbgraph;
+use crate::optimize;
+use crate::profile::{profile_json, profile_table};
+use crate::serve::{self, Arrival, ServeConfig};
+use crate::suite::{analyze, run_apps, AppResult, SuiteConfig, APP_NAMES};
+use crate::{json_report, report};
+use pmcheck::RuleSet;
+use pmobs::Json;
+use std::io::Write;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
+use std::time::Instant;
+
+/// The report gates, in run order (`Profile` rides on `Serve`'s sweep).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// `--serve`
+    Serve,
+    /// `--profile`
+    Profile,
+    /// `--check`
+    Check,
+    /// `--check-graph`
+    Graph,
+    /// `--crash`
+    Crash,
+    /// `--crossval`
+    Crossval,
+    /// `--optimize`
+    Optimize,
+}
+use Gate::{Check, Crash, Crossval, Graph, Optimize, Profile, Serve};
+
+impl Gate {
+    const ALL: [Gate; 7] = [Serve, Profile, Check, Graph, Crash, Crossval, Optimize];
+
+    /// The gate's section of the JSON report; `a.b` nests under `a`.
+    const fn section(self) -> &'static str {
+        match self {
+            Serve => "serve",
+            Profile => "profile",
+            Check => "violations",
+            Graph => "hb.graph",
+            Crash => "crash",
+            Crossval => "hb.crossval",
+            Optimize => "optimize",
+        }
+    }
+}
+
+/// Table order of the text report, after the experiment itself.
+const PRINT_ORDER: [Gate; 7] = [Check, Graph, Crash, Crossval, Optimize, Serve, Profile];
+
+/// The gates that can fail the run, each with its exit code; when
+/// several fail, the first one here names the code.
+const EXIT_PRECEDENCE: [(Gate, i32); 4] = [(Check, 3), (Crash, 4), (Crossval, 6), (Optimize, 5)];
+
+/// The process exit code for a run in which `failed` gates failed: 0
+/// for none, else the code of the first of check (3), crash (4),
+/// crossval (6), optimize (5) among them.
+pub fn exit_code(failed: &[Gate]) -> i32 {
+    EXIT_PRECEDENCE
+        .iter()
+        .find(|(gate, _)| failed.contains(gate))
+        .map_or(0, |(_, code)| *code)
+}
+
+/// What one gate produced — the same four things for every gate.
+struct Outcome {
+    gate: Gate,
+    /// The gate's document: its `--<gate>-json` file and its section
+    /// of the JSON report.
+    json: Json,
+    /// The table appended to the text report.
+    table: String,
+    /// Why the gate fails the run, if it does.
+    failure: Option<String>,
+}
+
+/// A report renderer over the suite results.
+type Experiment = fn(&[AppResult]) -> String;
+
+const EXPERIMENTS: [(&str, Experiment); 11] = [
+    ("table1", report::table1),
+    ("fig3", report::fig3),
+    ("fig4", report::fig4),
+    ("fig5", report::fig5),
+    ("fig6", report::fig6),
+    ("fig10", report::fig10),
+    ("amplification", report::amplification),
+    ("ntfraction", report::nt_fraction),
+    ("smallwrites", report::small_writes),
+    ("consequences", report::consequences),
+    ("all", report::all),
+];
+
+/// Everything the command line selects; the default is the plain run
+/// (`None`/empty: all experiments, all apps, the serve defaults).
+#[derive(Default)]
+struct Opts {
+    experiment: Option<Experiment>,
+    cfg: SuiteConfig,
+    apps: Vec<String>,
+    /// Selected gates and their `--<gate>-json` paths, by `Gate as usize`.
+    gates: [bool; 7],
+    docs: [Option<String>; 7],
+    rules: RuleSet,
+    graph_dir: Option<String>,
+    arrival: Option<Arrival>,
+    shards: Option<NonZeroUsize>,
+    json: Option<String>,
+    json_det: Option<String>,
+    trace: Option<String>,
+    dump_traces: Option<String>,
+    from_trace: Option<String>,
+    timing: bool,
+    quiet: bool,
+    help: bool,
+}
+
+/// Placeholder and description of the value a flag takes; a switch
+/// (`None`) is set with the value `"true"`.
+type Value = Option<(&'static str, &'static str)>;
+
+/// One command-line flag — the parser, `--help`, and the "implies"
+/// relation all read this row: its name, its value, the gate it
+/// switches on (`--x-json` implies `--x`), and how to store the value.
+struct Flag(
+    &'static str,
+    Value,
+    Option<Gate>,
+    fn(&mut Opts, &str) -> Result<(), String>,
+);
+
+/// Parse a flag's value into its slot.
+fn value<T: FromStr<Err: std::fmt::Display>>(slot: &mut T, v: &str) -> Result<(), String> {
+    *slot = v.parse().map_err(|e: T::Err| e.to_string())?;
+    Ok(())
+}
+
+/// [`value`] for a slot that is `None` until its flag is given.
+fn given<T: FromStr<Err: std::fmt::Display>>(slot: &mut Option<T>, v: &str) -> Result<(), String> {
+    *slot = Some(v.parse().map_err(|e: T::Err| e.to_string())?);
+    Ok(())
+}
+
+fn apps(o: &mut Opts, v: &str) -> Result<(), String> {
+    o.apps = v.split(',').map(|s| s.trim().to_string()).collect();
+    Ok(())
+}
+
+fn rules(o: &mut Opts, v: &str) -> Result<(), String> {
+    o.rules = RuleSet::from_ids(v)?;
+    Ok(())
+}
+
+const PATH: Value = Some(("PATH", "an output path"));
+const DIR: Value = Some(("DIR", "a directory"));
+const COUNT: Value = Some(("N", "a worker count"));
+const THREADS: Value = Some(("N", "a worker count (1..=64)"));
+const RULES: Value = Some(("ID,..", "a comma-separated rule-id list"));
+
+const FLAGS: [Flag; 29] = [
+    Flag("--scale", Some(("X", "a number")), None, |o, v| {
+        value(&mut o.cfg.scale, v)
+    }),
+    Flag("--seed", Some(("N", "an integer")), None, |o, v| {
+        value(&mut o.cfg.seed, v)
+    }),
+    Flag(
+        "--apps",
+        Some(("a,b,c", "a comma-separated list")),
+        None,
+        apps,
+    ),
+    Flag("--parallel", COUNT, None, |o, v| {
+        value(&mut o.cfg.parallelism, v)
+    }),
+    Flag("--threads", THREADS, None, |o, v| {
+        value(&mut o.cfg.worker_threads, v)
+    }),
+    Flag("--timing", None, None, |o, v| value(&mut o.timing, v)),
+    Flag("--json", PATH, None, |o, v| given(&mut o.json, v)),
+    Flag("--json-det", PATH, None, |o, v| given(&mut o.json_det, v)),
+    Flag("--check", None, Some(Check), |_, _| Ok(())),
+    Flag("--check-json", PATH, Some(Check), |o, v| o.doc(Check, v)),
+    Flag("--check-rules", RULES, Some(Check), rules),
+    Flag("--check-graph", DIR, Some(Graph), |o, v| {
+        given(&mut o.graph_dir, v)
+    }),
+    Flag("--crossval", None, Some(Crossval), |_, _| Ok(())),
+    Flag("--crossval-json", PATH, Some(Crossval), |o, v| {
+        o.doc(Crossval, v)
+    }),
+    Flag("--crash", None, Some(Crash), |_, _| Ok(())),
+    Flag("--crash-json", PATH, Some(Crash), |o, v| o.doc(Crash, v)),
+    Flag("--serve", None, Some(Serve), |_, _| Ok(())),
+    Flag("--serve-json", PATH, Some(Serve), |o, v| o.doc(Serve, v)),
+    Flag(
+        "--serve-arrival",
+        Some(("paced|bursty", "paced|bursty")),
+        None,
+        |o, v| given(&mut o.arrival, v),
+    ),
+    Flag(
+        "--serve-shards",
+        Some(("N", "a positive count")),
+        None,
+        |o, v| given(&mut o.shards, v),
+    ),
+    Flag("--trace", PATH, None, |o, v| given(&mut o.trace, v)),
+    Flag("--profile", None, Some(Profile), |_, _| Ok(())),
+    Flag("--profile-json", PATH, Some(Profile), |o, v| {
+        o.doc(Profile, v)
+    }),
+    Flag("--optimize", None, Some(Optimize), |_, _| Ok(())),
+    Flag("--optimize-json", PATH, Some(Optimize), |o, v| {
+        o.doc(Optimize, v)
+    }),
+    Flag("--quiet", None, None, |o, v| value(&mut o.quiet, v)),
+    Flag("--dump-traces", DIR, None, |o, v| {
+        given(&mut o.dump_traces, v)
+    }),
+    Flag("--from-trace", Some(("FILE", "a file")), None, |o, v| {
+        given(&mut o.from_trace, v)
+    }),
+    Flag("--help", None, None, |o, v| value(&mut o.help, v)),
+];
+
+/// The usage text `--help` prints, generated from the flag and
+/// experiment tables the parser reads.
+pub fn usage() -> String {
+    let experiments: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let mut text = format!("usage: whisper-report [{}]", experiments.join("|"));
+    for Flag(name, value, ..) in &FLAGS {
+        text += &match value {
+            Some((placeholder, _)) => format!(" [{name} {placeholder}]"),
+            None => format!(" [{name}]"),
+        };
+    }
+    text
+}
+
+impl Opts {
+    /// Parse and validate the command line; every usage error is
+    /// reported here, before anything runs.
+    fn parse(args: &[String]) -> Result<Opts, String> {
+        let mut o = Opts::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                let known = EXPERIMENTS.iter().find(|(name, _)| name == arg);
+                let (_, experiment) =
+                    known.ok_or_else(|| format!("unknown experiment {arg:?}\n{}", usage()))?;
+                o.experiment = Some(*experiment);
+                continue;
+            }
+            let name = if arg == "-h" { "--help" } else { arg };
+            let Flag(_, value, gate, set) = FLAGS
+                .iter()
+                .find(|f| f.0 == name)
+                .ok_or_else(|| format!("unknown flag {arg}\n{}", usage()))?;
+            let (v, what) = match *value {
+                None => ("true", ""),
+                Some((_, what)) => match args.next() {
+                    Some(v) => (v.as_str(), what),
+                    None => return Err(format!("{name} needs {what}")),
+                },
+            };
+            set(&mut o, v).map_err(|why| format!("{name} needs {what}: {why}"))?;
+            if let Some(gate) = *gate {
+                o.gates[gate as usize] = true;
+            }
+            if o.help {
+                return Ok(o);
+            }
+        }
+        o.gates[Serve as usize] |= o.on(Profile);
+        if let Some(a) = o.apps.iter().find(|a| !APP_NAMES.contains(&a.as_str())) {
+            return Err(format!("unknown app {a:?}; valid: {APP_NAMES:?}"));
+        }
+        // A scale that truncates any app to zero ops would silently
+        // report rates for work that never ran.
+        o.cfg.validate()?;
+        Ok(o)
+    }
+
+    fn on(&self, gate: Gate) -> bool {
+        self.gates[gate as usize]
+    }
+
+    /// `--<gate>-json PATH`: also write the gate's document alone.
+    fn doc(&mut self, gate: Gate, path: &str) -> Result<(), String> {
+        given(&mut self.docs[gate as usize], path)
+    }
+}
+
+/// Run `whisper-report` with `args` (the command line without the
+/// program name), writing the report text to `out`. Returns the process
+/// exit code: 0, 2 for a usage or I/O error (nothing has been run or
+/// written to `out` on a usage error), or a failing gate's code
+/// ([`exit_code`]).
+pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
+    // `--json`, `--trace` and `--quiet` flip process-global `pmobs`
+    // switches; an in-process caller gets them back as it left them.
+    let recording = pmobs::enabled();
+    let tracing = pmobs::trace::enabled();
+    let level = pmobs::logger::level();
+    let code = Opts::parse(args)
+        .and_then(|o| execute(&o, out))
+        .unwrap_or_else(|msg| {
+            pmobs::error!("whisper-report: {msg}");
+            2
+        });
+    pmobs::set_enabled(recording);
+    pmobs::trace::set_enabled(tracing);
+    pmobs::logger::set_level(level);
+    code
+}
+
+fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
+    if o.help {
+        eprintln!("{}", usage());
+        return Ok(0);
+    }
+    if o.quiet {
+        pmobs::logger::set_level(pmobs::Level::Error);
+    }
+    // Metric recording stays off unless a machine-readable report was
+    // requested: instruments are provably non-perturbing, but the
+    // default run should still be the plain one.
+    if o.json.is_some() {
+        pmobs::set_enabled(true);
+    }
+    if o.trace.is_some() {
+        pmobs::trace::set_enabled(true);
+    }
+    let names: Vec<&str> = match o.apps.as_slice() {
+        [] => APP_NAMES.to_vec(),
+        chosen => chosen.iter().map(String::as_str).collect(),
+    };
+    if o.timing && o.from_trace.is_none() {
+        return timing_comparison(&names, &o.cfg, out).map(|()| 0);
+    }
+    let results = match &o.from_trace {
+        Some(file) => vec![decode_archive(file)?],
+        None => run_suite(&names, o)?,
+    };
+
+    let mut outcomes = Vec::new();
+    for (gate, step) in RUN_ORDER {
+        let Some((gate, span)) = gate else {
+            step(o, &results)?;
+            continue;
+        };
+        if o.on(gate) {
+            let _span = pmobs::span!(span);
+            pmobs::info!("{gate:?} gate running...");
+            let started = Instant::now();
+            outcomes.extend(step(o, &results)?);
+            pmobs::info!("{gate:?} gate finished in {:.2?}", started.elapsed());
+        }
+    }
+
+    for outcome in &outcomes {
+        if let Some(path) = &o.docs[outcome.gate as usize] {
+            write_file(path, outcome.json.to_pretty())?;
+        }
+    }
+    if o.json.is_some() || o.json_det.is_some() {
+        // Snapshot the registry last, so the report's metrics include
+        // everything the run recorded.
+        let snap = pmobs::global().snapshot();
+        let mut doc = json_report::build(&results, &o.cfg, &snap);
+        for outcome in &outcomes {
+            doc = fill_section(doc, outcome.gate.section(), outcome.json.clone());
+        }
+        if let Some(path) = &o.json {
+            write_file(path, doc.to_pretty())?;
+        }
+        if let Some(path) = &o.json_det {
+            write_file(path, json_report::deterministic_subset(&doc).to_pretty())?;
+        }
+    }
+
+    let mut text = o.experiment.unwrap_or(report::all)(&results) + "\n";
+    for gate in PRINT_ORDER {
+        for outcome in outcomes.iter().filter(|outcome| outcome.gate == gate) {
+            text = text + "\n" + &outcome.table;
+        }
+    }
+    out.write_all(text.as_bytes())
+        .map_err(|e| format!("cannot write the report: {e}"))?;
+
+    let mut failed = Vec::new();
+    for outcome in &outcomes {
+        if let Some(why) = &outcome.failure {
+            pmobs::error!("{why} — failing");
+            failed.push(outcome.gate);
+        }
+    }
+    Ok(exit_code(&failed))
+}
+
+fn write_file(path: &str, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+    pmobs::info!("{path} written");
+    Ok(())
+}
+
+/// Place a gate's document in the report. Every section already exists
+/// as `null` in [`json_report::build`]'s document (which owns the key
+/// order); a nested section's parent lists all its siblings, `null`
+/// until their gates fill them.
+fn fill_section(doc: Json, section: &str, json: Json) -> Json {
+    let Some((parent, child)) = section.split_once('.') else {
+        return doc.field(section, json);
+    };
+    let siblings = match doc.get(parent) {
+        Some(filled @ Json::Obj(_)) => filled.clone(),
+        _ => Gate::ALL
+            .iter()
+            .filter_map(|g| g.section().strip_prefix(parent)?.strip_prefix('.'))
+            .fold(Json::obj(), |obj, key| obj.field(key, Json::Null)),
+    };
+    doc.field(parent, siblings.field(child, json))
+}
+
+/// `--from-trace FILE`: one result decoded from a `.wtr` archive.
+fn decode_archive(file: &str) -> Result<AppResult, String> {
+    let bytes = std::fs::read(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let events =
+        pmtrace::decode_events(&bytes).map_err(|e| format!("cannot decode {file}: {e}"))?;
+    let run = crate::apps::AppRun {
+        name: file.to_string(),
+        workload: "archived trace".into(),
+        duration_ns: events.last().map_or(0, |e| e.at_ns),
+        events,
+        stats: memsim::MemStats::default(),
+        threads: 4,
+    };
+    // No Figure 10 replay: its table only renders the named gem5-subset
+    // apps, which an archive path can never match.
+    let analysis = analyze(&run);
+    Ok(AppResult { run, analysis })
+}
+
+/// Run the selected applications (and archive them, `--dump-traces`).
+fn run_suite(names: &[&str], o: &Opts) -> Result<Vec<AppResult>, String> {
+    pmobs::info!("running {} app(s) under {:?}...", names.len(), o.cfg);
+    let started = Instant::now();
+    let results = run_apps(names, &o.cfg);
+    pmobs::info!("suite finished in {:.2?}", started.elapsed());
+    if let Some(dir) = &o.dump_traces {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+        for r in &results {
+            let path = format!("{dir}/{}.wtr", r.run.name);
+            std::fs::write(&path, pmtrace::encode_events(&r.run.events))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            pmobs::info!("trace archived to {path}");
+        }
+    }
+    Ok(results)
+}
+
+/// One step of the post-run sequence: a gate's run, or the trace export.
+type Step = fn(&Opts, &[AppResult]) -> Result<Vec<Outcome>, String>;
+
+/// The post-run sequence: the selected gates, each under its wall-clock
+/// span (`span.<name>` in `metrics`), and the trace export (always
+/// visited; a no-op without `--trace`) before the first gate that
+/// re-runs workloads.
+const RUN_ORDER: [(Option<(Gate, &str)>, Step); 7] = [
+    (Some((Serve, "suite.serve")), serve_gate),
+    (None, export_trace),
+    (Some((Check, "suite.check")), check_gate),
+    (Some((Graph, "suite.hbgraph")), graph_gate),
+    (Some((Crash, "suite.crash")), crash_gate),
+    (Some((Crossval, "suite.crossval")), crossval_gate),
+    (Some((Optimize, "suite.optimize")), optimize_gate),
+];
+
+/// `--serve`, and `--profile` riding on the same sweep. Reuses the
+/// suite's scale, seed, and worker count.
+fn serve_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
+    let base = ServeConfig::from_suite(&o.cfg);
+    let scfg = ServeConfig {
+        shards: o.shards.map_or(base.shards, NonZeroUsize::get),
+        arrival: o.arrival.unwrap_or(base.arrival),
+        ..base
+    };
+    let (reports, profiles) = if o.on(Profile) {
+        serve::run_serve_profiled(&scfg)
+    } else {
+        (serve::run_serve(&scfg), Vec::new())
+    };
+    let mut outcomes = vec![Outcome {
+        gate: Serve,
+        json: serve::serve_json(&reports, &scfg),
+        table: report::serve_table(&reports, scfg.arrival),
+        failure: None,
+    }];
+    if o.on(Profile) {
+        outcomes.push(Outcome {
+            gate: Profile,
+            json: profile_json(&profiles, &scfg),
+            table: profile_table(&profiles),
+            failure: None,
+        });
+    }
+    Ok(outcomes)
+}
+
+/// `--trace`: drain the collected tracks, write Chrome trace-event
+/// JSON, and disable tracing — later gates re-run workloads internally
+/// and must not record into a file already written.
+fn export_trace(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
+    if let Some(path) = &o.trace {
+        let tracks = pmobs::trace::take_tracks();
+        pmobs::trace::set_enabled(false);
+        let text = pmobs::trace::export_chrome(&tracks).to_compact() + "\n";
+        pmobs::info!("chrome trace: {} track(s)", tracks.len());
+        write_file(path, text)?;
+    }
+    Ok(Vec::new())
+}
+
+/// `--check`: the persistency checker over every trace, restricted to
+/// the `--check-rules` selection. Error-severity findings fail the run.
+fn check_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
+    let checks = check::check_results_with(results, o.rules);
+    let errors = check::total_errors(&checks);
+    Ok(vec![Outcome {
+        gate: Check,
+        json: check::violations_json(&checks, o.rules),
+        table: check::summary_table(&checks),
+        failure: (errors > 0).then(|| format!("pmcheck: {errors} error-severity violation(s)")),
+    }])
+}
+
+/// `--check-graph DIR`: the epoch dependency graph of every result,
+/// written to `<DIR>/<app>.json` + `<DIR>/<app>.dot`.
+fn graph_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
+    let dir = o.graph_dir.as_deref().expect("--check-graph takes DIR");
+    let graphs = hbgraph::build_graphs(results);
+    let written = hbgraph::write_graphs(&graphs, std::path::Path::new(dir))
+        .map_err(|e| format!("cannot write graphs to {dir}: {e}"))?;
+    pmobs::info!("{} graph file(s) written to {dir}", written.len());
+    Ok(vec![Outcome {
+        gate: Graph,
+        json: hbgraph::stats_json(&graphs),
+        table: hbgraph::summary_table(&graphs),
+        failure: None,
+    }])
+}
+
+/// `--crash`: the crash-injection campaign. Any recovery failure fails
+/// the run.
+fn crash_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
+    let ccfg = CampaignConfig::from_suite(&o.cfg);
+    let reports = crashtest::run_campaign(&ccfg);
+    let failures = crashtest::total_failures(&reports);
+    Ok(vec![Outcome {
+        gate: Crash,
+        json: crashtest::crash_json(&reports, &ccfg),
+        table: crashtest::summary_table(&reports, &ccfg),
+        failure: (failures > 0).then(|| format!("crash campaign: {failures} recovery failure(s)")),
+    }])
+}
+
+/// `--crossval`: every materialized crash image against the HB
+/// analysis's proven-durable set, plus the seeded epoch-race positive
+/// control. An order-impossible image, a vacuous proof set, or a dead
+/// control fails the run.
+fn crossval_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
+    let report = run_crossval(&CampaignConfig::from_suite(&o.cfg));
+    let failure = format!(
+        "crossval gate: {} order-impossible image state(s), {} proven line(s), control {}",
+        report.total_violations(),
+        report.total_proven(),
+        if report.control.passed() {
+            "ok"
+        } else {
+            "dead"
+        }
+    );
+    Ok(vec![Outcome {
+        gate: Crossval,
+        json: report.to_json(),
+        table: report.summary_table(),
+        failure: (!report.passed()).then_some(failure),
+    }])
+}
+
+/// `--optimize`: rewrite every trace, price the speedup, and re-run the
+/// crash campaign over the elided schedules. Any re-check or
+/// crash-soundness violation fails the run.
+fn optimize_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
+    let ccfg = CampaignConfig::from_suite(&o.cfg);
+    let report = optimize::optimize_results(results, &ccfg, o.cfg.parallelism);
+    let violations = report.gate_violations();
+    Ok(vec![Outcome {
+        gate: Optimize,
+        json: optimize::optimize_json(&report),
+        table: optimize::summary_table(&report),
+        failure: (!violations.is_empty())
+            .then(|| format!("optimize gate: {}", violations.join("; "))),
+    }])
+}
+
+/// `--timing`: the suite timing harness. Runs the selected apps
+/// serially and then with the configured parallelism, checks the two
+/// result sets agree, and reports — per app, from the same span data —
+/// the host wall-clock duration under each runner plus the simulated
+/// duration (`span.suite.run/<app>` and `sim.app_duration/<app>`; the
+/// sim column is identical across runners by construction).
+fn timing_comparison(names: &[&str], cfg: &SuiteConfig, out: &mut dyn Write) -> Result<(), String> {
+    // Spans only record while metric recording is on ([`run`] restores
+    // the caller's flag; the non-perturbation contract says the runs
+    // themselves cannot notice).
+    pmobs::set_enabled(true);
+    pmobs::info!("timing {} app(s) under {cfg:?}...", names.len());
+    let timed = |parallelism: usize| {
+        pmobs::info!("run with {parallelism} worker(s)...");
+        let started = Instant::now();
+        let cfg = SuiteConfig {
+            parallelism,
+            ..*cfg
+        };
+        let results = run_apps(names, &cfg);
+        (results, started.elapsed(), pmobs::global().snapshot())
+    };
+    let workers = cfg.parallelism.max(2);
+    let base = pmobs::global().snapshot();
+    let (serial, serial_elapsed, mid) = timed(1);
+    let (parallel, parallel_elapsed, end) = timed(workers);
+
+    for (a, b) in serial.iter().zip(&parallel) {
+        if a.run.events != b.run.events || a.run.duration_ns != b.run.duration_ns {
+            return Err(format!(
+                "determinism violation: {} differs between runners",
+                a.run.name
+            ));
+        }
+    }
+
+    let hist_sum =
+        |snap: &pmobs::MetricsSnapshot, key: &str| snap.histograms.get(key).map_or(0, |h| h.sum);
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let mut text = format!(
+        "Suite timing ({} apps, scale {}):\n  {:<14} {:>13} {:>15} {:>13}\n",
+        names.len(),
+        cfg.scale,
+        "app",
+        "serial (ms)",
+        "parallel (ms)",
+        "sim (ms)"
+    );
+    let mut totals = (0u64, 0u64, 0u64);
+    for name in names {
+        let wall_key = format!("span.suite.run/{name}");
+        let sim_key = format!("sim.app_duration/{name}");
+        let wall_serial = hist_sum(&mid, &wall_key).saturating_sub(hist_sum(&base, &wall_key));
+        let wall_parallel = hist_sum(&end, &wall_key).saturating_sub(hist_sum(&mid, &wall_key));
+        let sim = hist_sum(&mid, &sim_key).saturating_sub(hist_sum(&base, &sim_key));
+        totals.0 += wall_serial;
+        totals.1 += wall_parallel;
+        totals.2 += sim;
+        text += &format!(
+            "  {name:<14} {:>13.2} {:>15.2} {:>13.3}\n",
+            ms(wall_serial),
+            ms(wall_parallel),
+            ms(sim)
+        );
+    }
+    let speedup = serial_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64().max(1e-9);
+    text += &format!(
+        "  {:<14} {:>13.2} {:>15.2} {:>13.3}\n  \
+         serial   (1 worker):  {serial_elapsed:>10.2?}\n  \
+         parallel ({workers} workers): {parallel_elapsed:>10.2?}\n  \
+         speedup: {speedup:.2}x  (results verified identical)\n",
+        "total",
+        ms(totals.0),
+        ms(totals.1),
+        ms(totals.2)
+    );
+    out.write_all(text.as_bytes())
+        .map_err(|e| format!("cannot write the report: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_accepted_flag_is_in_the_usage_text() {
+        let text = usage();
+        for Flag(name, ..) in &FLAGS {
+            assert!(text.contains(&format!("[{name}")), "{name} missing");
+        }
+        for (name, _) in EXPERIMENTS {
+            assert!(text.contains(name), "{name} missing");
+        }
+    }
+
+    #[test]
+    fn json_flags_imply_their_gate_and_profile_implies_serve() {
+        let args = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        for Flag(name, _, gate, _) in &FLAGS {
+            let (Some(gate), true) = (*gate, name.ends_with("-json")) else {
+                continue;
+            };
+            let o = Opts::parse(&args(&format!("{name} out.json"))).unwrap();
+            assert!(o.on(gate), "{name} implies {gate:?}");
+            assert_eq!(o.docs[gate as usize].as_deref(), Some("out.json"));
+        }
+        let o = Opts::parse(&args("--profile")).unwrap();
+        assert!(o.on(Profile) && o.on(Serve));
+        assert!(!Opts::parse(&args("--serve")).unwrap().on(Profile));
+    }
+
+    #[test]
+    fn nested_sections_list_their_siblings() {
+        let doc = Json::obj()
+            .field("hb", Json::Null)
+            .field("crash", Json::Null);
+        let doc = fill_section(doc, "hb.crossval", Json::from(1u64));
+        assert_eq!(
+            doc.to_compact(),
+            r#"{"hb":{"graph":null,"crossval":1},"crash":null}"#
+        );
+        let doc = fill_section(doc, "hb.graph", Json::from(2u64));
+        let doc = fill_section(doc, "crash", Json::from(3u64));
+        assert_eq!(
+            doc.to_compact(),
+            r#"{"hb":{"graph":2,"crossval":1},"crash":3}"#
+        );
+    }
+}

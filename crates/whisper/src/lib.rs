@@ -23,6 +23,20 @@
 //! and is built from the substrate crates exactly as the original apps
 //! were built from Mnemosyne, NVML, PMFS, and custom engines.
 //!
+//! # Modules
+//!
+//! [`apps`] and [`workloads`] are the applications and their request
+//! generators; [`suite`] runs them and analyzes their traces;
+//! [`report`] and [`json_report`] render the paper's tables as text and
+//! as the versioned JSON document. The report gates each have a module:
+//! [`check`] (persistency checker), [`hbgraph`] (epoch dependency
+//! graphs), [`crashtest`] (crash-injection campaign), [`crossval`]
+//! (happens-before vs crash images), [`optimize`] (ordering optimizer),
+//! [`serve`] and [`profile`] (open-loop serving sweep and its tail
+//! attribution). [`driver`] is the `whisper-report` program: one
+//! command-line parser and one pipeline that runs the suite and the
+//! selected gates, writes every document, and picks the exit code.
+//!
 //! # Quick start
 //!
 //! ```no_run
@@ -40,9 +54,11 @@ pub mod apps;
 pub mod check;
 pub mod crashtest;
 pub mod crossval;
+pub mod driver;
 pub mod hbgraph;
 pub mod json_report;
 pub mod optimize;
+mod pool;
 pub mod profile;
 pub mod region;
 pub mod report;

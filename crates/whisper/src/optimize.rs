@@ -20,14 +20,13 @@
 //!   point × spec crash lattice has been tested where it matters.
 
 use crate::crashtest::{run_optimized_campaign, CampaignConfig, OptimizedCrashReport};
+use crate::pool::fan_out;
 use crate::suite::AppResult;
 use hops::{replay, HopsConfig, PersistModel, TimingConfig};
 use pmcheck::rewrite::is_elidable;
 use pmobs::Json;
 use pmtrace::analysis::split_epochs;
 use pmtrace::Event;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The three mechanisms the optimize section prices, mirroring the
 /// serving engine's model set: the x86-64 baseline, HOPS, and the
@@ -223,27 +222,7 @@ pub fn optimize_results(
     parallelism: usize,
 ) -> OptimizeReport {
     let _span = pmobs::span!("optimize.suite");
-    let workers = parallelism.clamp(1, results.len().max(1));
-    let apps = if workers == 1 {
-        results.iter().map(optimize_app).collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let finished: Mutex<Vec<(usize, AppOptimize)>> =
-            Mutex::new(Vec::with_capacity(results.len()));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(r) = results.get(i) else { break };
-                    let app = optimize_app(r);
-                    finished.lock().unwrap().push((i, app));
-                });
-            }
-        });
-        let mut slots = finished.into_inner().unwrap();
-        slots.sort_unstable_by_key(|(i, _)| *i);
-        slots.into_iter().map(|(_, a)| a).collect()
-    };
+    let apps = fan_out(parallelism, results.len(), |i| optimize_app(&results[i]));
     let crash = run_optimized_campaign(campaign);
     OptimizeReport { apps, crash }
 }

@@ -30,10 +30,11 @@
 //! Everything is a pure function of `(scale, seed, shards, arrival)`:
 //! the arrival schedule and key stream are derived from the seed alone
 //! (never from the shard count or worker parallelism), and apps fan out
-//! across workers with the same claim-and-reorder pattern as the suite
-//! runner, so the serve section reproduces byte-for-byte whatever the
-//! `--parallel` setting — the same property the crash campaign pins.
+//! across workers on the same pool as the suite runner, so the serve
+//! section reproduces byte-for-byte whatever the `--parallel` setting —
+//! the same property the crash campaign pins.
 
+use crate::pool::fan_out;
 use crate::profile::{AppProfile, MechanismProfile, TailPoint};
 use crate::suite::{run_named, SuiteConfig, APP_NAMES};
 use crate::workloads::Zipf;
@@ -41,8 +42,6 @@ use hops::{HopsConfig, PersistModel, Replayer, TimingConfig};
 use pmobs::{Histogram, Json, Unit};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Event, EventKind};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The three mechanisms the saturation sweep compares: the `clwb`
 /// baseline, HOPS, and the persistent-write-queue variant of x86.
@@ -604,10 +603,9 @@ fn simulate_point(
 }
 
 /// Sweep every Table 1 application, fanned out across
-/// `cfg.parallelism` workers with the suite runner's claim-and-reorder
-/// pattern. Results are bit-identical whatever the worker count: each
-/// [`serve_app`] is seeded and self-contained, and rows come back in
-/// Table 1 order.
+/// `cfg.parallelism` workers on the suite runner's pool. Results are
+/// bit-identical whatever the worker count: each [`serve_app`] is
+/// seeded and self-contained, and rows come back in Table 1 order.
 pub fn run_serve(cfg: &ServeConfig) -> Vec<AppServe> {
     serve_apps(&APP_NAMES, cfg)
 }
@@ -625,28 +623,11 @@ pub fn serve_apps(names: &[&str], cfg: &ServeConfig) -> Vec<AppServe> {
 
 /// Sweep a chosen set of applications and keep their phase profiles.
 pub fn serve_apps_profiled(names: &[&str], cfg: &ServeConfig) -> (Vec<AppServe>, Vec<AppProfile>) {
-    let workers = cfg.parallelism.clamp(1, names.len().max(1));
-    let pairs: Vec<(AppServe, AppProfile)> = if workers == 1 {
-        names.iter().map(|n| serve_app_full(n, cfg)).collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let finished: Mutex<Vec<(usize, (AppServe, AppProfile))>> =
-            Mutex::new(Vec::with_capacity(names.len()));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(name) = names.get(i) else { break };
-                    let result = serve_app_full(name, cfg);
-                    finished.lock().unwrap().push((i, result));
-                });
-            }
-        });
-        let mut slots = finished.into_inner().unwrap();
-        slots.sort_unstable_by_key(|(i, _)| *i);
-        slots.into_iter().map(|(_, r)| r).collect()
-    };
-    pairs.into_iter().unzip()
+    fan_out(cfg.parallelism, names.len(), |i| {
+        serve_app_full(names[i], cfg)
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// Serialize the sweep for the report's `serve` section (schema v4).

@@ -8,13 +8,13 @@
 //! one walk per statistic.
 
 use crate::apps::{self, AppRun};
+use crate::pool::fan_out;
 use hops::{figure10_bars, HopsConfig, PersistModel, TimingConfig};
 use pmtrace::analysis::{
     self, AmplificationReport, Analyzer, DepStats, EpochSizeHistogram, TxStats,
 };
 use pmtrace::Event;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The eleven Table 1 rows (ten applications; N-store contributes two
 /// workloads).
@@ -360,46 +360,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<AppResult> {
 
 /// Run a chosen set of applications, in the given order.
 ///
-/// Workers claim applications from a shared cursor, so a slow app
-/// (echo, nstore) does not serialize the rest behind it; results are
-/// reassembled into input order afterwards. Each [`run_app`] call
-/// builds its own machine, trace, and RNG from `cfg.seed`, so the
-/// result is identical — event-for-event — whatever the parallelism.
+/// Applications fan out across `cfg.parallelism` pool workers, so a
+/// slow app (echo, nstore) does not serialize the rest behind it;
+/// results come back in input order. Each [`run_app`] call builds its
+/// own machine, trace, and RNG from `cfg.seed`, so the result is
+/// identical — event-for-event — whatever the parallelism.
 pub fn run_apps(names: &[&str], cfg: &SuiteConfig) -> Vec<AppResult> {
-    let workers = cfg.parallelism.clamp(1, names.len().max(1));
     // Queue wait = time from suite dispatch until a worker claims the
     // app; host wall-clock, so only sampled when recording is on. The
     // per-app histograms are resolved once here — the claim loop is the
     // dispatch hot path and must not allocate registry names per claim.
     let waits = QueueWaits::register(names);
-    if workers == 1 {
-        return names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                waits.note(i);
-                run_app(n, cfg)
-            })
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let finished: Mutex<Vec<(usize, AppResult)>> = Mutex::new(Vec::with_capacity(names.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(name) = names.get(i) else { break };
-                waits.note(i);
-                let result = run_app(name, cfg);
-                finished.lock().unwrap().push((i, result));
-            });
-        }
-    });
-
-    let mut slots = finished.into_inner().unwrap();
-    slots.sort_unstable_by_key(|(i, _)| *i);
-    slots.into_iter().map(|(_, r)| r).collect()
+    fan_out(cfg.parallelism, names.len(), |i| {
+        waits.note(i);
+        run_app(names[i], cfg)
+    })
 }
 
 /// Pre-registered `suite.queue_wait_ns/<app>` histograms, resolved once
