@@ -8,8 +8,80 @@
 //!
 //! Object keys keep insertion order — reports read top-to-bottom the
 //! way they were built.
+//!
+//! Keys and string values are [`Text`]: a literal is borrowed, so a
+//! node built from literals (a trace event, millions of times) costs
+//! no allocation for its text.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+/// The text of a string value or an object key: a borrowed literal
+/// ([`Text::lit`]) or an owned string. Two texts are equal when their
+/// contents are, whichever way each is held.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Text(Cow<'static, str>);
+
+impl Text {
+    /// A literal, borrowed for the life of the program.
+    pub const fn lit(s: &'static str) -> Text {
+        Text(Cow::Borrowed(s))
+    }
+
+    /// The contents.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for Text {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl std::fmt::Display for Text {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Text {
+        Text(Cow::Owned(s))
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Text {
+        Text(Cow::Owned(s.to_string()))
+    }
+}
+
+impl PartialEq<str> for Text {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Text {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialEq<String> for Text {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,11 +97,11 @@ pub enum Json {
     /// A finite float.
     F64(f64),
     /// A string.
-    Str(String),
+    Str(Text),
     /// An array.
     Arr(Vec<Json>),
     /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Text, Json)>),
 }
 
 impl Json {
@@ -44,7 +116,7 @@ impl Json {
             Json::Obj(fields) => {
                 match fields.iter_mut().find(|(k, _)| k == key) {
                     Some((_, v)) => *v = value.into(),
-                    None => fields.push((key.to_string(), value.into())),
+                    None => fields.push((key.into(), value.into())),
                 }
                 self
             }
@@ -89,8 +161,13 @@ impl Json {
     /// Single-line encoding.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Append the single-line encoding to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Indented multi-line encoding (two-space indent).
@@ -105,9 +182,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::U64(v) => write_u64(out, *v),
             Json::I64(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -170,21 +245,44 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Decimal digits of `v`, without the `fmt` machinery.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Everything that needs escaping is one ASCII byte, so the runs in
+/// between — the whole string, usually — are appended as slices.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean_from..i]);
+        clean_from = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
 
@@ -192,7 +290,7 @@ fn write_escaped(out: &mut String, s: &str) {
 pub fn to_jsonl<'a>(values: impl IntoIterator<Item = &'a Json>) -> String {
     let mut out = String::new();
     for v in values {
-        out.push_str(&v.to_compact());
+        v.write_compact(&mut out);
         out.push('\n');
     }
     out
@@ -234,11 +332,16 @@ impl From<f64> for Json {
 }
 impl From<&str> for Json {
     fn from(v: &str) -> Json {
-        Json::Str(v.to_string())
+        Json::Str(v.into())
     }
 }
 impl From<String> for Json {
     fn from(v: String) -> Json {
+        Json::Str(v.into())
+    }
+}
+impl From<Text> for Json {
+    fn from(v: Text) -> Json {
         Json::Str(v)
     }
 }
@@ -335,7 +438,7 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(self.string()?.into()),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -381,7 +484,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            fields.push((key, value));
+            fields.push((key.into(), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -518,7 +621,7 @@ mod tests {
     #[test]
     fn escaping_round_trips() {
         let nasty = "quote\" backslash\\ newline\n tab\t ctrl\u{1} unicode\u{30c4}";
-        let doc = Json::Str(nasty.to_string());
+        let doc = Json::from(nasty);
         let enc = doc.to_compact();
         assert_eq!(parse(&enc).unwrap(), doc);
     }
@@ -548,8 +651,72 @@ mod tests {
 
     #[test]
     fn jsonl_one_value_per_line() {
-        let values = [Json::U64(1), Json::obj().field("x", 2u64)];
-        assert_eq!(to_jsonl(values.iter()), "1\n{\"x\":2}\n");
+        let values = [
+            Json::U64(1),
+            Json::obj().field("x", 2u64),
+            Json::from("a\nb"),
+        ];
+        assert_eq!(to_jsonl(values.iter()), "1\n{\"x\":2}\n\"a\\nb\"\n");
+    }
+
+    #[test]
+    fn integers_print_their_digits() {
+        assert_eq!(Json::U64(0).to_compact(), "0");
+        assert_eq!(Json::U64(u64::MAX).to_compact(), "18446744073709551615");
+        // Around every change of length: 9|10, 99|100, …
+        let mut power = 1u64;
+        while let Some(next) = power.checked_mul(10) {
+            for v in [next - 1, next] {
+                assert_eq!(Json::U64(v).to_compact(), v.to_string());
+            }
+            power = next;
+        }
+    }
+
+    #[test]
+    fn escapes_between_clean_runs() {
+        // Every escaped class, between and beside runs that are copied
+        // whole, some of them multi-byte.
+        let text = "plain\"q\\b\nn\rr\tt\u{0}\u{1f}\u{7f}é\u{30c4}\"\"\u{1f980}";
+        assert_eq!(
+            Json::from(text).to_compact(),
+            "\"plain\\\"q\\\\b\\nn\\rr\\tt\\u0000\\u001f\u{7f}é\u{30c4}\\\"\\\"\u{1f980}\""
+        );
+        assert_eq!(parse(&Json::from(text).to_compact()).unwrap(), text.into());
+        for clean in ["", "x", "é", "no escapes at all"] {
+            assert_eq!(Json::from(clean).to_compact(), format!("\"{clean}\""));
+        }
+    }
+
+    #[test]
+    fn a_literal_is_its_content() {
+        let (lit, owned) = (Text::lit("key"), Text::from(String::from("key")));
+        assert_eq!(lit, owned);
+        let string = String::from("key");
+        assert!(lit == "key" && lit == *"key" && lit == string);
+        assert_ne!(lit, Text::lit("other"));
+        assert_eq!(format!("{lit} {lit:?} {}", lit.len()), "key \"key\" 3");
+
+        // Lookup and replacement go by content, whichever way the key
+        // is held, and both forms encode the same.
+        let borrowed = Json::Obj(vec![(Text::lit("k"), Text::lit("v").into())]);
+        let built = Json::obj().field("k", "v");
+        assert_eq!(borrowed, built);
+        assert_eq!(borrowed.to_compact(), built.to_compact());
+        assert_eq!(borrowed.get("k").and_then(Json::as_str), Some("v"));
+        assert_eq!(borrowed.field("k", 2u64).to_compact(), r#"{"k":2}"#);
+    }
+
+    #[test]
+    fn a_half_literal_document_round_trips() {
+        let doc = Json::Obj(vec![
+            (Text::lit("lit"), Text::lit("a \"literal\"").into()),
+            (Text::lit("n"), u64::MAX.into()),
+        ])
+        .field("owned", String::from("tab\there"))
+        .field("list", vec![Json::from(Text::lit("x")), Json::from("y")]);
+        assert_eq!(parse(&doc.to_compact()).unwrap(), doc);
+        assert_eq!(parse(&doc.to_pretty()).unwrap(), doc);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   single-threaded by their owner and submit to a global collector
 //!   when dropped; the merge sorts tracks by name, so the collected
 //!   order is independent of which worker thread finished first.
-//! * [`take_tracks`] / [`export_chrome`] — drain the collector into a
-//!   deterministic track list and serialize it as Chrome trace-event
+//! * [`take_tracks`] / [`write_chrome`] — drain the collector into a
+//!   deterministic track list and stream it out as Chrome trace-event
 //!   JSON (loads in Perfetto / `chrome://tracing`; one thread lane per
-//!   track).
+//!   track). [`export_chrome`] is the same document as a [`Json`]
+//!   value.
 //!
 //! # Non-perturbation contract
 //!
@@ -56,9 +57,10 @@
 //! creation off for a scope (the serving engine's calibration runs,
 //! which would otherwise trace every shard's warm-up).
 
-use crate::json::Json;
+use crate::json::{Json, Text};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -408,75 +410,109 @@ pub fn take_tracks() -> Vec<Track> {
     tracks
 }
 
-/// Serialize tracks as a Chrome trace-event JSON document (the
+/// The one definition of an exported event: its fields and their
+/// order. Every key and `ph`/`name`/`s` value is a borrowed literal, so
+/// an event costs its two field vectors and nothing else.
+fn event_json(ev: &TraceEvent, tid: u64) -> Json {
+    let lit = Text::lit;
+    let (ph, args) = match ev.phase {
+        Phase::Begin => (
+            "B",
+            vec![
+                (lit("span"), ev.span.into()),
+                (lit("parent"), ev.parent.into()),
+                (lit("value"), ev.value.into()),
+            ],
+        ),
+        Phase::End => ("E", vec![(lit("span"), ev.span.into())]),
+        Phase::Instant => ("i", vec![(lit("value"), ev.value.into())]),
+        Phase::Counter => ("C", vec![(lit("value"), ev.value.into())]),
+    };
+    let scoped = ev.phase == Phase::Instant;
+    let mut fields = Vec::with_capacity(6 + usize::from(scoped));
+    fields.push((lit("ph"), lit(ph).into()));
+    fields.push((lit("name"), lit(ev.name).into()));
+    fields.push((lit("pid"), 1u64.into()));
+    fields.push((lit("tid"), tid.into()));
+    fields.push((lit("ts"), (ev.at_ns as f64 / 1000.0).into()));
+    if scoped {
+        fields.push((lit("s"), lit("t").into()));
+    }
+    fields.push((lit("args"), Json::Obj(args)));
+    Json::Obj(fields)
+}
+
+/// The `M` record that names a track's `tid` lane and carries its
+/// drop count.
+fn thread_name_json(track: &Track, tid: u64) -> Json {
+    Json::obj()
+        .field("ph", "M")
+        .field("name", "thread_name")
+        .field("pid", 1u64)
+        .field("tid", tid)
+        .field(
+            "args",
+            Json::obj()
+                .field("name", track.name.as_str())
+                .field("dropped", track.dropped),
+        )
+}
+
+/// The `traceEvents` of `tracks` in document order: per track (one
+/// `tid` lane each, numbered from 1) its name record, then its events.
+fn chrome_events(tracks: &[Track]) -> impl Iterator<Item = Json> + '_ {
+    tracks.iter().zip(1u64..).flat_map(|(track, tid)| {
+        let events = track.events.iter().map(move |ev| event_json(ev, tid));
+        std::iter::once(thread_name_json(track, tid)).chain(events)
+    })
+}
+
+/// Tracks as a Chrome trace-event JSON document (the
 /// `{"traceEvents": [...]}` object form; loads in Perfetto and
 /// `chrome://tracing`). One `tid` lane per track, named via `M`
 /// metadata events; timestamps are microseconds (the format's unit)
 /// derived exactly as `ns / 1000.0`, so the document is as
-/// deterministic as the events.
+/// deterministic as the events. This is the whole document in memory;
+/// [`write_chrome`] streams the same bytes.
 pub fn export_chrome(tracks: &[Track]) -> Json {
-    let mut events: Vec<Json> = Vec::new();
-    for (i, track) in tracks.iter().enumerate() {
-        let tid = i as u64 + 1;
-        events.push(
-            Json::obj()
-                .field("ph", "M")
-                .field("name", "thread_name")
-                .field("pid", 1u64)
-                .field("tid", tid)
-                .field(
-                    "args",
-                    Json::obj()
-                        .field("name", track.name.as_str())
-                        .field("dropped", track.dropped),
-                ),
-        );
-        for ev in &track.events {
-            let ts = ev.at_ns as f64 / 1000.0;
-            let base = Json::obj();
-            let e = match ev.phase {
-                Phase::Begin => base
-                    .field("ph", "B")
-                    .field("name", ev.name)
-                    .field("pid", 1u64)
-                    .field("tid", tid)
-                    .field("ts", ts)
-                    .field(
-                        "args",
-                        Json::obj()
-                            .field("span", u64::from(ev.span))
-                            .field("parent", u64::from(ev.parent))
-                            .field("value", ev.value),
-                    ),
-                Phase::End => base
-                    .field("ph", "E")
-                    .field("name", ev.name)
-                    .field("pid", 1u64)
-                    .field("tid", tid)
-                    .field("ts", ts)
-                    .field("args", Json::obj().field("span", u64::from(ev.span))),
-                Phase::Instant => base
-                    .field("ph", "i")
-                    .field("name", ev.name)
-                    .field("pid", 1u64)
-                    .field("tid", tid)
-                    .field("ts", ts)
-                    .field("s", "t")
-                    .field("args", Json::obj().field("value", ev.value)),
-                Phase::Counter => base
-                    .field("ph", "C")
-                    .field("name", ev.name)
-                    .field("pid", 1u64)
-                    .field("tid", tid)
-                    .field("ts", ts)
-                    .field("args", Json::obj().field("value", ev.value)),
-            };
-            events.push(e);
-        }
-    }
+    let mut events = Vec::with_capacity(tracks.iter().map(|t| t.events.len() + 1).sum());
+    events.extend(chrome_events(tracks));
     Json::obj()
         .field("displayTimeUnit", "ns")
         .field("traceEvents", events)
+}
+
+/// How many bytes [`write_chrome`] buffers, and the most it hands to
+/// one `write`.
+pub const WRITE_BUF: usize = 64 * 1024;
+
+/// Write `export_chrome(tracks).to_compact()` and a newline to `out`,
+/// an event at a time through one [`WRITE_BUF`]-sized buffer — never
+/// holding the document or its text.
+pub fn write_chrome(tracks: &[Track], out: &mut impl io::Write) -> io::Result<()> {
+    let mut flush = |buf: &mut String| {
+        let written = buf
+            .as_bytes()
+            .chunks(WRITE_BUF)
+            .try_for_each(|c| out.write_all(c));
+        buf.clear();
+        written
+    };
+    let mut buf = String::with_capacity(WRITE_BUF);
+    // The document around its events: the empty one, reopened.
+    export_chrome(&[]).write_compact(&mut buf);
+    buf.truncate(buf.len() - "]}".len());
+    let mut separator = "";
+    for event in chrome_events(tracks) {
+        buf.push_str(separator);
+        separator = ",";
+        event.write_compact(&mut buf);
+        if buf.len() >= WRITE_BUF {
+            flush(&mut buf)?;
+        }
+    }
+    buf.push_str("]}\n");
+    flush(&mut buf)
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@
 //! `--timing` runs the selected applications twice — serially, then in
 //! parallel — and reports each app's wall-clock (both runners) and
 //! simulated durations from the same span data, plus the overall
-//! speedup, instead of a paper table.
+//! speedup, instead of a paper table. It runs no gate and writes no
+//! document, so `--trace` with it is a usage error.
 //!
 //! `--dump-traces DIR` archives each application's event stream as a
 //! binary `.wtr` file (the `pmtrace::codec` format); `--from-trace
@@ -47,11 +48,11 @@
 //!   fence-stall phases ([`crate::profile`]).
 //! * `--trace PATH` — not a gate, but a step between serve and check:
 //!   the simulated-time tracing subsystem (`pmobs::trace`) records the
-//!   suite run and the serving sweep, and the merged tracks are written
-//!   as Chrome trace-event JSON. Every timestamp is on the simulated
-//!   clock, so the file is byte-identical across hosts and `--parallel`
-//!   settings. Tracing is off again before the later gates re-run
-//!   workloads internally.
+//!   suite run and the serving sweep, and the merged tracks are
+//!   streamed to PATH as Chrome trace-event JSON. Every timestamp is on
+//!   the simulated clock, so the file is byte-identical across hosts
+//!   and `--parallel` settings. Tracing is off again before the later
+//!   gates re-run workloads internally.
 //! * `--check` — the `pmcheck` persistency checker over every trace;
 //!   **exit 3** on any error-severity violation. `--check-rules ID,..`
 //!   restricts the checker to the named rules (implies `--check`; an
@@ -362,6 +363,9 @@ impl Opts {
             }
         }
         o.gates[Serve as usize] |= o.on(Profile);
+        if o.trace.is_some() && o.timing {
+            return Err("--trace cannot be combined with --timing, which writes no trace".into());
+        }
         if let Some(a) = o.apps.iter().find(|a| !APP_NAMES.contains(&a.as_str())) {
             return Err(format!("unknown app {a:?}; valid: {APP_NAMES:?}"));
         }
@@ -401,6 +405,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
     pmobs::set_enabled(recording);
     pmobs::trace::set_enabled(tracing);
     pmobs::logger::set_level(level);
+    if !tracing {
+        // Whatever this run recorded and did not export (it failed
+        // first, or a sink outlived the export) must not turn up in the
+        // next in-process caller's trace.
+        pmobs::trace::take_tracks();
+    }
     code
 }
 
@@ -489,7 +499,12 @@ fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
 }
 
 fn write_file(path: &str, contents: String) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+    written(path, std::fs::write(path, contents))
+}
+
+/// The outcome of writing `path`, as the driver reports it.
+fn written(path: &str, outcome: std::io::Result<()>) -> Result<(), String> {
+    outcome.map_err(|e| format!("cannot write {path}: {e}"))?;
     pmobs::info!("{path} written");
     Ok(())
 }
@@ -597,16 +612,20 @@ fn serve_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
     Ok(outcomes)
 }
 
-/// `--trace`: drain the collected tracks, write Chrome trace-event
-/// JSON, and disable tracing — later gates re-run workloads internally
-/// and must not record into a file already written.
+/// `--trace`: drain the collected tracks, stream them to PATH as Chrome
+/// trace-event JSON, and disable tracing — later gates re-run workloads
+/// internally and must not record into a file already written.
 fn export_trace(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
     if let Some(path) = &o.trace {
         let tracks = pmobs::trace::take_tracks();
         pmobs::trace::set_enabled(false);
-        let text = pmobs::trace::export_chrome(&tracks).to_compact() + "\n";
         pmobs::info!("chrome trace: {} track(s)", tracks.len());
-        write_file(path, text)?;
+        let streamed = std::fs::File::create(path).and_then(|file| {
+            let mut file = std::io::BufWriter::new(file);
+            pmobs::trace::write_chrome(&tracks, &mut file)?;
+            file.flush()
+        });
+        written(path, streamed)?;
     }
     Ok(Vec::new())
 }

@@ -20,6 +20,10 @@
 //!    JSON, every track lane opens with an `M` thread-name record,
 //!    begin/end events balance per lane, and timestamps never go
 //!    backwards within a lane.
+//!
+//! All three go through `pmobs::trace::write_chrome`, the streaming
+//! writer the CLI runs. A fourth test runs the CLI itself: a `--trace`
+//! path that cannot be written is an error, not a silent success.
 
 use pmobs::json::Json;
 use pmobs::trace;
@@ -35,16 +39,15 @@ fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Run `f` with tracing on and return the exported document exactly as
-/// `whisper-report --trace` writes it (compact + trailing newline).
+/// Run `f` with tracing on and return the exported document, written
+/// the way `whisper-report --trace` writes it.
 fn traced_export(f: impl FnOnce()) -> String {
-    trace::take_tracks(); // drop tracks a failed earlier test left behind
     trace::set_enabled(true);
     f();
     trace::set_enabled(false);
-    let mut out = trace::export_chrome(&trace::take_tracks()).to_compact();
-    out.push('\n');
-    out
+    let mut out = Vec::new();
+    trace::write_chrome(&trace::take_tracks(), &mut out).expect("a Vec accepts every write");
+    String::from_utf8(out).expect("the trace is UTF-8")
 }
 
 fn small_serve(parallelism: usize) -> ServeConfig {
@@ -182,4 +185,20 @@ fn chrome_export_is_well_formed() {
             "expected a {needle} track in the export"
         );
     }
+}
+
+#[test]
+fn an_unwritable_trace_path_fails_the_run() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_whisper-report"))
+        .args(["table1", "--apps", "hashmap", "--scale", "0.01", "--quiet"])
+        .args(["--trace", "no-such-directory/t.json"])
+        .output()
+        .expect("whisper-report runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot write no-such-directory/t.json"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a failed export prints no report");
 }

@@ -8,7 +8,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use whisper::driver::{self, exit_code, Gate};
 use whisper::report;
-use whisper::suite::{analyze, AppResult};
+use whisper::serve::{run_serve_profiled, ServeConfig};
+use whisper::suite::{analyze, run_apps, AppResult, SuiteConfig, APP_NAMES};
 
 /// `--json` and `--trace` switch process-global `pmobs` recording on for
 /// the length of a run, and a trace export drains every track recorded
@@ -58,6 +59,7 @@ fn usage_errors_exit_2_before_anything_runs() {
         "--threads 0",
         "--serve-shards 0",
         "--serve-arrival sometimes",
+        "--trace t.json --timing",
     ] {
         let (code, out) = run(&format!(
             "table1 --apps exim --scale 0.01 --parallel 1 {bad}"
@@ -79,6 +81,34 @@ fn the_deterministic_report_matches_the_golden_through_the_driver() {
     assert_eq!(code, 0);
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("ci/golden_quick_report.json");
     assert!(read(&det) == read(&golden), "report.det.json != golden");
+}
+
+#[test]
+fn a_traced_run_that_fails_exits_2_and_leaves_no_tracks_behind() {
+    let _turn = turn();
+    let dir = scratch("trace-failures");
+    std::fs::write(dir.join("a-file"), "").expect("scratch file");
+    let d = dir.display();
+    for failing in [
+        // The export itself: `cannot write <path>` on stderr, which
+        // crates/whisper/tests/trace.rs reads off the real binary.
+        format!("--trace {d}/no-such-directory/t.json"),
+        // A step before the export, with every track already recorded.
+        format!("--trace {d}/t.json --dump-traces {d}/a-file/traces"),
+    ] {
+        let (code, out) = run(&format!(
+            "table1 --apps hashmap --scale 0.01 --parallel 1 --quiet {failing}"
+        ));
+        assert_eq!(code, 2, "{failing}");
+        assert_eq!(out, "", "{failing}: a failed run prints no report");
+        assert!(!pmobs::trace::enabled(), "{failing}: tracing left on");
+        let left: Vec<String> = pmobs::trace::take_tracks()
+            .into_iter()
+            .map(|t| t.name)
+            .collect();
+        assert!(left.is_empty(), "{failing}: tracks left behind: {left:?}");
+    }
+    assert!(!dir.join("t.json").exists() && !dir.join("no-such-directory").exists());
 }
 
 /// CI's mega-invocation: every gate, every document.
@@ -143,6 +173,23 @@ fn all_gates_pass_in_order_and_do_not_depend_on_the_worker_count() {
         assert!(inner.to_pretty() == read(&serial_dir.join(file)), "{file}");
     }
     assert!(doc.get("hb").and_then(|hb| hb.get("graph")).is_some());
+
+    // The streamed trace.json is the DOM view of the same run, made
+    // again through the library.
+    let trace = read(&serial_dir.join("trace.json"));
+    assert!(trace.ends_with("]}\n"), "trace.json is not closed");
+    let cfg = SuiteConfig {
+        scale: 0.01,
+        seed: 42,
+        parallelism: 1,
+        worker_threads: 4,
+    };
+    pmobs::trace::set_enabled(true);
+    run_apps(&APP_NAMES, &cfg);
+    run_serve_profiled(&ServeConfig::from_suite(&cfg));
+    pmobs::trace::set_enabled(false);
+    let dom = pmobs::trace::export_chrome(&pmobs::trace::take_tracks());
+    assert!(trace == dom.to_compact() + "\n", "trace.json != DOM view");
 
     let (code, fanned_text) = all_gates(&fanned_dir, 3);
     assert_eq!(code, 0);
