@@ -53,7 +53,5 @@ mod persist_buffer;
 
 pub use bloom::CountingBloom;
 pub use config::{HopsConfig, TimingConfig};
-pub use models::{
-    fig10_invocations, figure10_bars, replay, replay_dpo, PersistModel, Replayer, RuntimeReport,
-};
+pub use models::{fig10_invocations, figure10_bars, replay, PersistModel, Replayer, RuntimeReport};
 pub use persist_buffer::{BadThread, HopsSystem};

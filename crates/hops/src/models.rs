@@ -437,22 +437,6 @@ pub fn replay(
     r.finish()
 }
 
-/// Replay a trace under Delegated Persist Ordering, the concurrent
-/// proposal the paper compares against in Section 7. DPO shares HOPS's
-/// persist buffers but "enforces Buffered Strict Persistency ... BSP
-/// may not scale well with multiple MCs and a stronger consistency
-/// model (x86-TSO), resulting in serialized flushing of updates within
-/// an epoch" — modeled here as HOPS draining through a single
-/// serialized controller path.
-pub fn replay_dpo(events: &[Event], cfg: &TimingConfig, hops_cfg: &HopsConfig) -> RuntimeReport {
-    let mut serialized = *cfg;
-    serialized.mem_controllers = 1;
-    let mut r = replay(events, &serialized, hops_cfg, PersistModel::HopsNvm);
-    // Keep the baseline label honest: this is DPO, not HOPS.
-    r.model = PersistModel::HopsNvm;
-    r
-}
-
 thread_local! {
     static FIG10_INVOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
@@ -622,20 +606,6 @@ mod tests {
         let r = replay(t.events(), &cfg, &h, PersistModel::X86Nvm);
         assert_eq!(r.per_thread_ns.len(), 2);
         assert_eq!(r.runtime_ns, *r.per_thread_ns.iter().max().unwrap());
-    }
-
-    #[test]
-    fn dpo_serialization_costs_against_hops() {
-        // Section 7: with multiple MCs, DPO's serialized epoch flushing
-        // loses to HOPS's concurrent flushing — but both beat x86-64.
-        let events = synth_trace(1000, 600);
-        let cfg = TimingConfig::default();
-        let h = HopsConfig::default();
-        let x86 = replay(&events, &cfg, &h, PersistModel::X86Nvm).runtime_ns;
-        let hops = replay(&events, &cfg, &h, PersistModel::HopsNvm).runtime_ns;
-        let dpo = replay_dpo(&events, &cfg, &h).runtime_ns;
-        assert!(dpo >= hops, "DPO serializes what HOPS overlaps");
-        assert!(dpo < x86, "DPO still beats explicit flushing");
     }
 
     #[test]

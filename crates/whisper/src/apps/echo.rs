@@ -18,8 +18,10 @@
 //! self-dependency sources — and the master/client handoff on the
 //! descriptor line is a (rare) cross-thread dependency.
 
-use super::{AppRun, VolatileArena};
+use super::{App, AppRun, Layer, VolatileArena};
+use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
+use crate::report::PaperRow;
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::{BlockState, PmAllocator, SingleHeapAlloc};
 use pmds::{PHashMap, PLog};
@@ -27,6 +29,25 @@ use pmem::{Addr, AddrRange, PmImage};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Category, Tid};
 use pmtx::{TxMem, UndoTxEngine};
+
+/// Echo's Table 1 row.
+pub(crate) const APP: App = App {
+    name: "echo",
+    workload: "echo-test / 4 clients",
+    layer: Layer::Native,
+    base_ops: 20_000,
+    paper: PaperRow {
+        epochs_per_sec: 1.6e6,
+        fig3_median: 307,
+        fig5_self_pct: 54.5,
+        fig5_cross_pct: 0.01,
+        fig6_pm_pct: Some(5.49),
+    },
+    run: |ops, seed, _| run(ops, seed),
+    unpaced: Some(run_unpaced),
+    crash_ops: 40,
+    crash_run,
+};
 
 const STATUS_INPROGRESS: u32 = 1;
 const STATUS_CREATED: u32 = 2;
@@ -226,7 +247,7 @@ pub fn run(transactions: usize, seed: u64) -> AppRun {
 /// key's version chain against the committed operation prefix —
 /// allowing the one in-flight operation to be wholly present or wholly
 /// absent, never torn.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 24;
     let mut m = Machine::new(MachineConfig::asplos17());
     let mut st = EchoState::build(&mut m);
@@ -244,7 +265,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    arm.apply(&mut m);
     for (i, (key, val)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % ECHO_CLIENTS as usize) as u32);
         st.client_submit(&mut m, tid, &mut arena, &[(*key, *val)]);
@@ -340,7 +361,7 @@ pub(crate) fn run_inner(transactions: usize, seed: u64, paced: bool) -> AppRun {
         st.master_apply(&mut m, tid.0 as usize, &mut arena);
     }
 
-    AppRun::collect("echo", "echo-test / 4 clients", m)
+    APP.collect(m)
 }
 
 #[cfg(test)]

@@ -10,13 +10,72 @@
 //! 1000 msgs/min, sysbench connections) sets the epoch *rate* — which
 //! is why Table 1 spans 6250 epochs/s (Exim) to 250 K (NFS).
 
-use super::{AppRun, VolatileArena};
+use super::{App, AppRun, Layer, VolatileArena};
+use crate::crashtest::{Arm, CrashRun};
+use crate::report::PaperRow;
 use crate::workloads::{self, FileserverOp};
 use memsim::{Machine, MachineConfig};
 use pmem::{AddrRange, PmImage};
 use pmfs::{Pmfs, PmfsConfig};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::Tid;
+
+/// NFS-over-PMFS's Table 1 row.
+pub(crate) const NFS: App = App {
+    name: "nfs",
+    workload: "filebench fileserver / 8 clients",
+    layer: Layer::Pmfs,
+    base_ops: 4_000,
+    paper: PaperRow {
+        epochs_per_sec: 2.5e5,
+        fig3_median: 2,
+        fig5_self_pct: 55.0,
+        fig5_cross_pct: 5.0,
+        fig6_pm_pct: None,
+    },
+    run: |ops, seed, _| nfs(ops, seed),
+    unpaced: None,
+    crash_ops: 40,
+    crash_run: crash_run_nfs,
+};
+
+/// Exim-over-PMFS's Table 1 row.
+pub(crate) const EXIM: App = App {
+    name: "exim",
+    workload: "postal / 250 mailboxes, paced",
+    layer: Layer::Pmfs,
+    base_ops: 400,
+    paper: PaperRow {
+        epochs_per_sec: 6250.0,
+        fig3_median: 5,
+        fig5_self_pct: 45.27,
+        fig5_cross_pct: 1.16,
+        fig6_pm_pct: None,
+    },
+    run: |msgs, seed, _| exim(msgs, seed),
+    unpaced: None,
+    crash_ops: 16,
+    crash_run: crash_run_exim,
+};
+
+/// MySQL-over-PMFS's Table 1 row.
+pub(crate) const MYSQL: App = App {
+    name: "mysql",
+    workload: "sysbench OLTP-complex / 4 clients",
+    layer: Layer::Pmfs,
+    base_ops: 1_500,
+    paper: PaperRow {
+        epochs_per_sec: 6.0e4,
+        fig3_median: 7,
+        fig5_self_pct: 17.89,
+        fig5_cross_pct: 0.04,
+        fig6_pm_pct: None,
+    },
+    run: |txs, seed, _| mysql(txs, seed),
+    unpaced: None,
+    crash_ops: 24,
+    crash_run: crash_run_mysql,
+};
 
 const THREADS: u32 = 4;
 
@@ -50,7 +109,7 @@ enum NfsOp {
 /// succeed) and requires every committed file to read back exactly,
 /// with the in-flight replacement observed as old, absent, empty, or
 /// complete — never a torn length.
-pub(crate) fn crash_run_nfs(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_nfs(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const N_FILES: u64 = 6;
     let mut m = Machine::new(MachineConfig::asplos17());
     m.trace_mut().set_enabled(false);
@@ -76,7 +135,7 @@ pub(crate) fn crash_run_nfs(ops: usize, points: &[u64]) -> crate::crashtest::Cra
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    arm.apply(&mut m);
     for (i, op) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         match *op {
@@ -213,7 +272,7 @@ pub fn nfs(ops: usize, seed: u64) -> AppRun {
             }
         }
     }
-    AppRun::collect("nfs", "filebench fileserver / 8 clients", m)
+    NFS.collect(m)
 }
 
 /// Crash workload + recovery oracle for Exim-over-PMFS (see
@@ -225,7 +284,7 @@ pub fn nfs(ops: usize, seed: u64) -> AppRun {
 /// additionally be present in full), the main log equal to the
 /// committed delivery lines (plus at most the in-flight line), and the
 /// in-flight spool file absent, empty, or complete.
-pub(crate) fn crash_run_exim(msgs: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_exim(msgs: usize, arm: &Arm<'_>) -> CrashRun {
     const MBOXES: u64 = 4;
     const BODY: usize = 600;
     let mut m = Machine::new(MachineConfig::asplos17());
@@ -242,7 +301,7 @@ pub(crate) fn crash_run_exim(msgs: usize, points: &[u64]) -> crate::crashtest::C
     let log_line = |i: usize, mbox: u64| format!("delivered m{i} to u{mbox:03}\n");
     let body_fill = |i: usize| (i % 251 + 1) as u8;
 
-    crate::crashtest::arm(&mut m, points);
+    arm.apply(&mut m);
     for i in 0..msgs {
         let tid = Tid((i % THREADS as usize) as u32);
         let mbox = (i as u64 * 7 + 3) % MBOXES;
@@ -393,7 +452,7 @@ pub fn exim(msgs: usize, seed: u64) -> AppRun {
         // 4. Remove the spool file.
         fs.unlink(&mut m, tid, &spool).expect("unspool");
     }
-    AppRun::collect("exim", "postal / 250 mailboxes, paced", m)
+    EXIM.collect(m)
 }
 
 /// Crash workload + recovery oracle for MySQL-over-PMFS (see
@@ -406,7 +465,7 @@ pub fn exim(msgs: usize, seed: u64) -> AppRun {
 /// the binlog must read back exactly (the binlog may carry at most the
 /// complete in-flight record, never a partial one: its size is
 /// journaled metadata).
-pub(crate) fn crash_run_mysql(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_mysql(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const N_ROWS: u64 = 64;
     const ROW: usize = 100;
     const REC: usize = 64;
@@ -433,7 +492,7 @@ pub(crate) fn crash_run_mysql(ops: usize, points: &[u64]) -> crate::crashtest::C
         .map(|i| (rng.gen_range(0..N_ROWS), (i % 251 + 1) as u8))
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    arm.apply(&mut m);
     for (i, (row, fill)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         fs.write(&mut m, tid, "/ibdata", row * ROW as u64, &[*fill; ROW])
@@ -568,7 +627,7 @@ pub fn mysql(txs: usize, seed: u64) -> AppRun {
         fs.append(&mut m, tid, "/binlog", &vec![i as u8; 256])
             .expect("binlog");
     }
-    AppRun::collect("mysql", "sysbench OLTP-complex / 4 clients", m)
+    MYSQL.collect(m)
 }
 
 #[cfg(test)]

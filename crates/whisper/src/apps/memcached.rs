@@ -18,17 +18,38 @@
 //! (Consequence 10). A GET is volatile except for memcached's lazy LRU
 //! bump, which keeps PM write traffic low at memslap's 5 % SET mix.
 
-use super::{machine_for, AppRun, VolatileArena, WORKERS};
+use super::{machine_for, App, AppRun, Layer, VolatileArena, WORKERS};
+use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
+use crate::report::PaperRow;
 use crate::workloads::{self, MemslapOp};
 use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
 use pmalloc::ShardedSlab;
 use pmds::{CHash, PLruList};
 use pmem::{Addr, AddrRange, PmImage};
 use pmrand::{Rng, SeedableRng, SmallRng};
-use pmtrace::{Category, Tid};
+use pmtrace::Tid;
 use pmtx::RedoTxEngine;
 use std::collections::HashMap;
+
+/// Memcached's Table 1 row.
+pub(crate) const APP: App = App {
+    name: "memcached",
+    workload: "memslap / 4 clients, 5% SET",
+    layer: Layer::Mnemosyne,
+    base_ops: 20_000,
+    paper: PaperRow {
+        epochs_per_sec: 1.5e6,
+        fig3_median: 4,
+        fig5_self_pct: 63.5,
+        fig5_cross_pct: 0.2,
+        fig6_pm_pct: None,
+    },
+    run: run_threads,
+    unpaced: None,
+    crash_ops: 80,
+    crash_run,
+};
 
 pub(crate) struct Memcached {
     pub(crate) eng: RedoTxEngine,
@@ -143,7 +164,7 @@ impl Memcached {
 /// key to carry its last committed value. The in-flight SET may have
 /// landed neither, only the table phase, or both — the LRU length must
 /// sit between the committed distinct-key count and one more.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 24;
     let workers = WORKERS;
     let mut m = machine_for(workers);
@@ -164,21 +185,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
-    // Fence prologue: see `apps::redis::crash_run` — the HB crossval
-    // proof needs every traced thread to fence once before it can
-    // prove anything.
-    for wk in 0..workers {
-        let tid = Tid(wk);
-        let mut w = PmWriter::new(tid);
-        w.write_u64(
-            &mut m,
-            mc.scratch + u64::from(wk) * 64,
-            1,
-            Category::AppMeta,
-        );
-        w.durability_fence(&mut m);
-    }
+    arm.apply_to_workers(&mut m, workers, mc.scratch);
     for (i, (key, val)) in plan_ops.iter().enumerate() {
         let tid = schedule[i];
         mc.set(&mut m, tid, *key, val, ops + 10);
@@ -275,7 +282,7 @@ pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
         }
     }
 
-    AppRun::collect("memcached", "memslap / 4 clients, 5% SET", m)
+    APP.collect(m)
 }
 
 #[cfg(test)]

@@ -11,16 +11,56 @@
 //! Table 1 drives both with 4 clients and 100 K INSERT transactions;
 //! we mix in the deletes the benchmark also implements.
 
-use super::{AppRun, VolatileArena};
+use super::{App, AppRun, Layer, VolatileArena};
+use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
+use crate::report::PaperRow;
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::ShardedSlab;
-use pmds::{CritBitTree, PHashMap};
-use pmem::{AddrRange, PmImage};
+use pmds::{CritBitTree, DsError, PHashMap};
+use pmem::{Addr, AddrRange, PmImage};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::Tid;
 use pmtx::UndoTxEngine;
 use std::collections::HashMap;
+
+/// The `ctree` micro-benchmark's Table 1 row.
+pub(crate) const CTREE: App = App {
+    name: "ctree",
+    workload: "4 clients, INSERT transactions",
+    layer: Layer::Nvml,
+    base_ops: 16_000,
+    paper: PaperRow {
+        epochs_per_sec: 1.0e6,
+        fig3_median: 11,
+        fig5_self_pct: 79.0,
+        fig5_cross_pct: 0.0,
+        fig6_pm_pct: Some(3.32),
+    },
+    run: |ops, seed, _| ctree(ops, seed),
+    unpaced: Some(ctree_unpaced),
+    crash_ops: 96,
+    crash_run: crash_run::<CritBitTree>,
+};
+
+/// The `hashmap` micro-benchmark's Table 1 row.
+pub(crate) const HASHMAP: App = App {
+    name: "hashmap",
+    workload: "4 clients, INSERT transactions",
+    layer: Layer::Nvml,
+    base_ops: 16_000,
+    paper: PaperRow {
+        epochs_per_sec: 1.3e6,
+        fig3_median: 11,
+        fig5_self_pct: 81.0,
+        fig5_cross_pct: 0.0,
+        fig6_pm_pct: Some(2.6),
+    },
+    run: |ops, seed, _| hashmap(ops, seed),
+    unpaced: Some(hashmap_unpaced),
+    crash_ops: 96,
+    crash_run: crash_run::<PHashMap>,
+};
 
 const THREADS: u32 = 4;
 
@@ -36,7 +76,108 @@ struct MicroEnv {
     log_region: AddrRange,
 }
 
-fn build_env() -> (MicroEnv, RegionPlanner) {
+/// What the two micro-benchmarks ask of the persistent structure they
+/// drive. Everything else about them — driver loop, crash workload,
+/// recovery oracle — is written once below.
+trait Keyed: Copy + Send + Sync + 'static {
+    /// The benchmark's Table 1 row.
+    const ROW: App;
+    /// The driver's volatile work per operation in DRAM accesses, paced
+    /// and unpaced, and the paced driver's per-op loop overhead in ns.
+    const DRIVER: (u64, u64, u64);
+    /// Seed of the crash workload's op plan.
+    const CRASH_SEED: u64;
+    /// A stored value, as [`Keyed::lookup`] returns it.
+    type Value: PartialEq + std::fmt::Debug;
+
+    /// Create the structure in a fresh region (inside the caller's
+    /// transaction); also returns the address [`Keyed::reopen`] takes.
+    fn create_in(env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr);
+    fn reopen(m: &mut Machine, at: Addr) -> Result<Self, DsError>;
+    /// The value operation number `seq` inserts.
+    fn value(seq: u64) -> Self::Value;
+    fn put(self, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64);
+    fn delete(self, env: &mut MicroEnv, tid: Tid, key: u64);
+    fn lookup(self, m: &mut Machine, eng: &mut UndoTxEngine, key: u64) -> Option<Self::Value>;
+}
+
+impl Keyed for CritBitTree {
+    const ROW: App = CTREE;
+    const DRIVER: (u64, u64, u64) = (900, 300, 11_000);
+    const CRASH_SEED: u64 = 0xc47ee;
+    type Value = u64;
+
+    fn create_in(env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr) {
+        let region = plan.take(pmds::CRITBIT_REGION_BYTES);
+        let tree = CritBitTree::create(&mut env.m, &mut env.eng, Tid(0), region).expect("tree");
+        (tree, region.base)
+    }
+
+    fn reopen(m: &mut Machine, at: Addr) -> Result<Self, DsError> {
+        CritBitTree::open(m, Tid(0), at)
+    }
+
+    fn value(seq: u64) -> u64 {
+        seq
+    }
+
+    fn put(self, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64) {
+        let MicroEnv { m, eng, alloc, .. } = env;
+        self.insert(m, eng, tid, alloc, &key.to_be_bytes(), seq)
+            .expect("insert");
+    }
+
+    fn delete(self, env: &mut MicroEnv, tid: Tid, key: u64) {
+        let MicroEnv { m, eng, alloc, .. } = env;
+        self.remove(m, eng, tid, alloc, &key.to_be_bytes())
+            .expect("remove");
+    }
+
+    fn lookup(self, m: &mut Machine, eng: &mut UndoTxEngine, key: u64) -> Option<u64> {
+        self.get(m, eng, Tid(0), &key.to_be_bytes())
+    }
+}
+
+impl Keyed for PHashMap {
+    const ROW: App = HASHMAP;
+    const DRIVER: (u64, u64, u64) = (850, 280, 6_500);
+    const CRASH_SEED: u64 = 0x4a54;
+    type Value = Vec<u8>;
+
+    fn create_in(env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr) {
+        let region = plan.take(PHashMap::region_bytes(512));
+        let map = PHashMap::create(&mut env.m, &mut env.eng, Tid(0), region, 512).expect("map");
+        (map, region.base)
+    }
+
+    fn reopen(m: &mut Machine, at: Addr) -> Result<Self, DsError> {
+        PHashMap::open(m, Tid(0), at)
+    }
+
+    fn value(seq: u64) -> Vec<u8> {
+        vec![seq as u8; 32]
+    }
+
+    fn put(self, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64) {
+        let MicroEnv { m, eng, alloc, .. } = env;
+        self.insert(m, eng, tid, alloc, &key.to_le_bytes(), &[seq as u8; 32])
+            .expect("insert");
+    }
+
+    fn delete(self, env: &mut MicroEnv, tid: Tid, key: u64) {
+        let MicroEnv { m, eng, alloc, .. } = env;
+        self.remove(m, eng, tid, alloc, &key.to_le_bytes())
+            .expect("remove");
+    }
+
+    fn lookup(self, m: &mut Machine, eng: &mut UndoTxEngine, key: u64) -> Option<Vec<u8>> {
+        self.get(m, eng, Tid(0), &key.to_le_bytes())
+    }
+}
+
+/// A fresh environment with an empty `S` created in its setup
+/// transaction, and the address to re-open the structure at.
+fn build<S: Keyed>() -> (MicroEnv, S, Addr) {
     let mut m = Machine::new(MachineConfig::asplos17());
     // Setup is untraced: the measured interval is the insert workload.
     m.trace_mut().set_enabled(false);
@@ -47,79 +188,55 @@ fn build_env() -> (MicroEnv, RegionPlanner) {
     let heap = plan.take(ShardedSlab::region_bytes(96 << 20, THREADS as usize));
     let alloc = ShardedSlab::format(&mut m, &mut w, heap.base, 96 << 20, THREADS as usize);
     let arena = VolatileArena::new(&mut m, 1 << 20);
-    (
-        MicroEnv {
-            m,
-            eng,
-            alloc,
-            arena,
-            log_region,
-        },
-        plan,
-    )
+    let mut env = MicroEnv {
+        m,
+        eng,
+        alloc,
+        arena,
+        log_region,
+    };
+    env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
+    let (structure, at) = S::create_in(&mut env, &mut plan);
+    env.eng.commit(&mut env.m, Tid(0)).expect("setup");
+    (env, structure, at)
 }
 
-const CRASH_KEYSPACE: u64 = 32;
-
-/// The shared crash-campaign op plan: (is-insert, key) pairs, 85 %
-/// inserts over a small keyspace.
-fn crash_plan_ops(ops: usize, seed: u64) -> Vec<(bool, u64)> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..ops)
-        .map(|_| (rng.gen_range(0..100) < 85, rng.gen_range(0..CRASH_KEYSPACE)))
-        .collect()
-}
-
-/// Crash workload + oracle for `ctree` (see [`crate::crashtest`]):
-/// per-op insert/remove transactions; the oracle recovers the engine,
-/// re-opens the crit-bit tree, and compares every key against the
+/// Crash workload + oracle for a micro-benchmark (see
+/// [`crate::crashtest`]): per-op insert/remove transactions, 85 %
+/// inserts over a small keyspace; the oracle recovers the engine,
+/// re-opens the structure, and compares every key against the
 /// committed prefix, allowing the in-flight op's key to hold either
 /// its old or its new state.
-pub(crate) fn crash_run_ctree(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
-    let (mut env, mut plan) = build_env();
-    let tree_region = plan.take(pmds::CRITBIT_REGION_BYTES);
-    env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
-    let tree = CritBitTree::create(&mut env.m, &mut env.eng, Tid(0), tree_region).expect("tree");
-    env.eng.commit(&mut env.m, Tid(0)).expect("setup");
-    let plan_ops = crash_plan_ops(ops, 0xc47ee);
+fn crash_run<S: Keyed>(ops: usize, arm: &Arm<'_>) -> CrashRun {
+    const CRASH_KEYSPACE: u64 = 32;
+    let (mut env, structure, at) = build::<S>();
+    let mut rng = SmallRng::seed_from_u64(S::CRASH_SEED);
+    let plan_ops: Vec<(bool, u64)> = (0..ops)
+        .map(|_| (rng.gen_range(0..100) < 85, rng.gen_range(0..CRASH_KEYSPACE)))
+        .collect();
 
-    crate::crashtest::arm(&mut env.m, points);
+    arm.apply(&mut env.m);
     for (i, (insert, key)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         env.alloc.select(tid.0 as usize);
         env.eng.begin(&mut env.m, tid).expect("tx");
         if *insert {
-            tree.insert(
-                &mut env.m,
-                &mut env.eng,
-                tid,
-                &mut env.alloc,
-                &key.to_be_bytes(),
-                i as u64 + 1,
-            )
-            .expect("insert");
+            structure.put(&mut env, tid, *key, i as u64 + 1);
         } else {
-            tree.remove(
-                &mut env.m,
-                &mut env.eng,
-                tid,
-                &mut env.alloc,
-                &key.to_be_bytes(),
-            )
-            .expect("remove");
+            structure.delete(&mut env, tid, *key);
         }
         env.eng.commit(&mut env.m, tid).expect("commit");
         env.m.note_progress(i as u64 + 1);
     }
 
     let log = env.log_region;
-    let tree_base = tree_region.base;
     let total = plan_ops.len() as u64;
     let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
         let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
         let mut eng2 = UndoTxEngine::recover(&mut m2, Tid(0), log, THREADS);
-        let tree2 = CritBitTree::open(&mut m2, Tid(0), tree_base)
-            .map_err(|e| format!("tree open failed: {e:?}"))?;
+        let reopened =
+            S::reopen(&mut m2, at).map_err(|e| format!("{} open failed: {e:?}", S::ROW.name))?;
+        // Key -> the op number whose value the committed prefix left.
         let mut model: HashMap<u64, u64> = HashMap::new();
         for (i, (insert, key)) in plan_ops[..progress as usize].iter().enumerate() {
             if *insert {
@@ -130,19 +247,13 @@ pub(crate) fn crash_run_ctree(ops: usize, points: &[u64]) -> crate::crashtest::C
         }
         let in_flight = plan_ops.get(progress as usize);
         for key in 0..CRASH_KEYSPACE {
-            let got = tree2.get(&mut m2, &mut eng2, Tid(0), &key.to_be_bytes());
-            let want = model.get(&key).copied();
+            let got = reopened.lookup(&mut m2, &mut eng2, key);
+            let want = model.get(&key).map(|seq| S::value(*seq));
             if got == want {
                 continue;
             }
             let after = match in_flight {
-                Some((insert, k)) if *k == key => {
-                    if *insert {
-                        Some(progress + 1)
-                    } else {
-                        None
-                    }
-                }
+                Some((insert, k)) if *k == key => insert.then(|| S::value(progress + 1)),
                 _ => {
                     return Err(format!(
                         "key {key}: recovered {got:?} != committed {want:?}"
@@ -157,192 +268,60 @@ pub(crate) fn crash_run_ctree(ops: usize, points: &[u64]) -> crate::crashtest::C
         }
         Ok(())
     });
-    let MicroEnv { m, .. } = env;
-    crate::crashtest::harvest(m, total, oracle)
+    crate::crashtest::harvest(env.m, total, oracle)
 }
 
-/// Crash workload + oracle for `hashmap`: same shape as
-/// [`crash_run_ctree`] over the persistent chained hash map.
-pub(crate) fn crash_run_hashmap(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
-    let (mut env, mut plan) = build_env();
-    let map_region = plan.take(PHashMap::region_bytes(512));
-    env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
-    let map = PHashMap::create(&mut env.m, &mut env.eng, Tid(0), map_region, 512).expect("map");
-    env.eng.commit(&mut env.m, Tid(0)).expect("setup");
-    let plan_ops = crash_plan_ops(ops, 0x4a54);
+/// The driver: transactional inserts (85 %) and deletes of random keys,
+/// one per operation, round-robin over the four clients.
+fn run<S: Keyed>(ops: usize, seed: u64, paced: bool) -> AppRun {
+    let (mut env, structure, _) = build::<S>();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let keyspace = (ops * 2).max(64) as u64;
+    let (paced_work, unpaced_work, loop_ns) = S::DRIVER;
 
-    crate::crashtest::arm(&mut env.m, points);
-    for (i, (insert, key)) in plan_ops.iter().enumerate() {
+    env.m.trace_mut().set_enabled(true);
+    for i in 0..ops {
         let tid = Tid((i % THREADS as usize) as u32);
+        let work = if paced { paced_work } else { unpaced_work };
+        env.arena.work(&mut env.m, tid, work);
+        // The benchmark driver's per-op loop overhead.
+        if paced {
+            env.m.advance_ns(loop_ns);
+        }
+        let key = rng.gen_range(0..keyspace);
         env.alloc.select(tid.0 as usize);
         env.eng.begin(&mut env.m, tid).expect("tx");
-        if *insert {
-            map.insert(
-                &mut env.m,
-                &mut env.eng,
-                tid,
-                &mut env.alloc,
-                &key.to_le_bytes(),
-                &[(i + 1) as u8; 32],
-            )
-            .expect("insert");
+        if rng.gen_range(0..100) < 85 {
+            structure.put(&mut env, tid, key, i as u64);
         } else {
-            map.remove(
-                &mut env.m,
-                &mut env.eng,
-                tid,
-                &mut env.alloc,
-                &key.to_le_bytes(),
-            )
-            .expect("remove");
+            structure.delete(&mut env, tid, key);
         }
         env.eng.commit(&mut env.m, tid).expect("commit");
-        env.m.note_progress(i as u64 + 1);
     }
 
-    let log = env.log_region;
-    let total = plan_ops.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
-        let mut eng2 = UndoTxEngine::recover(&mut m2, Tid(0), log, THREADS);
-        let map2 = PHashMap::open(&mut m2, Tid(0), map_region.base)
-            .map_err(|e| format!("map open failed: {e:?}"))?;
-        let mut model: HashMap<u64, [u8; 32]> = HashMap::new();
-        for (i, (insert, key)) in plan_ops[..progress as usize].iter().enumerate() {
-            if *insert {
-                model.insert(*key, [(i + 1) as u8; 32]);
-            } else {
-                model.remove(key);
-            }
-        }
-        let in_flight = plan_ops.get(progress as usize);
-        for key in 0..CRASH_KEYSPACE {
-            let got = map2.get(&mut m2, &mut eng2, Tid(0), &key.to_le_bytes());
-            let want = model.get(&key).map(|v| v.to_vec());
-            if got == want {
-                continue;
-            }
-            let after = match in_flight {
-                Some((insert, k)) if *k == key => insert.then(|| vec![(progress + 1) as u8; 32]),
-                _ => {
-                    return Err(format!(
-                        "key {key}: recovered {got:?} != committed {want:?}"
-                    ));
-                }
-            };
-            if got != after {
-                return Err(format!(
-                    "key {key}: recovered {got:?}, neither old {want:?} nor in-flight {after:?}"
-                ));
-            }
-        }
-        Ok(())
-    });
-    let MicroEnv { m, .. } = env;
-    crate::crashtest::harvest(m, total, oracle)
+    S::ROW.collect(env.m)
 }
 
 /// `ctree` without driver overhead (gem5-style, for Figures 6/10).
 pub fn ctree_unpaced(ops: usize, seed: u64) -> AppRun {
-    ctree_inner(ops, seed, false)
+    run::<CritBitTree>(ops, seed, false)
 }
 
 /// The `ctree` micro-benchmark: transactional inserts (and some
 /// deletes) into a persistent crit-bit tree.
 pub fn ctree(ops: usize, seed: u64) -> AppRun {
-    ctree_inner(ops, seed, true)
-}
-
-pub(crate) fn ctree_inner(ops: usize, seed: u64, paced: bool) -> AppRun {
-    let (mut env, mut plan) = build_env();
-    let tree_region = plan.take(pmds::CRITBIT_REGION_BYTES);
-    env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
-    let tree = CritBitTree::create(&mut env.m, &mut env.eng, Tid(0), tree_region).expect("tree");
-    env.eng.commit(&mut env.m, Tid(0)).expect("setup");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let keyspace = (ops * 2).max(64) as u64;
-
-    env.m.trace_mut().set_enabled(true);
-    for i in 0..ops {
-        let tid = Tid((i % THREADS as usize) as u32);
-        env.arena
-            .work(&mut env.m, tid, if paced { 900 } else { 300 });
-        // The benchmark driver's per-op loop overhead.
-        if paced {
-            env.m.advance_ns(11_000);
-        }
-        let key = rng.gen_range(0..keyspace).to_be_bytes();
-        env.alloc.select(tid.0 as usize);
-        env.eng.begin(&mut env.m, tid).expect("tx");
-        if rng.gen_range(0..100) < 85 {
-            tree.insert(
-                &mut env.m,
-                &mut env.eng,
-                tid,
-                &mut env.alloc,
-                &key,
-                i as u64,
-            )
-            .expect("insert");
-        } else {
-            tree.remove(&mut env.m, &mut env.eng, tid, &mut env.alloc, &key)
-                .expect("remove");
-        }
-        env.eng.commit(&mut env.m, tid).expect("commit");
-    }
-
-    AppRun::collect("ctree", "4 clients, INSERT transactions", env.m)
+    run::<CritBitTree>(ops, seed, true)
 }
 
 /// `hashmap` without driver overhead (gem5-style, for Figures 6/10).
 pub fn hashmap_unpaced(ops: usize, seed: u64) -> AppRun {
-    hashmap_inner(ops, seed, false)
+    run::<PHashMap>(ops, seed, false)
 }
 
 /// The `hashmap` micro-benchmark: transactional inserts (and some
 /// deletes) into a persistent chained hash map.
 pub fn hashmap(ops: usize, seed: u64) -> AppRun {
-    hashmap_inner(ops, seed, true)
-}
-
-pub(crate) fn hashmap_inner(ops: usize, seed: u64, paced: bool) -> AppRun {
-    let (mut env, mut plan) = build_env();
-    let map_region = plan.take(PHashMap::region_bytes(512));
-    env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
-    let map = PHashMap::create(&mut env.m, &mut env.eng, Tid(0), map_region, 512).expect("map");
-    env.eng.commit(&mut env.m, Tid(0)).expect("setup");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let keyspace = (ops * 2).max(64) as u64;
-
-    env.m.trace_mut().set_enabled(true);
-    for i in 0..ops {
-        let tid = Tid((i % THREADS as usize) as u32);
-        env.arena
-            .work(&mut env.m, tid, if paced { 850 } else { 280 });
-        if paced {
-            env.m.advance_ns(6_500);
-        }
-        let key = rng.gen_range(0..keyspace).to_le_bytes();
-        env.alloc.select(tid.0 as usize);
-        env.eng.begin(&mut env.m, tid).expect("tx");
-        if rng.gen_range(0..100) < 85 {
-            map.insert(
-                &mut env.m,
-                &mut env.eng,
-                tid,
-                &mut env.alloc,
-                &key,
-                &[i as u8; 32],
-            )
-            .expect("insert");
-        } else {
-            map.remove(&mut env.m, &mut env.eng, tid, &mut env.alloc, &key)
-                .expect("remove");
-        }
-        env.eng.commit(&mut env.m, tid).expect("commit");
-    }
-
-    AppRun::collect("hashmap", "4 clients, INSERT transactions", env.m)
+    run::<PHashMap>(ops, seed, true)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The ten WHISPER applications (paper Section 3).
+//! The ten WHISPER applications (paper Section 3) and the one table
+//! that describes them.
 //!
 //! Every application follows the same contract: build its persistent
 //! state on a fresh instrumented [`memsim::Machine`], drive its Table 1
@@ -11,6 +12,14 @@
 //! requirement is that "WHISPER includes crash-recoverable
 //! applications, which means that they persist all information in PM
 //! that is necessary to recover after a crash."
+//!
+//! # The app table
+//!
+//! The paper describes its suite in one table; so does this crate.
+//! [`APPS`] holds one [`App`] per Table 1 row — a `const` written beside
+//! the application's code — and the suite driver, the reports, the crash
+//! campaign, cross-validation and the serving sweep all read it. Adding
+//! an application is one `App` entry listed once in [`APPS`].
 
 pub mod echo;
 pub mod fsapps;
@@ -23,9 +32,131 @@ pub mod vacation;
 pub use fsapps::{exim, mysql, nfs};
 pub use micro::{ctree, hashmap};
 
+use crate::crashtest::{Arm, CrashRun};
+use crate::report::PaperRow;
 use memsim::{Machine, MachineConfig, MemStats};
 use pmem::Addr;
 use pmtrace::{Category, Event, Tid};
+
+/// Table 1's "access layer" column: the software an application
+/// reaches persistent memory through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// Loads, stores, flushes and fences issued by the application's
+    /// own persistence code (echo, N-store).
+    Native,
+    /// Intel NVML (`libpmemobj`): undo-logged transactions.
+    Nvml,
+    /// Mnemosyne: redo-logged durable transactions.
+    Mnemosyne,
+    /// The PMFS file system, through `read`/`write`/`fsync`.
+    Pmfs,
+}
+
+/// One Table 1 row: what the paper says about the application, how to
+/// run it, and how the crash campaign exercises it.
+#[derive(Debug)]
+pub struct App {
+    /// Table 1, first column.
+    pub name: &'static str,
+    /// Table 1, third column.
+    pub workload: &'static str,
+    /// Table 1, second column.
+    pub layer: Layer,
+    /// Operation count at `--scale 1.0`; [`SuiteConfig`] scales it.
+    ///
+    /// [`SuiteConfig`]: crate::suite::SuiteConfig
+    pub base_ops: usize,
+    /// The paper's numbers for this row.
+    pub paper: PaperRow,
+    /// Run the Table 1 workload: `(ops, seed, workers)`. `workers`
+    /// reaches the scheduler-interleaved applications (redis,
+    /// memcached, vacation); the rest model their Table 1 thread counts
+    /// internally and ignore it.
+    pub run: fn(usize, u64, u32) -> AppRun,
+    /// The unpaced `(ops, seed)` run the paper's gem5 simulations use
+    /// for Figures 6 and 10. `Some` exactly for the gem5 subset, i.e.
+    /// exactly where the paper has a Figure 6 value.
+    pub unpaced: Option<fn(usize, u64) -> AppRun>,
+    /// Operations the crash workload commits. Fixed, not suite-scaled:
+    /// the campaign sweeps *coverage* of recovery paths, and the counts
+    /// are tuned so every app reaches steady state while the full sweep
+    /// stays test-suite fast.
+    pub crash_ops: usize,
+    /// The crash workload and its recovery oracle (see
+    /// [`crate::crashtest`]).
+    pub(crate) crash_run: fn(usize, &Arm<'_>) -> CrashRun,
+}
+
+impl App {
+    /// Finish a run of this application: harvest the machine's trace,
+    /// counters, and clock under the row's name and workload.
+    pub(crate) fn collect(&self, mut machine: Machine) -> AppRun {
+        let stats = machine.stats();
+        let duration_ns = machine.now_ns();
+        let threads = machine.config().threads;
+        let events = std::mem::take(machine.trace_mut()).into_events();
+        AppRun {
+            name: self.name.to_string(),
+            workload: self.workload.to_string(),
+            events,
+            stats,
+            duration_ns,
+            threads,
+        }
+    }
+
+    /// Run this row's crash workload, armed as `arm` says.
+    pub(crate) fn crash(&self, arm: &Arm<'_>) -> CrashRun {
+        (self.crash_run)(self.crash_ops, arm)
+    }
+}
+
+/// The eleven Table 1 rows, in Table 1 order (ten applications; N-store
+/// contributes two workloads).
+pub static APPS: [App; 11] = [
+    echo::APP,
+    nstore::YCSB,
+    nstore::TPCC,
+    redis::APP,
+    micro::CTREE,
+    micro::HASHMAP,
+    vacation::APP,
+    memcached::APP,
+    fsapps::NFS,
+    fsapps::EXIM,
+    fsapps::MYSQL,
+];
+
+/// A name that is not a Table 1 row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownApp(pub String);
+
+impl std::fmt::Display for UnknownApp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let valid = crate::suite::APP_NAMES;
+        write!(f, "unknown app {:?}; valid: {valid:?}", self.0)
+    }
+}
+
+impl std::error::Error for UnknownApp {}
+
+/// The Table 1 row called `name`.
+pub fn by_name(name: &str) -> Result<&'static App, UnknownApp> {
+    APPS.iter()
+        .find(|app| app.name == name)
+        .ok_or_else(|| UnknownApp(name.to_string()))
+}
+
+/// [`by_name`] for the name-keyed entry points whose contract is "a
+/// Table 1 name".
+///
+/// # Panics
+///
+/// Panics with [`UnknownApp`]'s message on any other name.
+pub(crate) fn named(name: &str) -> &'static App {
+    by_name(name).unwrap_or_else(|unknown| panic!("{unknown}"))
+}
 
 /// Table 1 worker-thread count for the scheduler-interleaved apps
 /// (redis, memcached, vacation); `--threads` overrides it per run.
@@ -54,24 +185,6 @@ pub struct AppRun {
     pub duration_ns: u64,
     /// Hardware threads used.
     pub threads: u32,
-}
-
-impl AppRun {
-    /// Finish a run: harvest the machine's trace, counters, and clock.
-    pub(crate) fn collect(name: &str, workload: &str, mut machine: Machine) -> AppRun {
-        let stats = machine.stats();
-        let duration_ns = machine.now_ns();
-        let threads = machine.config().threads;
-        let events = std::mem::take(machine.trace_mut()).into_events();
-        AppRun {
-            name: name.to_string(),
-            workload: workload.to_string(),
-            events,
-            stats,
-            duration_ns,
-            threads,
-        }
-    }
 }
 
 /// A DRAM scratch region over which applications perform their

@@ -16,8 +16,10 @@
 //! every writing transaction, one of the self-dependency sources the
 //! paper attributes to native applications.
 
-use super::{AppRun, VolatileArena};
+use super::{App, AppRun, Layer, VolatileArena};
+use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
+use crate::report::PaperRow;
 use crate::workloads::{self, TpccTx, YcsbOp};
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::{BuddyAlloc, PmAllocator};
@@ -27,6 +29,44 @@ use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Category, Tid};
 use pmtx::{TxMem, UndoTxEngine};
 use std::collections::HashMap;
+
+/// N-store under YCSB: Table 1's second row.
+pub(crate) const YCSB: App = App {
+    name: "nstore-ycsb",
+    workload: "YCSB like / 4 clients, 80% writes",
+    layer: Layer::Native,
+    base_ops: 16_000,
+    paper: PaperRow {
+        epochs_per_sec: 5.0e6,
+        fig3_median: 42,
+        fig5_self_pct: 40.2,
+        fig5_cross_pct: 0.003,
+        fig6_pm_pct: Some(8.71),
+    },
+    run: |ops, seed, _| run_ycsb(ops, seed),
+    unpaced: Some(run_ycsb_unpaced),
+    crash_ops: 64,
+    crash_run: crash_run_ycsb,
+};
+
+/// N-store under TPC-C: Table 1's third row.
+pub(crate) const TPCC: App = App {
+    name: "nstore-tpcc",
+    workload: "TPC-C like / 4 clients, 40% writes",
+    layer: Layer::Native,
+    base_ops: 3_000,
+    paper: PaperRow {
+        epochs_per_sec: 7.3e6,
+        fig3_median: 197,
+        fig5_self_pct: 27.18,
+        fig5_cross_pct: 0.03,
+        fig6_pm_pct: None,
+    },
+    run: |txs, seed, _| run_tpcc(txs, seed),
+    unpaced: None,
+    crash_ops: 32,
+    crash_run: crash_run_tpcc,
+};
 
 const THREADS: u32 = 4;
 const FIELD_BYTES: usize = 10;
@@ -172,7 +212,7 @@ const CRASH_PRELOAD: u64 = 24;
 /// Crash workload for the YCSB-like row (see [`crate::crashtest`]):
 /// single-action transactions — 70 % field updates on preloaded keys,
 /// 30 % fresh-key inserts.
-pub(crate) fn crash_run_ycsb(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_ycsb(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let mut rng = SmallRng::seed_from_u64(0x5ca1e);
     let mut next_key = CRASH_PRELOAD;
     let txs: Vec<Vec<CrashAction>> = (0..ops)
@@ -190,14 +230,14 @@ pub(crate) fn crash_run_ycsb(ops: usize, points: &[u64]) -> crate::crashtest::Cr
             }
         })
         .collect();
-    crash_run_inner(txs, points)
+    crash_run_inner(txs, arm)
 }
 
 /// Crash workload for the TPC-C-like row: multi-action transactions
 /// (order + order-line inserts + a stock update) alternating with
 /// payment-style updates — the all-or-nothing check spans every action
 /// of the in-flight transaction.
-pub(crate) fn crash_run_tpcc(txs: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_tpcc(txs: usize, arm: &Arm<'_>) -> CrashRun {
     let mut rng = SmallRng::seed_from_u64(0x79cc);
     let mut next_order = 1_000u64;
     let plan: Vec<Vec<CrashAction>> = (0..txs)
@@ -229,7 +269,7 @@ pub(crate) fn crash_run_tpcc(txs: usize, points: &[u64]) -> crate::crashtest::Cr
             }
         })
         .collect();
-    crash_run_inner(plan, points)
+    crash_run_inner(plan, arm)
 }
 
 /// Replay a transaction against the volatile row model (key → per-field
@@ -255,7 +295,7 @@ fn apply_model(model: &mut HashMap<u64, [u8; FIELDS]>, tx: &[CrashAction]) {
 /// with the plan armed, and return an oracle that requires the
 /// recovered database to equal the committed-prefix model — with the
 /// in-flight transaction applied in full or not at all.
-fn crash_run_inner(txs: Vec<Vec<CrashAction>>, points: &[u64]) -> crate::crashtest::CrashRun {
+fn crash_run_inner(txs: Vec<Vec<CrashAction>>, arm: &Arm<'_>) -> CrashRun {
     let mut m = Machine::new(MachineConfig::asplos17());
     m.trace_mut().set_enabled(false);
     let mut db = NStore::build(&mut m);
@@ -266,7 +306,7 @@ fn crash_run_inner(txs: Vec<Vec<CrashAction>>, points: &[u64]) -> crate::crashte
         db.eng.commit(&mut m, tid).expect("load commit");
     }
 
-    crate::crashtest::arm(&mut m, points);
+    arm.apply(&mut m);
     for (i, tx) in txs.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         db.eng.begin(&mut m, tid).expect("tx");
@@ -420,7 +460,7 @@ pub(crate) fn run_ycsb_inner(ops: usize, seed: u64, paced: bool) -> AppRun {
         }
     }
 
-    AppRun::collect("nstore-ycsb", "YCSB like / 4 clients, 80% writes", m)
+    YCSB.collect(m)
 }
 
 /// Run the TPC-C-like workload (Table 1: 4 clients, 40 % writes).
@@ -492,7 +532,7 @@ pub fn run_tpcc(txs: usize, seed: u64) -> AppRun {
         }
     }
 
-    AppRun::collect("nstore-tpcc", "TPC-C like / 4 clients, 40% writes", m)
+    TPCC.collect(m)
 }
 
 /// The OPTSP (optimized shadow-paging) engine variant: updates write a
@@ -578,11 +618,11 @@ pub fn run_ycsb_sp(ops: usize, seed: u64) -> AppRun {
         }
     }
 
-    AppRun::collect(
-        "nstore-ycsb-sp",
-        "YCSB like / OPTSP shadow-paging engine",
-        m,
-    )
+    AppRun {
+        name: "nstore-ycsb-sp".into(),
+        workload: "YCSB like / OPTSP shadow-paging engine".into(),
+        ..YCSB.collect(m)
+    }
 }
 
 #[cfg(test)]

@@ -23,15 +23,36 @@
 //! buffers, the volatile dict machinery), so PM stays a tiny share of
 //! traffic (Figure 6 measures redis at 0.74% PM).
 
-use super::{machine_for, AppRun, VolatileArena, WORKERS};
+use super::{machine_for, App, AppRun, Layer, VolatileArena, WORKERS};
+use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
+use crate::report::PaperRow;
 use crate::workloads;
-use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
+use memsim::{Machine, MachineConfig, Scheduler};
 use pmds::{CHash, DurableQueue};
 use pmem::{Addr, AddrRange, PmImage};
 use pmrand::{Rng, SeedableRng, SmallRng};
-use pmtrace::{Category, Tid};
+use pmtrace::Tid;
 use std::collections::{HashMap, VecDeque};
+
+/// Redis's Table 1 row.
+pub(crate) const APP: App = App {
+    name: "redis",
+    workload: "redis-cli / lru-test",
+    layer: Layer::Nvml,
+    base_ops: 20_000,
+    paper: PaperRow {
+        epochs_per_sec: 1.3e6,
+        fig3_median: 6,
+        fig5_self_pct: 82.5,
+        fig5_cross_pct: 0.0,
+        fig6_pm_pct: Some(0.74),
+    },
+    run: run_threads,
+    unpaced: Some(run_unpaced),
+    crash_ops: 96,
+    crash_run,
+};
 
 pub(crate) struct Redis {
     pub(crate) dict: CHash,
@@ -96,7 +117,7 @@ enum COp {
 /// structures' detectable recovery and requires every committed command
 /// to be fully visible — the one in-flight command may be rolled
 /// forward or discarded, never torn.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 32;
     let workers = WORKERS;
     let mut m = machine_for(workers);
@@ -133,17 +154,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
-    // Prologue: every worker retires one traced durable store, in fixed
-    // tid order. Untraced setup leaves in-flight entries the HB
-    // cross-validation cannot see; its durability proof stays vacuous
-    // until each thread appearing in the trace has fenced once.
-    for wk in 0..workers {
-        let tid = Tid(wk);
-        let mut w = PmWriter::new(tid);
-        w.write_u64(&mut m, r.scratch + u64::from(wk) * 64, 1, Category::AppMeta);
-        w.durability_fence(&mut m);
-    }
+    arm.apply_to_workers(&mut m, workers, r.scratch);
     for (i, op) in plan_ops.iter().enumerate() {
         let tid = schedule[i];
         let seq = i as u64 + 1;
@@ -344,7 +355,7 @@ pub(crate) fn run_inner(ops: usize, seed: u64, paced: bool, workers: u32) -> App
         }
     }
 
-    AppRun::collect("redis", "redis-cli / lru-test", m)
+    APP.collect(m)
 }
 
 #[cfg(test)]

@@ -20,8 +20,10 @@
 //! oracle a total order over committed reservations. The workload is
 //! query-heavy, so PM is a tiny share of traffic (Figure 6: 0.36 %).
 
-use super::{machine_for, AppRun, VolatileArena, WORKERS};
+use super::{machine_for, App, AppRun, Layer, VolatileArena, WORKERS};
+use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
+use crate::report::PaperRow;
 use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
 use pmalloc::{PmAllocator, ShardedSlab};
 use pmds::{DurableQueue, PRbTree};
@@ -30,6 +32,25 @@ use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Category, Tid};
 use pmtx::{RedoTxEngine, TxMem};
 use std::collections::HashMap;
+
+/// Vacation's Table 1 row.
+pub(crate) const APP: App = App {
+    name: "vacation",
+    workload: "4 clients, reservation mix",
+    layer: Layer::Mnemosyne,
+    base_ops: 10_000,
+    paper: PaperRow {
+        epochs_per_sec: 7.0e5,
+        fig3_median: 4,
+        fig5_self_pct: 40.0,
+        fig5_cross_pct: 0.01,
+        fig6_pm_pct: Some(0.36),
+    },
+    run: run_threads,
+    unpaced: Some(run_unpaced),
+    crash_ops: 64,
+    crash_run,
+};
 
 /// Reservation list node: next u64, resource u64, count u64.
 const RNODE_BYTES: u64 = 24;
@@ -274,7 +295,7 @@ fn apply_vmodel(model: &mut VModel, op: &VOp) {
 /// and the journal to match the committed-operation model — with the
 /// in-flight operation applied in full, not at all, or stopped at its
 /// transaction/journal boundary.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let workers = WORKERS;
     let mut m = machine_for(workers);
     m.trace_mut().set_enabled(false);
@@ -306,16 +327,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
-    // Fence prologue: see `apps::redis::crash_run` — the HB crossval
-    // proof needs every traced thread to fence once before it can
-    // prove anything.
-    for wk in 0..workers {
-        let tid = Tid(wk);
-        let mut w = PmWriter::new(tid);
-        w.write_u64(&mut m, v.scratch + u64::from(wk) * 64, 1, Category::AppMeta);
-        w.durability_fence(&mut m);
-    }
+    arm.apply_to_workers(&mut m, workers, v.scratch);
     for (i, op) in ops_plan.iter().enumerate() {
         let tid = schedule[i];
         match *op {
@@ -497,7 +509,7 @@ pub(crate) fn run_inner(transactions: usize, seed: u64, paced: bool, workers: u3
         }
     }
 
-    AppRun::collect("vacation", "4 clients, reservation mix", m)
+    APP.collect(m)
 }
 
 #[cfg(test)]

@@ -13,9 +13,10 @@
 //!
 //! # The oracle contract
 //!
-//! Each app module exposes `crash_run(ops, points) -> CrashRun`: it
-//! drives `ops` logical operations against a fresh machine (untraced —
-//! the campaign measures recoverability, not rates), calls
+//! Each [`App`] row carries `crash_run(ops, &Arm) -> CrashRun`: it
+//! drives `ops` logical operations against a fresh machine (untraced
+//! unless the `Arm` asks for the trace — the campaign measures
+//! recoverability, not rates), arms it with `Arm::apply`, calls
 //! [`memsim::Machine::note_progress`] after each *fully committed*
 //! operation, and returns the captured states plus an oracle closure.
 //! The oracle receives a materialized image and the progress value at
@@ -46,13 +47,15 @@
 //! uncommitted transactions still exercise every rollback/replay path.
 //! See DESIGN.md § Crash testing.
 
+use crate::apps::{App, APPS};
 use crate::pool::fan_out;
 use crate::suite::{default_parallelism, SuiteConfig};
-use memsim::{CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine};
-use pmem::PmImage;
+use memsim::{
+    CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine, PmWriter,
+};
+use pmem::{Addr, PmImage};
 use pmobs::Json;
-use pmtrace::{Event, EventKind, TraceBuffer};
-use std::cell::RefCell;
+use pmtrace::{Category, Event, EventKind, Tid, TraceBuffer};
 
 /// A recovery oracle: given a materialized crash image and the
 /// `note_progress` value at the capture point, re-open the app's state
@@ -70,9 +73,9 @@ pub struct CrashRun {
     /// One captured state per requested crash point.
     pub states: Vec<CrashState>,
     /// The machine trace of the measured interval (arm → harvest) —
-    /// empty unless the run was wrapped in [`with_arm_options`] asking
-    /// for one. The optimizer checks this trace to decide which
-    /// flush/fence ordinals its elision plan may skip.
+    /// empty unless the run was armed with `trace` set. The optimizer
+    /// checks this trace to decide which flush/fence ordinals its
+    /// elision plan may skip.
     pub trace: Vec<Event>,
     /// What an armed elision plan did during the run (`None` in plain
     /// campaign runs).
@@ -81,58 +84,55 @@ pub struct CrashRun {
     pub oracle: Oracle,
 }
 
-/// Extra arming the optimized campaign needs, delivered out of band.
-///
-/// The eleven `crash_run` entry points share the `(ops, points)`
-/// signature through the [`Runner`] fn-pointer registry; rather than
-/// widening all of them for the optimizer's sake, the campaign driver
-/// stashes these options in a thread-local that [`arm`] consumes. Both
-/// the serial and the worker-pool campaign paths invoke the runner
-/// synchronously on the thread that set the options, so the handoff is
-/// race-free.
-#[derive(Debug, Default)]
-pub(crate) struct ArmOptions {
+/// How a crash workload arms its machine, handed to every `crash_run`.
+/// The default is the plain probe: count fences, capture nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Arm<'a> {
+    /// Fence ordinals to capture the machine's in-flight state at;
+    /// empty probes for the run's fence total instead.
+    pub(crate) points: &'a [u64],
     /// Record the machine trace from arm to harvest.
     pub(crate) trace: bool,
     /// Arm this elision plan alongside the crash plan.
-    pub(crate) elide: Option<ElidePlan>,
+    pub(crate) elide: Option<&'a ElidePlan>,
 }
 
-thread_local! {
-    static ARM_OPTS: RefCell<Option<ArmOptions>> = const { RefCell::new(None) };
-}
-
-/// Run `f` (a single `crash_run` invocation) with `opts` applied at its
-/// [`arm`] call.
-pub(crate) fn with_arm_options<T>(opts: ArmOptions, f: impl FnOnce() -> T) -> T {
-    ARM_OPTS.with(|c| *c.borrow_mut() = Some(opts));
-    let out = f();
-    ARM_OPTS.with(|c| *c.borrow_mut() = None);
-    out
-}
-
-/// Arm `m` with a fence-counting plan: a probe when `points` is empty,
-/// a capturing plan otherwise. Applies any pending [`ArmOptions`].
-pub(crate) fn arm(m: &mut Machine, points: &[u64]) {
-    if let Some(opts) = ARM_OPTS.with(|c| c.borrow_mut().take()) {
-        if opts.trace {
+impl Arm<'_> {
+    /// Arm `m` with the fence-counting crash plan, and start the trace
+    /// and the elision plan if asked for.
+    pub(crate) fn apply(&self, m: &mut Machine) {
+        if self.trace {
             let t = m.trace_mut();
             t.clear();
             t.set_enabled(true);
         }
-        if let Some(plan) = opts.elide {
+        if let Some(plan) = self.elide {
             // Armed here, not earlier: elision ordinals are counted
             // from the same instant the trace (and the checker's view)
             // starts, so finding ordinals and machine ordinals line up.
-            m.set_elide_plan(plan);
+            m.set_elide_plan(plan.clone());
+        }
+        m.set_crash_plan(if self.points.is_empty() {
+            CrashPlan::probe(CrashCounter::Fences)
+        } else {
+            CrashPlan::at_points(CrashCounter::Fences, self.points.to_vec())
+        });
+    }
+
+    /// [`apply`](Arm::apply) for the scheduler-interleaved apps: once
+    /// armed, every worker retires one traced durable store to its own
+    /// line of `scratch`, in fixed tid order. Untraced setup leaves
+    /// in-flight entries the HB cross-validation cannot see; its
+    /// durability proof stays vacuous until each thread appearing in
+    /// the trace has fenced once.
+    pub(crate) fn apply_to_workers(&self, m: &mut Machine, workers: u32, scratch: Addr) {
+        self.apply(m);
+        for worker in 0..workers {
+            let mut w = PmWriter::new(Tid(worker));
+            w.write_u64(m, scratch + u64::from(worker) * 64, 1, Category::AppMeta);
+            w.durability_fence(m);
         }
     }
-    let plan = if points.is_empty() {
-        CrashPlan::probe(CrashCounter::Fences)
-    } else {
-        CrashPlan::at_points(CrashCounter::Fences, points.to_vec())
-    };
-    m.set_crash_plan(plan);
 }
 
 /// Finish a crash workload: harvest the machine's event count and
@@ -215,27 +215,6 @@ pub struct AppCrashReport {
     pub failures: Vec<CrashFailure>,
 }
 
-pub(crate) type Runner = fn(usize, &[u64]) -> CrashRun;
-
-/// The campaign registry: Table 1 name, crash-workload op count, and
-/// the app's `crash_run` entry point. Op counts are fixed (not suite-
-/// scaled): the campaign sweeps *coverage* of recovery paths, and these
-/// counts are tuned so every app reaches steady state while the full
-/// sweep stays test-suite fast.
-pub(crate) const ROWS: [(&str, usize, Runner); 11] = [
-    ("echo", 40, crate::apps::echo::crash_run),
-    ("nstore-ycsb", 64, crate::apps::nstore::crash_run_ycsb),
-    ("nstore-tpcc", 32, crate::apps::nstore::crash_run_tpcc),
-    ("redis", 96, crate::apps::redis::crash_run),
-    ("ctree", 96, crate::apps::micro::crash_run_ctree),
-    ("hashmap", 96, crate::apps::micro::crash_run_hashmap),
-    ("vacation", 64, crate::apps::vacation::crash_run),
-    ("memcached", 80, crate::apps::memcached::crash_run),
-    ("nfs", 40, crate::apps::fsapps::crash_run_nfs),
-    ("exim", 16, crate::apps::fsapps::crash_run_exim),
-    ("mysql", 24, crate::apps::fsapps::crash_run_mysql),
-];
-
 /// Spread `k` crash points evenly across `1..=total` (sorted, deduped;
 /// fewer than `k` only when `total` is smaller than `k`).
 pub(crate) fn spread_points(total: u64, k: usize) -> Vec<u64> {
@@ -304,33 +283,22 @@ fn judge(
 
 /// Run one row: probe for the fence total, re-run with the spread
 /// points armed, then judge every point × spec image.
-fn run_row(name: &'static str, ops: usize, runner: Runner, cfg: &CampaignConfig) -> AppCrashReport {
-    let _span = pmobs::span!("crash.row", name);
-    let probe = runner(ops, &[]);
+fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrashReport {
+    let _span = pmobs::span!("crash.row", app.name);
+    let probe = app.crash(&Arm::default());
     let points = spread_points(probe.total_events, cfg.points);
-    let run = runner(ops, &points);
-    judge(name, points, &run, cfg)
+    let run = app.crash(&Arm {
+        points: &points,
+        ..Arm::default()
+    });
+    judge(app.name, points, &run, cfg)
 }
 
-/// Fan the eleven rows out across `workers` threads (serial when 1),
-/// returning results in Table 1 order. Each row is a self-contained
-/// seeded machine, so results are identical whatever the parallelism.
-pub(crate) fn fan_rows<R: Send>(
-    workers: usize,
-    per_row: impl Fn(&'static str, usize, Runner) -> R + Sync,
-) -> Vec<R> {
-    fan_out(workers, ROWS.len(), |i| {
-        let (name, ops, runner) = ROWS[i];
-        per_row(name, ops, runner)
-    })
-}
-
-/// Run the whole campaign across `cfg.parallelism` workers. Reports
-/// come back in Table 1 order.
+/// Run the whole campaign across `cfg.parallelism` workers. Each row is
+/// a self-contained seeded machine, so reports are identical whatever
+/// the parallelism, and come back in Table 1 order.
 pub fn run_campaign(cfg: &CampaignConfig) -> Vec<AppCrashReport> {
-    fan_rows(cfg.parallelism, |name, ops, runner| {
-        run_row(name, ops, runner, cfg)
-    })
+    fan_out(cfg.parallelism, APPS.len(), |i| run_row(&APPS[i], cfg))
 }
 
 /// One row's outcome under the *optimized* schedule: the regular
@@ -378,21 +346,13 @@ fn flush_fence_ordinals(trace: &[Event]) -> Vec<u64> {
 /// Run one row under the optimizer: trace a probe, rewrite its trace,
 /// re-run with the flagged flush/fence ordinals machine-elided, and
 /// judge the elided run under the full spec lattice.
-fn run_optimized_row(
-    name: &'static str,
-    ops: usize,
-    runner: Runner,
-    cfg: &CampaignConfig,
-) -> OptimizedCrashReport {
-    let _span = pmobs::span!("crash.optimized_row", name);
+fn run_optimized_row(app: &App, cfg: &CampaignConfig) -> OptimizedCrashReport {
+    let _span = pmobs::span!("crash.optimized_row", app.name);
     // 1. Traced probe: what does the checker flag in this workload?
-    let probe = with_arm_options(
-        ArmOptions {
-            trace: true,
-            elide: None,
-        },
-        || runner(ops, &[]),
-    );
+    let probe = app.crash(&Arm {
+        trace: true,
+        ..Arm::default()
+    });
     let rw = pmcheck::rewrite_events(&probe.trace);
     let ords = flush_fence_ordinals(&probe.trace);
     let flush_ords: Vec<u64> = rw
@@ -411,27 +371,21 @@ fn run_optimized_row(
 
     // 2. Elided probe: the optimized run has fewer fences, so its own
     // total defines the sweepable crash-point range.
-    let elided_probe = with_arm_options(
-        ArmOptions {
-            trace: false,
-            elide: Some(plan.clone()),
-        },
-        || runner(ops, &[]),
-    );
-    let points = spread_points(elided_probe.total_events, cfg.points);
+    let elided = Arm {
+        elide: Some(&plan),
+        ..Arm::default()
+    };
+    let points = spread_points(app.crash(&elided).total_events, cfg.points);
 
     // 3. Elided capture run, judged exactly like the plain campaign —
     // every recovery oracle must still pass on the optimized schedule.
-    let run = with_arm_options(
-        ArmOptions {
-            trace: false,
-            elide: Some(plan),
-        },
-        || runner(ops, &points),
-    );
+    let run = app.crash(&Arm {
+        points: &points,
+        ..elided
+    });
     let elide = run.elide.unwrap_or_default();
     OptimizedCrashReport {
-        report: judge(name, points, &run, cfg),
+        report: judge(app.name, points, &run, cfg),
         baseline_fences: probe.total_events,
         planned_flushes: rw.elided_flushes,
         planned_fences: rw.elided_fences,
@@ -444,8 +398,8 @@ fn run_optimized_row(
 /// soundness gate for `whisper-report --optimize`. Reports come back
 /// in Table 1 order.
 pub fn run_optimized_campaign(cfg: &CampaignConfig) -> Vec<OptimizedCrashReport> {
-    fan_rows(cfg.parallelism, |name, ops, runner| {
-        run_optimized_row(name, ops, runner, cfg)
+    fan_out(cfg.parallelism, APPS.len(), |i| {
+        run_optimized_row(&APPS[i], cfg)
     })
 }
 
@@ -559,8 +513,12 @@ mod tests {
         // (as happens when rows land on different campaign workers)
         // must capture identical states and materialize identical
         // adversarial images.
-        let a = crate::apps::micro::crash_run_hashmap(24, &[7, 19]);
-        let b = crate::apps::micro::crash_run_hashmap(24, &[7, 19]);
+        let arm = Arm {
+            points: &[7, 19],
+            ..Arm::default()
+        };
+        let hashmap = crate::apps::micro::HASHMAP.crash_run;
+        let (a, b) = (hashmap(24, &arm), hashmap(24, &arm));
         assert_eq!(a.states.len(), 2);
         for (sa, sb) in a.states.iter().zip(&b.states) {
             assert_eq!(sa.digest(), sb.digest());
@@ -575,7 +533,13 @@ mod tests {
     fn oracles_reject_corrupted_images() {
         // Guard against vacuous oracles: a zeroed image (bad engine
         // log, bad structure headers) must be rejected.
-        let run = crate::apps::redis::crash_run(24, &[9]);
+        let run = crate::apps::redis::crash_run(
+            24,
+            &Arm {
+                points: &[9],
+                ..Arm::default()
+            },
+        );
         let state = &run.states[0];
         let mut img = state.materialize(CrashSpec::PersistAll);
         let lines: Vec<_> = img.lines().map(|(l, _)| l).collect();
@@ -583,11 +547,6 @@ mod tests {
             img.set_line(l, [0u8; 64]);
         }
         assert!((run.oracle)(&img, state.progress()).is_err());
-    }
-
-    #[test]
-    fn registry_matches_table1_order() {
-        assert!(ROWS.iter().map(|(n, _, _)| *n).eq(crate::suite::APP_NAMES));
     }
 
     #[test]
@@ -600,8 +559,7 @@ mod tests {
             adversarial_seeds: 2,
             parallelism: 1,
         };
-        let (name, ops, runner) = ROWS.iter().find(|(n, _, _)| *n == "ctree").unwrap();
-        let opt = run_optimized_row(name, *ops, *runner, &cfg);
+        let opt = run_optimized_row(&crate::apps::micro::CTREE, &cfg);
         assert!(opt.planned_fences > 0, "no fences planned: {opt:?}");
         assert!(opt.elide.elided_total() > 0, "nothing elided: {opt:?}");
         assert!(opt.report.failures.is_empty(), "{:?}", opt.report.failures);
@@ -612,11 +570,11 @@ mod tests {
     #[test]
     fn flush_fence_ordinals_count_per_kind() {
         let mut buf = TraceBuffer::new();
-        let t = pmtrace::Tid(0);
+        let t = Tid(0);
         buf.flush(t, 0x1000, 1);
         buf.fence(t, 2);
         buf.flush(t, 0x1040, 3);
-        buf.pm_store(t, 0x1080, 8, false, pmtrace::Category::UserData, 4);
+        buf.pm_store(t, 0x1080, 8, false, Category::UserData, 4);
         buf.dfence(t, 5);
         let events = buf.into_events();
         assert_eq!(flush_fence_ordinals(&events), vec![1, 1, 2, 0, 2]);

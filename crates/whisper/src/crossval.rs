@@ -27,10 +27,9 @@
 //! Both run under the campaign's quick shape by default: 11 apps ×
 //! 4 points × 10 specs = 440 images.
 
-use crate::crashtest::{
-    arm, fan_rows, spec_name, specs, spread_points, with_arm_options, ArmOptions, CampaignConfig,
-    Runner,
-};
+use crate::apps::{App, APPS};
+use crate::crashtest::{spec_name, specs, spread_points, Arm, CampaignConfig};
+use crate::pool::fan_out;
 use memsim::{CrashSpec, Machine, MachineConfig};
 use pmcheck::hb::durable_lines_at_fences;
 use pmem::Line;
@@ -214,17 +213,15 @@ impl CrossvalReport {
 /// Cross-validate one campaign row: traced capture run, HB durability
 /// proof at the swept points, then every point × spec image compared
 /// against its `DropVolatile` reference on the proven lines.
-fn run_row(name: &'static str, ops: usize, runner: Runner, cfg: &CampaignConfig) -> AppCrossval {
-    let _span = pmobs::span!("crossval.row", name);
-    let probe = runner(ops, &[]);
+fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrossval {
+    let _span = pmobs::span!("crossval.row", app.name);
+    let probe = app.crash(&Arm::default());
     let points = spread_points(probe.total_events, cfg.points);
-    let run = with_arm_options(
-        ArmOptions {
-            trace: true,
-            elide: None,
-        },
-        || runner(ops, &points),
-    );
+    let run = app.crash(&Arm {
+        points: &points,
+        trace: true,
+        elide: None,
+    });
     debug_assert_eq!(run.states.len(), points.len());
     let proven = durable_lines_at_fences(&run.trace, &points);
     let mut images = 0usize;
@@ -252,7 +249,7 @@ fn run_row(name: &'static str, ops: usize, runner: Runner, cfg: &CampaignConfig)
     pmobs::count!("crossval.images", images as u64);
     pmobs::count!("crossval.violations", violations.len() as u64);
     AppCrossval {
-        name,
+        name: app.name,
         points,
         images,
         proven_lines: proven.iter().map(Vec::len).collect(),
@@ -270,12 +267,12 @@ pub fn positive_control(seeds: u64) -> ControlReport {
     let mut m = Machine::new(MachineConfig::tiny_for_tests());
     let base = m.config().map.pm.base;
     let line = Line::containing(base);
-    {
-        let t = m.trace_mut();
-        t.clear();
-        t.set_enabled(true);
+    Arm {
+        points: &[1],
+        trace: true,
+        elide: None,
     }
-    arm(&mut m, &[1]);
+    .apply(&mut m);
     // T0 writes A; T1 flushes the dirty line, parking snapshot A in its
     // pending set; T0 overwrites with B and persists it. At T0's fence
     // the durable bytes are B while T1's stale snapshot A is still in
@@ -315,9 +312,7 @@ pub fn positive_control(seeds: u64) -> ControlReport {
 /// Run the whole cross-validation: all eleven rows (fanned out like
 /// the campaign) plus the positive control.
 pub fn run_crossval(cfg: &CampaignConfig) -> CrossvalReport {
-    let apps = fan_rows(cfg.parallelism, |name, ops, runner| {
-        run_row(name, ops, runner, cfg)
-    });
+    let apps = fan_out(cfg.parallelism, APPS.len(), |i| run_row(&APPS[i], cfg));
     let control = positive_control(cfg.adversarial_seeds);
     CrossvalReport { apps, control }
 }
@@ -325,7 +320,6 @@ pub fn run_crossval(cfg: &CampaignConfig) -> CrossvalReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crashtest::ROWS;
 
     #[test]
     fn positive_control_is_live_ammunition() {
@@ -343,13 +337,12 @@ mod tests {
 
     #[test]
     fn echo_row_is_sound_and_non_vacuous() {
-        let (name, ops, runner) = ROWS[0];
         let cfg = CampaignConfig {
             points: 3,
             adversarial_seeds: 4,
             parallelism: 1,
         };
-        let row = run_row(name, ops, runner, &cfg);
+        let row = run_row(&APPS[0], &cfg);
         assert_eq!(row.images, row.points.len() * 6); // 2 corners + 4 seeds
         assert!(
             row.violations.is_empty(),

@@ -366,8 +366,8 @@ impl Opts {
         if o.trace.is_some() && o.timing {
             return Err("--trace cannot be combined with --timing, which writes no trace".into());
         }
-        if let Some(a) = o.apps.iter().find(|a| !APP_NAMES.contains(&a.as_str())) {
-            return Err(format!("unknown app {a:?}; valid: {APP_NAMES:?}"));
+        for name in &o.apps {
+            crate::apps::by_name(name).map_err(|unknown| unknown.to_string())?;
         }
         // A scale that truncates any app to zero ops would silently
         // report rates for work that never ran.

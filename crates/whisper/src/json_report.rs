@@ -135,8 +135,8 @@
 //! bit-for-bit for a fixed seed; `span.*` and `suite.queue_wait_ns/*`
 //! are host wall-clock and vary run to run.
 
-use crate::report::{PaperRow, PAPER, PAPER_FIG10_AVG};
-use crate::suite::{AppResult, SuiteConfig, SIM_APPS};
+use crate::report::{PAPER_FIG10_AVG, PAPER_FIG6_AVG_PCT};
+use crate::suite::{AppResult, SuiteConfig};
 use memsim::MemStats;
 use pmobs::metrics::HistogramSnapshot;
 use pmobs::{Json, MetricsSnapshot};
@@ -145,10 +145,6 @@ use pmtrace::Category;
 
 /// Version stamp of the report layout documented above.
 pub const SCHEMA_VERSION: u64 = 8;
-
-fn paper_row(name: &str) -> Option<&'static PaperRow> {
-    PAPER.iter().find(|r| r.name == name)
-}
 
 fn f64s(values: impl IntoIterator<Item = f64>) -> Vec<Json> {
     values.into_iter().map(Json::from).collect()
@@ -167,7 +163,7 @@ fn table1(results: &[AppResult]) -> Json {
                 .field("epochs_per_sec", r.analysis.epochs_per_sec)
                 .field(
                     "paper_epochs_per_sec",
-                    paper_row(&r.run.name).map(|p| p.epochs_per_sec),
+                    r.app().map(|app| app.paper.epochs_per_sec),
                 )
         })
         .collect();
@@ -185,10 +181,7 @@ fn fig3(results: &[AppResult]) -> Json {
                 .field("mean", t.mean())
                 .field("max", t.max())
                 .field("tx_count", t.tx_count() as u64)
-                .field(
-                    "paper_median",
-                    paper_row(&r.run.name).map(|p| p.fig3_median),
-                )
+                .field("paper_median", r.app().map(|app| app.paper.fig3_median))
         })
         .collect();
     Json::from(rows)
@@ -213,7 +206,7 @@ fn fig5(results: &[AppResult]) -> Json {
     let rows: Vec<Json> = results
         .iter()
         .map(|r| {
-            let p = paper_row(&r.run.name);
+            let p = r.app().map(|app| app.paper);
             Json::obj()
                 .field("name", r.run.name.as_str())
                 .field("self_pct", r.analysis.deps.self_fraction() * 100.0)
@@ -226,10 +219,7 @@ fn fig5(results: &[AppResult]) -> Json {
 }
 
 fn fig6(results: &[AppResult]) -> Json {
-    let sim: Vec<&AppResult> = results
-        .iter()
-        .filter(|r| SIM_APPS.contains(&r.run.name.as_str()))
-        .collect();
+    let sim: Vec<&AppResult> = results.iter().filter(|r| r.is_sim()).collect();
     let apps: Vec<Json> = sim
         .iter()
         .map(|r| {
@@ -238,7 +228,7 @@ fn fig6(results: &[AppResult]) -> Json {
                 .field("pm_pct", r.analysis.pm_fraction * 100.0)
                 .field(
                     "paper_pm_pct",
-                    paper_row(&r.run.name).and_then(|p| p.fig6_pm_pct),
+                    r.app().and_then(|app| app.paper.fig6_pm_pct),
                 )
         })
         .collect();
@@ -255,7 +245,7 @@ fn fig6(results: &[AppResult]) -> Json {
     Json::obj()
         .field("apps", apps)
         .field("average_pm_pct", average)
-        .field("paper_average_pm_pct", 3.54)
+        .field("paper_average_pm_pct", PAPER_FIG6_AVG_PCT)
 }
 
 fn fig10(results: &[AppResult]) -> Json {
@@ -265,7 +255,7 @@ fn fig10(results: &[AppResult]) -> Json {
         .collect();
     let sim: Vec<&AppResult> = results
         .iter()
-        .filter(|r| SIM_APPS.contains(&r.run.name.as_str()) && !r.analysis.fig10.is_empty())
+        .filter(|r| r.is_sim() && !r.analysis.fig10.is_empty())
         .collect();
     let apps: Vec<Json> = sim
         .iter()

@@ -26,7 +26,9 @@
 //! # Modules
 //!
 //! [`apps`] and [`workloads`] are the applications and their request
-//! generators; [`suite`] runs them and analyzes their traces;
+//! generators — [`apps::APPS`] is the one table describing the eleven
+//! Table 1 rows, which everything below reads; [`suite`] runs them and
+//! analyzes their traces;
 //! [`report`] and [`json_report`] render the paper's tables as text and
 //! as the versioned JSON document. The report gates each have a module:
 //! [`check`] (persistency checker), [`hbgraph`] (epoch dependency

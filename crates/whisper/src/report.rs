@@ -7,16 +7,15 @@
 //! simulated latency model; the paper's claims are about relative
 //! magnitudes and distributions.
 
-use crate::suite::{AppResult, SIM_APPS};
+use crate::apps::{Layer, APPS};
+use crate::suite::AppResult;
 use hops::PersistModel;
 use pmtrace::analysis::SIZE_BUCKET_LABELS;
 use std::fmt::Write as _;
 
 /// Paper-reported values for one application row.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperRow {
-    /// Table 1 name.
-    pub name: &'static str,
     /// Table 1: epochs per second.
     pub epochs_per_sec: f64,
     /// Figure 3: median epochs per transaction.
@@ -29,97 +28,17 @@ pub struct PaperRow {
     pub fig6_pm_pct: Option<f64>,
 }
 
-/// The paper's numbers, transcribed from Table 1 and Figures 3, 5, 6.
-pub const PAPER: [PaperRow; 11] = [
-    PaperRow {
-        name: "echo",
-        epochs_per_sec: 1.6e6,
-        fig3_median: 307,
-        fig5_self_pct: 54.5,
-        fig5_cross_pct: 0.01,
-        fig6_pm_pct: Some(5.49),
-    },
-    PaperRow {
-        name: "nstore-ycsb",
-        epochs_per_sec: 5.0e6,
-        fig3_median: 42,
-        fig5_self_pct: 40.2,
-        fig5_cross_pct: 0.003,
-        fig6_pm_pct: Some(8.71),
-    },
-    PaperRow {
-        name: "nstore-tpcc",
-        epochs_per_sec: 7.3e6,
-        fig3_median: 197,
-        fig5_self_pct: 27.18,
-        fig5_cross_pct: 0.03,
-        fig6_pm_pct: None,
-    },
-    PaperRow {
-        name: "redis",
-        epochs_per_sec: 1.3e6,
-        fig3_median: 6,
-        fig5_self_pct: 82.5,
-        fig5_cross_pct: 0.0,
-        fig6_pm_pct: Some(0.74),
-    },
-    PaperRow {
-        name: "ctree",
-        epochs_per_sec: 1.0e6,
-        fig3_median: 11,
-        fig5_self_pct: 79.0,
-        fig5_cross_pct: 0.0,
-        fig6_pm_pct: Some(3.32),
-    },
-    PaperRow {
-        name: "hashmap",
-        epochs_per_sec: 1.3e6,
-        fig3_median: 11,
-        fig5_self_pct: 81.0,
-        fig5_cross_pct: 0.0,
-        fig6_pm_pct: Some(2.6),
-    },
-    PaperRow {
-        name: "vacation",
-        epochs_per_sec: 7.0e5,
-        fig3_median: 4,
-        fig5_self_pct: 40.0,
-        fig5_cross_pct: 0.01,
-        fig6_pm_pct: Some(0.36),
-    },
-    PaperRow {
-        name: "memcached",
-        epochs_per_sec: 1.5e6,
-        fig3_median: 4,
-        fig5_self_pct: 63.5,
-        fig5_cross_pct: 0.2,
-        fig6_pm_pct: None,
-    },
-    PaperRow {
-        name: "nfs",
-        epochs_per_sec: 2.5e5,
-        fig3_median: 2,
-        fig5_self_pct: 55.0,
-        fig5_cross_pct: 5.0,
-        fig6_pm_pct: None,
-    },
-    PaperRow {
-        name: "exim",
-        epochs_per_sec: 6250.0,
-        fig3_median: 5,
-        fig5_self_pct: 45.27,
-        fig5_cross_pct: 1.16,
-        fig6_pm_pct: None,
-    },
-    PaperRow {
-        name: "mysql",
-        epochs_per_sec: 6.0e4,
-        fig3_median: 7,
-        fig5_self_pct: 17.89,
-        fig5_cross_pct: 0.04,
-        fig6_pm_pct: None,
-    },
-];
+/// The paper's numbers, transcribed from Table 1 and Figures 3, 5, 6:
+/// each [`APPS`] row's `paper`, in Table 1 order.
+pub const PAPER: [PaperRow; APPS.len()] = {
+    let mut rows = [APPS[0].paper; APPS.len()];
+    let mut i = 1;
+    while i < rows.len() {
+        rows[i] = APPS[i].paper;
+        i += 1;
+    }
+    rows
+};
 
 /// Figure 10's average normalized runtimes as reported in Section 6.4.
 pub const PAPER_FIG10_AVG: [(PersistModel, f64); 5] = [
@@ -130,9 +49,9 @@ pub const PAPER_FIG10_AVG: [(PersistModel, f64); 5] = [
     (PersistModel::Ideal, 0.593),
 ];
 
-fn paper_row(name: &str) -> Option<&'static PaperRow> {
-    PAPER.iter().find(|r| r.name == name)
-}
+/// Figure 6's average PM share of memory accesses over the six
+/// simulated apps, in percent, as the paper states it.
+pub const PAPER_FIG6_AVG_PCT: f64 = 3.54;
 
 fn fmt_rate(r: f64) -> String {
     if r >= 1e6 {
@@ -154,8 +73,9 @@ pub fn table1(results: &[AppResult]) -> String {
         "benchmark", "measured", "paper"
     );
     for r in results {
-        let paper = paper_row(&r.run.name)
-            .map(|p| fmt_rate(p.epochs_per_sec))
+        let paper = r
+            .app()
+            .map(|app| fmt_rate(app.paper.epochs_per_sec))
             .unwrap_or_default();
         let _ = writeln!(
             out,
@@ -185,8 +105,9 @@ pub fn fig3(results: &[AppResult]) -> String {
             let _ = writeln!(out, "{:<14} {:>10} {:>10}", r.run.name, "n/a", "");
             continue;
         };
-        let paper = paper_row(&r.run.name)
-            .map(|p| p.fig3_median.to_string())
+        let paper = r
+            .app()
+            .map(|app| app.paper.fig3_median.to_string())
             .unwrap_or_default();
         let _ = writeln!(out, "{:<14} {:>10} {:>10}", r.run.name, median, paper);
     }
@@ -232,7 +153,7 @@ pub fn fig5(results: &[AppResult]) -> String {
         "benchmark", "self", "self(ppr)", "cross", "cross(ppr)"
     );
     for r in results {
-        let p = paper_row(&r.run.name);
+        let p = r.app().map(|app| app.paper);
         let _ = writeln!(
             out,
             "{:<14} {:>9.2}% {:>9.2}% {:>10.3}% {:>10.3}%",
@@ -257,11 +178,8 @@ pub fn fig6(results: &[AppResult]) -> String {
     );
     let mut sum = 0.0;
     let mut n = 0;
-    for r in results
-        .iter()
-        .filter(|r| SIM_APPS.contains(&r.run.name.as_str()))
-    {
-        let p = paper_row(&r.run.name).and_then(|p| p.fig6_pm_pct);
+    for r in results.iter().filter(|r| r.is_sim()) {
+        let p = r.app().and_then(|app| app.paper.fig6_pm_pct);
         let _ = writeln!(
             out,
             "{:<14} {:>9.2}% {:>9}",
@@ -278,7 +196,7 @@ pub fn fig6(results: &[AppResult]) -> String {
             "{:<14} {:>9.2}% {:>9}",
             "average",
             sum / n as f64,
-            "3.54%"
+            format!("{PAPER_FIG6_AVG_PCT:.2}%")
         );
     }
     out
@@ -293,10 +211,7 @@ pub fn fig10(results: &[AppResult]) -> String {
         let _ = write!(out, "{:>16}", m.to_string());
     }
     let _ = writeln!(out);
-    let sim: Vec<&AppResult> = results
-        .iter()
-        .filter(|r| SIM_APPS.contains(&r.run.name.as_str()))
-        .collect();
+    let sim: Vec<&AppResult> = results.iter().filter(|r| r.is_sim()).collect();
     let mut avgs = vec![0.0; 5];
     for r in &sim {
         let _ = write!(out, "{:<14}", r.run.name);
@@ -329,13 +244,6 @@ pub fn amplification(results: &[AppResult]) -> String {
         "Section 5.2 — Write amplification (overhead bytes per user byte)"
     );
     let _ = writeln!(out, "{:<14} {:>10}  paper", "benchmark", "measured");
-    let paper_amp = |name: &str| match name {
-        "nfs" | "exim" | "mysql" => "~0.1 (PMFS)",
-        "vacation" | "memcached" => "3-6 (Mnemosyne)",
-        "redis" | "ctree" | "hashmap" => "~10 (NVML)",
-        "echo" | "nstore-ycsb" | "nstore-tpcc" => "2-14 (N-store)",
-        _ => "",
-    };
     for r in results {
         let a = r
             .analysis
@@ -348,7 +256,12 @@ pub fn amplification(results: &[AppResult]) -> String {
             "{:<14} {:>10}  {}",
             r.run.name,
             a,
-            paper_amp(&r.run.name)
+            r.app().map_or("", |app| match app.layer {
+                Layer::Pmfs => "~0.1 (PMFS)",
+                Layer::Mnemosyne => "3-6 (Mnemosyne)",
+                Layer::Nvml => "~10 (NVML)",
+                Layer::Native => "2-14 (N-store)",
+            })
         );
     }
     out
@@ -359,11 +272,6 @@ pub fn nt_fraction(results: &[AppResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 5.2 — Non-temporal store fraction of PM bytes");
     let _ = writeln!(out, "{:<14} {:>10}  paper", "benchmark", "measured");
-    let paper_nt = |name: &str| match name {
-        "nfs" | "exim" | "mysql" => "~96% (PMFS)",
-        "vacation" | "memcached" => "~67% (Mnemosyne)",
-        _ => "",
-    };
     for r in results {
         let v = r
             .analysis
@@ -375,7 +283,11 @@ pub fn nt_fraction(results: &[AppResult]) -> String {
             "{:<14} {:>10}  {}",
             r.run.name,
             v,
-            paper_nt(&r.run.name)
+            r.app().map_or("", |app| match app.layer {
+                Layer::Pmfs => "~96% (PMFS)",
+                Layer::Mnemosyne => "~67% (Mnemosyne)",
+                Layer::Nvml | Layer::Native => "",
+            })
         );
     }
     out
@@ -406,13 +318,6 @@ pub fn small_writes(results: &[AppResult]) -> String {
 pub fn consequences(results: &[AppResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 5 Consequences — checked against this run");
-    let get = |name: &str| results.iter().find(|r| r.run.name == name);
-    let all_lib = |names: &[&str]| -> Vec<&AppResult> {
-        results
-            .iter()
-            .filter(|r| names.contains(&r.run.name.as_str()))
-            .collect()
-    };
     let mut check = |id: u32, text: &str, pass: bool, evidence: String| {
         let mark = if pass { "PASS" } else { "mixed" };
         let _ = writeln!(out, "  C{id:<2} [{mark}] {text}");
@@ -436,32 +341,20 @@ pub fn consequences(results: &[AppResult]) -> String {
         fences > dfences,
         format!("{fences} ordering fences vs {dfences} durability fences suite-wide"),
     );
+    let epochs: usize = results.iter().map(|r| r.analysis.epoch_count).sum();
+    let txs: usize = results.iter().map(|r| r.analysis.tx_stats.tx_count()).sum();
     check(
         2,
         "epochs are much more common than transactions",
-        {
-            let epochs: usize = results.iter().map(|r| r.analysis.epoch_count).sum();
-            let txs: usize = results.iter().map(|r| r.analysis.tx_stats.tx_count()).sum();
-            epochs > 3 * txs
-        },
-        {
-            let epochs: usize = results.iter().map(|r| r.analysis.epoch_count).sum();
-            let txs: usize = results.iter().map(|r| r.analysis.tx_stats.tx_count()).sum();
-            format!("{epochs} epochs vs {txs} transactions")
-        },
+        epochs > 3 * txs,
+        format!("{epochs} epochs vs {txs} transactions"),
     );
 
     // C3: singleton epochs dominate.
-    let native_lib = all_lib(&[
-        "echo",
-        "nstore-ycsb",
-        "nstore-tpcc",
-        "redis",
-        "ctree",
-        "hashmap",
-        "vacation",
-        "memcached",
-    ]);
+    let native_lib: Vec<&AppResult> = results
+        .iter()
+        .filter(|r| r.app().is_some_and(|app| app.layer != Layer::Pmfs))
+        .collect();
     let avg_singleton = native_lib
         .iter()
         .map(|r| r.analysis.size_hist.singleton_fraction())
@@ -558,7 +451,9 @@ pub fn consequences(results: &[AppResult]) -> String {
     );
 
     // C10: cache bypass for low-locality data.
-    let nfs_nt = get("nfs")
+    let nfs_nt = results
+        .iter()
+        .find(|r| r.run.name == "nfs")
         .and_then(|r| r.analysis.nt_fraction)
         .unwrap_or(0.0);
     check(
@@ -569,10 +464,7 @@ pub fn consequences(results: &[AppResult]) -> String {
     );
 
     // C11: volatile path must stay fast.
-    let sim: Vec<&AppResult> = results
-        .iter()
-        .filter(|r| SIM_APPS.contains(&r.run.name.as_str()))
-        .collect();
+    let sim: Vec<&AppResult> = results.iter().filter(|r| r.is_sim()).collect();
     let avg_pm = sim.iter().map(|r| r.analysis.pm_fraction).sum::<f64>() / sim.len().max(1) as f64;
     check(
         11,
@@ -659,13 +551,6 @@ mod tests {
         assert!(text.contains("Figure 10"));
         assert!(text.contains("hashmap"));
         assert!(text.contains("nfs"));
-    }
-
-    #[test]
-    fn paper_table_covers_all_apps() {
-        for name in crate::suite::APP_NAMES {
-            assert!(paper_row(name).is_some(), "missing paper row for {name}");
-        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::pool::fan_out;
 use crate::profile::{AppProfile, MechanismProfile, TailPoint};
-use crate::suite::{run_named, SuiteConfig, APP_NAMES};
+use crate::suite::{scaled_ops, SuiteConfig, APP_NAMES, DEFAULT_WORKER_THREADS};
 use crate::workloads::Zipf;
 use hops::{HopsConfig, PersistModel, Replayer, TimingConfig};
 use pmobs::{Histogram, Json, Unit};
@@ -348,15 +348,8 @@ pub fn serve_app(name: &str, cfg: &ServeConfig) -> AppServe {
 /// perturb the queues either.
 pub fn serve_app_full(name: &str, cfg: &ServeConfig) -> (AppServe, AppProfile) {
     assert!(cfg.shards > 0, "need at least one shard");
-    let suite = SuiteConfig {
-        scale: cfg.scale,
-        seed: cfg.seed,
-        parallelism: 1,
-        worker_threads: 4,
-    };
-    let ops = suite
-        .effective_ops(name)
-        .unwrap_or_else(|| panic!("unknown application {name:?}; expected one of {APP_NAMES:?}"));
+    let app = crate::apps::named(name);
+    let ops = scaled_ops(cfg.scale, app.base_ops);
 
     // Calibrate: one seeded run per shard, one (service, stall) pool
     // per mechanism per shard. Calibration runs are warm-up, not the
@@ -368,7 +361,7 @@ pub fn serve_app_full(name: &str, cfg: &ServeConfig) -> (AppServe, AppProfile) {
         let _quiet = pmobs::trace::suppress();
         for shard in 0..cfg.shards {
             let shard_seed = splitmix64(cfg.seed ^ stream ^ (shard as u64 + 1));
-            let run = run_named(name, ops, shard_seed);
+            let run = (app.run)(ops, shard_seed, DEFAULT_WORKER_THREADS);
             let bounds = request_bounds(&run.events, ops);
             for (mi, &model) in SERVE_MODELS.iter().enumerate() {
                 pools[mi].push(service_times_with_stalls(&run.events, &bounds, model));
@@ -703,6 +696,7 @@ pub fn serve_json(reports: &[AppServe], cfg: &ServeConfig) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::run_named;
 
     #[test]
     fn arrival_schedule_is_seeded_and_sorted() {

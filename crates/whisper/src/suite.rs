@@ -7,7 +7,7 @@
 //! single streaming pass ([`pmtrace::analysis::Analyzer`]) instead of
 //! one walk per statistic.
 
-use crate::apps::{self, AppRun};
+use crate::apps::{self, App, AppRun, APPS};
 use crate::pool::fan_out;
 use hops::{figure10_bars, HopsConfig, PersistModel, TimingConfig};
 use pmtrace::analysis::{
@@ -16,48 +16,28 @@ use pmtrace::analysis::{
 use pmtrace::Event;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// The eleven Table 1 rows (ten applications; N-store contributes two
-/// workloads).
-pub const APP_NAMES: [&str; 11] = [
-    "echo",
-    "nstore-ycsb",
-    "nstore-tpcc",
-    "redis",
-    "ctree",
-    "hashmap",
-    "vacation",
-    "memcached",
-    "nfs",
-    "exim",
-    "mysql",
-];
+/// The names of the [`APPS`] rows, or of those with an unpaced run, in
+/// Table 1 order; `N` must be their count.
+const fn names<const N: usize>(unpaced_only: bool) -> [&'static str; N] {
+    let mut names = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < APPS.len() {
+        if !unpaced_only || APPS[i].unpaced.is_some() {
+            names[n] = APPS[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == N);
+    names
+}
 
-/// Base (scale 1.0) operation counts per Table 1 row — the single
-/// source [`run_app`] scales and the JSON report echoes back as
-/// `config.effective_ops`.
-pub const OP_BASES: [(&str, usize); 11] = [
-    ("echo", 20_000),
-    ("nstore-ycsb", 16_000),
-    ("nstore-tpcc", 3_000),
-    ("redis", 20_000),
-    ("ctree", 16_000),
-    ("hashmap", 16_000),
-    ("vacation", 10_000),
-    ("memcached", 20_000),
-    ("nfs", 4_000),
-    ("exim", 400),
-    ("mysql", 1_500),
-];
+/// The names of the eleven Table 1 rows, in [`APPS`] order.
+pub const APP_NAMES: [&str; APPS.len()] = names(false);
 
-/// The six applications the paper runs under gem5 for Figures 6 and 10.
-pub const SIM_APPS: [&str; 6] = [
-    "echo",
-    "nstore-ycsb",
-    "redis",
-    "ctree",
-    "hashmap",
-    "vacation",
-];
+/// The six applications the paper runs under gem5 for Figures 6 and 10:
+/// the [`APPS`] rows with an unpaced run.
+pub const SIM_APPS: [&str; 6] = names(true);
 
 /// Suite-wide knobs.
 #[derive(Debug, Clone, Copy)]
@@ -107,35 +87,15 @@ impl SuiteConfig {
         }
     }
 
-    fn ops(&self, base: usize) -> usize {
-        let requested = (base as f64 * self.scale) as usize;
-        assert!(
-            requested > 0,
-            "scale {} yields 0 effective ops for base {base}; \
-             the smallest usable scale is {} (1 op of the smallest base)",
-            self.scale,
-            1.0 / MIN_OP_BASE as f64
-        );
-        if requested < MIN_OPS && !OPS_FLOOR_WARNED.swap(true, Ordering::Relaxed) {
-            OPS_FLOOR_WARN_COUNT.fetch_add(1, Ordering::Relaxed);
-            pmobs::warn!(
-                "scale {} floors op counts at {MIN_OPS} (requested {requested} \
-                 of base {base}); reported rates use the floored count",
-                self.scale
-            );
-        }
-        requested.max(MIN_OPS)
-    }
-
     /// Reject configurations under which any Table 1 row would scale to
     /// zero effective operations. A zero-op run would silently report
     /// rates for work that never happened, so this is a hard config
     /// error (the CLI maps it to exit code 2) rather than a warning.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, base) in OP_BASES {
-            if (base as f64 * self.scale) as usize == 0 {
+        for App { name, base_ops, .. } in &APPS {
+            if (*base_ops as f64 * self.scale) as usize == 0 {
                 return Err(format!(
-                    "--scale {} yields 0 effective ops for {name} (base {base}); \
+                    "--scale {} yields 0 effective ops for {name} (base {base_ops}); \
                      use at least {} so every app runs ≥ 1 op",
                     self.scale,
                     1.0 / MIN_OP_BASE as f64
@@ -152,13 +112,12 @@ impl SuiteConfig {
     }
 
     /// The operation count [`run_app`] actually runs for `name` at this
-    /// scale — the [`OP_BASES`] base scaled and clamped to the
+    /// scale — the row's [`App::base_ops`] scaled and clamped to the
     /// [`MIN_OPS`] floor. `None` for names outside [`APP_NAMES`].
     pub fn effective_ops(&self, name: &str) -> Option<usize> {
-        OP_BASES
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, base)| self.ops(*base))
+        apps::by_name(name)
+            .ok()
+            .map(|app| scaled_ops(self.scale, app.base_ops))
     }
 }
 
@@ -169,9 +128,44 @@ impl SuiteConfig {
 /// error instead — see [`SuiteConfig::validate`].
 pub const MIN_OPS: usize = 20;
 
-/// The smallest base in [`OP_BASES`] (exim); `1 / MIN_OP_BASE` is the
-/// smallest scale at which every app still runs at least one op.
-pub const MIN_OP_BASE: usize = 400;
+/// The smallest [`App::base_ops`] in the table; `1 / MIN_OP_BASE` is
+/// the smallest scale at which every app still runs at least one op.
+pub const MIN_OP_BASE: usize = {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < APPS.len() {
+        if APPS[i].base_ops < min {
+            min = APPS[i].base_ops;
+        }
+        i += 1;
+    }
+    min
+};
+
+/// `base` operations at `scale`, clamped to the [`MIN_OPS`] floor (with
+/// a one-time warning).
+///
+/// # Panics
+///
+/// Panics if the count truncates to zero; [`SuiteConfig::validate`]
+/// rejects such a scale up front.
+pub(crate) fn scaled_ops(scale: f64, base: usize) -> usize {
+    let requested = (base as f64 * scale) as usize;
+    assert!(
+        requested > 0,
+        "scale {scale} yields 0 effective ops for base {base}; \
+         the smallest usable scale is {} (1 op of the smallest base)",
+        1.0 / MIN_OP_BASE as f64
+    );
+    if requested < MIN_OPS && !OPS_FLOOR_WARNED.swap(true, Ordering::Relaxed) {
+        OPS_FLOOR_WARN_COUNT.fetch_add(1, Ordering::Relaxed);
+        pmobs::warn!(
+            "scale {scale} floors op counts at {MIN_OPS} (requested {requested} \
+             of base {base}); reported rates use the floored count"
+        );
+    }
+    requested.max(MIN_OPS)
+}
 
 /// One-shot latch for the op-count floor warning.
 static OPS_FLOOR_WARNED: AtomicBool = AtomicBool::new(false);
@@ -179,7 +173,7 @@ static OPS_FLOOR_WARNED: AtomicBool = AtomicBool::new(false);
 /// How many times the floor warning has actually been emitted — the
 /// swap on [`OPS_FLOOR_WARNED`] is the only way in, so this can never
 /// pass 1 in a process, however many workers race into
-/// [`SuiteConfig::ops`]. Exposed for the once-under-parallelism test.
+/// [`scaled_ops`]. Exposed for the once-under-parallelism test.
 static OPS_FLOOR_WARN_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// How many times the op-count floor warning has been emitted (0 or 1).
@@ -235,6 +229,19 @@ pub struct AppResult {
     pub analysis: Analysis,
 }
 
+impl AppResult {
+    /// The Table 1 row this result is a run of; `None` for an archived
+    /// trace, which is named after its file.
+    pub(crate) fn app(&self) -> Option<&'static App> {
+        apps::by_name(&self.run.name).ok()
+    }
+
+    /// Is this one of the gem5-subset apps Figures 6 and 10 show?
+    pub(crate) fn is_sim(&self) -> bool {
+        self.app().is_some_and(|app| app.unpaced.is_some())
+    }
+}
+
 /// Analyze a finished run in a single streaming pass over its trace.
 ///
 /// The Figure 10 timing replay is **not** performed here: it is by far
@@ -280,6 +287,7 @@ pub fn fig10_for(events: &[Event]) -> Vec<(PersistModel, f64)> {
 ///
 /// Panics on an unknown name; the valid names are [`APP_NAMES`].
 pub fn run_app(name: &str, cfg: &SuiteConfig) -> AppResult {
+    let app = apps::named(name);
     // Host wall-clock for the whole run+replay of this app; the
     // simulated duration goes to the deterministic `sim.*` namespace.
     let _span = pmobs::span!("suite.run", name);
@@ -287,26 +295,12 @@ pub fn run_app(name: &str, cfg: &SuiteConfig) -> AppResult {
     // deterministic `<name>/<kind>/<seq>` names, whichever worker
     // thread runs it.
     let _ctx = pmobs::trace::context(name);
-    let seed = cfg.seed;
-    let ops = cfg
-        .effective_ops(name)
-        .unwrap_or_else(|| panic!("unknown application {name:?}; expected one of {APP_NAMES:?}"));
-    let run = run_named_threads(name, ops, seed, cfg.worker_threads);
+    let ops = scaled_ops(cfg.scale, app.base_ops);
+    let run = (app.run)(ops, cfg.seed, cfg.worker_threads);
     let mut analysis = analyze(&run);
-    analysis.fig10 = if SIM_APPS.contains(&name) {
-        let sim_ops = ops / 2;
-        let sim = match name {
-            "echo" => apps::echo::run_unpaced(sim_ops, seed),
-            "nstore-ycsb" => apps::nstore::run_ycsb_unpaced(sim_ops, seed),
-            "redis" => apps::redis::run_unpaced(sim_ops, seed),
-            "ctree" => apps::micro::ctree_unpaced(sim_ops, seed),
-            "hashmap" => apps::micro::hashmap_unpaced(sim_ops, seed),
-            "vacation" => apps::vacation::run_unpaced(sim_ops, seed),
-            _ => unreachable!("SIM_APPS covered above"),
-        };
-        fig10_for(&sim.events)
-    } else {
-        fig10_for(&run.events)
+    analysis.fig10 = match app.unpaced {
+        Some(unpaced) => fig10_for(&unpaced(ops / 2, cfg.seed).events),
+        None => fig10_for(&run.events),
     };
     pmobs::count!("suite.apps_run");
     if pmobs::enabled() {
@@ -316,9 +310,8 @@ pub fn run_app(name: &str, cfg: &SuiteConfig) -> AppResult {
 }
 
 /// Run one application by Table 1 name with an explicit op count and
-/// seed, without analysis. This is the raw dispatch table [`run_app`]
-/// is built on; the serving engine uses it directly to calibrate
-/// per-shard service times from independently seeded runs.
+/// seed, without analysis: [`App::run`] by name, at the default worker
+/// count.
 ///
 /// # Panics
 ///
@@ -336,20 +329,7 @@ pub fn run_named(name: &str, ops: usize, seed: u64) -> AppRun {
 ///
 /// Panics on an unknown name; the valid names are [`APP_NAMES`].
 pub fn run_named_threads(name: &str, ops: usize, seed: u64, workers: u32) -> AppRun {
-    match name {
-        "echo" => apps::echo::run(ops, seed),
-        "nstore-ycsb" => apps::nstore::run_ycsb(ops, seed),
-        "nstore-tpcc" => apps::nstore::run_tpcc(ops, seed),
-        "redis" => apps::redis::run_threads(ops, seed, workers),
-        "ctree" => apps::ctree(ops, seed),
-        "hashmap" => apps::hashmap(ops, seed),
-        "vacation" => apps::vacation::run_threads(ops, seed, workers),
-        "memcached" => apps::memcached::run_threads(ops, seed, workers),
-        "nfs" => apps::nfs(ops, seed),
-        "exim" => apps::exim(ops, seed),
-        "mysql" => apps::mysql(ops, seed),
-        _ => panic!("unknown application {name:?}; expected one of {APP_NAMES:?}"),
-    }
+    (apps::named(name).run)(ops, seed, workers)
 }
 
 /// Run the whole suite in Table 1 order, fanned out across
@@ -436,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown application")]
+    #[should_panic(expected = "unknown app \"nope\"")]
     fn unknown_app_panics() {
         run_app("nope", &SuiteConfig::quick());
     }
@@ -453,10 +433,6 @@ mod tests {
         for name in ["exim", "mysql", "nstore-tpcc", "nfs"] {
             assert_eq!(tiny.effective_ops(name), Some(MIN_OPS), "{name}");
         }
-        // OP_BASES enumerates exactly the Table 1 rows, in order, and
-        // MIN_OP_BASE really is the smallest base.
-        assert!(OP_BASES.iter().map(|(n, _)| *n).eq(APP_NAMES));
-        assert_eq!(OP_BASES.iter().map(|(_, b)| *b).min(), Some(MIN_OP_BASE));
     }
 
     #[test]
