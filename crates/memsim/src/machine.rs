@@ -1,24 +1,35 @@
 //! The simulated machine.
 
-use crate::cache::{DirtySet, ReadSet};
+use crate::cache::LruSet;
 use crate::config::MachineConfig;
 use crate::crash::{CrashPlan, CrashState, PlanEvent, PlanState};
 use crate::elide::{ElidePlan, ElideState, ElideStats};
 use crate::stats::MemStats;
 use crate::wcb::WriteCombine;
 use pmem::{
-    lines_spanning, Addr, DramDevice, FxHashMap, Line, MemoryKind, PmDevice, PmImage, LINE_SIZE,
+    lines_spanning, Addr, DramDevice, Line, LineMap, MemoryKind, PmDevice, PmImage, LINE_SIZE,
 };
 use pmtrace::{Category, Tid, TraceBuffer, TxId};
 
 const LINE: usize = LINE_SIZE as usize;
 
+/// Add an access's per-line tally to a `pmobs` counter: one atomic per
+/// access instead of one per line. A zero tally is skipped so that it
+/// does not register the counter (its key would show up in `--json`).
+macro_rules! count_lines {
+    ($name:literal, $n:expr) => {
+        if $n > 0 {
+            pmobs::count!($name, $n);
+        }
+    };
+}
+
 /// What a crash hands to the crash model: functional PM, durable PM,
 /// dirty sets, pending flushes, and (live) write-combining entries.
 pub(crate) type CrashParts = (
+    DramDevice,
     PmDevice,
-    PmDevice,
-    Vec<DirtySet>,
+    Vec<LruSet>,
     Vec<Vec<PendingLine>>,
     Vec<Vec<PendingLine>>,
 );
@@ -49,26 +60,29 @@ pub(crate) struct PendingLine {
 pub struct Machine {
     cfg: MachineConfig,
     dram: DramDevice,
-    /// Always-current PM contents (what loads observe).
-    pm_functional: PmDevice,
+    /// Always-current PM contents (what loads observe). Volatile — a
+    /// crash keeps only `pm_durable` — so it is the plain byte store,
+    /// without the media's endurance counters and images.
+    pm_functional: DramDevice,
     /// Crash-surviving PM contents (what recovery observes).
     pm_durable: PmDevice,
-    /// Per-thread dirty cacheable PM lines.
-    dirty: Vec<DirtySet>,
+    /// Per-thread dirty cacheable PM lines; an evicted line writes back.
+    dirty: Vec<LruSet>,
     /// Per-thread recently-referenced PM lines (clean); a PM load that
     /// hits here is cache-served and does not count as memory traffic.
-    read_cache: Vec<ReadSet>,
+    read_cache: Vec<LruSet>,
     /// Per-thread `clwb` snapshots awaiting an `sfence`.
     pending: Vec<Vec<PendingLine>>,
     /// Write-combining buffers for non-temporal stores (all threads).
     wcb: WriteCombine,
-    /// line -> bitmask of threads holding the line dirty. Mirrors the
-    /// per-thread [`DirtySet`]s (every mutation goes through
-    /// [`Machine::dirty_touch`]/[`Machine::dirty_remove`]) so `clwb`'s
-    /// cross-thread holder search is one lookup instead of a probe of
-    /// every thread's set. A `u64` mask caps the machine at 64 threads,
-    /// asserted at construction (the paper's machine has 8).
-    dirty_index: FxHashMap<Line, u64>,
+    /// line -> bitmask of threads holding the line dirty (0 = clean
+    /// everywhere). Mirrors the per-thread dirty sets (every mutation
+    /// goes through [`Machine::dirty_touch`]/[`Machine::dirty_remove`])
+    /// so `clwb`'s cross-thread holder search is one table read instead
+    /// of a probe of every thread's set. A `u64` mask caps the machine
+    /// at 64 threads, asserted at construction (the paper's machine
+    /// has 8).
+    dirty_index: LineMap<u64>,
     /// Reusable drain buffer for [`Machine::fence_impl`], so a fence
     /// allocates nothing in steady state.
     fence_scratch: Vec<PendingLine>,
@@ -116,23 +130,27 @@ impl Machine {
             "dirty-line index is a u64 thread bitmask; {} threads exceed 64",
             cfg.threads
         );
-        let (pm_functional, pm_durable) = match image {
+        let mut pm_functional = DramDevice::new(cfg.map.pm);
+        let pm_durable = match image {
             Some(img) => {
                 assert_eq!(img.range(), cfg.map.pm, "image does not match PM range");
-                (PmDevice::from_image(img), PmDevice::from_image(img))
+                for (line, data) in img.lines() {
+                    pm_functional.write(line.base(), data);
+                }
+                PmDevice::from_image(img)
             }
-            None => (PmDevice::new(cfg.map.pm), PmDevice::new(cfg.map.pm)),
+            None => PmDevice::new(cfg.map.pm),
         };
         let n = cfg.threads as usize;
         Machine {
             dram: DramDevice::new(cfg.map.dram),
             pm_functional,
             pm_durable,
-            dirty: (0..n).map(|_| DirtySet::new(cfg.l1_dirty_lines)).collect(),
-            read_cache: (0..n).map(|_| ReadSet::new(cfg.l2_lines)).collect(),
+            dirty: vec![LruSet::new(cfg.l1_dirty_lines, cfg.map.pm); n],
+            read_cache: vec![LruSet::new(cfg.l2_lines, cfg.map.pm); n],
             pending: vec![Vec::new(); n],
             wcb: WriteCombine::new(n),
-            dirty_index: FxHashMap::default(),
+            dirty_index: LineMap::new(cfg.map.pm),
             fence_scratch: Vec::new(),
             clock_ns: 0,
             trace: TraceBuffer::new(),
@@ -222,12 +240,12 @@ impl Machine {
     /// Mark `line` dirty for thread `t`, keeping [`Machine::dirty_index`]
     /// in sync (including for the evicted victim, if any).
     fn dirty_touch(&mut self, t: usize, line: Line) -> Option<Line> {
-        let victim = self.dirty[t].touch(line);
-        *self.dirty_index.entry(line).or_insert(0) |= 1 << t;
+        let (_, victim) = self.dirty[t].touch(line);
+        *self.dirty_index.slot(line) |= 1 << t;
         if let Some(v) = victim {
             // The victim always differs from the just-touched line (a
-            // fresh touch is the newest stamp, never the LRU).
-            self.dirty_index_clear(t, v);
+            // fresh touch is the most recent, never the LRU).
+            *self.dirty_index.slot(v) &= !(1 << t);
         }
         victim
     }
@@ -235,27 +253,20 @@ impl Machine {
     /// Remove `line` from thread `t`'s dirty set, syncing the index.
     fn dirty_remove(&mut self, t: usize, line: Line) {
         if self.dirty[t].remove(line) {
-            self.dirty_index_clear(t, line);
-        }
-    }
-
-    fn dirty_index_clear(&mut self, t: usize, line: Line) {
-        if let Some(mask) = self.dirty_index.get_mut(&line) {
-            *mask &= !(1 << t);
-            if *mask == 0 {
-                self.dirty_index.remove(&line);
-            }
+            *self.dirty_index.slot(line) &= !(1 << t);
         }
     }
 
     /// First thread holding `line` dirty, probing in the order
     /// `tid, tid+1, … (mod threads)` — the issuing thread is the common
-    /// case. One index lookup plus bit arithmetic; equivalent to the
-    /// old per-thread probe loop because mask bits at or above
-    /// `cfg.threads` are never set.
+    /// case. One table read plus bit arithmetic; equivalent to probing
+    /// each thread's set because mask bits at or above `cfg.threads`
+    /// are never set.
     fn dirty_holder_from(&self, tid: Tid, line: Line) -> Option<usize> {
-        let mask = *self.dirty_index.get(&line)?;
-        debug_assert_ne!(mask, 0, "index never stores an empty mask");
+        let mask = self.dirty_index.get(line);
+        if mask == 0 {
+            return None;
+        }
         let d = mask.rotate_right(tid.0).trailing_zeros() as usize;
         Some((tid.0 as usize + d) % 64)
     }
@@ -320,19 +331,20 @@ impl Machine {
             }
             MemoryKind::Pm => {
                 self.pm_functional.read(addr, buf);
+                let t = tid.0 as usize;
+                let (mut hits, mut misses) = (0u64, 0u64);
                 for (line, _, _) in lines_spanning(addr, buf.len()) {
-                    let t = tid.0 as usize;
-                    let cached = self.dirty[t].contains(line) || self.read_cache[t].touch(line);
-                    if cached {
-                        pmobs::count!("memsim.pm_load_hit");
-                        self.clock_ns += self.cfg.lat.l1_hit_ns;
+                    if self.dirty[t].contains(line) || self.read_cache[t].touch(line).0 {
+                        hits += 1;
                     } else {
-                        // A miss is memory traffic (Figure 6).
-                        pmobs::count!("memsim.pm_load_miss");
-                        self.stats.pm_reads += 1;
-                        self.clock_ns += self.cfg.lat.pm_read_ns;
+                        misses += 1;
                     }
                 }
+                // A miss is memory traffic (Figure 6).
+                self.stats.pm_reads += misses;
+                self.clock_ns += hits * self.cfg.lat.l1_hit_ns + misses * self.cfg.lat.pm_read_ns;
+                count_lines!("memsim.pm_load_hit", hits);
+                count_lines!("memsim.pm_load_miss", misses);
             }
         }
     }
@@ -381,8 +393,9 @@ impl Machine {
                 self.pm_functional.write(addr, bytes);
                 self.trace
                     .pm_store(tid, addr, bytes.len() as u32, false, cat, self.clock_ns);
+                let mut lines = 0u64;
                 for (line, _, _) in lines_spanning(addr, bytes.len()) {
-                    pmobs::count!("memsim.pm_store_lines");
+                    lines += 1;
                     self.clock_ns += self.cfg.lat.l1_hit_ns;
                     self.read_cache[tid.0 as usize].touch(line);
                     // A cacheable store supersedes any write-combining
@@ -394,6 +407,7 @@ impl Machine {
                         self.write_back(victim);
                     }
                 }
+                count_lines!("memsim.pm_store_lines", lines);
                 self.plan_event(PlanEvent::Store);
             }
         }
@@ -419,8 +433,9 @@ impl Machine {
         self.pm_functional.write(addr, bytes);
         self.trace
             .pm_store(tid, addr, bytes.len() as u32, true, cat, self.clock_ns);
+        let mut lines = 0u64;
         for (line, _, _) in lines_spanning(addr, bytes.len()) {
-            pmobs::count!("memsim.pm_nt_store_lines");
+            lines += 1;
             self.clock_ns += self.cfg.lat.l1_hit_ns;
             let t = tid.0 as usize;
             // NT stores must not leave stale dirty cache state: the line
@@ -439,6 +454,7 @@ impl Machine {
                 }
             }
         }
+        count_lines!("memsim.pm_nt_store_lines", lines);
         self.plan_event(PlanEvent::Store);
     }
 
@@ -478,7 +494,7 @@ impl Machine {
                 // Skip only a machine-level no-op: the line must be
                 // clean in every thread's cache. Untraced setup can
                 // leave a checker-"clean" line dirty here — veto.
-                if self.dirty_index.contains_key(&line) {
+                if self.dirty_index.get(line) != 0 {
                     e.stats.flush_vetoes += 1;
                 } else {
                     e.stats.flushes_elided += 1;
@@ -517,7 +533,7 @@ impl Machine {
             return;
         }
         for rc in &mut self.read_cache {
-            rc.invalidate(line);
+            rc.remove(line);
         }
     }
 
@@ -749,6 +765,24 @@ impl Machine {
         }
     }
 
+    /// `(directory slots, pages)` held by every line-indexed table of
+    /// the machine — devices, cache sets, dirty index. What building
+    /// and dropping a machine costs is proportional to this, not to the
+    /// size of the address map.
+    #[cfg(test)]
+    fn resident(&self) -> (usize, usize) {
+        let sets = self.dirty.iter().chain(&self.read_cache);
+        [
+            self.dram.resident(),
+            self.pm_functional.resident(),
+            self.pm_durable.resident(),
+            self.dirty_index.resident(),
+        ]
+        .into_iter()
+        .chain(sets.map(LruSet::resident))
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    }
+
     pub(crate) fn crash_parts(self) -> CrashParts {
         let mut wcb = self.wcb;
         (
@@ -784,6 +818,33 @@ mod tests {
         let da = mc.alloc_dram(64, 8);
         mc.store(t, da, b"dram", Category::UserData);
         assert_eq!(mc.load_vec(t, da, 4), b"dram");
+    }
+
+    #[test]
+    fn a_machine_costs_what_it_has_written() {
+        // The paper's machine: 4 GiB DRAM + 4 GiB PM, 4 threads.
+        let mut mc = Machine::new(MachineConfig::asplos17());
+        let t = Tid(0);
+        let pa = pm_base(&mc);
+        assert_eq!(mc.resident(), (0, 0), "a fresh machine holds nothing");
+        // DRAM loads, flushes, fences and durability queries allocate
+        // nothing, wherever in the 8 GiB map they land.
+        mc.load_u64(t, (4 << 30) - 8);
+        mc.clflushopt(t, pa + (1 << 30));
+        mc.sfence(t);
+        assert!(mc.is_durable(pa + (4 << 30) - 64, 64));
+        assert_eq!(mc.resident(), (0, 0));
+        // One 8-byte store on the third page: the functional data page,
+        // the thread's dirty- and read-set index pages and the dirty
+        // index — four pages, each under a three-slot directory;
+        // nothing durable, nothing in DRAM, nothing for the other three
+        // threads.
+        mc.store_u64(t, pa + 2 * 65_536, 7, Category::UserData);
+        assert_eq!(mc.resident(), (12, 4));
+        // Persisting it adds the media's data and endurance pages.
+        mc.clwb(t, pa + 2 * 65_536);
+        mc.sfence(t);
+        assert_eq!(mc.resident(), (18, 6));
     }
 
     #[test]

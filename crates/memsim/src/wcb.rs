@@ -158,6 +158,11 @@ impl WriteCombine {
     /// store to the line now owns its durability. O(holders), which is
     /// O(1) in every practical run.
     pub(crate) fn supersede(&mut self, line: Line) {
+        // Every cacheable store line asks; most runs of stores find no
+        // non-temporal entry anywhere, and skip the hash.
+        if self.index.is_empty() {
+            return;
+        }
         let Some(h) = self.index.remove(&line) else {
             return;
         };

@@ -3,7 +3,6 @@
 use crate::machine::Machine;
 use pmem::{lines_spanning, Addr, Line};
 use pmtrace::{Category, Tid};
-use std::collections::BTreeSet;
 
 /// Tracks the cache lines written since the last ordering point and
 /// turns them into a correct `clwb…; sfence` sequence.
@@ -34,7 +33,10 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct PmWriter {
     tid: Tid,
-    to_flush: BTreeSet<Line>,
+    /// Lines written since the last fence: sorted ascending, unique.
+    /// Cleared, not dropped, at each fence, so an epoch allocates
+    /// nothing in steady state.
+    to_flush: Vec<Line>,
 }
 
 impl PmWriter {
@@ -42,7 +44,7 @@ impl PmWriter {
     pub fn new(tid: Tid) -> PmWriter {
         PmWriter {
             tid,
-            to_flush: BTreeSet::new(),
+            to_flush: Vec::new(),
         }
     }
 
@@ -56,7 +58,9 @@ impl PmWriter {
     pub fn write(&mut self, m: &mut Machine, addr: Addr, bytes: &[u8], cat: Category) {
         m.store(self.tid, addr, bytes, cat);
         for (line, _, _) in lines_spanning(addr, bytes.len()) {
-            self.to_flush.insert(line);
+            if let Err(at) = self.to_flush.binary_search(&line) {
+                self.to_flush.insert(at, line);
+            }
         }
     }
 
@@ -81,9 +85,10 @@ impl PmWriter {
     }
 
     fn flush_all(&mut self, m: &mut Machine) {
-        for line in std::mem::take(&mut self.to_flush) {
+        for line in &self.to_flush {
             m.clwb(self.tid, line.base());
         }
+        self.to_flush.clear();
     }
 
     /// End the epoch: flush every written line, then `sfence`.

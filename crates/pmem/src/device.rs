@@ -5,18 +5,16 @@
 //! pages (1024 lines), materialized on first write. A load or store is
 //! then two array indexings and a `memcpy` — no hashing, no per-line
 //! entry allocation — which matters because every simulated memory
-//! access in `memsim` bottoms out here. A 4 GiB range costs one
-//! pointer-sized slot per page (512 KiB of `None`s) until written.
+//! access in `memsim` bottoms out here. The page directory is the
+//! on-demand one of [`crate::linemap`]: a fresh device over a 4 GiB
+//! range holds no directory slots and no pages until its first write.
 
 use crate::image::PmImage;
 use crate::line::{lines_spanning, Line, LINE_SIZE};
+use crate::linemap::{Directory, LineMap, PAGE_LINES};
 use crate::range::AddrRange;
 use crate::Addr;
 
-/// Lines per backing page: 1024 lines = 64 KiB of data. Small enough
-/// that sparse workloads don't over-allocate, large enough that the
-/// page-slot vector for a 4 GiB device stays in the hundreds of KiB.
-const PAGE_LINES: usize = 1024;
 const PAGE_BYTES: usize = PAGE_LINES * LINE_SIZE as usize;
 /// `u64` words in the per-page written bitmap.
 const PAGE_WORDS: usize = PAGE_LINES / 64;
@@ -70,40 +68,16 @@ impl Page {
 /// over the device's line range. Unwritten bytes read as zero.
 #[derive(Debug, Clone)]
 struct LineStore {
-    /// Line number of the first line the range touches; all page/slot
-    /// arithmetic is relative to this, so a device based at 4 GiB does
-    /// not pay for the address space below it.
-    first_line: u64,
-    pages: Vec<Option<Box<Page>>>,
+    pages: Directory<Page>,
     /// Distinct lines ever written (sum of written-bitmap popcounts).
     live_lines: usize,
 }
 
 impl LineStore {
     fn new(range: AddrRange) -> LineStore {
-        let first_line = Line::containing(range.base).0;
-        let last_line = if range.len == 0 {
-            first_line
-        } else {
-            Line::containing(range.end() - 1).0 + 1
-        };
-        let lines = (last_line - first_line) as usize;
         LineStore {
-            first_line,
-            pages: vec![None; lines.div_ceil(PAGE_LINES)],
+            pages: Directory::new(range),
             live_lines: 0,
-        }
-    }
-
-    /// Page index and slot for `line`, or `None` outside the table.
-    #[inline]
-    fn locate(&self, line: Line) -> Option<(usize, usize)> {
-        let idx = line.0.checked_sub(self.first_line)? as usize;
-        let page = idx / PAGE_LINES;
-        if page < self.pages.len() {
-            Some((page, idx % PAGE_LINES))
-        } else {
-            None
         }
     }
 
@@ -111,8 +85,8 @@ impl LineStore {
         let mut dst = 0;
         for (line, start, len) in lines_spanning(addr, buf.len()) {
             let off = line.offset_of(start);
-            let (page, slot) = self.locate(line).expect("caller checked range");
-            match &self.pages[page] {
+            let (page, slot) = self.pages.locate(line).expect("caller checked range");
+            match self.pages.page(page) {
                 Some(p) => {
                     let base = slot * LINE_SIZE as usize + off;
                     buf[dst..dst + len].copy_from_slice(&p.bytes[base..base + len]);
@@ -130,8 +104,8 @@ impl LineStore {
         let mut src = 0;
         for (line, start, len) in lines_spanning(addr, bytes.len()) {
             let off = line.offset_of(start);
-            let (page, slot) = self.locate(line).expect("caller checked range");
-            let p = self.pages[page].get_or_insert_with(Page::new);
+            let (page, slot) = self.pages.locate(line).expect("caller checked range");
+            let p = self.pages.page_mut(page, Page::new);
             let base = slot * LINE_SIZE as usize + off;
             p.bytes[base..base + len].copy_from_slice(&bytes[src..src + len]);
             if p.mark_written(slot) {
@@ -145,29 +119,19 @@ impl LineStore {
     /// Borrowed view of one line's 64 bytes (zeros if never written).
     #[inline]
     fn line_view(&self, line: Line) -> &[u8; LINE_SIZE as usize] {
-        match self.locate(line) {
-            Some((page, slot)) => match &self.pages[page] {
-                Some(p) => p.line_bytes(slot),
-                None => &ZERO_LINE,
-            },
-            None => &ZERO_LINE,
-        }
+        self.pages
+            .locate(line)
+            .and_then(|(page, slot)| Some(self.pages.page(page)?.line_bytes(slot)))
+            .unwrap_or(&ZERO_LINE)
     }
 
     /// All written lines in ascending order (page-major iteration is
     /// already sorted because pages partition the line range in order).
     fn written_lines(&self) -> impl Iterator<Item = (Line, &[u8; LINE_SIZE as usize])> + '_ {
-        self.pages.iter().enumerate().flat_map(move |(pi, page)| {
-            page.iter().flat_map(move |p| {
-                (0..PAGE_LINES).filter_map(move |slot| {
-                    if p.is_written(slot) {
-                        let line = Line(self.first_line + (pi * PAGE_LINES + slot) as u64);
-                        Some((line, p.line_bytes(slot)))
-                    } else {
-                        None
-                    }
-                })
-            })
+        self.pages.written_pages().flat_map(move |(pi, p)| {
+            (0..PAGE_LINES)
+                .filter(move |&slot| p.is_written(slot))
+                .map(move |slot| (self.pages.line_at(pi, slot), p.line_bytes(slot)))
         })
     }
 }
@@ -188,19 +152,17 @@ pub struct PmDevice {
     store: LineStore,
     /// Per-line endurance counters, paged like the data (8 KiB per
     /// counter page, allocated on a page's first counted write).
-    line_writes: Vec<Option<Box<[u64; PAGE_LINES]>>>,
+    line_writes: LineMap<u64>,
     total_line_writes: u64,
 }
 
 impl PmDevice {
     /// A fresh, zeroed device covering `range`.
     pub fn new(range: AddrRange) -> PmDevice {
-        let store = LineStore::new(range);
-        let counter_pages = store.pages.len();
         PmDevice {
             range,
-            store,
-            line_writes: vec![None; counter_pages],
+            store: LineStore::new(range),
+            line_writes: LineMap::new(range),
             total_line_writes: 0,
         }
     }
@@ -261,25 +223,17 @@ impl PmDevice {
             "PM write out of range: {addr:#x}+{}",
             bytes.len()
         );
-        let first_line = self.store.first_line;
         let counters = &mut self.line_writes;
         let total = &mut self.total_line_writes;
         self.store.write(addr, bytes, |line| {
-            let idx = (line.0 - first_line) as usize;
-            let page = counters[idx / PAGE_LINES].get_or_insert_with(|| Box::new([0; PAGE_LINES]));
-            page[idx % PAGE_LINES] += 1;
+            *counters.slot(line) += 1;
             *total += 1;
         });
     }
 
     /// How many times `line` has been written (endurance counter).
     pub fn line_writes(&self, line: Line) -> u64 {
-        match self.store.locate(line) {
-            Some((page, slot)) => self.line_writes[page]
-                .as_ref()
-                .map_or(0, |counts| counts[slot]),
-            None => 0,
-        }
+        self.line_writes.get(line)
     }
 
     /// Total line writes across the device since construction.
@@ -290,6 +244,14 @@ impl PmDevice {
     /// Number of distinct lines ever written.
     pub fn lines_in_use(&self) -> usize {
         self.store.live_lines
+    }
+
+    /// `(directory slots, pages)` currently allocated, data and
+    /// endurance counters together: `(0, 0)` until the first write,
+    /// whatever the size of the range.
+    pub fn resident(&self) -> (usize, usize) {
+        let (data, counters) = (self.store.pages.resident(), self.line_writes.resident());
+        (data.0 + counters.0, data.1 + counters.1)
     }
 
     /// Snapshot the durable contents (what survives a power failure).
@@ -362,6 +324,12 @@ impl DramDevice {
             bytes.len()
         );
         self.store.write(addr, bytes, |_| {});
+    }
+
+    /// `(directory slots, pages)` currently allocated: `(0, 0)` until
+    /// the first write, whatever the size of the range.
+    pub fn resident(&self) -> (usize, usize) {
+        self.store.pages.resident()
     }
 }
 
@@ -487,6 +455,24 @@ mod tests {
         assert_eq!(d.read_vec(base + 65_530, 12), vec![9; 12]);
         assert_eq!(d.lines_in_use(), 2);
         assert_eq!(d.total_line_writes(), 2);
+    }
+
+    #[test]
+    fn fresh_devices_hold_nothing_until_written() {
+        let range = AddrRange::new(4 << 30, 4 << 30);
+        let mut pm = PmDevice::new(range);
+        let mut dram = DramDevice::new(range);
+        pm.read_vec(range.end() - 8, 8);
+        pm.line_view(Line::containing(range.end() - 8));
+        dram.read_vec(range.end() - 8, 8);
+        assert_eq!(pm.resident(), (0, 0));
+        assert_eq!(dram.resident(), (0, 0));
+        // An 8-byte write on the second page: one data page (plus one
+        // counter page on PM) under a two-slot directory each.
+        pm.write(range.base + 65_536, &[1; 8]);
+        dram.write(range.base + 65_536, &[1; 8]);
+        assert_eq!(pm.resident(), (4, 2));
+        assert_eq!(dram.resident(), (2, 1));
     }
 
     #[test]

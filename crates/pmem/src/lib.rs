@@ -39,12 +39,14 @@ mod device;
 pub mod hash;
 mod image;
 mod line;
+mod linemap;
 mod range;
 
 pub use device::{DramDevice, PmDevice};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use image::PmImage;
 pub use line::{lines_spanning, Line, LineSpan, LINE_SIZE};
+pub use linemap::LineMap;
 pub use range::{AddrRange, AddressMap, MemoryKind};
 
 /// A byte address in the simulated physical address space.

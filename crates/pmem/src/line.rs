@@ -75,6 +75,8 @@ impl Iterator for LineSpan {
     /// `(line, start address within span, length within line)`
     type Item = (Line, Addr, usize);
 
+    // Every simulated access loops over this from another crate.
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.cur >= self.end {
             return None;
@@ -95,6 +97,7 @@ impl Iterator for LineSpan {
 /// let chunks: Vec<_> = lines_spanning(60, 10).collect();
 /// assert_eq!(chunks, vec![(Line(0), 60, 4), (Line(1), 64, 6)]);
 /// ```
+#[inline]
 pub fn lines_spanning(addr: Addr, len: usize) -> LineSpan {
     LineSpan {
         cur: addr,

@@ -130,9 +130,12 @@ impl NaiveLineModel {
     }
 }
 
-/// Device based at 4 GiB (the asplos17 PM base: page arithmetic must be
-/// base-relative) and long enough to span four 64 KiB backing pages.
+/// Device based at 4 GiB and 4 GiB long (the asplos17 PM range: page
+/// arithmetic must be base-relative, and the page directory must grow
+/// on demand). Random writes land in the first four 64 KiB backing
+/// pages; one more goes to the very end of the range, first.
 const PAGED_BASE: u64 = 4 << 30;
+const DEVICE_LEN: u64 = 4 << 30;
 const PAGED_LEN: u64 = 200 * 1024;
 const PAGE_BYTES: u64 = 64 * 1024;
 
@@ -154,10 +157,22 @@ proptest! {
     /// Contents, endurance accounting, line views, and image snapshots
     /// of the paged device all match the naive per-line model.
     #[test]
-    fn paged_device_matches_line_map_model(ops in paged_ops()) {
-        let mut dev = PmDevice::new(AddrRange::new(PAGED_BASE, PAGED_LEN));
+    fn paged_device_matches_line_map_model(
+        mut ops in paged_ops(),
+        tail in collection::vec(any::<u8>(), 1..130),
+    ) {
+        let mut dev = PmDevice::new(AddrRange::new(PAGED_BASE, DEVICE_LEN));
+        prop_assert_eq!(dev.resident(), (0, 0));
+        // The fresh device's first write ends on the range's last byte:
+        // both directories (data, endurance) grow to the last of their
+        // 65 536 pages, and only that page materializes.
+        ops.insert(0, (DEVICE_LEN - tail.len() as u64, tail));
         let mut model = NaiveLineModel::default();
-        for (off, data) in &ops {
+        dev.write(PAGED_BASE + ops[0].0, &ops[0].1);
+        model.write(PAGED_BASE + ops[0].0, &ops[0].1);
+        prop_assert_eq!(dev.resident(), (2 * 65_536, 2));
+        prop_assert_eq!(dev.line_writes(Line::containing(PAGED_BASE + DEVICE_LEN - 1)), 1);
+        for (off, data) in &ops[1..] {
             dev.write(PAGED_BASE + off, data);
             model.write(PAGED_BASE + off, data);
         }

@@ -26,11 +26,7 @@ impl AmplificationReport {
 
     /// Bytes recorded for one category.
     pub fn bytes(&self, cat: Category) -> u64 {
-        let idx = Category::ALL
-            .iter()
-            .position(|c| *c == cat)
-            .expect("known category");
-        self.bytes_by_cat[idx]
+        self.bytes_by_cat[cat.index()]
     }
 
     /// Total PM bytes written.

@@ -111,13 +111,14 @@ impl Analyzer {
     }
 
     /// Analyze a raw event stream in one pass, splitting epochs and
-    /// folding statistics in the same traversal — each epoch is
-    /// dropped as soon as it has been accounted, so peak memory is one
-    /// open epoch per thread instead of the whole epoch vector.
+    /// folding statistics in the same traversal — each epoch is lent
+    /// by [`for_each_epoch`](super::for_each_epoch) and recycled as
+    /// soon as it has been accounted, so peak memory is one open epoch
+    /// per thread instead of the whole epoch vector.
     pub fn analyze_events(events: &[Event]) -> TraceReport {
         let _span = pmobs::span!("analyze");
         let mut a = Analyzer::new();
-        super::for_each_epoch(events, |e| a.push(&e));
+        super::for_each_epoch(events, |e| a.push(e));
         pmobs::count!("pmtrace.events_analyzed", events.len() as u64);
         pmobs::count!("pmtrace.epochs_analyzed", a.epoch_count as u64);
         a.finish()
@@ -166,11 +167,52 @@ mod tests {
         t.into_events()
     }
 
+    /// What the line-indexed walk could get wrong: thread ids far
+    /// apart, addresses below any PM range (synthetic traces and
+    /// `--from-trace` files carry address 0), a store wider than the
+    /// Figure 4 tail bucket, a line stored twice in one epoch, and
+    /// lines stored in descending order.
+    fn awkward_trace() -> Vec<Event> {
+        let (a, b) = (Tid(0), Tid(63));
+        let mut t = TraceBuffer::new();
+        t.tx_begin(b, 7, 1);
+        t.pm_store(a, 0, 8, false, Category::UserData, 2);
+        t.pm_store(b, 4096, 8, true, Category::RedoLog, 3);
+        t.pm_store(a, 32, 8, false, Category::UserData, 4); // line 0 again
+        t.pm_store(b, 64 * 100 + 60, 64 * 64, false, Category::UndoLog, 5); // 65 lines
+        t.pm_store(b, 0, 8, false, Category::UserData, 6); // below b's other lines
+        t.pm_store(b, 4100, 4, false, Category::LogMeta, 6); // line 64 again, not adjacent
+        t.fence(a, 7);
+        t.dfence(b, 8);
+        t.tx_end(b, 7, 9);
+        t.pm_store(b, 0, 4, false, Category::AppMeta, 10); // depends on both threads
+        t.fence(b, 11);
+        t.into_events()
+    }
+
+    #[test]
+    fn awkward_trace_splits_as_expected() {
+        let epochs = split_epochs(&awkward_trace());
+        assert_eq!(epochs.len(), 3);
+        assert_eq!(epochs[0].lines, vec![pmem::Line(0)]);
+        assert_eq!((epochs[0].stores, epochs[0].bytes), (2, 16));
+        assert_eq!(epochs[1].tid, Tid(63));
+        assert_eq!(epochs[1].unique_lines(), 1 + 1 + 65);
+        assert!(epochs[1].lines.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(epochs[1].tx, Some(7));
+        assert_eq!((epochs[2].index, epochs[2].tx), (1, None));
+    }
+
     #[test]
     fn single_pass_matches_legacy_functions() {
-        let events = busy_trace();
-        let epochs = split_epochs(&events);
-        let report = Analyzer::analyze_events(&events);
+        for events in [busy_trace(), awkward_trace()] {
+            single_pass_matches_legacy_functions_on(&events);
+        }
+    }
+
+    fn single_pass_matches_legacy_functions_on(events: &[Event]) {
+        let epochs = split_epochs(events);
+        let report = Analyzer::analyze_events(events);
 
         assert_eq!(report.epoch_count, epochs.len());
         assert_eq!(

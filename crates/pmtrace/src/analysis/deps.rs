@@ -10,8 +10,7 @@
 
 use super::Epoch;
 use crate::event::Tid;
-use pmem::Line;
-use std::collections::HashMap;
+use pmem::{FxHashMap, Line};
 
 /// The paper's dependency window: 50 µs, in nanoseconds.
 pub const DEP_WINDOW_NS: u64 = 50_000;
@@ -54,8 +53,9 @@ impl DepStats {
 /// global execution order, then read [`stats`](DepTracker::stats).
 #[derive(Debug, Default)]
 pub struct DepTracker {
-    // line -> (thread of last writer epoch, its end time)
-    last_writer: HashMap<Line, (Tid, u64)>,
+    // line -> (thread of last writer epoch, its end time). Hashed, not
+    // range-indexed: a trace may carry any address.
+    last_writer: FxHashMap<Line, (Tid, u64)>,
     stats: DepStats,
 }
 
@@ -67,8 +67,10 @@ impl DepTracker {
         self.stats.total_epochs += 1;
         let mut self_dep = false;
         let mut cross_dep = false;
+        // An epoch's lines are distinct, so reading a line's previous
+        // writer and recording this epoch as its new one is one step.
         for line in &e.lines {
-            if let Some(&(wtid, wend)) = self.last_writer.get(line) {
+            if let Some((wtid, wend)) = self.last_writer.insert(*line, (e.tid, e.end_ns)) {
                 let within = e.start_ns.saturating_sub(wend) <= DEP_WINDOW_NS;
                 if within {
                     if wtid == e.tid {
@@ -84,9 +86,6 @@ impl DepTracker {
         }
         if cross_dep {
             self.stats.cross_dep_epochs += 1;
-        }
-        for line in &e.lines {
-            self.last_writer.insert(*line, (e.tid, e.end_ns));
         }
     }
 

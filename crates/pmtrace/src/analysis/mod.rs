@@ -3,6 +3,16 @@
 //! "We consider an epoch to consist of stores, whether cacheable or
 //! non-temporal, to PM between two sfence instructions. For this
 //! analysis, we ignore cache flush operations." — Section 5.1.
+//!
+//! [`for_each_epoch`] is the one traversal. It keeps one open [`Epoch`]
+//! per thread in a vector indexed by thread id and **lends** each epoch
+//! to its sink as the closing fence arrives, then recycles it — no hash
+//! lookup per event, no allocation per epoch. [`Epoch::lines`] is a
+//! sorted, duplicate-free `Vec`. [`Analyzer::analyze_events`] folds the
+//! lent epochs; [`split_epochs`] clones them into a vector. Only the
+//! two accumulators that key on values a trace is free to choose —
+//! [`DepTracker`] (any address) and [`TxStatsBuilder`] (any transaction
+//! id) — hash, with [`pmem::FxHashMap`].
 
 mod amplify;
 mod analyzer;
@@ -18,7 +28,6 @@ pub use txstats::{tx_stats, TxStats, TxStatsBuilder};
 
 use crate::event::{Category, Event, EventKind, Tid, TxId};
 use pmem::{lines_spanning, Line};
-use std::collections::{BTreeSet, HashMap};
 
 /// A set of PM stores on one thread between two ordering points.
 #[derive(Debug, Clone)]
@@ -31,8 +40,8 @@ pub struct Epoch {
     pub start_ns: u64,
     /// Timestamp of the fence that closed the epoch.
     pub end_ns: u64,
-    /// Unique 64 B cache lines stored to.
-    pub lines: BTreeSet<Line>,
+    /// Unique 64 B cache lines stored to, in ascending order.
+    pub lines: Vec<Line>,
     /// Total bytes stored (not deduplicated).
     pub bytes: u64,
     /// Bytes written with non-temporal stores.
@@ -62,96 +71,127 @@ impl Epoch {
 
     /// Bytes recorded for one category.
     pub fn cat_bytes(&self, cat: Category) -> u64 {
-        let idx = Category::ALL
-            .iter()
-            .position(|c| *c == cat)
-            .expect("known category");
-        self.bytes_by_cat[idx]
+        self.bytes_by_cat[cat.index()]
+    }
+
+    /// Thread `tid`'s first epoch, with no store in it yet.
+    fn open(tid: Tid) -> Epoch {
+        Epoch {
+            tid,
+            index: 0,
+            start_ns: 0,
+            end_ns: 0,
+            lines: Vec::new(),
+            bytes: 0,
+            nt_bytes: 0,
+            stores: 0,
+            nt_stores: 0,
+            bytes_by_cat: [0; Category::ALL.len()],
+            tx: None,
+            durable: false,
+        }
+    }
+
+    /// Account one store of `len` bytes at `addr`.
+    fn store(&mut self, addr: u64, len: u32, nt: bool, cat: Category) {
+        // Appended as stored (bar an immediate repeat) and put in order
+        // by `close`: a trace may hold an epoch of a million lines in
+        // any order, which inserting in place would make quadratic.
+        for (line, _, _) in lines_spanning(addr, len as usize) {
+            if self.lines.last() != Some(&line) {
+                self.lines.push(line);
+            }
+        }
+        self.bytes += len as u64;
+        self.stores += 1;
+        if nt {
+            self.nt_bytes += len as u64;
+            self.nt_stores += 1;
+        }
+        self.bytes_by_cat[cat.index()] += len as u64;
+    }
+
+    /// Close the epoch at a fence: `lines` becomes sorted and unique.
+    fn close(&mut self, end_ns: u64, durable: bool) {
+        self.end_ns = end_ns;
+        self.durable = durable;
+        // A store's lines ascend and most epochs write forwards, so the
+        // common epoch is in order already.
+        if !self.lines.is_sorted_by(|a, b| a < b) {
+            self.lines.sort_unstable();
+            self.lines.dedup();
+        }
+    }
+
+    /// Become the thread's next epoch, empty, keeping the line buffer.
+    fn reopen(&mut self) {
+        let mut lines = std::mem::take(&mut self.lines);
+        lines.clear();
+        *self = Epoch {
+            index: self.index + 1,
+            lines,
+            ..Epoch::open(self.tid)
+        };
     }
 }
 
-#[derive(Debug, Default)]
-struct OpenEpoch {
-    start_ns: u64,
-    lines: BTreeSet<Line>,
-    bytes: u64,
-    nt_bytes: u64,
-    stores: u32,
-    nt_stores: u32,
-    bytes_by_cat: [u64; Category::ALL.len()],
-    tx: Option<TxId>,
+/// What [`for_each_epoch`] keeps per thread: the epoch being built (it
+/// is an epoch only once it holds a store) and the transaction that is
+/// active, if any.
+#[derive(Debug)]
+struct ThreadWalk {
+    open: Epoch,
+    active_tx: Option<TxId>,
 }
 
-/// Walk a globally-ordered event stream and hand each closed epoch to
+/// Walk a globally-ordered event stream and lend each closed epoch to
 /// `sink`, in fence-close (global execution) order — the order
-/// [`dependencies`] requires.
+/// [`dependencies`] requires. The epoch is recycled when `sink`
+/// returns; a sink that keeps it clones it (as [`split_epochs`] does).
 ///
 /// Fences that close an empty epoch (no stores since the previous
 /// fence) produce nothing, matching the paper's store-centric epoch
 /// definition. A trailing run of stores with no closing fence is
 /// likewise dropped — it never became an ordering unit.
 ///
+/// Per-thread state lives in a vector indexed by thread id, so memory
+/// is proportional to the largest id in the trace: ids are hardware
+/// thread numbers (`memsim` has at most 64; the codec stores 24 bits).
+///
 /// This is the single traversal both [`split_epochs`] (which collects)
 /// and [`Analyzer::analyze_events`] (which folds statistics without
 /// materializing the epoch vector) are built on.
-pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(Epoch)) {
-    let mut open: HashMap<Tid, OpenEpoch> = HashMap::new();
-    let mut counters: HashMap<Tid, u64> = HashMap::new();
-    let mut active_tx: HashMap<Tid, TxId> = HashMap::new();
+pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) {
+    let mut threads: Vec<ThreadWalk> = Vec::new();
 
     for ev in events {
+        let t = ev.tid.0 as usize;
+        while threads.len() <= t {
+            threads.push(ThreadWalk {
+                open: Epoch::open(Tid(threads.len() as u32)),
+                active_tx: None,
+            });
+        }
+        let ThreadWalk { open, active_tx } = &mut threads[t];
         match ev.kind {
             EventKind::PmStore { addr, len, nt, cat } => {
-                let e = open.entry(ev.tid).or_default();
-                if e.stores == 0 {
+                if open.stores == 0 {
                     // First store of the epoch fixes its start time and
                     // transaction attribution.
-                    e.start_ns = ev.at_ns;
-                    e.tx = active_tx.get(&ev.tid).copied();
+                    open.start_ns = ev.at_ns;
+                    open.tx = *active_tx;
                 }
-                for (line, _, _) in lines_spanning(addr, len as usize) {
-                    e.lines.insert(line);
-                }
-                e.bytes += len as u64;
-                e.stores += 1;
-                if nt {
-                    e.nt_bytes += len as u64;
-                    e.nt_stores += 1;
-                }
-                let idx = Category::ALL
-                    .iter()
-                    .position(|c| *c == cat)
-                    .expect("known category");
-                e.bytes_by_cat[idx] += len as u64;
+                open.store(addr, len, nt, cat);
             }
             EventKind::Fence | EventKind::DFence => {
-                if let Some(e) = open.remove(&ev.tid) {
-                    if e.stores > 0 {
-                        let index = counters.entry(ev.tid).or_insert(0);
-                        sink(Epoch {
-                            tid: ev.tid,
-                            index: *index,
-                            start_ns: e.start_ns,
-                            end_ns: ev.at_ns,
-                            lines: e.lines,
-                            bytes: e.bytes,
-                            nt_bytes: e.nt_bytes,
-                            stores: e.stores,
-                            nt_stores: e.nt_stores,
-                            bytes_by_cat: e.bytes_by_cat,
-                            tx: e.tx,
-                            durable: ev.kind == EventKind::DFence,
-                        });
-                        *index += 1;
-                    }
+                if open.stores > 0 {
+                    open.close(ev.at_ns, ev.kind == EventKind::DFence);
+                    sink(open);
+                    open.reopen();
                 }
             }
-            EventKind::TxBegin { id } => {
-                active_tx.insert(ev.tid, id);
-            }
-            EventKind::TxEnd { .. } => {
-                active_tx.remove(&ev.tid);
-            }
+            EventKind::TxBegin { id } => *active_tx = Some(id),
+            EventKind::TxEnd { .. } => *active_tx = None,
             EventKind::Flush { .. } => {
                 // Ignored, per Section 5.1.
             }
@@ -168,7 +208,7 @@ pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(Epoch)) {
 /// See [`for_each_epoch`] for the epoch-boundary rules.
 pub fn split_epochs(events: &[Event]) -> Vec<Epoch> {
     let mut out = Vec::new();
-    for_each_epoch(events, |e| out.push(e));
+    for_each_epoch(events, |e| out.push(e.clone()));
     out
 }
 

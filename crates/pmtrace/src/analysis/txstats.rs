@@ -2,7 +2,7 @@
 
 use super::Epoch;
 use crate::event::{Tid, TxId};
-use std::collections::HashMap;
+use pmem::FxHashMap;
 
 /// Distribution of transaction sizes, where "the size of a transaction
 /// is the number of epochs or ordering points in the transaction"
@@ -49,7 +49,7 @@ impl TxStats {
 /// time, then [`finish`](TxStatsBuilder::finish).
 #[derive(Debug, Default)]
 pub struct TxStatsBuilder {
-    per_tx: HashMap<(Tid, TxId), u64>,
+    per_tx: FxHashMap<(Tid, TxId), u64>,
 }
 
 impl TxStatsBuilder {

@@ -43,13 +43,6 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn cat_code(c: Category) -> u8 {
-    Category::ALL
-        .iter()
-        .position(|x| *x == c)
-        .expect("known category") as u8
-}
-
 fn cat_from(code: u8) -> Option<Category> {
     Category::ALL.get(code as usize).copied()
 }
@@ -64,7 +57,7 @@ pub fn encode_events(events: &[Event]) -> Vec<u8> {
             EventKind::PmStore { addr, len, nt, cat } => {
                 let tag = if nt { 1 } else { 0 };
                 // a packs len (24 bits) and category (8 bits).
-                (tag, (len << 8) | cat_code(cat) as u32, addr)
+                (tag, (len << 8) | cat.index() as u32, addr)
             }
             EventKind::Flush { addr } => (2, 0, addr),
             EventKind::Fence => (3, 0, 0),

@@ -57,6 +57,12 @@ impl Category {
         Category::FsMeta,
         Category::AppMeta,
     ];
+
+    /// This category's position in [`Category::ALL`] — the index of
+    /// every per-category array.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl std::fmt::Display for Category {
@@ -149,6 +155,13 @@ mod tests {
             assert!(seen.insert(format!("{c}")), "duplicate display for {c:?}");
         }
         assert_eq!(seen.len(), 7);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, c) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
     }
 
     #[test]

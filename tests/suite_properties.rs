@@ -278,31 +278,51 @@ fn parallel_suite_matches_serial_runner() {
 #[test]
 fn streaming_analyzer_matches_legacy_functions_on_real_trace() {
     // The single-pass Analyzer must agree with the seven per-metric
-    // walks on a real application trace, not just synthetic streams.
-    let r = run_app(
-        "nstore-ycsb",
-        &SuiteConfig {
-            scale: 0.01,
-            seed: 42,
-            parallelism: 1,
-            worker_threads: 4,
-        },
-    );
-    let epochs = analysis::split_epochs(&r.run.events);
-    let report = analysis::Analyzer::analyze_events(&r.run.events);
-    assert_eq!(report.epoch_count, epochs.len());
-    assert_eq!(
-        report.tx_stats.epochs_per_tx,
-        analysis::tx_stats(&epochs).epochs_per_tx
-    );
-    assert_eq!(report.size_hist, analysis::epoch_size_histogram(&epochs));
-    assert_eq!(report.deps, analysis::dependencies(&epochs));
-    assert_eq!(report.amplification, analysis::amplification(&epochs));
-    assert_eq!(report.nt_fraction, analysis::nt_fraction(&epochs));
-    assert_eq!(
-        report.small_singleton_fraction,
-        analysis::small_singleton_fraction(&epochs)
-    );
+    // walks on every real application trace, not just synthetic
+    // streams, and every epoch it is lent must hold its lines in
+    // strictly ascending order (sorted, no duplicate).
+    let cfg = SuiteConfig {
+        scale: 0.01,
+        seed: 42,
+        parallelism: 1,
+        worker_threads: 4,
+    };
+    for name in APP_NAMES {
+        let r = run_app(name, &cfg);
+        let epochs = analysis::split_epochs(&r.run.events);
+        for e in &epochs {
+            assert!(
+                e.lines.windows(2).all(|w| w[0] < w[1]),
+                "{name}: epoch {}/{} lines out of order",
+                e.tid,
+                e.index
+            );
+        }
+        let report = analysis::Analyzer::analyze_events(&r.run.events);
+        assert_eq!(report.epoch_count, epochs.len(), "{name}");
+        assert_eq!(
+            report.tx_stats.epochs_per_tx,
+            analysis::tx_stats(&epochs).epochs_per_tx,
+            "{name}"
+        );
+        assert_eq!(
+            report.size_hist,
+            analysis::epoch_size_histogram(&epochs),
+            "{name}"
+        );
+        assert_eq!(report.deps, analysis::dependencies(&epochs), "{name}");
+        assert_eq!(
+            report.amplification,
+            analysis::amplification(&epochs),
+            "{name}"
+        );
+        assert_eq!(report.nt_fraction, analysis::nt_fraction(&epochs), "{name}");
+        assert_eq!(
+            report.small_singleton_fraction,
+            analysis::small_singleton_fraction(&epochs),
+            "{name}"
+        );
+    }
 }
 
 #[test]
