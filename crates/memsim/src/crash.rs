@@ -4,6 +4,7 @@
 use crate::machine::{Machine, PendingLine};
 use pmem::{FxHashSet, Line, PmImage, LINE_SIZE};
 use pmrand::{Rng, SeedableRng, SmallRng};
+use std::collections::BTreeMap;
 
 const LINE: usize = LINE_SIZE as usize;
 
@@ -201,18 +202,27 @@ impl CrashState {
             + self.wcbs.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// The PM image a reboot at this point would observe under `spec`.
+    /// The in-flight lines `spec` lets reach PM, each with the bytes it
+    /// ends up holding, in ascending line order — the one place a
+    /// spec's survivors are drawn.
     ///
     /// `clwb` snapshots and WCB entries carry their own (snapshot)
     /// data; dirty cache lines carry the newest functional contents.
-    /// Under [`CrashSpec::PersistAll`] everything lands and the newest
-    /// value wins. Under [`CrashSpec::Adversarial`], each in-flight
-    /// line survives independently — and when both a pending snapshot
-    /// and the same line's dirty entry survive, the *winner* is also
-    /// seed-chosen: real hardware orders neither writeback ahead of
-    /// the other, so recovery must tolerate either value.
-    pub fn materialize(&self, spec: CrashSpec) -> PmImage {
-        let mut img = self.durable.clone();
+    /// They apply in that order, later writes to a line overwriting
+    /// earlier ones. Under [`CrashSpec::PersistAll`] everything lands
+    /// and the newest value wins. Under [`CrashSpec::Adversarial`],
+    /// each in-flight line survives independently — and when both a
+    /// pending snapshot and the same line's dirty entry survive, the
+    /// *winner* is also seed-chosen: real hardware orders neither
+    /// writeback ahead of the other, so recovery must tolerate either
+    /// value. [`CrashSpec::DropVolatile`] lands nothing.
+    ///
+    /// A line whose bytes the durable image already holds is left out,
+    /// so the result is canonical: two specs produce equal images
+    /// exactly when their landed sets are equal. A line the durable
+    /// image lacks stays even when it lands as zeros — a written line
+    /// and an unwritten one differ in a [`PmImage`].
+    pub fn landed(&self, spec: CrashSpec) -> Vec<(Line, [u8; LINE])> {
         let mut rng = match spec {
             CrashSpec::Adversarial { seed } => Some(SmallRng::seed_from_u64(seed)),
             _ => None,
@@ -224,12 +234,13 @@ impl CrashState {
             (CrashSpec::Adversarial { .. }, None) => unreachable!(),
         };
 
+        let mut landed: BTreeMap<Line, [u8; LINE]> = BTreeMap::new();
         // clwb snapshots and WCB entries carry their own data.
         let mut snap_applied: FxHashSet<Line> = FxHashSet::default();
         for per_thread in self.pending.iter().chain(self.wcbs.iter()) {
             for e in per_thread {
                 if keep(&mut rng) {
-                    img.set_line(e.line, e.data);
+                    landed.insert(e.line, e.data);
                     if rng.is_some() {
                         snap_applied.insert(e.line);
                     }
@@ -251,9 +262,29 @@ impl CrashState {
                             }
                         }
                     }
-                    img.set_line(*line, *data);
+                    landed.insert(*line, *data);
                 }
             }
+        }
+        landed
+            .into_iter()
+            .filter(|(line, data)| self.durable.line(*line) != Some(data))
+            .collect()
+    }
+
+    /// The PM image a reboot at this point would observe under `spec`:
+    /// the durable image with [`landed`](CrashState::landed) spliced in.
+    pub fn materialize(&self, spec: CrashSpec) -> PmImage {
+        self.image_with(&self.landed(spec))
+    }
+
+    /// The durable image with `landed` spliced in — how every crash
+    /// image is built. Callers that judge many specs build one image
+    /// per distinct landed set.
+    pub fn image_with(&self, landed: &[(Line, [u8; LINE])]) -> PmImage {
+        let mut img = self.durable.clone();
+        for &(line, data) in landed {
+            img.set_line(line, data);
         }
         img
     }
@@ -328,6 +359,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use miniprop::prelude::*;
     use pmem::Addr;
     use pmtrace::{Category, Tid};
 
@@ -578,5 +610,144 @@ mod tests {
     #[should_panic(expected = "1-based")]
     fn zero_crash_point_panics() {
         CrashPlan::at_points(CrashCounter::PmEvents, vec![0]);
+    }
+
+    /// The materializer `landed` replaced: splice every surviving
+    /// in-flight line straight into a clone of the durable image, in
+    /// apply order. `landed` must draw exactly what this draws.
+    fn reference(state: &CrashState, spec: CrashSpec) -> PmImage {
+        let mut img = state.durable.clone();
+        let mut rng = match spec {
+            CrashSpec::Adversarial { seed } => Some(SmallRng::seed_from_u64(seed)),
+            _ => None,
+        };
+        let keep = |rng: &mut Option<SmallRng>| match (&spec, rng) {
+            (CrashSpec::DropVolatile, _) => false,
+            (CrashSpec::PersistAll, _) => true,
+            (CrashSpec::Adversarial { .. }, Some(r)) => r.gen_bool(0.5),
+            (CrashSpec::Adversarial { .. }, None) => unreachable!(),
+        };
+        let mut snap_applied: FxHashSet<Line> = FxHashSet::default();
+        for per_thread in state.pending.iter().chain(state.wcbs.iter()) {
+            for e in per_thread {
+                if keep(&mut rng) {
+                    img.set_line(e.line, e.data);
+                    if rng.is_some() {
+                        snap_applied.insert(e.line);
+                    }
+                }
+            }
+        }
+        for per_thread in &state.dirty {
+            for (line, data) in per_thread {
+                if keep(&mut rng) {
+                    if snap_applied.contains(line) {
+                        if let Some(r) = rng.as_mut() {
+                            if r.gen_bool(0.5) {
+                                continue;
+                            }
+                        }
+                    }
+                    img.set_line(*line, *data);
+                }
+            }
+        }
+        img
+    }
+
+    /// Lines present in `a` but absent or different in `b`.
+    fn diff_lines(a: &PmImage, b: &PmImage) -> Vec<Line> {
+        a.lines()
+            .filter(|(l, d)| b.line(*l) != Some(*d))
+            .map(|(l, _)| l)
+            .collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Store { t: u32, slot: u64, val: u8 },
+        StoreNt { t: u32, slot: u64, val: u8 },
+        Clwb { t: u32, slot: u64 },
+        Sfence { t: u32 },
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        // Eight shared lines, four threads, three values (zero
+        // among them, so rewrites to the durable value are common).
+        collection::vec(
+            prop_oneof![
+                (0u32..4, 0u64..8, 0u8..3).prop_map(|(t, slot, val)| Op::Store { t, slot, val }),
+                (0u32..4, 0u64..8, 0u8..3).prop_map(|(t, slot, val)| Op::StoreNt { t, slot, val }),
+                (0u32..4, 0u64..8).prop_map(|(t, slot)| Op::Clwb { t, slot }),
+                (0u32..4).prop_map(|t| Op::Sfence { t }),
+            ],
+            0..60,
+        )
+    }
+
+    /// Run the random history, then leave every in-flight shape
+    /// `landed` has to get right on lines of its own: a pending
+    /// `clwb` snapshot beside a newer dirty copy (slot 20, the
+    /// tie-break), two threads' WCB entries for one line (slot
+    /// 21), a zero-filled dirty line the durable image lacks (slot
+    /// 22), and a dirty line rewritten to its durable value (slot
+    /// 23).
+    fn capture(history: &[Op]) -> CrashState {
+        let mut mc = m();
+        let base = pm_base(&mc);
+        let at = |slot: u64| base + slot * 64;
+        let (t0, t1, t2, t3) = (Tid(0), Tid(1), Tid(2), Tid(3));
+        let cat = Category::UserData;
+        for op in history {
+            match *op {
+                Op::Store { t, slot, val } => mc.store(Tid(t), at(slot), &[val; 8], cat),
+                Op::StoreNt { t, slot, val } => mc.store_nt(Tid(t), at(slot), &[val; 8], cat),
+                Op::Clwb { t, slot } => mc.clwb(Tid(t), at(slot)),
+                Op::Sfence { t } => mc.sfence(Tid(t)),
+            }
+        }
+        mc.store(t3, at(23), &[5; 8], cat);
+        mc.clwb(t3, at(23));
+        mc.sfence(t3);
+        mc.store(t3, at(23), &[5; 8], cat);
+        mc.store(t0, at(20), &[1; 8], cat);
+        mc.clwb(t0, at(20));
+        mc.store(t0, at(20), &[2; 8], cat);
+        mc.store_nt(t1, at(21), &[3; 8], cat);
+        mc.store_nt(t2, at(21), &[4; 8], cat);
+        mc.store(t2, at(22), &[0; 8], cat);
+        mc.into_crash_state()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn landed_matches_the_splicing_reference(history in ops()) {
+            let state = capture(&history);
+            let line = |slot: u64| Line::containing(state.durable.range().base + slot * 64);
+            let holds = |entries: &[PendingLine], slot| entries.iter().any(|e| e.line == line(slot));
+            prop_assert!(holds(&state.pending[0], 20) && state.dirty[0].iter().any(|e| e.0 == line(20)));
+            prop_assert!(holds(&state.wcbs[1], 21) && holds(&state.wcbs[2], 21));
+            prop_assert!(state.dirty[3].iter().any(|e| e.0 == line(23)));
+            let persist_all = state.landed(CrashSpec::PersistAll);
+            prop_assert!(persist_all.contains(&(line(22), [0; 64])));
+            prop_assert!(persist_all.iter().all(|(l, _)| *l != line(23)));
+            prop_assert_eq!(state.landed(CrashSpec::DropVolatile), Vec::new());
+
+            let base = reference(&state, CrashSpec::DropVolatile);
+            let seeds = (1..=64).map(|seed| CrashSpec::Adversarial { seed });
+            for spec in [CrashSpec::DropVolatile, CrashSpec::PersistAll].into_iter().chain(seeds) {
+                let want = reference(&state, spec);
+                let landed = state.landed(spec);
+                prop_assert_eq!(&state.materialize(spec), &want, "{:?}", spec);
+                prop_assert!(landed.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", spec);
+                prop_assert!(
+                    landed.iter().all(|(l, d)| state.durable.line(*l) != Some(d)),
+                    "{:?} lands a line the durable image already holds", spec
+                );
+                let lines: Vec<Line> = landed.iter().map(|(l, _)| *l).collect();
+                prop_assert_eq!(lines, diff_lines(&want, &base), "{:?}", spec);
+            }
+        }
     }
 }

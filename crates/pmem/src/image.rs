@@ -57,6 +57,12 @@ impl PmImage {
         self.lines.len()
     }
 
+    /// One line's bytes, `None` if the line was never written (it
+    /// reads as zeros).
+    pub fn line(&self, line: Line) -> Option<&[u8; LINE_SIZE as usize]> {
+        self.lines.get(&line)
+    }
+
     /// Overwrite one whole line (used by crash models to splice in
     /// maybe-persisted in-flight writes).
     pub fn set_line(&mut self, line: Line, data: [u8; LINE_SIZE as usize]) {
@@ -75,16 +81,6 @@ impl PmImage {
             dst += n;
         }
         out
-    }
-
-    /// Lines present in `self` but absent or different in `other`.
-    /// Useful in tests for asserting exactly what a crash lost.
-    pub fn diff_lines(&self, other: &PmImage) -> Vec<Line> {
-        self.lines
-            .iter()
-            .filter(|(l, d)| other.lines.get(l) != Some(*d))
-            .map(|(l, _)| *l)
-            .collect()
     }
 }
 
@@ -116,15 +112,8 @@ mod tests {
         data[5] = 9;
         img.set_line(Line(2), data);
         assert_eq!(img.read_vec(128 + 5, 1), vec![9]);
-    }
-
-    #[test]
-    fn diff_lines_finds_changes() {
-        let mut a = PmImage::empty(AddrRange::new(0, 4096));
-        let b = PmImage::empty(AddrRange::new(0, 4096));
-        a.set_line(Line(1), [1; 64]);
-        assert_eq!(a.diff_lines(&b), vec![Line(1)]);
-        assert!(b.diff_lines(&a).is_empty());
+        assert_eq!(img.line(Line(2)), Some(&data));
+        assert_eq!(img.line(Line(3)), None);
     }
 
     #[test]

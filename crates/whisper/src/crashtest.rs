@@ -9,7 +9,8 @@
 //! captured point is then materialized under the whole crash-spec
 //! lattice — [`CrashSpec::DropVolatile`], [`CrashSpec::PersistAll`],
 //! and M adversarial persist-subsets — and the application's *recovery
-//! oracle* is run against every resulting PM image.
+//! oracle* judges every resulting PM image (each distinct image once;
+//! see below).
 //!
 //! # The oracle contract
 //!
@@ -28,6 +29,15 @@
 //!   wholly absent, wholly applied, or at a transaction boundary in
 //!   between — never torn;
 //! * structural invariants of the persistent data structures hold.
+//!
+//! An oracle is a deterministic function of `(image, progress)`: it
+//! reboots a fresh machine from the image and holds no state across
+//! calls. The campaign relies on this — specs whose
+//! [`CrashState::landed`] sets are equal produce the same image, so
+//! each distinct image at a point is rebooted and judged once and the
+//! verdict is reported under every spec that produced it. At
+//! fence-granular points most apps have nothing in flight and all ten
+//! specs of a point share one image.
 //!
 //! # Crash-point granularity
 //!
@@ -60,7 +70,8 @@ use pmtrace::{Category, Event, EventKind, Tid, TraceBuffer};
 /// A recovery oracle: given a materialized crash image and the
 /// `note_progress` value at the capture point, re-open the app's state
 /// and verify the contract above. `Err` carries a human-readable
-/// description of the violated invariant.
+/// description of the violated invariant. Must be a pure function of
+/// its arguments (see the module docs).
 pub type Oracle = Box<dyn Fn(&PmImage, u64) -> Result<(), String> + Send + Sync>;
 
 /// One app's crash workload outcome: the states captured at the swept
@@ -186,7 +197,7 @@ impl CampaignConfig {
 }
 
 /// One oracle rejection: which point, which spec, what went wrong.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashFailure {
     /// Fence ordinal of the crash point.
     pub at: u64,
@@ -199,7 +210,7 @@ pub struct CrashFailure {
 }
 
 /// One Table 1 row's campaign outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppCrashReport {
     /// Table 1 name.
     pub name: &'static str,
@@ -209,7 +220,7 @@ pub struct AppCrashReport {
     pub fence_events: u64,
     /// The swept crash points (1-based fence ordinals).
     pub points: Vec<u64>,
-    /// Images materialized and judged (`points × specs`).
+    /// Images judged (`points × specs`, however many are distinct).
     pub images: usize,
     /// Every oracle rejection (empty on a clean row).
     pub failures: Vec<CrashFailure>,
@@ -244,8 +255,10 @@ pub(crate) fn spec_name(spec: CrashSpec) -> String {
     }
 }
 
-/// Judge a captured run: materialize every point × spec image and run
-/// the oracle over each.
+/// Judge a captured run: every point × spec image, each distinct image
+/// rebooted and run through the oracle once. Specs that land the same
+/// lines produce the same image, and the oracle is a pure function of
+/// `(image, progress)`, so a group's verdict is every member's.
 fn judge(
     name: &'static str,
     points: Vec<u64>,
@@ -253,23 +266,36 @@ fn judge(
     cfg: &CampaignConfig,
 ) -> AppCrashReport {
     debug_assert_eq!(run.states.len(), points.len());
+    let specs = specs(cfg.adversarial_seeds);
     let mut images = 0usize;
+    let mut distinct = 0usize;
     let mut failures = Vec::new();
     for state in &run.states {
-        for spec in specs(cfg.adversarial_seeds) {
-            let img = state.materialize(spec);
+        let mut verdicts: Vec<(Vec<_>, Result<(), String>)> = Vec::new();
+        for &spec in &specs {
+            let landed = state.landed(spec);
+            let i = match verdicts.iter().position(|(seen, _)| *seen == landed) {
+                Some(i) => i,
+                None => {
+                    let verdict = (run.oracle)(&state.image_with(&landed), state.progress());
+                    verdicts.push((landed, verdict));
+                    verdicts.len() - 1
+                }
+            };
             images += 1;
-            if let Err(error) = (run.oracle)(&img, state.progress()) {
+            if let Err(error) = &verdicts[i].1 {
                 failures.push(CrashFailure {
                     at: state.at(),
                     progress: state.progress(),
                     spec: spec_name(spec),
-                    error,
+                    error: error.clone(),
                 });
             }
         }
+        distinct += verdicts.len();
     }
     pmobs::count!("crash.images", images as u64);
+    pmobs::count!("crash.distinct_images", distinct as u64);
     pmobs::count!("crash.failures", failures.len() as u64);
     AppCrashReport {
         name,
@@ -281,16 +307,22 @@ fn judge(
     }
 }
 
-/// Run one row: probe for the fence total, re-run with the spread
-/// points armed, then judge every point × spec image.
-fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrashReport {
-    let _span = pmobs::span!("crash.row", app.name);
-    let probe = app.crash(&Arm::default());
-    let points = spread_points(probe.total_events, cfg.points);
+/// Probe a row for its fence total, then re-run it with `cfg.points`
+/// crash points spread across that range armed.
+fn capture(app: &App, cfg: &CampaignConfig) -> (Vec<u64>, CrashRun) {
+    let points = spread_points(app.crash(&Arm::default()).total_events, cfg.points);
     let run = app.crash(&Arm {
         points: &points,
         ..Arm::default()
     });
+    (points, run)
+}
+
+/// Run one row: capture its crash points, then judge every point ×
+/// spec image.
+fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrashReport {
+    let _span = pmobs::span!("crash.row", app.name);
+    let (points, run) = capture(app, cfg);
     judge(app.name, points, &run, cfg)
 }
 
@@ -489,6 +521,9 @@ pub fn crash_json(reports: &[AppCrashReport], cfg: &CampaignConfig) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmem::Line;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn spread_points_covers_the_range() {
@@ -565,6 +600,185 @@ mod tests {
         assert!(opt.report.failures.is_empty(), "{:?}", opt.report.failures);
         // Elided fences shrink the sweepable crash range.
         assert!(opt.report.fence_events < opt.baseline_fences);
+    }
+
+    /// Wrap `run`'s oracle in a call counter.
+    fn counted(mut run: CrashRun) -> (CrashRun, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let inner = std::mem::replace(&mut run.oracle, Box::new(|_, _| Ok(())));
+        run.oracle = Box::new(move |img, progress| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            inner(img, progress)
+        });
+        (run, calls)
+    }
+
+    /// The judge without reuse: materialize every point × spec image
+    /// and run the oracle on each.
+    fn judge_every_image(
+        name: &'static str,
+        points: Vec<u64>,
+        run: &CrashRun,
+        cfg: &CampaignConfig,
+    ) -> AppCrashReport {
+        let mut images = 0;
+        let mut failures = Vec::new();
+        for state in &run.states {
+            for spec in specs(cfg.adversarial_seeds) {
+                images += 1;
+                if let Err(error) = (run.oracle)(&state.materialize(spec), state.progress()) {
+                    failures.push(CrashFailure {
+                        at: state.at(),
+                        progress: state.progress(),
+                        spec: spec_name(spec),
+                        error,
+                    });
+                }
+            }
+        }
+        AppCrashReport {
+            name,
+            ops: run.ops,
+            fence_events: run.total_events,
+            points,
+            images,
+            failures,
+        }
+    }
+
+    /// Distinct images per point, compared whole, summed over points.
+    fn distinct_images(run: &CrashRun, cfg: &CampaignConfig) -> usize {
+        run.states
+            .iter()
+            .map(|state| {
+                let mut seen: Vec<PmImage> = Vec::new();
+                for spec in specs(cfg.adversarial_seeds) {
+                    let img = state.materialize(spec);
+                    if !seen.contains(&img) {
+                        seen.push(img);
+                    }
+                }
+                seen.len()
+            })
+            .sum()
+    }
+
+    /// The distinct landed sets of `state` across the spec lattice.
+    fn landed_sets(state: &CrashState, cfg: &CampaignConfig) -> Vec<Vec<(Line, [u8; 64])>> {
+        let mut sets: Vec<_> = specs(cfg.adversarial_seeds)
+            .into_iter()
+            .map(|spec| state.landed(spec))
+            .collect();
+        sets.sort();
+        sets.dedup();
+        sets
+    }
+
+    #[test]
+    fn echo_is_judged_once_per_distinct_landed_set() {
+        // echo is the one row with lines in flight at its fence-granular
+        // points, so its specs do not all share one image.
+        let cfg = CampaignConfig::quick();
+        let (points, run) = capture(&crate::apps::echo::APP, &cfg);
+        let (run, calls) = counted(run);
+        let distinct: usize = run.states.iter().map(|s| landed_sets(s, &cfg).len()).sum();
+        let report = judge("echo", points.clone(), &run, &cfg);
+        assert_eq!(calls.load(Ordering::Relaxed), distinct);
+        assert!(distinct > run.states.len(), "nothing in flight: {distinct}");
+        assert!(distinct < report.images, "no image was shared");
+
+        calls.store(0, Ordering::Relaxed);
+        let reference = judge_every_image("echo", points, &run, &cfg);
+        assert_eq!(calls.load(Ordering::Relaxed), reference.images);
+        assert_eq!(report, reference);
+    }
+
+    #[test]
+    fn a_rejected_image_fails_every_spec_that_lands_it() {
+        // An oracle that rejects one of echo's landed lines: the reused
+        // verdicts must reproduce the per-image failures entry for
+        // entry, in order.
+        let cfg = CampaignConfig::quick();
+        let (points, mut run) = capture(&crate::apps::echo::APP, &cfg);
+        let (line, data) = run
+            .states
+            .iter()
+            .find_map(|state| state.landed(CrashSpec::PersistAll).first().copied())
+            .expect("echo has a line in flight");
+        run.oracle = Box::new(move |img, progress| {
+            if img.line(line) == Some(&data) {
+                Err(format!("line {} landed at progress {progress}", line.0))
+            } else {
+                Ok(())
+            }
+        });
+        let report = judge("echo", points.clone(), &run, &cfg);
+        let reference = judge_every_image("echo", points, &run, &cfg);
+        assert!(!report.failures.is_empty());
+        assert!(report.failures.len() < report.images);
+        assert_eq!(report, reference);
+    }
+
+    #[test]
+    fn specs_share_a_verdict_only_when_they_land_the_same_lines() {
+        // Three lines in flight at one point: adversarial seeds land
+        // different sets of the same size, which must not share a
+        // verdict. The oracle rejects every image where line 0 landed.
+        let mut m = Machine::new(memsim::MachineConfig::tiny_for_tests());
+        let base = m.config().map.pm.base;
+        m.set_crash_plan(CrashPlan::at_points(CrashCounter::Stores, vec![3]));
+        for i in 0..3u8 {
+            m.store(
+                Tid(0),
+                base + u64::from(i) * 64,
+                &[i + 1; 8],
+                Category::UserData,
+            );
+        }
+        let first = Line::containing(base);
+        let oracle: Oracle = Box::new(move |img, _| match img.line(first) {
+            Some(_) => Err("line 0 landed".into()),
+            None => Ok(()),
+        });
+        let (run, calls) = counted(harvest(m, 3, oracle));
+        let cfg = CampaignConfig::quick();
+        let sets = landed_sets(&run.states[0], &cfg);
+        let mut sizes: Vec<usize> = sets.iter().map(Vec::len).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        assert!(sizes.len() < sets.len(), "no two landed sets of one size");
+
+        let report = judge("three-lines", vec![3], &run, &cfg);
+        assert_eq!(calls.load(Ordering::Relaxed), sets.len());
+        assert!(!report.failures.is_empty());
+        assert!(report.failures.len() < report.images);
+        assert_eq!(
+            report,
+            judge_every_image("three-lines", vec![3], &run, &cfg)
+        );
+    }
+
+    #[test]
+    fn every_row_runs_its_oracle_once_per_distinct_image() {
+        let cfg = CampaignConfig::quick();
+        for app in &APPS {
+            let (points, run) = capture(app, &cfg);
+            let (run, calls) = counted(run);
+            let report = judge(app.name, points, &run, &cfg);
+            assert!(
+                report.failures.is_empty(),
+                "{}: {:?}",
+                app.name,
+                report.failures
+            );
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                distinct_images(&run, &cfg),
+                "{}",
+                app.name
+            );
+        }
     }
 
     #[test]

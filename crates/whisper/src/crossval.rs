@@ -10,12 +10,14 @@
 //! * **Soundness gate** — for every Table 1 row, re-run the crash
 //!   workload traced, ask [`pmcheck::hb::durable_lines_at_fences`]
 //!   which lines are *spec-invariant durable* at each swept crash
-//!   point, and materialize every point under the whole crash-spec
-//!   lattice. No materialized image may disagree with the
-//!   `DropVolatile` reference on a proven line: such an image would
-//!   exhibit a state the HB analysis declares order-impossible, i.e.
-//!   either the analysis over-claims or the trace/machine fence
-//!   ordinals have drifted apart.
+//!   point, and judge every point under the whole crash-spec lattice.
+//!   No image may disagree with the `DropVolatile` reference on a
+//!   proven line: such an image would exhibit a state the HB analysis
+//!   declares order-impossible, i.e. either the analysis over-claims
+//!   or the trace/machine fence ordinals have drifted apart. The
+//!   reference lands no in-flight line, so a spec's image departs from
+//!   it exactly on the lines [`memsim::CrashState::landed`] returns:
+//!   the check is `landed ∩ proven = ∅`, and no image is built.
 //!
 //! * **Positive control** — a deliberately seeded `P-EPOCH-RACE`
 //!   (two happens-before-concurrent persists of one line) must do
@@ -55,7 +57,7 @@ pub struct AppCrossval {
     pub name: &'static str,
     /// The swept crash points (1-based fence ordinals).
     pub points: Vec<u64>,
-    /// Images materialized and compared (`points × specs`).
+    /// Images compared (`points × specs`).
     pub images: usize,
     /// Per point, how many lines the HB analysis proved
     /// spec-invariant durable (the teeth of the gate).
@@ -211,8 +213,8 @@ impl CrossvalReport {
 }
 
 /// Cross-validate one campaign row: traced capture run, HB durability
-/// proof at the swept points, then every point × spec image compared
-/// against its `DropVolatile` reference on the proven lines.
+/// proof at the swept points, then every point × spec's landed lines
+/// checked against the proven ones.
 fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrossval {
     let _span = pmobs::span!("crossval.row", app.name);
     let probe = app.crash(&Arm::default());
@@ -227,13 +229,15 @@ fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrossval {
     let mut images = 0usize;
     let mut violations = Vec::new();
     for (state, proven_here) in run.states.iter().zip(&proven) {
-        let reference = state.materialize(CrashSpec::DropVolatile);
         for spec in specs(cfg.adversarial_seeds) {
-            let img = state.materialize(spec);
             images += 1;
-            let flipped: Vec<u64> = img
-                .diff_lines(&reference)
+            // The DropVolatile reference lands nothing, so the lines
+            // where a spec's image departs from it are exactly the
+            // lines it lands — no image needs building.
+            let flipped: Vec<u64> = state
+                .landed(spec)
                 .into_iter()
+                .map(|(l, _)| l)
                 .filter(|l| proven_here.binary_search(l).is_ok())
                 .map(|l| l.0)
                 .collect();
@@ -293,11 +297,14 @@ pub fn positive_control(seeds: u64) -> ControlReport {
 
     let states = m.take_crash_states();
     let state = states.first().expect("crash point 1 captured");
-    let mut values: Vec<Vec<u8>> = (1..=seeds)
+    // What the racing line lands as under each seed; `None` keeps its
+    // durable bytes, and a landed value always differs from those.
+    let mut values: Vec<Option<[u8; 64]>> = (1..=seeds)
         .map(|seed| {
             state
-                .materialize(CrashSpec::Adversarial { seed })
-                .read_vec(line.base(), 8)
+                .landed(CrashSpec::Adversarial { seed })
+                .into_iter()
+                .find_map(|(l, data)| (l == line).then_some(data))
         })
         .collect();
     values.sort();
