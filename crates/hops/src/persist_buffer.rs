@@ -641,6 +641,26 @@ mod tests {
         s.dfence(0).unwrap();
         assert_eq!(s.durable_u64(0x40), 4);
         assert_eq!(s.media_writes(), 2, "coalescing saved two media writes");
+
+        // The coalescing ablation: 64 epochs, each storing 4 times to a
+        // hot counter line and to a line of its own, drain 512 media
+        // writes plainly and 128 coalesced.
+        for (coalesce, writes) in [(false, 512), (true, 128)] {
+            let cfg = HopsConfig {
+                coalesce,
+                ..HopsConfig::default()
+            };
+            let mut s = HopsSystem::new(cfg, AddrRange::new(0, 1 << 20), 1);
+            for e in 0..64u64 {
+                for _ in 0..4 {
+                    s.store(0, 0x40, &e.to_le_bytes()).unwrap();
+                    s.store(0, 0x80 + e * 64, &e.to_le_bytes()).unwrap();
+                }
+                s.ofence(0).unwrap();
+            }
+            s.dfence(0).unwrap();
+            assert_eq!(s.media_writes(), writes, "coalesce: {coalesce}");
+        }
     }
 
     #[test]

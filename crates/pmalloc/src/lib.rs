@@ -139,3 +139,38 @@ pub struct AllocStats {
     /// Block coalesces/merges.
     pub merges: u64,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use memsim::MachineConfig;
+    use pmtrace::analysis::Analyzer;
+    use pmtrace::{Category, Tid};
+
+    /// Consequence 8's allocator ablation: epochs and metadata bytes
+    /// for 64 cycles of a 96-byte alloc and its free, per design.
+    #[test]
+    fn allocator_designs_cost_per_alloc_free_cycle() {
+        fn cycle<A: PmAllocator>(
+            format: impl FnOnce(&mut Machine, &mut PmWriter, AddrRange) -> A,
+        ) -> (usize, u64) {
+            let mut m = Machine::new(MachineConfig::asplos17());
+            let mut w = PmWriter::new(Tid(0));
+            let region = AddrRange::new(m.config().map.pm.base, 16 << 20);
+            let mut a = format(&mut m, &mut w, region);
+            m.trace_mut().clear();
+            for _ in 0..64 {
+                let p = a.alloc(&mut m, &mut w, 96).unwrap();
+                a.free(&mut m, &mut w, p).unwrap();
+            }
+            let report = Analyzer::analyze_events(m.trace().events());
+            (
+                report.epoch_count,
+                report.amplification.bytes(Category::AllocMeta),
+            )
+        }
+        assert_eq!(cycle(SlabBitmapAlloc::format), (129, 392));
+        assert_eq!(cycle(SingleHeapAlloc::format), (256, 3328));
+        assert_eq!(cycle(BuddyAlloc::format), (271, 414));
+    }
+}

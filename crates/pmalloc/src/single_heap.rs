@@ -396,8 +396,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.state_of(p), Some(BlockState::Persistent));
         // The state writes hit the same header line in distinct epochs:
-        let epochs = pmtrace::analysis::split_epochs(m.trace().events());
-        let deps = pmtrace::analysis::dependencies(&epochs);
+        let deps = pmtrace::analysis::Analyzer::analyze_events(m.trace().events()).deps;
         assert!(deps.self_dep_epochs >= 1, "state flips cause self-deps");
     }
 

@@ -1068,8 +1068,8 @@ mod tests {
         for i in 0..16u64 {
             fs.append(&mut m, TID, "/amp", &[i as u8; 4096]).unwrap();
         }
-        let epochs = pmtrace::analysis::split_epochs(m.trace().events());
-        let amp = pmtrace::analysis::amplification(&epochs)
+        let amp = pmtrace::analysis::Analyzer::analyze_events(m.trace().events())
+            .amplification
             .amplification()
             .unwrap();
         assert!(

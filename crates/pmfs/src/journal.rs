@@ -308,8 +308,7 @@ mod tests {
             j.end_op(&mut m, &mut w);
             m.advance_ns(500_000); // a slow, MySQL-like op rate
         }
-        let epochs = pmtrace::analysis::split_epochs(m.trace().events());
-        let deps = pmtrace::analysis::dependencies(&epochs);
+        let deps = pmtrace::analysis::Analyzer::analyze_events(m.trace().events()).deps;
         assert!(
             deps.self_fraction() < 0.45,
             "paced PMFS ops should have few self-deps, got {}",

@@ -17,7 +17,7 @@ pub struct AmplificationReport {
 }
 
 impl AmplificationReport {
-    /// Account one epoch (the streaming form of [`amplification`]).
+    /// Account one epoch.
     pub fn push(&mut self, e: &Epoch) {
         for (slot, add) in self.bytes_by_cat.iter_mut().zip(e.bytes_by_cat) {
             *slot += add;
@@ -75,19 +75,10 @@ impl std::fmt::Display for AmplificationReport {
     }
 }
 
-/// Sum category bytes across epochs.
-pub fn amplification<'a>(epochs: impl IntoIterator<Item = &'a Epoch>) -> AmplificationReport {
-    let mut r = AmplificationReport::default();
-    for e in epochs {
-        r.push(e);
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::split_epochs;
+    use crate::analysis::Analyzer;
     use crate::{Tid, TraceBuffer};
 
     #[test]
@@ -99,7 +90,7 @@ mod tests {
         t.fence(tid, 2);
         t.pm_store(tid, 0, 400, false, Category::FsMeta, 3);
         t.fence(tid, 4);
-        let r = amplification(&split_epochs(t.events()));
+        let r = Analyzer::analyze_events(t.events()).amplification;
         let a = r.amplification().unwrap();
         assert!((a - 400.0 / 4096.0).abs() < 1e-9);
     }
@@ -112,7 +103,7 @@ mod tests {
         t.pm_store(tid, 64, 60, false, Category::UndoLog, 2);
         t.pm_store(tid, 128, 40, false, Category::AllocMeta, 3);
         t.fence(tid, 4);
-        let r = amplification(&split_epochs(t.events()));
+        let r = Analyzer::analyze_events(t.events()).amplification;
         assert_eq!(r.user_bytes(), 10);
         assert_eq!(r.overhead_bytes(), 100);
         assert!((r.amplification().unwrap() - 10.0).abs() < 1e-9);
@@ -123,7 +114,7 @@ mod tests {
         let mut t = TraceBuffer::new();
         t.pm_store(Tid(0), 0, 8, false, Category::LogMeta, 1);
         t.fence(Tid(0), 2);
-        let r = amplification(&split_epochs(t.events()));
+        let r = Analyzer::analyze_events(t.events()).amplification;
         assert_eq!(r.amplification(), None);
         assert_eq!(r.total_bytes(), 8);
     }

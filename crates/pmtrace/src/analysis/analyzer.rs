@@ -1,24 +1,24 @@
 //! Single-pass streaming trace analysis.
 //!
-//! The suite driver needs every Section-5 statistic for every trace.
-//! Computing them with the per-metric functions walks the epoch vector
-//! seven times (transaction sizes, size histogram, dependencies,
-//! amplification, NT fraction, small-singleton fraction, epoch count);
-//! [`Analyzer`] folds all of them in **one** traversal, and
-//! [`Analyzer::analyze_events`] goes one step further by consuming
-//! epochs as [`for_each_epoch`](super::for_each_epoch) closes them, so
-//! the epoch vector is never materialized at all.
-//!
-//! The per-metric functions remain as thin wrappers over the same
-//! accumulators, so results are identical by construction.
+//! The suite driver needs every Section-5 statistic for every trace:
+//! transaction sizes, size histogram, dependencies, amplification, NT
+//! fraction, small-singleton fraction and epoch count. [`Analyzer`]
+//! folds all of them in **one** traversal — each through its own
+//! accumulator ([`TxStatsBuilder`], [`EpochSizeHistogram`],
+//! [`DepTracker`], [`AmplificationReport`]) — and
+//! [`Analyzer::analyze_events`] consumes epochs as
+//! [`for_each_epoch`](super::for_each_epoch) closes them, so the epoch
+//! vector is never materialized at all. It is the one way to compute
+//! these statistics; [`Analyzer::analyze_epochs`] folds epochs a caller
+//! already holds.
 
 use super::{
     AmplificationReport, DepStats, DepTracker, Epoch, EpochSizeHistogram, TxStats, TxStatsBuilder,
 };
 use crate::event::Event;
 
-/// Everything the single pass produces — one field per legacy
-/// per-metric function, plus the epoch count.
+/// Everything the single pass produces — one field per Section-5
+/// statistic, plus the epoch count.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Total epochs in the trace.
@@ -128,10 +128,7 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{
-        amplification, dependencies, epoch_size_histogram, nt_fraction, small_singleton_fraction,
-        split_epochs, tx_stats,
-    };
+    use crate::analysis::{nt_fraction, small_singleton_fraction, split_epochs};
     use crate::{Category, Tid, TraceBuffer};
 
     /// A trace exercising every statistic: transactions, NT stores,
@@ -203,45 +200,47 @@ mod tests {
         assert_eq!((epochs[2].index, epochs[2].tx), (1, None));
     }
 
+    /// The single pass against the definitions that do not go through
+    /// it: the collected epochs (each holding its lines strictly
+    /// ascending) and the two fraction functions.
     #[test]
     fn single_pass_matches_legacy_functions() {
         for events in [busy_trace(), awkward_trace()] {
-            single_pass_matches_legacy_functions_on(&events);
+            let epochs = split_epochs(&events);
+            assert!(epochs
+                .iter()
+                .all(|e| e.lines.windows(2).all(|w| w[0] < w[1])));
+            let report = Analyzer::analyze_events(&events);
+            assert_eq!(report.epoch_count, epochs.len());
+            assert_eq!(report.nt_fraction, nt_fraction(&epochs));
+            assert_eq!(
+                report.small_singleton_fraction,
+                small_singleton_fraction(&epochs)
+            );
         }
     }
 
-    fn single_pass_matches_legacy_functions_on(events: &[Event]) {
-        let epochs = split_epochs(events);
-        let report = Analyzer::analyze_events(events);
-
-        assert_eq!(report.epoch_count, epochs.len());
-        assert_eq!(
-            report.tx_stats.epochs_per_tx,
-            tx_stats(&epochs).epochs_per_tx
-        );
-        assert_eq!(report.size_hist, epoch_size_histogram(&epochs));
-        assert_eq!(report.deps, dependencies(&epochs));
-        assert_eq!(report.amplification, amplification(&epochs));
-        assert_eq!(report.nt_fraction, nt_fraction(&epochs));
-        assert_eq!(
-            report.small_singleton_fraction,
-            small_singleton_fraction(&epochs)
-        );
-    }
-
+    /// Streaming the events and folding the collected epochs agree on
+    /// every field.
     #[test]
     fn analyze_epochs_equals_analyze_events() {
-        let events = busy_trace();
-        let epochs = split_epochs(&events);
-        let from_epochs = Analyzer::analyze_epochs(&epochs);
-        let from_events = Analyzer::analyze_events(&events);
-        assert_eq!(from_epochs.epoch_count, from_events.epoch_count);
-        assert_eq!(from_epochs.deps, from_events.deps);
-        assert_eq!(from_epochs.size_hist, from_events.size_hist);
-        assert_eq!(
-            from_epochs.tx_stats.epochs_per_tx,
-            from_events.tx_stats.epochs_per_tx
-        );
+        for events in [busy_trace(), awkward_trace()] {
+            let from_events = Analyzer::analyze_events(&events);
+            let from_epochs = Analyzer::analyze_epochs(&split_epochs(&events));
+            assert_eq!(from_epochs.epoch_count, from_events.epoch_count);
+            assert_eq!(
+                from_epochs.tx_stats.epochs_per_tx,
+                from_events.tx_stats.epochs_per_tx
+            );
+            assert_eq!(from_epochs.size_hist, from_events.size_hist);
+            assert_eq!(from_epochs.deps, from_events.deps);
+            assert_eq!(from_epochs.amplification, from_events.amplification);
+            assert_eq!(from_epochs.nt_fraction, from_events.nt_fraction);
+            assert_eq!(
+                from_epochs.small_singleton_fraction,
+                from_events.small_singleton_fraction
+            );
+        }
     }
 
     #[test]

@@ -49,8 +49,9 @@ impl DepStats {
     }
 }
 
-/// Streaming accumulator behind [`dependencies`]: feed epochs in
-/// global execution order, then read [`stats`](DepTracker::stats).
+/// Figure 5's accumulator: feed epochs in global execution order (as
+/// [`super::for_each_epoch`] lends them from a time-ordered trace),
+/// then read [`stats`](DepTracker::stats).
 #[derive(Debug, Default)]
 pub struct DepTracker {
     // line -> (thread of last writer epoch, its end time). Hashed, not
@@ -95,22 +96,10 @@ impl DepTracker {
     }
 }
 
-/// Find WAW dependencies between epochs.
-///
-/// `epochs` must be in global execution order (as produced by
-/// [`super::split_epochs`] from a time-ordered trace).
-pub fn dependencies(epochs: &[Epoch]) -> DepStats {
-    let mut t = DepTracker::default();
-    for e in epochs {
-        t.push(e);
-    }
-    t.stats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::split_epochs;
+    use crate::analysis::Analyzer;
     use crate::{Category, TraceBuffer};
 
     #[test]
@@ -121,7 +110,7 @@ mod tests {
         t.fence(tid, 2);
         t.pm_store(tid, 0, 8, false, Category::UserData, 3); // same line, same thread
         t.fence(tid, 4);
-        let s = dependencies(&split_epochs(t.events()));
+        let s = Analyzer::analyze_events(t.events()).deps;
         assert_eq!(s.total_epochs, 2);
         assert_eq!(s.self_dep_epochs, 1);
         assert_eq!(s.cross_dep_epochs, 0);
@@ -135,7 +124,7 @@ mod tests {
         t.fence(Tid(0), 2);
         t.pm_store(Tid(1), 0, 8, false, Category::UserData, 3);
         t.fence(Tid(1), 4);
-        let s = dependencies(&split_epochs(t.events()));
+        let s = Analyzer::analyze_events(t.events()).deps;
         assert_eq!(s.cross_dep_epochs, 1);
         assert_eq!(s.self_dep_epochs, 0);
     }
@@ -149,7 +138,7 @@ mod tests {
         // More than 50 µs later:
         t.pm_store(tid, 0, 8, false, Category::UserData, 2 + DEP_WINDOW_NS + 1);
         t.fence(tid, 2 + DEP_WINDOW_NS + 2);
-        let s = dependencies(&split_epochs(t.events()));
+        let s = Analyzer::analyze_events(t.events()).deps;
         assert_eq!(s.self_dep_epochs, 0);
     }
 
@@ -161,7 +150,7 @@ mod tests {
         t.fence(tid, 2);
         t.pm_store(tid, 0, 8, false, Category::UserData, 2 + DEP_WINDOW_NS);
         t.fence(tid, 3 + DEP_WINDOW_NS);
-        let s = dependencies(&split_epochs(t.events()));
+        let s = Analyzer::analyze_events(t.events()).deps;
         assert_eq!(s.self_dep_epochs, 1);
     }
 
@@ -173,7 +162,7 @@ mod tests {
         t.fence(tid, 2);
         t.pm_store(tid, 64, 8, false, Category::UserData, 3);
         t.fence(tid, 4);
-        let s = dependencies(&split_epochs(t.events()));
+        let s = Analyzer::analyze_events(t.events()).deps;
         assert_eq!(s.self_dep_epochs, 0);
         assert_eq!(s.cross_dep_epochs, 0);
     }
@@ -186,7 +175,7 @@ mod tests {
         t.fence(tid, 2);
         t.pm_store(tid, 0, 128, false, Category::UserData, 3); // same 2 lines
         t.fence(tid, 4);
-        let s = dependencies(&split_epochs(t.events()));
+        let s = Analyzer::analyze_events(t.events()).deps;
         assert_eq!(s.self_dep_epochs, 1);
     }
 
@@ -202,14 +191,14 @@ mod tests {
         t.pm_store(Tid(0), 0, 8, false, Category::UserData, 5);
         t.pm_store(Tid(0), 64, 8, false, Category::UserData, 6);
         t.fence(Tid(0), 7);
-        let s = dependencies(&split_epochs(t.events()));
+        let s = Analyzer::analyze_events(t.events()).deps;
         assert_eq!(s.self_dep_epochs, 1);
         assert_eq!(s.cross_dep_epochs, 1);
     }
 
     #[test]
     fn empty_fractions_are_zero() {
-        let s = dependencies(&[]);
+        let s = Analyzer::analyze_events(&[]).deps;
         assert_eq!(s.self_fraction(), 0.0);
         assert_eq!(s.cross_fraction(), 0.0);
     }

@@ -53,8 +53,7 @@ impl EpochSizeHistogram {
         self.fraction(0)
     }
 
-    /// Account one epoch (the streaming form of
-    /// [`epoch_size_histogram`]).
+    /// Account one epoch.
     pub fn push(&mut self, e: &Epoch) {
         self.buckets[EpochSizeHistogram::bucket_for(e.unique_lines())] += 1;
     }
@@ -78,19 +77,10 @@ impl std::fmt::Display for EpochSizeHistogram {
     }
 }
 
-/// Build the Figure 4 histogram from a set of epochs.
-pub fn epoch_size_histogram<'a>(epochs: impl IntoIterator<Item = &'a Epoch>) -> EpochSizeHistogram {
-    let mut h = EpochSizeHistogram::default();
-    for e in epochs {
-        h.push(e);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::split_epochs;
+    use crate::analysis::Analyzer;
     use crate::{Category, Tid, TraceBuffer};
 
     #[test]
@@ -118,7 +108,7 @@ mod tests {
         // 64-line epoch: a PMFS-style 4 KB block write
         t.pm_store(Tid(0), 4096, 4096, true, Category::UserData, 3);
         t.fence(Tid(0), 4);
-        let h = epoch_size_histogram(&split_epochs(t.events()));
+        let h = Analyzer::analyze_events(t.events()).size_hist;
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.buckets[6], 1);
         assert_eq!(h.total(), 2);

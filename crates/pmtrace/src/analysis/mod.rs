@@ -20,11 +20,11 @@ mod deps;
 mod histogram;
 mod txstats;
 
-pub use amplify::{amplification, AmplificationReport};
+pub use amplify::AmplificationReport;
 pub use analyzer::{Analyzer, TraceReport};
-pub use deps::{dependencies, DepStats, DepTracker, DEP_WINDOW_NS};
-pub use histogram::{epoch_size_histogram, EpochSizeHistogram, SIZE_BUCKET_LABELS};
-pub use txstats::{tx_stats, TxStats, TxStatsBuilder};
+pub use deps::{DepStats, DepTracker, DEP_WINDOW_NS};
+pub use histogram::{EpochSizeHistogram, SIZE_BUCKET_LABELS};
+pub use txstats::{TxStats, TxStatsBuilder};
 
 use crate::event::{Category, Event, EventKind, Tid, TxId};
 use pmem::{lines_spanning, Line};
@@ -146,7 +146,7 @@ struct ThreadWalk {
 
 /// Walk a globally-ordered event stream and lend each closed epoch to
 /// `sink`, in fence-close (global execution) order — the order
-/// [`dependencies`] requires. The epoch is recycled when `sink`
+/// [`DepTracker`] requires. The epoch is recycled when `sink`
 /// returns; a sink that keeps it clones it (as [`split_epochs`] does).
 ///
 /// Fences that close an empty epoch (no stores since the previous

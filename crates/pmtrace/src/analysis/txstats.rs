@@ -45,8 +45,8 @@ impl TxStats {
     }
 }
 
-/// Streaming accumulator behind [`tx_stats`]: feed epochs one at a
-/// time, then [`finish`](TxStatsBuilder::finish).
+/// Figure 3's accumulator: feed epochs one at a time, then
+/// [`finish`](TxStatsBuilder::finish).
 #[derive(Debug, Default)]
 pub struct TxStatsBuilder {
     per_tx: FxHashMap<(Tid, TxId), u64>,
@@ -72,20 +72,10 @@ impl TxStatsBuilder {
     }
 }
 
-/// Count epochs per transaction from a set of epochs. Epochs outside any
-/// transaction are ignored, as in the paper's transaction-size figure.
-pub fn tx_stats<'a>(epochs: impl IntoIterator<Item = &'a Epoch>) -> TxStats {
-    let mut b = TxStatsBuilder::default();
-    for e in epochs {
-        b.push(e);
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::split_epochs;
+    use crate::analysis::Analyzer;
     use crate::{Category, TraceBuffer};
 
     #[test]
@@ -101,7 +91,7 @@ mod tests {
         // An epoch outside any transaction:
         t.pm_store(tid, 640, 8, false, Category::UserData, 11);
         t.fence(tid, 12);
-        let stats = tx_stats(&split_epochs(t.events()));
+        let stats = Analyzer::analyze_events(t.events()).tx_stats;
         assert_eq!(stats.tx_count(), 1);
         assert_eq!(stats.epochs_per_tx, vec![3]);
         assert_eq!(stats.median(), Some(3));
@@ -144,7 +134,7 @@ mod tests {
             t.fence(tid, 2);
             t.tx_end(tid, 7, 3);
         }
-        let stats = tx_stats(&split_epochs(t.events()));
+        let stats = Analyzer::analyze_events(t.events()).tx_stats;
         assert_eq!(stats.tx_count(), 2);
         assert_eq!(stats.mean(), Some(1.0));
     }

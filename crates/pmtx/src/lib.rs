@@ -69,8 +69,9 @@ pub use undo::UndoTxEngine;
 /// clear each log entry in its own epoch", a major source of singleton
 /// epochs, and suggests the fix: "this could be avoided without
 /// compromising crash consistency by processing or clearing log
-/// entries in a batch." Both engines support either policy so the
-/// ablation benches can quantify the difference.
+/// entries in a batch." Both engines support either policy; for an
+/// 8-write undo transaction batching cuts 20 epochs to 13 (pinned by
+/// the undo engine's `alternating_epoch_fragmentation` test).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClearPolicy {
     /// One epoch per cleared entry — the behavior the paper measured.

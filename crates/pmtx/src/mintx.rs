@@ -346,7 +346,9 @@ mod tests {
 
     #[test]
     fn exactly_three_epochs_regardless_of_size() {
-        for writes in [1usize, 4, 16] {
+        // 8 writes is the logging ablation's transaction (undo 20
+        // epochs, redo 19, batched undo 13).
+        for writes in [1usize, 4, 8, 16] {
             let (mut m, mut eng, data) = setup();
             let tid = Tid(0);
             m.trace_mut().clear();

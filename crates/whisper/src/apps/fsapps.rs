@@ -633,13 +633,11 @@ pub fn mysql(txs: usize, seed: u64) -> AppRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmtrace::analysis;
+    use pmtrace::analysis::{self, Analyzer};
 
     #[test]
     fn nfs_runs_with_large_epochs() {
-        let run = nfs(150, 21);
-        let epochs = analysis::split_epochs(&run.events);
-        let hist = analysis::epoch_size_histogram(&epochs);
+        let hist = Analyzer::analyze_events(&nfs(150, 21).events).size_hist;
         // Figure 4: PMFS apps have a ≥64-line mode from 4 KB blocks.
         assert!(hist.buckets[6] > 0, "no 64-line epochs: {hist}");
         assert!(
@@ -652,9 +650,7 @@ mod tests {
     fn nfs_has_cross_dependencies() {
         // Figure 5: NFS shows the most cross-deps (5%) — shared
         // directories, bitmaps, and the journal.
-        let run = nfs(200, 23);
-        let epochs = analysis::split_epochs(&run.events);
-        let deps = analysis::dependencies(&epochs);
+        let deps = Analyzer::analyze_events(&nfs(200, 23).events).deps;
         assert!(deps.cross_dep_epochs > 0, "expected some cross-deps");
     }
 
@@ -686,9 +682,7 @@ mod tests {
     fn mysql_low_self_dependencies() {
         // Figure 5: MySQL has the lowest self-dep share (17.9%) — "few
         // metadata writes" and sub-50µs windows rarely spanned.
-        let run = mysql(60, 27);
-        let epochs = analysis::split_epochs(&run.events);
-        let deps = analysis::dependencies(&epochs);
+        let deps = Analyzer::analyze_events(&mysql(60, 27).events).deps;
         assert!(
             deps.self_fraction() < 0.45,
             "mysql self-dep {} should be the suite's lowest",

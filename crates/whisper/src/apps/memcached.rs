@@ -289,15 +289,14 @@ pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
 mod tests {
     use super::*;
     use memsim::CrashSpec;
-    use pmtrace::analysis;
+    use pmtrace::analysis::{self, Analyzer};
 
     #[test]
     fn transactions_small_and_epochs_singleton_heavy() {
-        let run = run(400, 11);
-        let epochs = analysis::split_epochs(&run.events);
-        let median = analysis::tx_stats(&epochs).median().unwrap();
+        let report = Analyzer::analyze_events(&run(400, 11).events);
+        let median = report.tx_stats.median().unwrap();
         assert!((3..=25).contains(&median), "memcached median {median}");
-        let hist = analysis::epoch_size_histogram(&epochs);
+        let hist = report.size_hist;
         assert!(
             hist.singleton_fraction() > 0.5,
             "singletons {}",
@@ -316,9 +315,7 @@ mod tests {
 
     #[test]
     fn four_workers_share_the_table() {
-        let run = run(400, 11);
-        let epochs = analysis::split_epochs(&run.events);
-        let deps = analysis::dependencies(&epochs);
+        let deps = Analyzer::analyze_events(&run(400, 11).events).deps;
         assert!(
             deps.cross_dep_epochs > 0,
             "scheduler-interleaved workers over one table: cross-deps expected"

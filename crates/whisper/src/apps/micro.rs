@@ -327,21 +327,19 @@ pub fn hashmap(ops: usize, seed: u64) -> AppRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmtrace::analysis;
+    use pmtrace::analysis::Analyzer;
 
     #[test]
     fn ctree_transactions_in_figure3_band() {
-        let run = ctree(300, 4);
-        let epochs = analysis::split_epochs(&run.events);
-        let median = analysis::tx_stats(&epochs).median().unwrap();
+        let report = Analyzer::analyze_events(&ctree(300, 4).events);
+        let median = report.tx_stats.median().unwrap();
         assert!((5..=30).contains(&median), "ctree median {median}");
     }
 
     #[test]
     fn hashmap_transactions_in_figure3_band() {
-        let run = hashmap(300, 4);
-        let epochs = analysis::split_epochs(&run.events);
-        let median = analysis::tx_stats(&epochs).median().unwrap();
+        let report = Analyzer::analyze_events(&hashmap(300, 4).events);
+        let median = report.tx_stats.median().unwrap();
         assert!((5..=30).contains(&median), "hashmap median {median}");
     }
 
@@ -349,8 +347,7 @@ mod tests {
     fn nvml_micros_are_singleton_heavy() {
         // Figure 4: library-based applications average ~75% singletons.
         for run in [ctree(300, 7), hashmap(300, 7)] {
-            let epochs = analysis::split_epochs(&run.events);
-            let hist = analysis::epoch_size_histogram(&epochs);
+            let hist = Analyzer::analyze_events(&run.events).size_hist;
             assert!(
                 hist.singleton_fraction() > 0.55,
                 "{}: singleton fraction {}",
@@ -364,8 +361,7 @@ mod tests {
     fn nvml_micros_self_deps_high() {
         // Figure 5: ctree 79%, hashmap 81%.
         for run in [ctree(300, 9), hashmap(300, 9)] {
-            let epochs = analysis::split_epochs(&run.events);
-            let deps = analysis::dependencies(&epochs);
+            let deps = Analyzer::analyze_events(&run.events).deps;
             assert!(
                 deps.self_fraction() > 0.5,
                 "{}: self-dep {}",

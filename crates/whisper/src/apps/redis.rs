@@ -361,7 +361,7 @@ pub(crate) fn run_inner(ops: usize, seed: u64, paced: bool, workers: u32) -> App
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmtrace::analysis;
+    use pmtrace::analysis::Analyzer;
 
     #[test]
     fn pm_fraction_is_small() {
@@ -378,9 +378,7 @@ mod tests {
         // threads sharing the dictionary and backlog, cross-thread
         // epoch dependencies must now exist (shared bucket heads, the
         // allocation cursor, the queue tail).
-        let run = run(400, 3);
-        let epochs = analysis::split_epochs(&run.events);
-        let deps = analysis::dependencies(&epochs);
+        let deps = Analyzer::analyze_events(&run(400, 3).events).deps;
         assert!(
             deps.self_fraction() > 0.3,
             "self-dep fraction {} too low for an NVML app",
@@ -396,9 +394,7 @@ mod tests {
     fn single_worker_has_no_cross_deps() {
         // `--threads 1` degenerates to the classic single-threaded
         // Redis: every dependency is a self-dependency.
-        let run = run_threads(400, 3, 1);
-        let epochs = analysis::split_epochs(&run.events);
-        let deps = analysis::dependencies(&epochs);
+        let deps = Analyzer::analyze_events(&run_threads(400, 3, 1).events).deps;
         assert_eq!(deps.cross_dep_epochs, 0, "single worker cannot cross");
     }
 

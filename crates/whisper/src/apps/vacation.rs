@@ -516,14 +516,13 @@ pub(crate) fn run_inner(transactions: usize, seed: u64, paced: bool, workers: u3
 mod tests {
     use super::*;
     use memsim::CrashSpec;
-    use pmtrace::analysis;
+    use pmtrace::analysis::Analyzer;
 
     #[test]
     fn transactions_are_small() {
         // Figure 3: Mnemosyne apps have the smallest medians (~4-8).
-        let run = run(300, 6);
-        let epochs = analysis::split_epochs(&run.events);
-        let median = analysis::tx_stats(&epochs).median().unwrap();
+        let report = Analyzer::analyze_events(&run(300, 6).events);
+        let median = report.tx_stats.median().unwrap();
         assert!((3..=15).contains(&median), "vacation median {median}");
     }
 
@@ -536,9 +535,7 @@ mod tests {
 
     #[test]
     fn cross_deps_exist_but_rare() {
-        let run = run(500, 8);
-        let epochs = analysis::split_epochs(&run.events);
-        let deps = analysis::dependencies(&epochs);
+        let deps = Analyzer::analyze_events(&run(500, 8).events).deps;
         assert!(
             deps.cross_dep_epochs > 0,
             "interleaved clients share counters and the journal"

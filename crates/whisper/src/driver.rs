@@ -590,11 +590,9 @@ fn serve_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
         arrival: o.arrival.unwrap_or(base.arrival),
         ..base
     };
-    let (reports, profiles) = if o.on(Profile) {
-        serve::run_serve_profiled(&scfg)
-    } else {
-        (serve::run_serve(&scfg), Vec::new())
-    };
+    // The profiles come out of the same sweep; without `--profile`
+    // they are dropped.
+    let (reports, profiles) = serve::run_serve_profiled(&scfg);
     let mut outcomes = vec![Outcome {
         gate: Serve,
         json: serve::serve_json(&reports, &scfg),

@@ -25,7 +25,7 @@ use crate::suite::AppResult;
 use hops::{replay, HopsConfig, PersistModel, TimingConfig};
 use pmcheck::rewrite::is_elidable;
 use pmobs::Json;
-use pmtrace::analysis::split_epochs;
+use pmtrace::analysis::for_each_epoch;
 use pmtrace::Event;
 
 /// The three mechanisms the optimize section prices, mirroring the
@@ -156,13 +156,16 @@ impl OptimizeReport {
     }
 }
 
+/// Epoch count and mean epoch size (unique lines), in one walk.
 fn mean_epoch_lines(events: &[Event]) -> (usize, f64) {
-    let epochs = split_epochs(events);
-    let n = epochs.len();
+    let (mut n, mut lines) = (0usize, 0usize);
+    for_each_epoch(events, |e| {
+        n += 1;
+        lines += e.unique_lines();
+    });
     if n == 0 {
         return (0, 0.0);
     }
-    let lines: usize = epochs.iter().map(pmtrace::Epoch::unique_lines).sum();
     (n, lines as f64 / n as f64)
 }
 

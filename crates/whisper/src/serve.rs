@@ -272,19 +272,11 @@ pub fn request_bounds(events: &[Event], n: usize) -> Vec<usize> {
     bounds
 }
 
-/// Price a calibration trace's request segments under `model`: the
-/// per-request service time is the growth of the replay makespan across
-/// the segment (floored at 1 ns so a queue can never serve in zero
-/// time).
-pub fn service_times(events: &[Event], bounds: &[usize], model: PersistModel) -> Vec<u64> {
-    service_times_with_stalls(events, bounds, model)
-        .into_iter()
-        .map(|(svc, _)| svc)
-        .collect()
-}
-
-/// Like [`service_times`], but each segment also carries its
-/// ordering-stall share: the growth of the replayer's
+/// Price a calibration trace's request segments under `model`, as
+/// `(service, stall)` pairs. The service time is the growth of the
+/// replay makespan across the segment (floored at 1 ns so a queue can
+/// never serve in zero time); the stall is its ordering-stall share,
+/// the growth of the replayer's
 /// [`stall_total_ns`](Replayer::stall_total_ns) across the segment,
 /// clamped to the service time (the stall sum is over threads while the
 /// makespan is a max, so an unclamped delta could exceed the segment on
@@ -329,17 +321,11 @@ pub fn service_times_with_stalls(
     services
 }
 
-/// Run the serving sweep for one application.
+/// Run the serving sweep for one application, with its phase profile
+/// (see [`crate::profile`]).
 ///
 /// Pure in `(name, scale, seed, shards, arrival)`; `cfg.parallelism`
-/// is never consulted here.
-pub fn serve_app(name: &str, cfg: &ServeConfig) -> AppServe {
-    serve_app_full(name, cfg).0
-}
-
-/// The serving sweep plus its phase profile (see [`crate::profile`]).
-///
-/// The profile derives from the same per-request samples that feed the
+/// is never consulted here. The profile derives from the same per-request samples that feed the
 /// latency histograms, so computing it never changes the [`AppServe`]
 /// half. When tracing is active, the knee point (the last
 /// [`LOAD_FRACTIONS`] entry) of every mechanism also emits one request
@@ -596,15 +582,10 @@ fn simulate_point(
 }
 
 /// Sweep every Table 1 application, fanned out across
-/// `cfg.parallelism` workers on the suite runner's pool. Results are
-/// bit-identical whatever the worker count: each [`serve_app`] is
-/// seeded and self-contained, and rows come back in Table 1 order.
-pub fn run_serve(cfg: &ServeConfig) -> Vec<AppServe> {
-    serve_apps(&APP_NAMES, cfg)
-}
-
-/// [`run_serve`] plus per-app phase profiles, in the same Table 1
-/// order.
+/// `cfg.parallelism` workers on the suite runner's pool, keeping the
+/// per-app phase profiles. Results are bit-identical whatever the
+/// worker count: each [`serve_app_full`] is seeded and self-contained,
+/// and rows come back in Table 1 order.
 pub fn run_serve_profiled(cfg: &ServeConfig) -> (Vec<AppServe>, Vec<AppProfile>) {
     serve_apps_profiled(&APP_NAMES, cfg)
 }
@@ -758,9 +739,10 @@ mod tests {
         let run = run_named("ctree", 60, 5);
         let bounds = request_bounds(&run.events, 60);
         for model in SERVE_MODELS {
-            let services = service_times(&run.events, &bounds, model);
+            let services = service_times_with_stalls(&run.events, &bounds, model);
             assert_eq!(services.len(), 60);
-            let total: u64 = services.iter().sum();
+            assert!(services.iter().all(|&(svc, stall)| stall <= svc), "{model}");
+            let total: u64 = services.iter().map(|&(svc, _)| svc).sum();
             let replayed = hops::replay(
                 &run.events,
                 &TimingConfig::default(),
@@ -792,9 +774,9 @@ mod tests {
             doubled.push(b);
             doubled.push(b); // empty segment
         }
-        let services = service_times(&run.events, &doubled, PersistModel::X86Nvm);
+        let services = service_times_with_stalls(&run.events, &doubled, PersistModel::X86Nvm);
         for pair in services.chunks(2) {
-            assert_eq!(pair[1], 1, "empty segment floors to 1 ns");
+            assert_eq!(pair[1], (1, 0), "empty segment floors to 1 ns, no stall");
         }
         let snap = pmobs::global().snapshot();
         assert_eq!(
@@ -814,7 +796,7 @@ mod tests {
             arrival: Arrival::Bursty,
             parallelism: 1,
         };
-        let r = serve_app("hashmap", &cfg);
+        let (r, _) = serve_app_full("hashmap", &cfg);
         assert_eq!(r.curves.len(), SERVE_MODELS.len());
         assert_eq!(r.offered_rps.len(), LOAD_FRACTIONS.len());
         for c in &r.curves {
@@ -871,7 +853,7 @@ mod tests {
             arrival: Arrival::Bursty,
             parallelism: 1,
         };
-        let r = serve_app("ctree", &cfg);
+        let (r, _) = serve_app_full("ctree", &cfg);
         for c in &r.curves {
             let below = &c.points[0]; // 0.5 × baseline capacity
             let above = c.points.last().unwrap(); // 1.25 ×

@@ -4,8 +4,8 @@
 //! queueing component grows past the saturation knee.
 
 use whisper::serve::{
-    arrival_schedule, key_stream, run_serve, serve_json, Arrival, ServeConfig, LOAD_FRACTIONS,
-    SERVE_MODELS,
+    arrival_schedule, key_stream, run_serve_profiled, serve_json, Arrival, ServeConfig,
+    LOAD_FRACTIONS, SERVE_MODELS,
 };
 
 /// The arrival schedule and key stream are functions of the seed alone:
@@ -40,8 +40,8 @@ fn serve_sweep_covers_every_app_and_is_parallelism_invariant() {
         parallelism: 4,
         ..serial
     };
-    let a = run_serve(&serial);
-    let b = run_serve(&fanned);
+    let a = run_serve_profiled(&serial).0;
+    let b = run_serve_profiled(&fanned).0;
 
     assert_eq!(a.len(), 11, "one row per Table 1 app");
     for r in &a {
@@ -83,7 +83,7 @@ fn latency_grows_past_the_knee() {
         arrival: Arrival::Bursty,
         parallelism: 2,
     };
-    let reports = run_serve(&cfg);
+    let reports = run_serve_profiled(&cfg).0;
     let hashmap = reports.iter().find(|r| r.name == "hashmap").unwrap();
     // Baseline mechanism, below-knee vs past-knee points.
     let base = &hashmap.curves[0];
@@ -118,7 +118,7 @@ fn hops_outserves_the_baseline() {
         arrival: Arrival::Paced,
         parallelism: 4,
     };
-    for r in run_serve(&cfg) {
+    for r in run_serve_profiled(&cfg).0 {
         let base = &r.curves[0]; // x86-64 (NVM)
         let hops = &r.curves[1]; // HOPS (NVM)
         if r.name == "redis" {

@@ -277,9 +277,10 @@ fn parallel_suite_matches_serial_runner() {
 
 #[test]
 fn streaming_analyzer_matches_legacy_functions_on_real_trace() {
-    // The single-pass Analyzer must agree with the seven per-metric
-    // walks on every real application trace, not just synthetic
-    // streams, and every epoch it is lent must hold its lines in
+    // On every real application trace, not just synthetic streams: the
+    // streaming Analyzer must agree field by field with a fold over the
+    // collected epochs, and with the independent NT and small-singleton
+    // fractions; and every epoch it is lent must hold its lines in
     // strictly ascending order (sorted, no duplicate).
     let cfg = SuiteConfig {
         scale: 0.01,
@@ -299,24 +300,22 @@ fn streaming_analyzer_matches_legacy_functions_on_real_trace() {
             );
         }
         let report = analysis::Analyzer::analyze_events(&r.run.events);
+        let folded = analysis::Analyzer::analyze_epochs(&epochs);
         assert_eq!(report.epoch_count, epochs.len(), "{name}");
+        assert_eq!(report.epoch_count, folded.epoch_count, "{name}");
         assert_eq!(
-            report.tx_stats.epochs_per_tx,
-            analysis::tx_stats(&epochs).epochs_per_tx,
+            report.tx_stats.epochs_per_tx, folded.tx_stats.epochs_per_tx,
             "{name}"
         );
-        assert_eq!(
-            report.size_hist,
-            analysis::epoch_size_histogram(&epochs),
-            "{name}"
-        );
-        assert_eq!(report.deps, analysis::dependencies(&epochs), "{name}");
-        assert_eq!(
-            report.amplification,
-            analysis::amplification(&epochs),
-            "{name}"
-        );
+        assert_eq!(report.size_hist, folded.size_hist, "{name}");
+        assert_eq!(report.deps, folded.deps, "{name}");
+        assert_eq!(report.amplification, folded.amplification, "{name}");
+        assert_eq!(report.nt_fraction, folded.nt_fraction, "{name}");
         assert_eq!(report.nt_fraction, analysis::nt_fraction(&epochs), "{name}");
+        assert_eq!(
+            report.small_singleton_fraction, folded.small_singleton_fraction,
+            "{name}"
+        );
         assert_eq!(
             report.small_singleton_fraction,
             analysis::small_singleton_fraction(&epochs),
