@@ -2,6 +2,7 @@
 //! points, and the image materializer recovery code runs against.
 
 use crate::machine::{Machine, PendingLine};
+use pmem::hash::Fnv1a;
 use pmem::{FxHashSet, Line, PmImage, LINE_SIZE};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use std::collections::BTreeMap;
@@ -294,7 +295,7 @@ impl CrashState {
     /// capture paths produced bit-identical states without comparing
     /// whole images.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::default();
         h.u64(self.at);
         h.u64(self.progress);
         for (line, data) in self.durable.lines() {
@@ -319,27 +320,6 @@ impl CrashState {
             }
         }
         h.finish()
-    }
-}
-
-/// Minimal FNV-1a, used only for [`CrashState::digest`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -24,16 +24,6 @@ macro_rules! count_lines {
     };
 }
 
-/// What a crash hands to the crash model: functional PM, durable PM,
-/// dirty sets, pending flushes, and (live) write-combining entries.
-pub(crate) type CrashParts = (
-    DramDevice,
-    PmDevice,
-    Vec<LruSet>,
-    Vec<Vec<PendingLine>>,
-    Vec<Vec<PendingLine>>,
-);
-
 /// A line-sized snapshot waiting to become durable.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingLine {
@@ -706,29 +696,11 @@ impl Machine {
     /// The crash-decidable state right now, consuming the machine —
     /// the end-of-run analogue of a planned capture.
     pub fn into_crash_state(self) -> CrashState {
-        let at = self.crash_event_count();
-        let progress = self.progress;
-        let (functional, durable, dirty, pending, wcbs) = self.crash_parts();
-        CrashState {
-            at,
-            progress,
-            durable: durable.image(),
-            dirty: dirty
-                .iter()
-                .map(|s| {
-                    s.lines()
-                        .into_iter()
-                        .map(|l| (l, *functional.line_view(l)))
-                        .collect()
-                })
-                .collect(),
-            pending,
-            wcbs,
-        }
+        self.capture_crash_state(self.crash_event_count())
     }
 
-    /// Non-destructive [`CrashState`] snapshot (the planned-capture
-    /// path; must stay bit-identical to [`Machine::into_crash_state`]).
+    /// The [`CrashState`] after event `at` — every capture, planned or
+    /// end-of-run, is taken here.
     fn capture_crash_state(&self, at: u64) -> CrashState {
         CrashState {
             at,
@@ -781,17 +753,6 @@ impl Machine {
         .into_iter()
         .chain(sets.map(LruSet::resident))
         .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-    }
-
-    pub(crate) fn crash_parts(self) -> CrashParts {
-        let mut wcb = self.wcb;
-        (
-            self.pm_functional,
-            self.pm_durable,
-            self.dirty,
-            self.pending,
-            wcb.take_all_live(),
-        )
     }
 }
 

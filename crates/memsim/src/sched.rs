@@ -3,28 +3,20 @@
 //! The WHISPER applications drive one simulated [`crate::Machine`] from
 //! a single host thread, interleaving N *logical* workers
 //! per-operation. The [`Scheduler`] decides which worker runs next:
-//! every decision is a pure function of the run seed and the sequence
-//! of `next`/`retire` calls, so a run is bit-identical wherever it
-//! executes — the suite can fan app runs across any number of host
-//! threads (`--parallel`) without perturbing a single interleaving.
+//! every decision is a pure function of the run seed and the number of
+//! earlier decisions, so a run is bit-identical wherever it executes —
+//! the suite can fan app runs across any number of host threads
+//! (`--parallel`) without perturbing a single interleaving.
 //!
-//! The generator is splitmix64, the same stream used to derive per-app
-//! seeds elsewhere in the suite; workers are picked uniformly among the
-//! still-live set, which under the paper's workloads produces the
-//! irregular cross-thread epoch overlap the Fig. 5 dependency analysis
-//! is after (a round-robin rotation would synchronize epoch boundaries
+//! The generator is [`pmrand::splitmix64`], the same stream used to
+//! derive per-app seeds elsewhere in the suite; workers are picked
+//! uniformly, which under the paper's workloads produces the irregular
+//! cross-thread epoch overlap the Fig. 5 dependency analysis is after
+//! (a round-robin rotation would synchronize epoch boundaries
 //! artificially).
 
+use pmrand::splitmix64;
 use pmtrace::Tid;
-
-/// splitmix64: advance `state` and return the next 64-bit output.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic seeded scheduler over `workers` logical threads
 /// `Tid(0) .. Tid(workers-1)`.
@@ -32,22 +24,16 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// ```
 /// use memsim::Scheduler;
 /// let mut sched = Scheduler::new(2, 42);
-/// let mut budget = [3u32, 3];
-/// while let Some(tid) = sched.next() {
-///     let b = &mut budget[tid.0 as usize];
-///     if *b == 0 {
-///         sched.retire(tid);
-///         continue;
-///     }
-///     *b -= 1; // run one operation as `tid`
+/// let mut ran = [0u32; 2];
+/// for _ in 0..100 {
+///     ran[sched.next().0 as usize] += 1; // one operation as that worker
 /// }
-/// assert_eq!(budget, [0, 0]);
+/// assert!(ran.iter().all(|&n| n > 0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     state: u64,
-    live: Vec<Tid>,
-    decisions: u64,
+    workers: u64,
 }
 
 impl Scheduler {
@@ -65,42 +51,16 @@ impl Scheduler {
         Scheduler {
             // Pre-mix so nearby seeds diverge immediately.
             state: seed ^ 0xD6E8_FEB8_6659_FD93,
-            live: (0..workers).map(Tid).collect(),
-            decisions: 0,
+            workers: u64::from(workers),
         }
     }
 
-    /// The next worker to run one operation, picked uniformly among the
-    /// live set; `None` once every worker has retired.
+    /// The next worker to run one operation, picked uniformly.
     ///
-    /// Not an [`Iterator`]: the stream is open-ended until [`retire`]
-    /// shrinks the live set, and callers interleave the two calls.
-    ///
-    /// [`retire`]: Scheduler::retire
+    /// Not an [`Iterator`]: the stream never ends.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tid> {
-        if self.live.is_empty() {
-            return None;
-        }
-        let r = splitmix64(&mut self.state);
-        self.decisions += 1;
-        Some(self.live[(r % self.live.len() as u64) as usize])
-    }
-
-    /// Remove `tid` from the live set (its op stream is exhausted).
-    /// Retiring an already-retired worker is a no-op.
-    pub fn retire(&mut self, tid: Tid) {
-        self.live.retain(|t| *t != tid);
-    }
-
-    /// Workers still live.
-    pub fn live(&self) -> &[Tid] {
-        &self.live
-    }
-
-    /// Scheduling decisions made so far (seeded draws consumed).
-    pub fn decisions(&self) -> u64 {
-        self.decisions
+    pub fn next(&mut self) -> Tid {
+        Tid((splitmix64(&mut self.state) % self.workers) as u32)
     }
 }
 
@@ -132,39 +92,19 @@ impl std::error::Error for TidError {}
 mod tests {
     use super::*;
 
-    fn trace(workers: u32, seed: u64, per_worker: u32) -> Vec<Tid> {
+    fn trace(workers: u32, seed: u64, decisions: usize) -> Vec<Tid> {
         let mut sched = Scheduler::new(workers, seed);
-        let mut budget = vec![per_worker; workers as usize];
-        let mut order = Vec::new();
-        while let Some(tid) = sched.next() {
-            let b = &mut budget[tid.0 as usize];
-            if *b == 0 {
-                sched.retire(tid);
-                continue;
-            }
-            *b -= 1;
-            order.push(tid);
-        }
-        order
+        (0..decisions).map(|_| sched.next()).collect()
     }
 
     #[test]
     fn same_seed_same_interleaving() {
-        assert_eq!(trace(4, 7, 50), trace(4, 7, 50));
+        assert_eq!(trace(4, 7, 200), trace(4, 7, 200));
     }
 
     #[test]
     fn different_seeds_differ() {
-        assert_ne!(trace(4, 7, 50), trace(4, 8, 50));
-    }
-
-    #[test]
-    fn every_worker_runs_to_completion() {
-        let order = trace(4, 99, 25);
-        assert_eq!(order.len(), 100);
-        for w in 0..4u32 {
-            assert_eq!(order.iter().filter(|t| t.0 == w).count(), 25);
-        }
+        assert_ne!(trace(4, 7, 200), trace(4, 8, 200));
     }
 
     #[test]
@@ -177,19 +117,8 @@ mod tests {
     fn interleaving_is_not_round_robin() {
         // A seeded pick must break the rotation: some worker runs twice
         // in a row somewhere in a long trace.
-        let order = trace(4, 42, 100);
+        let order = trace(4, 42, 400);
         assert!(order.windows(2).any(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn retire_is_idempotent_and_next_drains() {
-        let mut s = Scheduler::new(2, 1);
-        s.retire(Tid(0));
-        s.retire(Tid(0));
-        assert_eq!(s.live(), &[Tid(1)]);
-        assert_eq!(s.next(), Some(Tid(1)));
-        s.retire(Tid(1));
-        assert_eq!(s.next(), None);
     }
 
     #[test]

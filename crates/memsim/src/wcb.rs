@@ -201,8 +201,7 @@ impl WriteCombine {
     }
 
     /// Clone every buffer's live entries in queue order without
-    /// disturbing them — the mid-run crash-capture path (must return
-    /// exactly what [`WriteCombine::take_all_live`] would).
+    /// disturbing them — what a crash capture records.
     pub(crate) fn live_entries(&self) -> Vec<Vec<PendingLine>> {
         self.queues
             .iter()
@@ -211,24 +210,6 @@ impl WriteCombine {
                 q.iter()
                     .filter(|e| holders_contain(&self.index, e.line, t, e.seq))
                     .cloned()
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Consume every buffer for a crash: per-thread live entries in
-    /// queue order (what the old bare queues held).
-    pub(crate) fn take_all_live(&mut self) -> Vec<Vec<PendingLine>> {
-        let index = std::mem::take(&mut self.index);
-        for l in &mut self.live {
-            *l = 0;
-        }
-        self.queues
-            .iter_mut()
-            .enumerate()
-            .map(|(t, q)| {
-                q.drain(..)
-                    .filter(|e| holders_contain(&index, e.line, t, e.seq))
                     .collect()
             })
             .collect()
@@ -281,7 +262,7 @@ mod tests {
         assert_eq!((w.live_len(0), w.live_len(1)), (1, 1));
         w.supersede(l);
         assert_eq!((w.live_len(0), w.live_len(1)), (0, 0));
-        let parts = w.take_all_live();
+        let parts = w.live_entries();
         assert!(parts.iter().all(Vec::is_empty));
     }
 
@@ -307,7 +288,7 @@ mod tests {
     /// `Vec<PendingLine>` per thread holding only live entries, where
     /// supersede is a linear `retain`. After every operation the live
     /// counts must agree, pops and drains must return the model's
-    /// entries in the model's order, and the final `take_all_live`
+    /// entries in the model's order, and the final `live_entries`
     /// must match queue-for-queue — i.e. tombstones plus compaction
     /// are invisible.
     mod model {
@@ -417,7 +398,7 @@ mod tests {
                 }
 
                 // Crash path: every buffer, live entries in queue order.
-                let got = real.take_all_live();
+                let got = real.live_entries();
                 prop_assert_eq!(got.len(), model.len());
                 for (gq, wq) in got.iter().zip(&model) {
                     prop_assert_eq!(gq.len(), wq.len());

@@ -157,7 +157,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::{SmallRng, Strategy};
 
-    /// Lengths acceptable to [`vec`]: a fixed size or a range of sizes.
+    /// Lengths acceptable to [`vec()`]: a fixed size or a range of sizes.
     pub trait SizeRange {
         /// Draw a length.
         fn pick(&self, rng: &mut SmallRng) -> usize;
@@ -186,7 +186,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

@@ -18,7 +18,7 @@
 //! Two accesses are HB-ordered iff the later one's clock has seen the
 //! earlier one's own-component tick; otherwise they are concurrent
 //! under *some* legal linearization. `P-CROSS-DEP` and `P-EPOCH-RACE`
-//! in [`crate::checker`] are founded on exactly this relation, and the
+//! in the checker are founded on exactly this relation, and the
 //! same clocks yield the per-app **epoch dependency graph**
 //! ([`EpochGraph`]) behind the paper's Fig. 5 cross-thread dependency
 //! statistics.
@@ -31,7 +31,7 @@
 //!
 //! All per-line state — last-write and pending-persist ticks, the
 //! release clock and its releasing node — lives in the line's record
-//! in the engine's [`LineTable`]; the per-thread sets are id lists
+//! in the engine's `LineTable`; the per-thread sets are id lists
 //! whose membership is read off those ticks.
 
 use crate::table::{LineId, LineState, LineTable};

@@ -1,5 +1,6 @@
 //! Persistent B-tree.
 
+use crate::header::{self, HEADER_BYTES};
 use crate::DsError;
 use memsim::Machine;
 use pmalloc::PmAllocator;
@@ -8,10 +9,6 @@ use pmtrace::{Category, Tid};
 use pmtx::TxMem;
 
 const MAGIC: u64 = 0x5042_5452_4545_2121; // "PBTREE!!"
-const COUNT_SHARDS: u64 = 4;
-
-/// Bytes of PM a tree header needs (header line + count shards).
-pub const BTREE_REGION_BYTES: u64 = 64 + COUNT_SHARDS * 64;
 
 /// Maximum keys per node (2t-1 for minimum degree t = 7, so an
 /// internal merge of two minimal siblings plus the separator exactly
@@ -53,7 +50,7 @@ impl PBTree {
     ///
     /// # Panics
     ///
-    /// Panics if the region is smaller than [`BTREE_REGION_BYTES`].
+    /// Panics if the region is smaller than [`HEADER_BYTES`].
     pub fn create<E: TxMem, A: PmAllocator>(
         m: &mut Machine,
         eng: &mut E,
@@ -61,7 +58,7 @@ impl PBTree {
         alloc: &mut A,
         region: AddrRange,
     ) -> Result<PBTree, DsError> {
-        assert!(region.len >= BTREE_REGION_BYTES, "b-tree region too small");
+        assert!(region.len >= HEADER_BYTES, "b-tree region too small");
         let root = Self::new_node(m, eng, tid, alloc, true)?;
         eng.tx_write_u64(m, tid, region.base, MAGIC, Category::AppMeta)?;
         eng.tx_write_u64(m, tid, region.base + 8, root, Category::AppMeta)?;
@@ -74,43 +71,18 @@ impl PBTree {
     ///
     /// [`DsError::BadHeader`] if `base` does not hold a tree.
     pub fn open(m: &mut Machine, tid: Tid, base: Addr) -> Result<PBTree, DsError> {
-        if m.load_u64(tid, base) != MAGIC {
-            return Err(DsError::BadHeader { addr: base });
-        }
+        header::open(m, tid, base, MAGIC)?;
         Ok(PBTree { base })
     }
 
     /// Number of keys (sums the per-thread count shards).
     pub fn len(&self, m: &mut Machine, tid: Tid) -> u64 {
-        // Shards hold signed deltas (a cross-thread remove drives a
-        // shard negative); the non-negative total is exact modulo 2^64.
-        (0..COUNT_SHARDS)
-            .map(|s| m.load_u64(tid, self.base + 64 + s * 64))
-            .fold(0u64, u64::wrapping_add)
+        header::len(m, tid, self.base)
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self, m: &mut Machine, tid: Tid) -> bool {
         self.len(m, tid) == 0
-    }
-
-    fn bump_count<E: TxMem>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        delta: i64,
-    ) -> Result<(), DsError> {
-        let shard = self.base + 64 + (tid.0 as u64 % COUNT_SHARDS) * 64;
-        let n = e.tx_read_u64(m, tid, shard);
-        e.tx_write_u64(
-            m,
-            tid,
-            shard,
-            n.wrapping_add_signed(delta),
-            Category::AppMeta,
-        )?;
-        Ok(())
     }
 
     fn new_node<E: TxMem, A: PmAllocator>(
@@ -299,7 +271,7 @@ impl PBTree {
         };
         let fresh = self.insert_nonfull(m, e, tid, alloc, root, key, val)?;
         if fresh {
-            self.bump_count(m, e, tid, 1)?;
+            header::bump(m, e, tid, self.base, 1)?;
         }
         Ok(fresh)
     }
@@ -406,7 +378,7 @@ impl PBTree {
             alloc.free(m, &mut w, root)?;
         }
         if removed {
-            self.bump_count(m, e, tid, -1)?;
+            header::bump(m, e, tid, self.base, -1)?;
         }
         Ok(removed)
     }
@@ -649,7 +621,7 @@ mod tests {
             &mut eng,
             TID,
             &mut alloc,
-            AddrRange::new(pm.base + (90 << 20), BTREE_REGION_BYTES),
+            AddrRange::new(pm.base + (90 << 20), HEADER_BYTES),
         )
         .unwrap();
         eng.commit(&mut m, TID).unwrap();
@@ -684,6 +656,32 @@ mod tests {
         assert_eq!(fx.tree.get(&mut fx.m, &mut fx.eng, TID, 5), Some(55));
         assert_eq!(fx.tree.get(&mut fx.m, &mut fx.eng, TID, 6), None);
         assert_eq!(fx.tree.len(&mut fx.m, TID), 1);
+    }
+
+    #[test]
+    fn remove_on_a_different_thread_keeps_len_exact() {
+        // Count shards are picked by tid: thread 1 removing what thread
+        // 0 inserted drives shard 1 negative (mod 2^64). The total
+        // must still come back to exactly 0.
+        let mut fx = setup();
+        let (t0, t1) = (Tid(0), Tid(1));
+        for k in [10u64, 20, 30] {
+            fx.eng.begin(&mut fx.m, t0).unwrap();
+            let fresh = fx
+                .tree
+                .insert(&mut fx.m, &mut fx.eng, t0, &mut fx.alloc, k, 1);
+            assert!(fresh.unwrap());
+            fx.eng.commit(&mut fx.m, t0).unwrap();
+        }
+        assert_eq!(fx.tree.len(&mut fx.m, t1), 3);
+        for k in [10u64, 20, 30] {
+            fx.eng.begin(&mut fx.m, t1).unwrap();
+            let removed = fx.tree.remove(&mut fx.m, &mut fx.eng, t1, &mut fx.alloc, k);
+            assert!(removed.unwrap());
+            fx.eng.commit(&mut fx.m, t1).unwrap();
+        }
+        assert_eq!(fx.tree.len(&mut fx.m, t0), 0);
+        assert!(fx.tree.is_empty(&mut fx.m, t1));
     }
 
     #[test]

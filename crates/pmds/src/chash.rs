@@ -28,12 +28,12 @@
 //!   fenced, and is idempotent: a re-run after a crash skips keys the
 //!   new directory already holds.
 //!
-//! Detectability: like [`crate::DurableQueue`], each writer publishes
-//! a per-slot announce line (`Pending`, node address, sequence)
-//! before linking; [`CHash::recover`] reports, per in-flight
-//! operation, whether it completed, was rolled forward, or was
-//! discarded.
+//! Detectability: every upsert and remove runs the announce protocol
+//! of [`crate::header`] (shared with [`crate::DurableQueue`]) around
+//! its link; [`CHash::recover`] reports, per in-flight operation,
+//! whether it completed, was rolled forward, or was discarded.
 
+use crate::header::{self, Announces, OpFate, Recovery, NODE_SEQ};
 use crate::{fnv1a, DsError};
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
@@ -54,18 +54,9 @@ const H_MIGRATED: u64 = 40;
 const H_CURSOR: u64 = 48;
 const H_SLOTS: u64 = 56;
 
-// Announce line layout (one per writer slot).
-const A_STATE: u64 = 0;
-const A_NODE: u64 = 8;
-const A_SEQ: u64 = 16;
-
-// States: 0 is idle (the formatted region is zeroed).
-const STATE_PENDING: u64 = 1;
-const STATE_DONE: u64 = 2;
-
 // Node line layout (single 64-byte line).
 const N_NEXT: u64 = 0;
-const N_SEQ: u64 = 8;
+const N_SEQ: u64 = NODE_SEQ;
 const N_KLEN: u64 = 16;
 const N_VLEN: u64 = 20;
 const N_PAYLOAD: u64 = 24;
@@ -80,24 +71,6 @@ const TOMBSTONE: u32 = u32::MAX;
 const GROW_NUM: u64 = 2;
 /// Old buckets each writer migrates per operation, beyond its own.
 const MIGRATE_BATCH: u64 = 2;
-
-/// What recovery decided about one in-flight operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HashOpFate {
-    /// The new version was linked; recovery marked the op done.
-    Completed,
-    /// The prepared node was durable but unlinked; recovery linked it.
-    RolledForward,
-    /// The preparation was torn; recovery discarded it.
-    Discarded,
-}
-
-/// Recovery report: `(slot, sequence, fate)` per in-flight operation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HashRecovery {
-    /// One entry per announce slot found mid-operation.
-    pub ops: Vec<(u32, u64, HashOpFate)>,
-}
 
 /// A resizable concurrent durable hash table: prepend-only versioned
 /// chains, two-directory incremental migration, per-slot announces.
@@ -116,30 +89,19 @@ impl CHash {
     /// Bytes of PM for the header, `slots` announce lines, and
     /// `arena_lines` 64-byte lines shared by directories and nodes.
     pub fn region_bytes(slots: u32, arena_lines: u64) -> u64 {
-        64 + u64::from(slots) * 64 + arena_lines * 64
+        Announces::new(0, u64::from(slots)).end() + arena_lines * 64
     }
 
-    fn announce_addr(&self, slot: u32) -> Addr {
-        self.head + 64 + u64::from(slot) * 64
+    fn announces(&self) -> Announces {
+        Announces::new(self.head, self.slots)
     }
 
     fn arena(&self) -> Addr {
-        self.head + 64 + self.slots * 64
+        self.announces().end()
     }
 
     fn arena_lines(&self) -> u64 {
-        (self.region.len - 64 - self.slots * 64) / 64
-    }
-
-    fn check_slot(&self, slot: u32) -> Result<(), DsError> {
-        if u64::from(slot) < self.slots {
-            Ok(())
-        } else {
-            Err(DsError::BadSlot {
-                slot,
-                slots: self.slots as u32,
-            })
-        }
+        (self.region.end() - self.arena()) / 64
     }
 
     /// Allocate `lines` fresh 64-byte lines from the bump cursor and
@@ -196,12 +158,7 @@ impl CHash {
         let dir = table.alloc_lines(m, &mut w, tid, dir_lines)?;
         w.write_u64(m, region.base + H_DIR, dir, Category::AppMeta);
         w.write_u64(m, region.base + H_NBUCKETS, nbuckets, Category::AppMeta);
-        w.write_u64(
-            m,
-            region.base + H_SLOTS,
-            u64::from(slots),
-            Category::AppMeta,
-        );
+        w.write_u64(m, region.base + H_SLOTS, table.slots, Category::AppMeta);
         // Magic last on the same line: header valid atomically.
         w.write_u64(m, region.base + H_MAGIC, MAGIC, Category::AppMeta);
         w.durability_fence(m);
@@ -214,9 +171,7 @@ impl CHash {
     ///
     /// [`DsError::BadHeader`] if `region` does not hold a table.
     pub fn open(m: &mut Machine, tid: Tid, region: AddrRange) -> Result<CHash, DsError> {
-        if m.load_u64(tid, region.base + H_MAGIC) != MAGIC {
-            return Err(DsError::BadHeader { addr: region.base });
-        }
+        header::open(m, tid, region.base + H_MAGIC, MAGIC)?;
         let slots = m.load_u64(tid, region.base + H_SLOTS);
         let mut table = CHash {
             head: region.base,
@@ -381,12 +336,8 @@ impl CHash {
             // atomic even against a mid-epoch crash snapshot.
             let new_dir = m.load_u64(tid, self.head + H_NEW_DIR);
             let new_nb = m.load_u64(tid, self.head + H_NEW_NBUCKETS);
-            let mut buf = Vec::with_capacity(40);
-            buf.extend_from_slice(&new_dir.to_le_bytes()); // DIR
-            buf.extend_from_slice(&new_nb.to_le_bytes()); // NBUCKETS
-            buf.extend_from_slice(&0u64.to_le_bytes()); // NEW_DIR
-            buf.extend_from_slice(&0u64.to_le_bytes()); // NEW_NBUCKETS
-            buf.extend_from_slice(&0u64.to_le_bytes()); // MIGRATED
+            // DIR, NBUCKETS, NEW_DIR, NEW_NBUCKETS, MIGRATED.
+            let buf = [new_dir, new_nb, 0, 0, 0].map(u64::to_le_bytes).concat();
             w.write(m, self.head + H_DIR, &buf, Category::AppMeta);
             w.durability_fence(m);
         }
@@ -414,10 +365,7 @@ impl CHash {
         };
         // NEW_DIR..MIGRATED are contiguous: the start transition is
         // one store, atomic at any crash point.
-        let mut buf = Vec::with_capacity(24);
-        buf.extend_from_slice(&new_dir.to_le_bytes());
-        buf.extend_from_slice(&new_nb.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
+        let buf = [new_dir, new_nb, 0].map(u64::to_le_bytes).concat();
         w.write(m, self.head + H_NEW_DIR, &buf, Category::AppMeta);
         w.durability_fence(m);
         Ok(())
@@ -462,7 +410,7 @@ impl CHash {
         val: &[u8],
         tombstone: bool,
     ) -> Result<bool, DsError> {
-        self.check_slot(slot)?;
+        header::check_slot(slot, self.slots as u32)?;
         assert!(seq != 0, "sequence tags start at 1");
         if key.len() + val.len() > CHASH_MAX_ITEM {
             return Err(DsError::TooLarge {
@@ -483,21 +431,13 @@ impl CHash {
         let head = m.load_u64(tid, bucket);
         let node = self.alloc_lines(m, &mut w, tid, 1)?;
         self.write_node(m, &mut w, node, head, seq, key, val, tombstone);
-        let ann = self.announce_addr(slot);
-        let mut a = Vec::with_capacity(24);
-        a.extend_from_slice(&STATE_PENDING.to_le_bytes());
-        a.extend_from_slice(&node.to_le_bytes());
-        a.extend_from_slice(&seq.to_le_bytes());
-        w.write(m, ann, &a, Category::AppMeta);
-        w.durability_fence(m);
+        self.announces().publish(m, &mut w, slot, node, seq);
 
         // Link epoch: one bucket-head store publishes the version.
         w.write_u64(m, bucket, node, Category::UserData);
         w.durability_fence(m);
 
-        // Retire epoch.
-        w.write_u64(m, ann + A_STATE, STATE_DONE, Category::AppMeta);
-        w.durability_fence(m);
+        self.announces().retire(m, &mut w, slot);
 
         if tombstone {
             self.count = self.count.saturating_sub(u64::from(existed));
@@ -616,8 +556,7 @@ impl CHash {
     /// Resolve in-flight operations after a crash: roll forward
     /// prepared-but-unlinked versions, detect completed ones, discard
     /// torn preparations, and repair the allocation cursor. Idempotent.
-    pub fn recover(&mut self, m: &mut Machine, tid: Tid) -> HashRecovery {
-        let mut report = HashRecovery::default();
+    pub fn recover(&mut self, m: &mut Machine, tid: Tid) -> Recovery {
         let mut w = PmWriter::new(tid);
 
         // Repair the cursor first: it must clear every reachable node
@@ -652,52 +591,35 @@ impl CHash {
             walk_dir(m, new_dir, new_nb, &mut cursor);
         }
 
-        for slot in 0..self.slots as u32 {
-            let ann = self.announce_addr(slot);
-            if m.load_u64(tid, ann + A_STATE) != STATE_PENDING {
-                continue;
+        let report = self.announces().recover(m, &mut w, |m, w, _, node, seq| {
+            if !header::prepared(m, tid, node, seq) {
+                return OpFate::Discarded;
             }
-            let node = m.load_u64(tid, ann + A_NODE);
-            let seq = m.load_u64(tid, ann + A_SEQ);
-            let valid = seq != 0 && node != 0 && m.load_u64(tid, node + N_SEQ) == seq;
-            let fate = if !valid {
-                HashOpFate::Discarded
-            } else {
-                let klen = m.load_u32(tid, node + N_KLEN) as usize;
-                let key = m.load_vec(tid, node + N_PAYLOAD, klen);
-                let hash = fnv1a(&key);
-                let (d, b) = self.route(m, tid, hash);
-                let bucket = d + b * 8;
-                // Linked iff it is on its bucket chain.
-                let mut cur = m.load_u64(tid, bucket);
-                let mut linked = false;
-                while cur != 0 {
-                    if cur == node {
-                        linked = true;
-                        break;
-                    }
-                    cur = m.load_u64(tid, cur + N_NEXT);
+            let klen = m.load_u32(tid, node + N_KLEN) as usize;
+            let key = m.load_vec(tid, node + N_PAYLOAD, klen);
+            let (d, b) = self.route(m, tid, fnv1a(&key));
+            let bucket = d + b * 8;
+            // Linked iff it is on its bucket chain.
+            let mut cur = m.load_u64(tid, bucket);
+            while cur != 0 {
+                if cur == node {
+                    return OpFate::Completed;
                 }
-                if linked {
-                    HashOpFate::Completed
-                } else {
-                    // Roll forward: re-prepend (the node's stored next
-                    // may be stale only if another version linked
-                    // after it was prepared — impossible, the slot
-                    // owner had at most one op in flight and other
-                    // slots' links happened before this prepare).
-                    clear(node, 1, &mut cursor);
-                    let head = m.load_u64(tid, bucket);
-                    w.write_u64(m, node + N_NEXT, head, Category::UserData);
-                    w.durability_fence(m);
-                    w.write_u64(m, bucket, node, Category::UserData);
-                    w.durability_fence(m);
-                    HashOpFate::RolledForward
-                }
-            };
-            w.write_u64(m, ann + A_STATE, STATE_DONE, Category::AppMeta);
-            report.ops.push((slot, seq, fate));
-        }
+                cur = m.load_u64(tid, cur + N_NEXT);
+            }
+            // Roll forward: re-prepend (the node's stored next may be
+            // stale only if another version linked after it was
+            // prepared — impossible, the slot owner had at most one op
+            // in flight and other slots' links happened before this
+            // prepare).
+            clear(node, 1, &mut cursor);
+            let head = m.load_u64(tid, bucket);
+            w.write_u64(m, node + N_NEXT, head, Category::UserData);
+            w.durability_fence(m);
+            w.write_u64(m, bucket, node, Category::UserData);
+            w.durability_fence(m);
+            OpFate::RolledForward
+        });
         w.write_u64(m, self.head + H_CURSOR, cursor, Category::AllocMeta);
         w.durability_fence(m);
         self.count = self.live_count(m, tid);
@@ -900,15 +822,15 @@ mod tests {
                 for (slot, seq, fate) in &report.ops {
                     assert_eq!((*slot, *seq), (1, 2));
                     match fate {
-                        HashOpFate::RolledForward => {
+                        OpFate::RolledForward => {
                             rolled += 1;
                             assert_eq!(torn.as_deref(), Some(&b"new"[..]));
                         }
-                        HashOpFate::Discarded => {
+                        OpFate::Discarded => {
                             discarded += 1;
                             assert_eq!(torn, None);
                         }
-                        HashOpFate::Completed => {
+                        OpFate::Completed => {
                             assert_eq!(torn.as_deref(), Some(&b"new"[..]));
                         }
                     }

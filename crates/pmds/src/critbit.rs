@@ -1,5 +1,6 @@
 //! Persistent crit-bit tree.
 
+use crate::header::{self, HEADER_BYTES};
 use crate::DsError;
 use memsim::Machine;
 use pmalloc::PmAllocator;
@@ -15,10 +16,6 @@ const INTERNAL_BYTES: u64 = 32;
 // Leaf: tag u32, key_len u32, val u64, key…
 const LEAF_HDR: u64 = 16;
 const MAX_KEY: usize = 376;
-const COUNT_SHARDS: u64 = 4;
-
-/// Bytes of PM a tree header needs (header line + count shards).
-pub const CRITBIT_REGION_BYTES: u64 = 64 + COUNT_SHARDS * 64;
 
 /// A persistent crit-bit (PATRICIA) tree mapping byte keys to `u64`
 /// values — the structure behind WHISPER's `ctree` micro-benchmark
@@ -51,10 +48,7 @@ impl CritBitTree {
         tid: Tid,
         region: AddrRange,
     ) -> Result<CritBitTree, DsError> {
-        assert!(
-            region.len >= CRITBIT_REGION_BYTES,
-            "crit-bit region too small"
-        );
+        assert!(region.len >= HEADER_BYTES, "crit-bit region too small");
         eng.tx_write_u64(m, tid, region.base, MAGIC, Category::AppMeta)?;
         eng.tx_write_u64(m, tid, region.base + 8, 0, Category::AppMeta)?; // root
         Ok(CritBitTree { base: region.base })
@@ -66,21 +60,13 @@ impl CritBitTree {
     ///
     /// [`DsError::BadHeader`] if `base` does not hold a tree.
     pub fn open(m: &mut Machine, tid: Tid, base: Addr) -> Result<CritBitTree, DsError> {
-        if m.load_u64(tid, base) != MAGIC {
-            return Err(DsError::BadHeader { addr: base });
-        }
+        header::open(m, tid, base, MAGIC)?;
         Ok(CritBitTree { base })
     }
 
     /// Number of keys (sums the per-thread count shards).
     pub fn len(&self, m: &mut Machine, tid: Tid) -> u64 {
-        // Each shard holds a signed (two's-complement) delta: a thread
-        // that removes a key another thread inserted drives its own
-        // shard negative. Only the total is non-negative, and summing
-        // modulo 2^64 recovers it exactly.
-        (0..COUNT_SHARDS)
-            .map(|s| m.load_u64(tid, self.base + 64 + s * 64))
-            .fold(0u64, u64::wrapping_add)
+        header::len(m, tid, self.base)
     }
 
     /// Whether the tree is empty.
@@ -170,7 +156,7 @@ impl CritBitTree {
         if root == 0 {
             let leaf = Self::new_leaf(m, eng, tid, alloc, key, val)?;
             eng.tx_write_u64(m, tid, self.base + 8, leaf, Category::UserData)?;
-            self.bump_count(m, eng, tid, 1)?;
+            header::bump(m, eng, tid, self.base, 1)?;
             return Ok(true);
         }
         let best = self.best_leaf(m, eng, tid, key);
@@ -231,7 +217,7 @@ impl CritBitTree {
         node[24..32].copy_from_slice(&b.to_le_bytes());
         eng.tx_write(m, tid, internal, &node, Category::UserData)?;
         eng.tx_write_u64(m, tid, link, internal, Category::UserData)?;
-        self.bump_count(m, eng, tid, 1)?;
+        header::bump(m, eng, tid, self.base, 1)?;
         Ok(true)
     }
 
@@ -293,28 +279,9 @@ impl CritBitTree {
             }
         }
         alloc.free(m, &mut w, node)?;
-        self.bump_count(m, eng, tid, -1)?;
+        header::bump(m, eng, tid, self.base, -1)?;
         let _ = link;
         Ok(true)
-    }
-
-    fn bump_count<E: TxMem>(
-        &self,
-        m: &mut Machine,
-        eng: &mut E,
-        tid: Tid,
-        delta: i64,
-    ) -> Result<(), DsError> {
-        let shard = self.base + 64 + (tid.0 as u64 % COUNT_SHARDS) * 64;
-        let n = eng.tx_read_u64(m, tid, shard);
-        eng.tx_write_u64(
-            m,
-            tid,
-            shard,
-            n.wrapping_add_signed(delta),
-            Category::AppMeta,
-        )?;
-        Ok(())
     }
 
     /// Visit every `(key, value)` in key order (non-transactional).
@@ -371,7 +338,7 @@ mod tests {
             &mut m,
             &mut eng,
             TID,
-            AddrRange::new(pm.base + (20 << 20), CRITBIT_REGION_BYTES),
+            AddrRange::new(pm.base + (20 << 20), HEADER_BYTES),
         )
         .unwrap();
         eng.commit(&mut m, TID).unwrap();

@@ -11,11 +11,11 @@
 //! cursor, so enqueues from different scheduler workers form exactly
 //! the fence-release → store-acquire chains Figure 5 counts.
 //!
-//! The design is a *detectable* durable queue in the Friedman et
-//! al. / memento style: each operation writes a per-thread announce
-//! line before touching the structure, so recovery can determine for
-//! every in-flight operation whether it completed, and either roll it
-//! forward or discard it — the caller learns which.
+//! The design is a *detectable* durable queue: each operation runs the
+//! announce protocol of [`crate::header`] (shared with
+//! [`crate::CHash`]), so recovery can determine for every in-flight
+//! operation whether it completed, and either roll it forward or
+//! discard it — the caller learns which.
 //!
 //! Crash-consistency discipline (all line-granular, no transaction
 //! engine):
@@ -35,6 +35,7 @@
 //! linked; recovery detects reachability and reports the operation
 //! completed.
 
+use crate::header::{self, Announces, OpFate, Recovery, NODE_SEQ};
 use crate::DsError;
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
@@ -49,44 +50,14 @@ const H_CURSOR: u64 = 16;
 const H_PRODUCERS: u64 = 24;
 const H_CAPACITY: u64 = 32;
 
-// Announce line layout (one 64-byte line per slot; slot `producers`
-// is the consumer's).
-const A_STATE: u64 = 0;
-const A_NODE: u64 = 8;
-const A_SEQ: u64 = 16;
-
-// States: 0 is idle (the formatted region is zeroed).
-const STATE_PENDING: u64 = 1;
-const STATE_DONE: u64 = 2;
-
 // Node line layout (a node is exactly one 64-byte line).
 const N_NEXT: u64 = 0;
-const N_SEQ: u64 = 8;
+const N_SEQ: u64 = NODE_SEQ;
 const N_LEN: u64 = 16;
 const N_PAYLOAD: u64 = 20;
 
 /// Largest payload an inline single-line node can carry.
 pub const DQUEUE_MAX_PAYLOAD: usize = 44;
-
-/// What recovery decided about one in-flight operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueOpFate {
-    /// The operation had fully taken effect; recovery marked it done.
-    Completed,
-    /// The prepared node was durable but unlinked; recovery linked it.
-    RolledForward,
-    /// The preparation itself was torn; recovery discarded it.
-    Discarded,
-}
-
-/// Recovery report: one entry per announce slot that held an
-/// in-flight operation, with the sequence number the application
-/// tagged it with — the *detectability* interface.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueueRecovery {
-    /// `(slot, sequence, fate)` for every non-idle announce found.
-    pub ops: Vec<(u32, u64, QueueOpFate)>,
-}
 
 /// A durable MPSC queue: `producers` enqueue slots, one dequeue slot,
 /// single-line nodes carved from a bump arena inside the region.
@@ -106,28 +77,18 @@ impl DurableQueue {
     /// Bytes of PM needed for a queue with `producers` enqueue slots
     /// and room for `capacity` nodes.
     pub fn region_bytes(producers: u32, capacity: u64) -> u64 {
-        // header + producer announces + consumer announce + arena
-        64 + (u64::from(producers) + 1) * 64 + capacity * 64
+        // The consumer's announce slot follows the producers'.
+        Announces::new(0, u64::from(producers) + 1).end() + capacity * 64
     }
 
-    fn announce_addr(&self, slot: u32) -> Addr {
-        self.head + 64 + u64::from(slot) * 64
+    /// The producers' announce slots, then the consumer's (slot
+    /// `producers`).
+    fn announces(&self) -> Announces {
+        Announces::new(self.head, self.producers + 1)
     }
 
     fn arena(&self) -> Addr {
-        self.head + 64 + (self.producers + 1) * 64
-    }
-
-    /// Validate a producer/consumer slot index.
-    fn check_slot(&self, slot: u32, slots: u64) -> Result<(), DsError> {
-        if u64::from(slot) < slots {
-            Ok(())
-        } else {
-            Err(DsError::BadSlot {
-                slot,
-                slots: slots as u32,
-            })
-        }
+        self.announces().end()
     }
 
     /// Create a fresh queue in `region` (never-written, zeroed PM).
@@ -152,15 +113,11 @@ impl DurableQueue {
             region.len >= Self::region_bytes(producers, capacity),
             "region too small for {producers} producers / {capacity} nodes"
         );
+        let producers = u64::from(producers);
         let mut w = PmWriter::new(tid);
         w.write_u64(m, region.base + H_HEAD, 0, Category::AppMeta);
         w.write_u64(m, region.base + H_CURSOR, 0, Category::AllocMeta);
-        w.write_u64(
-            m,
-            region.base + H_PRODUCERS,
-            u64::from(producers),
-            Category::AppMeta,
-        );
+        w.write_u64(m, region.base + H_PRODUCERS, producers, Category::AppMeta);
         w.write_u64(m, region.base + H_CAPACITY, capacity, Category::AppMeta);
         // Magic last, same line: the header line becomes valid
         // atomically at the fence.
@@ -168,7 +125,7 @@ impl DurableQueue {
         w.durability_fence(m);
         Ok(DurableQueue {
             head: region.base,
-            producers: u64::from(producers),
+            producers,
             capacity,
             tail_hint: 0,
         })
@@ -181,9 +138,7 @@ impl DurableQueue {
     ///
     /// [`DsError::BadHeader`] if `head` does not hold a queue.
     pub fn open(m: &mut Machine, tid: Tid, head: Addr) -> Result<DurableQueue, DsError> {
-        if m.load_u64(tid, head + H_MAGIC) != MAGIC {
-            return Err(DsError::BadHeader { addr: head });
-        }
+        header::open(m, tid, head + H_MAGIC, MAGIC)?;
         let producers = m.load_u64(tid, head + H_PRODUCERS);
         let capacity = m.load_u64(tid, head + H_CAPACITY);
         Ok(DurableQueue {
@@ -231,7 +186,7 @@ impl DurableQueue {
         seq: u64,
         payload: &[u8],
     ) -> Result<(), DsError> {
-        self.check_slot(slot, self.producers)?;
+        header::check_slot(slot, self.producers as u32)?;
         assert!(seq != 0, "sequence tags start at 1");
         if payload.len() > DQUEUE_MAX_PAYLOAD {
             return Err(DsError::TooLarge { len: payload.len() });
@@ -253,13 +208,7 @@ impl DurableQueue {
         line.extend_from_slice(payload);
         w.write(m, node, &line, Category::UserData);
         w.write_u64(m, self.head + H_CURSOR, cursor + 1, Category::AllocMeta);
-        let ann = self.announce_addr(slot);
-        let mut a = Vec::with_capacity(24);
-        a.extend_from_slice(&STATE_PENDING.to_le_bytes());
-        a.extend_from_slice(&node.to_le_bytes());
-        a.extend_from_slice(&seq.to_le_bytes());
-        w.write(m, ann, &a, Category::AppMeta);
-        w.durability_fence(m);
+        self.announces().publish(m, &mut w, slot, node, seq);
 
         // Link epoch: one pointer store makes the node reachable.
         let tail = self.find_tail(m, tid, self.tail_hint);
@@ -272,9 +221,7 @@ impl DurableQueue {
         w.durability_fence(m);
         self.tail_hint = node;
 
-        // Retire epoch.
-        w.write_u64(m, ann + A_STATE, STATE_DONE, Category::AppMeta);
-        w.durability_fence(m);
+        self.announces().retire(m, &mut w, slot);
         Ok(())
     }
 
@@ -301,14 +248,9 @@ impl DurableQueue {
         let payload = m.load_vec(tid, node + N_PAYLOAD, len);
         let next = m.load_u64(tid, node + N_NEXT);
 
-        let ann = self.announce_addr(self.producers as u32);
+        let consumer = self.producers as u32;
         let mut w = PmWriter::new(tid);
-        let mut a = Vec::with_capacity(24);
-        a.extend_from_slice(&STATE_PENDING.to_le_bytes());
-        a.extend_from_slice(&node.to_le_bytes());
-        a.extend_from_slice(&seq.to_le_bytes());
-        w.write(m, ann, &a, Category::AppMeta);
-        w.durability_fence(m);
+        self.announces().publish(m, &mut w, consumer, node, seq);
 
         w.write_u64(m, self.head + H_HEAD, next, Category::UserData);
         w.durability_fence(m);
@@ -316,8 +258,7 @@ impl DurableQueue {
             self.tail_hint = 0;
         }
 
-        w.write_u64(m, ann + A_STATE, STATE_DONE, Category::AppMeta);
-        w.durability_fence(m);
+        self.announces().retire(m, &mut w, consumer);
         Ok(Some((node_seq, payload)))
     }
 
@@ -325,8 +266,7 @@ impl DurableQueue {
     /// prepared-but-unlinked enqueues, detect completed operations,
     /// discard torn preparations, and repair the allocation cursor.
     /// Idempotent.
-    pub fn recover(&mut self, m: &mut Machine, tid: Tid) -> QueueRecovery {
-        let mut report = QueueRecovery::default();
+    pub fn recover(&mut self, m: &mut Machine, tid: Tid) -> Recovery {
         let mut w = PmWriter::new(tid);
 
         // Chain facts first: reachable set and true tail.
@@ -348,50 +288,37 @@ impl DurableQueue {
             cursor = cursor.max((n - arena) / 64 + 1);
         }
 
-        // Producer announces: roll forward or discard.
-        for slot in 0..self.producers as u32 {
-            let ann = self.announce_addr(slot);
-            if m.load_u64(tid, ann + A_STATE) != STATE_PENDING {
-                continue;
-            }
-            let node = m.load_u64(tid, ann + A_NODE);
-            let seq = m.load_u64(tid, ann + A_SEQ);
-            let fate = if reachable.contains(&node) {
-                QueueOpFate::Completed
-            } else if seq != 0 && node != 0 && m.load_u64(tid, node + N_SEQ) == seq {
-                // Durable prepared node, never linked: link it now.
-                w.write_u64(m, node + N_NEXT, 0, Category::UserData);
-                let link = if self.tail_hint == 0 {
-                    self.head + H_HEAD
+        // Producer announces roll forward or discard; the consumer's
+        // pop either moved the head or it didn't.
+        let consumer = self.producers as u32;
+        let report = self
+            .announces()
+            .recover(m, &mut w, |m, w, slot, node, seq| {
+                if slot == consumer {
+                    if m.load_u64(tid, self.head + H_HEAD) == node {
+                        OpFate::Discarded
+                    } else {
+                        OpFate::Completed
+                    }
+                } else if reachable.contains(&node) {
+                    OpFate::Completed
+                } else if header::prepared(m, tid, node, seq) {
+                    // Durable prepared node, never linked: link it now.
+                    w.write_u64(m, node + N_NEXT, 0, Category::UserData);
+                    let link = if self.tail_hint == 0 {
+                        self.head + H_HEAD
+                    } else {
+                        self.tail_hint + N_NEXT
+                    };
+                    w.write_u64(m, link, node, Category::UserData);
+                    w.durability_fence(m);
+                    self.tail_hint = node;
+                    cursor = cursor.max((node - arena) / 64 + 1);
+                    OpFate::RolledForward
                 } else {
-                    self.tail_hint + N_NEXT
-                };
-                w.write_u64(m, link, node, Category::UserData);
-                w.durability_fence(m);
-                self.tail_hint = node;
-                cursor = cursor.max((node - arena) / 64 + 1);
-                QueueOpFate::RolledForward
-            } else {
-                QueueOpFate::Discarded
-            };
-            w.write_u64(m, ann + A_STATE, STATE_DONE, Category::AppMeta);
-            report.ops.push((slot, seq, fate));
-        }
-
-        // Consumer announce: the pop either moved the head or it
-        // didn't; nothing to roll forward.
-        let ann = self.announce_addr(self.producers as u32);
-        if m.load_u64(tid, ann + A_STATE) == STATE_PENDING {
-            let node = m.load_u64(tid, ann + A_NODE);
-            let seq = m.load_u64(tid, ann + A_SEQ);
-            let fate = if m.load_u64(tid, self.head + H_HEAD) == node {
-                QueueOpFate::Discarded
-            } else {
-                QueueOpFate::Completed
-            };
-            w.write_u64(m, ann + A_STATE, STATE_DONE, Category::AppMeta);
-            report.ops.push((self.producers as u32, seq, fate));
-        }
+                    OpFate::Discarded
+                }
+            });
 
         w.write_u64(m, self.head + H_CURSOR, cursor, Category::AllocMeta);
         w.durability_fence(m);
@@ -535,9 +462,9 @@ mod tests {
                 );
                 for (_, _, fate) in &report.ops {
                     match fate {
-                        QueueOpFate::RolledForward => rolled += 1,
-                        QueueOpFate::Discarded => discarded += 1,
-                        QueueOpFate::Completed => {}
+                        OpFate::RolledForward => rolled += 1,
+                        OpFate::Discarded => discarded += 1,
+                        OpFate::Completed => {}
                     }
                 }
                 // Whatever recovery decided, the queue is internally

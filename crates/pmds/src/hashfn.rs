@@ -1,6 +1,14 @@
 //! Deterministic hashing for persistent structures.
 
-/// FNV-1a 64-bit hash.
+use pmem::hash::Fnv1a;
+
+/// The multiplier the structures have always hashed with: the 64-bit
+/// FNV prime `0x100_0000_01b3` short two zero nibbles. Every persistent
+/// table's bucket placement — so every trace and golden — depends on
+/// it, so it stays.
+const PRIME: u64 = 0x1_0000_01b3;
+
+/// FNV-1a 64-bit hash, over `PRIME` (`pmem`'s [`Fnv1a`] fold).
 ///
 /// Persistent hash tables must hash identically across restarts, so the
 /// function is fixed and seedless (unlike `std`'s randomized hasher).
@@ -12,12 +20,7 @@
 /// assert_ne!(pmds::fnv1a(b"a"), pmds::fnv1a(b"b"));
 /// ```
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
+    Fnv1a::with_prime(PRIME).bytes(bytes).finish()
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Persistent chained hash table.
 
+use crate::header::{self, HEADER_BYTES};
 use crate::{fnv1a, DsError};
 use memsim::Machine;
 use pmalloc::PmAllocator;
@@ -9,13 +10,8 @@ use pmtx::TxMem;
 
 const MAGIC: u64 = 0x5048_4153_484d_4150; // "PHASHMAP"
 const NODE_HDR: u64 = 16; // next u64, key_len u32, val_len u32
-/// Per-thread count shards, one cache line each, so concurrent inserts
-/// do not collide on a single hot counter line (the paper's shared
-/// persistent variables are a named cross-dependency source; real
-/// stores shard or elide such counters).
-const COUNT_SHARDS: u64 = 4;
-const SHARDS_OFF: u64 = 64;
-const BUCKETS_OFF: u64 = SHARDS_OFF + COUNT_SHARDS * 64;
+/// The bucket array follows the header line and its count shards.
+const BUCKETS_OFF: u64 = HEADER_BYTES;
 /// Largest key+value payload an inline node can hold (bounded by the
 /// transaction engines' fixed log-record payload).
 pub(crate) const MAX_ITEM: usize = 400;
@@ -78,39 +74,14 @@ impl PHashMap {
     ///
     /// [`DsError::BadHeader`] if `head` does not hold a table.
     pub fn open(m: &mut Machine, tid: Tid, head: Addr) -> Result<PHashMap, DsError> {
-        if m.load_u64(tid, head) != MAGIC {
-            return Err(DsError::BadHeader { addr: head });
-        }
+        header::open(m, tid, head, MAGIC)?;
         let nbuckets = m.load_u64(tid, head + 8);
         Ok(PHashMap { head, nbuckets })
     }
 
     /// Number of entries (sums the per-thread count shards).
     pub fn len(&self, m: &mut Machine, tid: Tid) -> u64 {
-        // Shards hold signed deltas (a cross-thread remove drives a
-        // shard negative); the non-negative total is exact modulo 2^64.
-        (0..COUNT_SHARDS)
-            .map(|s| m.load_u64(tid, self.head + SHARDS_OFF + s * 64))
-            .fold(0u64, u64::wrapping_add)
-    }
-
-    fn bump_count<E: TxMem>(
-        &self,
-        m: &mut Machine,
-        eng: &mut E,
-        tid: Tid,
-        delta: i64,
-    ) -> Result<(), DsError> {
-        let shard = self.head + SHARDS_OFF + (tid.0 as u64 % COUNT_SHARDS) * 64;
-        let n = eng.tx_read_u64(m, tid, shard);
-        eng.tx_write_u64(
-            m,
-            tid,
-            shard,
-            n.wrapping_add_signed(delta),
-            Category::AppMeta,
-        )?;
-        Ok(())
+        header::len(m, tid, self.head)
     }
 
     /// Whether the table is empty.
@@ -192,7 +163,7 @@ impl PHashMap {
             let next = eng.tx_read_u64(m, tid, bucket);
             let new = self.new_node(m, eng, tid, alloc, key, val, next)?;
             eng.tx_write_u64(m, tid, bucket, new, Category::UserData)?;
-            self.bump_count(m, eng, tid, 1)?;
+            header::bump(m, eng, tid, self.head, 1)?;
             Ok(true)
         }
     }
@@ -254,7 +225,7 @@ impl PHashMap {
             Some((link, node)) => {
                 let next = eng.tx_read_u64(m, tid, node);
                 eng.tx_write_u64(m, tid, link, next, Category::UserData)?;
-                self.bump_count(m, eng, tid, -1)?;
+                header::bump(m, eng, tid, self.head, -1)?;
                 let mut w = memsim::PmWriter::new(tid);
                 alloc.free(m, &mut w, node)?;
                 Ok(true)
@@ -344,6 +315,32 @@ mod tests {
         let v = fx.map.get(&mut fx.m, &mut fx.eng, TID, b"alpha");
         assert_eq!(v.as_deref(), Some(&b"one"[..]));
         assert_eq!(fx.map.len(&mut fx.m, TID), 1);
+    }
+
+    #[test]
+    fn remove_on_a_different_thread_keeps_len_exact() {
+        // Count shards are picked by tid: thread 1 removing what thread
+        // 0 inserted drives shard 1 negative (mod 2^64). The total
+        // must still come back to exactly 0.
+        let mut fx = setup();
+        let (t0, t1) = (Tid(0), Tid(1));
+        for k in [b"a".as_slice(), b"b", b"c"] {
+            fx.eng.begin(&mut fx.m, t0).unwrap();
+            let fresh = fx
+                .map
+                .insert(&mut fx.m, &mut fx.eng, t0, &mut fx.alloc, k, b"v");
+            assert!(fresh.unwrap());
+            fx.eng.commit(&mut fx.m, t0).unwrap();
+        }
+        assert_eq!(fx.map.len(&mut fx.m, t1), 3);
+        for k in [b"a".as_slice(), b"b", b"c"] {
+            fx.eng.begin(&mut fx.m, t1).unwrap();
+            let removed = fx.map.remove(&mut fx.m, &mut fx.eng, t1, &mut fx.alloc, k);
+            assert!(removed.unwrap());
+            fx.eng.commit(&mut fx.m, t1).unwrap();
+        }
+        assert_eq!(fx.map.len(&mut fx.m, t0), 0);
+        assert!(fx.map.is_empty(&mut fx.m, t1));
     }
 
     #[test]

@@ -20,6 +20,15 @@
 //! Pointers are raw PM addresses (`u64`), with 0 as null. Every
 //! structure has an `open` constructor that re-attaches to its PM
 //! header after a crash.
+//!
+//! Two protocols are written once and shared. The *structure header*:
+//! the magic check every `open` runs, and the per-thread count shards
+//! of the four transactional maps (a header region of [`HEADER_BYTES`]).
+//! The *announce slot* behind [`CHash`]'s and [`DurableQueue`]'s
+//! detectable recovery: each operation publishes a `Pending` record
+//! before it links and retires it after, and `recover` reports the
+//! [`OpFate`] of every operation a crash interrupted in one
+//! [`Recovery`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,19 +39,21 @@ mod critbit;
 mod dqueue;
 mod hashfn;
 mod hashmap;
+mod header;
 mod lru;
 mod plog;
 mod rbtree;
 
-pub use btree::{PBTree, BTREE_REGION_BYTES};
-pub use chash::{CHash, HashOpFate, HashRecovery, CHASH_MAX_ITEM};
-pub use critbit::{CritBitTree, CRITBIT_REGION_BYTES};
-pub use dqueue::{DurableQueue, QueueOpFate, QueueRecovery, DQUEUE_MAX_PAYLOAD};
+pub use btree::PBTree;
+pub use chash::{CHash, CHASH_MAX_ITEM};
+pub use critbit::CritBitTree;
+pub use dqueue::{DurableQueue, DQUEUE_MAX_PAYLOAD};
 pub use hashfn::fnv1a;
 pub use hashmap::PHashMap;
+pub use header::{OpFate, Recovery, HEADER_BYTES};
 pub use lru::PLruList;
 pub use plog::PLog;
-pub use rbtree::{PRbTree, RBTREE_REGION_BYTES};
+pub use rbtree::PRbTree;
 
 /// Errors from persistent data structures.
 #[derive(Debug, Clone, PartialEq, Eq)]

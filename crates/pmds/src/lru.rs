@@ -1,6 +1,6 @@
 //! Persistent doubly-linked LRU list.
 
-use crate::DsError;
+use crate::{header, DsError};
 use memsim::Machine;
 use pmalloc::PmAllocator;
 use pmem::{Addr, AddrRange};
@@ -54,9 +54,7 @@ impl PLruList {
     ///
     /// [`DsError::BadHeader`] if `base` does not hold a list header.
     pub fn open(m: &mut Machine, tid: Tid, base: Addr) -> Result<PLruList, DsError> {
-        if m.load_u64(tid, base) != MAGIC {
-            return Err(DsError::BadHeader { addr: base });
-        }
+        header::open(m, tid, base, MAGIC)?;
         Ok(PLruList { base })
     }
 

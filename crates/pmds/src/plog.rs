@@ -1,6 +1,6 @@
 //! Persistent append-only log.
 
-use crate::DsError;
+use crate::{header, DsError};
 use memsim::Machine;
 use pmem::AddrRange;
 use pmtrace::{Category, Tid};
@@ -54,9 +54,7 @@ impl PLog {
     ///
     /// [`DsError::BadHeader`] if `region` does not hold a log.
     pub fn open(m: &mut Machine, tid: Tid, region: AddrRange) -> Result<PLog, DsError> {
-        if m.load_u64(tid, region.base) != MAGIC {
-            return Err(DsError::BadHeader { addr: region.base });
-        }
+        header::open(m, tid, region.base, MAGIC)?;
         Ok(PLog { region })
     }
 

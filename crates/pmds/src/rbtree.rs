@@ -1,5 +1,6 @@
 //! Persistent red-black tree.
 
+use crate::header::{self, HEADER_BYTES};
 use crate::DsError;
 use memsim::Machine;
 use pmalloc::PmAllocator;
@@ -18,10 +19,6 @@ const PARENT: u64 = 32;
 const COLOR: u64 = 40;
 const RED: u64 = 1;
 const BLACK: u64 = 0;
-const COUNT_SHARDS: u64 = 4;
-
-/// Bytes of PM a tree header needs (header line + count shards).
-pub const RBTREE_REGION_BYTES: u64 = 64 + COUNT_SHARDS * 64;
 
 /// A persistent red-black tree mapping `u64` keys to `u64` values.
 ///
@@ -56,10 +53,7 @@ impl PRbTree {
         alloc: &mut A,
         region: AddrRange,
     ) -> Result<PRbTree, DsError> {
-        assert!(
-            region.len >= RBTREE_REGION_BYTES,
-            "rb-tree region too small"
-        );
+        assert!(region.len >= HEADER_BYTES, "rb-tree region too small");
         let mut w = memsim::PmWriter::new(tid);
         let nil = alloc.alloc(m, &mut w, NODE_BYTES)?;
         eng.tx_write_u64(m, tid, nil + COLOR, BLACK, Category::UserData)?;
@@ -78,39 +72,14 @@ impl PRbTree {
     ///
     /// [`DsError::BadHeader`] if `base` does not hold a tree.
     pub fn open(m: &mut Machine, tid: Tid, base: Addr) -> Result<PRbTree, DsError> {
-        if m.load_u64(tid, base) != MAGIC {
-            return Err(DsError::BadHeader { addr: base });
-        }
+        header::open(m, tid, base, MAGIC)?;
         let nil = m.load_u64(tid, base + 24);
         Ok(PRbTree { base, nil })
     }
 
     /// Number of keys (sums the per-thread count shards).
     pub fn len(&self, m: &mut Machine, tid: Tid) -> u64 {
-        // Shards hold signed deltas (a cross-thread remove drives a
-        // shard negative); the non-negative total is exact modulo 2^64.
-        (0..COUNT_SHARDS)
-            .map(|s| m.load_u64(tid, self.base + 64 + s * 64))
-            .fold(0u64, u64::wrapping_add)
-    }
-
-    fn bump_count<E: TxMem>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        delta: i64,
-    ) -> Result<(), DsError> {
-        let shard = self.base + 64 + (tid.0 as u64 % COUNT_SHARDS) * 64;
-        let n = e.tx_read_u64(m, tid, shard);
-        e.tx_write_u64(
-            m,
-            tid,
-            shard,
-            n.wrapping_add_signed(delta),
-            Category::AppMeta,
-        )?;
-        Ok(())
+        header::len(m, tid, self.base)
     }
 
     /// Whether the tree is empty.
@@ -266,7 +235,7 @@ impl PRbTree {
         self.s(m, e, tid, z, RIGHT, self.nil)?;
         self.s(m, e, tid, z, COLOR, RED)?;
         self.insert_fixup(m, e, tid, z)?;
-        self.bump_count(m, e, tid, 1)?;
+        header::bump(m, e, tid, self.base, 1)?;
         Ok(true)
     }
 
@@ -410,7 +379,7 @@ impl PRbTree {
         }
         let mut w = memsim::PmWriter::new(tid);
         alloc.free(m, &mut w, z)?;
-        self.bump_count(m, e, tid, -1)?;
+        header::bump(m, e, tid, self.base, -1)?;
         Ok(true)
     }
 
@@ -602,7 +571,7 @@ mod tests {
             &mut eng,
             TID,
             &mut alloc,
-            AddrRange::new(pm.base + (24 << 20), RBTREE_REGION_BYTES),
+            AddrRange::new(pm.base + (24 << 20), HEADER_BYTES),
         )
         .unwrap();
         eng.commit(&mut m, TID).unwrap();
@@ -638,6 +607,32 @@ mod tests {
         assert_eq!(fx.tree.get(&mut fx.m, &mut fx.eng, TID, 11), None);
         assert_eq!(fx.tree.len(&mut fx.m, TID), 1);
         fx.tree.check_invariants(&mut fx.m, TID).unwrap();
+    }
+
+    #[test]
+    fn remove_on_a_different_thread_keeps_len_exact() {
+        // Count shards are picked by tid: thread 1 removing what thread
+        // 0 inserted drives shard 1 negative (mod 2^64). The total
+        // must still come back to exactly 0.
+        let mut fx = setup();
+        let (t0, t1) = (Tid(0), Tid(1));
+        for k in [10u64, 20, 30] {
+            fx.eng.begin(&mut fx.m, t0).unwrap();
+            let fresh = fx
+                .tree
+                .insert(&mut fx.m, &mut fx.eng, t0, &mut fx.alloc, k, 1);
+            assert!(fresh.unwrap());
+            fx.eng.commit(&mut fx.m, t0).unwrap();
+        }
+        assert_eq!(fx.tree.len(&mut fx.m, t1), 3);
+        for k in [10u64, 20, 30] {
+            fx.eng.begin(&mut fx.m, t1).unwrap();
+            let removed = fx.tree.remove(&mut fx.m, &mut fx.eng, t1, &mut fx.alloc, k);
+            assert!(removed.unwrap());
+            fx.eng.commit(&mut fx.m, t1).unwrap();
+        }
+        assert_eq!(fx.tree.len(&mut fx.m, t0), 0);
+        assert!(fx.tree.is_empty(&mut fx.m, t1));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A fast, deterministic hasher for simulator-internal maps.
+//! Deterministic hashing: a fast hasher for simulator-internal maps,
+//! and the workspace's one FNV-1a.
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3 with a random
 //! per-process key — the right choice against adversarial keys, but the
@@ -88,6 +89,57 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
+
+/// FNV-1a (64-bit), fed incrementally — fixed and seedless, so a value
+/// hashes identically across processes and restarts: persistent hash
+/// tables route keys with it, and digests of simulator state compare
+/// with it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a {
+    hash: u64,
+    prime: u64,
+}
+
+impl Default for Fnv1a {
+    /// The standard parameters (offset basis, 64-bit FNV prime).
+    fn default() -> Fnv1a {
+        Fnv1a::with_prime(0x0000_0100_0000_01b3)
+    }
+}
+
+impl Fnv1a {
+    /// The standard offset basis with a non-standard multiplier — for a
+    /// hash whose values are already baked into persistent layouts.
+    pub fn with_prime(prime: u64) -> Fnv1a {
+        Fnv1a {
+            hash: 0xcbf2_9ce4_8422_2325,
+            prime,
+        }
+    }
+
+    /// Fold in `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
+        for &b in bytes {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(self.prime);
+        }
+        self
+    }
+
+    /// Fold in `v`'s little-endian bytes.
+    pub fn u64(&mut self, v: u64) -> &mut Fnv1a {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// The hash of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// FNV-1a (64-bit) of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    Fnv1a::default().bytes(bytes).finish()
+}
 
 #[cfg(test)]
 mod tests {

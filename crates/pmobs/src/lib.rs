@@ -12,7 +12,7 @@
 //! * [`metrics`] — named [`Counter`]s, high-water [`MaxGauge`]s, and
 //!   log2-scaled [`Histogram`]s with relaxed-atomic recording and
 //!   [mergeable snapshots](metrics::MetricsSnapshot::merge).
-//! * [`span`] — RAII wall-clock timing plus an explicit channel for
+//! * [`span`](mod@span) — RAII wall-clock timing plus an explicit channel for
 //!   durations measured on the deterministic simulated clock; the two
 //!   clock domains are kept in disjoint namespaces (`span.*` / `sim.*`).
 //! * [`trace`] — simulated-time causal tracing: typed span/instant/

@@ -17,7 +17,7 @@
 use crate::metrics::Unit;
 use std::time::Instant;
 
-/// An RAII wall-clock timer: created by [`span!`](crate::span), records
+/// An RAII wall-clock timer: created by [`span!`](macro@crate::span), records
 /// its elapsed time into the global registry histogram
 /// `span.<name>[/<label>]` when dropped. Inert (no clock read, no
 /// allocation) while recording is [disabled](crate::enabled).

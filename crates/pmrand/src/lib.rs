@@ -29,20 +29,24 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;
 }
 
+/// SplitMix64: advance `state` by the golden-ratio increment and return
+/// the next mixed 64-bit output — the workspace's one seed scrambler.
+/// It expands [`SmallRng`] seeds, drives `memsim`'s scheduler, and
+/// derives independent per-purpose streams from one master seed.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl SeedableRng for SmallRng {
-    fn seed_from_u64(seed: u64) -> Self {
+    fn seed_from_u64(mut seed: u64) -> Self {
         // SplitMix64 expands the seed into the 256-bit state; it cannot
         // produce the all-zero state xoshiro forbids.
-        let mut x = seed;
-        let mut next = || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         SmallRng {
-            s: [next(), next(), next(), next()],
+            s: std::array::from_fn(|_| splitmix64(&mut seed)),
         }
     }
 }

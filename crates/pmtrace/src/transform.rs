@@ -1,6 +1,6 @@
 //! Owned trace transforms: elide events by index, splice ranges.
 //!
-//! The checker ([`pmcheck`]'s rewrite pass) and any future trace
+//! The checker (`pmcheck`'s rewrite pass) and any future trace
 //! editor need to produce a *new* event stream from a recorded one
 //! without disturbing the relative order or timestamps of the events
 //! that survive — the hops `Replayer` prices inter-event gaps from the

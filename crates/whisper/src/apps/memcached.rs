@@ -171,9 +171,7 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     m.trace_mut().set_enabled(false);
     let mut mc = Memcached::build(&mut m, workers, ops);
     let mut sched = Scheduler::new(workers, 0x3e7c);
-    let schedule: Vec<Tid> = (0..ops)
-        .map(|_| sched.next().expect("workers live"))
-        .collect();
+    let schedule: Vec<Tid> = (0..ops).map(|_| sched.next()).collect();
     let mut rng = SmallRng::seed_from_u64(0x3e7c);
     let plan_ops: Vec<(u64, [u8; 16])> = (0..ops)
         .map(|i| {
@@ -261,7 +259,7 @@ pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
     let mut sched = Scheduler::new(workers, seed);
     m.trace_mut().set_enabled(true);
     for op in workloads::memslap(keyspace, ops, 5, seed) {
-        let tid = sched.next().expect("workers never retire");
+        let tid = sched.next();
         // Protocol parsing, connection state, item header checks.
         arena.work(&mut m, tid, 250);
         // Connection turnaround between requests.

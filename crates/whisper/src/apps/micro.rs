@@ -108,7 +108,7 @@ impl Keyed for CritBitTree {
     type Value = u64;
 
     fn create_in(env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr) {
-        let region = plan.take(pmds::CRITBIT_REGION_BYTES);
+        let region = plan.take(pmds::HEADER_BYTES);
         let tree = CritBitTree::create(&mut env.m, &mut env.eng, Tid(0), region).expect("tree");
         (tree, region.base)
     }

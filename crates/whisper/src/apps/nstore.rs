@@ -96,7 +96,7 @@ impl NStore {
         let index_region = plan.take(PHashMap::region_bytes(1024));
         let part_region = plan.take(64 * THREADS as u64);
 
-        let ordered_region = plan.take(pmds::BTREE_REGION_BYTES);
+        let ordered_region = plan.take(pmds::HEADER_BYTES);
         let mut eng = UndoTxEngine::format(m, log_region, THREADS);
         let mut w = PmWriter::new(Tid(0));
         let mut alloc = BuddyAlloc::format(m, &mut w, heap_region);

@@ -127,9 +127,7 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     // The global command order is a pure function of the seed: the
     // oracle replays the same schedule below without re-running it.
     let mut sched = Scheduler::new(workers, 0x4ed1);
-    let schedule: Vec<Tid> = (0..ops)
-        .map(|_| sched.next().expect("workers live"))
-        .collect();
+    let schedule: Vec<Tid> = (0..ops).map(|_| sched.next()).collect();
     let mut rng = SmallRng::seed_from_u64(0x4ed1);
     let mut planned_backlog = 0usize;
     let plan_ops: Vec<COp> = (0..ops)
@@ -306,7 +304,7 @@ pub(crate) fn run_inner(ops: usize, seed: u64, paced: bool, workers: u32) -> App
     let mut sched = Scheduler::new(workers, seed);
     m.trace_mut().set_enabled(true);
     for op in workloads::lru_test(keyspace, ops, seed) {
-        let tid = sched.next().expect("workers never retire");
+        let tid = sched.next();
         // The worker: read the command, walk the volatile dict
         // machinery, build a reply — thousands of DRAM accesses per
         // command, dwarfing the few PM lines a SET persists (Figure 6

@@ -90,7 +90,7 @@ impl Vacation {
                 &mut eng,
                 Tid(0),
                 &mut alloc,
-                plan.take(pmds::RBTREE_REGION_BYTES),
+                plan.take(pmds::HEADER_BYTES),
             )
             .expect("table")
         });
@@ -99,7 +99,7 @@ impl Vacation {
             &mut eng,
             Tid(0),
             &mut alloc,
-            plan.take(pmds::RBTREE_REGION_BYTES),
+            plan.take(pmds::HEADER_BYTES),
         )
         .expect("customers");
         eng.commit(m, Tid(0)).expect("setup");
@@ -302,9 +302,7 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let mut v = Vacation::build(&mut m, CRASH_ITEMS, workers, ops);
     m.trace_mut().set_enabled(false);
     let mut sched = Scheduler::new(workers, 0x7ac4);
-    let schedule: Vec<Tid> = (0..ops)
-        .map(|_| sched.next().expect("workers live"))
-        .collect();
+    let schedule: Vec<Tid> = (0..ops).map(|_| sched.next()).collect();
     let mut rng = SmallRng::seed_from_u64(0x7ac4);
     let ops_plan: Vec<VOp> = (0..ops)
         .map(|i| {
@@ -488,7 +486,7 @@ pub(crate) fn run_inner(transactions: usize, seed: u64, paced: bool, workers: u3
     let mut sched = Scheduler::new(workers, seed);
     m.trace_mut().set_enabled(true);
     for _ in 0..transactions {
-        let tid = sched.next().expect("clients never retire");
+        let tid = sched.next();
         // STAMP's volatile query machinery: each transaction runs
         // several manager/tree searches over volatile state before the
         // few persistent updates — vacation is the suite's most

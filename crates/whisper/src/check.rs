@@ -338,7 +338,7 @@ mod tests {
             t.set_enabled(true);
         }
         let mut sched = Scheduler::new(2, 0x1234);
-        let picks: Vec<Tid> = (0..8).map(|_| sched.next().expect("live")).collect();
+        let picks: Vec<Tid> = (0..8).map(|_| sched.next()).collect();
         for &tid in &picks {
             m.store_u64(tid, base, u64::from(tid.0) + 1, Category::UserData);
         }

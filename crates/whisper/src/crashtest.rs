@@ -307,13 +307,19 @@ fn judge(
     }
 }
 
-/// Probe a row for its fence total, then re-run it with `cfg.points`
-/// crash points spread across that range armed.
-fn capture(app: &App, cfg: &CampaignConfig) -> (Vec<u64>, CrashRun) {
-    let points = spread_points(app.crash(&Arm::default()).total_events, cfg.points);
+/// Probe a row for its fence total under `arm`'s elision plan (and
+/// nothing else of `arm`), then re-run it under `arm` with `cfg.points`
+/// crash points spread across that range — the one capture every
+/// campaign (plain, cross-validated, optimized) judges.
+pub(crate) fn capture(app: &App, cfg: &CampaignConfig, arm: &Arm<'_>) -> (Vec<u64>, CrashRun) {
+    let probe = app.crash(&Arm {
+        elide: arm.elide,
+        ..Arm::default()
+    });
+    let points = spread_points(probe.total_events, cfg.points);
     let run = app.crash(&Arm {
         points: &points,
-        ..Arm::default()
+        ..*arm
     });
     (points, run)
 }
@@ -322,7 +328,7 @@ fn capture(app: &App, cfg: &CampaignConfig) -> (Vec<u64>, CrashRun) {
 /// spec image.
 fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrashReport {
     let _span = pmobs::span!("crash.row", app.name);
-    let (points, run) = capture(app, cfg);
+    let (points, run) = capture(app, cfg, &Arm::default());
     judge(app.name, points, &run, cfg)
 }
 
@@ -401,20 +407,15 @@ fn run_optimized_row(app: &App, cfg: &CampaignConfig) -> OptimizedCrashReport {
         .collect();
     let plan = ElidePlan::new(flush_ords, fence_ords);
 
-    // 2. Elided probe: the optimized run has fewer fences, so its own
-    // total defines the sweepable crash-point range.
+    // 2. Elided probe and capture (the optimized run has fewer fences,
+    // so its own total defines the sweepable crash-point range), judged
+    // exactly like the plain campaign — every recovery oracle must
+    // still pass on the optimized schedule.
     let elided = Arm {
         elide: Some(&plan),
         ..Arm::default()
     };
-    let points = spread_points(app.crash(&elided).total_events, cfg.points);
-
-    // 3. Elided capture run, judged exactly like the plain campaign —
-    // every recovery oracle must still pass on the optimized schedule.
-    let run = app.crash(&Arm {
-        points: &points,
-        ..elided
-    });
+    let (points, run) = capture(app, cfg, &elided);
     let elide = run.elide.unwrap_or_default();
     OptimizedCrashReport {
         report: judge(app.name, points, &run, cfg),
@@ -433,11 +434,6 @@ pub fn run_optimized_campaign(cfg: &CampaignConfig) -> Vec<OptimizedCrashReport>
     fan_out(cfg.parallelism, APPS.len(), |i| {
         run_optimized_row(&APPS[i], cfg)
     })
-}
-
-/// Total oracle rejections across an optimized campaign.
-pub fn total_optimized_failures(reports: &[OptimizedCrashReport]) -> usize {
-    reports.iter().map(|r| r.report.failures.len()).sum()
 }
 
 /// Total oracle rejections across the campaign (the `--crash` gate).
@@ -680,7 +676,7 @@ mod tests {
         // echo is the one row with lines in flight at its fence-granular
         // points, so its specs do not all share one image.
         let cfg = CampaignConfig::quick();
-        let (points, run) = capture(&crate::apps::echo::APP, &cfg);
+        let (points, run) = capture(&crate::apps::echo::APP, &cfg, &Arm::default());
         let (run, calls) = counted(run);
         let distinct: usize = run.states.iter().map(|s| landed_sets(s, &cfg).len()).sum();
         let report = judge("echo", points.clone(), &run, &cfg);
@@ -700,7 +696,7 @@ mod tests {
         // verdicts must reproduce the per-image failures entry for
         // entry, in order.
         let cfg = CampaignConfig::quick();
-        let (points, mut run) = capture(&crate::apps::echo::APP, &cfg);
+        let (points, mut run) = capture(&crate::apps::echo::APP, &cfg, &Arm::default());
         let (line, data) = run
             .states
             .iter()
@@ -763,7 +759,7 @@ mod tests {
     fn every_row_runs_its_oracle_once_per_distinct_image() {
         let cfg = CampaignConfig::quick();
         for app in &APPS {
-            let (points, run) = capture(app, &cfg);
+            let (points, run) = capture(app, &cfg, &Arm::default());
             let (run, calls) = counted(run);
             let report = judge(app.name, points, &run, &cfg);
             assert!(

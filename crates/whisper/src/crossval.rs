@@ -30,7 +30,7 @@
 //! 4 points × 10 specs = 440 images.
 
 use crate::apps::{App, APPS};
-use crate::crashtest::{spec_name, specs, spread_points, Arm, CampaignConfig};
+use crate::crashtest::{capture, spec_name, specs, Arm, CampaignConfig};
 use crate::pool::fan_out;
 use memsim::{CrashSpec, Machine, MachineConfig};
 use pmcheck::hb::durable_lines_at_fences;
@@ -217,13 +217,11 @@ impl CrossvalReport {
 /// checked against the proven ones.
 fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrossval {
     let _span = pmobs::span!("crossval.row", app.name);
-    let probe = app.crash(&Arm::default());
-    let points = spread_points(probe.total_events, cfg.points);
-    let run = app.crash(&Arm {
-        points: &points,
+    let traced = Arm {
         trace: true,
-        elide: None,
-    });
+        ..Arm::default()
+    };
+    let (points, run) = capture(app, cfg, &traced);
     debug_assert_eq!(run.states.len(), points.len());
     let proven = durable_lines_at_fences(&run.trace, &points);
     let mut images = 0usize;

@@ -39,8 +39,9 @@ use crate::profile::{AppProfile, MechanismProfile, TailPoint};
 use crate::suite::{scaled_ops, SuiteConfig, APP_NAMES, DEFAULT_WORKER_THREADS};
 use crate::workloads::Zipf;
 use hops::{HopsConfig, PersistModel, Replayer, TimingConfig};
+use pmem::hash::fnv1a;
 use pmobs::{Histogram, Json, Unit};
-use pmrand::{Rng, SeedableRng, SmallRng};
+use pmrand::{splitmix64, Rng, SeedableRng, SmallRng};
 use pmtrace::{Event, EventKind};
 
 /// The three mechanisms the saturation sweep compares: the `clwb`
@@ -188,26 +189,6 @@ pub struct AppServe {
     pub curves: Vec<MechanismCurve>,
 }
 
-/// splitmix64 — the standard 64-bit seed scrambler; used to derive
-/// independent deterministic streams (per shard, per purpose) from the
-/// master seed without any cross-correlation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over the app name: a stable per-app stream discriminator.
-fn app_stream(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The deterministic arrival schedule: `n` request timestamps (ns on
 /// the simulated clock) at offered rate `rate_rps`.
 ///
@@ -223,7 +204,7 @@ pub fn arrival_schedule(seed: u64, n: usize, rate_rps: f64, arrival: Arrival) ->
             .map(|i| (i as f64 * mean_gap).round() as u64)
             .collect(),
         Arrival::Bursty => {
-            let mut rng = SmallRng::seed_from_u64(splitmix64(seed ^ 0xa55a));
+            let mut rng = SmallRng::seed_from_u64(splitmix64(&mut (seed ^ 0xa55a)));
             let mut t = 0.0f64;
             (0..n)
                 .map(|_| {
@@ -242,7 +223,7 @@ pub fn arrival_schedule(seed: u64, n: usize, rate_rps: f64, arrival: Arrival) ->
 /// Like the arrival schedule, a function of `(seed, n)` alone.
 pub fn key_stream(seed: u64, n: usize) -> Vec<usize> {
     let zipf = Zipf::new(SERVE_KEYS, SERVE_THETA);
-    let mut rng = SmallRng::seed_from_u64(splitmix64(seed ^ 0x5aa5));
+    let mut rng = SmallRng::seed_from_u64(splitmix64(&mut (seed ^ 0x5aa5)));
     (0..n).map(|_| zipf.sample(&mut rng)).collect()
 }
 
@@ -340,13 +321,14 @@ pub fn serve_app_full(name: &str, cfg: &ServeConfig) -> (AppServe, AppProfile) {
     // Calibrate: one seeded run per shard, one (service, stall) pool
     // per mechanism per shard. Calibration runs are warm-up, not the
     // experiment — suppress their tracks.
-    let stream = app_stream(name);
+    // FNV-1a over the app name: a stable per-app stream discriminator.
+    let stream = fnv1a(name.as_bytes());
     let mut pools: Vec<Vec<Vec<(u64, u64)>>> =
         vec![Vec::with_capacity(cfg.shards); SERVE_MODELS.len()];
     {
         let _quiet = pmobs::trace::suppress();
         for shard in 0..cfg.shards {
-            let shard_seed = splitmix64(cfg.seed ^ stream ^ (shard as u64 + 1));
+            let shard_seed = splitmix64(&mut (cfg.seed ^ stream ^ (shard as u64 + 1)));
             let run = (app.run)(ops, shard_seed, DEFAULT_WORKER_THREADS);
             let bounds = request_bounds(&run.events, ops);
             for (mi, &model) in SERVE_MODELS.iter().enumerate() {

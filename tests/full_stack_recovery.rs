@@ -3,7 +3,7 @@
 
 use memsim::{CrashSpec, Machine, MachineConfig, PmWriter};
 use pmalloc::{BuddyAlloc, SlabBitmapAlloc};
-use pmds::{CritBitTree, PHashMap, PLog, PRbTree, CRITBIT_REGION_BYTES, RBTREE_REGION_BYTES};
+use pmds::{CritBitTree, PHashMap, PLog, PRbTree, HEADER_BYTES};
 use pmem::AddrRange;
 use pmfs::{Pmfs, PmfsConfig};
 use pmtrace::Tid;
@@ -77,8 +77,8 @@ fn every_structure_recovers_from_one_image() {
     let log = AddrRange::new(pm.base, 4 << 20);
     let heap = AddrRange::new(pm.base + (4 << 20), 64 << 20);
     let table = AddrRange::new(pm.base + (70 << 20), PHashMap::region_bytes(32));
-    let tree_r = AddrRange::new(pm.base + (71 << 20), CRITBIT_REGION_BYTES);
-    let rb_r = AddrRange::new(pm.base + (72 << 20), RBTREE_REGION_BYTES);
+    let tree_r = AddrRange::new(pm.base + (71 << 20), HEADER_BYTES);
+    let rb_r = AddrRange::new(pm.base + (72 << 20), HEADER_BYTES);
     let log_r = AddrRange::new(pm.base + (73 << 20), 4096);
 
     let mut eng = RedoTxEngine::format(&mut m, log, 4);
