@@ -3,13 +3,15 @@
 # another revision — the proof a "same bytes" PR owes.
 #
 # Builds REV from `git archive` in a scratch directory, builds this
-# tree, runs on both the CI mega-invocation (every gate, `--trace`) and
-# the `--threads 1` run, and compares every artefact: report.txt,
-# report.det.json, violations.json, crash.json, crossval.json,
-# optimize.json, serve.json, profile.json, trace.json, graphs/, and the
-# single-worker report.t1.txt / report.t1.det.json. Only report.json is
-# left out: its `metrics` block holds host wall-clock time. Prints the
-# paths that differ and exits 1 if any does.
+# tree, runs on both the CI mega-invocation (every gate, `--trace`),
+# the `--threads 1` run and a scale-0.3 serve run (where HOPS
+# cross-thread dependencies retire most often), and compares every
+# artefact: report.txt, report.det.json, violations.json, crash.json,
+# crossval.json, optimize.json, serve.json, profile.json, trace.json,
+# graphs/, the single-worker report.t1.txt / report.t1.det.json, and
+# report.s03.txt / serve.s03.json. Only report.json is left out: its
+# `metrics` block holds host wall-clock time. Prints the paths that
+# differ and exits 1 if any does.
 #
 #   ci/identity.sh HEAD~1            # scratch in a fresh mktemp -d, removed after
 #   ci/identity.sh 2158dd6 /tmp/id   # keep the builds and outputs in /tmp/id
@@ -37,7 +39,7 @@ cargo build --release --workspace --quiet \
 echo "identity: building the working tree" >&2
 cargo build --release --workspace --quiet --manifest-path "$root/Cargo.toml"
 
-# run BIN OUT_DIR: both CI invocations, outputs under OUT_DIR.
+# run BIN OUT_DIR: the three invocations, outputs under OUT_DIR.
 run() {
     mkdir -p "$2"
     (
@@ -54,6 +56,8 @@ run() {
             --quiet --scale 0.05 --seed 42 --parallel 1 --threads 4 > report.txt
         "$1" --json-det report.t1.det.json --check \
             --quiet --scale 0.05 --seed 42 --parallel 1 --threads 1 > report.t1.txt
+        "$1" fig10 --serve --serve-json serve.s03.json \
+            --quiet --scale 0.3 --seed 7 --parallel 1 --threads 4 > report.s03.txt
         rm report.json
     )
 }

@@ -12,8 +12,8 @@
 //!   at the memory controller is the durability point, so fences wait
 //!   only for MC ACKs ("this results in faster durability operations").
 //! * **HOPS (NVM)** — no flush instructions; `ofence` is a local
-//!   timestamp bump; persist buffers drain in the *background* during
-//!   volatile work; only `dfence` waits, and only for what the
+//!   timestamp bump; the [`PersistBuffer`] drains in the *background*
+//!   during volatile work; only `dfence` waits, and only for what the
 //!   background never caught up on.
 //! * **HOPS (PWQ)** — HOPS draining to an MC-side write queue. The
 //!   paper finds the PWQ adds little once flushes are off the critical
@@ -21,6 +21,7 @@
 //! * **IDEAL (non-CC)** — ignores all ordering; not crash-consistent.
 
 use crate::config::{HopsConfig, TimingConfig};
+use crate::persist_buffer::PersistBuffer;
 use pmem::lines_spanning;
 use pmtrace::{Event, EventKind, Tid};
 
@@ -85,8 +86,6 @@ struct ThreadReplay {
     /// Same counter, maintained unconditionally to reconstruct the
     /// recording machine's fence charges under every model.
     recorded_pending: u64,
-    /// HOPS: persist-buffer occupancy (lines not yet drained).
-    pb_outstanding: u64,
     /// Ordering-stall time: fence/ofence/dfence charges plus
     /// persist-buffer-overflow stalls. Maintained unconditionally (two
     /// integer adds per fence) so the serving profiler can decompose
@@ -99,24 +98,6 @@ struct ThreadReplay {
     /// persist-buffer occupancy samples — all on this thread's
     /// replayed clock.
     trace: Option<pmobs::trace::TraceSink>,
-}
-
-impl Clone for ThreadReplay {
-    /// Clones carry the pricing state but not the trace sink: a sink
-    /// is single-owner (its drop submits the track), so a cloned
-    /// replayer re-prices silently.
-    fn clone(&self) -> ThreadReplay {
-        ThreadReplay {
-            clock_ns: self.clock_ns,
-            last_at: self.last_at,
-            pending_writebacks: self.pending_writebacks,
-            recorded_pending: self.recorded_pending,
-            pb_outstanding: self.pb_outstanding,
-            stall_ns: self.stall_ns,
-            epoch_open: false,
-            trace: None,
-        }
-    }
 }
 
 fn pipelined(n: u64, unit: u64) -> u64 {
@@ -136,11 +117,17 @@ fn pipelined(n: u64, unit: u64) -> u64 {
 /// [`makespan_ns`](Replayer::makespan_ns) at each boundary, and
 /// [`finish`](Replayer::finish) into the usual [`RuntimeReport`].
 /// Stepping a full trace is charge-for-charge identical to [`replay`].
-#[derive(Debug, Clone)]
+///
+/// The HOPS models step a real [`PersistBuffer`]: a store buffers its
+/// lines, volatile time retires them in the background, a full buffer
+/// stalls until its overflow retires, and a `dfence` waits for the
+/// rest (the crate docs step the paper's worked example through it).
+#[derive(Debug)]
 pub struct Replayer {
     model: PersistModel,
     cfg: TimingConfig,
-    pb_entries: u64,
+    /// The HOPS models' persist buffers (unused by the others).
+    pb: PersistBuffer,
     /// Background drain rate: within an epoch, writes flush
     /// "concurrently to the MCs", so the per-line unit is the persist
     /// latency spread over the controllers and their queue depth.
@@ -151,14 +138,9 @@ pub struct Replayer {
     /// Track-name base (`ctx/hops[model]/N`) captured at construction
     /// while tracing was active; per-thread sinks append `/tK`.
     trace_base: Option<String>,
-    /// Per-thread pricing state. A flat vector, not a map: WHISPER
-    /// traces have a handful of threads but millions of events, and
-    /// consecutive events usually come from the same thread, so a
-    /// cached-index hit (then a linear probe) beats hashing the tid on
-    /// every step.
+    /// Per-thread pricing state, indexed by the thread's persist-buffer
+    /// handle (every model registers threads there on first sight).
     threads: Vec<(Tid, ThreadReplay)>,
-    /// Index into `threads` of the last-stepped thread.
-    last_thread: usize,
 }
 
 impl Replayer {
@@ -187,39 +169,36 @@ impl Replayer {
         Replayer {
             model,
             cfg: *cfg,
-            pb_entries: hops_cfg.pb_entries as u64,
+            pb: PersistBuffer::new(hops_cfg),
             drain_unit,
             dfence_floor,
             trace_base,
             threads: Vec::new(),
-            last_thread: 0,
         }
     }
 
-    /// The slot for `tid`, creating it on first sight. Fast path: the
-    /// same thread as the previous step.
-    fn thread_slot(&mut self, tid: Tid) -> usize {
-        if let Some((t, _)) = self.threads.get(self.last_thread) {
-            if *t == tid {
-                return self.last_thread;
-            }
-        }
-        let idx = self
-            .threads
-            .iter()
-            .position(|(t, _)| *t == tid)
-            .unwrap_or_else(|| {
-                self.threads.push((tid, ThreadReplay::default()));
-                self.threads.len() - 1
-            });
-        self.last_thread = idx;
-        idx
+    /// The persist buffers the HOPS models step.
+    pub fn buffer(&self) -> &PersistBuffer {
+        &self.pb
     }
 
     /// Price one event. Events must arrive in trace (time) order.
     pub fn step(&mut self, ev: &Event) {
+        // One instantiation per kind of model, so the models without a
+        // persist buffer carry none of its code.
+        if matches!(self.model, PersistModel::HopsNvm | PersistModel::HopsPwq) {
+            self.step_as::<true>(ev);
+        } else {
+            self.step_as::<false>(ev);
+        }
+    }
+
+    fn step_as<const HOPS: bool>(&mut self, ev: &Event) {
         let model = self.model;
-        let slot = self.thread_slot(ev.tid);
+        let slot = self.pb.thread(ev.tid);
+        if slot == self.threads.len() {
+            self.threads.push((ev.tid, ThreadReplay::default()));
+        }
         let cfg = &self.cfg;
         let t = &mut self.threads[slot].1;
         if t.trace.is_none() {
@@ -232,7 +211,8 @@ impl Replayer {
         }
         let start_ns = t.clock_ns;
         let is_fence = matches!(ev.kind, EventKind::Fence | EventKind::DFence);
-        let pb_at_fence = t.pb_outstanding;
+        // HOPS: the persist buffer's occupancy as a fence arrives.
+        let mut pb_at_fence = 0;
         // Volatile time since this thread's previous event, minus what
         // the recording machine charged for persistence then (the
         // subtraction happens implicitly: recording charges are added
@@ -255,17 +235,15 @@ impl Replayer {
                 // 11: no overhead on the access path).
                 model_charge = lines * cfg.l1_hit_ns;
                 match model {
-                    PersistModel::X86Nvm | PersistModel::X86Pwq => {
-                        if nt {
-                            t.pending_writebacks += lines;
-                        }
+                    PersistModel::X86Nvm | PersistModel::X86Pwq if nt => {
+                        t.pending_writebacks += lines;
                     }
-                    PersistModel::HopsNvm | PersistModel::HopsPwq => {
-                        t.pb_outstanding += lines;
+                    _ if HOPS => {
+                        self.pb.store(slot, addr, len as usize);
                         // PB tracking + writeback bandwidth contention.
                         t.clock_ns += lines * cfg.pb_contention_ns;
                     }
-                    PersistModel::Ideal => {}
+                    _ => {}
                 }
             }
             EventKind::Flush { .. } => {
@@ -290,19 +268,21 @@ impl Replayer {
                 model_charge = match model {
                     PersistModel::X86Nvm => cfg.sfence_ns + pipelined(n, cfg.pm_write_ns),
                     PersistModel::X86Pwq => cfg.sfence_ns + pipelined(n, cfg.pwq_ack_ns),
-                    PersistModel::HopsNvm | PersistModel::HopsPwq => {
+                    _ if HOPS => {
+                        pb_at_fence = self.pb.len(slot);
                         if ev.kind == EventKind::DFence {
                             // Drain whatever background flushing has
                             // not yet retired, plus the final epoch's
                             // ACK round trip.
-                            let wait = t.pb_outstanding * self.drain_unit + self.dfence_floor;
-                            t.pb_outstanding = 0;
+                            let wait = pb_at_fence * self.drain_unit + self.dfence_floor;
+                            self.pb.dfence(slot);
                             cfg.ofence_ns + wait
                         } else {
+                            self.pb.ofence(slot);
                             cfg.ofence_ns
                         }
                     }
-                    PersistModel::Ideal => 0,
+                    _ => 0,
                 };
             }
             EventKind::TxBegin { .. }
@@ -324,17 +304,11 @@ impl Replayer {
         // execution ("moving most flushes from the foreground to the
         // background").
         let mut overflow_stall = 0;
-        if matches!(model, PersistModel::HopsNvm | PersistModel::HopsPwq) && t.pb_outstanding > 0 {
-            let drained = volatile / self.drain_unit;
-            t.pb_outstanding = t.pb_outstanding.saturating_sub(drained);
+        if HOPS && self.pb.len(slot) > 0 {
             // A full PB stalls the thread, but only long enough for
             // the overflow to retire — not a drain to empty.
-            if t.pb_outstanding > self.pb_entries {
-                let excess = t.pb_outstanding - self.pb_entries;
-                overflow_stall = excess * self.drain_unit;
-                t.clock_ns += overflow_stall;
-                t.pb_outstanding = self.pb_entries;
-            }
+            overflow_stall = self.pb.retire(slot, volatile / self.drain_unit) * self.drain_unit;
+            t.clock_ns += overflow_stall;
         }
 
         t.clock_ns += volatile + model_charge;
@@ -364,12 +338,11 @@ impl Replayer {
                 s.end(start_ns + overflow_stall);
             }
             if is_fence {
-                let hops = matches!(model, PersistModel::HopsNvm | PersistModel::HopsPwq);
-                if hops {
+                if HOPS {
                     s.counter("pb_outstanding", end_ns - model_charge, pb_at_fence);
                 }
                 if model_charge > 0 {
-                    let name = match (hops, ev.kind == EventKind::DFence) {
+                    let name = match (HOPS, ev.kind == EventKind::DFence) {
                         (true, true) => "dfence_stall",
                         (true, false) => "ofence_stall",
                         (false, _) => "fence_stall",

@@ -1,403 +1,328 @@
-//! Functional model of the HOPS persist buffers.
+//! The HOPS persist buffers (Section 6.3): the one state machine that
+//! decides when a buffered PM line becomes durable.
+//!
+//! Every hardware thread owns a FIFO of buffered stores and an epoch
+//! stamp (the Thread TS register). `ofence` bumps the stamp and flushes
+//! nothing; entries retire to PM strictly oldest-first, so a thread's
+//! durable state is always a prefix of its epochs, and a line can be
+//! buffered in several versions at once (Consequence 6).
+//!
+//! A store to a line whose last writer is *another* thread that still
+//! buffers it records a dependency pointer to that thread's current
+//! epoch — the conservative
+//! choice the paper makes "to simplify the hardware", and the
+//! cross-dependencies Consequence 5 calls "rare but required for
+//! correctness". The entry may not retire before its source has retired
+//! through that epoch, so retiring it first retires the source. Two
+//! threads that each wrote a line the other still buffers point at each
+//! other; the hardware "splits the epoch", and here a dependency on a
+//! thread that is already retiring extends that retirement instead of
+//! waiting on it, so the cycle lands as one.
+//!
+//! Entries are run-length — consecutive lines of one store share an
+//! entry — and an owner map records each line's last buffered writer
+//! with the writer's line sequence number, so "does the writer still
+//! buffer this line?" is one comparison against the writer's retired
+//! count. The map is swept of retired lines as it grows, so it holds
+//! about what the buffers hold — a few hundred lines, whatever the
+//! trace's footprint — and a replay allocates next to nothing for it.
+//! The buffer holds no bytes (`memsim` owns data): what it decides is
+//! *which* entries have landed, read by the
+//! Figure 10 replay as occupancy and by [`PersistBuffer::crash`] as a
+//! crash state.
 
-use crate::bloom::CountingBloom;
 use crate::config::HopsConfig;
-use pmem::{lines_spanning, Addr, AddrRange, FxHashMap, Line, PmDevice, PmImage, LINE_SIZE};
+use pmem::{lines_spanning, Addr, FxHashMap, Line};
 use pmrand::{Rng, SeedableRng, SmallRng};
+use pmtrace::Tid;
 use std::collections::VecDeque;
 
-const LINE: usize = LINE_SIZE as usize;
-
-/// A per-thread operation named a hardware thread the system was not
-/// built with.
-///
-/// HOPS sizes its persist buffers, Bloom filters, and global TS
-/// registers at construction; a slot outside that range has no state to
-/// index, so every per-thread entry point validates before touching it.
+/// One buffered store: `lines` consecutive lines from `first`, written
+/// in one epoch of its thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BadThread {
-    /// The offending slot.
-    pub tid: usize,
-    /// Hardware threads the system was built with.
-    pub threads: usize,
+pub struct Entry {
+    /// First line of the run.
+    pub first: Line,
+    /// Lines in the run (at least one).
+    pub lines: u64,
+    /// The writer's epoch stamp at the store.
+    pub epoch: u64,
+    /// `(source thread, source epoch)`: this entry may not become
+    /// durable before the source has retired every entry of that epoch
+    /// and older.
+    pub dep: Option<(Tid, u64)>,
 }
 
-impl std::fmt::Display for BadThread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "thread {} out of range (system has {} threads)",
-            self.tid, self.threads
-        )
+/// One thread's persist buffer.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    /// The thread's [`Tid`].
+    tid: u32,
+    /// Epoch stamp of the next store.
+    epoch: u64,
+    entries: VecDeque<Entry>,
+    /// Lines ever buffered: the next line's sequence number.
+    pushed: u64,
+    /// Lines ever retired. Line `seq` is still buffered iff
+    /// `seq >= retired`.
+    retired: u64,
+    /// `pushed` when the current epoch began; coalescing looks no
+    /// further back.
+    epoch_start: u64,
+    /// Buffered entries that carry a dependency pointer.
+    deps: usize,
+    /// While this queue is retiring, the epoch it must retire through;
+    /// a cyclic dependency raises it instead of recursing.
+    through: Option<u64>,
+}
+
+impl Queue {
+    /// Retire up to `n` lines of the oldest entry; returns how many.
+    fn pop_front(&mut self, n: u64) -> u64 {
+        let e = self.entries.front_mut().expect("front exists");
+        let n = n.min(e.lines);
+        e.first.0 += n;
+        e.lines -= n;
+        self.retired += n;
+        if e.lines == 0 {
+            self.deps -= usize::from(e.dep.is_some());
+            self.entries.pop_front();
+        }
+        n
     }
 }
 
-impl std::error::Error for BadThread {}
-
-/// One persist-buffer entry: the PB Front End metadata (address, epoch
-/// TS, dependency pointer) plus the Back End data copy (Figure 7/9).
-#[derive(Debug, Clone)]
-struct PbEntry {
-    line: Line,
-    data: [u8; LINE],
-    epoch_ts: u64,
-    /// `(source thread, source epoch TS)` — this entry may not become
-    /// durable until the source thread has flushed through that epoch.
-    dep: Option<(usize, u64)>,
-}
-
+/// The per-thread persist buffers of one machine, under Buffered Epoch
+/// Persistency. A thread gets its buffer from [`PersistBuffer::thread`]
+/// on first sight, whatever its id; every per-thread call takes the
+/// handle that returns.
 #[derive(Debug)]
-struct ThreadState {
-    /// Thread TS register: "indicates the timestamp of the current,
-    /// inflight epoch".
-    ts: u64,
-    pb: VecDeque<PbEntry>,
-    /// Counting Bloom filter over this PB's buffered lines; LLC misses
-    /// probe it and stall on a (possible) hit (Section 6.3).
-    bloom: CountingBloom,
+pub struct PersistBuffer {
+    capacity: u64,
+    coalesce: bool,
+    /// One queue per thread, a flat vector rather than a map: traces
+    /// have a handful of threads but millions of events.
+    queues: Vec<Queue>,
+    /// The handle [`PersistBuffer::thread`] returned last: consecutive
+    /// events usually come from one thread.
+    last: usize,
+    /// Each line's last buffered writer: queue index + 1 and the
+    /// sequence number of its newest version there.
+    owners: FxHashMap<Line, (u32, u64)>,
+    /// Size of `owners` at which [`PersistBuffer::store`] drops the
+    /// lines their writer has retired: twice what survived the last
+    /// sweep, and at least 512.
+    sweep_at: usize,
 }
 
-/// Functional persist-buffer system implementing Buffered Epoch
-/// Persistency: PM stores are tracked redundantly in per-thread persist
-/// buffers and written back to the PM device in epoch order, while the
-/// (volatile) cache keeps only the newest value.
-///
-/// "HOPS maintains write ordering with 16-bit epoch timestamps"
-/// (Section 6.3): when a thread's counter reaches the 16-bit limit its
-/// persist buffer is drained and the counter wraps — the comparison
-/// logic never has to reason about wrapped values against buffered
-/// entries.
-#[derive(Debug)]
-pub struct HopsSystem {
-    cfg: HopsConfig,
-    /// Durable media.
-    pm: PmDevice,
-    /// Functional (cache-visible) contents — always newest values.
-    functional: PmDevice,
-    threads: Vec<ThreadState>,
-    /// Last buffered writer of each line: `(thread, epoch ts)` — the
-    /// sticky-M / ownership information used to detect cross-thread
-    /// dependencies when write permission moves.
-    last_writer: FxHashMap<Line, (usize, u64)>,
-    /// Global TS register at the LLC: per-thread flushed-through epoch
-    /// timestamps.
-    flushed_ts: Vec<u64>,
-    /// Lines written back to PM so far (for stats).
-    media_writes: u64,
-}
-
-impl HopsSystem {
-    /// A fresh system over a PM range with `threads` hardware threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(cfg: HopsConfig, pm_range: AddrRange, threads: usize) -> HopsSystem {
-        assert!(threads > 0, "need at least one thread");
-        HopsSystem {
-            cfg,
-            pm: PmDevice::new(pm_range),
-            functional: PmDevice::new(pm_range),
-            threads: (0..threads)
-                .map(|_| ThreadState {
-                    ts: 1,
-                    pb: VecDeque::new(),
-                    bloom: CountingBloom::for_persist_buffer(),
-                })
-                .collect(),
-            last_writer: FxHashMap::default(),
-            flushed_ts: vec![0; threads],
-            media_writes: 0,
+impl PersistBuffer {
+    /// Empty buffers sized by `cfg`.
+    pub fn new(cfg: &HopsConfig) -> PersistBuffer {
+        PersistBuffer {
+            capacity: cfg.pb_entries as u64,
+            coalesce: cfg.coalesce,
+            queues: Vec::new(),
+            last: 0,
+            owners: FxHashMap::default(),
+            sweep_at: 0,
         }
     }
 
-    /// Validate a thread slot against the count the system was built
-    /// with.
-    ///
-    /// # Errors
-    ///
-    /// [`BadThread`] when `tid` names no hardware thread.
-    fn check(&self, tid: usize) -> Result<(), BadThread> {
-        if tid < self.threads.len() {
-            Ok(())
-        } else {
-            Err(BadThread {
+    /// The handle of `tid`'s buffer, created empty on first sight.
+    /// Handles count up from 0 in order of first sight.
+    pub fn thread(&mut self, tid: Tid) -> usize {
+        if self.queues.get(self.last).is_some_and(|q| q.tid == tid.0) {
+            return self.last;
+        }
+        self.last = self.position(tid).unwrap_or_else(|| {
+            let (tid, epoch) = (tid.0, 1);
+            self.queues.push(Queue {
                 tid,
-                threads: self.threads.len(),
-            })
-        }
+                epoch,
+                ..Queue::default()
+            });
+            self.queues.len() - 1
+        });
+        self.last
     }
 
-    /// Current epoch timestamp of a thread.
-    ///
-    /// # Errors
-    ///
-    /// [`BadThread`] for an out-of-range slot.
-    pub fn thread_ts(&self, tid: usize) -> Result<u64, BadThread> {
-        self.check(tid)?;
-        Ok(self.threads[tid].ts)
+    fn position(&self, tid: Tid) -> Option<usize> {
+        self.queues.iter().position(|q| q.tid == tid.0)
     }
 
-    /// Persist-buffer occupancy of a thread.
-    ///
-    /// # Errors
-    ///
-    /// [`BadThread`] for an out-of-range slot.
-    pub fn pb_len(&self, tid: usize) -> Result<usize, BadThread> {
-        self.check(tid)?;
-        Ok(self.threads[tid].pb.len())
+    /// Lines thread `t` buffers — its persist-buffer occupancy.
+    pub fn len(&self, t: usize) -> u64 {
+        self.queues[t].pushed - self.queues[t].retired
     }
 
-    /// How many buffered versions of `line` thread `tid` holds —
-    /// the multi-versioning that absorbs self-dependencies
-    /// (Consequence 6).
-    ///
-    /// # Errors
-    ///
-    /// [`BadThread`] for an out-of-range slot.
-    pub fn buffered_versions(&self, tid: usize, line: Line) -> Result<usize, BadThread> {
-        self.check(tid)?;
-        Ok(self.threads[tid]
-            .pb
+    /// The epoch stamp thread `t`'s next store gets (1 before its
+    /// first fence).
+    pub fn epoch(&self, t: usize) -> u64 {
+        self.queues[t].epoch
+    }
+
+    /// How many buffered versions of `line` thread `t` holds.
+    pub fn versions(&self, t: usize, line: Line) -> usize {
+        let holds = |e: &&Entry| (e.first.0..e.first.0 + e.lines).contains(&line.0);
+        self.queues[t].entries.iter().filter(holds).count()
+    }
+
+    /// Lines written back to PM so far, over all threads.
+    pub fn retired(&self) -> u64 {
+        self.queues.iter().map(|q| q.retired).sum()
+    }
+
+    /// Every buffered entry, thread by thread, each thread's oldest
+    /// first.
+    pub fn entries(&self) -> impl Iterator<Item = (Tid, Entry)> + '_ {
+        self.queues
             .iter()
-            .filter(|e| e.line == line)
-            .count())
+            .flat_map(|q| q.entries.iter().map(move |e| (Tid(q.tid), *e)))
     }
 
-    /// Lines written to the PM device so far.
-    pub fn media_writes(&self) -> u64 {
-        self.media_writes
-    }
-
-    /// A PM store: updates the cache (functional state) and appends to
-    /// the thread's persist buffer (Table 2, "L1 write hit/miss").
-    /// If another thread has buffered updates to the line, a dependency
-    /// pointer to `(source thread, its current epoch TS)` is recorded —
-    /// the conservative choice the paper makes "to simplify the
-    /// hardware".
-    ///
-    /// # Errors
-    ///
-    /// [`BadThread`] for an out-of-range slot (the store takes no
-    /// effect, functional or durable).
-    pub fn store(&mut self, tid: usize, addr: Addr, bytes: &[u8]) -> Result<(), BadThread> {
-        self.check(tid)?;
-        self.functional.write(addr, bytes);
-        let ts = self.threads[tid].ts;
-        for (line, _, _) in lines_spanning(addr, bytes.len()) {
-            let data = *self.functional.line_view(line);
-            // Epoch coalescing (Section 6.3's future-work optimization):
-            // a same-line store in the same epoch overwrites the
-            // buffered entry instead of appending a version.
-            if self.cfg.coalesce {
-                if let Some(e) = self.threads[tid]
-                    .pb
-                    .iter_mut()
-                    .rev()
-                    .find(|e| e.line == line && e.epoch_ts == ts)
-                {
-                    e.data = data;
-                    self.last_writer.insert(line, (tid, ts));
-                    continue;
-                }
+    /// A PM store of `len` bytes at `addr` by thread `i`: one entry per
+    /// run of lines (Table 2, "L1 write hit/miss"). With coalescing on,
+    /// a line the thread already buffers in its current epoch is
+    /// absorbed.
+    #[inline]
+    pub fn store(&mut self, i: usize, addr: Addr, len: usize) {
+        if self.owners.len() >= self.sweep_at {
+            let queues = &self.queues;
+            self.owners
+                .retain(|_, &mut (o, seq)| seq >= queues[o as usize - 1].retired);
+            self.sweep_at = 2 * self.owners.len().max(256);
+        }
+        for (line, _, _) in lines_spanning(addr, len) {
+            let slot = self.owners.entry(line).or_default();
+            let (owner, seq) = *slot;
+            let q = &self.queues[i];
+            let mine = owner as usize == i + 1;
+            if mine && self.coalesce && seq >= q.epoch_start.max(q.retired) {
+                continue;
             }
-            let dep = match self.last_writer.get(&line) {
-                Some(&(src, _)) if src != tid && self.has_buffered(src, line) => {
-                    Some((src, self.threads[src].ts))
-                }
+            let dep = match (owner as usize).checked_sub(1).map(|s| &self.queues[s]) {
+                Some(src) if !mine && seq >= src.retired => Some((Tid(src.tid), src.epoch)),
                 _ => None,
             };
-            self.threads[tid].pb.push_back(PbEntry {
-                line,
-                data,
-                epoch_ts: ts,
-                dep,
-            });
-            if dep.is_some() {
-                pmobs::count!("hops.cross_thread_deps");
-            }
-            self.threads[tid].bloom.insert(line);
-            self.last_writer.insert(line, (tid, ts));
-            pmobs::high_water!(
-                "hops.pb_occupancy_highwater",
-                self.threads[tid].pb.len() as u64
-            );
-            if self.threads[tid].pb.len() >= self.cfg.flush_threshold {
-                // Background flushing launches at the threshold.
-                pmobs::count!("hops.background_flushes");
-                self.flush_oldest_epoch(tid);
-            }
-            // A PB can never exceed its capacity: stall (flush) until
-            // it fits.
-            while self.threads[tid].pb.len() > self.cfg.pb_entries {
-                pmobs::count!("hops.pb_capacity_stalls");
-                self.flush_oldest_epoch(tid);
+            let q = &mut self.queues[i];
+            *slot = (i as u32 + 1, q.pushed);
+            q.pushed += 1;
+            match q.entries.back_mut() {
+                Some(b) if b.first.0 + b.lines == line.0 && b.epoch == q.epoch && b.dep == dep => {
+                    b.lines += 1;
+                }
+                _ => {
+                    q.deps += usize::from(dep.is_some());
+                    q.entries.push_back(Entry {
+                        first: line,
+                        lines: 1,
+                        epoch: q.epoch,
+                        dep,
+                    });
+                }
             }
         }
-        Ok(())
-    }
-
-    fn has_buffered(&self, tid: usize, line: Line) -> bool {
-        self.threads[tid].pb.iter().any(|e| e.line == line)
-    }
-
-    /// Read current (cache) contents.
-    pub fn load_vec(&mut self, addr: Addr, len: usize) -> Vec<u8> {
-        self.functional.read_vec(addr, len)
     }
 
     /// `ofence`: "increment Thread TS to end current epoch" — purely
-    /// local, no flushing (Table 2) — except at the 16-bit timestamp
-    /// wrap, where the PB drains so no buffered entry can outlive its
-    /// epoch numbering.
-    ///
-    /// # Errors
-    ///
-    /// [`BadThread`] for an out-of-range slot.
-    pub fn ofence(&mut self, tid: usize) -> Result<(), BadThread> {
-        self.check(tid)?;
-        pmobs::count!("hops.ofence");
-        if self.threads[tid].ts >= u16::MAX as u64 {
-            // The wrap drain is the only time an ofence stalls.
-            pmobs::count!("hops.ofence_wrap_stalls");
-            while !self.threads[tid].pb.is_empty() {
-                self.flush_oldest_epoch(tid);
+    /// local, nothing flushes (Table 2).
+    pub fn ofence(&mut self, t: usize) {
+        let q = &mut self.queues[t];
+        q.epoch += 1;
+        q.epoch_start = q.pushed;
+    }
+
+    /// `dfence`: end the epoch and retire everything thread `t`
+    /// buffers.
+    pub fn dfence(&mut self, t: usize) {
+        self.ofence(t);
+        self.retire(t, u64::MAX);
+    }
+
+    /// Retire thread `i`'s `k` oldest lines (all of them if it buffers
+    /// fewer), then whatever it still buffers beyond capacity —
+    /// `pb_entries` lines, a hardware PB entry holding one line — and
+    /// return how many lines that overflow was.
+    #[inline]
+    pub fn retire(&mut self, i: usize, k: u64) -> u64 {
+        let q = &mut self.queues[i];
+        if q.deps == 0 {
+            // Nothing to wait on: the oldest lines simply go.
+            let len = q.pushed - q.retired;
+            let excess = len.saturating_sub(k).saturating_sub(self.capacity);
+            let mut n = k.saturating_add(excess);
+            if n >= len {
+                q.entries.clear();
+                q.retired = q.pushed;
+            } else {
+                while n > 0 {
+                    n -= q.pop_front(n);
+                }
             }
-            self.flushed_ts[tid] = 0;
-            self.threads[tid].ts = 1;
-            return Ok(());
+            return excess;
         }
-        self.threads[tid].ts += 1;
-        Ok(())
+        self.retire_queue(i, k, 0);
+        let q = &self.queues[i];
+        let excess = (q.pushed - q.retired).saturating_sub(self.capacity);
+        self.retire_queue(i, excess, 0);
+        excess
     }
 
-    /// `dfence`: end the epoch and stall until the thread's PB is
-    /// flushed clean (Table 2).
-    ///
-    /// # Errors
-    ///
-    /// [`BadThread`] for an out-of-range slot.
-    pub fn dfence(&mut self, tid: usize) -> Result<(), BadThread> {
-        self.check(tid)?;
-        pmobs::count!("hops.dfence");
-        pmobs::observe!(
-            "hops.dfence_stall_entries",
-            pmobs::Unit::Count,
-            self.threads[tid].pb.len() as u64
-        );
-        self.threads[tid].ts += 1;
-        while !self.threads[tid].pb.is_empty() {
-            self.flush_oldest_epoch(tid);
-        }
-        Ok(())
-    }
-
-    /// Flush the oldest complete epoch from `tid`'s PB, honoring
-    /// cross-thread dependency pointers by first flushing the source
-    /// thread up to the required timestamp. Dependencies always point
-    /// to epochs that began earlier in the global order, so the
-    /// recursion terminates (hardware prevents the analogous deadlock
-    /// by splitting epochs).
-    fn flush_oldest_epoch(&mut self, tid: usize) {
-        let Some(front) = self.threads[tid].pb.front() else {
+    /// Retire at least `lines` of queue `i`'s oldest lines, then every
+    /// entry of epoch `through` or older. Before an entry retires, its
+    /// source retires through the epoch its dependency names.
+    fn retire_queue(&mut self, i: usize, mut lines: u64, through: u64) {
+        if let Some(t) = self.queues[i].through.as_mut() {
+            // Already retiring further up: a dependency cycle. Extend
+            // that retirement, which then covers this one's need.
+            *t = (*t).max(through);
             return;
-        };
-        let epoch = front.epoch_ts;
-        while let Some(front) = self.threads[tid].pb.front() {
-            if front.epoch_ts != epoch {
+        }
+        self.queues[i].through = Some(through);
+        while let Some(&front) = self.queues[i].entries.front() {
+            if lines == 0 && self.queues[i].through.is_some_and(|t| front.epoch > t) {
                 break;
             }
-            if let Some((src, src_ts)) = front.dep {
-                if self.flushed_ts[src] < src_ts {
-                    // Stall this flush on the source epoch (global TS
-                    // register lookup), draining the source first.
-                    pmobs::count!("hops.cross_dep_flush_stalls");
-                    self.flush_thread_through(src, src_ts);
+            if let Some((src, epoch)) = front.dep {
+                let s = self.position(src).expect("dependency source has a queue");
+                let pending = self.queues[s].entries.front().map(|e| e.epoch);
+                if pending.is_some_and(|e| e <= epoch) {
+                    let before = self.queues[s].retired;
+                    self.retire_queue(s, 0, epoch);
+                    pmobs::count!("hops.dep_retires", self.queues[s].retired - before);
                 }
             }
-            let e = self.threads[tid].pb.pop_front().expect("front exists");
-            self.threads[tid].bloom.remove(e.line);
-            self.pm.write(e.line.base(), &e.data);
-            self.media_writes += 1;
-            // Drop ownership info if this was the last buffered copy
-            // anywhere (approximation of sticky-M decay).
-            if !self.has_buffered(tid, e.line) {
-                if let Some(&(owner, _)) = self.last_writer.get(&e.line) {
-                    if owner == tid {
-                        self.last_writer.remove(&e.line);
-                    }
-                }
-            }
+            let n = self.queues[i].pop_front(if lines == 0 { u64::MAX } else { lines });
+            lines = lines.saturating_sub(n);
         }
-        self.flushed_ts[tid] = self.flushed_ts[tid].max(epoch);
+        self.queues[i].through = None;
     }
 
-    fn flush_thread_through(&mut self, tid: usize, ts: u64) {
-        while self.flushed_ts[tid] < ts && !self.threads[tid].pb.is_empty() {
-            self.flush_oldest_epoch(tid);
-        }
-        // If the PB emptied, every buffered epoch is durable.
-        if self.threads[tid].pb.is_empty() {
-            self.flushed_ts[tid] = self.flushed_ts[tid].max(ts);
-        }
-    }
-
-    /// Whether an LLC miss to `addr` must stall because some thread's
-    /// persist buffer may hold the line ("on a last-level cache miss,
-    /// if the address is present in this list, the miss is stalled
-    /// until the address is written back to PM"). Conservative: false
-    /// positives are possible, false negatives are not.
-    pub fn llc_miss_would_stall(&self, addr: Addr) -> bool {
-        let line = Line::containing(addr);
-        let maybe = self.threads.iter().any(|t| t.bloom.may_contain(line));
-        if pmobs::enabled() {
-            pmobs::count!("hops.bloom_probes");
-            if maybe {
-                pmobs::count!("hops.bloom_hits");
-                // The filter is conservative: check ground truth to
-                // count spurious stalls (never on the disabled path —
-                // the exact scan is what the Bloom filter exists to
-                // avoid).
-                let actual = (0..self.threads.len()).any(|t| self.has_buffered(t, line));
-                if !actual {
-                    pmobs::count!("hops.bloom_false_positives");
-                }
-            }
-        }
-        maybe
-    }
-
-    /// Durable `u64` at `addr` (test helper).
-    pub fn durable_u64(&self, addr: Addr) -> u64 {
-        let v = self.pm.read_vec(addr, 8);
-        u64::from_le_bytes(v.try_into().expect("8 bytes"))
-    }
-
-    /// Power failure. Each thread's persist buffer drains an *epoch
-    /// prefix* chosen by the seed (hardware guarantees nothing beyond
-    /// epoch ordering for un-dfenced data); dependency pointers are
-    /// honored, then everything else is lost.
-    pub fn crash(mut self, seed: u64) -> PmImage {
+    /// Power failure. Each thread's buffer drains a seed-chosen number
+    /// of its oldest whole epochs, dependency pointers honoured, and
+    /// everything else is lost. Returns the entries that landed, thread
+    /// by thread, each thread's oldest first: per-thread epoch prefixes,
+    /// closed under dependency pointers.
+    pub fn crash(mut self, seed: u64) -> Vec<(Tid, Entry)> {
+        let before: Vec<VecDeque<Entry>> = self.queues.iter().map(|q| q.entries.clone()).collect();
         let mut rng = SmallRng::seed_from_u64(seed);
-        // Randomly interleave per-thread prefix flushes.
-        let nthreads = self.threads.len();
-        for _ in 0..nthreads * 4 {
-            let tid = rng.gen_range(0..nthreads);
+        let n = self.queues.len();
+        for _ in 0..n * 4 {
+            let i = rng.gen_range(0..n);
             if rng.gen_bool(0.5) {
-                self.flush_oldest_epoch(tid);
+                if let Some(epoch) = self.queues[i].entries.front().map(|e| e.epoch) {
+                    self.retire_queue(i, 0, epoch);
+                }
             }
         }
-        self.pm.image()
-    }
-
-    /// Crash after draining everything (clean shutdown).
-    pub fn shutdown(mut self) -> PmImage {
-        for tid in 0..self.threads.len() {
-            while !self.threads[tid].pb.is_empty() {
-                self.flush_oldest_epoch(tid);
-            }
-        }
-        self.pm.image()
+        before
+            .into_iter()
+            .zip(&self.queues)
+            .flat_map(|(b, q)| {
+                let landed = b.len() - q.entries.len();
+                b.into_iter().take(landed).map(move |e| (Tid(q.tid), e))
+            })
+            .collect()
     }
 }
 
@@ -405,66 +330,83 @@ impl HopsSystem {
 mod tests {
     use super::*;
 
-    fn sys() -> HopsSystem {
-        HopsSystem::new(HopsConfig::default(), AddrRange::new(0, 1 << 20), 4)
+    /// Handles of `Tid(0)` and `Tid(1)` in [`with`]'s buffers.
+    const T0: usize = 0;
+    const T1: usize = 1;
+
+    /// A buffer that has seen `Tid(0)`..`Tid(3)`, so handle `t` is
+    /// `Tid(t)`'s.
+    fn with(cfg: &HopsConfig) -> PersistBuffer {
+        let mut s = PersistBuffer::new(cfg);
+        for t in 0..4 {
+            assert_eq!(s.thread(Tid(t)), t as usize);
+        }
+        s
+    }
+
+    fn pb() -> PersistBuffer {
+        with(&HopsConfig::default())
+    }
+
+    /// The lines of thread `t` among `landed`, in order.
+    fn landed_lines(landed: &[(Tid, Entry)], t: usize) -> Vec<u64> {
+        landed
+            .iter()
+            .filter(|(tid, _)| tid.0 as usize == t)
+            .flat_map(|(_, e)| e.first.0..e.first.0 + e.lines)
+            .collect()
     }
 
     #[test]
     fn instruments_record_persist_buffer_activity() {
         // Counters are global and monotonic, and sibling tests may run
-        // while recording is briefly enabled, so compare deltas with >=.
-        let count = |s: &pmobs::MetricsSnapshot, k: &str| s.counters.get(k).copied().unwrap_or(0);
-        let before = pmobs::global().snapshot();
+        // while recording is briefly enabled, so compare with >=.
+        let dep_retires = || {
+            let snap = pmobs::global().snapshot();
+            snap.counters.get("hops.dep_retires").copied().unwrap_or(0)
+        };
+        let before = dep_retires();
         pmobs::set_enabled(true);
-        let mut s = sys();
-        s.store(0, 0, &[1u8; 8]).unwrap();
-        s.ofence(0).unwrap();
-        s.store(0, 64, &[2u8; 8]).unwrap();
-        s.dfence(0).unwrap();
-        let _ = s.llc_miss_would_stall(0);
+        let mut s = pb();
+        s.store(T0, 0x80, 8);
+        s.store(T0, 0xc0, 8);
+        s.store(T1, 0x80, 8);
+        s.dfence(T1);
         pmobs::set_enabled(false);
-        let after = pmobs::global().snapshot();
-        assert!(count(&after, "hops.ofence") > count(&before, "hops.ofence"));
-        assert!(count(&after, "hops.dfence") > count(&before, "hops.dfence"));
-        assert!(count(&after, "hops.bloom_probes") > count(&before, "hops.bloom_probes"));
-        assert!(after.gauges["hops.pb_occupancy_highwater"] >= 1);
+        assert!(
+            dep_retires() >= before + 2,
+            "t0's epoch retired for t1's dependency"
+        );
     }
 
     #[test]
     fn paper_worked_example() {
         // mov A, 10; ofence; mov A, 20; dfence — Section 6.3.
-        let mut s = sys();
-        s.store(0, 0x100, &10u64.to_le_bytes()).unwrap();
-        assert_eq!(s.thread_ts(0).unwrap(), 1);
-        s.ofence(0).unwrap();
-        assert_eq!(s.thread_ts(0).unwrap(), 2, "ofence is a local TS bump");
-        s.store(0, 0x100, &20u64.to_le_bytes()).unwrap();
-        assert_eq!(s.buffered_versions(0, Line::containing(0x100)).unwrap(), 2);
-        assert_eq!(s.durable_u64(0x100), 0, "nothing durable yet");
-        s.dfence(0).unwrap();
-        assert_eq!(s.thread_ts(0).unwrap(), 3);
-        assert_eq!(s.durable_u64(0x100), 20);
-        assert_eq!(s.pb_len(0).unwrap(), 0);
-        // Both versions were written to media, in order.
-        assert_eq!(s.media_writes(), 2);
+        let mut s = pb();
+        let a = Line::containing(0x100);
+        s.store(T0, 0x100, 8);
+        assert_eq!(s.epoch(T0), 1);
+        s.ofence(T0);
+        assert_eq!(s.epoch(T0), 2, "ofence is a local TS bump");
+        s.store(T0, 0x100, 8);
+        assert_eq!(s.versions(T0, a), 2);
+        let epochs: Vec<u64> = s.entries().map(|(_, e)| e.epoch).collect();
+        assert_eq!(epochs, [1, 2], "both versions buffered, oldest first");
+        assert_eq!(s.retired(), 0, "nothing durable yet");
+        s.dfence(T0);
+        assert_eq!(s.epoch(T0), 3);
+        assert_eq!(s.len(T0), 0);
+        // Both versions were written to media.
+        assert_eq!(s.retired(), 2);
     }
 
     #[test]
     fn ofence_does_not_flush() {
-        let mut s = sys();
-        s.store(0, 0, &[1; 8]).unwrap();
-        s.ofence(0).unwrap();
-        assert_eq!(s.pb_len(0).unwrap(), 1);
-        assert_eq!(s.durable_u64(0), 0);
-    }
-
-    #[test]
-    fn cache_sees_newest_value_always() {
-        let mut s = sys();
-        s.store(0, 0, &[1; 8]).unwrap();
-        s.ofence(0).unwrap();
-        s.store(0, 0, &[2; 8]).unwrap();
-        assert_eq!(s.load_vec(0, 8), vec![2; 8]);
+        let mut s = pb();
+        s.store(T0, 0, 8);
+        s.ofence(T0);
+        assert_eq!(s.len(T0), 1);
+        assert_eq!(s.retired(), 0);
     }
 
     #[test]
@@ -472,153 +414,140 @@ mod tests {
         // Whatever the seed, the durable state is an epoch prefix:
         // seeing epoch k's line implies epochs < k are durable.
         for seed in 0..50 {
-            let mut s = sys();
+            let mut s = pb();
             for i in 0..6u64 {
-                s.store(0, i * 64, &(i + 1).to_le_bytes()).unwrap();
-                s.ofence(0).unwrap();
+                s.store(T0, i * 64, 8);
+                s.ofence(T0);
             }
-            let img = s.crash(seed);
-            let vals: Vec<u64> = (0..6)
-                .map(|i| u64::from_le_bytes(img.read_vec(i * 64, 8).try_into().unwrap()))
-                .collect();
-            let first_zero = vals.iter().position(|&v| v == 0).unwrap_or(6);
-            for (i, &v) in vals.iter().enumerate() {
-                if i < first_zero {
-                    assert_eq!(v, (i + 1) as u64, "seed {seed}: prefix must be intact");
-                } else {
-                    assert_eq!(
-                        v, 0,
-                        "seed {seed}: epoch {i} durable before epoch {first_zero}"
-                    );
-                }
-            }
+            let landed = landed_lines(&s.crash(seed), T0);
+            let k = landed.len() as u64;
+            assert_eq!(landed, (0..k).collect::<Vec<_>>(), "seed {seed}");
         }
     }
 
     #[test]
     fn multi_version_crash_never_skips_old_version() {
-        // A=10 (e1), A=20 (e2): durable A must be 0, 10, or 20 — and if
-        // the PB flushed anything, the versions went in order.
+        // A=10 (e1), A=20 (e2): the landed versions are none, e1, or
+        // e1 then e2 — never e2 alone.
         for seed in 0..30 {
-            let mut s = sys();
-            s.store(0, 0x40, &10u64.to_le_bytes()).unwrap();
-            s.ofence(0).unwrap();
-            s.store(0, 0x40, &20u64.to_le_bytes()).unwrap();
-            let img = s.crash(seed);
-            let v = u64::from_le_bytes(img.read_vec(0x40, 8).try_into().unwrap());
+            let mut s = pb();
+            s.store(T0, 0x40, 8);
+            s.ofence(T0);
+            s.store(T0, 0x40, 8);
+            let epochs: Vec<u64> = s.crash(seed).iter().map(|(_, e)| e.epoch).collect();
             assert!(
-                v == 0 || v == 10 || v == 20,
-                "seed {seed}: impossible value {v}"
+                epochs.is_empty() || epochs == [1] || epochs == [1, 2],
+                "seed {seed}: {epochs:?}"
             );
         }
     }
 
     #[test]
     fn cross_thread_dependency_ordering() {
-        // t0 buffers line L; t1 then writes L. t1's update must never
-        // be durable while t0's earlier update is not.
+        // t0 buffers line L; t1 then writes L. t1's version carries a
+        // dependency on t0's epoch and must never be durable while
+        // t0's earlier version is not.
+        let mut fired = 0;
         for seed in 0..50 {
-            let mut s = sys();
-            s.store(0, 0x80, &1u64.to_le_bytes()).unwrap();
-            // t1 takes write ownership (RAW/WAW conflict) and writes 2.
-            s.store(1, 0x80, &2u64.to_le_bytes()).unwrap();
-            // Also a marker only t0 wrote, in the same epoch as its L
-            // write, to detect whether t0's epoch flushed.
-            let img = s.crash(seed);
-            let l = u64::from_le_bytes(img.read_vec(0x80, 8).try_into().unwrap());
-            assert!(l == 0 || l == 1 || l == 2, "seed {seed}");
-            // value 2 requires t0's epoch flushed first; since both
-            // wrote the same line, seeing 2 means 1 was written before
-            // (media write count ordering) — verified structurally: the
-            // dependency pointer forces t0's flush inside t1's.
-            if l == 2 {
-                // t0's PB must have drained its epoch: flushed_ts check
-                // is internal, but media writes ≥ 2 proves both landed.
-            }
+            let mut s = pb();
+            s.store(T0, 0x80, 8);
+            s.store(T1, 0x80, 8);
+            let deps: Vec<_> = s.entries().map(|(_, e)| e.dep).collect();
+            assert_eq!(deps, [None, Some((Tid(0), 1))]);
+            let landed = s.crash(seed);
+            let t1_landed = !landed_lines(&landed, T1).is_empty();
+            let t0_landed = !landed_lines(&landed, T0).is_empty();
+            assert!(!t1_landed || t0_landed, "seed {seed}: t1 landed before t0");
+            fired += usize::from(t1_landed);
         }
+        assert!(fired > 0, "some seed lands the dependent version");
     }
 
     #[test]
     fn dfence_with_cross_dep_flushes_source_thread() {
-        let mut s = sys();
-        s.store(0, 0x80, &1u64.to_le_bytes()).unwrap();
-        s.store(1, 0x80, &2u64.to_le_bytes()).unwrap();
-        s.dfence(1).unwrap();
+        let mut s = pb();
+        s.store(T0, 0x80, 8);
+        s.store(T1, 0x80, 8);
+        s.dfence(T1);
         // Draining t1 required draining t0 first.
-        assert_eq!(
-            s.pb_len(0).unwrap(),
-            0,
-            "source thread drained by dependency"
-        );
-        assert_eq!(s.durable_u64(0x80), 2);
-        assert_eq!(s.media_writes(), 2, "both versions reached PM in order");
+        assert_eq!(s.len(T0), 0, "source thread drained by dependency");
+        assert_eq!(s.retired(), 2, "both versions reached PM");
+    }
+
+    #[test]
+    fn dependency_cycle_splits_instead_of_recursing() {
+        // Each thread writes a line the other still buffers: t0's B
+        // waits on t1's epoch 1, t1's A waits on t0's epoch 1.
+        let cycle = || {
+            let mut s = pb();
+            s.store(T0, 0x00, 8);
+            s.store(T1, 0x40, 8);
+            s.store(T0, 0x40, 8);
+            s.store(T1, 0x00, 8);
+            s
+        };
+        let mut s = cycle();
+        s.dfence(T0);
+        assert_eq!((s.len(T0), s.len(T1), s.retired()), (0, 0, 4));
+        for seed in 0..64 {
+            let landed = cycle().crash(seed);
+            assert!(
+                landed.is_empty() || landed.len() == 4,
+                "seed {seed}: {landed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn owner_sweeps_keep_lines_still_buffered() {
+        // t0 keeps A buffered while t1 streams through thousands of
+        // lines, retiring as it goes: the sweeps that drop t1's retired
+        // lines must keep A's owner, so t1's store to A still depends
+        // on t0.
+        let mut s = pb();
+        s.store(T0, 0x40, 8);
+        for i in 0..4096u64 {
+            s.store(T1, 0x10_0000 + i * 64, 8);
+            s.retire(T1, 1);
+        }
+        s.store(T1, 0x40, 8);
+        let deps: Vec<_> = s.entries().map(|(t, e)| (t, e.dep)).collect();
+        assert_eq!(deps, [(Tid(0), None), (Tid(1), Some((Tid(0), 1)))]);
     }
 
     #[test]
     fn pb_capacity_triggers_background_flush() {
-        let mut s = sys();
-        // 20 singleton stores in one epoch: threshold is 16.
-        for i in 0..20u64 {
-            s.store(0, i * 64, &[7; 8]).unwrap();
+        // 40 singleton stores in one epoch overflow a 32-entry PB by 8.
+        let mut s = pb();
+        for i in 0..40u64 {
+            s.store(T0, i * 64, 8);
         }
-        assert!(s.pb_len(0).unwrap() < 20, "background flushing kicked in");
-        assert!(s.media_writes() > 0);
+        assert_eq!(s.retire(T0, 0), 8);
+        assert_eq!((s.len(T0), s.retired()), (32, 8));
+        assert_eq!(s.retire(T0, 0), 0, "nothing left past capacity");
     }
 
     #[test]
     fn shutdown_drains_everything() {
-        let mut s = sys();
+        let mut s = pb();
         for t in 0..4 {
-            s.store(t, 0x1000 + t as u64 * 64, &[t as u8 + 1; 8])
-                .unwrap();
+            s.store(t, 0x1000 + t as u64 * 64, 8);
         }
-        let img = s.shutdown();
-        for t in 0..4u64 {
-            assert_eq!(img.read_vec(0x1000 + t * 64, 1), vec![t as u8 + 1]);
+        for t in 0..4 {
+            s.dfence(t);
         }
+        assert_eq!(s.retired(), 4);
+        assert!(s.crash(7).is_empty(), "nothing left in flight");
     }
 
     #[test]
     fn independent_threads_flush_independently() {
-        let mut s = sys();
-        s.store(0, 0, &[1; 8]).unwrap();
-        s.store(1, 64, &[2; 8]).unwrap();
-        s.dfence(0).unwrap();
-        assert_eq!(s.durable_u64(0), u64::from_le_bytes([1; 8]));
-        assert_eq!(s.pb_len(1).unwrap(), 1, "no conflict → t1 untouched");
-    }
-
-    #[test]
-    fn sixteen_bit_timestamp_wrap_drains_and_restarts() {
-        let mut s = sys();
-        s.store(0, 0, &[1; 8]).unwrap();
-        // Force the counter to the 16-bit ceiling.
-        while s.thread_ts(0).unwrap() < u16::MAX as u64 {
-            s.ofence(0).unwrap();
-        }
-        s.store(0, 64, &[2; 8]).unwrap();
-        s.ofence(0).unwrap(); // the wrapping fence
-        assert_eq!(s.thread_ts(0).unwrap(), 1, "counter wrapped");
-        assert_eq!(s.pb_len(0).unwrap(), 0, "PB drained at the wrap");
-        assert_eq!(s.durable_u64(0), u64::from_le_bytes([1; 8]));
-        assert_eq!(s.durable_u64(64), u64::from_le_bytes([2; 8]));
-        // The system keeps working across the wrap.
-        s.store(0, 128, &[3; 8]).unwrap();
-        s.dfence(0).unwrap();
-        assert_eq!(s.durable_u64(128), u64::from_le_bytes([3; 8]));
-    }
-
-    #[test]
-    fn llc_miss_stalls_track_pb_contents() {
-        let mut s = sys();
-        assert!(!s.llc_miss_would_stall(0x100), "empty PBs never stall");
-        s.store(0, 0x100, &[1; 8]).unwrap();
-        assert!(s.llc_miss_would_stall(0x100), "buffered line stalls a miss");
-        s.dfence(0).unwrap();
-        assert!(
-            !s.llc_miss_would_stall(0x100),
-            "writeback clears the filter: stalls are transient"
-        );
+        let mut s = pb();
+        s.store(T0, 0, 8);
+        s.store(T1, 64, 8);
+        s.dfence(T0);
+        assert_eq!(s.len(T0), 0);
+        assert_eq!(s.len(T1), 1, "no conflict → t1 untouched");
     }
 
     #[test]
@@ -627,73 +556,50 @@ mod tests {
             coalesce: true,
             ..HopsConfig::default()
         };
-        let mut s = HopsSystem::new(cfg, AddrRange::new(0, 1 << 20), 1);
-        // Three stores to one line in one epoch: one PB entry, holding
-        // the newest value.
-        for v in [1u64, 2, 3] {
-            s.store(0, 0x40, &v.to_le_bytes()).unwrap();
+        let mut s = with(&cfg);
+        // Three stores to one line in one epoch: one PB entry.
+        for _ in 0..3 {
+            s.store(T0, 0x40, 8);
         }
-        assert_eq!(s.pb_len(0).unwrap(), 1);
+        assert_eq!(s.len(T0), 1);
         // Across epochs, versions still multi-buffer.
-        s.ofence(0).unwrap();
-        s.store(0, 0x40, &4u64.to_le_bytes()).unwrap();
-        assert_eq!(s.buffered_versions(0, Line::containing(0x40)).unwrap(), 2);
-        s.dfence(0).unwrap();
-        assert_eq!(s.durable_u64(0x40), 4);
-        assert_eq!(s.media_writes(), 2, "coalescing saved two media writes");
+        s.ofence(T0);
+        s.store(T0, 0x40, 8);
+        assert_eq!(s.versions(T0, Line::containing(0x40)), 2);
+        s.dfence(T0);
+        assert_eq!(s.retired(), 2, "coalescing saved two media writes");
 
         // The coalescing ablation: 64 epochs, each storing 4 times to a
-        // hot counter line and to a line of its own, drain 512 media
-        // writes plainly and 128 coalesced.
+        // hot counter line and to a line of its own, retire 512 lines
+        // plainly and 128 coalesced.
         for (coalesce, writes) in [(false, 512), (true, 128)] {
-            let cfg = HopsConfig {
+            let mut s = with(&HopsConfig {
                 coalesce,
                 ..HopsConfig::default()
-            };
-            let mut s = HopsSystem::new(cfg, AddrRange::new(0, 1 << 20), 1);
+            });
             for e in 0..64u64 {
                 for _ in 0..4 {
-                    s.store(0, 0x40, &e.to_le_bytes()).unwrap();
-                    s.store(0, 0x80 + e * 64, &e.to_le_bytes()).unwrap();
+                    s.store(T0, 0x40, 8);
+                    s.store(T0, 0x80 + e * 64, 8);
                 }
-                s.ofence(0).unwrap();
+                s.ofence(T0);
             }
-            s.dfence(0).unwrap();
-            assert_eq!(s.media_writes(), writes, "coalesce: {coalesce}");
+            s.dfence(T0);
+            assert_eq!(s.retired(), writes, "coalesce: {coalesce}");
         }
-    }
-
-    #[test]
-    fn out_of_range_thread_is_a_typed_error_on_every_entry_point() {
-        let mut s = sys(); // 4 hardware threads
-        let bad = 4usize;
-        let err = BadThread { tid: 4, threads: 4 };
-        assert_eq!(s.store(bad, 0, &[1; 8]), Err(err));
-        assert_eq!(s.ofence(bad), Err(err));
-        assert_eq!(s.dfence(bad), Err(err));
-        assert_eq!(s.thread_ts(bad), Err(err));
-        assert_eq!(s.pb_len(bad), Err(err));
-        assert_eq!(s.buffered_versions(bad, Line::containing(0)), Err(err));
-        assert_eq!(
-            err.to_string(),
-            "thread 4 out of range (system has 4 threads)"
-        );
-        // The rejected store left no trace, functional or durable.
-        assert_eq!(s.load_vec(0, 8), vec![0; 8]);
-        // In-range threads are unaffected.
-        s.store(3, 0, &[1; 8]).unwrap();
-        s.dfence(3).unwrap();
-        assert_eq!(s.durable_u64(0), u64::from_le_bytes([1; 8]));
     }
 
     #[test]
     fn multi_line_store_spans_entries() {
-        let mut s = sys();
-        s.store(0, 60, &[9; 10]).unwrap(); // crosses a line boundary
-        assert_eq!(s.pb_len(0).unwrap(), 2);
-        s.dfence(0).unwrap();
-        assert_eq!(s.load_vec(60, 10), vec![9; 10]);
-        let img = s.shutdown();
-        assert_eq!(img.read_vec(60, 10), vec![9; 10]);
+        let mut s = pb();
+        s.store(T0, 60, 10); // crosses a line boundary
+        assert_eq!(s.len(T0), 2);
+        let entries: Vec<Entry> = s.entries().map(|(_, e)| e).collect();
+        assert_eq!(entries.len(), 1, "one run-length entry per store");
+        assert_eq!((entries[0].first, entries[0].lines), (Line(0), 2));
+        s.retire(T0, 1);
+        assert_eq!((s.len(T0), s.retired()), (1, 1), "retire splits a run");
+        s.dfence(T0);
+        assert_eq!(s.retired(), 2);
     }
 }

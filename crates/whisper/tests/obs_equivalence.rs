@@ -149,6 +149,27 @@ fn instrumented_run_populates_registry() {
     assert!(sim.count >= 1 && sim.sum > 0, "simulated duration recorded");
 }
 
+/// The persist buffer's one counter fires where dependencies bite: on
+/// the quick suite at four workers, some HOPS replay retires another
+/// thread's lines early because a dependent entry needed them.
+#[test]
+fn quick_suite_retires_lines_for_cross_thread_dependencies() {
+    let _lock = obs_lock();
+    let dep_retires = || {
+        pmobs::global()
+            .snapshot()
+            .counters
+            .get("hops.dep_retires")
+            .copied()
+            .unwrap_or(0)
+    };
+    let before = dep_retires();
+    pmobs::set_enabled(true);
+    let _ = run_apps(&APP_NAMES, &SuiteConfig::quick());
+    pmobs::set_enabled(false);
+    assert!(dep_retires() > before, "no dependency ever forced a retire");
+}
+
 /// `--json` end to end: the document the binary writes parses, carries
 /// every required key, and lists all eleven Table 1 rows.
 #[test]

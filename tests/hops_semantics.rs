@@ -1,10 +1,11 @@
-//! HOPS semantics across crates: the functional persist-buffer model
-//! and the timing replay must agree with the paper's Section 6 on
-//! traces produced by the real substrate.
+//! HOPS semantics across crates: the persist buffer and the timing
+//! replay that steps it must agree with the paper's Section 6, on
+//! arbitrary scripts and on traces produced by the real substrate.
 
-use hops::{replay, HopsConfig, HopsSystem, PersistModel, TimingConfig};
+use hops::{replay, Entry, HopsConfig, PersistBuffer, PersistModel, TimingConfig};
 use miniprop::prelude::*;
-use pmem::{AddrRange, Line};
+use pmem::Line;
+use pmtrace::Tid;
 
 #[test]
 fn fig10_ordering_on_real_app_traces() {
@@ -71,7 +72,6 @@ fn bigger_pb_never_hurts() {
     let t = TimingConfig::default();
     let pb = |entries: usize| HopsConfig {
         pb_entries: entries,
-        flush_threshold: entries / 2,
         ..HopsConfig::default()
     };
     let r = whisper::apps::micro::hashmap_unpaced(1500, 4);
@@ -85,7 +85,7 @@ fn bigger_pb_never_hurts() {
     // The PB-sizing ablation: echo's large batched transactions stress
     // PB capacity hardest, yet HOPS(NVM) / x86-64(NVM) barely moves
     // from 8 to 64 entries ("sustaining high performance with
-    // small-sized PBs"; the paper evaluates 32, flushing at 16).
+    // small-sized PBs"; the paper evaluates 32).
     let echo = whisper::apps::echo::run_unpaced(1200, 42);
     let normalized: Vec<f64> = [8usize, 16, 32, 64]
         .into_iter()
@@ -102,90 +102,169 @@ fn bigger_pb_never_hurts() {
     assert_eq!(shown, ["0.786", "0.785", "0.784", "0.782"]);
 }
 
+/// Each thread's landed entries are a prefix of what it buffered, made
+/// of whole epochs, and closed under dependency pointers: an entry that
+/// landed with dependency `(s, e)` implies every entry of `s` with
+/// epoch `e` or older landed too.
+fn assert_epoch_prefix_closed(buffered: &[(Tid, Entry)], landed: &[(Tid, Entry)]) {
+    let of = |set: &[(Tid, Entry)], tid: Tid| -> Vec<Entry> {
+        set.iter()
+            .filter(|(t, _)| *t == tid)
+            .map(|(_, e)| *e)
+            .collect()
+    };
+    for &(tid, _) in buffered {
+        let (all, got) = (of(buffered, tid), of(landed, tid));
+        assert_eq!(
+            all[..got.len()],
+            got[..],
+            "{tid}: landed is not a FIFO prefix"
+        );
+        if let (Some(last), Some(next)) = (got.last(), all.get(got.len())) {
+            assert!(
+                next.epoch > last.epoch,
+                "{tid}: epoch {} landed in part",
+                last.epoch
+            );
+        }
+    }
+    for (tid, e) in landed {
+        if let Some((src, epoch)) = e.dep {
+            let lost = of(buffered, src).len() - of(landed, src).len();
+            let missing = of(buffered, src)
+                .iter()
+                .rev()
+                .take(lost)
+                .any(|s| s.epoch <= epoch);
+            assert!(
+                !missing,
+                "{tid}'s {e:?} landed before {src} retired epoch {epoch}"
+            );
+        }
+    }
+}
+
+/// Threads get buffers on first sight with no cap on their ids: a
+/// sparse pair shares lines and keeps its dependency.
+#[test]
+fn sparse_thread_ids_share_the_owner_index() {
+    let pair = || {
+        let mut pb = PersistBuffer::new(&HopsConfig::default());
+        let (a, b) = (pb.thread(Tid(0)), pb.thread(Tid(300)));
+        pb.store(a, 0x40, 8);
+        pb.store(b, 0x40, 8);
+        (pb, a, b)
+    };
+    let (mut pb, a, b) = pair();
+    assert_eq!((a, b), (0, 1), "handles count up whatever the ids");
+    let buffered: Vec<_> = pb.entries().collect();
+    assert_eq!(buffered[1].0, Tid(300));
+    assert_eq!(buffered[1].1.dep, Some((Tid(0), 1)));
+    for seed in 0..32 {
+        assert_epoch_prefix_closed(&buffered, &pair().0.crash(seed));
+    }
+    pb.dfence(b);
+    assert_eq!((pb.len(a), pb.len(b), pb.retired()), (0, 0, 2));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Functional model: per-thread epoch-prefix durability holds for
-    /// arbitrary multi-threaded store/ofence interleavings and crash
-    /// seeds.
+    /// Per-thread epoch-prefix durability holds for arbitrary
+    /// multi-threaded store/ofence interleavings and crash seeds.
     #[test]
     fn epoch_prefix_durability(
-        script in collection::vec((0usize..3, 0u64..16, any::<bool>()), 1..40),
+        script in collection::vec((0u32..3, 0u64..16, any::<bool>()), 1..40),
         crash_seed in any::<u64>(),
     ) {
-        let mut sys = HopsSystem::new(HopsConfig::default(), AddrRange::new(0, 1 << 20), 3);
-        // Per-thread: every epoch writes a fresh line with the epoch
-        // index so prefixes are checkable. Threads use disjoint lines.
+        let mut pb = PersistBuffer::new(&HopsConfig::default());
+        // Per-thread: every epoch writes a fresh line numbered by the
+        // epoch index, so prefixes are checkable. Threads use disjoint
+        // lines.
         let mut epoch_idx = [0u64; 3];
-        let mut committed: Vec<Vec<u64>> = vec![Vec::new(); 3];
         for (tid, _key, fence) in script {
-            let e = epoch_idx[tid];
-            if e >= 64 {
-                continue;
-            }
-            let line = (tid as u64 * 64 + e) * 64;
-            sys.store(tid, line, &(e + 1).to_le_bytes()).unwrap();
-            committed[tid].push(e);
+            let (t, e) = (pb.thread(Tid(tid)), epoch_idx[tid as usize]);
+            pb.store(t, (u64::from(tid) * 64 + e) * 64, 8);
             if fence {
-                sys.ofence(tid).unwrap();
-                epoch_idx[tid] += 1;
+                pb.ofence(t);
+                epoch_idx[tid as usize] += 1;
             }
         }
-        let img = sys.crash(crash_seed);
-        for tid in 0..3usize {
+        let landed = pb.crash(crash_seed);
+        for tid in 0..3u32 {
             // The durable epochs of each thread form a prefix.
-            let mut seen_gap = false;
-            for e in 0..64u64 {
-                let addr = (tid as u64 * 64 + e) * 64;
-                let v = u64::from_le_bytes(img.read_vec(addr, 8).try_into().unwrap());
-                if v == 0 {
-                    seen_gap = true;
-                } else {
-                    prop_assert!(
-                        !seen_gap,
-                        "thread {} epoch {} durable after a gap",
-                        tid,
-                        e
-                    );
-                    prop_assert_eq!(v, e + 1);
-                }
-            }
+            let epochs: Vec<u64> = landed
+                .iter()
+                .filter(|(t, _)| *t == Tid(tid))
+                .map(|(_, e)| e.first.0 - u64::from(tid) * 64)
+                .collect();
+            let mut want = epochs.clone();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(&want, &(0..want.len() as u64).collect::<Vec<_>>());
+            prop_assert!(epochs.windows(2).all(|w| w[0] <= w[1]), "thread {} out of order", tid);
         }
     }
 
-    /// dfence makes everything the thread wrote durable, regardless of
-    /// what came before.
+    /// Cross-thread dependencies: random 3-thread scripts over 8 shared
+    /// lines, with ofences and dfences, crash into dependency-closed
+    /// per-thread epoch prefixes.
     #[test]
-    fn dfence_drains_thread(
-        writes in collection::vec((0u64..32, any::<u64>()), 1..32),
+    fn crash_lands_dependency_closed_epoch_prefixes(
+        script in collection::vec((0u32..3, 0u64..8, 0u8..6), 1..48),
+        crash_seed in any::<u64>(),
     ) {
-        let mut sys = HopsSystem::new(HopsConfig::default(), AddrRange::new(0, 1 << 20), 2);
-        for (i, (slot, val)) in writes.iter().enumerate() {
-            sys.store(0, slot * 64, &val.to_le_bytes()).unwrap();
-            if i % 3 == 0 {
-                sys.ofence(0).unwrap();
+        let mut pb = PersistBuffer::new(&HopsConfig::default());
+        for (tid, line, op) in script {
+            let t = pb.thread(Tid(tid));
+            pb.store(t, line * 64, 8);
+            match op {
+                0 => pb.dfence(t),
+                1 | 2 => pb.ofence(t),
+                _ => {}
             }
         }
-        sys.dfence(0).unwrap();
-        prop_assert_eq!(sys.pb_len(0).unwrap(), 0);
-        // Durable state equals functional state for every written slot.
-        for (slot, _) in &writes {
-            let addr = slot * 64;
-            let functional = sys.load_vec(addr, 8);
-            let durable = sys.durable_u64(addr).to_le_bytes().to_vec();
-            prop_assert_eq!(functional, durable);
+        let buffered: Vec<_> = pb.entries().collect();
+        assert_epoch_prefix_closed(&buffered, &pb.crash(crash_seed));
+    }
+
+    /// dfence retires everything the thread wrote, and every epoch of
+    /// the other thread its entries depend on, regardless of what came
+    /// before.
+    #[test]
+    fn dfence_drains_thread(
+        writes in collection::vec((0u64..32, any::<bool>()), 1..32),
+    ) {
+        let mut pb = PersistBuffer::new(&HopsConfig::default());
+        let t0 = pb.thread(Tid(0));
+        for (i, (slot, other)) in writes.iter().enumerate() {
+            let t = pb.thread(Tid(u32::from(*other)));
+            pb.store(t, slot * 64, 8);
+            if i % 3 == 0 {
+                pb.ofence(t);
+            }
         }
+        let needed = pb
+            .entries()
+            .filter(|(t, _)| *t == Tid(0))
+            .filter_map(|(_, e)| e.dep.map(|(_, epoch)| epoch))
+            .max()
+            .unwrap_or(0);
+        pb.dfence(t0);
+        prop_assert_eq!(pb.len(t0), 0);
+        prop_assert!(pb.entries().all(|(_, e)| e.epoch > needed));
     }
 
     /// Multi-versioning: buffered version count for a line equals the
     /// number of distinct epochs that wrote it (until capacity flushes).
     #[test]
     fn multiversion_counts(epochs in 1usize..8) {
-        let mut sys = HopsSystem::new(HopsConfig::default(), AddrRange::new(0, 1 << 20), 1);
-        for e in 0..epochs {
-            sys.store(0, 0x40, &(e as u64).to_le_bytes()).unwrap();
-            sys.ofence(0).unwrap();
+        let mut pb = PersistBuffer::new(&HopsConfig::default());
+        let t = pb.thread(Tid(0));
+        for _ in 0..epochs {
+            pb.store(t, 0x40, 8);
+            pb.ofence(t);
         }
-        prop_assert_eq!(sys.buffered_versions(0, Line::containing(0x40)).unwrap(), epochs);
+        prop_assert_eq!(pb.versions(t, Line::containing(0x40)), epochs);
     }
 }
