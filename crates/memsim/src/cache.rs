@@ -171,6 +171,16 @@ impl LruSet {
         true
     }
 
+    /// A copy of the set that shares its line index's pages until one
+    /// of the two writes them (see [`LineMap::fork`]).
+    pub(crate) fn fork(&mut self) -> LruSet {
+        LruSet {
+            nodes: self.nodes.clone(),
+            index: self.index.fork(),
+            ..*self
+        }
+    }
+
     /// Whether `line` is currently a member.
     pub(crate) fn contains(&self, line: Line) -> bool {
         self.index.get(line) != 0

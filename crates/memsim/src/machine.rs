@@ -109,6 +109,8 @@ impl Machine {
 
     /// A machine whose PM is initialized from a crash image — the
     /// "reboot" path for recovery testing. DRAM and caches start empty.
+    /// Both PM views boot from the image's pages (one pointer per page)
+    /// and copy a page only when they first write it.
     pub fn from_image(cfg: MachineConfig, image: &PmImage) -> Machine {
         Machine::with_pm_image(cfg, Some(image))
     }
@@ -120,16 +122,12 @@ impl Machine {
             "dirty-line index is a u64 thread bitmask; {} threads exceed 64",
             cfg.threads
         );
-        let mut pm_functional = DramDevice::new(cfg.map.pm);
-        let pm_durable = match image {
+        let (pm_functional, pm_durable) = match image {
             Some(img) => {
                 assert_eq!(img.range(), cfg.map.pm, "image does not match PM range");
-                for (line, data) in img.lines() {
-                    pm_functional.write(line.base(), data);
-                }
-                PmDevice::from_image(img)
+                (DramDevice::from_image(img), PmDevice::from_image(img))
             }
-            None => PmDevice::new(cfg.map.pm),
+            None => (DramDevice::new(cfg.map.pm), PmDevice::new(cfg.map.pm)),
         };
         let n = cfg.threads as usize;
         Machine {
@@ -153,6 +151,51 @@ impl Machine {
             progress: 0,
             obs_trace: pmobs::trace::sink("memsim"),
             cfg,
+        }
+    }
+
+    /// A copy of the machine in its exact current state — memory,
+    /// caches, in-flight writes, trace, clock and counters — that runs
+    /// on independently: what either machine does next never reaches
+    /// the other. Every line-indexed table is forked copy-on-write, so
+    /// this costs one pointer per written page plus the per-thread
+    /// cache lists, not a copy of the lines.
+    ///
+    /// The fork gets its own trace sink exactly as [`Machine::new`]
+    /// would create one (none under `pmobs::trace::suppress`). Counted
+    /// as `memsim.forks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a crash or elision plan is armed: a plan's captures
+    /// and ordinals belong to one run.
+    pub fn fork(&mut self) -> Machine {
+        assert!(
+            self.plan.is_none() && self.elide.is_none(),
+            "cannot fork a machine with an armed crash or elision plan"
+        );
+        pmobs::count!("memsim.forks");
+        Machine {
+            cfg: self.cfg,
+            dram: self.dram.fork(),
+            pm_functional: self.pm_functional.fork(),
+            pm_durable: self.pm_durable.fork(),
+            dirty: self.dirty.iter_mut().map(LruSet::fork).collect(),
+            read_cache: self.read_cache.iter_mut().map(LruSet::fork).collect(),
+            pending: self.pending.clone(),
+            wcb: self.wcb.clone(),
+            dirty_index: self.dirty_index.fork(),
+            fence_scratch: Vec::new(),
+            clock_ns: self.clock_ns,
+            trace: self.trace.clone(),
+            stats: self.stats,
+            dram_brk: self.dram_brk,
+            next_tx: self.next_tx.clone(),
+            snap_seq: self.snap_seq,
+            plan: None,
+            elide: None,
+            progress: self.progress,
+            obs_trace: pmobs::trace::sink("memsim"),
         }
     }
 
@@ -642,8 +685,9 @@ impl Machine {
         })
     }
 
-    /// Snapshot of durable PM only (no in-flight writes).
-    pub fn durable_image(&self) -> PmImage {
+    /// Snapshot of durable PM only (no in-flight writes), sharing the
+    /// durable device's pages.
+    pub fn durable_image(&mut self) -> PmImage {
         self.pm_durable.image()
     }
 
@@ -695,13 +739,14 @@ impl Machine {
 
     /// The crash-decidable state right now, consuming the machine —
     /// the end-of-run analogue of a planned capture.
-    pub fn into_crash_state(self) -> CrashState {
+    pub fn into_crash_state(mut self) -> CrashState {
         self.capture_crash_state(self.crash_event_count())
     }
 
     /// The [`CrashState`] after event `at` — every capture, planned or
-    /// end-of-run, is taken here.
-    fn capture_crash_state(&self, at: u64) -> CrashState {
+    /// end-of-run, is taken here. The durable image shares the durable
+    /// device's pages; only the in-flight lines are copied.
+    fn capture_crash_state(&mut self, at: u64) -> CrashState {
         CrashState {
             at,
             progress: self.progress,

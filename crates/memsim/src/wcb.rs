@@ -38,7 +38,7 @@ fn holders_contain(index: &FxHashMap<Line, Holders>, line: Line, t: usize, seq: 
 }
 
 /// All threads' write-combining buffers plus the occupancy index.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct WriteCombine {
     /// Per-thread entries in arrival order; may contain dead entries.
     queues: Vec<VecDeque<PendingLine>>,

@@ -77,7 +77,7 @@ const MIGRATE_BATCH: u64 = 2;
 ///
 /// `count` is a volatile estimate (rebuilt on [`CHash::open`]) used
 /// only to trigger growth; correctness never depends on it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CHash {
     head: Addr,
     slots: u64,

@@ -65,7 +65,7 @@ pub const DQUEUE_MAX_PAYLOAD: usize = 44;
 /// The `tail_hint` is volatile by design: after a crash it is rebuilt
 /// by walking the chain, so no durable tail pointer can ever disagree
 /// with the links (the classic durable-queue tail problem).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DurableQueue {
     head: Addr,
     producers: u64,

@@ -8,6 +8,13 @@
 //! access in `memsim` bottoms out here. The page directory is the
 //! on-demand one of [`crate::linemap`]: a fresh device over a 4 GiB
 //! range holds no directory slots and no pages until its first write.
+//!
+//! Its pages are copy-on-write (see [`crate::linemap`]), which is what
+//! makes the snapshot operations cheap: [`PmDevice::fork`],
+//! [`DramDevice::fork`] and [`PmDevice::image`] share the device's
+//! pages instead of copying its lines, and [`PmDevice::from_image`]
+//! boots from the image's pages. Each costs one pointer per page; a
+//! page is copied only when one of its holders first writes it.
 
 use crate::image::PmImage;
 use crate::line::{lines_spanning, Line, LINE_SIZE};
@@ -26,8 +33,9 @@ static ZERO_LINE: [u8; LINE_SIZE as usize] = [0; LINE_SIZE as usize];
 /// distinguishes a line explicitly written with zeros from one never
 /// written at all — the two read identically, but only the former
 /// appears in [`PmImage`] snapshots and `lines_in_use` counts, exactly
-/// as with the previous hash-map backing.
-#[derive(Debug, Clone)]
+/// as with the previous hash-map backing. `Copy`, so that copying a
+/// shared page on its first write is one `memcpy` into the new box.
+#[derive(Debug, Clone, Copy)]
 struct Page {
     bytes: [u8; PAGE_BYTES],
     written: [u64; PAGE_WORDS],
@@ -64,17 +72,18 @@ impl Page {
     }
 }
 
-/// Backing storage shared by both device types: a two-level page table
-/// over the device's line range. Unwritten bytes read as zero.
+/// Backing storage shared by both device types and [`PmImage`]: a
+/// two-level page table over the device's line range. Unwritten bytes
+/// read as zero.
 #[derive(Debug, Clone)]
-struct LineStore {
+pub(crate) struct LineStore {
     pages: Directory<Page>,
     /// Distinct lines ever written (sum of written-bitmap popcounts).
-    live_lines: usize,
+    pub(crate) live_lines: usize,
 }
 
 impl LineStore {
-    fn new(range: AddrRange) -> LineStore {
+    pub(crate) fn new(range: AddrRange) -> LineStore {
         LineStore {
             pages: Directory::new(range),
             live_lines: 0,
@@ -116,6 +125,18 @@ impl LineStore {
         }
     }
 
+    /// Overwrite one whole line, keeping every page shared — the write
+    /// path of [`PmImage`], whose pages stay frozen.
+    pub(crate) fn set_line_shared(&mut self, line: Line, data: &[u8; LINE_SIZE as usize]) {
+        let (page, slot) = self.pages.locate(line).expect("line in range");
+        let p = self.pages.page_mut_shared(page, Page::new);
+        let off = slot * LINE_SIZE as usize;
+        p.bytes[off..off + LINE_SIZE as usize].copy_from_slice(data);
+        if p.mark_written(slot) {
+            self.live_lines += 1;
+        }
+    }
+
     /// Borrowed view of one line's 64 bytes (zeros if never written).
     #[inline]
     fn line_view(&self, line: Line) -> &[u8; LINE_SIZE as usize] {
@@ -125,9 +146,27 @@ impl LineStore {
             .unwrap_or(&ZERO_LINE)
     }
 
+    /// One line's bytes, `None` if it was never written.
+    #[inline]
+    pub(crate) fn line(&self, line: Line) -> Option<&[u8; LINE_SIZE as usize]> {
+        let (page, slot) = self.pages.locate(line)?;
+        let p = self.pages.page(page)?;
+        p.is_written(slot).then(|| p.line_bytes(slot))
+    }
+
+    /// A copy-on-write copy of the store (see [`Directory::share`]).
+    pub(crate) fn share(&mut self) -> LineStore {
+        LineStore {
+            pages: self.pages.share(),
+            live_lines: self.live_lines,
+        }
+    }
+
     /// All written lines in ascending order (page-major iteration is
     /// already sorted because pages partition the line range in order).
-    fn written_lines(&self) -> impl Iterator<Item = (Line, &[u8; LINE_SIZE as usize])> + '_ {
+    pub(crate) fn written_lines(
+        &self,
+    ) -> impl Iterator<Item = (Line, &[u8; LINE_SIZE as usize])> + '_ {
         self.pages.written_pages().flat_map(move |(pi, p)| {
             (0..PAGE_LINES)
                 .filter(move |&slot| p.is_written(slot))
@@ -169,13 +208,25 @@ impl PmDevice {
 
     /// Rebuild a device from a crash image, preserving its contents
     /// (write counters restart at zero — the media survived, the tally
-    /// is per-run).
+    /// is per-run). The device boots from the image's pages and copies
+    /// one only when it first writes it.
     pub fn from_image(image: &PmImage) -> PmDevice {
-        let mut dev = PmDevice::new(image.range());
-        for (line, data) in image.lines() {
-            dev.store.write(line.base(), data, |_| {});
+        PmDevice {
+            store: image.store.clone(),
+            ..PmDevice::new(image.range())
         }
-        dev
+    }
+
+    /// A copy-on-write copy of the device — contents and endurance
+    /// counters — that shares every page with this one until either
+    /// writes it. Neither device sees the other's later writes.
+    pub fn fork(&mut self) -> PmDevice {
+        PmDevice {
+            range: self.range,
+            store: self.store.share(),
+            line_writes: self.line_writes.fork(),
+            total_line_writes: self.total_line_writes,
+        }
     }
 
     /// The address range this device decodes.
@@ -254,9 +305,11 @@ impl PmDevice {
         (data.0 + counters.0, data.1 + counters.1)
     }
 
-    /// Snapshot the durable contents (what survives a power failure).
-    pub fn image(&self) -> PmImage {
-        PmImage::from_lines(self.range, self.store.written_lines().map(|(l, d)| (l, *d)))
+    /// Snapshot the durable contents (what survives a power failure):
+    /// a frozen copy of the device's pages, shared until the device
+    /// next writes each of them.
+    pub fn image(&mut self) -> PmImage {
+        PmImage::from_store(self.range, self.store.share())
     }
 }
 
@@ -277,6 +330,24 @@ impl DramDevice {
         DramDevice {
             range,
             store: LineStore::new(range),
+        }
+    }
+
+    /// A device holding an image's contents — a volatile working copy
+    /// of durable bytes (`memsim` boots its functional PM view this
+    /// way). Shares the image's pages until it writes them.
+    pub fn from_image(image: &PmImage) -> DramDevice {
+        DramDevice {
+            range: image.range(),
+            store: image.store.clone(),
+        }
+    }
+
+    /// A copy-on-write copy of the device (see [`PmDevice::fork`]).
+    pub fn fork(&mut self) -> DramDevice {
+        DramDevice {
+            range: self.range,
+            store: self.store.share(),
         }
     }
 

@@ -1,9 +1,9 @@
 //! Durable crash images.
 
+use crate::device::LineStore;
 use crate::line::{Line, LINE_SIZE};
 use crate::range::AddrRange;
 use crate::Addr;
-use std::collections::BTreeMap;
 
 /// A snapshot of the durable contents of a [`crate::PmDevice`].
 ///
@@ -14,12 +14,20 @@ use std::collections::BTreeMap;
 /// write-combining buffers, persist buffers, DRAM — is absent by
 /// construction.
 ///
-/// Lines are kept in a `BTreeMap` so iteration (and therefore recovery
-/// behavior in tests) is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An image is a frozen set of the device's own 64 KiB pages: taking
+/// one ([`crate::PmDevice::image`]), cloning one, and booting a device
+/// from one ([`crate::PmDevice::from_image`]) share pages instead of
+/// copying lines, and [`PmImage::set_line`] copies only the page it
+/// writes. A line is *in* the image once it was written — with zeros
+/// too — and [`PmImage::lines`] walks those lines in ascending order,
+/// so iteration (and therefore recovery behavior in tests) is
+/// deterministic.
+#[derive(Clone)]
 pub struct PmImage {
     range: AddrRange,
-    lines: BTreeMap<Line, [u8; LINE_SIZE as usize]>,
+    /// Every page shared: the image's writes never reach a device that
+    /// shares its pages, nor the other way round.
+    pub(crate) store: LineStore,
 }
 
 impl PmImage {
@@ -28,17 +36,23 @@ impl PmImage {
         range: AddrRange,
         lines: impl IntoIterator<Item = (Line, [u8; LINE_SIZE as usize])>,
     ) -> PmImage {
-        PmImage {
-            range,
-            lines: lines.into_iter().collect(),
+        let mut img = PmImage::empty(range);
+        for (line, data) in lines {
+            img.set_line(line, data);
         }
+        img
+    }
+
+    /// An image over a device's pages.
+    pub(crate) fn from_store(range: AddrRange, store: LineStore) -> PmImage {
+        PmImage { range, store }
     }
 
     /// An empty (all-zero) image covering `range`.
     pub fn empty(range: AddrRange) -> PmImage {
         PmImage {
             range,
-            lines: BTreeMap::new(),
+            store: LineStore::new(range),
         }
     }
 
@@ -47,26 +61,31 @@ impl PmImage {
         self.range
     }
 
-    /// Iterate over the non-zero lines.
+    /// Iterate over the written lines, in ascending order.
     pub fn lines(&self) -> impl Iterator<Item = (Line, &[u8; LINE_SIZE as usize])> {
-        self.lines.iter().map(|(l, d)| (*l, d))
+        self.store.written_lines()
     }
 
     /// Number of distinct lines captured.
     pub fn line_count(&self) -> usize {
-        self.lines.len()
+        self.store.live_lines
     }
 
     /// One line's bytes, `None` if the line was never written (it
     /// reads as zeros).
     pub fn line(&self, line: Line) -> Option<&[u8; LINE_SIZE as usize]> {
-        self.lines.get(&line)
+        self.store.line(line)
     }
 
     /// Overwrite one whole line (used by crash models to splice in
-    /// maybe-persisted in-flight writes).
+    /// maybe-persisted in-flight writes). Copies the line's page if
+    /// anything else still holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` lies outside the image's range.
     pub fn set_line(&mut self, line: Line, data: [u8; LINE_SIZE as usize]) {
-        self.lines.insert(line, data);
+        self.store.set_line_shared(line, &data);
     }
 
     /// Read bytes out of the image (unwritten bytes are zero).
@@ -75,12 +94,34 @@ impl PmImage {
         let mut dst = 0;
         for (line, start, n) in crate::line::lines_spanning(addr, len) {
             let off = line.offset_of(start);
-            if let Some(data) = self.lines.get(&line) {
+            if let Some(data) = self.line(line) {
                 out[dst..dst + n].copy_from_slice(&data[off..off + n]);
             }
             dst += n;
         }
         out
+    }
+}
+
+/// Two images are equal when they cover the same range and hold the
+/// same written lines with the same bytes — however their pages are
+/// shared.
+impl PartialEq for PmImage {
+    fn eq(&self, other: &PmImage) -> bool {
+        self.range == other.range
+            && self.line_count() == other.line_count()
+            && self.lines().eq(other.lines())
+    }
+}
+
+impl Eq for PmImage {}
+
+impl std::fmt::Debug for PmImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PmImage")
+            .field("range", &self.range)
+            .field("lines", &self.line_count())
+            .finish()
     }
 }
 

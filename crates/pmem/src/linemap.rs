@@ -12,17 +12,42 @@
 //! `memsim::Machine` holds a dozen of them and is built and dropped in
 //! microseconds — and reading a line that was never written allocates
 //! nothing.
+//!
+//! Pages are **copy-on-write**. A page is either *owned* — this
+//! directory is its only holder, and a write goes straight to it with
+//! no reference count touched — or *shared* behind an [`Arc`] with
+//! forks and snapshots of the directory. [`Directory::share`] turns
+//! every owned page into a shared one and returns a second directory
+//! over the same pages, so a fork or a snapshot costs one pointer per
+//! page, whatever the pages hold. The first write to a shared page
+//! takes it back: a page no one else holds any more is adopted without
+//! a copy, otherwise the writer copies it and owns the copy. No write
+//! through one directory is ever visible through another. A table that
+//! is never forked holds no shared page and pays one branch per lookup
+//! for the possibility.
 
 use crate::line::Line;
 use crate::range::AddrRange;
+use std::sync::Arc;
 
 /// Lines per page: 1024 lines = 64 KiB of data. Small enough that
 /// sparse workloads don't over-allocate, large enough that the
 /// directory of a fully-used 4 GiB range stays in the hundreds of KiB.
 pub(crate) const PAGE_LINES: usize = 1024;
 
+/// A page other directories may hold too. The `Box` inside the `Arc`
+/// is deliberate: a last holder moves it back out with
+/// [`Arc::try_unwrap`] — one pointer — instead of copying the page.
+#[allow(clippy::redundant_allocation)]
+type SharedPage<P> = Arc<Box<P>>;
+
 /// The on-demand page directory under [`LineMap`] and the devices'
 /// byte store: which page a line lives in, and the pages written so far.
+///
+/// A page is in exactly one of two slot arrays: `owned` or `shared`.
+/// A directory that was never shared has an empty `shared` array, so it
+/// costs what a plain page table costs — one pointer per page, one
+/// branch per lookup.
 #[derive(Debug, Clone)]
 pub(crate) struct Directory<P> {
     /// Line number of the first line the range touches; all page/slot
@@ -32,11 +57,15 @@ pub(crate) struct Directory<P> {
     /// Pages the range spans — the bound [`Directory::locate`]
     /// enforces, not an allocation.
     span_pages: usize,
-    /// One slot per page up to the highest page written.
-    pages: Vec<Option<Box<P>>>,
+    /// Pages only this directory holds, written in place. Cloning the
+    /// directory deep-copies them. Grows to the highest page written.
+    owned: Vec<Option<Box<P>>>,
+    /// Pages other directories may hold too, copied (or adopted) on
+    /// their first write here.
+    shared: Vec<Option<SharedPage<P>>>,
 }
 
-impl<P> Directory<P> {
+impl<P: Clone> Directory<P> {
     pub(crate) fn new(range: AddrRange) -> Directory<P> {
         let first_line = Line::containing(range.base).0;
         let last_line = if range.len == 0 {
@@ -47,7 +76,8 @@ impl<P> Directory<P> {
         Directory {
             first_line,
             span_pages: ((last_line - first_line) as usize).div_ceil(PAGE_LINES),
-            pages: Vec::new(),
+            owned: Vec::new(),
+            shared: Vec::new(),
         }
     }
 
@@ -69,33 +99,80 @@ impl<P> Directory<P> {
     /// Page `page`, if any of its lines was ever written.
     #[inline]
     pub(crate) fn page(&self, page: usize) -> Option<&P> {
-        self.pages.get(page)?.as_deref()
+        match self.owned.get(page) {
+            Some(Some(p)) => Some(p),
+            _ => self.shared.get(page)?.as_ref().map(|p| &***p),
+        }
     }
 
-    /// Page `page` for writing, growing the directory and allocating
-    /// the page with `make` on first use. `page` must come from
-    /// [`Directory::locate`].
+    /// Page `page` for writing, owned by this directory: allocated with
+    /// `make` on first use, taken back from the shared array if it is
+    /// there. `page` must come from [`Directory::locate`].
     #[inline]
     pub(crate) fn page_mut(&mut self, page: usize, make: impl FnOnce() -> Box<P>) -> &mut P {
-        if page >= self.pages.len() {
+        if page >= self.owned.len() {
             debug_assert!(page < self.span_pages, "page {page} outside the range");
-            self.pages.resize_with(page + 1, || None);
+            self.owned.resize_with(page + 1, || None);
         }
-        self.pages[page].get_or_insert_with(make)
+        let shared = &mut self.shared;
+        self.owned[page].get_or_insert_with(|| unshare(shared, page).unwrap_or_else(make))
+    }
+
+    /// Page `page` for writing while keeping it shared — the write path
+    /// of a frozen snapshot, which holds no owned page: a page other
+    /// directories hold is copied into a fresh shared page first.
+    pub(crate) fn page_mut_shared(&mut self, page: usize, make: impl FnOnce() -> Box<P>) -> &mut P {
+        debug_assert!(self.owned.iter().all(Option::is_none), "a frozen directory");
+        if page >= self.shared.len() {
+            debug_assert!(page < self.span_pages, "page {page} outside the range");
+            self.shared.resize_with(page + 1, || None);
+        }
+        Arc::make_mut(self.shared[page].get_or_insert_with(|| Arc::new(make()))).as_mut()
+    }
+
+    /// A second directory over the same pages: every owned page moves
+    /// to the shared array, so neither directory's later writes reach
+    /// the other. Costs one pointer per page.
+    pub(crate) fn share(&mut self) -> Directory<P> {
+        if self.shared.len() < self.owned.len() {
+            self.shared.resize_with(self.owned.len(), || None);
+        }
+        for (owned, shared) in self.owned.iter_mut().zip(&mut self.shared) {
+            if let Some(p) = owned.take() {
+                *shared = Some(Arc::new(p));
+            }
+        }
+        self.owned = Vec::new();
+        Directory {
+            first_line: self.first_line,
+            span_pages: self.span_pages,
+            owned: Vec::new(),
+            shared: self.shared.clone(),
+        }
     }
 
     /// The written pages in ascending order, with their page index.
     pub(crate) fn written_pages(&self) -> impl Iterator<Item = (usize, &P)> + '_ {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| Some((i, p.as_deref()?)))
+        (0..self.slots()).filter_map(|i| Some((i, self.page(i)?)))
+    }
+
+    /// Directory slots in use: up to the highest page written.
+    fn slots(&self) -> usize {
+        self.owned.len().max(self.shared.len())
     }
 
     /// `(directory slots, pages)` currently allocated.
     pub(crate) fn resident(&self) -> (usize, usize) {
-        (self.pages.len(), self.written_pages().count())
+        (self.slots(), self.written_pages().count())
     }
+}
+
+/// Take page `page` out of a shared array for writing: adopt it when
+/// this was its last holder, copy it otherwise.
+#[cold]
+fn unshare<P: Clone>(shared: &mut [Option<SharedPage<P>>], page: usize) -> Option<Box<P>> {
+    let p = shared.get_mut(page)?.take()?;
+    Some(Arc::try_unwrap(p).unwrap_or_else(|p| (*p).clone()))
 }
 
 /// A table with one `T` per cache line of an address range, every line
@@ -148,6 +225,15 @@ impl<T: Copy + Default> LineMap<T> {
         &mut self
             .dir
             .page_mut(page, || Box::new([T::default(); PAGE_LINES]))[slot]
+    }
+
+    /// A copy-on-write copy of the table: the two share every page
+    /// until one of them writes it, and neither sees the other's
+    /// writes. Costs one pointer per page.
+    pub fn fork(&mut self) -> LineMap<T> {
+        LineMap {
+            dir: self.dir.share(),
+        }
     }
 
     /// `(directory slots, pages)` currently allocated — the table's

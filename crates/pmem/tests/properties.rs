@@ -43,7 +43,7 @@ proptest! {
             dev.write(*addr, data);
         }
         let img = dev.image();
-        let dev2 = PmDevice::from_image(&img);
+        let mut dev2 = PmDevice::from_image(&img);
         for probe in (0..RANGE_LEN - 64).step_by(577) {
             prop_assert_eq!(dev.read_vec(probe, 64), dev2.read_vec(probe, 64));
         }
@@ -206,7 +206,7 @@ proptest! {
         want.sort_unstable();
         let got: Vec<Line> = img.lines().map(|(l, _)| l).collect();
         prop_assert_eq!(got, want);
-        let dev2 = PmDevice::from_image(&img);
+        let mut dev2 = PmDevice::from_image(&img);
         prop_assert_eq!(img, dev2.image());
         prop_assert_eq!(dev2.lines_in_use(), model.lines.len());
     }

@@ -22,7 +22,7 @@ pub struct FileStat {
 
 /// The mounted filesystem. See the crate docs for the design points
 /// reproduced from PMFS.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Pmfs {
     layout: Layout,
     journal: Journal,

@@ -30,7 +30,7 @@ pub(crate) const STATUS_COMMITTED: u32 = 2;
 /// paper measures far fewer self-dependencies for them than for NFS,
 /// whose back-to-back operations keep reusing journal and metadata
 /// lines within the window.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Journal {
     base: Addr,
     n_slots: u64,

@@ -8,7 +8,7 @@ use pmtrace::{Category, Tid};
 
 const SCRATCH_BYTES: u64 = 64 * 1024;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ActiveRedo {
     id: pmtrace::TxId,
     /// Volatile write set, in program order: (target, data, category).
@@ -28,7 +28,7 @@ struct ActiveRedo {
 /// its own epoch). On a crash, a slot whose marker is durable replays
 /// its entries; otherwise the log is discarded and the data — never
 /// written in place — is untouched.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RedoTxEngine {
     region: AddrRange,
     slots: Vec<LogSlot>,

@@ -6,7 +6,7 @@ use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
 use pmtrace::{Category, Tid};
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ActiveUndo {
     id: pmtrace::TxId,
     /// Data lines written in place, to be flushed at commit.
@@ -27,7 +27,7 @@ struct ActiveUndo {
 ///
 /// On a crash, a slot that never reached `Committed` rolls back by
 /// re-applying the logged old values; rollback is idempotent.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct UndoTxEngine {
     region: AddrRange,
     slots: Vec<LogSlot>,

@@ -10,7 +10,7 @@
 //! 1000 msgs/min, sysbench connections) sets the epoch *rate* — which
 //! is why Table 1 spans 6250 epochs/s (Exim) to 250 K (NFS).
 
-use super::{App, AppRun, Layer, VolatileArena};
+use super::{App, AppRun, Layer, Setup, VolatileArena, WORKERS};
 use crate::crashtest::{Arm, CrashRun};
 use crate::report::PaperRow;
 use crate::workloads::{self, FileserverOp};
@@ -33,8 +33,8 @@ pub(crate) const NFS: App = App {
         fig5_cross_pct: 5.0,
         fig6_pm_pct: None,
     },
-    run: |ops, seed, _| nfs(ops, seed),
-    unpaced: None,
+    setup: setup_nfs,
+    unpaced: false,
     crash_ops: 40,
     crash_run: crash_run_nfs,
 };
@@ -52,8 +52,8 @@ pub(crate) const EXIM: App = App {
         fig5_cross_pct: 1.16,
         fig6_pm_pct: None,
     },
-    run: |msgs, seed, _| exim(msgs, seed),
-    unpaced: None,
+    setup: setup_exim,
+    unpaced: false,
     crash_ops: 16,
     crash_run: crash_run_exim,
 };
@@ -71,8 +71,8 @@ pub(crate) const MYSQL: App = App {
         fig5_cross_pct: 0.04,
         fig6_pm_pct: None,
     },
-    run: |txs, seed, _| mysql(txs, seed),
-    unpaced: None,
+    setup: setup_mysql,
+    unpaced: false,
     crash_ops: 24,
     crash_run: crash_run_mysql,
 };
@@ -221,12 +221,31 @@ pub(crate) fn crash_run_nfs(ops: usize, arm: &Arm<'_>) -> CrashRun {
 /// NFS: an exported PMFS volume driven by filebench's `fileserver`
 /// profile (Table 1: 8 clients, 8 NFS threads).
 pub fn nfs(ops: usize, seed: u64) -> AppRun {
+    NFS.run(ops, seed, WORKERS)
+}
+
+/// A fresh machine with a fresh PMFS volume, tracing off.
+fn mkfs_untraced(arena_bytes: u64) -> (Machine, Pmfs, VolatileArena) {
     let mut m = Machine::new(MachineConfig::asplos17());
-    // mkfs and export setup are untraced.
     m.trace_mut().set_enabled(false);
-    let (mut fs, _) = build_fs(&mut m);
-    let mut arena = VolatileArena::new(&mut m, 2 << 20);
+    let (fs, _) = build_fs(&mut m);
+    let arena = VolatileArena::new(&mut m, arena_bytes);
+    (m, fs, arena)
+}
+
+/// mkfs and export setup are untraced.
+fn setup_nfs(ops: usize, _workers: u32) -> Setup {
+    let (mut m, mut fs, arena) = mkfs_untraced(2 << 20);
     fs.mkdir(&mut m, Tid(0), "/export").expect("mkdir");
+    Setup::new(m, (ops, fs, arena), drive_nfs)
+}
+
+fn drive_nfs(
+    mut m: Machine,
+    (ops, mut fs, mut arena): (usize, Pmfs, VolatileArena),
+    seed: u64,
+    _paced: bool,
+) -> AppRun {
     let n_files = 64;
     // 8 logical NFS clients multiplexed onto the 4 hardware threads.
     m.trace_mut().set_enabled(true);
@@ -393,14 +412,24 @@ pub(crate) fn crash_run_exim(msgs: usize, arm: &Arm<'_>) -> CrashRun {
 /// postal at 1000 msgs/min (Table 1: 100 KB messages, 250 mailboxes —
 /// message bodies scaled to 24 KB, see DESIGN.md).
 pub fn exim(msgs: usize, seed: u64) -> AppRun {
-    let mut m = Machine::new(MachineConfig::asplos17());
-    // mkfs and mailbox setup are untraced.
-    m.trace_mut().set_enabled(false);
-    let (mut fs, _) = build_fs(&mut m);
-    let mut arena = VolatileArena::new(&mut m, 2 << 20);
+    EXIM.run(msgs, seed, WORKERS)
+}
+
+/// mkfs and mailbox setup are untraced.
+fn setup_exim(msgs: usize, _workers: u32) -> Setup {
+    let (mut m, mut fs, arena) = mkfs_untraced(2 << 20);
     fs.mkdir(&mut m, Tid(0), "/spool").expect("mkdir");
     fs.mkdir(&mut m, Tid(0), "/mbox").expect("mkdir");
     fs.create(&mut m, Tid(0), "/mainlog").expect("log");
+    Setup::new(m, (msgs, fs, arena), drive_exim)
+}
+
+fn drive_exim(
+    mut m: Machine,
+    (msgs, mut fs, mut arena): (usize, Pmfs, VolatileArena),
+    seed: u64,
+    _paced: bool,
+) -> AppRun {
     let n_mailboxes = 250;
     let mut pace = SmallRng::seed_from_u64(seed ^ 0xe41);
 
@@ -569,48 +598,68 @@ pub(crate) fn crash_run_mysql(ops: usize, arm: &Arm<'_>) -> CrashRun {
 /// MySQL: sysbench OLTP-complex over table/index/binlog files on PMFS
 /// (Table 1: 4 clients, one 10 M-row table — scaled).
 pub fn mysql(txs: usize, seed: u64) -> AppRun {
-    let mut m = Machine::new(MachineConfig::asplos17());
-    // mkfs and table loading are untraced.
-    m.trace_mut().set_enabled(false);
-    let (mut fs, _) = build_fs(&mut m);
-    let mut arena = VolatileArena::new(&mut m, 4 << 20);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xdb);
-    // Table file: rows packed 100 B each in 4 KB pages; plus binlog.
+    MYSQL.run(txs, seed, WORKERS)
+}
+
+/// MySQL's table: rows packed 100 B each in 4 KB pages.
+const MYSQL_ROWS: usize = 4096;
+const MYSQL_ROW: usize = 100;
+
+/// mkfs and table loading are untraced.
+fn setup_mysql(txs: usize, _workers: u32) -> Setup {
+    let (mut m, mut fs, arena) = mkfs_untraced(4 << 20);
+    // Table file plus binlog.
     fs.create(&mut m, Tid(0), "/ibdata").expect("table");
     fs.create(&mut m, Tid(0), "/binlog").expect("binlog");
-    let n_rows = 4096usize;
-    const ROW: usize = 100;
     // Pre-extend the table file (untraced load phase).
-    m.trace_mut().set_enabled(false);
-    let total = n_rows * ROW;
+    let total = MYSQL_ROWS * MYSQL_ROW;
     for off in (0..total).step_by(4096) {
         fs.write(&mut m, Tid(0), "/ibdata", off as u64, &[1u8; 4096])
             .expect("load");
     }
     m.trace_mut().set_enabled(true);
-    let row_off = |r: u64| r * ROW as u64;
+    Setup::new(m, (txs, fs, arena), drive_mysql)
+}
 
-    for (i, tx) in workloads::oltp(n_rows, txs, seed).into_iter().enumerate() {
+fn drive_mysql(
+    mut m: Machine,
+    (txs, mut fs, mut arena): (usize, Pmfs, VolatileArena),
+    seed: u64,
+    _paced: bool,
+) -> AppRun {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xdb);
+    let row_off = |r: u64| r * MYSQL_ROW as u64;
+
+    for (i, tx) in workloads::oltp(MYSQL_ROWS, txs, seed)
+        .into_iter()
+        .enumerate()
+    {
         let tid = Tid((i % THREADS as usize) as u32);
         // Parser, optimizer, buffer pool — the bulk of MySQL's work.
         arena.work(&mut m, tid, 450);
         for r in &tx.point_selects {
-            let _ = fs.read(&mut m, tid, "/ibdata", row_off(*r), ROW);
+            let _ = fs.read(&mut m, tid, "/ibdata", row_off(*r), MYSQL_ROW);
         }
         let (start, len) = tx.range;
         let _ = fs.read(
             &mut m,
             tid,
             "/ibdata",
-            row_off(start % n_rows as u64),
-            (len as usize * ROW).min(16_384),
+            row_off(start % MYSQL_ROWS as u64),
+            (len as usize * MYSQL_ROW).min(16_384),
         );
         for r in &tx.updates {
             // Per-statement planning/execution time separates the
             // statements' metadata updates beyond the 50us window.
             m.advance_ns(120_000);
-            fs.write(&mut m, tid, "/ibdata", row_off(*r), &[rng.gen::<u8>(); ROW])
-                .expect("update");
+            fs.write(
+                &mut m,
+                tid,
+                "/ibdata",
+                row_off(*r),
+                &[rng.gen::<u8>(); MYSQL_ROW],
+            )
+            .expect("update");
         }
         // insert+delete pair modeled as a row rewrite + tombstone.
         m.advance_ns(120_000);
@@ -619,7 +668,7 @@ pub fn mysql(txs: usize, seed: u64) -> AppRun {
             tid,
             "/ibdata",
             row_off(tx.insert_delete),
-            &[0u8; ROW],
+            &[0u8; MYSQL_ROW],
         )
         .expect("insert/delete");
         // Binlog record for the write set.

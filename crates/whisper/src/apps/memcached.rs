@@ -18,7 +18,7 @@
 //! (Consequence 10). A GET is volatile except for memcached's lazy LRU
 //! bump, which keeps PM write traffic low at memslap's 5 % SET mix.
 
-use super::{machine_for, App, AppRun, Layer, VolatileArena, WORKERS};
+use super::{machine_for, App, AppRun, Layer, Setup, VolatileArena, WORKERS};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -45,12 +45,13 @@ pub(crate) const APP: App = App {
         fig5_cross_pct: 0.2,
         fig6_pm_pct: None,
     },
-    run: run_threads,
-    unpaced: None,
+    setup,
+    unpaced: false,
     crash_ops: 80,
     crash_run,
 };
 
+#[derive(Clone)]
 pub(crate) struct Memcached {
     pub(crate) eng: RedoTxEngine,
     pub(crate) alloc: ShardedSlab,
@@ -246,11 +247,24 @@ pub fn run(ops: usize, seed: u64) -> AppRun {
 
 /// [`run`] with an explicit worker-thread count (`--threads`).
 pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
+    APP.run(ops, seed, workers)
+}
+
+/// Setup is untraced: the measured interval is the memslap run.
+fn setup(ops: usize, workers: u32) -> Setup {
     let mut m = machine_for(workers);
-    // Setup is untraced: the measured interval is the memslap run.
     m.trace_mut().set_enabled(false);
-    let mut mc = Memcached::build(&mut m, workers, ops);
-    let mut arena = VolatileArena::new(&mut m, 2 << 20);
+    let mc = Memcached::build(&mut m, workers, ops);
+    let arena = VolatileArena::new(&mut m, 2 << 20);
+    Setup::new(m, (ops, workers, mc, arena), drive)
+}
+
+fn drive(
+    mut m: Machine,
+    (ops, workers, mut mc, mut arena): (usize, u32, Memcached, VolatileArena),
+    seed: u64,
+    _paced: bool,
+) -> AppRun {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
     let keyspace = (ops / 2).clamp(64, 4000);
     let capacity = keyspace;

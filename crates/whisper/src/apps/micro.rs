@@ -11,7 +11,7 @@
 //! Table 1 drives both with 4 clients and 100 K INSERT transactions;
 //! we mix in the deletes the benchmark also implements.
 
-use super::{App, AppRun, Layer, VolatileArena};
+use super::{App, AppRun, Layer, Setup, VolatileArena, WORKERS};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -37,8 +37,8 @@ pub(crate) const CTREE: App = App {
         fig5_cross_pct: 0.0,
         fig6_pm_pct: Some(3.32),
     },
-    run: |ops, seed, _| ctree(ops, seed),
-    unpaced: Some(ctree_unpaced),
+    setup: setup::<CritBitTree>,
+    unpaced: true,
     crash_ops: 96,
     crash_run: crash_run::<CritBitTree>,
 };
@@ -56,16 +56,17 @@ pub(crate) const HASHMAP: App = App {
         fig5_cross_pct: 0.0,
         fig6_pm_pct: Some(2.6),
     },
-    run: |ops, seed, _| hashmap(ops, seed),
-    unpaced: Some(hashmap_unpaced),
+    setup: setup::<PHashMap>,
+    unpaced: true,
     crash_ops: 96,
     crash_run: crash_run::<PHashMap>,
 };
 
 const THREADS: u32 = 4;
 
+/// The benchmark's handles on its machine.
+#[derive(Clone)]
 struct MicroEnv {
-    m: Machine,
     eng: UndoTxEngine,
     /// Per-thread allocator arenas, as in NVML's per-thread allocation
     /// classes — shared allocator metadata would otherwise manufacture
@@ -92,12 +93,12 @@ trait Keyed: Copy + Send + Sync + 'static {
 
     /// Create the structure in a fresh region (inside the caller's
     /// transaction); also returns the address [`Keyed::reopen`] takes.
-    fn create_in(env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr);
+    fn create_in(m: &mut Machine, env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr);
     fn reopen(m: &mut Machine, at: Addr) -> Result<Self, DsError>;
     /// The value operation number `seq` inserts.
     fn value(seq: u64) -> Self::Value;
-    fn put(self, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64);
-    fn delete(self, env: &mut MicroEnv, tid: Tid, key: u64);
+    fn put(self, m: &mut Machine, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64);
+    fn delete(self, m: &mut Machine, env: &mut MicroEnv, tid: Tid, key: u64);
     fn lookup(self, m: &mut Machine, eng: &mut UndoTxEngine, key: u64) -> Option<Self::Value>;
 }
 
@@ -107,9 +108,9 @@ impl Keyed for CritBitTree {
     const CRASH_SEED: u64 = 0xc47ee;
     type Value = u64;
 
-    fn create_in(env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr) {
+    fn create_in(m: &mut Machine, env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr) {
         let region = plan.take(pmds::HEADER_BYTES);
-        let tree = CritBitTree::create(&mut env.m, &mut env.eng, Tid(0), region).expect("tree");
+        let tree = CritBitTree::create(m, &mut env.eng, Tid(0), region).expect("tree");
         (tree, region.base)
     }
 
@@ -121,14 +122,14 @@ impl Keyed for CritBitTree {
         seq
     }
 
-    fn put(self, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64) {
-        let MicroEnv { m, eng, alloc, .. } = env;
+    fn put(self, m: &mut Machine, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64) {
+        let MicroEnv { eng, alloc, .. } = env;
         self.insert(m, eng, tid, alloc, &key.to_be_bytes(), seq)
             .expect("insert");
     }
 
-    fn delete(self, env: &mut MicroEnv, tid: Tid, key: u64) {
-        let MicroEnv { m, eng, alloc, .. } = env;
+    fn delete(self, m: &mut Machine, env: &mut MicroEnv, tid: Tid, key: u64) {
+        let MicroEnv { eng, alloc, .. } = env;
         self.remove(m, eng, tid, alloc, &key.to_be_bytes())
             .expect("remove");
     }
@@ -144,9 +145,9 @@ impl Keyed for PHashMap {
     const CRASH_SEED: u64 = 0x4a54;
     type Value = Vec<u8>;
 
-    fn create_in(env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr) {
+    fn create_in(m: &mut Machine, env: &mut MicroEnv, plan: &mut RegionPlanner) -> (Self, Addr) {
         let region = plan.take(PHashMap::region_bytes(512));
-        let map = PHashMap::create(&mut env.m, &mut env.eng, Tid(0), region, 512).expect("map");
+        let map = PHashMap::create(m, &mut env.eng, Tid(0), region, 512).expect("map");
         (map, region.base)
     }
 
@@ -158,14 +159,14 @@ impl Keyed for PHashMap {
         vec![seq as u8; 32]
     }
 
-    fn put(self, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64) {
-        let MicroEnv { m, eng, alloc, .. } = env;
+    fn put(self, m: &mut Machine, env: &mut MicroEnv, tid: Tid, key: u64, seq: u64) {
+        let MicroEnv { eng, alloc, .. } = env;
         self.insert(m, eng, tid, alloc, &key.to_le_bytes(), &[seq as u8; 32])
             .expect("insert");
     }
 
-    fn delete(self, env: &mut MicroEnv, tid: Tid, key: u64) {
-        let MicroEnv { m, eng, alloc, .. } = env;
+    fn delete(self, m: &mut Machine, env: &mut MicroEnv, tid: Tid, key: u64) {
+        let MicroEnv { eng, alloc, .. } = env;
         self.remove(m, eng, tid, alloc, &key.to_le_bytes())
             .expect("remove");
     }
@@ -175,9 +176,9 @@ impl Keyed for PHashMap {
     }
 }
 
-/// A fresh environment with an empty `S` created in its setup
-/// transaction, and the address to re-open the structure at.
-fn build<S: Keyed>() -> (MicroEnv, S, Addr) {
+/// A fresh machine and environment with an empty `S` created in its
+/// setup transaction, and the address to re-open the structure at.
+fn build<S: Keyed>() -> (Machine, MicroEnv, S, Addr) {
     let mut m = Machine::new(MachineConfig::asplos17());
     // Setup is untraced: the measured interval is the insert workload.
     m.trace_mut().set_enabled(false);
@@ -189,16 +190,15 @@ fn build<S: Keyed>() -> (MicroEnv, S, Addr) {
     let alloc = ShardedSlab::format(&mut m, &mut w, heap.base, 96 << 20, THREADS as usize);
     let arena = VolatileArena::new(&mut m, 1 << 20);
     let mut env = MicroEnv {
-        m,
         eng,
         alloc,
         arena,
         log_region,
     };
-    env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
-    let (structure, at) = S::create_in(&mut env, &mut plan);
-    env.eng.commit(&mut env.m, Tid(0)).expect("setup");
-    (env, structure, at)
+    env.eng.begin(&mut m, Tid(0)).expect("setup tx");
+    let (structure, at) = S::create_in(&mut m, &mut env, &mut plan);
+    env.eng.commit(&mut m, Tid(0)).expect("setup");
+    (m, env, structure, at)
 }
 
 /// Crash workload + oracle for a micro-benchmark (see
@@ -209,24 +209,24 @@ fn build<S: Keyed>() -> (MicroEnv, S, Addr) {
 /// its old or its new state.
 fn crash_run<S: Keyed>(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 32;
-    let (mut env, structure, at) = build::<S>();
+    let (mut m, mut env, structure, at) = build::<S>();
     let mut rng = SmallRng::seed_from_u64(S::CRASH_SEED);
     let plan_ops: Vec<(bool, u64)> = (0..ops)
         .map(|_| (rng.gen_range(0..100) < 85, rng.gen_range(0..CRASH_KEYSPACE)))
         .collect();
 
-    arm.apply(&mut env.m);
+    arm.apply(&mut m);
     for (i, (insert, key)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         env.alloc.select(tid.0 as usize);
-        env.eng.begin(&mut env.m, tid).expect("tx");
+        env.eng.begin(&mut m, tid).expect("tx");
         if *insert {
-            structure.put(&mut env, tid, *key, i as u64 + 1);
+            structure.put(&mut m, &mut env, tid, *key, i as u64 + 1);
         } else {
-            structure.delete(&mut env, tid, *key);
+            structure.delete(&mut m, &mut env, tid, *key);
         }
-        env.eng.commit(&mut env.m, tid).expect("commit");
-        env.m.note_progress(i as u64 + 1);
+        env.eng.commit(&mut m, tid).expect("commit");
+        m.note_progress(i as u64 + 1);
     }
 
     let log = env.log_region;
@@ -268,60 +268,69 @@ fn crash_run<S: Keyed>(ops: usize, arm: &Arm<'_>) -> CrashRun {
         }
         Ok(())
     });
-    crate::crashtest::harvest(env.m, total, oracle)
+    crate::crashtest::harvest(m, total, oracle)
+}
+
+fn setup<S: Keyed>(ops: usize, _workers: u32) -> Setup {
+    let (m, env, structure, _) = build::<S>();
+    Setup::new(m, (ops, env, structure), drive::<S>)
 }
 
 /// The driver: transactional inserts (85 %) and deletes of random keys,
 /// one per operation, round-robin over the four clients.
-fn run<S: Keyed>(ops: usize, seed: u64, paced: bool) -> AppRun {
-    let (mut env, structure, _) = build::<S>();
+fn drive<S: Keyed>(
+    mut m: Machine,
+    (ops, mut env, structure): (usize, MicroEnv, S),
+    seed: u64,
+    paced: bool,
+) -> AppRun {
     let mut rng = SmallRng::seed_from_u64(seed);
     let keyspace = (ops * 2).max(64) as u64;
     let (paced_work, unpaced_work, loop_ns) = S::DRIVER;
 
-    env.m.trace_mut().set_enabled(true);
+    m.trace_mut().set_enabled(true);
     for i in 0..ops {
         let tid = Tid((i % THREADS as usize) as u32);
         let work = if paced { paced_work } else { unpaced_work };
-        env.arena.work(&mut env.m, tid, work);
+        env.arena.work(&mut m, tid, work);
         // The benchmark driver's per-op loop overhead.
         if paced {
-            env.m.advance_ns(loop_ns);
+            m.advance_ns(loop_ns);
         }
         let key = rng.gen_range(0..keyspace);
         env.alloc.select(tid.0 as usize);
-        env.eng.begin(&mut env.m, tid).expect("tx");
+        env.eng.begin(&mut m, tid).expect("tx");
         if rng.gen_range(0..100) < 85 {
-            structure.put(&mut env, tid, key, i as u64);
+            structure.put(&mut m, &mut env, tid, key, i as u64);
         } else {
-            structure.delete(&mut env, tid, key);
+            structure.delete(&mut m, &mut env, tid, key);
         }
-        env.eng.commit(&mut env.m, tid).expect("commit");
+        env.eng.commit(&mut m, tid).expect("commit");
     }
 
-    S::ROW.collect(env.m)
+    S::ROW.collect(m)
 }
 
 /// `ctree` without driver overhead (gem5-style, for Figures 6/10).
 pub fn ctree_unpaced(ops: usize, seed: u64) -> AppRun {
-    run::<CritBitTree>(ops, seed, false)
+    CTREE.run_unpaced(ops, seed)
 }
 
 /// The `ctree` micro-benchmark: transactional inserts (and some
 /// deletes) into a persistent crit-bit tree.
 pub fn ctree(ops: usize, seed: u64) -> AppRun {
-    run::<CritBitTree>(ops, seed, true)
+    CTREE.run(ops, seed, WORKERS)
 }
 
 /// `hashmap` without driver overhead (gem5-style, for Figures 6/10).
 pub fn hashmap_unpaced(ops: usize, seed: u64) -> AppRun {
-    run::<PHashMap>(ops, seed, false)
+    HASHMAP.run_unpaced(ops, seed)
 }
 
 /// The `hashmap` micro-benchmark: transactional inserts (and some
 /// deletes) into a persistent chained hash map.
 pub fn hashmap(ops: usize, seed: u64) -> AppRun {
-    run::<PHashMap>(ops, seed, true)
+    HASHMAP.run(ops, seed, WORKERS)
 }
 
 #[cfg(test)]

@@ -1,12 +1,24 @@
 //! The ten WHISPER applications (paper Section 3) and the one table
 //! that describes them.
 //!
-//! Every application follows the same contract: build its persistent
-//! state on a fresh instrumented [`memsim::Machine`], drive its Table 1
-//! workload with logical clients interleaved onto the machine's four
-//! hardware threads, and return an [`AppRun`] carrying the trace,
-//! access counters, and simulated duration — the raw material for every
-//! table and figure.
+//! Every application follows the same contract, in two phases:
+//!
+//! * **setup** — build its persistent state on a fresh instrumented
+//!   [`memsim::Machine`] and load it: everything before the run first
+//!   consumes its seed, i.e. the untraced build-and-load phase the
+//!   paper excludes from its measurements. It depends on the op count
+//!   and the worker count only, and returns a [`Setup`];
+//! * **drive** — run the seeded Table 1 workload on that state, with
+//!   logical clients interleaved onto the machine's hardware threads,
+//!   paced or (for the gem5 subset) unpaced, and return an [`AppRun`]
+//!   carrying the trace, access counters, and simulated duration — the
+//!   raw material for every table and figure.
+//!
+//! A [`Setup`] can be forked ([`Setup::fork`], a copy-on-write
+//! [`Machine::fork`] plus a copy of the application's handles), so
+//! several seeds can be driven from one setup; a driven fork is
+//! exactly the run a fresh setup would have produced. [`App::run`] is
+//! setup-then-drive and the only way an application runs.
 //!
 //! Each module also contains crash-recovery tests: the paper's headline
 //! requirement is that "WHISPER includes crash-recoverable
@@ -69,15 +81,15 @@ pub struct App {
     pub base_ops: usize,
     /// The paper's numbers for this row.
     pub paper: PaperRow,
-    /// Run the Table 1 workload: `(ops, seed, workers)`. `workers`
-    /// reaches the scheduler-interleaved applications (redis,
+    /// The seed-free setup for `(ops, workers)` (see the module docs).
+    /// `workers` reaches the scheduler-interleaved applications (redis,
     /// memcached, vacation); the rest model their Table 1 thread counts
     /// internally and ignore it.
-    pub run: fn(usize, u64, u32) -> AppRun,
-    /// The unpaced `(ops, seed)` run the paper's gem5 simulations use
-    /// for Figures 6 and 10. `Some` exactly for the gem5 subset, i.e.
-    /// exactly where the paper has a Figure 6 value.
-    pub unpaced: Option<fn(usize, u64) -> AppRun>,
+    pub setup: fn(usize, u32) -> Setup,
+    /// Whether the paper's gem5 simulations also run this row unpaced
+    /// for Figures 6 and 10 ([`App::run_unpaced`]) — exactly where the
+    /// paper has a Figure 6 value.
+    pub unpaced: bool,
     /// Operations the crash workload commits. Fixed, not suite-scaled:
     /// the campaign sweeps *coverage* of recovery paths, and the counts
     /// are tuned so every app reaches steady state while the full sweep
@@ -89,6 +101,23 @@ pub struct App {
 }
 
 impl App {
+    /// Run the Table 1 workload: setup for `(ops, workers)`, then a
+    /// paced drive with `seed`.
+    pub fn run(&self, ops: usize, seed: u64, workers: u32) -> AppRun {
+        (self.setup)(ops, workers).drive(seed, true)
+    }
+
+    /// The unpaced `(ops, seed)` run the paper's gem5 simulations use
+    /// for Figures 6 and 10, at the Table 1 worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a row outside the gem5 subset ([`App::unpaced`]).
+    pub fn run_unpaced(&self, ops: usize, seed: u64) -> AppRun {
+        assert!(self.unpaced, "{} has no unpaced run", self.name);
+        (self.setup)(ops, WORKERS).drive(seed, false)
+    }
+
     /// Finish a run of this application: harvest the machine's trace,
     /// counters, and clock under the row's name and workload.
     pub(crate) fn collect(&self, mut machine: Machine) -> AppRun {
@@ -170,6 +199,76 @@ pub(crate) fn machine_for(workers: u32) -> Machine {
     Machine::new(cfg)
 }
 
+/// An application after its seed-free setup: the machine and the
+/// application's handles on it, waiting for [`Setup::drive`].
+pub struct Setup {
+    machine: Machine,
+    app: Box<dyn Stage>,
+}
+
+impl Setup {
+    /// Wrap a set-up `machine` and the application `state` living on
+    /// it, with the function that drives them.
+    pub(crate) fn new<S: Clone + 'static>(
+        machine: Machine,
+        state: S,
+        drive: fn(Machine, S, u64, bool) -> AppRun,
+    ) -> Setup {
+        Setup {
+            machine,
+            app: Box::new(Staged { state, drive }),
+        }
+    }
+
+    /// An independent copy of this setup ([`Machine::fork`] plus a copy
+    /// of the application's handles). Driving it gives exactly the run
+    /// a fresh setup would, and leaves this one untouched.
+    pub fn fork(&mut self) -> Setup {
+        Setup {
+            machine: self.machine.fork(),
+            app: self.app.fork(),
+        }
+    }
+
+    /// Run the seeded workload on this state: `paced` selects the
+    /// Table 1 configuration, `!paced` the unpaced gem5 one (rows
+    /// outside the gem5 subset have only the former and ignore it).
+    pub fn drive(self, seed: u64, paced: bool) -> AppRun {
+        self.app.drive(self.machine, seed, paced)
+    }
+}
+
+/// The application half of a [`Setup`], typed away.
+trait Stage {
+    fn fork(&self) -> Box<dyn Stage>;
+    fn drive(self: Box<Self>, machine: Machine, seed: u64, paced: bool) -> AppRun;
+}
+
+struct Staged<S> {
+    state: S,
+    drive: fn(Machine, S, u64, bool) -> AppRun,
+}
+
+impl<S: Clone + 'static> Stage for Staged<S> {
+    fn fork(&self) -> Box<dyn Stage> {
+        Box::new(Staged {
+            state: self.state.clone(),
+            drive: self.drive,
+        })
+    }
+
+    fn drive(self: Box<Self>, machine: Machine, seed: u64, paced: bool) -> AppRun {
+        // Free the box before the run allocates: a small block left
+        // live between the setup's pages and the run's keeps glibc
+        // from reusing the space around it.
+        let Staged { state, drive } = {
+            let staged = self;
+            *staged
+        };
+        drive(machine, state, seed, paced)
+    }
+}
+
 /// The outcome of one application run: everything the analysis needs.
 #[derive(Debug)]
 pub struct AppRun {
@@ -194,7 +293,7 @@ pub struct AppRun {
 /// transient data structures in volatile memory"; each app models its
 /// characteristic volatile footprint by touching this arena a tuned
 /// number of times per operation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct VolatileArena {
     base: Addr,
     len: u64,

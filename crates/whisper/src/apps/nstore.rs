@@ -16,7 +16,7 @@
 //! every writing transaction, one of the self-dependency sources the
 //! paper attributes to native applications.
 
-use super::{App, AppRun, Layer, VolatileArena};
+use super::{App, AppRun, Layer, Setup, VolatileArena, WORKERS};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -43,8 +43,8 @@ pub(crate) const YCSB: App = App {
         fig5_cross_pct: 0.003,
         fig6_pm_pct: Some(8.71),
     },
-    run: |ops, seed, _| run_ycsb(ops, seed),
-    unpaced: Some(run_ycsb_unpaced),
+    setup: setup_ycsb,
+    unpaced: true,
     crash_ops: 64,
     crash_run: crash_run_ycsb,
 };
@@ -62,8 +62,8 @@ pub(crate) const TPCC: App = App {
         fig5_cross_pct: 0.03,
         fig6_pm_pct: None,
     },
-    run: |txs, seed, _| run_tpcc(txs, seed),
-    unpaced: None,
+    setup: setup_tpcc,
+    unpaced: false,
     crash_ops: 32,
     crash_run: crash_run_tpcc,
 };
@@ -74,6 +74,7 @@ const FIELDS: usize = 10;
 /// Tuple: key u64 + 10 fields × 10 B = 108, buddy rounds to 128.
 const TUPLE_BYTES: u64 = 8 + (FIELDS * FIELD_BYTES) as u64;
 
+#[derive(Clone)]
 pub(crate) struct NStore {
     pub(crate) eng: UndoTxEngine,
     pub(crate) alloc: BuddyAlloc,
@@ -408,20 +409,32 @@ fn crash_run_inner(txs: Vec<Vec<CrashAction>>, arm: &Arm<'_>) -> CrashRun {
 
 /// YCSB without driver overhead (gem5-style, for Figures 6 and 10).
 pub fn run_ycsb_unpaced(ops: usize, seed: u64) -> AppRun {
-    run_ycsb_inner(ops, seed, false)
+    YCSB.run_unpaced(ops, seed)
 }
 
 /// Run the YCSB-like workload (Table 1: 4 clients, 80 % writes).
 pub fn run_ycsb(ops: usize, seed: u64) -> AppRun {
-    run_ycsb_inner(ops, seed, true)
+    YCSB.run(ops, seed, WORKERS)
 }
 
-pub(crate) fn run_ycsb_inner(ops: usize, seed: u64, paced: bool) -> AppRun {
+/// Run the TPC-C-like workload (Table 1: 4 clients, 40 % writes).
+pub fn run_tpcc(txs: usize, seed: u64) -> AppRun {
+    TPCC.run(txs, seed, WORKERS)
+}
+
+/// A fresh database on a fresh machine, tracing off for the build and
+/// the load that follows it.
+fn build_untraced() -> (Machine, NStore, VolatileArena) {
     let mut m = Machine::new(MachineConfig::asplos17());
-    // Build + load are untraced: the measured interval is steady state.
     m.trace_mut().set_enabled(false);
-    let mut db = NStore::build(&mut m);
-    let mut arena = VolatileArena::new(&mut m, 1 << 20);
+    let db = NStore::build(&mut m);
+    let arena = VolatileArena::new(&mut m, 1 << 20);
+    (m, db, arena)
+}
+
+/// Build + load are untraced: the measured interval is steady state.
+fn setup_ycsb(ops: usize, _workers: u32) -> Setup {
+    let (mut m, mut db, arena) = build_untraced();
     let n_keys = ops.clamp(64, 40_000);
     for key in 0..n_keys as u64 {
         let tid = Tid((key % THREADS as u64) as u32);
@@ -430,7 +443,15 @@ pub(crate) fn run_ycsb_inner(ops: usize, seed: u64, paced: bool) -> AppRun {
         db.eng.commit(&mut m, tid).expect("load commit");
     }
     m.trace_mut().set_enabled(true);
+    Setup::new(m, (ops, n_keys, db, arena), drive_ycsb)
+}
 
+fn drive_ycsb(
+    mut m: Machine,
+    (ops, n_keys, mut db, mut arena): (usize, usize, NStore, VolatileArena),
+    seed: u64,
+    paced: bool,
+) -> AppRun {
     for (i, op) in workloads::ycsb(n_keys, ops, 80, seed)
         .into_iter()
         .enumerate()
@@ -463,17 +484,15 @@ pub(crate) fn run_ycsb_inner(ops: usize, seed: u64, paced: bool) -> AppRun {
     YCSB.collect(m)
 }
 
-/// Run the TPC-C-like workload (Table 1: 4 clients, 40 % writes).
-pub fn run_tpcc(txs: usize, seed: u64) -> AppRun {
-    let mut m = Machine::new(MachineConfig::asplos17());
-    // Build + load are untraced: the measured interval is steady state.
-    m.trace_mut().set_enabled(false);
-    let mut db = NStore::build(&mut m);
-    let mut arena = VolatileArena::new(&mut m, 1 << 20);
-    let n_customers = 200;
-    let n_items = 400;
-    for key in 0..(n_customers + n_items) as u64 {
-        let key = if key < n_customers as u64 {
+/// TPC-C's preloaded customers, and the items stocked after them.
+const TPCC_CUSTOMERS: usize = 200;
+const TPCC_ITEMS: usize = 400;
+
+/// Build + load are untraced: the measured interval is steady state.
+fn setup_tpcc(txs: usize, _workers: u32) -> Setup {
+    let (mut m, mut db, arena) = build_untraced();
+    for key in 0..(TPCC_CUSTOMERS + TPCC_ITEMS) as u64 {
+        let key = if key < TPCC_CUSTOMERS as u64 {
             key
         } else {
             1_000_000 + key
@@ -484,9 +503,17 @@ pub fn run_tpcc(txs: usize, seed: u64) -> AppRun {
         db.eng.commit(&mut m, tid).expect("load commit");
     }
     m.trace_mut().set_enabled(true);
+    Setup::new(m, (txs, db, arena), drive_tpcc)
+}
 
+fn drive_tpcc(
+    mut m: Machine,
+    (txs, mut db, mut arena): (usize, NStore, VolatileArena),
+    seed: u64,
+    _paced: bool,
+) -> AppRun {
     let mut next_order: u64 = 2_000_000;
-    for (i, tx) in workloads::tpcc(n_customers, n_items, txs, seed)
+    for (i, tx) in workloads::tpcc(TPCC_CUSTOMERS, TPCC_ITEMS, txs, seed)
         .into_iter()
         .enumerate()
     {
@@ -502,7 +529,7 @@ pub fn run_tpcc(txs: usize, seed: u64) -> AppRun {
                     db.insert_tuple(&mut m, tid, next_order, *item as u8);
                     next_order += 1;
                     if let Some(stock) =
-                        db.find_tuple(&mut m, tid, 1_000_000 + n_customers as u64 + item)
+                        db.find_tuple(&mut m, tid, 1_000_000 + TPCC_CUSTOMERS as u64 + item)
                     {
                         db.update_fields(&mut m, tid, stock, 2, 2);
                     }

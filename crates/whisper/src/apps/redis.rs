@@ -23,7 +23,7 @@
 //! buffers, the volatile dict machinery), so PM stays a tiny share of
 //! traffic (Figure 6 measures redis at 0.74% PM).
 
-use super::{machine_for, App, AppRun, Layer, VolatileArena, WORKERS};
+use super::{machine_for, App, AppRun, Layer, Setup, VolatileArena, WORKERS};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -48,12 +48,13 @@ pub(crate) const APP: App = App {
         fig5_cross_pct: 0.0,
         fig6_pm_pct: Some(0.74),
     },
-    run: run_threads,
-    unpaced: Some(run_unpaced),
+    setup,
+    unpaced: true,
     crash_ops: 96,
     crash_run,
 };
 
+#[derive(Clone)]
 pub(crate) struct Redis {
     pub(crate) dict: CHash,
     pub(crate) backlog: DurableQueue,
@@ -272,27 +273,36 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
 
 /// lru-test without event-loop pacing (gem5-style, for Figures 6/10).
 pub fn run_unpaced(ops: usize, seed: u64) -> AppRun {
-    run_inner(ops, seed, false, WORKERS)
+    APP.run_unpaced(ops, seed)
 }
 
 /// Run `redis-cli lru-test` against the PM-backed dictionary with the
 /// Table 1 worker count.
 pub fn run(ops: usize, seed: u64) -> AppRun {
-    run_inner(ops, seed, true, WORKERS)
+    APP.run(ops, seed, WORKERS)
 }
 
 /// [`run`] with an explicit worker-thread count (`--threads`).
 pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
-    run_inner(ops, seed, true, workers)
+    APP.run(ops, seed, workers)
 }
 
-pub(crate) fn run_inner(ops: usize, seed: u64, paced: bool, workers: u32) -> AppRun {
+/// Setup (structure formatting) is untraced: the measured interval is
+/// the steady-state workload, as in the paper.
+fn setup(ops: usize, workers: u32) -> Setup {
     let mut m = machine_for(workers);
-    // Setup (structure formatting) is untraced: the measured interval
-    // is the steady-state workload, as in the paper.
     m.trace_mut().set_enabled(false);
-    let mut r = Redis::build(&mut m, workers, ops);
-    let mut arena = VolatileArena::new(&mut m, 2 << 20);
+    let r = Redis::build(&mut m, workers, ops);
+    let arena = VolatileArena::new(&mut m, 2 << 20);
+    Setup::new(m, (ops, workers, r, arena), drive)
+}
+
+fn drive(
+    mut m: Machine,
+    (ops, workers, mut r, mut arena): (usize, u32, Redis, VolatileArena),
+    seed: u64,
+    paced: bool,
+) -> AppRun {
     let keyspace = (ops / 2).clamp(64, 8000);
     let capacity = keyspace / 2;
     // The backlog length mirror (Redis tracks its eviction pool size

@@ -20,7 +20,7 @@
 //! oracle a total order over committed reservations. The workload is
 //! query-heavy, so PM is a tiny share of traffic (Figure 6: 0.36 %).
 
-use super::{machine_for, App, AppRun, Layer, VolatileArena, WORKERS};
+use super::{machine_for, App, AppRun, Layer, Setup, VolatileArena, WORKERS};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -46,8 +46,8 @@ pub(crate) const APP: App = App {
         fig5_cross_pct: 0.01,
         fig6_pm_pct: Some(0.36),
     },
-    run: run_threads,
-    unpaced: Some(run_unpaced),
+    setup,
+    unpaced: true,
     crash_ops: 64,
     crash_run,
 };
@@ -55,6 +55,7 @@ pub(crate) const APP: App = App {
 /// Reservation list node: next u64, resource u64, count u64.
 const RNODE_BYTES: u64 = 24;
 
+#[derive(Clone)]
 pub(crate) struct Vacation {
     pub(crate) eng: RedoTxEngine,
     pub(crate) alloc: ShardedSlab,
@@ -458,26 +459,35 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
 /// Reservation mix with trimmed volatile phases (gem5-style, for
 /// Figures 6 and 10).
 pub fn run_unpaced(transactions: usize, seed: u64) -> AppRun {
-    run_inner(transactions, seed, false, WORKERS)
+    APP.run_unpaced(transactions, seed)
 }
 
 /// Run the reservation mix (Table 1: 4 clients).
 pub fn run(transactions: usize, seed: u64) -> AppRun {
-    run_inner(transactions, seed, true, WORKERS)
+    APP.run(transactions, seed, WORKERS)
 }
 
 /// [`run`] with an explicit client-thread count (`--threads`).
 pub fn run_threads(transactions: usize, seed: u64, workers: u32) -> AppRun {
-    run_inner(transactions, seed, true, workers)
+    APP.run(transactions, seed, workers)
 }
 
-pub(crate) fn run_inner(transactions: usize, seed: u64, paced: bool, workers: u32) -> AppRun {
+/// Build + load are untraced: the measured interval is steady state.
+fn setup(transactions: usize, workers: u32) -> Setup {
     let mut m = machine_for(workers);
-    // Build + load are untraced: the measured interval is steady state.
     m.trace_mut().set_enabled(false);
     let n_items = (transactions as u64 / 2).clamp(64, 4000);
-    let mut v = Vacation::build(&mut m, n_items, workers, transactions);
-    let mut arena = VolatileArena::new(&mut m, 2 << 20);
+    let v = Vacation::build(&mut m, n_items, workers, transactions);
+    let arena = VolatileArena::new(&mut m, 2 << 20);
+    Setup::new(m, (transactions, workers, n_items, v, arena), drive)
+}
+
+fn drive(
+    mut m: Machine,
+    (transactions, workers, n_items, mut v, mut arena): (usize, u32, u64, Vacation, VolatileArena),
+    seed: u64,
+    paced: bool,
+) -> AppRun {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n_customers = n_items / 2 + 1;
 

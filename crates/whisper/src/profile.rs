@@ -207,6 +207,7 @@ mod tests {
             shards: 4,
             arrival: Arrival::Bursty,
             parallelism: 1,
+            worker_threads: 4,
         };
         let doc = profile_json(&sample_profiles(), &cfg);
         let parsed = pmobs::json::parse(&doc.to_compact()).unwrap();

@@ -8,12 +8,15 @@
 //! saturation knee. This module turns the suite's recorded traces into
 //! exactly that experiment:
 //!
-//! 1. **Calibrate.** Each of `shards` simulated machines runs the
-//!    application once (its own seed), and the trace is segmented into
-//!    per-request service times. Request boundaries fall on
-//!    epoch-closing events (`Fence`/`DFence`) — a request is not done
-//!    until its final ordering point retires — and the segment is
-//!    priced under each persistence mechanism with the incremental
+//! 1. **Calibrate.** The application is set up once (its seed-free
+//!    build-and-load, see [`crate::apps`]) at the run's worker count,
+//!    and each of `shards` simulated machines drives it once with its
+//!    own seed — shards `0..n−1` drive copy-on-write forks of the
+//!    setup, the last shard drives the setup itself. Each trace is
+//!    segmented into per-request service times. Request boundaries
+//!    fall on epoch-closing events (`Fence`/`DFence`) — a request is
+//!    not done until its final ordering point retires — and the segment
+//!    is priced under each persistence mechanism with the incremental
 //!    [`hops::Replayer`], so one trace yields one service-time pool per
 //!    mechanism per shard.
 //! 2. **Sweep.** For each offered-load fraction of the measured
@@ -27,16 +30,18 @@
 //!    [`pmobs::Histogram`]s; each sweep point reports achieved
 //!    throughput and interpolated p50/p90/p99/p999.
 //!
-//! Everything is a pure function of `(scale, seed, shards, arrival)`:
+//! Everything is a pure function of
+//! `(scale, seed, shards, arrival, worker_threads)`:
 //! the arrival schedule and key stream are derived from the seed alone
 //! (never from the shard count or worker parallelism), and apps fan out
 //! across workers on the same pool as the suite runner, so the serve
 //! section reproduces byte-for-byte whatever the `--parallel` setting —
 //! the same property the crash campaign pins.
 
+use crate::apps::{App, Setup};
 use crate::pool::fan_out;
 use crate::profile::{AppProfile, MechanismProfile, TailPoint};
-use crate::suite::{scaled_ops, SuiteConfig, APP_NAMES, DEFAULT_WORKER_THREADS};
+use crate::suite::{scaled_ops, SuiteConfig, APP_NAMES};
 use crate::workloads::Zipf;
 use hops::{HopsConfig, PersistModel, Replayer, TimingConfig};
 use pmem::hash::fnv1a;
@@ -116,6 +121,9 @@ pub struct ServeConfig {
     pub arrival: Arrival,
     /// Worker threads apps fan out across. Never changes results.
     pub parallelism: usize,
+    /// Scheduler workers inside the calibration runs — the workload
+    /// knob [`SuiteConfig::worker_threads`], which `--threads` sets.
+    pub worker_threads: u32,
 }
 
 impl ServeConfig {
@@ -124,8 +132,8 @@ impl ServeConfig {
         ServeConfig::from_suite(&SuiteConfig::quick())
     }
 
-    /// Adopt scale/seed/parallelism from a suite configuration, with
-    /// the default four shards and bursty arrivals.
+    /// Adopt scale/seed/parallelism/worker threads from a suite
+    /// configuration, with the default four shards and bursty arrivals.
     pub fn from_suite(cfg: &SuiteConfig) -> ServeConfig {
         ServeConfig {
             scale: cfg.scale,
@@ -133,6 +141,7 @@ impl ServeConfig {
             shards: 4,
             arrival: Arrival::Bursty,
             parallelism: cfg.parallelism,
+            worker_threads: cfg.worker_threads,
         }
     }
 }
@@ -302,10 +311,44 @@ pub fn service_times_with_stalls(
     services
 }
 
+/// One `(service, stall)` pool per [`SERVE_MODELS`] entry per shard:
+/// `pools[model][shard]`.
+type Pools = Vec<Vec<Vec<(u64, u64)>>>;
+
+/// The seed shard `shard` of app stream `stream` drives its run with.
+fn shard_seed(seed: u64, stream: u64, shard: usize) -> u64 {
+    splitmix64(&mut (seed ^ stream ^ (shard as u64 + 1)))
+}
+
+/// Calibrate `app`: set it up once, drive one seeded run per shard —
+/// forks for all shards but the last, which drives the setup itself —
+/// and price each run's request segments under every mechanism.
+/// Calibration runs are warm-up, not the experiment: their tracks are
+/// suppressed.
+fn calibrate(app: &App, ops: usize, cfg: &ServeConfig) -> Pools {
+    let stream = fnv1a(app.name.as_bytes());
+    let mut pools: Pools = vec![Vec::with_capacity(cfg.shards); SERVE_MODELS.len()];
+    let _quiet = pmobs::trace::suppress();
+    let mut price = |shard: usize, setup: Setup| {
+        let run = setup.drive(shard_seed(cfg.seed, stream, shard), true);
+        let bounds = request_bounds(&run.events, ops);
+        for (mi, &model) in SERVE_MODELS.iter().enumerate() {
+            pools[mi].push(service_times_with_stalls(&run.events, &bounds, model));
+        }
+    };
+    let mut setup = (app.setup)(ops, cfg.worker_threads);
+    for shard in 0..cfg.shards - 1 {
+        price(shard, setup.fork());
+    }
+    price(cfg.shards - 1, setup);
+    pools
+}
+
 /// Run the serving sweep for one application, with its phase profile
 /// (see [`crate::profile`]).
 ///
-/// Pure in `(name, scale, seed, shards, arrival)`; `cfg.parallelism`
+/// Pure in `(name, scale, seed, shards, arrival, worker_threads)`;
+/// `cfg.parallelism`
 /// is never consulted here. The profile derives from the same per-request samples that feed the
 /// latency histograms, so computing it never changes the [`AppServe`]
 /// half. When tracing is active, the knee point (the last
@@ -317,25 +360,9 @@ pub fn serve_app_full(name: &str, cfg: &ServeConfig) -> (AppServe, AppProfile) {
     assert!(cfg.shards > 0, "need at least one shard");
     let app = crate::apps::named(name);
     let ops = scaled_ops(cfg.scale, app.base_ops);
-
-    // Calibrate: one seeded run per shard, one (service, stall) pool
-    // per mechanism per shard. Calibration runs are warm-up, not the
-    // experiment — suppress their tracks.
+    let pools = calibrate(app, ops, cfg);
     // FNV-1a over the app name: a stable per-app stream discriminator.
     let stream = fnv1a(name.as_bytes());
-    let mut pools: Vec<Vec<Vec<(u64, u64)>>> =
-        vec![Vec::with_capacity(cfg.shards); SERVE_MODELS.len()];
-    {
-        let _quiet = pmobs::trace::suppress();
-        for shard in 0..cfg.shards {
-            let shard_seed = splitmix64(&mut (cfg.seed ^ stream ^ (shard as u64 + 1)));
-            let run = (app.run)(ops, shard_seed, DEFAULT_WORKER_THREADS);
-            let bounds = request_bounds(&run.events, ops);
-            for (mi, &model) in SERVE_MODELS.iter().enumerate() {
-                pools[mi].push(service_times_with_stalls(&run.events, &bounds, model));
-            }
-        }
-    }
 
     let mean_service = |pool: &[Vec<(u64, u64)>]| {
         let (sum, count) = pool.iter().fold((0u64, 0u64), |(s, c), v| {
@@ -659,7 +686,7 @@ pub fn serve_json(reports: &[AppServe], cfg: &ServeConfig) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::run_named;
+    use crate::suite::{run_named, run_named_threads};
 
     #[test]
     fn arrival_schedule_is_seeded_and_sorted() {
@@ -770,6 +797,40 @@ mod tests {
     }
 
     #[test]
+    fn calibration_prices_the_runs_at_the_configured_worker_count() {
+        // `--threads 1` reaches serve: each shard prices exactly the
+        // trace a one-worker run with its seed records.
+        let cfg = ServeConfig {
+            scale: 0.004,
+            seed: 23,
+            shards: 3,
+            arrival: Arrival::Bursty,
+            parallelism: 1,
+            worker_threads: 1,
+        };
+        for name in ["redis", "memcached", "vacation"] {
+            let app = crate::apps::named(name);
+            let ops = scaled_ops(cfg.scale, app.base_ops);
+            let stream = fnv1a(name.as_bytes());
+            let mut want: Pools = vec![Vec::new(); SERVE_MODELS.len()];
+            for shard in 0..cfg.shards {
+                let seed = shard_seed(cfg.seed, stream, shard);
+                let run = run_named_threads(name, ops, seed, 1);
+                let bounds = request_bounds(&run.events, ops);
+                for (mi, &model) in SERVE_MODELS.iter().enumerate() {
+                    want[mi].push(service_times_with_stalls(&run.events, &bounds, model));
+                }
+            }
+            assert_eq!(calibrate(app, ops, &cfg), want, "{name}");
+            let four = ServeConfig {
+                worker_threads: 4,
+                ..cfg
+            };
+            assert_ne!(calibrate(app, ops, &four), want, "{name}: workers ignored");
+        }
+    }
+
+    #[test]
     fn serve_app_emits_full_curves() {
         let cfg = ServeConfig {
             scale: 0.008,
@@ -777,6 +838,7 @@ mod tests {
             shards: 2,
             arrival: Arrival::Bursty,
             parallelism: 1,
+            worker_threads: 4,
         };
         let (r, _) = serve_app_full("hashmap", &cfg);
         assert_eq!(r.curves.len(), SERVE_MODELS.len());
@@ -803,6 +865,7 @@ mod tests {
             shards: 2,
             arrival: Arrival::Bursty,
             parallelism: 1,
+            worker_threads: 4,
         };
         let (_, prof) = serve_app_full("hashmap", &cfg);
         assert_eq!(prof.mechanisms.len(), SERVE_MODELS.len());
@@ -834,6 +897,7 @@ mod tests {
             shards: 2,
             arrival: Arrival::Bursty,
             parallelism: 1,
+            worker_threads: 4,
         };
         let (r, _) = serve_app_full("ctree", &cfg);
         for c in &r.curves {

@@ -22,7 +22,7 @@ const fn names<const N: usize>(unpaced_only: bool) -> [&'static str; N] {
     let mut names = [""; N];
     let (mut i, mut n) = (0, 0);
     while i < APPS.len() {
-        if !unpaced_only || APPS[i].unpaced.is_some() {
+        if !unpaced_only || APPS[i].unpaced {
             names[n] = APPS[i].name;
             n += 1;
         }
@@ -238,7 +238,7 @@ impl AppResult {
 
     /// Is this one of the gem5-subset apps Figures 6 and 10 show?
     pub(crate) fn is_sim(&self) -> bool {
-        self.app().is_some_and(|app| app.unpaced.is_some())
+        self.app().is_some_and(|app| app.unpaced)
     }
 }
 
@@ -296,11 +296,12 @@ pub fn run_app(name: &str, cfg: &SuiteConfig) -> AppResult {
     // thread runs it.
     let _ctx = pmobs::trace::context(name);
     let ops = scaled_ops(cfg.scale, app.base_ops);
-    let run = (app.run)(ops, cfg.seed, cfg.worker_threads);
+    let run = app.run(ops, cfg.seed, cfg.worker_threads);
     let mut analysis = analyze(&run);
-    analysis.fig10 = match app.unpaced {
-        Some(unpaced) => fig10_for(&unpaced(ops / 2, cfg.seed).events),
-        None => fig10_for(&run.events),
+    analysis.fig10 = if app.unpaced {
+        fig10_for(&app.run_unpaced(ops / 2, cfg.seed).events)
+    } else {
+        fig10_for(&run.events)
     };
     pmobs::count!("suite.apps_run");
     if pmobs::enabled() {
@@ -329,7 +330,7 @@ pub fn run_named(name: &str, ops: usize, seed: u64) -> AppRun {
 ///
 /// Panics on an unknown name; the valid names are [`APP_NAMES`].
 pub fn run_named_threads(name: &str, ops: usize, seed: u64, workers: u32) -> AppRun {
-    (apps::named(name).run)(ops, seed, workers)
+    apps::named(name).run(ops, seed, workers)
 }
 
 /// Run the whole suite in Table 1 order, fanned out across

@@ -8,6 +8,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 use whisper::json_report;
+use whisper::serve::{serve_apps, ServeConfig};
 use whisper::suite::{run_apps, AppResult, SuiteConfig, APP_NAMES};
 
 /// The enabled flag is process-wide; serialize the tests that toggle
@@ -168,6 +169,39 @@ fn quick_suite_retires_lines_for_cross_thread_dependencies() {
     let _ = run_apps(&APP_NAMES, &SuiteConfig::quick());
     pmobs::set_enabled(false);
     assert!(dep_retires() > before, "no dependency ever forced a retire");
+}
+
+/// Serve sets each app up once: its calibration drives `shards − 1`
+/// forked machines and the setup itself, so one sweep forks
+/// `shards − 1` machines per app — and the suite forks none.
+#[test]
+fn one_serve_sweep_forks_shards_minus_one_machines_per_app() {
+    let _lock = obs_lock();
+    let forks = || {
+        pmobs::global()
+            .snapshot()
+            .counters
+            .get("memsim.forks")
+            .copied()
+            .unwrap_or(0)
+    };
+    let suite = SuiteConfig {
+        scale: 0.004,
+        seed: 5,
+        parallelism: 2,
+        worker_threads: 4,
+    };
+    let cfg = ServeConfig {
+        shards: 3,
+        ..ServeConfig::from_suite(&suite)
+    };
+    pmobs::set_enabled(true);
+    let before = forks();
+    let _ = run_apps(&APP_NAMES, &suite);
+    assert_eq!(forks(), before, "the suite runs fresh setups");
+    let _ = serve_apps(&APP_NAMES, &cfg);
+    pmobs::set_enabled(false);
+    assert_eq!(forks() - before, 2 * APP_NAMES.len() as u64);
 }
 
 /// `--json` end to end: the document the binary writes parses, carries

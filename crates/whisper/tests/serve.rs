@@ -35,6 +35,7 @@ fn serve_sweep_covers_every_app_and_is_parallelism_invariant() {
         shards: 2,
         arrival: Arrival::Bursty,
         parallelism: 1,
+        worker_threads: 4,
     };
     let fanned = ServeConfig {
         parallelism: 4,
@@ -82,6 +83,7 @@ fn latency_grows_past_the_knee() {
         shards: 2,
         arrival: Arrival::Bursty,
         parallelism: 2,
+        worker_threads: 4,
     };
     let reports = run_serve_profiled(&cfg).0;
     let hashmap = reports.iter().find(|r| r.name == "hashmap").unwrap();
@@ -117,6 +119,7 @@ fn hops_outserves_the_baseline() {
         shards: 2,
         arrival: Arrival::Paced,
         parallelism: 4,
+        worker_threads: 4,
     };
     for r in run_serve_profiled(&cfg).0 {
         let base = &r.curves[0]; // x86-64 (NVM)

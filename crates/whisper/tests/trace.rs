@@ -57,6 +57,7 @@ fn small_serve(parallelism: usize) -> ServeConfig {
         shards: 2,
         arrival: Arrival::Bursty,
         parallelism,
+        worker_threads: 4,
     }
 }
 

@@ -38,7 +38,7 @@ fn names_are_unique_and_in_table1_order() {
 fn public_constants_are_projections_of_the_table() {
     assert!(APPS.iter().map(|app| app.name).eq(APP_NAMES));
     assert!(APPS.iter().map(|app| app.paper).eq(PAPER));
-    let sim = APPS.iter().filter(|app| app.unpaced.is_some());
+    let sim = APPS.iter().filter(|app| app.unpaced);
     assert!(sim.map(|app| app.name).eq(SIM_APPS));
     let min_base = APPS.iter().map(|app| app.base_ops).min();
     assert_eq!(min_base, Some(MIN_OP_BASE));
@@ -47,24 +47,19 @@ fn public_constants_are_projections_of_the_table() {
 #[test]
 fn the_gem5_subset_is_where_the_paper_has_a_figure6_value() {
     for app in &APPS {
-        assert_eq!(
-            app.unpaced.is_some(),
-            app.paper.fig6_pm_pct.is_some(),
-            "{}",
-            app.name
-        );
+        assert_eq!(app.unpaced, app.paper.fig6_pm_pct.is_some(), "{}", app.name);
     }
 }
 
 #[test]
 fn every_row_runs_as_itself() {
     for app in &APPS {
-        let run = (app.run)(MIN_OPS, 42, DEFAULT_WORKER_THREADS);
+        let run = app.run(MIN_OPS, 42, DEFAULT_WORKER_THREADS);
         assert_eq!(run.name, app.name);
         assert_eq!(run.workload, app.workload, "{}", app.name);
         assert!(!run.events.is_empty(), "{}: empty trace", app.name);
-        if let Some(unpaced) = app.unpaced {
-            let sim = unpaced(MIN_OPS, 42);
+        if app.unpaced {
+            let sim = app.run_unpaced(MIN_OPS, 42);
             assert_eq!(
                 (sim.name.as_str(), sim.workload.as_str()),
                 (app.name, app.workload)
