@@ -25,12 +25,10 @@ impl Default for HopsConfig {
     }
 }
 
-/// Latency parameters for the Figure 10 timing replay.
-///
-/// Two groups: `rec_*` are the *recording* machine's charges (fixed to
-/// `memsim`'s Table 3-derived defaults, used to recover volatile time
-/// from trace gaps), and the rest are the replay's own prices for the
-/// persistence path. The replay prices the full cost of making a line
+/// Latency parameters for the Figure 10 timing replay: the replay's own
+/// prices for the persistence path. (What the recording machine charged
+/// — subtracted from trace gaps to recover volatile time — is read from
+/// [`memsim::Latency`].) The replay prices the full cost of making a line
 /// durable through the cache hierarchy and controller (hundreds of ns
 /// on NVM-class media), which is what puts the paper's 15–40 %
 /// persistence overheads on the x86 critical path.
@@ -60,14 +58,6 @@ pub struct TimingConfig {
     /// contend with ordinary traffic regardless of where durability
     /// lands (which is why the PWQ buys HOPS so little).
     pub pb_contention_ns: u64,
-    /// Recorder's per-line store charge (memsim `l1_hit_ns`).
-    pub rec_l1_ns: u64,
-    /// Recorder's per-line persist charge (memsim `pm_write_ns`).
-    pub rec_pm_write_ns: u64,
-    /// Recorder's fence base charge (memsim `sfence_ns`).
-    pub rec_sfence_ns: u64,
-    /// Recorder's `clwb` issue charge (memsim `clwb_issue_ns`).
-    pub rec_clwb_ns: u64,
 }
 
 impl Default for TimingConfig {
@@ -81,10 +71,6 @@ impl Default for TimingConfig {
             sfence_ns: 30,
             ofence_ns: 8,
             pb_contention_ns: 50,
-            rec_l1_ns: 1,
-            rec_pm_write_ns: 40,
-            rec_sfence_ns: 5,
-            rec_clwb_ns: 2,
         }
     }
 }
@@ -101,6 +87,5 @@ mod tests {
         assert!(t.pm_write_ns > t.pwq_ack_ns);
         assert_eq!(t.mem_controllers, 2);
         assert!(t.ofence_ns < t.sfence_ns);
-        assert_eq!(t.rec_pm_write_ns, 40, "matches memsim's Table 3 charge");
     }
 }

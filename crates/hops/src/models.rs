@@ -22,6 +22,7 @@
 
 use crate::config::{HopsConfig, TimingConfig};
 use crate::persist_buffer::PersistBuffer;
+use memsim::{pipelined_ns, Latency};
 use pmem::lines_spanning;
 use pmtrace::{Event, EventKind, Tid};
 
@@ -100,14 +101,6 @@ struct ThreadReplay {
     trace: Option<pmobs::trace::TraceSink>,
 }
 
-fn pipelined(n: u64, unit: u64) -> u64 {
-    if n == 0 {
-        0
-    } else {
-        unit + (n - 1) * unit / 4
-    }
-}
-
 /// Incremental trace replay under one persistence model.
 ///
 /// [`replay`] prices a whole trace in one call; the serving engine
@@ -126,6 +119,9 @@ fn pipelined(n: u64, unit: u64) -> u64 {
 pub struct Replayer {
     model: PersistModel,
     cfg: TimingConfig,
+    /// The recording machine's charges, subtracted from trace gaps to
+    /// recover volatile time.
+    rec: Latency,
     /// The HOPS models' persist buffers (unused by the others).
     pb: PersistBuffer,
     /// Background drain rate: within an epoch, writes flush
@@ -169,6 +165,7 @@ impl Replayer {
         Replayer {
             model,
             cfg: *cfg,
+            rec: Latency::asplos17(),
             pb: PersistBuffer::new(hops_cfg),
             drain_unit,
             dfence_floor,
@@ -199,7 +196,7 @@ impl Replayer {
         if slot == self.threads.len() {
             self.threads.push((ev.tid, ThreadReplay::default()));
         }
-        let cfg = &self.cfg;
+        let (cfg, rec) = (&self.cfg, &self.rec);
         let t = &mut self.threads[slot].1;
         if t.trace.is_none() {
             if let Some(base) = &self.trace_base {
@@ -227,7 +224,7 @@ impl Replayer {
         match ev.kind {
             EventKind::PmStore { addr, len, nt, .. } => {
                 let lines = lines_spanning(addr, len as usize).count() as u64;
-                recorded_charge = lines * cfg.rec_l1_ns;
+                recorded_charge = lines * rec.l1_hit_ns;
                 if nt {
                     t.recorded_pending += lines;
                 }
@@ -247,7 +244,7 @@ impl Replayer {
                 }
             }
             EventKind::Flush { .. } => {
-                recorded_charge = cfg.rec_clwb_ns;
+                recorded_charge = rec.clwb_issue_ns;
                 t.recorded_pending += 1;
                 match model {
                     PersistModel::X86Nvm | PersistModel::X86Pwq => {
@@ -264,10 +261,10 @@ impl Replayer {
                 t.pending_writebacks = 0;
                 let rec_n = t.recorded_pending;
                 t.recorded_pending = 0;
-                recorded_charge = cfg.rec_sfence_ns + pipelined(rec_n, cfg.rec_pm_write_ns);
+                recorded_charge = rec.fence_ns(rec_n);
                 model_charge = match model {
-                    PersistModel::X86Nvm => cfg.sfence_ns + pipelined(n, cfg.pm_write_ns),
-                    PersistModel::X86Pwq => cfg.sfence_ns + pipelined(n, cfg.pwq_ack_ns),
+                    PersistModel::X86Nvm => cfg.sfence_ns + pipelined_ns(n, cfg.pm_write_ns),
+                    PersistModel::X86Pwq => cfg.sfence_ns + pipelined_ns(n, cfg.pwq_ack_ns),
                     _ if HOPS => {
                         pb_at_fence = self.pb.len(slot);
                         if ev.kind == EventKind::DFence {

@@ -48,6 +48,24 @@ impl Latency {
             clwb_issue_ns: 2,
         }
     }
+
+    /// What a fence that drains `lines` writebacks charges the clock:
+    /// its base cost plus the pipelined drain ([`pipelined_ns`]).
+    pub fn fence_ns(&self, lines: u64) -> u64 {
+        self.sfence_ns + pipelined_ns(lines, self.pm_write_ns)
+    }
+}
+
+/// Time to write `lines` lines back at `unit` ns a line: the first pays
+/// the full latency, the rest pipeline across memory-controller banks
+/// at a quarter each. The machine's fence drain, and the timing
+/// replay's for every persistence model.
+pub fn pipelined_ns(lines: u64, unit: u64) -> u64 {
+    if lines == 0 {
+        0
+    } else {
+        unit + (lines - 1) * unit / 4
+    }
 }
 
 impl Default for Latency {

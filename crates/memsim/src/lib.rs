@@ -57,7 +57,7 @@ mod stats;
 mod wcb;
 mod writer;
 
-pub use config::{Latency, MachineConfig, SIM_CLOCK_HZ, SIM_NS_PER_SEC};
+pub use config::{pipelined_ns, Latency, MachineConfig, SIM_CLOCK_HZ, SIM_NS_PER_SEC};
 pub use crash::{CrashCounter, CrashPlan, CrashSpec, CrashState};
 pub use elide::{ElidePlan, ElideStats};
 pub use machine::Machine;

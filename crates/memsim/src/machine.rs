@@ -622,13 +622,7 @@ impl Machine {
             self.media_write(e.line, &e.data);
         }
         self.fence_scratch = entries;
-        // The first writeback pays full PM latency; subsequent ones
-        // pipeline across memory-controller banks.
-        self.clock_ns += self.cfg.lat.sfence_ns;
-        if drained > 0 {
-            self.clock_ns +=
-                self.cfg.lat.pm_write_ns + (drained - 1) * self.cfg.lat.pm_write_ns / 4;
-        }
+        self.clock_ns += self.cfg.lat.fence_ns(drained);
         if durable {
             self.trace.dfence(tid, self.clock_ns);
         } else {

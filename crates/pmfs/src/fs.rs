@@ -547,11 +547,6 @@ impl Pmfs {
         })
     }
 
-    /// Synchronous-persistence filesystems have nothing to flush:
-    /// "PMFS ... persists user data and filesystem metadata
-    /// synchronously". Provided for interface compatibility.
-    pub fn fsync(&self, _m: &mut Machine, _tid: Tid, _path: &str) {}
-
     /// Delete a file, freeing its blocks and inode.
     ///
     /// # Errors

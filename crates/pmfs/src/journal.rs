@@ -1,26 +1,24 @@
-//! The metadata undo journal.
+//! The metadata undo journal: PMFS's protocol over a [`pmtx::LogRing`].
 
 use memsim::{Machine, PmWriter};
 use pmem::Addr;
 use pmtrace::{Category, Tid};
+use pmtx::{ClearPolicy, LogRing, RingFormat, TxError, TxStatus};
 
-const J_MAGIC: u64 = 0x504d_4653_4a4e_4c21; // "PMFSJNL!"
-const ENTRY_VALID: u32 = 0x5566_7788;
-/// Fixed journal slot: header (valid u32, len u32, addr u64, seq u64)
-/// plus up to 136 bytes of old metadata.
-const SLOT_BYTES: u64 = 160;
-const SLOT_HDR: u64 = 24;
-pub(crate) const MAX_OLD: usize = (SLOT_BYTES - SLOT_HDR) as usize;
-pub(crate) const STATUS_IDLE: u32 = 0;
-pub(crate) const STATUS_UNCOMMITTED: u32 = 1;
-pub(crate) const STATUS_COMMITTED: u32 = 2;
+/// A journal record holds up to 136 bytes of old metadata.
+const JOURNAL: RingFormat = RingFormat {
+    magic: 0x504d_4653_4a4e_4c21, // "PMFSJNL!"
+    valid: 0x5566_7788,
+    record_bytes: 160,
+};
 
 /// PMFS's undo journal for metadata: "PMFS ... employs an undo log to
 /// ensure metadata consistency", altering "the status in the log
 /// descriptor from UNCOMMITTED to COMMITTED after a successful commit"
-/// (Sections 3.1, 5.1).
+/// (Sections 3.1, 5.1). UNCOMMITTED is the ring's
+/// [`TxStatus::Active`].
 ///
-/// The journal is a ring of fixed-size slots. Entries are written in
+/// The journal is a ring of fixed-size records. Entries are written in
 /// their own epochs (the paper's PMFS singleton population), the commit
 /// marker flips the descriptor line written at `begin_op` (a
 /// self-dependency), and — because the log is a ring — each entry is
@@ -32,53 +30,30 @@ pub(crate) const STATUS_COMMITTED: u32 = 2;
 /// lines within the window.
 #[derive(Debug, Clone)]
 pub(crate) struct Journal {
-    base: Addr,
-    n_slots: u64,
-    /// Next slot index to write (volatile; recovery rescans).
-    cursor: u64,
-    /// Monotone entry sequence number (orders rollback).
-    seq: u64,
-    /// Slots written by the in-flight / most recent op, pending lazy
-    /// clearing.
-    entries: Vec<Addr>,
+    ring: LogRing,
 }
 
 impl Journal {
     pub(crate) fn new(base: Addr, size: u64) -> Journal {
-        assert!(size >= 64 + 4 * SLOT_BYTES, "journal too small");
         Journal {
-            base,
-            n_slots: (size - 64) / SLOT_BYTES,
-            cursor: 0,
-            seq: 1,
-            entries: Vec::new(),
+            ring: LogRing::new(JOURNAL, base, size),
         }
     }
 
-    fn slot_addr(&self, idx: u64) -> Addr {
-        self.base + 64 + idx * SLOT_BYTES
-    }
-
     pub(crate) fn format(&self, m: &mut Machine, tid: Tid) {
-        let mut w = PmWriter::new(tid);
-        w.write_u64(m, self.base, J_MAGIC, Category::LogMeta);
-        w.write_u32(m, self.base + 8, STATUS_IDLE, Category::LogMeta);
-        w.ordering_fence(m);
+        self.ring.format(m, tid);
     }
 
     pub(crate) fn is_formatted(&self, m: &mut Machine, tid: Tid) -> bool {
-        m.load_u64(tid, self.base) == J_MAGIC
+        self.ring.is_formatted(m, tid)
     }
 
     /// Begin a metadata transaction: lazily clear the previous
     /// operation's entries (each in its own epoch), then flip the
     /// descriptor to UNCOMMITTED.
     pub(crate) fn begin_op(&mut self, m: &mut Machine, w: &mut PmWriter) {
-        for at in std::mem::take(&mut self.entries) {
-            w.write_u32(m, at, 0, Category::LogMeta);
-            w.ordering_fence(m);
-        }
-        w.write_u32(m, self.base + 8, STATUS_UNCOMMITTED, Category::LogMeta);
+        self.ring.clear_entries(m, w, ClearPolicy::PerEntry);
+        self.ring.set_status(m, w, TxStatus::Active);
         w.ordering_fence(m);
     }
 
@@ -87,32 +62,17 @@ impl Journal {
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds a slot or the operation needs more
-    /// slots than the ring holds.
+    /// Panics if the range exceeds a record or the operation needs more
+    /// records than the ring holds.
     pub(crate) fn log_old(&mut self, m: &mut Machine, w: &mut PmWriter, addr: Addr, len: usize) {
-        assert!(
-            len <= MAX_OLD,
-            "metadata range of {len} bytes exceeds a journal slot"
-        );
-        assert!(
-            (self.entries.len() as u64) < self.n_slots,
-            "operation needs more than {} journal slots",
-            self.n_slots
-        );
-        let tid = w.tid();
-        let old = m.load_vec(tid, addr, len);
-        let at = self.slot_addr(self.cursor);
-        let mut hdr = [0u8; SLOT_HDR as usize];
-        hdr[0..4].copy_from_slice(&ENTRY_VALID.to_le_bytes());
-        hdr[4..8].copy_from_slice(&(len as u32).to_le_bytes());
-        hdr[8..16].copy_from_slice(&addr.to_le_bytes());
-        hdr[16..24].copy_from_slice(&self.seq.to_le_bytes());
-        w.write(m, at, &hdr, Category::UndoLog);
-        w.write(m, at + SLOT_HDR, &old, Category::UndoLog);
-        w.ordering_fence(m);
-        self.entries.push(at);
-        self.cursor = (self.cursor + 1) % self.n_slots;
-        self.seq += 1;
+        let old = m.load_vec(w.tid(), addr, len);
+        match self.ring.append(m, w, addr, &old, false, Category::UndoLog) {
+            Ok(()) => w.ordering_fence(m),
+            Err(TxError::EntryTooLarge { len }) => {
+                panic!("metadata range of {len} bytes exceeds a journal slot")
+            }
+            Err(e) => panic!("operation needs more journal slots than the ring holds: {e}"),
+        }
     }
 
     /// Commit: make the metadata (and any caller-pending data) durable,
@@ -121,50 +81,30 @@ impl Journal {
     /// next `begin_op` clears them.
     pub(crate) fn end_op(&mut self, m: &mut Machine, w: &mut PmWriter) {
         w.durability_fence(m);
-        w.write_u32(m, self.base + 8, STATUS_COMMITTED, Category::LogMeta);
+        self.ring.set_status(m, w, TxStatus::Committed);
         w.ordering_fence(m);
     }
 
     /// Mount-time recovery: roll back an UNCOMMITTED journal, then
-    /// clear every valid slot. Returns whether a rollback happened.
+    /// clear every valid record and go idle under one fence. Returns
+    /// whether a rollback happened.
     pub(crate) fn recover(&mut self, m: &mut Machine, tid: Tid) -> bool {
-        let status = m.load_u32(tid, self.base + 8);
+        let uncommitted = self.ring.status(m, tid) == TxStatus::Active;
+        let records = self.ring.scan(m, tid);
         let mut w = PmWriter::new(tid);
-        // Collect every valid slot (the in-flight op's entries).
-        let mut valid: Vec<(u64, Addr, Vec<u8>)> = Vec::new();
-        let mut max_seq = 0;
-        for idx in 0..self.n_slots {
-            let at = self.slot_addr(idx);
-            if m.load_u32(tid, at) != ENTRY_VALID {
-                continue;
-            }
-            let len = (m.load_u32(tid, at + 4) as usize).min(MAX_OLD);
-            let target = m.load_u64(tid, at + 8);
-            let seq = m.load_u64(tid, at + 16);
-            max_seq = max_seq.max(seq);
-            let old = m.load_vec(tid, at + SLOT_HDR, len);
-            valid.push((seq, target, old));
-        }
-        let rolled_back = status == STATUS_UNCOMMITTED && !valid.is_empty();
-        if status == STATUS_UNCOMMITTED {
-            valid.sort_unstable_by_key(|(seq, _, _)| *seq);
-            for (_, target, old) in valid.iter().rev() {
-                w.write(m, *target, old, Category::FsMeta);
+        if uncommitted {
+            for r in records.iter().rev() {
+                w.write(m, r.target, &r.data, Category::FsMeta);
             }
             w.durability_fence(m);
         }
-        for idx in 0..self.n_slots {
-            let at = self.slot_addr(idx);
-            if m.load_u32(tid, at) == ENTRY_VALID {
-                w.write_u32(m, at, 0, Category::LogMeta);
-            }
-        }
-        w.write_u32(m, self.base + 8, STATUS_IDLE, Category::LogMeta);
+        self.ring.truncate(m, &mut w);
+        self.ring.set_status(m, &mut w, TxStatus::Idle);
         w.ordering_fence(m);
-        self.entries.clear();
-        self.cursor = 0;
-        self.seq = max_seq + 1;
-        rolled_back
+        if let Some(last) = records.last() {
+            self.ring.resume_after(last.seq);
+        }
+        uncommitted && !records.is_empty()
     }
 }
 
@@ -245,7 +185,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::asplos17());
         let base = m.config().map.pm.base;
         // Tiny ring: 4 slots.
-        let mut j = Journal::new(base, 64 + 4 * SLOT_BYTES);
+        let mut j = Journal::new(base, 64 + 4 * JOURNAL.record_bytes);
         j.format(&mut m, Tid(0));
         let meta = base + (1 << 20);
         let tid = Tid(0);
@@ -265,7 +205,7 @@ mod tests {
         let (mut m, mut j, meta) = setup();
         let mut w = PmWriter::new(Tid(0));
         j.begin_op(&mut m, &mut w);
-        j.log_old(&mut m, &mut w, meta, MAX_OLD + 1);
+        j.log_old(&mut m, &mut w, meta, JOURNAL.max_data() + 1);
     }
 
     #[test]

@@ -16,10 +16,14 @@
 //!   related updates ... It does not guarantee consistency of user
 //!   data." Journal status flips (UNCOMMITTED → COMMITTED) and
 //!   per-entry clears produce the singleton `LogMeta` epochs and
-//!   self-dependencies the paper traces to PMFS.
+//!   self-dependencies the paper traces to PMFS. The journal is a
+//!   [`pmtx::LogRing`] — the same persistent log the NVML- and
+//!   Mnemosyne-style engines use, with 160-byte records — and this
+//!   crate keeps only its protocol: the lazy clear at the next
+//!   operation, the status flips and the mount-time rollback.
 //! * **Synchronous persistence** — every operation is durable when it
-//!   returns; there is no write-back cache to flush, so `fsync` is a
-//!   no-op.
+//!   returns; there is no write-back cache to flush, so there is no
+//!   `fsync`.
 //!
 //! Write amplification lands near the paper's ~10 % figure: a 4096-byte
 //! append writes a few hundred bytes of inode, bitmap, and journal

@@ -26,6 +26,11 @@
 //! Both engines clear each log entry in its own epoch after commit,
 //! which the paper calls out as a major singleton source ("Mnemosyne,
 //! NVML and PMFS process or clear each log entry in its own epoch").
+//! That is one logging pattern, so it is written once: the undo and
+//! redo logs, [`MinTxEngine`]'s log and the `pmfs` metadata journal are
+//! each a [`LogRing`] — the same descriptor line, status word and
+//! 24-byte record header, differing only in their [`RingFormat`] —
+//! and each protocol issues its own fences around the ring's stores.
 //!
 //! # Example
 //!
@@ -57,7 +62,7 @@ mod redo;
 mod txmem;
 mod undo;
 
-pub use log::{LogSlot, TxStatus};
+pub use log::{LogRing, Record, RingFormat, TxStatus};
 pub use mintx::{MinTxEngine, MIN_TX_MAX_DATA};
 pub use redo::RedoTxEngine;
 pub use txmem::TxMem;

@@ -4,42 +4,36 @@
 //! high-performance transaction modeled by Kolli et al. [28] as
 //! containing just 3 epochs". This engine implements that ideal —
 //! deferred commit with batched logging — as the paper's reference
-//! point, so the ablation benches can measure exactly how far the
+//! point, so the ablation tests can measure exactly how far the
 //! Mnemosyne- and NVML-style engines are from it:
 //!
 //! 1. **Epoch 1** — all redo-log records stream out with non-temporal
 //!    stores, one fence for the whole batch.
-//! 2. **Epoch 2** — the commit marker (status + generation in a single
-//!    8-byte atomic write) becomes durable.
+//! 2. **Epoch 2** — the commit marker (status + the sequence numbers of
+//!    the records it commits, in one store to the log's descriptor
+//!    line) becomes durable.
 //! 3. **Epoch 3** — in-place data writebacks, flushed and fenced once.
 //!
-//! Log records are never explicitly cleared: each carries the
-//! transaction's generation number, and recovery only replays records
-//! whose generation matches a durable commit marker. Replaying such
-//! records is idempotent (their writebacks completed before the next
-//! transaction began), so stale records overwritten mid-ring are
-//! harmless.
+//! Log records are never explicitly cleared: the commit marker names
+//! the sequence numbers of the transaction's records, and recovery only
+//! replays records the durable marker names. Replaying such records is
+//! idempotent (their writebacks completed before the next transaction
+//! began), so stale records overwritten mid-ring are harmless.
 
+use crate::log::{carve, format_rings, LogRing, RingFormat};
 use crate::TxError;
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
 use pmtrace::{Category, Tid};
 
-const SLOT_MAGIC: u64 = 0x4d49_4e54_5833_4550; // "MINTX3EP"
-const REC_VALID: u32 = 0x3e90_cafe;
-const REC_BYTES: u64 = 512;
-const REC_HDR: u64 = 24; // valid u32, len u32, addr u64, gen u64
-const STATUS_COMMITTED: u32 = 2;
+const MINTX_LOG: RingFormat = RingFormat {
+    magic: 0x4d49_4e54_5833_4550, // "MINTX3EP"
+    valid: 0x3e90_cafe,
+    record_bytes: 512,
+};
 
 /// Largest single loggable write.
-pub const MIN_TX_MAX_DATA: usize = (REC_BYTES - REC_HDR) as usize;
-
-#[derive(Debug)]
-struct Slot {
-    base: Addr,
-    n_recs: u64,
-    cursor: u64,
-}
+pub const MIN_TX_MAX_DATA: usize = MINTX_LOG.max_data();
 
 #[derive(Debug)]
 struct ActiveMin {
@@ -53,11 +47,10 @@ struct ActiveMin {
 /// module docs for the protocol.
 #[derive(Debug)]
 pub struct MinTxEngine {
-    region: AddrRange,
-    slots: Vec<Slot>,
-    /// Per-thread generation counters (persisted in the commit marker).
-    gens: Vec<u64>,
+    slots: Vec<LogRing>,
     active: Vec<Option<ActiveMin>>,
+    #[cfg(test)]
+    region: AddrRange,
 }
 
 impl MinTxEngine {
@@ -67,83 +60,39 @@ impl MinTxEngine {
     ///
     /// Panics if the region cannot hold four records per thread.
     pub fn format(m: &mut Machine, region: AddrRange, threads: u32) -> MinTxEngine {
-        crate::check_engine_threads(m, threads);
-        let per = region.len / threads as u64 / 64 * 64;
-        assert!(per >= 64 + 4 * REC_BYTES, "log region too small");
-        let slots: Vec<Slot> = (0..threads as u64)
-            .map(|i| Slot {
-                base: region.base + i * per,
-                n_recs: (per - 64) / REC_BYTES,
-                cursor: 0,
-            })
-            .collect();
-        for (i, s) in slots.iter().enumerate() {
-            let mut w = PmWriter::new(Tid(i as u32));
-            w.write_u64(m, s.base, SLOT_MAGIC, Category::LogMeta);
-            // status u32 = 0, gen u32 = 0 in one word.
-            w.write_u64(m, s.base + 8, 0, Category::LogMeta);
-            w.ordering_fence(m);
-        }
         MinTxEngine {
-            region,
-            slots,
-            gens: vec![1; threads as usize],
+            slots: format_rings(m, MINTX_LOG, region, threads),
             active: (0..threads).map(|_| None).collect(),
+            #[cfg(test)]
+            region,
         }
     }
 
-    /// Recover: for each slot whose marker is durable, replay the
-    /// records of the committed generation (idempotent), then continue
-    /// with the next generation.
+    /// Recover: for each log whose marker is durable, replay the
+    /// records it names (idempotent), then continue numbering after
+    /// every record the log holds.
     pub fn recover(m: &mut Machine, tid: Tid, region: AddrRange, threads: u32) -> MinTxEngine {
         crate::check_engine_threads(m, threads);
-        let per = region.len / threads as u64 / 64 * 64;
-        let slots: Vec<Slot> = (0..threads as u64)
-            .map(|i| Slot {
-                base: region.base + i * per,
-                n_recs: (per - 64) / REC_BYTES,
-                cursor: 0,
-            })
-            .collect();
-        let mut gens = Vec::with_capacity(threads as usize);
+        let mut slots = carve(MINTX_LOG, region, threads);
         let mut w = PmWriter::new(tid);
-        for s in &slots {
-            let marker = m.load_u64(tid, s.base + 8);
-            let status = (marker & 0xffff_ffff) as u32;
-            let gen = marker >> 32;
-            if status == STATUS_COMMITTED && gen > 0 {
-                // Replay every record of this generation, ordered by
-                // ring position (within one tx the cursor only moves
-                // forward, and one generation never wraps past itself).
-                for idx in 0..s.n_recs {
-                    let at = s.base + 64 + idx * REC_BYTES;
-                    if m.load_u32(tid, at) != REC_VALID {
-                        continue;
-                    }
-                    let rgen = m.load_u64(tid, at + 16);
-                    if rgen != gen {
-                        continue;
-                    }
-                    let len = (m.load_u32(tid, at + 4) as usize).min(MIN_TX_MAX_DATA);
-                    let target = m.load_u64(tid, at + 8);
-                    let data = m.load_vec(tid, at + REC_HDR, len);
-                    w.write(m, target, &data, Category::UserData);
+        for ring in &mut slots {
+            let records = ring.scan(m, tid);
+            if let Some(seqs) = ring.marked(m, tid) {
+                for r in records.iter().filter(|r| seqs.contains(&r.seq)) {
+                    w.write(m, r.target, &r.data, Category::UserData);
                 }
                 w.durability_fence(m);
             }
-            gens.push(gen + 1);
+            if let Some(last) = records.last() {
+                ring.resume_after(last.seq);
+            }
         }
         MinTxEngine {
-            region,
             slots,
-            gens,
             active: (0..threads).map(|_| None).collect(),
+            #[cfg(test)]
+            region,
         }
-    }
-
-    /// The log region.
-    pub fn region(&self) -> AddrRange {
-        self.region
     }
 
     /// The validated slot index for `tid`.
@@ -186,12 +135,7 @@ impl MinTxEngine {
     ) -> Result<(), TxError> {
         let t = self.slot_of(tid)?;
         let active = self.active[t].as_mut().ok_or(TxError::NoTx)?;
-        if bytes.len() > MIN_TX_MAX_DATA {
-            return Err(TxError::EntryTooLarge { len: bytes.len() });
-        }
-        if active.writes.len() as u64 >= self.slots[t].n_recs {
-            return Err(TxError::LogFull);
-        }
+        self.slots[t].fits(bytes.len(), active.writes.len())?;
         let _ = m; // buffered only; nothing touches PM until commit
         active.writes.push((addr, bytes.to_vec(), cat));
         Ok(())
@@ -215,27 +159,9 @@ impl MinTxEngine {
 
     /// Read with read-your-writes semantics.
     pub fn read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
-        // A tid without a machine slot cannot account a load (and can
-        // never hold buffered writes) — degrade to zeroes instead of
-        // panicking deep in the per-thread dirty state.
-        let mut data = match m.validate_tid(tid) {
-            Ok(()) => m.load_vec(tid, addr, len),
-            Err(_) => vec![0; len],
-        };
         // An out-of-range tid has no buffered writes to overlay.
-        if let Some(active) = self.active.get(tid.0 as usize).and_then(Option::as_ref) {
-            for (waddr, wdata, _) in &active.writes {
-                let (ws, we) = (*waddr, *waddr + wdata.len() as u64);
-                let (rs, re) = (addr, addr + len as u64);
-                if ws < re && rs < we {
-                    let lo = ws.max(rs);
-                    let hi = we.min(re);
-                    data[(lo - rs) as usize..(hi - rs) as usize]
-                        .copy_from_slice(&wdata[(lo - ws) as usize..(hi - ws) as usize]);
-                }
-            }
-        }
-        data
+        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
+        crate::txmem::read_through(m, tid, addr, len, active.map_or(&[], |a| &a.writes))
     }
 
     /// Commit in exactly three epochs.
@@ -246,36 +172,25 @@ impl MinTxEngine {
     pub fn commit(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
         let t = self.slot_of(tid)?;
         let active = self.active[t].take().ok_or(TxError::NoTx)?;
-        let gen = self.gens[t];
+        let ring = &mut self.slots[t];
         let mut w = PmWriter::new(tid);
         // Epoch 1: every log record, one fence.
-        {
-            let slot = &mut self.slots[t];
-            for (addr, data, _) in &active.writes {
-                let at = slot.base + 64 + slot.cursor * REC_BYTES;
-                let mut hdr = [0u8; REC_HDR as usize];
-                hdr[0..4].copy_from_slice(&REC_VALID.to_le_bytes());
-                hdr[4..8].copy_from_slice(&(data.len() as u32).to_le_bytes());
-                hdr[8..16].copy_from_slice(&addr.to_le_bytes());
-                hdr[16..24].copy_from_slice(&gen.to_le_bytes());
-                w.write_nt(m, at, &hdr, Category::RedoLog);
-                w.write_nt(m, at + REC_HDR, data, Category::RedoLog);
-                slot.cursor = (slot.cursor + 1) % slot.n_recs;
-            }
-            if !active.writes.is_empty() {
-                w.ordering_fence(m);
-            }
+        for (addr, data, _) in &active.writes {
+            ring.append(m, &mut w, *addr, data, true, Category::RedoLog)
+                .expect("`write` sized the batch to the ring");
         }
-        // Epoch 2: the commit marker (status | gen<<32), atomically.
-        let marker = (STATUS_COMMITTED as u64) | (gen << 32);
-        w.write_u64(m, self.slots[t].base + 8, marker, Category::LogMeta);
+        if !active.writes.is_empty() {
+            w.ordering_fence(m);
+        }
+        // Epoch 2: the commit marker naming those records, one store.
+        let seqs = ring.seal();
+        ring.mark_committed(m, &mut w, seqs);
         w.ordering_fence(m);
         // Epoch 3: in-place data, flushed, durable.
         for (addr, data, cat) in &active.writes {
             w.write(m, *addr, data, *cat);
         }
         w.durability_fence(m);
-        self.gens[t] = gen + 1;
         m.tx_end(tid, active.id);
         Ok(())
     }
@@ -307,6 +222,14 @@ impl crate::TxMem for MinTxEngine {
         cat: Category,
     ) -> Result<(), TxError> {
         self.write(m, tid, addr, bytes, cat)
+    }
+}
+
+#[cfg(test)]
+impl MinTxEngine {
+    /// The log region, for the tests' reboots.
+    fn region(&self) -> AddrRange {
+        self.region
     }
 }
 

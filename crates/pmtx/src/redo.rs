@@ -1,6 +1,6 @@
 //! Mnemosyne-style redo-log transactions.
 
-use crate::log::{carve_slots, LogSlot, TxStatus};
+use crate::log::{format_rings, recover_rings, retire, LogRing, TxStatus, TX_LOG};
 use crate::{ClearPolicy, TxError};
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
@@ -30,8 +30,7 @@ struct ActiveRedo {
 /// written in place — is untouched.
 #[derive(Debug, Clone)]
 pub struct RedoTxEngine {
-    region: AddrRange,
-    slots: Vec<LogSlot>,
+    slots: Vec<LogRing>,
     active: Vec<Option<ActiveRedo>>,
     /// Per-thread DRAM scratch base for the volatile write buffer (so
     /// buffering shows up as DRAM traffic, as in the real system).
@@ -46,16 +45,11 @@ impl RedoTxEngine {
     ///
     /// Panics if `region` is too small for `threads` ≥4 KB slots.
     pub fn format(m: &mut Machine, region: AddrRange, threads: u32) -> RedoTxEngine {
-        crate::check_engine_threads(m, threads);
-        let slots = carve_slots(region, threads);
-        for (i, s) in slots.iter().enumerate() {
-            s.format(m, Tid(i as u32));
-        }
+        let slots = format_rings(m, TX_LOG, region, threads);
         let scratch = (0..threads)
             .map(|_| m.alloc_dram(SCRATCH_BYTES, 64))
             .collect();
         RedoTxEngine {
-            region,
             slots,
             active: (0..threads).map(|_| None).collect(),
             scratch,
@@ -67,28 +61,11 @@ impl RedoTxEngine {
     /// durable, discard the rest. Returns the engine, ready for new
     /// transactions. `tid` is the recovery thread.
     pub fn recover(m: &mut Machine, tid: Tid, region: AddrRange, threads: u32) -> RedoTxEngine {
-        crate::check_engine_threads(m, threads);
-        let mut slots = carve_slots(region, threads);
         let scratch = (0..threads)
             .map(|_| m.alloc_dram(SCRATCH_BYTES, 64))
             .collect();
-        let mut w = PmWriter::new(tid);
-        for slot in &mut slots {
-            let status = slot.status(m, tid);
-            if status == TxStatus::Committed {
-                let entries = slot.scan_durable(m, tid);
-                for (target, data) in entries {
-                    w.write(m, target, &data, Category::UserData);
-                }
-                w.durability_fence(m);
-            }
-            // Truncate the durable log (ring scan) and go idle.
-            slot.clear_durable(m, &mut w);
-            slot.set_status(m, &mut w, TxStatus::Idle);
-            slot.reset_volatile();
-        }
+        let slots = recover_rings(m, tid, region, threads, TxStatus::Committed, false);
         RedoTxEngine {
-            region,
             slots,
             active: (0..threads).map(|_| None).collect(),
             scratch,
@@ -100,11 +77,6 @@ impl RedoTxEngine {
     /// optimization, Section 5.1).
     pub fn set_clear_policy(&mut self, policy: ClearPolicy) {
         self.clear_policy = policy;
-    }
-
-    /// The log region.
-    pub fn region(&self) -> AddrRange {
-        self.region
     }
 
     /// Whether `tid` has an open transaction (false for an
@@ -173,6 +145,7 @@ impl RedoTxEngine {
         active.writes.push((addr, bytes.to_vec(), cat));
         let mut w = PmWriter::new(tid);
         self.slots[t].append(m, &mut w, addr, bytes, true, Category::RedoLog)?;
+        w.ordering_fence(m);
         Ok(())
     }
 
@@ -195,27 +168,9 @@ impl RedoTxEngine {
     /// Transactional read with read-your-writes semantics: buffered
     /// updates overlay memory.
     pub fn read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
-        // A tid without a machine slot cannot account a load (and can
-        // never hold buffered writes) — degrade to zeroes instead of
-        // panicking deep in the per-thread dirty state.
-        let mut data = match m.validate_tid(tid) {
-            Ok(()) => m.load_vec(tid, addr, len),
-            Err(_) => vec![0; len],
-        };
         // An out-of-range tid has no buffered writes to overlay.
-        if let Some(active) = self.active.get(tid.0 as usize).and_then(Option::as_ref) {
-            for (waddr, wdata, _) in &active.writes {
-                let (ws, we) = (*waddr, *waddr + wdata.len() as u64);
-                let (rs, re) = (addr, addr + len as u64);
-                if ws < re && rs < we {
-                    let lo = ws.max(rs);
-                    let hi = we.min(re);
-                    data[(lo - rs) as usize..(hi - rs) as usize]
-                        .copy_from_slice(&wdata[(lo - ws) as usize..(hi - ws) as usize]);
-                }
-            }
-        }
-        data
+        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
+        crate::txmem::read_through(m, tid, addr, len, active.map_or(&[], |a| &a.writes))
     }
 
     /// Transactional `u64` read.
@@ -235,15 +190,14 @@ impl RedoTxEngine {
         let mut w = PmWriter::new(tid);
         // 1. Commit marker durable: the transaction's durability point.
         self.slots[t].set_status(m, &mut w, TxStatus::Committed);
+        w.durability_fence(m);
         // 2. In-place updates with cacheable stores, then flush+fence.
         for (addr, data, cat) in &active.writes {
             w.write(m, *addr, data, *cat);
         }
         w.durability_fence(m);
         // 3. Clear each log entry in its own epoch, then go idle.
-        let policy = self.clear_policy;
-        self.slots[t].clear_entries(m, &mut w, policy);
-        self.slots[t].set_status(m, &mut w, TxStatus::Idle);
+        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
         m.tx_end(tid, active.id);
         Ok(())
     }
@@ -257,9 +211,7 @@ impl RedoTxEngine {
         let t = self.slot_of(tid)?;
         let active = self.active[t].take().ok_or(TxError::NoTx)?;
         let mut w = PmWriter::new(tid);
-        let policy = self.clear_policy;
-        self.slots[t].clear_entries(m, &mut w, policy);
-        self.slots[t].set_status(m, &mut w, TxStatus::Idle);
+        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
         m.tx_end(tid, active.id);
         Ok(())
     }
@@ -405,6 +357,7 @@ mod tests {
         // "crash" before the data writeback by dropping volatile state.
         let mut w = PmWriter::new(tid);
         eng.slots[0].set_status(&mut m, &mut w, TxStatus::Committed);
+        w.durability_fence(&mut m);
         let img = m.crash(CrashSpec::DropVolatile);
         let mut m2 = Machine::from_image(MachineConfig::asplos17(), &img);
         let log = AddrRange::new(m2.config().map.pm.base, 1 << 20);

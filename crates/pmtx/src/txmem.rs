@@ -76,6 +76,36 @@ pub trait TxMem {
     }
 }
 
+/// A read of `len` bytes at `addr` with `writes` — a transaction's
+/// buffered `(target, data, category)` writes, in program order —
+/// overlaid, as the redo and 3-epoch engines read their own writes.
+pub(crate) fn read_through(
+    m: &mut Machine,
+    tid: Tid,
+    addr: Addr,
+    len: usize,
+    writes: &[(Addr, Vec<u8>, Category)],
+) -> Vec<u8> {
+    // A tid without a machine slot cannot account a load (and can
+    // never hold buffered writes) — degrade to zeroes instead of
+    // panicking deep in the per-thread dirty state.
+    let mut data = match m.validate_tid(tid) {
+        Ok(()) => m.load_vec(tid, addr, len),
+        Err(_) => vec![0; len],
+    };
+    let (rs, re) = (addr, addr + len as u64);
+    for (waddr, wdata, _) in writes {
+        let (ws, we) = (*waddr, *waddr + wdata.len() as u64);
+        if ws < re && rs < we {
+            let lo = ws.max(rs);
+            let hi = we.min(re);
+            data[(lo - rs) as usize..(hi - rs) as usize]
+                .copy_from_slice(&wdata[(lo - ws) as usize..(hi - ws) as usize]);
+        }
+    }
+    data
+}
+
 impl TxMem for UndoTxEngine {
     fn tx_read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
         // Undo logging writes in place; plain loads are current.

@@ -1,6 +1,6 @@
 //! NVML-style undo-log transactions.
 
-use crate::log::{carve_slots, LogSlot, TxStatus};
+use crate::log::{format_rings, recover_rings, retire, LogRing, TxStatus, TX_LOG};
 use crate::{ClearPolicy, TxError};
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
@@ -29,8 +29,7 @@ struct ActiveUndo {
 /// re-applying the logged old values; rollback is idempotent.
 #[derive(Debug, Clone)]
 pub struct UndoTxEngine {
-    region: AddrRange,
-    slots: Vec<LogSlot>,
+    slots: Vec<LogRing>,
     active: Vec<Option<ActiveUndo>>,
     clear_policy: ClearPolicy,
 }
@@ -42,14 +41,8 @@ impl UndoTxEngine {
     ///
     /// Panics if `region` is too small for `threads` ≥4 KB slots.
     pub fn format(m: &mut Machine, region: AddrRange, threads: u32) -> UndoTxEngine {
-        crate::check_engine_threads(m, threads);
-        let slots = carve_slots(region, threads);
-        for (i, s) in slots.iter().enumerate() {
-            s.format(m, Tid(i as u32));
-        }
         UndoTxEngine {
-            region,
-            slots,
+            slots: format_rings(m, TX_LOG, region, threads),
             active: (0..threads).map(|_| None).collect(),
             clear_policy: ClearPolicy::default(),
         }
@@ -58,26 +51,9 @@ impl UndoTxEngine {
     /// Recover after a crash: roll back slots that were mid-transaction,
     /// discard logs of committed ones.
     pub fn recover(m: &mut Machine, tid: Tid, region: AddrRange, threads: u32) -> UndoTxEngine {
-        crate::check_engine_threads(m, threads);
-        let mut slots = carve_slots(region, threads);
-        let mut w = PmWriter::new(tid);
-        for slot in &mut slots {
-            let status = slot.status(m, tid);
-            if status == TxStatus::Active {
-                // Roll back: apply old values in reverse order.
-                let entries = slot.scan_durable(m, tid);
-                for (target, old) in entries.into_iter().rev() {
-                    w.write(m, target, &old, Category::UserData);
-                }
-                w.durability_fence(m);
-            }
-            slot.clear_durable(m, &mut w);
-            slot.set_status(m, &mut w, TxStatus::Idle);
-            slot.reset_volatile();
-        }
         UndoTxEngine {
-            region,
-            slots,
+            // Roll back: apply old values in reverse order.
+            slots: recover_rings(m, tid, region, threads, TxStatus::Active, true),
             active: (0..threads).map(|_| None).collect(),
             clear_policy: ClearPolicy::default(),
         }
@@ -87,11 +63,6 @@ impl UndoTxEngine {
     /// optimization, Section 5.1).
     pub fn set_clear_policy(&mut self, policy: ClearPolicy) {
         self.clear_policy = policy;
-    }
-
-    /// The log region.
-    pub fn region(&self) -> AddrRange {
-        self.region
     }
 
     /// Whether `tid` has an open transaction (false for an
@@ -120,6 +91,7 @@ impl UndoTxEngine {
         m.tx_begin(tid, id);
         let mut w = PmWriter::new(tid);
         self.slots[t].set_status(m, &mut w, TxStatus::Active);
+        w.ordering_fence(m);
         self.active[t] = Some(ActiveUndo {
             id,
             writer: PmWriter::new(tid),
@@ -155,6 +127,7 @@ impl UndoTxEngine {
             // lines from earlier `set`s (the paper's alternating-epoch
             // fragmentation).
             self.slots[t].append(m, &mut active.writer, addr, &old, false, Category::UndoLog)?;
+            active.writer.ordering_fence(m);
             active.writer.write(m, addr, bytes, cat);
         }
         Ok(())
@@ -189,11 +162,10 @@ impl UndoTxEngine {
         // 2. Marker durable: rollback disarmed.
         let mut w = PmWriter::new(tid);
         self.slots[t].set_status(m, &mut w, TxStatus::Committed);
+        w.durability_fence(m);
         // 3. Clear each entry in its own epoch ("NVML sets and clears
         //    its log entries"), then idle.
-        let policy = self.clear_policy;
-        self.slots[t].clear_entries(m, &mut w, policy);
-        self.slots[t].set_status(m, &mut w, TxStatus::Idle);
+        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
         m.tx_end(tid, active.id);
         Ok(())
     }
@@ -211,9 +183,7 @@ impl UndoTxEngine {
             w.write(m, target, &old, Category::UserData);
         }
         w.durability_fence(m);
-        let policy = self.clear_policy;
-        self.slots[t].clear_entries(m, &mut w, policy);
-        self.slots[t].set_status(m, &mut w, TxStatus::Idle);
+        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
         m.tx_end(tid, active.id);
         Ok(())
     }

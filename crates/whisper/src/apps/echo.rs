@@ -18,7 +18,7 @@
 //! self-dependency sources — and the master/client handoff on the
 //! descriptor line is a (rare) cross-thread dependency.
 
-use super::{App, AppRun, Layer, Setup, VolatileArena, WORKERS};
+use super::{App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -234,12 +234,6 @@ pub fn run_unpaced(transactions: usize, seed: u64) -> AppRun {
     APP.run_unpaced(transactions, seed)
 }
 
-/// Run echo-test: 4 clients submitting batches of updates, the master
-/// folding each batch into the versioned persistent KVS.
-pub fn run(transactions: usize, seed: u64) -> AppRun {
-    APP.run(transactions, seed, WORKERS)
-}
-
 /// Crash workload + recovery oracle for the campaign (see
 /// [`crate::crashtest`]): single-update batches over a small keyspace,
 /// each operation = one client submit transaction + one master apply
@@ -381,6 +375,7 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::WORKERS;
     use memsim::CrashSpec;
 
     #[test]
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn run_produces_trace_and_versions() {
-        let run = run(200, 1);
+        let run = APP.run(200, 1, WORKERS);
         assert!(!run.events.is_empty());
         assert!(run.stats.pm_total() > 0);
         assert!(run.stats.dram_accesses > run.stats.pm_total());

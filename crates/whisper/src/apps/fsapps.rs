@@ -10,7 +10,7 @@
 //! 1000 msgs/min, sysbench connections) sets the epoch *rate* — which
 //! is why Table 1 spans 6250 epochs/s (Exim) to 250 K (NFS).
 
-use super::{App, AppRun, Layer, Setup, VolatileArena, WORKERS};
+use super::{App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::report::PaperRow;
 use crate::workloads::{self, FileserverOp};
@@ -218,12 +218,6 @@ pub(crate) fn crash_run_nfs(ops: usize, arm: &Arm<'_>) -> CrashRun {
     crate::crashtest::harvest(m, total, oracle)
 }
 
-/// NFS: an exported PMFS volume driven by filebench's `fileserver`
-/// profile (Table 1: 8 clients, 8 NFS threads).
-pub fn nfs(ops: usize, seed: u64) -> AppRun {
-    NFS.run(ops, seed, WORKERS)
-}
-
 /// A fresh machine with a fresh PMFS volume, tracing off.
 fn mkfs_untraced(arena_bytes: u64) -> (Machine, Pmfs, VolatileArena) {
     let mut m = Machine::new(MachineConfig::asplos17());
@@ -408,13 +402,6 @@ pub(crate) fn crash_run_exim(msgs: usize, arm: &Arm<'_>) -> CrashRun {
     crate::crashtest::harvest(m, msgs as u64, oracle)
 }
 
-/// Exim: mail delivery over PMFS spool and mailboxes, paced like
-/// postal at 1000 msgs/min (Table 1: 100 KB messages, 250 mailboxes —
-/// message bodies scaled to 24 KB, see DESIGN.md).
-pub fn exim(msgs: usize, seed: u64) -> AppRun {
-    EXIM.run(msgs, seed, WORKERS)
-}
-
 /// mkfs and mailbox setup are untraced.
 fn setup_exim(msgs: usize, _workers: u32) -> Setup {
     let (mut m, mut fs, arena) = mkfs_untraced(2 << 20);
@@ -595,12 +582,6 @@ pub(crate) fn crash_run_mysql(ops: usize, arm: &Arm<'_>) -> CrashRun {
     crate::crashtest::harvest(m, total_ops, oracle)
 }
 
-/// MySQL: sysbench OLTP-complex over table/index/binlog files on PMFS
-/// (Table 1: 4 clients, one 10 M-row table — scaled).
-pub fn mysql(txs: usize, seed: u64) -> AppRun {
-    MYSQL.run(txs, seed, WORKERS)
-}
-
 /// MySQL's table: rows packed 100 B each in 4 KB pages.
 const MYSQL_ROWS: usize = 4096;
 const MYSQL_ROW: usize = 100;
@@ -682,11 +663,12 @@ fn drive_mysql(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::WORKERS;
     use pmtrace::analysis::{self, Analyzer};
 
     #[test]
     fn nfs_runs_with_large_epochs() {
-        let hist = Analyzer::analyze_events(&nfs(150, 21).events).size_hist;
+        let hist = Analyzer::analyze_events(&NFS.run(150, 21, WORKERS).events).size_hist;
         // Figure 4: PMFS apps have a ≥64-line mode from 4 KB blocks.
         assert!(hist.buckets[6] > 0, "no 64-line epochs: {hist}");
         assert!(
@@ -699,14 +681,14 @@ mod tests {
     fn nfs_has_cross_dependencies() {
         // Figure 5: NFS shows the most cross-deps (5%) — shared
         // directories, bitmaps, and the journal.
-        let deps = Analyzer::analyze_events(&nfs(200, 23).events).deps;
+        let deps = Analyzer::analyze_events(&NFS.run(200, 23, WORKERS).events).deps;
         assert!(deps.cross_dep_epochs > 0, "expected some cross-deps");
     }
 
     #[test]
     fn exim_rate_is_orders_of_magnitude_lower() {
-        let e = exim(20, 25);
-        let n = nfs(200, 25);
+        let e = EXIM.run(20, 25, WORKERS);
+        let n = NFS.run(200, 25, WORKERS);
         let eps = |r: &AppRun| {
             analysis::epochs_per_second(analysis::split_epochs(&r.events).len(), r.duration_ns)
         };
@@ -720,7 +702,7 @@ mod tests {
 
     #[test]
     fn exim_delivers_mail_durably() {
-        let run = exim(10, 26);
+        let run = EXIM.run(10, 26, WORKERS);
         assert!(!run.events.is_empty());
         // All spool files must be gone (delivered then unlinked).
         // (Validated inside the run by expect()s; the trace existing
@@ -731,7 +713,7 @@ mod tests {
     fn mysql_low_self_dependencies() {
         // Figure 5: MySQL has the lowest self-dep share (17.9%) — "few
         // metadata writes" and sub-50µs windows rarely spanned.
-        let deps = Analyzer::analyze_events(&mysql(60, 27).events).deps;
+        let deps = Analyzer::analyze_events(&MYSQL.run(60, 27, WORKERS).events).deps;
         assert!(
             deps.self_fraction() < 0.45,
             "mysql self-dep {} should be the suite's lowest",

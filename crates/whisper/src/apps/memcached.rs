@@ -240,16 +240,6 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     crate::crashtest::harvest(m, total, oracle)
 }
 
-/// Run memslap (Table 1: 4 clients, 5 % SET).
-pub fn run(ops: usize, seed: u64) -> AppRun {
-    run_threads(ops, seed, WORKERS)
-}
-
-/// [`run`] with an explicit worker-thread count (`--threads`).
-pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
-    APP.run(ops, seed, workers)
-}
-
 /// Setup is untraced: the measured interval is the memslap run.
 fn setup(ops: usize, workers: u32) -> Setup {
     let mut m = machine_for(workers);
@@ -305,7 +295,7 @@ mod tests {
 
     #[test]
     fn transactions_small_and_epochs_singleton_heavy() {
-        let report = Analyzer::analyze_events(&run(400, 11).events);
+        let report = Analyzer::analyze_events(&APP.run(400, 11, WORKERS).events);
         let median = report.tx_stats.median().unwrap();
         assert!((3..=25).contains(&median), "memcached median {median}");
         let hist = report.size_hist;
@@ -319,7 +309,7 @@ mod tests {
     #[test]
     fn mnemosyne_nt_fraction_substantial() {
         // Consequence 10: ~67% of Mnemosyne's writes are NT (redo log).
-        let run = run(400, 11);
+        let run = APP.run(400, 11, WORKERS);
         let epochs = analysis::split_epochs(&run.events);
         let nt = analysis::nt_fraction(&epochs).unwrap();
         assert!(nt > 0.35 && nt < 0.95, "NT fraction {nt}");
@@ -327,7 +317,7 @@ mod tests {
 
     #[test]
     fn four_workers_share_the_table() {
-        let deps = Analyzer::analyze_events(&run(400, 11).events).deps;
+        let deps = Analyzer::analyze_events(&APP.run(400, 11, WORKERS).events).deps;
         assert!(
             deps.cross_dep_epochs > 0,
             "scheduler-interleaved workers over one table: cross-deps expected"

@@ -11,7 +11,7 @@
 //! Table 1 drives both with 4 clients and 100 K INSERT transactions;
 //! we mix in the deletes the benchmark also implements.
 
-use super::{App, AppRun, Layer, Setup, VolatileArena, WORKERS};
+use super::{App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -316,38 +316,27 @@ pub fn ctree_unpaced(ops: usize, seed: u64) -> AppRun {
     CTREE.run_unpaced(ops, seed)
 }
 
-/// The `ctree` micro-benchmark: transactional inserts (and some
-/// deletes) into a persistent crit-bit tree.
-pub fn ctree(ops: usize, seed: u64) -> AppRun {
-    CTREE.run(ops, seed, WORKERS)
-}
-
 /// `hashmap` without driver overhead (gem5-style, for Figures 6/10).
 pub fn hashmap_unpaced(ops: usize, seed: u64) -> AppRun {
     HASHMAP.run_unpaced(ops, seed)
 }
 
-/// The `hashmap` micro-benchmark: transactional inserts (and some
-/// deletes) into a persistent chained hash map.
-pub fn hashmap(ops: usize, seed: u64) -> AppRun {
-    HASHMAP.run(ops, seed, WORKERS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::WORKERS;
     use pmtrace::analysis::Analyzer;
 
     #[test]
     fn ctree_transactions_in_figure3_band() {
-        let report = Analyzer::analyze_events(&ctree(300, 4).events);
+        let report = Analyzer::analyze_events(&CTREE.run(300, 4, WORKERS).events);
         let median = report.tx_stats.median().unwrap();
         assert!((5..=30).contains(&median), "ctree median {median}");
     }
 
     #[test]
     fn hashmap_transactions_in_figure3_band() {
-        let report = Analyzer::analyze_events(&hashmap(300, 4).events);
+        let report = Analyzer::analyze_events(&HASHMAP.run(300, 4, WORKERS).events);
         let median = report.tx_stats.median().unwrap();
         assert!((5..=30).contains(&median), "hashmap median {median}");
     }
@@ -355,7 +344,7 @@ mod tests {
     #[test]
     fn nvml_micros_are_singleton_heavy() {
         // Figure 4: library-based applications average ~75% singletons.
-        for run in [ctree(300, 7), hashmap(300, 7)] {
+        for run in [CTREE.run(300, 7, WORKERS), HASHMAP.run(300, 7, WORKERS)] {
             let hist = Analyzer::analyze_events(&run.events).size_hist;
             assert!(
                 hist.singleton_fraction() > 0.55,
@@ -369,7 +358,7 @@ mod tests {
     #[test]
     fn nvml_micros_self_deps_high() {
         // Figure 5: ctree 79%, hashmap 81%.
-        for run in [ctree(300, 9), hashmap(300, 9)] {
+        for run in [CTREE.run(300, 9, WORKERS), HASHMAP.run(300, 9, WORKERS)] {
             let deps = Analyzer::analyze_events(&run.events).deps;
             assert!(
                 deps.self_fraction() > 0.5,

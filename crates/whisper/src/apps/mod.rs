@@ -41,9 +41,6 @@ pub mod nstore;
 pub mod redis;
 pub mod vacation;
 
-pub use fsapps::{exim, mysql, nfs};
-pub use micro::{ctree, hashmap};
-
 use crate::crashtest::{Arm, CrashRun};
 use crate::report::PaperRow;
 use memsim::{Machine, MachineConfig, MemStats};

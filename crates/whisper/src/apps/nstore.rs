@@ -16,7 +16,7 @@
 //! every writing transaction, one of the self-dependency sources the
 //! paper attributes to native applications.
 
-use super::{App, AppRun, Layer, Setup, VolatileArena, WORKERS};
+use super::{App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -412,16 +412,6 @@ pub fn run_ycsb_unpaced(ops: usize, seed: u64) -> AppRun {
     YCSB.run_unpaced(ops, seed)
 }
 
-/// Run the YCSB-like workload (Table 1: 4 clients, 80 % writes).
-pub fn run_ycsb(ops: usize, seed: u64) -> AppRun {
-    YCSB.run(ops, seed, WORKERS)
-}
-
-/// Run the TPC-C-like workload (Table 1: 4 clients, 40 % writes).
-pub fn run_tpcc(txs: usize, seed: u64) -> AppRun {
-    TPCC.run(txs, seed, WORKERS)
-}
-
 /// A fresh database on a fresh machine, tracing off for the build and
 /// the load that follows it.
 fn build_untraced() -> (Machine, NStore, VolatileArena) {
@@ -655,6 +645,7 @@ pub fn run_ycsb_sp(ops: usize, seed: u64) -> AppRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::WORKERS;
     use memsim::CrashSpec;
     use pmtrace::analysis::{Analyzer, TraceReport};
 
@@ -664,7 +655,7 @@ mod tests {
 
     #[test]
     fn ycsb_runs_and_is_write_heavy() {
-        let report = Analyzer::analyze_events(&run_ycsb(300, 5).events);
+        let report = Analyzer::analyze_events(&YCSB.run(300, 5, WORKERS).events);
         assert!(report.epoch_count > 0);
         let median = median(&report);
         assert!(
@@ -675,8 +666,8 @@ mod tests {
 
     #[test]
     fn tpcc_transactions_are_much_larger() {
-        let ym = median(&Analyzer::analyze_events(&run_ycsb(200, 5).events));
-        let tm = median(&Analyzer::analyze_events(&run_tpcc(100, 5).events));
+        let ym = median(&Analyzer::analyze_events(&YCSB.run(200, 5, WORKERS).events));
+        let tm = median(&Analyzer::analyze_events(&TPCC.run(100, 5, WORKERS).events));
         assert!(tm > ym * 2, "TPC-C median {tm} vs YCSB {ym}");
         assert!(tm > 100, "TPC-C well over a hundred epochs: {tm}");
     }
@@ -687,7 +678,7 @@ mod tests {
         // per transaction vs OPTWAL's dozens, and its amplification is
         // mostly allocator metadata. The engine ablation's numbers:
         // median 22 vs 4 epochs/tx, amplification 4.5x vs 0.1x.
-        let wal = Analyzer::analyze_events(&run_ycsb(600, 3).events);
+        let wal = Analyzer::analyze_events(&YCSB.run(600, 3, WORKERS).events);
         let sp = Analyzer::analyze_events(&run_ycsb_sp(600, 3).events);
         assert_eq!((median(&wal), median(&sp)), (22, 4));
         let amp = |r: &TraceReport| r.amplification.amplification().unwrap();
@@ -705,7 +696,7 @@ mod tests {
 
     #[test]
     fn buddy_allocator_amplifies_writes() {
-        let a = Analyzer::analyze_events(&run_ycsb(300, 6).events)
+        let a = Analyzer::analyze_events(&YCSB.run(300, 6, WORKERS).events)
             .amplification
             .amplification()
             .unwrap();

@@ -276,17 +276,6 @@ pub fn run_unpaced(ops: usize, seed: u64) -> AppRun {
     APP.run_unpaced(ops, seed)
 }
 
-/// Run `redis-cli lru-test` against the PM-backed dictionary with the
-/// Table 1 worker count.
-pub fn run(ops: usize, seed: u64) -> AppRun {
-    APP.run(ops, seed, WORKERS)
-}
-
-/// [`run`] with an explicit worker-thread count (`--threads`).
-pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
-    APP.run(ops, seed, workers)
-}
-
 /// Setup (structure formatting) is untraced: the measured interval is
 /// the steady-state workload, as in the paper.
 fn setup(ops: usize, workers: u32) -> Setup {
@@ -374,7 +363,7 @@ mod tests {
     #[test]
     fn pm_fraction_is_small() {
         // Figure 6: redis has the second-lowest PM share (0.74%).
-        let run = run(400, 2);
+        let run = APP.run(400, 2, WORKERS);
         let f = run.stats.pm_fraction();
         assert!(f < 0.05, "redis PM fraction {f} should be tiny");
     }
@@ -386,7 +375,7 @@ mod tests {
         // threads sharing the dictionary and backlog, cross-thread
         // epoch dependencies must now exist (shared bucket heads, the
         // allocation cursor, the queue tail).
-        let deps = Analyzer::analyze_events(&run(400, 3).events).deps;
+        let deps = Analyzer::analyze_events(&APP.run(400, 3, WORKERS).events).deps;
         assert!(
             deps.self_fraction() > 0.3,
             "self-dep fraction {} too low for an NVML app",
@@ -402,17 +391,17 @@ mod tests {
     fn single_worker_has_no_cross_deps() {
         // `--threads 1` degenerates to the classic single-threaded
         // Redis: every dependency is a self-dependency.
-        let deps = Analyzer::analyze_events(&run_threads(400, 3, 1).events).deps;
+        let deps = Analyzer::analyze_events(&APP.run(400, 3, 1).events).deps;
         assert_eq!(deps.cross_dep_epochs, 0, "single worker cannot cross");
     }
 
     #[test]
     fn same_seed_same_trace_different_seed_differs() {
         // The scheduler interleaving is a pure function of the seed.
-        let a = run_threads(200, 9, 4);
-        let b = run_threads(200, 9, 4);
+        let a = APP.run(200, 9, 4);
+        let b = APP.run(200, 9, 4);
         assert_eq!(a.events, b.events, "same seed must be bit-identical");
-        let c = run_threads(200, 10, 4);
+        let c = APP.run(200, 10, 4);
         assert_ne!(a.events, c.events, "different seeds must diverge");
     }
 

@@ -462,16 +462,6 @@ pub fn run_unpaced(transactions: usize, seed: u64) -> AppRun {
     APP.run_unpaced(transactions, seed)
 }
 
-/// Run the reservation mix (Table 1: 4 clients).
-pub fn run(transactions: usize, seed: u64) -> AppRun {
-    APP.run(transactions, seed, WORKERS)
-}
-
-/// [`run`] with an explicit client-thread count (`--threads`).
-pub fn run_threads(transactions: usize, seed: u64, workers: u32) -> AppRun {
-    APP.run(transactions, seed, workers)
-}
-
 /// Build + load are untraced: the measured interval is steady state.
 fn setup(transactions: usize, workers: u32) -> Setup {
     let mut m = machine_for(workers);
@@ -529,21 +519,21 @@ mod tests {
     #[test]
     fn transactions_are_small() {
         // Figure 3: Mnemosyne apps have the smallest medians (~4-8).
-        let report = Analyzer::analyze_events(&run(300, 6).events);
+        let report = Analyzer::analyze_events(&APP.run(300, 6, WORKERS).events);
         let median = report.tx_stats.median().unwrap();
         assert!((3..=15).contains(&median), "vacation median {median}");
     }
 
     #[test]
     fn pm_fraction_lowest_of_suite() {
-        let run = run(300, 6);
+        let run = APP.run(300, 6, WORKERS);
         let f = run.stats.pm_fraction();
         assert!(f < 0.03, "vacation PM fraction {f}");
     }
 
     #[test]
     fn cross_deps_exist_but_rare() {
-        let deps = Analyzer::analyze_events(&run(500, 8).events).deps;
+        let deps = Analyzer::analyze_events(&APP.run(500, 8, WORKERS).events).deps;
         assert!(
             deps.cross_dep_epochs > 0,
             "interleaved clients share counters and the journal"

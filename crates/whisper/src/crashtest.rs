@@ -42,15 +42,9 @@
 //! # Crash-point granularity
 //!
 //! Points are counted in **fence events** ([`CrashCounter::Fences`]),
-//! not individual stores. The substrate's log formats (the PMFS
-//! journal, the undo/redo `LogSlot`) follow real PMFS/NVML/Mnemosyne in
-//! writing a record's header and payload in one epoch with the
-//! validity tag in the header — but unlike production NVML they carry
-//! no checksum, so an adversarial crash *inside* that epoch can keep
-//! the header line while dropping a payload line and recovery would
-//! replay a torn record. Real systems close this window with per-record
-//! checksums; modelling those would change every trace this repo's
-//! golden figures are pinned to. At fence boundaries the window is
+//! not individual stores, because of the torn-record window stated on
+//! [`pmtx::LogRing::append`] — the one log format under the PMFS
+//! journal and the undo/redo logs. At fence boundaries the window is
 //! closed by construction — every log record is complete before its
 //! fence retires — while caches, pending flushes, and WCBs still hold
 //! plenty of in-flight data for the crash specs to decide over, and

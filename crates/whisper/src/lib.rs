@@ -10,13 +10,13 @@
 //! | [`apps::echo`] | native custom transactions | echo-test, 4 clients |
 //! | [`apps::nstore`] | native (OPTWAL) | YCSB-like and TPC-C-like |
 //! | [`apps::redis`] | library / NVML-style undo | redis-cli lru-test |
-//! | [`apps::ctree`] | library / NVML-style undo | 4-client inserts |
-//! | [`apps::hashmap`] | library / NVML-style undo | 4-client inserts |
+//! | ctree ([`apps::micro`]) | library / NVML-style undo | 4-client inserts |
+//! | hashmap ([`apps::micro`]) | library / NVML-style undo | 4-client inserts |
 //! | [`apps::vacation`] | library / Mnemosyne-style redo | travel reservations |
 //! | [`apps::memcached`] | library / Mnemosyne-style redo | memslap, 5% SET |
-//! | [`apps::nfs`] | filesystem / PMFS | filebench fileserver |
-//! | [`apps::exim`] | filesystem / PMFS | postal, paced |
-//! | [`apps::mysql`] | filesystem / PMFS | sysbench OLTP-complex |
+//! | NFS ([`apps::fsapps`]) | filesystem / PMFS | filebench fileserver |
+//! | Exim ([`apps::fsapps`]) | filesystem / PMFS | postal, paced |
+//! | MySQL ([`apps::fsapps`]) | filesystem / PMFS | sysbench OLTP-complex |
 //!
 //! Every application runs on the instrumented [`memsim::Machine`],
 //! produces a [`pmtrace`] event stream plus DRAM/PM access counters,

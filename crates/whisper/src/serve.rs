@@ -686,7 +686,7 @@ pub fn serve_json(reports: &[AppServe], cfg: &ServeConfig) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::{run_named, run_named_threads};
+    use crate::suite::{run_named_threads, DEFAULT_WORKER_THREADS};
 
     #[test]
     fn arrival_schedule_is_seeded_and_sorted() {
@@ -728,7 +728,7 @@ mod tests {
 
     #[test]
     fn request_bounds_end_on_fences() {
-        let run = run_named("hashmap", 40, 3);
+        let run = run_named_threads("hashmap", 40, 3, DEFAULT_WORKER_THREADS);
         let bounds = request_bounds(&run.events, 40);
         assert_eq!(bounds.len(), 40);
         assert_eq!(*bounds.last().unwrap(), run.events.len());
@@ -745,7 +745,7 @@ mod tests {
 
     #[test]
     fn service_times_sum_to_replay_makespan() {
-        let run = run_named("ctree", 60, 5);
+        let run = run_named_threads("ctree", 60, 5, DEFAULT_WORKER_THREADS);
         let bounds = request_bounds(&run.events, 60);
         for model in SERVE_MODELS {
             let services = service_times_with_stalls(&run.events, &bounds, model);
@@ -776,7 +776,7 @@ mod tests {
         // otherwise hide behind `saturating_sub(..).max(1)`.
         let was = pmobs::enabled();
         pmobs::set_enabled(true);
-        let run = run_named("ctree", 40, 9);
+        let run = run_named_threads("ctree", 40, 9, DEFAULT_WORKER_THREADS);
         let bounds = request_bounds(&run.events, 40);
         let mut doubled = Vec::with_capacity(bounds.len() * 2);
         for &b in &bounds {

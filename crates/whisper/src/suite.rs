@@ -310,21 +310,11 @@ pub fn run_app(name: &str, cfg: &SuiteConfig) -> AppResult {
     AppResult { run, analysis }
 }
 
-/// Run one application by Table 1 name with an explicit op count and
-/// seed, without analysis: [`App::run`] by name, at the default worker
-/// count.
-///
-/// # Panics
-///
-/// Panics on an unknown name; the valid names are [`APP_NAMES`].
-pub fn run_named(name: &str, ops: usize, seed: u64) -> AppRun {
-    run_named_threads(name, ops, seed, DEFAULT_WORKER_THREADS)
-}
-
-/// [`run_named`] with an explicit scheduler-worker count. Only the
-/// scheduler-interleaved applications (redis, memcached, vacation)
-/// respond to `workers`; the rest model their Table 1 thread counts
-/// internally and ignore it.
+/// Run one application by Table 1 name with an explicit op count, seed
+/// and scheduler-worker count, without analysis: [`App::run`] by name.
+/// Only the scheduler-interleaved applications (redis, memcached,
+/// vacation) respond to `workers`; the rest model their Table 1 thread
+/// counts internally and ignore it.
 ///
 /// # Panics
 ///
@@ -481,7 +471,7 @@ mod tests {
 
     #[test]
     fn analyze_leaves_fig10_to_the_caller() {
-        let r = apps::hashmap(50, 3);
+        let r = run_named_threads("hashmap", 50, 3, DEFAULT_WORKER_THREADS);
         let a = analyze(&r);
         assert!(a.fig10.is_empty(), "analyze() must not pay for a replay");
         assert!(a.epoch_count > 0);
