@@ -9,9 +9,10 @@
 # artefact: report.txt, report.det.json, violations.json, crash.json,
 # crossval.json, optimize.json, serve.json, profile.json, trace.json,
 # graphs/, the single-worker report.t1.txt / report.t1.det.json /
-# serve.t1.json, and report.s03.txt / serve.s03.json. Only report.json
-# is left out: its `metrics` block holds host wall-clock time. Prints
-# the paths that differ and exits 1 if any does.
+# serve.t1.json / crash.t1.json, and report.s03.txt / serve.s03.json.
+# Only report.json is left out: its `metrics` block holds host
+# wall-clock time. Prints the paths that differ and exits 1 if any
+# does.
 #
 #   ci/identity.sh HEAD~1            # scratch in a fresh mktemp -d, removed after
 #   ci/identity.sh 2158dd6 /tmp/id   # keep the builds and outputs in /tmp/id
@@ -56,6 +57,7 @@ run() {
             --quiet --scale 0.05 --seed 42 --parallel 1 --threads 4 > report.txt
         "$1" --json-det report.t1.det.json --check \
             --serve --serve-json serve.t1.json \
+            --crash --crash-json crash.t1.json \
             --quiet --scale 0.05 --seed 42 --parallel 1 --threads 1 > report.t1.txt
         "$1" fig10 --serve --serve-json serve.s03.json \
             --quiet --scale 0.3 --seed 7 --parallel 1 --threads 4 > report.s03.txt

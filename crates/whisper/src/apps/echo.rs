@@ -242,7 +242,7 @@ pub fn run_unpaced(transactions: usize, seed: u64) -> AppRun {
 /// key's version chain against the committed operation prefix —
 /// allowing the one in-flight operation to be wholly present or wholly
 /// absent, never torn.
-pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 24;
     let mut m = Machine::new(MachineConfig::asplos17());
     let mut st = EchoState::build(&mut m);

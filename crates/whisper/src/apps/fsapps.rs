@@ -109,7 +109,7 @@ enum NfsOp {
 /// succeed) and requires every committed file to read back exactly,
 /// with the in-flight replacement observed as old, absent, empty, or
 /// complete — never a torn length.
-pub(crate) fn crash_run_nfs(ops: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run_nfs(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
     const N_FILES: u64 = 6;
     let mut m = Machine::new(MachineConfig::asplos17());
     m.trace_mut().set_enabled(false);
@@ -297,7 +297,7 @@ fn drive_nfs(
 /// additionally be present in full), the main log equal to the
 /// committed delivery lines (plus at most the in-flight line), and the
 /// in-flight spool file absent, empty, or complete.
-pub(crate) fn crash_run_exim(msgs: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run_exim(msgs: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
     const MBOXES: u64 = 4;
     const BODY: usize = 600;
     let mut m = Machine::new(MachineConfig::asplos17());
@@ -481,7 +481,7 @@ fn drive_exim(
 /// the binlog must read back exactly (the binlog may carry at most the
 /// complete in-flight record, never a partial one: its size is
 /// journaled metadata).
-pub(crate) fn crash_run_mysql(ops: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run_mysql(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
     const N_ROWS: u64 = 64;
     const ROW: usize = 100;
     const REC: usize = 64;

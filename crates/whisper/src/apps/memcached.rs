@@ -18,12 +18,12 @@
 //! (Consequence 10). A GET is volatile except for memcached's lazy LRU
 //! bump, which keeps PM write traffic low at memslap's 5 % SET mix.
 
-use super::{machine_for, App, AppRun, Layer, Setup, VolatileArena, WORKERS};
+use super::{config_for, App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
 use crate::workloads::{self, MemslapOp};
-use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
+use memsim::{Machine, PmWriter, Scheduler};
 use pmalloc::ShardedSlab;
 use pmds::{CHash, PLruList};
 use pmem::{Addr, AddrRange, PmImage};
@@ -165,10 +165,9 @@ impl Memcached {
 /// key to carry its last committed value. The in-flight SET may have
 /// landed neither, only the table phase, or both — the LRU length must
 /// sit between the committed distinct-key count and one more.
-pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run(ops: usize, workers: u32, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 24;
-    let workers = WORKERS;
-    let mut m = machine_for(workers);
+    let mut m = Machine::new(config_for(workers));
     m.trace_mut().set_enabled(false);
     let mut mc = Memcached::build(&mut m, workers, ops);
     let mut sched = Scheduler::new(workers, 0x3e7c);
@@ -196,9 +195,7 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let lru = mc.lru;
     let total = plan_ops.len() as u64;
     let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut cfg = MachineConfig::asplos17();
-        cfg.threads = cfg.threads.max(workers);
-        let mut m2 = Machine::from_image(cfg, img);
+        let mut m2 = Machine::from_image(config_for(workers), img);
         let _eng2 = RedoTxEngine::recover(&mut m2, Tid(0), log, workers);
         let mut table2 = CHash::open(&mut m2, Tid(0), table_region)
             .map_err(|e| format!("table open failed: {e:?}"))?;
@@ -242,7 +239,7 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
 
 /// Setup is untraced: the measured interval is the memslap run.
 fn setup(ops: usize, workers: u32) -> Setup {
-    let mut m = machine_for(workers);
+    let mut m = Machine::new(config_for(workers));
     m.trace_mut().set_enabled(false);
     let mc = Memcached::build(&mut m, workers, ops);
     let arena = VolatileArena::new(&mut m, 2 << 20);
@@ -290,7 +287,9 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::WORKERS;
     use memsim::CrashSpec;
+    use memsim::MachineConfig;
     use pmtrace::analysis::{self, Analyzer};
 
     #[test]
@@ -326,7 +325,7 @@ mod tests {
 
     #[test]
     fn cache_behaves_like_lru() {
-        let mut m = machine_for(WORKERS);
+        let mut m = Machine::new(config_for(WORKERS));
         let mut mc = Memcached::build(&mut m, WORKERS, 64);
         for key in 0..5u64 {
             mc.set(&mut m, Tid(0), key, b"value-xx", 3);
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn committed_sets_survive_crash() {
-        let mut m = machine_for(WORKERS);
+        let mut m = Machine::new(config_for(WORKERS));
         let mut mc = Memcached::build(&mut m, WORKERS, 64);
         mc.set(&mut m, Tid(2), 99, b"cached!!", 100);
         let table_region = mc.table_region;

@@ -207,7 +207,7 @@ fn build<S: Keyed>() -> (Machine, MicroEnv, S, Addr) {
 /// re-opens the structure, and compares every key against the
 /// committed prefix, allowing the in-flight op's key to hold either
 /// its old or its new state.
-fn crash_run<S: Keyed>(ops: usize, arm: &Arm<'_>) -> CrashRun {
+fn crash_run<S: Keyed>(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 32;
     let (mut m, mut env, structure, at) = build::<S>();
     let mut rng = SmallRng::seed_from_u64(S::CRASH_SEED);

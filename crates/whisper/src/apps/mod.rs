@@ -92,9 +92,10 @@ pub struct App {
     /// are tuned so every app reaches steady state while the full sweep
     /// stays test-suite fast.
     pub crash_ops: usize,
-    /// The crash workload and its recovery oracle (see
-    /// [`crate::crashtest`]).
-    pub(crate) crash_run: fn(usize, &Arm<'_>) -> CrashRun,
+    /// The crash workload and its recovery oracle for `(ops, workers)`
+    /// (see [`crate::crashtest`]); `workers` reaches the same three
+    /// applications as [`App::setup`]'s.
+    pub(crate) crash_run: fn(usize, u32, &Arm<'_>) -> CrashRun,
 }
 
 impl App {
@@ -132,9 +133,12 @@ impl App {
         }
     }
 
-    /// Run this row's crash workload, armed as `arm` says.
-    pub(crate) fn crash(&self, arm: &Arm<'_>) -> CrashRun {
-        (self.crash_run)(self.crash_ops, arm)
+    /// Run this row's crash workload at `workers` logical clients,
+    /// armed as `arm` says.
+    pub(crate) fn crash(&self, workers: u32, arm: &Arm<'_>) -> CrashRun {
+        #[cfg(test)]
+        CRASH_RUNS.with_borrow_mut(|runs| runs.push(self.name));
+        (self.crash_run)(self.crash_ops, workers, arm)
     }
 }
 
@@ -188,12 +192,13 @@ pub(crate) fn named(name: &str) -> &'static App {
 /// (redis, memcached, vacation); `--threads` overrides it per run.
 pub(crate) const WORKERS: u32 = crate::suite::DEFAULT_WORKER_THREADS;
 
-/// An `asplos17` machine with at least `workers` hardware threads, so
-/// every scheduler-picked [`Tid`] is in range.
-pub(crate) fn machine_for(workers: u32) -> Machine {
+/// An `asplos17` configuration with at least `workers` hardware
+/// threads, so every scheduler-picked [`Tid`] is in range — for the run
+/// and for the oracle's reboot alike.
+pub(crate) fn config_for(workers: u32) -> MachineConfig {
     let mut cfg = MachineConfig::asplos17();
     cfg.threads = cfg.threads.max(workers);
-    Machine::new(cfg)
+    cfg
 }
 
 /// An application after its seed-free setup: the machine and the
@@ -323,6 +328,14 @@ impl VolatileArena {
         }
         m.dram_bulk(tid, accesses - real);
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The rows whose crash workload [`App::crash`] ran on this thread,
+    /// in run order.
+    pub(crate) static CRASH_RUNS: std::cell::RefCell<Vec<&'static str>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 #[cfg(test)]

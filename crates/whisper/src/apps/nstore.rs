@@ -213,7 +213,7 @@ const CRASH_PRELOAD: u64 = 24;
 /// Crash workload for the YCSB-like row (see [`crate::crashtest`]):
 /// single-action transactions — 70 % field updates on preloaded keys,
 /// 30 % fresh-key inserts.
-pub(crate) fn crash_run_ycsb(ops: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run_ycsb(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
     let mut rng = SmallRng::seed_from_u64(0x5ca1e);
     let mut next_key = CRASH_PRELOAD;
     let txs: Vec<Vec<CrashAction>> = (0..ops)
@@ -238,7 +238,7 @@ pub(crate) fn crash_run_ycsb(ops: usize, arm: &Arm<'_>) -> CrashRun {
 /// (order + order-line inserts + a stock update) alternating with
 /// payment-style updates — the all-or-nothing check spans every action
 /// of the in-flight transaction.
-pub(crate) fn crash_run_tpcc(txs: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run_tpcc(txs: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
     let mut rng = SmallRng::seed_from_u64(0x79cc);
     let mut next_order = 1_000u64;
     let plan: Vec<Vec<CrashAction>> = (0..txs)

@@ -23,12 +23,12 @@
 //! buffers, the volatile dict machinery), so PM stays a tiny share of
 //! traffic (Figure 6 measures redis at 0.74% PM).
 
-use super::{machine_for, App, AppRun, Layer, Setup, VolatileArena, WORKERS};
+use super::{config_for, App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
 use crate::workloads;
-use memsim::{Machine, MachineConfig, Scheduler};
+use memsim::{Machine, Scheduler};
 use pmds::{CHash, DurableQueue};
 use pmem::{Addr, AddrRange, PmImage};
 use pmrand::{Rng, SeedableRng, SmallRng};
@@ -118,10 +118,9 @@ enum COp {
 /// structures' detectable recovery and requires every committed command
 /// to be fully visible — the one in-flight command may be rolled
 /// forward or discarded, never torn.
-pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
+pub(crate) fn crash_run(ops: usize, workers: u32, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 32;
-    let workers = WORKERS;
-    let mut m = machine_for(workers);
+    let mut m = Machine::new(config_for(workers));
     m.trace_mut().set_enabled(false);
     let mut r = Redis::build(&mut m, workers, ops);
 
@@ -184,9 +183,7 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let qhead = r.queue_head;
     let total = plan_ops.len() as u64;
     let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut cfg = MachineConfig::asplos17();
-        cfg.threads = cfg.threads.max(workers);
-        let mut m2 = Machine::from_image(cfg, img);
+        let mut m2 = Machine::from_image(config_for(workers), img);
         let mut dict2 = CHash::open(&mut m2, Tid(0), dict_region)
             .map_err(|e| format!("dict open failed: {e:?}"))?;
         let _ = dict2.recover(&mut m2, Tid(0));
@@ -279,7 +276,7 @@ pub fn run_unpaced(ops: usize, seed: u64) -> AppRun {
 /// Setup (structure formatting) is untraced: the measured interval is
 /// the steady-state workload, as in the paper.
 fn setup(ops: usize, workers: u32) -> Setup {
-    let mut m = machine_for(workers);
+    let mut m = Machine::new(config_for(workers));
     m.trace_mut().set_enabled(false);
     let r = Redis::build(&mut m, workers, ops);
     let arena = VolatileArena::new(&mut m, 2 << 20);
@@ -358,6 +355,8 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::WORKERS;
+    use memsim::MachineConfig;
     use pmtrace::analysis::Analyzer;
 
     #[test]
@@ -407,7 +406,7 @@ mod tests {
 
     #[test]
     fn committed_sets_survive_crash() {
-        let mut m = machine_for(WORKERS);
+        let mut m = Machine::new(config_for(WORKERS));
         let mut r = Redis::build(&mut m, WORKERS, 64);
         let seq = r.next_seq();
         r.dict

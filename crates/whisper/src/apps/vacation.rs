@@ -20,11 +20,11 @@
 //! oracle a total order over committed reservations. The workload is
 //! query-heavy, so PM is a tiny share of traffic (Figure 6: 0.36 %).
 
-use super::{machine_for, App, AppRun, Layer, Setup, VolatileArena, WORKERS};
+use super::{config_for, App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
-use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
+use memsim::{Machine, PmWriter, Scheduler};
 use pmalloc::{PmAllocator, ShardedSlab};
 use pmds::{DurableQueue, PRbTree};
 use pmem::{Addr, PmImage};
@@ -296,12 +296,10 @@ fn apply_vmodel(model: &mut VModel, op: &VOp) {
 /// and the journal to match the committed-operation model — with the
 /// in-flight operation applied in full, not at all, or stopped at its
 /// transaction/journal boundary.
-pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
-    let workers = WORKERS;
-    let mut m = machine_for(workers);
+pub(crate) fn crash_run(ops: usize, workers: u32, arm: &Arm<'_>) -> CrashRun {
+    let mut m = Machine::new(config_for(workers));
     m.trace_mut().set_enabled(false);
     let mut v = Vacation::build(&mut m, CRASH_ITEMS, workers, ops);
-    m.trace_mut().set_enabled(false);
     let mut sched = Scheduler::new(workers, 0x7ac4);
     let schedule: Vec<Tid> = (0..ops).map(|_| sched.next()).collect();
     let mut rng = SmallRng::seed_from_u64(0x7ac4);
@@ -350,9 +348,7 @@ pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let journal_head = v.journal_head;
     let total = ops_plan.len() as u64;
     let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut cfg = MachineConfig::asplos17();
-        cfg.threads = cfg.threads.max(workers);
-        let mut m2 = Machine::from_image(cfg, img);
+        let mut m2 = Machine::from_image(config_for(workers), img);
         let mut eng2 = RedoTxEngine::recover(&mut m2, Tid(0), log, workers);
         for (t, table) in tables.iter().enumerate() {
             table
@@ -464,7 +460,7 @@ pub fn run_unpaced(transactions: usize, seed: u64) -> AppRun {
 
 /// Build + load are untraced: the measured interval is steady state.
 fn setup(transactions: usize, workers: u32) -> Setup {
-    let mut m = machine_for(workers);
+    let mut m = Machine::new(config_for(workers));
     m.trace_mut().set_enabled(false);
     let n_items = (transactions as u64 / 2).clamp(64, 4000);
     let v = Vacation::build(&mut m, n_items, workers, transactions);
@@ -513,7 +509,9 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::WORKERS;
     use memsim::CrashSpec;
+    use memsim::MachineConfig;
     use pmtrace::analysis::Analyzer;
 
     #[test]
@@ -548,7 +546,7 @@ mod tests {
 
     #[test]
     fn reservations_survive_crash() {
-        let mut m = machine_for(WORKERS);
+        let mut m = Machine::new(config_for(WORKERS));
         let mut v = Vacation::build(&mut m, 16, WORKERS, 64);
         assert!(v.reserve(&mut m, Tid(0), 0, 3, 1, true));
         let avail_before = v.tables[0].get(&mut m, &mut v.eng, Tid(0), 3).unwrap();

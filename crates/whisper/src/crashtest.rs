@@ -14,10 +14,10 @@
 //!
 //! # The oracle contract
 //!
-//! Each [`App`] row carries `crash_run(ops, &Arm) -> CrashRun`: it
-//! drives `ops` logical operations against a fresh machine (untraced
-//! unless the `Arm` asks for the trace — the campaign measures
-//! recoverability, not rates), arms it with `Arm::apply`, calls
+//! Each [`App`] row carries `crash_run(ops, workers, &Arm) -> CrashRun`:
+//! it drives `ops` logical operations against a fresh machine (the
+//! scheduler-interleaved redis, memcached and vacation spread them over
+//! `workers` logical clients), arms it with `Arm::apply`, calls
 //! [`memsim::Machine::note_progress`] after each *fully committed*
 //! operation, and returns the captured states plus an oracle closure.
 //! The oracle receives a materialized image and the progress value at
@@ -39,6 +39,22 @@
 //! fence-granular points most apps have nothing in flight and all ten
 //! specs of a point share one image.
 //!
+//! # One campaign, three views
+//!
+//! Each row runs its crash workload as a **probe**, which counts the
+//! run's fences and records its machine trace, and then as a
+//! **capture** at `points` crash points spread across that fence range.
+//! Arming crash points does not change what a run does, so the probe's
+//! trace is the capture's. Three gates read the pair: `--crash` judges
+//! the capture's images, `--crossval` ([`crate::crossval`]) checks them
+//! against what the probe's trace proves durable, and `--optimize`
+//! ([`crate::optimize`]) rewrites the probe's trace into an elision
+//! plan, then probes and captures the row once more under it. The
+//! driver runs the campaign once for all three; [`run_campaign`],
+//! [`crate::crossval::run_crossval`] and
+//! [`crate::optimize::optimize_results`] are the same campaign with one
+//! view asked for.
+//!
 //! # Crash-point granularity
 //!
 //! Points are counted in **fence events** ([`CrashCounter::Fences`]),
@@ -52,14 +68,16 @@
 //! See DESIGN.md § Crash testing.
 
 use crate::apps::{App, APPS};
+use crate::crossval::{self, AppCrossval};
+use crate::driver::Gate::{self, Crash, Crossval, Optimize};
 use crate::pool::fan_out;
-use crate::suite::{default_parallelism, SuiteConfig};
+use crate::suite::{default_parallelism, SuiteConfig, DEFAULT_WORKER_THREADS};
 use memsim::{
     CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine, PmWriter,
 };
 use pmem::{Addr, PmImage};
 use pmobs::Json;
-use pmtrace::{Category, Event, EventKind, Tid, TraceBuffer};
+use pmtrace::{Category, Event, EventKind, Tid};
 
 /// A recovery oracle: given a materialized crash image and the
 /// `note_progress` value at the capture point, re-open the app's state
@@ -77,10 +95,9 @@ pub struct CrashRun {
     pub ops: u64,
     /// One captured state per requested crash point.
     pub states: Vec<CrashState>,
-    /// The machine trace of the measured interval (arm → harvest) —
-    /// empty unless the run was armed with `trace` set. The optimizer
-    /// checks this trace to decide which flush/fence ordinals its
-    /// elision plan may skip.
+    /// The machine trace of the measured interval (arm → harvest). The
+    /// campaign reads a probe's: crossval proves durability from it,
+    /// and the optimizer rewrites it into an elision plan.
     pub trace: Vec<Event>,
     /// What an armed elision plan did during the run (`None` in plain
     /// campaign runs).
@@ -96,21 +113,17 @@ pub(crate) struct Arm<'a> {
     /// Fence ordinals to capture the machine's in-flight state at;
     /// empty probes for the run's fence total instead.
     pub(crate) points: &'a [u64],
-    /// Record the machine trace from arm to harvest.
-    pub(crate) trace: bool,
     /// Arm this elision plan alongside the crash plan.
     pub(crate) elide: Option<&'a ElidePlan>,
 }
 
 impl Arm<'_> {
-    /// Arm `m` with the fence-counting crash plan, and start the trace
-    /// and the elision plan if asked for.
+    /// Arm `m` with the fence-counting crash plan and the elision plan
+    /// if asked for, and record the trace from here on.
     pub(crate) fn apply(&self, m: &mut Machine) {
-        if self.trace {
-            let t = m.trace_mut();
-            t.clear();
-            t.set_enabled(true);
-        }
+        let t = m.trace_mut();
+        t.clear();
+        t.set_enabled(true);
         if let Some(plan) = self.elide {
             // Armed here, not earlier: elision ordinals are counted
             // from the same instant the trace (and the checker's view)
@@ -143,20 +156,19 @@ impl Arm<'_> {
 /// Finish a crash workload: harvest the machine's event count and
 /// captured states into a [`CrashRun`].
 pub(crate) fn harvest(mut m: Machine, ops: u64, oracle: Oracle) -> CrashRun {
-    let elide = m.elide_stats();
-    let trace = std::mem::replace(m.trace_mut(), TraceBuffer::disabled()).into_events();
     CrashRun {
         total_events: m.crash_event_count(),
         ops,
         states: m.take_crash_states(),
-        trace,
-        elide,
+        trace: std::mem::take(m.trace_mut()).into_events(),
+        elide: m.elide_stats(),
         oracle,
     }
 }
 
 /// Campaign shape: how many points per app, how many adversarial seeds
-/// per point, and how wide to fan the apps out.
+/// per point, how wide to fan the apps out, and how many logical
+/// clients the interleaved apps run.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Crash points swept per application, spread evenly across the
@@ -167,6 +179,9 @@ pub struct CampaignConfig {
     pub adversarial_seeds: u64,
     /// Worker threads the eleven rows fan out across (1 = serial).
     pub parallelism: usize,
+    /// Logical clients the seeded scheduler interleaves inside the
+    /// redis, memcached and vacation crash workloads (`--threads`).
+    pub worker_threads: u32,
 }
 
 impl CampaignConfig {
@@ -177,14 +192,16 @@ impl CampaignConfig {
             points: 4,
             adversarial_seeds: 8,
             parallelism: default_parallelism(),
+            worker_threads: DEFAULT_WORKER_THREADS,
         }
     }
 
     /// The [`quick`](CampaignConfig::quick) campaign, fanned out across
-    /// the suite's worker count.
+    /// the suite's worker count, at the suite's worker threads.
     pub fn from_suite(cfg: &SuiteConfig) -> CampaignConfig {
         CampaignConfig {
             parallelism: cfg.parallelism,
+            worker_threads: cfg.worker_threads,
             ..CampaignConfig::quick()
         }
     }
@@ -253,13 +270,7 @@ pub(crate) fn spec_name(spec: CrashSpec) -> String {
 /// rebooted and run through the oracle once. Specs that land the same
 /// lines produce the same image, and the oracle is a pure function of
 /// `(image, progress)`, so a group's verdict is every member's.
-fn judge(
-    name: &'static str,
-    points: Vec<u64>,
-    run: &CrashRun,
-    cfg: &CampaignConfig,
-) -> AppCrashReport {
-    debug_assert_eq!(run.states.len(), points.len());
+fn judge(name: &'static str, run: &CrashRun, cfg: &CampaignConfig) -> AppCrashReport {
     let specs = specs(cfg.adversarial_seeds);
     let mut images = 0usize;
     let mut distinct = 0usize;
@@ -295,42 +306,84 @@ fn judge(
         name,
         ops: run.ops,
         fence_events: run.total_events,
-        points,
+        points: run.states.iter().map(CrashState::at).collect(),
         images,
         failures,
     }
 }
 
-/// Probe a row for its fence total under `arm`'s elision plan (and
-/// nothing else of `arm`), then re-run it under `arm` with `cfg.points`
-/// crash points spread across that range — the one capture every
-/// campaign (plain, cross-validated, optimized) judges.
-pub(crate) fn capture(app: &App, cfg: &CampaignConfig, arm: &Arm<'_>) -> (Vec<u64>, CrashRun) {
-    let probe = app.crash(&Arm {
-        elide: arm.elide,
-        ..Arm::default()
-    });
+/// Re-run a row under `elide` with `cfg.points` crash points spread
+/// across `probe`'s fence range, `probe` being the row's probe under
+/// the same plan: the capture a campaign view judges, one state per
+/// point.
+pub(crate) fn capture(
+    app: &App,
+    cfg: &CampaignConfig,
+    probe: &CrashRun,
+    elide: Option<&ElidePlan>,
+) -> CrashRun {
     let points = spread_points(probe.total_events, cfg.points);
-    let run = app.crash(&Arm {
+    let arm = Arm {
         points: &points,
-        ..*arm
-    });
-    (points, run)
+        elide,
+    };
+    app.crash(cfg.worker_threads, &arm)
 }
 
-/// Run one row: capture its crash points, then judge every point ×
-/// spec image.
-fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrashReport {
-    let _span = pmobs::span!("crash.row", app.name);
-    let (points, run) = capture(app, cfg, &Arm::default());
-    judge(app.name, points, &run, cfg)
+/// The campaign's views, one per gate: each in Table 1 order, and
+/// empty unless its gate was asked for.
+#[derive(Default)]
+pub(crate) struct Campaign {
+    /// `--crash`: each row's capture, judged.
+    pub(crate) crash: Vec<AppCrashReport>,
+    /// `--crossval`: each row's capture against its probe's HB proof.
+    pub(crate) crossval: Vec<AppCrossval>,
+    /// `--optimize`: each row judged again under its elision plan.
+    pub(crate) optimized: Vec<OptimizedCrashReport>,
 }
 
-/// Run the whole campaign across `cfg.parallelism` workers. Each row is
-/// a self-contained seeded machine, so reports are identical whatever
-/// the parallelism, and come back in Table 1 order.
+/// Run one row for the gates `asked` for: its traced probe, one
+/// capture if crash or crossval reads it, and the optimizer's elided
+/// probe and capture.
+fn run_row(app: &App, cfg: &CampaignConfig, asked: impl Fn(Gate) -> bool) -> Campaign {
+    let _span = pmobs::span!("campaign.row", app.name);
+    let probe = app.crash(cfg.worker_threads, &Arm::default());
+    let mut row = Campaign::default();
+    if asked(Crash) || asked(Crossval) {
+        let run = capture(app, cfg, &probe, None);
+        if asked(Crash) {
+            row.crash.push(judge(app.name, &run, cfg));
+        }
+        if asked(Crossval) {
+            row.crossval
+                .push(crossval::check_row(app.name, &probe.trace, &run, cfg));
+        }
+    }
+    if asked(Optimize) {
+        row.optimized.push(optimized_row(app, cfg, &probe));
+    }
+    row
+}
+
+/// Run the campaign for the gates `asked` for (any of crash, crossval
+/// and optimize) over every row across `cfg.parallelism` workers. Each
+/// row is a self-contained seeded machine, so the views are identical
+/// whatever the parallelism.
+pub(crate) fn campaign(cfg: &CampaignConfig, asked: impl Fn(Gate) -> bool + Sync) -> Campaign {
+    let run = |i| run_row(&APPS[i], cfg, &asked);
+    let mut out = Campaign::default();
+    for row in fan_out(cfg.parallelism, APPS.len(), run) {
+        out.crash.extend(row.crash);
+        out.crossval.extend(row.crossval);
+        out.optimized.extend(row.optimized);
+    }
+    out
+}
+
+/// The crash view alone: every row's captured images judged, in
+/// Table 1 order.
 pub fn run_campaign(cfg: &CampaignConfig) -> Vec<AppCrashReport> {
-    fan_out(cfg.parallelism, APPS.len(), |i| run_row(&APPS[i], cfg))
+    campaign(cfg, |gate| gate == Crash).crash
 }
 
 /// One row's outcome under the *optimized* schedule: the regular
@@ -355,79 +408,51 @@ pub struct OptimizedCrashReport {
     pub elide: ElideStats,
 }
 
-/// Per-kind 1-based ordinal of every event in `trace` (0 for events
-/// that are neither flushes nor fences).
-fn flush_fence_ordinals(trace: &[Event]) -> Vec<u64> {
-    let (mut flushes, mut fences) = (0u64, 0u64);
-    trace
-        .iter()
-        .map(|ev| match ev.kind {
-            EventKind::Flush { .. } => {
-                flushes += 1;
-                flushes
-            }
-            EventKind::Fence | EventKind::DFence => {
-                fences += 1;
-                fences
-            }
-            _ => 0,
-        })
-        .collect()
+/// The per-kind 1-based ordinals — `[flushes, fences]` — of the events
+/// of `trace` at the ascending indices `elided`: the sites an
+/// [`ElidePlan`] names.
+fn elided_ordinals(trace: &[Event], elided: &[usize]) -> [Vec<u64>; 2] {
+    let (mut counts, mut ordinals) = ([0, 0], [Vec::new(), Vec::new()]);
+    for (i, ev) in trace.iter().enumerate() {
+        let kind = match ev.kind {
+            EventKind::Flush { .. } => 0,
+            EventKind::Fence | EventKind::DFence => 1,
+            _ => continue,
+        };
+        counts[kind] += 1;
+        if elided.binary_search(&i).is_ok() {
+            ordinals[kind].push(counts[kind]);
+        }
+    }
+    ordinals
 }
 
-/// Run one row under the optimizer: trace a probe, rewrite its trace,
-/// re-run with the flagged flush/fence ordinals machine-elided, and
-/// judge the elided run under the full spec lattice.
-fn run_optimized_row(app: &App, cfg: &CampaignConfig) -> OptimizedCrashReport {
-    let _span = pmobs::span!("crash.optimized_row", app.name);
-    // 1. Traced probe: what does the checker flag in this workload?
-    let probe = app.crash(&Arm {
-        trace: true,
-        ..Arm::default()
-    });
+/// The optimizer's view of a row: rewrite its `probe`'s trace, probe
+/// and capture it again with the flagged flush/fence ordinals
+/// machine-elided, and judge the elided run under the full spec
+/// lattice.
+fn optimized_row(app: &App, cfg: &CampaignConfig, probe: &CrashRun) -> OptimizedCrashReport {
     let rw = pmcheck::rewrite_events(&probe.trace);
-    let ords = flush_fence_ordinals(&probe.trace);
-    let flush_ords: Vec<u64> = rw
-        .elided
-        .iter()
-        .filter(|&&i| matches!(probe.trace[i].kind, EventKind::Flush { .. }))
-        .map(|&i| ords[i])
-        .collect();
-    let fence_ords: Vec<u64> = rw
-        .elided
-        .iter()
-        .filter(|&&i| matches!(probe.trace[i].kind, EventKind::Fence | EventKind::DFence))
-        .map(|&i| ords[i])
-        .collect();
-    let plan = ElidePlan::new(flush_ords, fence_ords);
-
-    // 2. Elided probe and capture (the optimized run has fewer fences,
-    // so its own total defines the sweepable crash-point range), judged
-    // exactly like the plain campaign — every recovery oracle must
-    // still pass on the optimized schedule.
+    let [flushes, fences] = elided_ordinals(&probe.trace, &rw.elided);
+    let plan = ElidePlan::new(flushes, fences);
+    // The optimized run has fewer fences, so its own probe defines the
+    // sweepable crash-point range; it is judged exactly like the plain
+    // campaign — every recovery oracle must still pass on the
+    // optimized schedule.
     let elided = Arm {
         elide: Some(&plan),
         ..Arm::default()
     };
-    let (points, run) = capture(app, cfg, &elided);
-    let elide = run.elide.unwrap_or_default();
+    let elided_probe = app.crash(cfg.worker_threads, &elided);
+    let run = capture(app, cfg, &elided_probe, Some(&plan));
     OptimizedCrashReport {
-        report: judge(app.name, points, &run, cfg),
+        report: judge(app.name, &run, cfg),
         baseline_fences: probe.total_events,
         planned_flushes: rw.elided_flushes,
         planned_fences: rw.elided_fences,
         rewrite_rounds: rw.rounds,
-        elide,
+        elide: run.elide.unwrap_or_default(),
     }
-}
-
-/// Re-run the whole campaign over optimizer-elided schedules — the
-/// soundness gate for `whisper-report --optimize`. Reports come back
-/// in Table 1 order.
-pub fn run_optimized_campaign(cfg: &CampaignConfig) -> Vec<OptimizedCrashReport> {
-    fan_out(cfg.parallelism, APPS.len(), |i| {
-        run_optimized_row(&APPS[i], cfg)
-    })
 }
 
 /// Total oracle rejections across the campaign (the `--crash` gate).
@@ -511,9 +536,17 @@ pub fn crash_json(reports: &[AppCrashReport], cfg: &CampaignConfig) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{CRASH_RUNS, WORKERS};
     use pmem::Line;
+    use pmtrace::TraceBuffer;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    /// A row's plain probe and the capture the campaign judges.
+    fn plain_capture(app: &App, cfg: &CampaignConfig) -> CrashRun {
+        let probe = app.crash(cfg.worker_threads, &Arm::default());
+        capture(app, cfg, &probe, None)
+    }
 
     #[test]
     fn spread_points_covers_the_range() {
@@ -543,7 +576,7 @@ mod tests {
             ..Arm::default()
         };
         let hashmap = crate::apps::micro::HASHMAP.crash_run;
-        let (a, b) = (hashmap(24, &arm), hashmap(24, &arm));
+        let (a, b) = (hashmap(24, WORKERS, &arm), hashmap(24, WORKERS, &arm));
         assert_eq!(a.states.len(), 2);
         for (sa, sb) in a.states.iter().zip(&b.states) {
             assert_eq!(sa.digest(), sb.digest());
@@ -560,6 +593,7 @@ mod tests {
         // log, bad structure headers) must be rejected.
         let run = crate::apps::redis::crash_run(
             24,
+            WORKERS,
             &Arm {
                 points: &[9],
                 ..Arm::default()
@@ -583,8 +617,11 @@ mod tests {
             points: 2,
             adversarial_seeds: 2,
             parallelism: 1,
+            worker_threads: WORKERS,
         };
-        let opt = run_optimized_row(&crate::apps::micro::CTREE, &cfg);
+        let ctree = &crate::apps::micro::CTREE;
+        let probe = ctree.crash(cfg.worker_threads, &Arm::default());
+        let opt = optimized_row(ctree, &cfg, &probe);
         assert!(opt.planned_fences > 0, "no fences planned: {opt:?}");
         assert!(opt.elide.elided_total() > 0, "nothing elided: {opt:?}");
         assert!(opt.report.failures.is_empty(), "{:?}", opt.report.failures);
@@ -608,7 +645,6 @@ mod tests {
     /// and run the oracle on each.
     fn judge_every_image(
         name: &'static str,
-        points: Vec<u64>,
         run: &CrashRun,
         cfg: &CampaignConfig,
     ) -> AppCrashReport {
@@ -631,7 +667,7 @@ mod tests {
             name,
             ops: run.ops,
             fence_events: run.total_events,
-            points,
+            points: run.states.iter().map(CrashState::at).collect(),
             images,
             failures,
         }
@@ -670,16 +706,15 @@ mod tests {
         // echo is the one row with lines in flight at its fence-granular
         // points, so its specs do not all share one image.
         let cfg = CampaignConfig::quick();
-        let (points, run) = capture(&crate::apps::echo::APP, &cfg, &Arm::default());
-        let (run, calls) = counted(run);
+        let (run, calls) = counted(plain_capture(&crate::apps::echo::APP, &cfg));
         let distinct: usize = run.states.iter().map(|s| landed_sets(s, &cfg).len()).sum();
-        let report = judge("echo", points.clone(), &run, &cfg);
+        let report = judge("echo", &run, &cfg);
         assert_eq!(calls.load(Ordering::Relaxed), distinct);
         assert!(distinct > run.states.len(), "nothing in flight: {distinct}");
         assert!(distinct < report.images, "no image was shared");
 
         calls.store(0, Ordering::Relaxed);
-        let reference = judge_every_image("echo", points, &run, &cfg);
+        let reference = judge_every_image("echo", &run, &cfg);
         assert_eq!(calls.load(Ordering::Relaxed), reference.images);
         assert_eq!(report, reference);
     }
@@ -690,7 +725,7 @@ mod tests {
         // verdicts must reproduce the per-image failures entry for
         // entry, in order.
         let cfg = CampaignConfig::quick();
-        let (points, mut run) = capture(&crate::apps::echo::APP, &cfg, &Arm::default());
+        let mut run = plain_capture(&crate::apps::echo::APP, &cfg);
         let (line, data) = run
             .states
             .iter()
@@ -703,8 +738,8 @@ mod tests {
                 Ok(())
             }
         });
-        let report = judge("echo", points.clone(), &run, &cfg);
-        let reference = judge_every_image("echo", points, &run, &cfg);
+        let report = judge("echo", &run, &cfg);
+        let reference = judge_every_image("echo", &run, &cfg);
         assert!(!report.failures.is_empty());
         assert!(report.failures.len() < report.images);
         assert_eq!(report, reference);
@@ -739,23 +774,19 @@ mod tests {
         sizes.dedup();
         assert!(sizes.len() < sets.len(), "no two landed sets of one size");
 
-        let report = judge("three-lines", vec![3], &run, &cfg);
+        let report = judge("three-lines", &run, &cfg);
         assert_eq!(calls.load(Ordering::Relaxed), sets.len());
         assert!(!report.failures.is_empty());
         assert!(report.failures.len() < report.images);
-        assert_eq!(
-            report,
-            judge_every_image("three-lines", vec![3], &run, &cfg)
-        );
+        assert_eq!(report, judge_every_image("three-lines", &run, &cfg));
     }
 
     #[test]
     fn every_row_runs_its_oracle_once_per_distinct_image() {
         let cfg = CampaignConfig::quick();
         for app in &APPS {
-            let (points, run) = capture(app, &cfg, &Arm::default());
-            let (run, calls) = counted(run);
-            let report = judge(app.name, points, &run, &cfg);
+            let (run, calls) = counted(plain_capture(app, &cfg));
+            let report = judge(app.name, &run, &cfg);
             assert!(
                 report.failures.is_empty(),
                 "{}: {:?}",
@@ -772,6 +803,89 @@ mod tests {
     }
 
     #[test]
+    fn every_rows_probe_records_its_captures_trace() {
+        // The one invariant the shared campaign rests on: crossval
+        // proves durability, and the optimizer plans elisions, from the
+        // probe's trace, while both read the capture's states. Arming
+        // crash points must not change what the run does.
+        for workers in [1, WORKERS] {
+            let cfg = CampaignConfig {
+                worker_threads: workers,
+                ..CampaignConfig::quick()
+            };
+            for app in &APPS {
+                let probe = app.crash(workers, &Arm::default());
+                assert!(!probe.trace.is_empty(), "{}: nothing traced", app.name);
+                let points = spread_points(probe.total_events, cfg.points);
+                let run = capture(app, &cfg, &probe, None);
+                let captured: Vec<u64> = run.states.iter().map(CrashState::at).collect();
+                assert_eq!(captured, points, "{}", app.name);
+                assert_eq!(run.total_events, probe.total_events, "{}", app.name);
+                assert!(
+                    run.trace == probe.trace,
+                    "{} at {workers} worker(s): capture trace ({} events) != probe trace ({})",
+                    app.name,
+                    run.trace.len(),
+                    probe.trace.len()
+                );
+            }
+        }
+    }
+
+    /// How often each row's crash workload ran during `f`.
+    fn runs_per_row(f: impl FnOnce()) -> Vec<usize> {
+        CRASH_RUNS.take();
+        f();
+        let runs = CRASH_RUNS.take();
+        APPS.iter()
+            .map(|app| runs.iter().filter(|&&name| name == app.name).count())
+            .collect()
+    }
+
+    #[test]
+    fn the_campaign_runs_each_row_once_for_all_its_views() {
+        // One traced probe per row, one capture if crash or crossval
+        // judges it, and the optimizer's elided probe and capture. Run
+        // one by one, the three gates took 2, 2 and 3 runs per row.
+        let cfg = CampaignConfig {
+            points: 1,
+            adversarial_seeds: 0,
+            parallelism: 1,
+            worker_threads: WORKERS,
+        };
+        let pinned: [(&[Gate], usize); 7] = [
+            (&[Crash], 2),
+            (&[Crossval], 2),
+            (&[Optimize], 3),
+            (&[Crash, Crossval], 2),
+            (&[Crash, Optimize], 4),
+            (&[Crossval, Optimize], 4),
+            (&[Crash, Crossval, Optimize], 4),
+        ];
+        let separately = |gate: &Gate| if *gate == Optimize { 3 } else { 2 };
+        for (gates, runs) in pinned {
+            assert!(runs <= gates.iter().map(separately).sum(), "{gates:?}");
+            let got = runs_per_row(|| {
+                campaign(&cfg, |gate| gates.contains(&gate));
+            });
+            assert_eq!(got, [runs; 11], "{gates:?}");
+        }
+        // The one-view entry points are the same campaign.
+        let got = runs_per_row(|| {
+            run_campaign(&cfg);
+        });
+        assert_eq!(got, [2; 11], "run_campaign");
+        let got = runs_per_row(|| {
+            crossval::run_crossval(&cfg);
+        });
+        assert_eq!(got, [2; 11], "run_crossval");
+        let got = runs_per_row(|| {
+            crate::optimize::optimize_results(&[], &cfg, 1);
+        });
+        assert_eq!(got, [3; 11], "optimize_results");
+    }
+
+    #[test]
     fn flush_fence_ordinals_count_per_kind() {
         let mut buf = TraceBuffer::new();
         let t = Tid(0);
@@ -781,6 +895,12 @@ mod tests {
         buf.pm_store(t, 0x1080, 8, false, Category::UserData, 4);
         buf.dfence(t, 5);
         let events = buf.into_events();
-        assert_eq!(flush_fence_ordinals(&events), vec![1, 1, 2, 0, 2]);
+        assert_eq!(
+            elided_ordinals(&events, &[0, 1, 2, 4]),
+            [vec![1, 2], vec![1, 2]]
+        );
+        assert_eq!(elided_ordinals(&events, &[2, 4]), [vec![2], vec![2]]);
+        assert_eq!(elided_ordinals(&events, &[1]), [vec![], vec![1]]);
+        assert_eq!(elided_ordinals(&events, &[]), [vec![], vec![]]);
     }
 }

@@ -7,10 +7,11 @@
 //! states the machine could actually expose. This module pits them
 //! against each other, both ways:
 //!
-//! * **Soundness gate** — for every Table 1 row, re-run the crash
-//!   workload traced, ask [`pmcheck::hb::durable_lines_at_fences`]
-//!   which lines are *spec-invariant durable* at each swept crash
-//!   point, and judge every point under the whole crash-spec lattice.
+//! * **Soundness gate** — for every Table 1 row of the crash campaign
+//!   ([`crate::crashtest`]), ask [`pmcheck::hb::durable_lines_at_fences`]
+//!   which lines the row's traced probe makes *spec-invariant durable*
+//!   at each swept crash point, and judge every point of the row's
+//!   capture under the whole crash-spec lattice.
 //!   No image may disagree with the `DropVolatile` reference on a
 //!   proven line: such an image would exhibit a state the HB analysis
 //!   declares order-impossible, i.e. either the analysis over-claims
@@ -29,14 +30,13 @@
 //! Both run under the campaign's quick shape by default: 11 apps ×
 //! 4 points × 10 specs = 440 images.
 
-use crate::apps::{App, APPS};
-use crate::crashtest::{capture, spec_name, specs, Arm, CampaignConfig};
-use crate::pool::fan_out;
-use memsim::{CrashSpec, Machine, MachineConfig};
+use crate::crashtest::{campaign, spec_name, specs, CampaignConfig, CrashRun};
+use crate::driver::Gate::Crossval;
+use memsim::{CrashCounter, CrashPlan, CrashSpec, CrashState, Machine, MachineConfig};
 use pmcheck::hb::durable_lines_at_fences;
 use pmem::Line;
 use pmobs::Json;
-use pmtrace::{Category, Tid};
+use pmtrace::{Category, Event, Tid};
 
 /// One image that disagreed with the HB proof: which app and point,
 /// which spec materialized it, and the proven-durable lines it flipped.
@@ -97,6 +97,13 @@ pub struct CrossvalReport {
 }
 
 impl CrossvalReport {
+    /// A campaign's crossval view `apps` at `cfg`, plus the positive
+    /// control.
+    pub(crate) fn new(apps: Vec<AppCrossval>, cfg: &CampaignConfig) -> CrossvalReport {
+        let control = positive_control(cfg.adversarial_seeds);
+        CrossvalReport { apps, control }
+    }
+
     /// Images materialized across all rows (excluding the control).
     pub fn total_images(&self) -> usize {
         self.apps.iter().map(|a| a.images).sum()
@@ -212,18 +219,17 @@ impl CrossvalReport {
     }
 }
 
-/// Cross-validate one campaign row: traced capture run, HB durability
-/// proof at the swept points, then every point × spec's landed lines
-/// checked against the proven ones.
-fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrossval {
-    let _span = pmobs::span!("crossval.row", app.name);
-    let traced = Arm {
-        trace: true,
-        ..Arm::default()
-    };
-    let (points, run) = capture(app, cfg, &traced);
-    debug_assert_eq!(run.states.len(), points.len());
-    let proven = durable_lines_at_fences(&run.trace, &points);
+/// Cross-validate one campaign row: the HB durability proof over the
+/// probe's `trace` at the points of the capture `run`, then every
+/// point × spec's landed lines checked against the proven ones.
+pub(crate) fn check_row(
+    name: &'static str,
+    trace: &[Event],
+    run: &CrashRun,
+    cfg: &CampaignConfig,
+) -> AppCrossval {
+    let points: Vec<u64> = run.states.iter().map(CrashState::at).collect();
+    let proven = durable_lines_at_fences(trace, &points);
     let mut images = 0usize;
     let mut violations = Vec::new();
     for (state, proven_here) in run.states.iter().zip(&proven) {
@@ -251,7 +257,7 @@ fn run_row(app: &App, cfg: &CampaignConfig) -> AppCrossval {
     pmobs::count!("crossval.images", images as u64);
     pmobs::count!("crossval.violations", violations.len() as u64);
     AppCrossval {
-        name: app.name,
+        name,
         points,
         images,
         proven_lines: proven.iter().map(Vec::len).collect(),
@@ -269,12 +275,8 @@ pub fn positive_control(seeds: u64) -> ControlReport {
     let mut m = Machine::new(MachineConfig::tiny_for_tests());
     let base = m.config().map.pm.base;
     let line = Line::containing(base);
-    Arm {
-        points: &[1],
-        trace: true,
-        elide: None,
-    }
-    .apply(&mut m);
+    // A fresh machine records its trace from the start.
+    m.set_crash_plan(CrashPlan::at_points(CrashCounter::Fences, vec![1]));
     // T0 writes A; T1 flushes the dirty line, parking snapshot A in its
     // pending set; T0 overwrites with B and persists it. At T0's fence
     // the durable bytes are B while T1's stale snapshot A is still in
@@ -314,17 +316,16 @@ pub fn positive_control(seeds: u64) -> ControlReport {
     }
 }
 
-/// Run the whole cross-validation: all eleven rows (fanned out like
-/// the campaign) plus the positive control.
+/// The crossval view alone: all eleven campaign rows plus the positive
+/// control.
 pub fn run_crossval(cfg: &CampaignConfig) -> CrossvalReport {
-    let apps = fan_out(cfg.parallelism, APPS.len(), |i| run_row(&APPS[i], cfg));
-    let control = positive_control(cfg.adversarial_seeds);
-    CrossvalReport { apps, control }
+    CrossvalReport::new(campaign(cfg, |gate| gate == Crossval).crossval, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crashtest::Arm;
 
     #[test]
     fn positive_control_is_live_ammunition() {
@@ -346,8 +347,12 @@ mod tests {
             points: 3,
             adversarial_seeds: 4,
             parallelism: 1,
+            worker_threads: 4,
         };
-        let row = run_row(&APPS[0], &cfg);
+        let echo = &crate::apps::echo::APP;
+        let probe = echo.crash(cfg.worker_threads, &Arm::default());
+        let run = crate::crashtest::capture(echo, &cfg, &probe, None);
+        let row = check_row(echo.name, &probe.trace, &run, &cfg);
         assert_eq!(row.images, row.points.len() * 6); // 2 corners + 4 seeds
         assert!(
             row.violations.is_empty(),

@@ -14,10 +14,11 @@
 //! `--parallel N` overrides the worker count (`--parallel 1` forces the
 //! serial runner) and never changes a result. `--threads N` (default 4,
 //! range 1..=64) sets how many logical clients the seeded scheduler
-//! interleaves *inside* redis, memcached, and vacation — unlike
-//! `--parallel` it changes the traces (`--threads 1` removes their
-//! cross-thread epoch dependencies), so it is echoed back as
-//! `config.worker_threads` in the JSON report.
+//! interleaves *inside* redis, memcached, and vacation (their serve and
+//! crash workloads included) — unlike `--parallel` it changes the
+//! traces (`--threads 1` removes their cross-thread epoch
+//! dependencies), so it is echoed back as `config.worker_threads` in
+//! the JSON report.
 //!
 //! `--timing` runs the selected applications twice — serially, then in
 //! parallel — and reports each app's wall-clock (both runners) and
@@ -75,6 +76,10 @@
 //!   crash campaign over the elided schedules; **exit 5** on leftover
 //!   elidable findings, new errors, or recovery failures.
 //!
+//! Crash, crossval and optimize are three views of one crash campaign:
+//! whichever of them are selected, it runs once, computing only their
+//! views.
+//!
 //! `--json PATH` writes the versioned machine-readable report
 //! ([`crate::json_report`], schema v8) and turns on `pmobs` metric
 //! recording for the run so its `metrics` block is populated.
@@ -84,7 +89,7 @@
 
 use crate::check;
 use crate::crashtest::{self, CampaignConfig};
-use crate::crossval::run_crossval;
+use crate::crossval::CrossvalReport;
 use crate::hbgraph;
 use crate::optimize;
 use crate::profile::{profile_json, profile_table};
@@ -444,17 +449,15 @@ fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
     };
 
     let mut outcomes = Vec::new();
-    for (gate, step) in RUN_ORDER {
-        let Some((gate, span)) = gate else {
+    for (gates, span, step) in RUN_ORDER {
+        if gates.is_empty() {
             step(o, &results)?;
-            continue;
-        };
-        if o.on(gate) {
+        } else if gates.iter().any(|&gate| o.on(gate)) {
             let _span = pmobs::span!(span);
-            pmobs::info!("{gate:?} gate running...");
+            pmobs::info!("{span} running...");
             let started = Instant::now();
             outcomes.extend(step(o, &results)?);
-            pmobs::info!("{gate:?} gate finished in {:.2?}", started.elapsed());
+            pmobs::info!("{span} finished in {:.2?}", started.elapsed());
         }
     }
 
@@ -564,21 +567,25 @@ fn run_suite(names: &[&str], o: &Opts) -> Result<Vec<AppResult>, String> {
     Ok(results)
 }
 
-/// One step of the post-run sequence: a gate's run, or the trace export.
+/// One step of the post-run sequence: a run serving one or more gates,
+/// or the trace export.
 type Step = fn(&Opts, &[AppResult]) -> Result<Vec<Outcome>, String>;
 
-/// The post-run sequence: the selected gates, each under its wall-clock
-/// span (`span.<name>` in `metrics`), and the trace export (always
-/// visited; a no-op without `--trace`) before the first gate that
-/// re-runs workloads.
-const RUN_ORDER: [(Option<(Gate, &str)>, Step); 7] = [
-    (Some((Serve, "suite.serve")), serve_gate),
-    (None, export_trace),
-    (Some((Check, "suite.check")), check_gate),
-    (Some((Graph, "suite.hbgraph")), graph_gate),
-    (Some((Crash, "suite.crash")), crash_gate),
-    (Some((Crossval, "suite.crossval")), crossval_gate),
-    (Some((Optimize, "suite.optimize")), optimize_gate),
+/// The post-run sequence: each step runs when any of its gates is
+/// selected, under its wall-clock span (`span.<name>` in `metrics`),
+/// and the trace export (no gates: always visited, a no-op without
+/// `--trace`) comes before the first step that re-runs workloads.
+/// Crash, crossval and optimize are views of one crash campaign.
+const RUN_ORDER: [(&[Gate], &str, Step); 5] = [
+    (&[Serve], "suite.serve", serve_gate),
+    (&[], "", export_trace),
+    (&[Check], "suite.check", check_gate),
+    (&[Graph], "suite.hbgraph", graph_gate),
+    (
+        &[Crash, Crossval, Optimize],
+        "suite.campaign",
+        campaign_gates,
+    ),
 ];
 
 /// `--serve`, and `--profile` riding on the same sweep. Reuses the
@@ -657,58 +664,62 @@ fn graph_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
     }])
 }
 
-/// `--crash`: the crash-injection campaign. Any recovery failure fails
-/// the run.
-fn crash_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
+/// `--crash`, `--crossval` and `--optimize`: one crash campaign,
+/// computing only the views of the selected gates.
+///
+/// * crash: any recovery failure fails the run;
+/// * crossval: every crash image against the HB analysis's
+///   proven-durable set, plus the seeded epoch-race positive control —
+///   an order-impossible image, a vacuous proof set, or a dead control
+///   fails the run;
+/// * optimize: rewrite every trace, price the speedup, and judge the
+///   campaign over the elided schedules — any re-check or
+///   crash-soundness violation fails the run.
+fn campaign_gates(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
     let ccfg = CampaignConfig::from_suite(&o.cfg);
-    let reports = crashtest::run_campaign(&ccfg);
-    let failures = crashtest::total_failures(&reports);
-    Ok(vec![Outcome {
-        gate: Crash,
-        json: crashtest::crash_json(&reports, &ccfg),
-        table: crashtest::summary_table(&reports, &ccfg),
-        failure: (failures > 0).then(|| format!("crash campaign: {failures} recovery failure(s)")),
-    }])
-}
-
-/// `--crossval`: every materialized crash image against the HB
-/// analysis's proven-durable set, plus the seeded epoch-race positive
-/// control. An order-impossible image, a vacuous proof set, or a dead
-/// control fails the run.
-fn crossval_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
-    let report = run_crossval(&CampaignConfig::from_suite(&o.cfg));
-    let failure = format!(
-        "crossval gate: {} order-impossible image state(s), {} proven line(s), control {}",
-        report.total_violations(),
-        report.total_proven(),
-        if report.control.passed() {
-            "ok"
-        } else {
-            "dead"
-        }
-    );
-    Ok(vec![Outcome {
-        gate: Crossval,
-        json: report.to_json(),
-        table: report.summary_table(),
-        failure: (!report.passed()).then_some(failure),
-    }])
-}
-
-/// `--optimize`: rewrite every trace, price the speedup, and re-run the
-/// crash campaign over the elided schedules. Any re-check or
-/// crash-soundness violation fails the run.
-fn optimize_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
-    let ccfg = CampaignConfig::from_suite(&o.cfg);
-    let report = optimize::optimize_results(results, &ccfg, o.cfg.parallelism);
-    let violations = report.gate_violations();
-    Ok(vec![Outcome {
-        gate: Optimize,
-        json: optimize::optimize_json(&report),
-        table: optimize::summary_table(&report),
-        failure: (!violations.is_empty())
-            .then(|| format!("optimize gate: {}", violations.join("; "))),
-    }])
+    let campaign = crashtest::campaign(&ccfg, |gate| o.on(gate));
+    let mut outcomes = Vec::new();
+    if o.on(Crash) {
+        let failures = crashtest::total_failures(&campaign.crash);
+        outcomes.push(Outcome {
+            gate: Crash,
+            json: crashtest::crash_json(&campaign.crash, &ccfg),
+            table: crashtest::summary_table(&campaign.crash, &ccfg),
+            failure: (failures > 0)
+                .then(|| format!("crash campaign: {failures} recovery failure(s)")),
+        });
+    }
+    if o.on(Crossval) {
+        let report = CrossvalReport::new(campaign.crossval, &ccfg);
+        let failure = format!(
+            "crossval gate: {} order-impossible image state(s), {} proven line(s), control {}",
+            report.total_violations(),
+            report.total_proven(),
+            if report.control.passed() {
+                "ok"
+            } else {
+                "dead"
+            }
+        );
+        outcomes.push(Outcome {
+            gate: Crossval,
+            json: report.to_json(),
+            table: report.summary_table(),
+            failure: (!report.passed()).then_some(failure),
+        });
+    }
+    if o.on(Optimize) {
+        let report = optimize::report(results, campaign.optimized, o.cfg.parallelism);
+        let violations = report.gate_violations();
+        outcomes.push(Outcome {
+            gate: Optimize,
+            json: optimize::optimize_json(&report),
+            table: optimize::summary_table(&report),
+            failure: (!violations.is_empty())
+                .then(|| format!("optimize gate: {}", violations.join("; "))),
+        });
+    }
+    Ok(outcomes)
 }
 
 /// `--timing`: the suite timing harness. Runs the selected apps

@@ -12,14 +12,16 @@
 //!
 //! * **Re-check** — the optimized trace must carry zero remaining
 //!   elidable findings and no new errors ([`AppOptimize::is_clean`]).
-//! * **Crash campaign** — every Table 1 workload is re-executed with
-//!   the flagged instructions machine-elided
-//!   ([`crate::crashtest::run_optimized_campaign`]) and every recovery
-//!   oracle must still pass on every crash image. An optimization that
-//!   only survives replay is a guess; one that survives the full
-//!   point × spec crash lattice has been tested where it matters.
+//! * **Crash campaign** — the crash campaign's optimize view
+//!   ([`crate::crashtest`]) rewrites each row's traced probe, probes and
+//!   captures the row again with the flagged instructions
+//!   machine-elided, and every recovery oracle must still pass on every
+//!   crash image. An optimization that only survives replay is a guess;
+//!   one that survives the full point × spec crash lattice has been
+//!   tested where it matters.
 
-use crate::crashtest::{run_optimized_campaign, CampaignConfig, OptimizedCrashReport};
+use crate::crashtest::{campaign, CampaignConfig, OptimizedCrashReport};
+use crate::driver::Gate::Optimize;
 use crate::pool::fan_out;
 use crate::suite::AppResult;
 use hops::{replay, HopsConfig, PersistModel, TimingConfig};
@@ -217,17 +219,27 @@ fn optimize_app(result: &AppResult) -> AppOptimize {
 
 /// Rewrite, re-check, and price every suite trace (fanned out across
 /// `parallelism` workers — each app is independent, so results are
-/// identical to the serial order), then re-run the crash campaign over
-/// the elided schedules.
-pub fn optimize_results(
+/// identical to the serial order), next to the campaign's optimize
+/// view `crash`.
+pub(crate) fn report(
     results: &[AppResult],
-    campaign: &CampaignConfig,
+    crash: Vec<OptimizedCrashReport>,
     parallelism: usize,
 ) -> OptimizeReport {
     let _span = pmobs::span!("optimize.suite");
     let apps = fan_out(parallelism, results.len(), |i| optimize_app(&results[i]));
-    let crash = run_optimized_campaign(campaign);
     OptimizeReport { apps, crash }
+}
+
+/// The optimize view alone: every suite trace rewritten and priced,
+/// and the crash campaign re-run over the elided schedules.
+pub fn optimize_results(
+    results: &[AppResult],
+    cfg: &CampaignConfig,
+    parallelism: usize,
+) -> OptimizeReport {
+    let crash = campaign(cfg, |gate| gate == Optimize).optimized;
+    report(results, crash, parallelism)
 }
 
 /// The `optimize` section of the schema-v6 JSON report.

@@ -3,6 +3,7 @@
 //! campaign itself must be deterministic whatever its parallelism.
 
 use whisper::crashtest::{crash_json, run_campaign, summary_table, total_failures, CampaignConfig};
+use whisper::suite::SuiteConfig;
 
 /// The acceptance gate: the quick campaign — every app, ≥3 points,
 /// drop-volatile + persist-all + ≥8 adversarial seeds — is failure-free.
@@ -42,6 +43,7 @@ fn campaign_is_parallelism_invariant() {
         points: 2,
         adversarial_seeds: 2,
         parallelism: 1,
+        worker_threads: 4,
     };
     let fanned = CampaignConfig {
         parallelism: 4,
@@ -64,6 +66,7 @@ fn summary_table_is_pinned() {
         points: 2,
         adversarial_seeds: 2,
         parallelism: 4,
+        worker_threads: 4,
     };
     let reports = run_campaign(&cfg);
     let table = summary_table(&reports, &cfg);
@@ -97,4 +100,35 @@ fn summary_table_is_pinned() {
         "unexpected total line: {}",
         lines[13]
     );
+}
+
+/// `--threads` reaches the crash workloads: at one logical client every
+/// row still recovers, the three scheduler-interleaved rows run a
+/// different schedule, and the other eight rows are untouched.
+#[test]
+fn the_campaign_runs_at_the_suites_worker_count() {
+    let suite = SuiteConfig {
+        worker_threads: 1,
+        ..SuiteConfig::default()
+    };
+    let one = CampaignConfig::from_suite(&suite);
+    assert_eq!(one.worker_threads, 1);
+    let four = CampaignConfig {
+        worker_threads: 4,
+        ..one
+    };
+    let (a, b) = (run_campaign(&one), run_campaign(&four));
+    assert_eq!(
+        total_failures(&a),
+        0,
+        "campaign failures at one worker:\n{}",
+        summary_table(&a, &one)
+    );
+    for (x, y) in a.iter().zip(&b) {
+        if ["redis", "memcached", "vacation"].contains(&x.name) {
+            assert_ne!(x.fence_events, y.fence_events, "{}", x.name);
+        } else {
+            assert_eq!(x, y);
+        }
+    }
 }

@@ -6,7 +6,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
+use whisper::crashtest::{crash_json, run_campaign, CampaignConfig};
+use whisper::crossval::run_crossval;
 use whisper::driver::{self, exit_code, Gate};
+use whisper::optimize::{optimize_json, optimize_results};
 use whisper::report;
 use whisper::serve::{run_serve_profiled, ServeConfig};
 use whisper::suite::{analyze, run_apps, AppResult, SuiteConfig, APP_NAMES};
@@ -254,6 +257,39 @@ fn an_archived_trace_goes_through_the_same_tail() {
     let (code, checked) = run(&format!("--from-trace {file} fig3 --check --quiet"));
     assert_eq!(code, 0);
     assert!(checked.starts_with(&fig3) && checked.contains("\n\nPersistency check"));
+}
+
+/// The driver runs one campaign for crash, crossval and optimize; each
+/// document must be what the one-view entry point returns. At one
+/// worker thread, so the campaign also follows `--threads`.
+#[test]
+fn the_shared_campaign_writes_what_each_view_returns() {
+    let _turn = turn();
+    let dir = scratch("campaign");
+    let d = dir.display();
+    let (code, _) = run(&format!(
+        "table1 --crash-json {d}/crash.json --crossval-json {d}/crossval.json \
+         --optimize-json {d}/optimize.json --quiet --scale 0.01 --seed 42 --parallel 1 --threads 1"
+    ));
+    assert_eq!(code, 0);
+    let cfg = SuiteConfig {
+        scale: 0.01,
+        seed: 42,
+        parallelism: 1,
+        worker_threads: 1,
+    };
+    let ccfg = CampaignConfig::from_suite(&cfg);
+    let results = run_apps(&APP_NAMES, &cfg);
+    for (file, doc) in [
+        ("crash.json", crash_json(&run_campaign(&ccfg), &ccfg)),
+        ("crossval.json", run_crossval(&ccfg).to_json()),
+        (
+            "optimize.json",
+            optimize_json(&optimize_results(&results, &ccfg, cfg.parallelism)),
+        ),
+    ] {
+        assert!(read(&dir.join(file)) == doc.to_pretty(), "{file}");
+    }
 }
 
 #[test]
