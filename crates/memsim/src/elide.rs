@@ -22,14 +22,22 @@
 //! machine; the veto counters in [`ElideStats`] make that visible
 //! instead of risking durability.
 
-use pmem::FxHashSet;
-
 /// Which persistence instructions to skip, as 1-based ordinals counted
 /// per kind from the moment the plan is armed.
 #[derive(Debug, Clone, Default)]
 pub struct ElidePlan {
-    flushes: FxHashSet<u64>,
-    fences: FxHashSet<u64>,
+    /// Sorted, deduplicated flush ordinals.
+    flushes: Vec<u64>,
+    /// Sorted, deduplicated fence ordinals.
+    fences: Vec<u64>,
+}
+
+/// `ordinals` sorted and deduplicated, for `binary_search`.
+fn sorted(ordinals: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let mut v: Vec<u64> = ordinals.into_iter().collect();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
 impl ElidePlan {
@@ -42,8 +50,8 @@ impl ElidePlan {
         fences: impl IntoIterator<Item = u64>,
     ) -> ElidePlan {
         ElidePlan {
-            flushes: flushes.into_iter().collect(),
-            fences: fences.into_iter().collect(),
+            flushes: sorted(flushes),
+            fences: sorted(fences),
         }
     }
 
@@ -52,22 +60,12 @@ impl ElidePlan {
         self.flushes.is_empty() && self.fences.is_empty()
     }
 
-    /// Planned flush-site count.
-    pub fn flush_count(&self) -> usize {
-        self.flushes.len()
-    }
-
-    /// Planned fence-site count.
-    pub fn fence_count(&self) -> usize {
-        self.fences.len()
-    }
-
     pub(crate) fn wants_flush(&self, ordinal: u64) -> bool {
-        self.flushes.contains(&ordinal)
+        self.flushes.binary_search(&ordinal).is_ok()
     }
 
     pub(crate) fn wants_fence(&self, ordinal: u64) -> bool {
-        self.fences.contains(&ordinal)
+        self.fences.binary_search(&ordinal).is_ok()
     }
 }
 

@@ -52,7 +52,7 @@ pub struct Machine {
     dram: DramDevice,
     /// Always-current PM contents (what loads observe). Volatile — a
     /// crash keeps only `pm_durable` — so it is the plain byte store,
-    /// without the media's endurance counters and images.
+    /// without the media's images.
     pm_functional: DramDevice,
     /// Crash-surviving PM contents (what recovery observes).
     pm_durable: PmDevice,
@@ -119,7 +119,7 @@ impl Machine {
         assert!(cfg.threads > 0, "machine needs at least one thread");
         assert!(
             cfg.threads <= 64,
-            "dirty-line index is a u64 thread bitmask; {} threads exceed 64",
+            "the dirty and WCB line indexes are u64 thread bitmasks; {} threads exceed 64",
             cfg.threads
         );
         let (pm_functional, pm_durable) = match image {
@@ -137,7 +137,7 @@ impl Machine {
             dirty: vec![LruSet::new(cfg.l1_dirty_lines, cfg.map.pm); n],
             read_cache: vec![LruSet::new(cfg.l2_lines, cfg.map.pm); n],
             pending: vec![Vec::new(); n],
-            wcb: WriteCombine::new(n),
+            wcb: WriteCombine::new(n, cfg.map.pm),
             dirty_index: LineMap::new(cfg.map.pm),
             fence_scratch: Vec::new(),
             clock_ns: 0,
@@ -183,7 +183,7 @@ impl Machine {
             dirty: self.dirty.iter_mut().map(LruSet::fork).collect(),
             read_cache: self.read_cache.iter_mut().map(LruSet::fork).collect(),
             pending: self.pending.clone(),
-            wcb: self.wcb.clone(),
+            wcb: self.wcb.fork(),
             dirty_index: self.dirty_index.fork(),
             fence_scratch: Vec::new(),
             clock_ns: self.clock_ns,
@@ -237,12 +237,6 @@ impl Machine {
     /// Mutable access to the trace buffer (e.g. to disable recording).
     pub fn trace_mut(&mut self) -> &mut TraceBuffer {
         &mut self.trace
-    }
-
-    /// Media-level line writes to the PM device so far (includes
-    /// evictions, flush drains, and WCB drains).
-    pub fn media_line_writes(&self) -> u64 {
-        self.pm_durable.total_line_writes()
     }
 
     /// Validate `tid` against this machine's thread count — the single
@@ -493,11 +487,6 @@ impl Machine {
 
     /// Store a little-endian `u64` (cacheable).
     pub fn store_u64(&mut self, tid: Tid, addr: Addr, val: u64, cat: Category) {
-        self.store(tid, addr, &val.to_le_bytes(), cat);
-    }
-
-    /// Store a little-endian `u32` (cacheable).
-    pub fn store_u32(&mut self, tid: Tid, addr: Addr, val: u32, cat: Category) {
         self.store(tid, addr, &val.to_le_bytes(), cat);
     }
 
@@ -777,7 +766,7 @@ impl Machine {
     }
 
     /// `(directory slots, pages)` held by every line-indexed table of
-    /// the machine — devices, cache sets, dirty index. What building
+    /// the machine — devices, cache sets, dirty index, WCB index. What building
     /// and dropping a machine costs is proportional to this, not to the
     /// size of the address map.
     #[cfg(test)]
@@ -788,6 +777,7 @@ impl Machine {
             self.pm_functional.resident(),
             self.pm_durable.resident(),
             self.dirty_index.resident(),
+            self.wcb.resident(),
         ]
         .into_iter()
         .chain(sets.map(LruSet::resident))
@@ -841,10 +831,10 @@ mod tests {
         // threads.
         mc.store_u64(t, pa + 2 * 65_536, 7, Category::UserData);
         assert_eq!(mc.resident(), (12, 4));
-        // Persisting it adds the media's data and endurance pages.
+        // Persisting it adds the media's data page.
         mc.clwb(t, pa + 2 * 65_536);
         mc.sfence(t);
-        assert_eq!(mc.resident(), (18, 6));
+        assert_eq!(mc.resident(), (15, 5));
     }
 
     #[test]
@@ -907,6 +897,55 @@ mod tests {
         }
         assert!(mc.is_durable(pa, 8), "oldest WCB entry drained");
         assert!(!mc.is_durable(pa + 128, 8), "newest still buffered");
+    }
+
+    #[test]
+    fn thread_63_is_found_superseded_and_drained() {
+        // Bit 63 of both thread bitmasks (dirty lines, WCB entries).
+        let mut mc = Machine::new(MachineConfig {
+            threads: 64,
+            ..MachineConfig::tiny_for_tests()
+        });
+        let (t0, t63) = (Tid(0), Tid(63));
+        let pa = pm_base(&mc);
+        // Thread 63's dirty line: thread 0's clwb finds it.
+        mc.store(t63, pa, &[1; 8], Category::UserData);
+        mc.clwb(t0, pa);
+        mc.sfence(t0);
+        assert!(mc.is_durable(pa, 8), "clwb found t63's dirty line");
+        // Thread 63's NT entry: thread 0's cacheable store supersedes
+        // it, so t63's fence drains nothing.
+        mc.store_nt(t63, pa + 64, &[2; 8], Category::RedoLog);
+        mc.store(t0, pa + 64, &[3; 8], Category::UserData);
+        let writes = mc.stats().pm_writes;
+        mc.sfence(t63);
+        assert_eq!(mc.stats().pm_writes, writes, "superseded entry dropped");
+        assert!(!mc.is_durable(pa + 64, 8));
+        // A live NT entry of thread 63 drains at its fence.
+        mc.store_nt(t63, pa + 128, &[4; 8], Category::RedoLog);
+        mc.sfence(t63);
+        assert_eq!(mc.stats().pm_writes, writes + 1);
+        assert!(mc.is_durable(pa + 128, 8));
+    }
+
+    #[test]
+    fn a_fork_supersedes_only_its_own_nt_entry() {
+        let mut parent = m();
+        let pa = pm_base(&parent);
+        parent.store_nt(Tid(0), pa, &[1; 8], Category::RedoLog);
+        let mut fork = parent.fork();
+        fork.store(Tid(1), pa, &[2; 8], Category::UserData);
+        // The parent's entry is still live: a second NT store to the
+        // line write-combines into it (a fresh entry would be a second
+        // media write at the fence).
+        parent.store_nt(Tid(0), pa + 8, &[3; 8], Category::RedoLog);
+        let (pw, fw) = (parent.stats().pm_writes, fork.stats().pm_writes);
+        parent.sfence(Tid(0));
+        fork.sfence(Tid(0));
+        assert_eq!(parent.stats().pm_writes, pw + 1, "one combined entry");
+        assert!(parent.is_durable(pa, 16), "the parent drained its entry");
+        assert_eq!(fork.stats().pm_writes, fw, "the fork's was superseded");
+        assert!(!fork.is_durable(pa, 8));
     }
 
     #[test]

@@ -1,111 +1,45 @@
-//! Write-combining buffers with an O(1) line-occupancy index.
+//! Write-combining buffers, one queue of live entries per thread.
 //!
-//! The machine used to model each thread's WCB as a bare
-//! `VecDeque<PendingLine>`, which made the *supersede* rule — a
-//! cacheable store takes over durability of a line from any pending
-//! non-temporal entry — an O(threads × entries) `retain` scan on every
-//! PM store line. This module keeps the queues, but adds a global
-//! `line → holders` index so supersede is one hash removal.
-//!
-//! The core invariant: **an entry `e` in `queues[t]` is live iff
-//! `index[e.line]` records `(t, e.seq)`**, and `live[t]` counts exactly
-//! the live entries of `queues[t]`. Superseding therefore never touches
-//! a queue — it just drops the index entry, leaving a dead ("tombstone")
-//! element to be skipped on drain and reclaimed by compaction. All
-//! timing-visible decisions (the overflow check, the drain set and its
-//! order) are functions of the live entries only, so the model behaves
-//! bit-identically to the old all-live queues.
+//! Each thread's queue holds its non-temporal-store snapshots in
+//! arrival order, at most one per line; the machine's overflow rule
+//! keeps it at `wcb_entries` entries. Beside the queues, one
+//! [`LineMap<u64>`] thread bitmask answers "which threads hold an entry
+//! for this line?" — the idiom `Machine::dirty_index` uses for dirty
+//! lines. The invariant: **bit `t` of `holders[line]` is set iff
+//! `queues[t]` holds an entry for `line`.** So the *supersede* rule (a
+//! cacheable store takes over durability of a line from every pending
+//! non-temporal entry) is one table read, plus removing one entry from
+//! each holding thread's short queue on a hit.
 
 use crate::machine::PendingLine;
-use pmem::{FxHashMap, Line};
+use pmem::{AddrRange, Line, LineMap};
 use std::collections::VecDeque;
 
-/// The threads holding a live entry for one line, with each entry's
-/// snapshot sequence number. One holder is overwhelmingly the common
-/// case (distinct threads rarely NT-store the same line unfenced).
-#[derive(Debug, Clone)]
-enum Holders {
-    One(u32, u64),
-    Many(Vec<(u32, u64)>),
-}
-
-fn holders_contain(index: &FxHashMap<Line, Holders>, line: Line, t: usize, seq: u64) -> bool {
-    match index.get(&line) {
-        Some(Holders::One(ht, s)) => *ht as usize == t && *s == seq,
-        Some(Holders::Many(v)) => v.iter().any(|(ht, s)| *ht as usize == t && *s == seq),
-        None => false,
-    }
-}
-
-/// All threads' write-combining buffers plus the occupancy index.
-#[derive(Debug, Clone)]
+/// All threads' write-combining buffers plus their line index.
+#[derive(Debug)]
 pub(crate) struct WriteCombine {
-    /// Per-thread entries in arrival order; may contain dead entries.
+    /// Per-thread live entries in arrival order.
     queues: Vec<VecDeque<PendingLine>>,
-    /// Live-entry count per thread — the overflow check's input.
-    live: Vec<usize>,
-    /// line → live holders (see the module invariant).
-    index: FxHashMap<Line, Holders>,
+    /// line -> bitmask of threads with an entry for it (0 = none).
+    holders: LineMap<u64>,
 }
 
 impl WriteCombine {
-    pub(crate) fn new(threads: usize) -> WriteCombine {
+    /// Empty buffers for `threads` threads (at most 64, one mask bit
+    /// each) over the lines of `range`.
+    pub(crate) fn new(threads: usize, range: AddrRange) -> WriteCombine {
         WriteCombine {
-            queues: (0..threads).map(|_| VecDeque::new()).collect(),
-            live: vec![0; threads],
-            index: FxHashMap::default(),
+            queues: vec![VecDeque::new(); threads],
+            holders: LineMap::new(range),
         }
     }
 
-    /// Sequence number of thread `t`'s live entry for `line`, if any.
-    fn holder_seq(&self, line: Line, t: usize) -> Option<u64> {
-        match self.index.get(&line)? {
-            Holders::One(ht, s) if *ht as usize == t => Some(*s),
-            Holders::One(..) => None,
-            Holders::Many(v) => v.iter().find(|(ht, _)| *ht as usize == t).map(|&(_, s)| s),
-        }
-    }
-
-    /// Record that thread `t`'s live entry for `line` now has `seq`.
-    fn set_holder(&mut self, line: Line, t: usize, seq: u64) {
-        match self.index.get_mut(&line) {
-            None => {
-                self.index.insert(line, Holders::One(t as u32, seq));
-            }
-            Some(Holders::One(ht, s)) if *ht as usize == t => *s = seq,
-            Some(h) => {
-                let mut v = match h {
-                    Holders::One(ot, os) => vec![(*ot, *os)],
-                    Holders::Many(v) => std::mem::take(v),
-                };
-                match v.iter_mut().find(|(ht, _)| *ht as usize == t) {
-                    Some((_, s)) => *s = seq,
-                    None => v.push((t as u32, seq)),
-                }
-                *h = Holders::Many(v);
-            }
-        }
-    }
-
-    fn remove_holder(&mut self, line: Line, t: usize) {
-        match self.index.get_mut(&line) {
-            Some(Holders::One(ht, _)) if *ht as usize == t => {
-                self.index.remove(&line);
-            }
-            Some(Holders::Many(v)) => {
-                v.retain(|(ht, _)| *ht as usize != t);
-                match v.len() {
-                    0 => {
-                        self.index.remove(&line);
-                    }
-                    1 => {
-                        let (ht, s) = v[0];
-                        self.index.insert(line, Holders::One(ht, s));
-                    }
-                    _ => {}
-                }
-            }
-            _ => {}
+    /// A copy of the buffers whose line index shares its pages with
+    /// this one copy-on-write (see [`LineMap::fork`]).
+    pub(crate) fn fork(&mut self) -> WriteCombine {
+        WriteCombine {
+            queues: self.queues.clone(),
+            holders: self.holders.fork(),
         }
     }
 
@@ -117,102 +51,73 @@ impl WriteCombine {
         // points that ran `validate_tid` — sized, like everything
         // per-thread, from `MachineConfig::threads`.
         debug_assert!(t < self.queues.len(), "unvalidated thread slot {t}");
-        if let Some(old_seq) = self.holder_seq(line, t) {
+        if self.holders.get(line) & (1 << t) != 0 {
             let e = self.queues[t]
                 .iter_mut()
-                .find(|e| e.seq == old_seq && e.line == line)
-                .expect("index names a queued entry");
+                .find(|e| e.line == line)
+                .expect("a holder bit names a queued entry");
             e.data = data;
             e.seq = seq;
-            self.set_holder(line, t, seq);
             false
         } else {
             self.queues[t].push_back(PendingLine { line, data, seq });
-            self.live[t] += 1;
-            self.set_holder(line, t, seq);
+            *self.holders.slot(line) |= 1 << t;
             true
         }
     }
 
     /// Live entries buffered for thread `t`.
     pub(crate) fn live_len(&self, t: usize) -> usize {
-        self.live[t]
+        self.queues[t].len()
     }
 
-    /// Pop thread `t`'s oldest live entry (the overflow drain). Dead
-    /// entries passed over on the way are discarded for free.
+    /// Pop thread `t`'s oldest entry (the overflow drain).
     pub(crate) fn pop_oldest_live(&mut self, t: usize) -> PendingLine {
-        loop {
-            let e = self.queues[t]
-                .pop_front()
-                .expect("positive live count implies a queued live entry");
-            if self.holder_seq(e.line, t) == Some(e.seq) {
-                self.remove_holder(e.line, t);
-                self.live[t] -= 1;
-                return e;
-            }
-        }
+        let e = self.queues[t]
+            .pop_front()
+            .expect("overflow drains a nonempty buffer");
+        *self.holders.slot(e.line) &= !(1 << t);
+        e
     }
 
-    /// Kill every live entry for `line`, in any thread: a cacheable
-    /// store to the line now owns its durability. O(holders), which is
-    /// O(1) in every practical run.
+    /// Drop every entry for `line`, in any thread: a cacheable store to
+    /// the line now owns its durability.
     pub(crate) fn supersede(&mut self, line: Line) {
-        // Every cacheable store line asks; most runs of stores find no
-        // non-temporal entry anywhere, and skip the hash.
-        if self.index.is_empty() {
+        let mut mask = self.holders.get(line);
+        if mask == 0 {
             return;
         }
-        let Some(h) = self.index.remove(&line) else {
-            return;
-        };
-        match h {
-            Holders::One(t, _) => self.superseded_in(t as usize),
-            Holders::Many(v) => {
-                for (t, _) in v {
-                    self.superseded_in(t as usize);
-                }
-            }
+        *self.holders.slot(line) = 0;
+        while mask != 0 {
+            let q = &mut self.queues[mask.trailing_zeros() as usize];
+            let i = q
+                .iter()
+                .position(|e| e.line == line)
+                .expect("a holder bit names a queued entry");
+            q.remove(i);
+            mask &= mask - 1;
         }
     }
 
-    fn superseded_in(&mut self, t: usize) {
-        self.live[t] -= 1;
-        // Dead entries accumulate only through supersede; compact when
-        // they dominate so queue scans stay O(live).
-        if self.queues[t].len() > 2 * self.live[t] + 8 {
-            let index = &self.index;
-            self.queues[t].retain(|e| holders_contain(index, e.line, t, e.seq));
-        }
-    }
-
-    /// Move all of thread `t`'s live entries into `out` in queue
-    /// (arrival) order, emptying its buffer — the fence path.
+    /// Move all of thread `t`'s entries into `out` in queue (arrival)
+    /// order, emptying its buffer — the fence path.
     pub(crate) fn drain_thread(&mut self, t: usize, out: &mut Vec<PendingLine>) {
-        let mut q = std::mem::take(&mut self.queues[t]);
-        for e in q.drain(..) {
-            if holders_contain(&self.index, e.line, t, e.seq) {
-                self.remove_holder(e.line, t);
-                out.push(e);
-            }
+        for e in self.queues[t].drain(..) {
+            *self.holders.slot(e.line) &= !(1 << t);
+            out.push(e);
         }
-        self.live[t] = 0;
-        self.queues[t] = q; // hand the allocation back
     }
 
-    /// Clone every buffer's live entries in queue order without
-    /// disturbing them — what a crash capture records.
+    /// Clone every buffer's entries in queue order without disturbing
+    /// them — what a crash capture records.
     pub(crate) fn live_entries(&self) -> Vec<Vec<PendingLine>> {
-        self.queues
-            .iter()
-            .enumerate()
-            .map(|(t, q)| {
-                q.iter()
-                    .filter(|e| holders_contain(&self.index, e.line, t, e.seq))
-                    .cloned()
-                    .collect()
-            })
-            .collect()
+        self.queues.iter().cloned().map(Vec::from).collect()
+    }
+
+    /// `(directory slots, pages)` held by the line index.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> (usize, usize) {
+        self.holders.resident()
     }
 }
 
@@ -220,13 +125,18 @@ impl WriteCombine {
 mod tests {
     use super::*;
 
+    /// Buffers for `threads` threads over the first 1024 lines.
+    fn wcb(threads: usize) -> WriteCombine {
+        WriteCombine::new(threads, AddrRange::new(0, 1 << 16))
+    }
+
     fn pl(line: u64, byte: u8, seq: u64) -> (Line, [u8; 64], u64) {
         (Line(line), [byte; 64], seq)
     }
 
     #[test]
     fn upsert_combines_in_place() {
-        let mut w = WriteCombine::new(2);
+        let mut w = wcb(2);
         let (l, d, s) = pl(5, 1, 1);
         assert!(w.upsert(0, l, d, s));
         let (_, d2, s2) = pl(5, 2, 2);
@@ -239,7 +149,7 @@ mod tests {
 
     #[test]
     fn supersede_hides_entry_from_every_path() {
-        let mut w = WriteCombine::new(1);
+        let mut w = wcb(1);
         for (i, byte) in [(1u64, 1u8), (2, 2), (3, 3)] {
             let (l, d, s) = pl(i, byte, i);
             w.upsert(0, l, d, s);
@@ -255,7 +165,7 @@ mod tests {
 
     #[test]
     fn same_line_in_two_threads_both_tracked() {
-        let mut w = WriteCombine::new(2);
+        let mut w = wcb(2);
         let (l, d, _) = pl(9, 1, 1);
         w.upsert(0, l, d, 1);
         w.upsert(1, l, d, 2);
@@ -268,7 +178,7 @@ mod tests {
 
     #[test]
     fn drain_preserves_arrival_order() {
-        let mut w = WriteCombine::new(1);
+        let mut w = wcb(1);
         for i in 1..=4u64 {
             let (l, d, s) = pl(10 - i, i as u8, i);
             w.upsert(0, l, d, s);
@@ -284,13 +194,13 @@ mod tests {
 
     /// Random interleavings against a naive all-live model.
     ///
-    /// The model is the representation this module replaced: one
+    /// The model is the plainest form of the same rules: one
     /// `Vec<PendingLine>` per thread holding only live entries, where
-    /// supersede is a linear `retain`. After every operation the live
-    /// counts must agree, pops and drains must return the model's
-    /// entries in the model's order, and the final `live_entries`
-    /// must match queue-for-queue — i.e. tombstones plus compaction
-    /// are invisible.
+    /// supersede is a linear `retain` over every thread. After every
+    /// operation the live counts must agree, pops and drains must
+    /// return the model's entries in the model's order, and the final
+    /// `live_entries` must match queue-for-queue — i.e. the holder
+    /// bitmask is invisible.
     mod model {
         use super::*;
         use miniprop::prelude::*;
@@ -352,7 +262,7 @@ mod tests {
 
             #[test]
             fn matches_naive_all_live_model(script in ops()) {
-                let mut real = WriteCombine::new(THREADS);
+                let mut real = wcb(THREADS);
                 let mut model: Vec<Vec<PendingLine>> =
                     (0..THREADS).map(|_| Vec::new()).collect();
                 let mut seq = 0u64;
@@ -411,8 +321,8 @@ mod tests {
     }
 
     #[test]
-    fn compaction_keeps_only_live() {
-        let mut w = WriteCombine::new(1);
+    fn queues_hold_only_live_entries() {
+        let mut w = wcb(1);
         for i in 0..64u64 {
             let (l, d, s) = pl(i, i as u8, i + 1);
             w.upsert(0, l, d, s);
@@ -421,10 +331,7 @@ mod tests {
             w.supersede(Line(i));
         }
         assert_eq!(w.live_len(0), 4);
-        assert!(
-            w.queues[0].len() <= 2 * 4 + 8,
-            "compaction bounded the queue"
-        );
+        assert_eq!(w.queues[0].len(), 4, "superseded entries are gone");
         let mut out = Vec::new();
         w.drain_thread(0, &mut out);
         assert_eq!(out.len(), 4);

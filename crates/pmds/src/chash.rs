@@ -640,11 +640,6 @@ impl CHash {
     pub fn resizing(&self, m: &mut Machine, tid: Tid) -> bool {
         m.load_u64(tid, self.head + H_NEW_DIR) != 0
     }
-
-    /// The volatile live-key estimate.
-    pub fn estimated_len(&self) -> u64 {
-        self.count
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use crate::image::PmImage;
 use crate::line::{lines_spanning, Line, LINE_SIZE};
-use crate::linemap::{Directory, LineMap, PAGE_LINES};
+use crate::linemap::{Directory, PAGE_LINES};
 use crate::range::AddrRange;
 use crate::Addr;
 
@@ -106,10 +106,8 @@ impl LineStore {
         }
     }
 
-    /// Write `bytes` at `addr`, invoking `on_line` once per line touched
-    /// (the hook replaces the `Vec<Line>` the old backing returned, so
-    /// endurance counting costs no allocation).
-    fn write(&mut self, addr: Addr, bytes: &[u8], mut on_line: impl FnMut(Line)) {
+    /// Write `bytes` at `addr`.
+    fn write(&mut self, addr: Addr, bytes: &[u8]) {
         let mut src = 0;
         for (line, start, len) in lines_spanning(addr, bytes.len()) {
             let off = line.offset_of(start);
@@ -121,7 +119,6 @@ impl LineStore {
                 self.live_lines += 1;
             }
             src += len;
-            on_line(line);
         }
     }
 
@@ -179,9 +176,9 @@ impl LineStore {
 ///
 /// Bytes written here are *durable*: they survive a crash, modeled by
 /// snapshotting with [`PmDevice::image`] and rebuilding with
-/// [`PmDevice::from_image`]. The device also counts writes per line,
-/// because "most NVM technologies are expected to have limited write
-/// endurance" (Section 5.3) and the reproduction reports write traffic.
+/// [`PmDevice::from_image`]. The device does not count writes: PM
+/// write traffic is counted once, by its caller (`memsim` counts every
+/// line that persists in `MemStats::pm_writes`, Figure 6's input).
 ///
 /// The device knows nothing about ordering; callers (the `memsim` cache
 /// model, HOPS persist buffers) decide what reaches it and when.
@@ -189,10 +186,6 @@ impl LineStore {
 pub struct PmDevice {
     range: AddrRange,
     store: LineStore,
-    /// Per-line endurance counters, paged like the data (8 KiB per
-    /// counter page, allocated on a page's first counted write).
-    line_writes: LineMap<u64>,
-    total_line_writes: u64,
 }
 
 impl PmDevice {
@@ -201,31 +194,26 @@ impl PmDevice {
         PmDevice {
             range,
             store: LineStore::new(range),
-            line_writes: LineMap::new(range),
-            total_line_writes: 0,
         }
     }
 
-    /// Rebuild a device from a crash image, preserving its contents
-    /// (write counters restart at zero — the media survived, the tally
-    /// is per-run). The device boots from the image's pages and copies
-    /// one only when it first writes it.
+    /// Rebuild a device from a crash image, preserving its contents.
+    /// The device boots from the image's pages and copies one only when
+    /// it first writes it.
     pub fn from_image(image: &PmImage) -> PmDevice {
         PmDevice {
+            range: image.range(),
             store: image.store.clone(),
-            ..PmDevice::new(image.range())
         }
     }
 
-    /// A copy-on-write copy of the device — contents and endurance
-    /// counters — that shares every page with this one until either
-    /// writes it. Neither device sees the other's later writes.
+    /// A copy-on-write copy of the device that shares every page with
+    /// this one until either writes it. Neither device sees the other's
+    /// later writes.
     pub fn fork(&mut self) -> PmDevice {
         PmDevice {
             range: self.range,
             store: self.store.share(),
-            line_writes: self.line_writes.fork(),
-            total_line_writes: self.total_line_writes,
         }
     }
 
@@ -274,22 +262,7 @@ impl PmDevice {
             "PM write out of range: {addr:#x}+{}",
             bytes.len()
         );
-        let counters = &mut self.line_writes;
-        let total = &mut self.total_line_writes;
-        self.store.write(addr, bytes, |line| {
-            *counters.slot(line) += 1;
-            *total += 1;
-        });
-    }
-
-    /// How many times `line` has been written (endurance counter).
-    pub fn line_writes(&self, line: Line) -> u64 {
-        self.line_writes.get(line)
-    }
-
-    /// Total line writes across the device since construction.
-    pub fn total_line_writes(&self) -> u64 {
-        self.total_line_writes
+        self.store.write(addr, bytes);
     }
 
     /// Number of distinct lines ever written.
@@ -297,12 +270,10 @@ impl PmDevice {
         self.store.live_lines
     }
 
-    /// `(directory slots, pages)` currently allocated, data and
-    /// endurance counters together: `(0, 0)` until the first write,
-    /// whatever the size of the range.
+    /// `(directory slots, pages)` currently allocated: `(0, 0)` until
+    /// the first write, whatever the size of the range.
     pub fn resident(&self) -> (usize, usize) {
-        let (data, counters) = (self.store.pages.resident(), self.line_writes.resident());
-        (data.0 + counters.0, data.1 + counters.1)
+        self.store.pages.resident()
     }
 
     /// Snapshot the durable contents (what survives a power failure):
@@ -394,7 +365,7 @@ impl DramDevice {
             "DRAM write out of range: {addr:#x}+{}",
             bytes.len()
         );
-        self.store.write(addr, bytes, |_| {});
+        self.store.write(addr, bytes);
     }
 
     /// `(directory slots, pages)` currently allocated: `(0, 0)` until
@@ -448,18 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn endurance_counters() {
-        let mut d = dev();
-        d.write(0, &[1; 8]);
-        d.write(4, &[2; 8]);
-        d.write(64, &[3; 1]);
-        assert_eq!(d.line_writes(Line(0)), 2);
-        assert_eq!(d.line_writes(Line(1)), 1);
-        assert_eq!(d.line_writes(Line(2)), 0);
-        assert_eq!(d.total_line_writes(), 3);
-    }
-
-    #[test]
     fn image_round_trip() {
         let mut d = dev();
         d.write(100, b"persist me");
@@ -504,7 +463,7 @@ mod tests {
         });
         // A never-written line views as all zeros without allocating.
         assert_eq!(d.line_view(Line(3)), &[0u8; 64]);
-        // So does a line past the device range (mirrors line_writes).
+        // So does a line past the device range.
         assert_eq!(d.line_view(Line(1 << 40)), &[0u8; 64]);
     }
 
@@ -525,7 +484,6 @@ mod tests {
         d.write(base + 65_530, &[9; 12]); // straddles a page boundary
         assert_eq!(d.read_vec(base + 65_530, 12), vec![9; 12]);
         assert_eq!(d.lines_in_use(), 2);
-        assert_eq!(d.total_line_writes(), 2);
     }
 
     #[test]
@@ -538,11 +496,11 @@ mod tests {
         dram.read_vec(range.end() - 8, 8);
         assert_eq!(pm.resident(), (0, 0));
         assert_eq!(dram.resident(), (0, 0));
-        // An 8-byte write on the second page: one data page (plus one
-        // counter page on PM) under a two-slot directory each.
+        // An 8-byte write on the second page: one data page under a
+        // two-slot directory.
         pm.write(range.base + 65_536, &[1; 8]);
         dram.write(range.base + 65_536, &[1; 8]);
-        assert_eq!(pm.resident(), (4, 2));
+        assert_eq!(pm.resident(), (2, 1));
         assert_eq!(dram.resident(), (2, 1));
     }
 

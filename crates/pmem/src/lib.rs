@@ -27,8 +27,8 @@
 //! let addr = map.pm.base;
 //! pm.write(addr, b"hello");
 //! assert_eq!(pm.read_vec(addr, 5), b"hello");
-//! // One line was touched once:
-//! assert_eq!(pm.line_writes(pmem::Line::containing(addr)), 1);
+//! // One line holds data:
+//! assert_eq!(pm.lines_in_use(), 1);
 //! assert_eq!(LINE_SIZE, 64);
 //! ```
 

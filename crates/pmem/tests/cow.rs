@@ -36,7 +36,7 @@ fn data(v: u8) -> [u8; 64] {
 type Lines = BTreeMap<Line, [u8; 64]>;
 
 enum Holder {
-    Pm(PmDevice, Lines, BTreeMap<Line, u64>),
+    Pm(PmDevice, Lines),
     Dram(DramDevice, Lines),
     Image(PmImage, Lines),
     Map(LineMap<u64>, BTreeMap<Line, u64>),
@@ -45,7 +45,7 @@ enum Holder {
 fn check(h: &Holder) -> Result<(), String> {
     let zeros = [0u8; 64];
     match h {
-        Holder::Pm(dev, lines, writes) => {
+        Holder::Pm(dev, lines) => {
             if dev.lines_in_use() != lines.len() {
                 return Err(format!(
                     "pm lines {} != {}",
@@ -58,13 +58,6 @@ fn check(h: &Holder) -> Result<(), String> {
                 if dev.line_view(l) != lines.get(&l).unwrap_or(&zeros) {
                     return Err(format!("pm line {k} differs"));
                 }
-                if dev.line_writes(l) != writes.get(&l).copied().unwrap_or(0) {
-                    return Err(format!("pm endurance of line {k} differs"));
-                }
-            }
-            let total: u64 = writes.values().sum();
-            if dev.total_line_writes() != total {
-                return Err("pm total writes differ".into());
             }
         }
         Holder::Dram(dev, lines) => {
@@ -119,11 +112,7 @@ fn check(h: &Holder) -> Result<(), String> {
 /// Apply one op; `kind` picks write / fork / snapshot / boot / drop.
 fn step(holders: &mut Vec<Holder>, (kind, who, k, v): (u8, u8, u8, u8)) {
     if holders.is_empty() {
-        holders.push(Holder::Pm(
-            PmDevice::new(range()),
-            Lines::new(),
-            BTreeMap::new(),
-        ));
+        holders.push(Holder::Pm(PmDevice::new(range()), Lines::new()));
         holders.push(Holder::Map(LineMap::new(range()), BTreeMap::new()));
     }
     let i = who as usize % holders.len();
@@ -137,10 +126,9 @@ fn step(holders: &mut Vec<Holder>, (kind, who, k, v): (u8, u8, u8, u8)) {
     let (l, d) = (line(k), data(v));
     let new = match (&mut holders[i], kind % 8) {
         // Writes (half of all ops).
-        (Holder::Pm(dev, lines, writes), 0..=3) => {
+        (Holder::Pm(dev, lines), 0..=3) => {
             dev.write(l.base(), &d);
             lines.insert(l, d);
-            *writes.entry(l).or_insert(0) += 1;
             None
         }
         (Holder::Dram(dev, lines), 0..=3) => {
@@ -159,16 +147,14 @@ fn step(holders: &mut Vec<Holder>, (kind, who, k, v): (u8, u8, u8, u8)) {
             None
         }
         // Forks: the copy's model is a deep copy.
-        (Holder::Pm(dev, lines, writes), 4) => {
-            Some(Holder::Pm(dev.fork(), lines.clone(), writes.clone()))
-        }
+        (Holder::Pm(dev, lines), 4) => Some(Holder::Pm(dev.fork(), lines.clone())),
         (Holder::Dram(dev, lines), 4) => Some(Holder::Dram(dev.fork(), lines.clone())),
         (Holder::Image(img, lines), 4) => Some(Holder::Image(img.clone(), lines.clone())),
         (Holder::Map(map, values), 4) => Some(Holder::Map(map.fork(), values.clone())),
         // Snapshots of a device, boots from an image.
-        (Holder::Pm(dev, lines, _), 5) => Some(Holder::Image(dev.image(), lines.clone())),
+        (Holder::Pm(dev, lines), 5) => Some(Holder::Image(dev.image(), lines.clone())),
         (Holder::Image(img, lines), 5) => Some(if v % 2 == 0 {
-            Holder::Pm(PmDevice::from_image(img), lines.clone(), BTreeMap::new())
+            Holder::Pm(PmDevice::from_image(img), lines.clone())
         } else {
             Holder::Dram(DramDevice::from_image(img), lines.clone())
         }),
@@ -221,9 +207,4 @@ fn a_snapshot_is_frozen_while_its_device_writes_on() {
     );
     assert_eq!(dev.read_vec(BASE, 1), [2]);
     assert_eq!(booted.lines_in_use(), 2);
-    assert_eq!(
-        booted.total_line_writes(),
-        1,
-        "endurance restarts at a boot"
-    );
 }

@@ -50,18 +50,6 @@ proptest! {
         prop_assert_eq!(img, dev2.image());
     }
 
-    /// Endurance counters equal the number of line-chunks written.
-    #[test]
-    fn write_counters_match_spans(writes in spans()) {
-        let mut dev = PmDevice::new(AddrRange::new(0, RANGE_LEN));
-        let mut expected = 0u64;
-        for (addr, data) in &writes {
-            dev.write(*addr, data);
-            expected += lines_spanning(*addr, data.len()).count() as u64;
-        }
-        prop_assert_eq!(dev.total_line_writes(), expected);
-    }
-
     /// Line arithmetic: every address maps into exactly one line, and
     /// span decomposition tiles the range exactly once.
     #[test]
@@ -101,7 +89,6 @@ proptest! {
 #[derive(Default)]
 struct NaiveLineModel {
     lines: std::collections::HashMap<Line, [u8; 64]>,
-    writes: u64,
 }
 
 impl NaiveLineModel {
@@ -112,7 +99,6 @@ impl NaiveLineModel {
             let data = self.lines.entry(line).or_insert([0; 64]);
             data[off..off + len].copy_from_slice(&bytes[src..src + len]);
             src += len;
-            self.writes += 1;
         }
     }
 
@@ -154,7 +140,7 @@ fn paged_ops() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
 }
 
 proptest! {
-    /// Contents, endurance accounting, line views, and image snapshots
+    /// Contents, live-line accounting, line views, and image snapshots
     /// of the paged device all match the naive per-line model.
     #[test]
     fn paged_device_matches_line_map_model(
@@ -164,14 +150,13 @@ proptest! {
         let mut dev = PmDevice::new(AddrRange::new(PAGED_BASE, DEVICE_LEN));
         prop_assert_eq!(dev.resident(), (0, 0));
         // The fresh device's first write ends on the range's last byte:
-        // both directories (data, endurance) grow to the last of their
-        // 65 536 pages, and only that page materializes.
+        // the directory grows to the last of its 65 536 pages, and only
+        // that page materializes.
         ops.insert(0, (DEVICE_LEN - tail.len() as u64, tail));
         let mut model = NaiveLineModel::default();
         dev.write(PAGED_BASE + ops[0].0, &ops[0].1);
         model.write(PAGED_BASE + ops[0].0, &ops[0].1);
-        prop_assert_eq!(dev.resident(), (2 * 65_536, 2));
-        prop_assert_eq!(dev.line_writes(Line::containing(PAGED_BASE + DEVICE_LEN - 1)), 1);
+        prop_assert_eq!(dev.resident(), (65_536, 1));
         for (off, data) in &ops[1..] {
             dev.write(PAGED_BASE + off, data);
             model.write(PAGED_BASE + off, data);
@@ -190,14 +175,11 @@ proptest! {
                 model.read(PAGED_BASE + probe, 64)
             );
         }
-        // Accounting: live lines and endurance totals.
+        // Accounting: live lines.
         prop_assert_eq!(dev.lines_in_use(), model.lines.len());
-        prop_assert_eq!(dev.total_line_writes(), model.writes);
-        // Borrowed line views equal the model's lines, and every
-        // written line has a positive endurance count.
+        // Borrowed line views equal the model's lines.
         for (line, data) in &model.lines {
             prop_assert_eq!(dev.line_view(*line), data);
-            prop_assert!(dev.line_writes(*line) >= 1);
         }
         // The image holds exactly the written lines, in sorted order,
         // and round-trips through from_image.

@@ -18,7 +18,7 @@
 //! (Consequence 10). A GET is volatile except for memcached's lazy LRU
 //! bump, which keeps PM write traffic low at memslap's 5 % SET mix.
 
-use super::{config_for, App, AppRun, Layer, Setup, VolatileArena};
+use super::{arena_bytes, config_for, App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -80,8 +80,9 @@ impl Memcached {
         let mut eng = RedoTxEngine::format(m, log_region, workers);
         let mut w = PmWriter::new(Tid(0));
         // Mnemosyne's allocator keeps per-thread arenas.
-        let heap = plan.take(ShardedSlab::region_bytes(64 << 20, workers as usize));
-        let alloc = ShardedSlab::format(m, &mut w, heap.base, 64 << 20, workers as usize);
+        let arena = arena_bytes(workers);
+        let heap = plan.take(ShardedSlab::region_bytes(arena, workers as usize));
+        let alloc = ShardedSlab::format(m, &mut w, heap.base, arena, workers as usize);
         let table = CHash::create(m, Tid(0), table_region, workers, 64).expect("table");
         eng.begin(m, Tid(0)).expect("setup tx");
         let lru = PLruList::create(m, &mut eng, Tid(0), lru_region).expect("lru");

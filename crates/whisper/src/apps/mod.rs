@@ -192,6 +192,17 @@ pub(crate) fn named(name: &str) -> &'static App {
 /// (redis, memcached, vacation); `--threads` overrides it per run.
 pub(crate) const WORKERS: u32 = crate::suite::DEFAULT_WORKER_THREADS;
 
+/// Bytes of persistent heap per worker arena in the Mnemosyne apps
+/// (memcached, vacation): 64 MiB while `workers` × 64 MiB fits a 2 GiB
+/// heap budget (up to 32 workers), above that an even split of the
+/// budget rounded down to 64 KiB — so `--threads 64` fits the 4 GiB PM
+/// range, and runs at up to 32 workers keep their layout.
+pub(crate) fn arena_bytes(workers: u32) -> u64 {
+    const ARENA: u64 = 64 << 20;
+    const HEAP_BUDGET: u64 = 2 << 30;
+    ARENA.min((HEAP_BUDGET / u64::from(workers)) & !0xffff)
+}
+
 /// An `asplos17` configuration with at least `workers` hardware
 /// threads, so every scheduler-picked [`Tid`] is in range — for the run
 /// and for the oracle's reboot alike.
@@ -342,6 +353,18 @@ thread_local! {
 mod tests {
     use super::*;
     use memsim::MachineConfig;
+
+    #[test]
+    fn arenas_split_the_heap_budget_above_32_workers() {
+        assert_eq!(arena_bytes(1), 64 << 20);
+        assert_eq!(arena_bytes(32), 64 << 20);
+        assert_eq!(arena_bytes(64), 32 << 20);
+        for workers in 1..=64 {
+            let arena = arena_bytes(workers);
+            assert_eq!(arena % 65_536, 0, "{workers} workers");
+            assert!(u64::from(workers) * arena <= 2 << 30, "{workers} workers");
+        }
+    }
 
     #[test]
     fn volatile_arena_counts_only_dram() {

@@ -20,7 +20,7 @@
 //! oracle a total order over committed reservations. The workload is
 //! query-heavy, so PM is a tiny share of traffic (Figure 6: 0.36 %).
 
-use super::{config_for, App, AppRun, Layer, Setup, VolatileArena};
+use super::{arena_bytes, config_for, App, AppRun, Layer, Setup, VolatileArena};
 use crate::crashtest::{Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
@@ -82,8 +82,9 @@ impl Vacation {
         let mut eng = RedoTxEngine::format(m, log_region, workers);
         let mut w = PmWriter::new(Tid(0));
         // Mnemosyne's allocator keeps per-thread arenas.
-        let heap = plan.take(ShardedSlab::region_bytes(64 << 20, workers as usize));
-        let mut alloc = ShardedSlab::format(m, &mut w, heap.base, 64 << 20, workers as usize);
+        let arena = arena_bytes(workers);
+        let heap = plan.take(ShardedSlab::region_bytes(arena, workers as usize));
+        let mut alloc = ShardedSlab::format(m, &mut w, heap.base, arena, workers as usize);
         eng.begin(m, Tid(0)).expect("setup tx");
         let tables = [(); 3].map(|_| {
             PRbTree::create(

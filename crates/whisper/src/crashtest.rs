@@ -588,6 +588,25 @@ mod tests {
     }
 
     #[test]
+    fn memcached_and_vacation_run_and_recover_at_64_workers() {
+        // The documented `--threads` maximum: every worker's heap arena
+        // must fit the PM range, for the run and the crash row alike.
+        let cfg = CampaignConfig {
+            points: 2,
+            adversarial_seeds: 1,
+            parallelism: 1,
+            worker_threads: 64,
+        };
+        for app in [&crate::apps::memcached::APP, &crate::apps::vacation::APP] {
+            let run = app.run(128, 1, 64);
+            assert_eq!(run.threads, 64, "{}", app.name);
+            let report = judge(app.name, &plain_capture(app, &cfg), &cfg);
+            assert_eq!(report.points.len(), 2, "{}", app.name);
+            assert!(report.failures.is_empty(), "{:?}", report.failures);
+        }
+    }
+
+    #[test]
     fn oracles_reject_corrupted_images() {
         // Guard against vacuous oracles: a zeroed image (bad engine
         // log, bad structure headers) must be rejected.

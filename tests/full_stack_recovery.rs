@@ -130,9 +130,8 @@ fn every_structure_recovers_from_one_image() {
     }
 }
 
-/// The simulated endurance counters see media writes, not program
-/// stores: repeated unflushed writes to one line cost one media write
-/// at the fence.
+/// PM write traffic counts media writes, not program stores: repeated
+/// unflushed writes to one line cost one media write at the fence.
 #[test]
 fn media_write_accounting() {
     let mut m = Machine::new(MachineConfig::asplos17());
@@ -141,11 +140,7 @@ fn media_write_accounting() {
     for i in 0..100u64 {
         w.write_u64(&mut m, pm.base, i, pmtrace::Category::UserData);
     }
-    assert_eq!(m.media_line_writes(), 0, "no media traffic before a fence");
+    assert_eq!(m.stats().pm_writes, 0, "no media traffic before a fence");
     w.durability_fence(&mut m);
-    assert_eq!(
-        m.media_line_writes(),
-        1,
-        "100 stores, one line written back"
-    );
+    assert_eq!(m.stats().pm_writes, 1, "100 stores, one line written back");
 }
