@@ -7,7 +7,12 @@
 //! * **self** — the innermost function at each sample's leaf address,
 //!   inlined callees included (`addr2line -f -C -i`);
 //! * **inclusive** — every function on each sample's stack, counted
-//!   once per sample (symbol table, `nm -C -n`).
+//!   once per sample (symbol table, `nm -C -n`);
+//! * **library callers** — the samples whose leaf is in a shared
+//!   library (memcpy, malloc), grouped by the first three frames of
+//!   the executable above it, innermost first. A walk that leaves the
+//!   library without reaching the executable's code counts as
+//!   `<no executable frame>`.
 //!
 //! ```text
 //! ci/profile.sh suite      [--scale S] [--runs N] [--top N] [--period-us U]
@@ -299,6 +304,7 @@ fn main() {
 
         let mut own: HashMap<String, usize> = HashMap::new();
         let mut incl: HashMap<String, usize> = HashMap::new();
+        let mut lib_callers: HashMap<String, usize> = HashMap::new();
         for s in &samples {
             let Some(&leaf) = s.first() else { continue };
             let name = if in_exe(leaf) {
@@ -311,6 +317,20 @@ fn main() {
                 lib(leaf).to_string()
             };
             *own.entry(name).or_default() += 1;
+            if !in_exe(leaf) {
+                let callers: Vec<&str> = s[1..]
+                    .iter()
+                    .filter(|&&addr| in_exe(addr))
+                    .take(3)
+                    .map(|&addr| symbol_of(&symbols, addr - 1 - base))
+                    .collect();
+                let chain = if callers.is_empty() {
+                    "<no executable frame>".to_string()
+                } else {
+                    callers.join(" <- ")
+                };
+                *lib_callers.entry(chain).or_default() += 1;
+            }
             // Return addresses point after the call: look up `ret - 1`.
             // Frames outside the executable (the C runtime's start-up
             // frames, a library's own callers) count only as a leaf.
@@ -347,6 +367,12 @@ fn main() {
         table(
             "inclusive (functions on the stack, once per sample)",
             incl,
+            samples.len(),
+            a.top,
+        );
+        table(
+            "library callers (shared-library leaves by their first three executable callers)",
+            lib_callers,
             samples.len(),
             a.top,
         );

@@ -43,7 +43,7 @@ struct Node {
 /// whether a PM load is served by the cache hierarchy or counts as
 /// memory traffic, the distinction Figure 6 measures. Only PM lines
 /// are tracked: DRAM lines need no durability bookkeeping, and the
-/// functional memory image lives elsewhere (see the crate docs).
+/// memory contents live elsewhere (see the crate docs).
 #[derive(Debug, Clone)]
 pub(crate) struct LruSet {
     capacity: usize,

@@ -174,7 +174,7 @@ pub struct CrashState {
     /// The workload's last [`Machine::note_progress`] value.
     pub(crate) progress: u64,
     pub(crate) durable: PmImage,
-    /// Per-thread dirty lines (sorted) with their functional contents.
+    /// Per-thread dirty lines (sorted) with their current contents.
     pub(crate) dirty: Vec<Vec<(Line, [u8; LINE])>>,
     /// Per-thread pending `clwb` snapshots in issue order.
     pub(crate) pending: Vec<Vec<PendingLine>>,
@@ -208,7 +208,7 @@ impl CrashState {
     /// spec's survivors are drawn.
     ///
     /// `clwb` snapshots and WCB entries carry their own (snapshot)
-    /// data; dirty cache lines carry the newest functional contents.
+    /// data; dirty cache lines carry the newest (current) contents.
     /// They apply in that order, later writes to a line overwriting
     /// earlier ones. Under [`CrashSpec::PersistAll`] everything lands
     /// and the newest value wins. Under [`CrashSpec::Adversarial`],
@@ -248,7 +248,7 @@ impl CrashState {
                 }
             }
         }
-        // Dirty cache lines persist with current functional contents.
+        // Dirty cache lines persist with their current contents.
         for per_thread in &self.dirty {
             for (line, data) in per_thread {
                 if keep(&mut rng) {

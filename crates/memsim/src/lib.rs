@@ -7,13 +7,14 @@
 //! substrate on which the ten WHISPER applications run and from which
 //! the `pmtrace` event stream is recorded.
 //!
-//! # Design: functional state vs. durable state
+//! # Design: one copy of PM — the media plus an overlay
 //!
 //! The simulator separates two concerns:
 //!
-//! * **Functional memory** is always up to date: a store is immediately
-//!   visible to subsequent loads from any thread. Application logic is
-//!   therefore always correct, independent of the cache model.
+//! * **Current contents** are always up to date: a store is
+//!   immediately visible to subsequent loads from any thread.
+//!   Application logic is therefore always correct, independent of the
+//!   cache model.
 //! * **Durability state** tracks, per 64 B line of PM, whether the
 //!   latest contents would survive a power failure. A cacheable PM store
 //!   leaves its line *dirty in cache* (volatile); `clwb` moves a
@@ -22,6 +23,17 @@
 //!   lines may also become durable spontaneously via capacity eviction
 //!   — exactly the paper's premise that "write-back processor caches can
 //!   re-order updates to PM" (Section 2).
+//!
+//! PM is stored once. The media ([`pmem::PmDevice`]) holds what would
+//! survive a crash, and an *overlay* holds the lines whose current bytes
+//! differ from it: a load reads the overlay line when there is one and
+//! the media line otherwise. A line enters the overlay when a store
+//! first makes it differ and leaves it when a write to the media (a
+//! fence, an eviction, a write-combining drain) makes the two equal
+//! again. So the overlay holds only lines that are dirty in a cache,
+//! flush-pending, held in a write-combining buffer, or re-stored since
+//! the snapshot that last reached the media — the lines a crash could
+//! lose ([`Machine::undurable_lines`] counts them).
 //!
 //! A crash ([`Machine::crash`]) returns a [`pmem::PmImage`] containing
 //! everything durable plus — under [`CrashSpec::Adversarial`] — an
@@ -52,6 +64,7 @@ mod config;
 mod crash;
 mod elide;
 mod machine;
+mod overlay;
 mod sched;
 mod stats;
 mod wcb;

@@ -4,6 +4,7 @@ use crate::cache::LruSet;
 use crate::config::MachineConfig;
 use crate::crash::{CrashPlan, CrashState, PlanEvent, PlanState};
 use crate::elide::{ElidePlan, ElideState, ElideStats};
+use crate::overlay::Overlay;
 use crate::stats::MemStats;
 use crate::wcb::WriteCombine;
 use pmem::{
@@ -35,11 +36,11 @@ pub(crate) struct PendingLine {
     pub(crate) seq: u64,
 }
 
-/// The simulated machine: functional memory, durability tracking,
+/// The simulated machine: memory contents, durability tracking,
 /// persistence instructions, trace recording, clock, and counters.
 ///
 /// All operations name the issuing hardware thread ([`Tid`]); ids must
-/// be `< config.threads`. See the crate docs for the functional/durable
+/// be `< config.threads`. See the crate docs for the current/durable
 /// split that makes application logic independent of the cache model.
 ///
 /// When [`pmobs`] recording is enabled the machine also counts cache
@@ -50,12 +51,11 @@ pub(crate) struct PendingLine {
 pub struct Machine {
     cfg: MachineConfig,
     dram: DramDevice,
-    /// Always-current PM contents (what loads observe). Volatile — a
-    /// crash keeps only `pm_durable` — so it is the plain byte store,
-    /// without the media's images.
-    pm_functional: DramDevice,
     /// Crash-surviving PM contents (what recovery observes).
     pm_durable: PmDevice,
+    /// The PM lines whose current contents (what loads observe) differ
+    /// from `pm_durable`'s. Volatile: a crash keeps only the media.
+    overlay: Overlay,
     /// Per-thread dirty cacheable PM lines; an evicted line writes back.
     dirty: Vec<LruSet>,
     /// Per-thread recently-referenced PM lines (clean); a PM load that
@@ -108,9 +108,9 @@ impl Machine {
     }
 
     /// A machine whose PM is initialized from a crash image — the
-    /// "reboot" path for recovery testing. DRAM and caches start empty.
-    /// Both PM views boot from the image's pages (one pointer per page)
-    /// and copy a page only when they first write it.
+    /// "reboot" path for recovery testing. DRAM, caches and the
+    /// overlay start empty: the media boots from the image's pages (one
+    /// pointer per page) and copies a page only when it first writes it.
     pub fn from_image(cfg: MachineConfig, image: &PmImage) -> Machine {
         Machine::with_pm_image(cfg, Some(image))
     }
@@ -122,18 +122,18 @@ impl Machine {
             "the dirty and WCB line indexes are u64 thread bitmasks; {} threads exceed 64",
             cfg.threads
         );
-        let (pm_functional, pm_durable) = match image {
+        let pm_durable = match image {
             Some(img) => {
                 assert_eq!(img.range(), cfg.map.pm, "image does not match PM range");
-                (DramDevice::from_image(img), PmDevice::from_image(img))
+                PmDevice::from_image(img)
             }
-            None => (DramDevice::new(cfg.map.pm), PmDevice::new(cfg.map.pm)),
+            None => PmDevice::new(cfg.map.pm),
         };
         let n = cfg.threads as usize;
         Machine {
             dram: DramDevice::new(cfg.map.dram),
-            pm_functional,
             pm_durable,
+            overlay: Overlay::new(cfg.map.pm),
             dirty: vec![LruSet::new(cfg.l1_dirty_lines, cfg.map.pm); n],
             read_cache: vec![LruSet::new(cfg.l2_lines, cfg.map.pm); n],
             pending: vec![Vec::new(); n],
@@ -159,7 +159,8 @@ impl Machine {
     /// on independently: what either machine does next never reaches
     /// the other. Every line-indexed table is forked copy-on-write, so
     /// this costs one pointer per written page plus the per-thread
-    /// cache lists, not a copy of the lines.
+    /// cache lists and the overlay's diverged lines, not a copy of the
+    /// memory.
     ///
     /// The fork gets its own trace sink exactly as [`Machine::new`]
     /// would create one (none under `pmobs::trace::suppress`). Counted
@@ -178,8 +179,8 @@ impl Machine {
         Machine {
             cfg: self.cfg,
             dram: self.dram.fork(),
-            pm_functional: self.pm_functional.fork(),
             pm_durable: self.pm_durable.fork(),
+            overlay: self.overlay.fork(),
             dirty: self.dirty.iter_mut().map(LruSet::fork).collect(),
             read_cache: self.read_cache.iter_mut().map(LruSet::fork).collect(),
             pending: self.pending.clone(),
@@ -357,10 +358,14 @@ impl Machine {
                 self.clock_ns += self.cfg.lat.l1_hit_ns * lines;
             }
             MemoryKind::Pm => {
-                self.pm_functional.read(addr, buf);
                 let t = tid.0 as usize;
                 let (mut hits, mut misses) = (0u64, 0u64);
-                for (line, _, _) in lines_spanning(addr, buf.len()) {
+                let mut dst = 0;
+                for (line, start, len) in lines_spanning(addr, buf.len()) {
+                    let off = line.offset_of(start);
+                    let current = self.current(line);
+                    buf[dst..dst + len].copy_from_slice(&current[off..off + len]);
+                    dst += len;
                     if self.dirty[t].contains(line) || self.read_cache[t].touch(line).0 {
                         hits += 1;
                     } else {
@@ -417,7 +422,10 @@ impl Machine {
                 self.clock_ns += self.cfg.lat.l1_hit_ns * lines;
             }
             MemoryKind::Pm => {
-                self.pm_functional.write(addr, bytes);
+                // The whole span first: an eviction victim below can be
+                // a later line of this span, and must write back the
+                // new bytes.
+                self.pm_store(addr, bytes);
                 self.trace
                     .pm_store(tid, addr, bytes.len() as u32, false, cat, self.clock_ns);
                 let mut lines = 0u64;
@@ -457,7 +465,7 @@ impl Machine {
             MemoryKind::Pm,
             "non-temporal stores are modeled for PM only"
         );
-        self.pm_functional.write(addr, bytes);
+        self.pm_store(addr, bytes);
         self.trace
             .pm_store(tid, addr, bytes.len() as u32, true, cat, self.clock_ns);
         let mut lines = 0u64;
@@ -468,7 +476,7 @@ impl Machine {
             // NT stores must not leave stale dirty cache state: the line
             // is written around the cache.
             self.dirty_remove(t, line);
-            let data = *self.pm_functional.line_view(line);
+            let data = *self.current(line);
             self.snap_seq += 1;
             let inserted = self.wcb.upsert(t, line, data, self.snap_seq);
             if inserted && self.wcb.live_len(t) > self.cfg.wcb_entries {
@@ -483,6 +491,22 @@ impl Machine {
         }
         count_lines!("memsim.pm_nt_store_lines", lines);
         self.plan_event(PlanEvent::Store);
+    }
+
+    /// `line`'s current contents: its overlay line, or the media's.
+    fn current(&self, line: Line) -> &[u8; LINE] {
+        self.overlay.current(&self.pm_durable, line)
+    }
+
+    /// Make `bytes` the current contents at `addr` (a PM span).
+    fn pm_store(&mut self, addr: Addr, bytes: &[u8]) {
+        let mut src = 0;
+        for (line, start, len) in lines_spanning(addr, bytes.len()) {
+            let off = line.offset_of(start);
+            self.overlay
+                .store(&self.pm_durable, line, off, &bytes[src..src + len]);
+            src += len;
+        }
     }
 
     /// Store a little-endian `u64` (cacheable).
@@ -530,7 +554,7 @@ impl Machine {
         // it); check the issuing thread first as the common case.
         if let Some(i) = self.dirty_holder_from(tid, line) {
             self.dirty_remove(i, line);
-            let data = *self.pm_functional.line_view(line);
+            let data = *self.current(line);
             self.snap_seq += 1;
             self.pending[tid.0 as usize].push(PendingLine {
                 line,
@@ -632,7 +656,7 @@ impl Machine {
 
     fn write_back(&mut self, line: Line) {
         pmobs::count!("memsim.dirty_evictions");
-        let data = *self.pm_functional.line_view(line);
+        let data = *self.current(line);
         self.media_write(line, &data);
         self.clock_ns += self.cfg.lat.pm_write_ns;
         if let Some(s) = self.obs_trace.as_mut() {
@@ -644,7 +668,7 @@ impl Machine {
     /// traffic is counted (Figure 6 counts memory-level traffic, and a
     /// PM line is written to memory exactly when it persists).
     fn media_write(&mut self, line: Line, data: &[u8; LINE]) {
-        self.pm_durable.write(line.base(), data);
+        self.overlay.media_write(&mut self.pm_durable, line, data);
         self.stats.pm_writes += 1;
     }
 
@@ -652,20 +676,25 @@ impl Machine {
     // Durability inspection & crash (crash body in crash.rs)
     // ---------------------------------------------------------------
 
-    /// Whether the *current* functional contents of `[addr, addr+len)`
-    /// are durable (would read back identically after `DropVolatile`).
+    /// Whether the *current* contents of `[addr, addr+len)` are
+    /// durable (would read back identically after `DropVolatile`).
     pub fn is_durable(&self, addr: Addr, len: usize) -> bool {
         assert!(
-            self.pm_functional.range().contains_span(addr, len),
+            self.pm_durable.range().contains_span(addr, len),
             "PM read out of range: {addr:#x}+{len}"
         );
         // Compare through borrowed line views — no buffer materializes.
         lines_spanning(addr, len).all(|(line, start, l)| {
             let off = line.offset_of(start);
-            let f = self.pm_functional.line_view(line);
-            let d = self.pm_durable.line_view(line);
-            f[off..off + l] == d[off..off + l]
+            self.current(line)[off..off + l] == self.pm_durable.line_view(line)[off..off + l]
         })
+    }
+
+    /// PM lines whose current contents differ from the media's: the
+    /// lines a crash right now could lose. Zero once every stored line
+    /// is flushed and fenced.
+    pub fn undurable_lines(&self) -> usize {
+        self.overlay.len()
     }
 
     /// Snapshot of durable PM only (no in-flight writes), sharing the
@@ -740,7 +769,7 @@ impl Machine {
                 .map(|s| {
                     s.lines()
                         .into_iter()
-                        .map(|l| (l, *self.pm_functional.line_view(l)))
+                        .map(|l| (l, *self.current(l)))
                         .collect()
                 })
                 .collect(),
@@ -766,16 +795,16 @@ impl Machine {
     }
 
     /// `(directory slots, pages)` held by every line-indexed table of
-    /// the machine — devices, cache sets, dirty index, WCB index. What building
-    /// and dropping a machine costs is proportional to this, not to the
-    /// size of the address map.
+    /// the machine — devices, overlay index, cache sets, dirty index,
+    /// WCB index. What building and dropping a machine costs is
+    /// proportional to this, not to the size of the address map.
     #[cfg(test)]
     fn resident(&self) -> (usize, usize) {
         let sets = self.dirty.iter().chain(&self.read_cache);
         [
             self.dram.resident(),
-            self.pm_functional.resident(),
             self.pm_durable.resident(),
+            self.overlay.resident(),
             self.dirty_index.resident(),
             self.wcb.resident(),
         ]
@@ -824,17 +853,36 @@ mod tests {
         mc.sfence(t);
         assert!(mc.is_durable(pa + (4 << 30) - 64, 64));
         assert_eq!(mc.resident(), (0, 0));
-        // One 8-byte store on the third page: the functional data page,
+        // One 8-byte store on the third page: the overlay's line index,
         // the thread's dirty- and read-set index pages and the dirty
-        // index — four pages, each under a three-slot directory;
-        // nothing durable, nothing in DRAM, nothing for the other three
-        // threads.
+        // index — four pages, each under a three-slot directory; the
+        // bytes sit in one overlay line; nothing durable, nothing in
+        // DRAM, nothing for the other three threads.
         mc.store_u64(t, pa + 2 * 65_536, 7, Category::UserData);
         assert_eq!(mc.resident(), (12, 4));
         // Persisting it adds the media's data page.
         mc.clwb(t, pa + 2 * 65_536);
         mc.sfence(t);
         assert_eq!(mc.resident(), (15, 5));
+    }
+
+    #[test]
+    fn a_persisted_pm_page_is_held_once() {
+        // 1 MiB of distinct lines, each stored, flushed and fenced:
+        // sixteen 64 KiB pages of PM data, held by the media alone.
+        let mut mc = Machine::new(MachineConfig::asplos17());
+        let t = Tid(0);
+        let pa = pm_base(&mc);
+        for i in 0..(1 << 20) / 64 {
+            let a = pa + i * 64;
+            mc.store_u64(t, a, i + 1, Category::UserData);
+            mc.clwb(t, a);
+            mc.sfence(t);
+        }
+        assert_eq!(mc.undurable_lines(), 0);
+        assert_eq!(mc.pm_durable.resident().1, 16, "one media page each");
+        assert_eq!(mc.overlay.slab_len(), 0, "no overlay line is held");
+        assert_eq!(mc.load_u64(t, pa + (1 << 20) - 64), 1 << 14);
     }
 
     #[test]
@@ -946,6 +994,33 @@ mod tests {
         assert!(parent.is_durable(pa, 16), "the parent drained its entry");
         assert_eq!(fork.stats().pm_writes, fw, "the fork's was superseded");
         assert!(!fork.is_durable(pa, 8));
+    }
+
+    #[test]
+    fn a_fork_and_its_parent_keep_their_own_current_bytes() {
+        let mut parent = m();
+        let t = Tid(0);
+        let pa = pm_base(&parent);
+        // A flush-pending line: its snapshot is in both machines.
+        parent.store(t, pa, &[1; 8], Category::UserData);
+        parent.clwb(t, pa);
+        let mut fork = parent.fork();
+        // The fork stores the media's bytes back and a second line.
+        fork.store(t, pa, &[0; 8], Category::UserData);
+        fork.store(t, pa + 64, &[2; 8], Category::UserData);
+        assert_eq!(parent.load_vec(t, pa, 8), [1; 8]);
+        assert_eq!(parent.load_vec(t, pa + 64, 8), [0; 8]);
+        // The parent's fence lands its snapshot on its own media only.
+        parent.sfence(t);
+        assert!(parent.is_durable(pa, 8));
+        assert_eq!(fork.load_vec(t, pa, 8), [0; 8]);
+        assert_eq!(fork.load_vec(t, pa + 64, 8), [2; 8]);
+        // The fork's own fence lands the same older snapshot: its
+        // current bytes stay, now in its overlay.
+        fork.sfence(t);
+        assert_eq!(fork.load_vec(t, pa, 8), [0; 8]);
+        assert!(!fork.is_durable(pa, 8));
+        assert_eq!(fork.durable_image().read_vec(pa, 8), [1; 8]);
     }
 
     #[test]

@@ -135,6 +135,35 @@ proptest! {
         }
     }
 
+    /// Once every stored line is flushed and every thread fenced, no
+    /// line is in flight: the media reads back what loads return.
+    #[test]
+    fn flushing_everything_leaves_nothing_in_flight(script in scripts()) {
+        let mut m = Machine::new(MachineConfig::tiny_for_tests());
+        let base = m.config().map.pm.base;
+        let mut w = PmWriter::new(TID);
+        for op in &script {
+            match op {
+                MemOp::Store { slot, val } => {
+                    w.write(&mut m, base + slot * 64, &[*val; 8], Category::UserData);
+                }
+                MemOp::StoreNt { slot, val } => {
+                    w.write_nt(&mut m, base + slot * 64, &[*val; 8], Category::UserData);
+                }
+                MemOp::FlushFence => w.durability_fence(&mut m),
+            }
+        }
+        for slot in 0..64u64 {
+            m.clwb(TID, base + slot * 64);
+        }
+        for t in 0..m.config().threads {
+            m.sfence(Tid(t));
+        }
+        prop_assert_eq!(m.undurable_lines(), 0);
+        let img = m.durable_image();
+        prop_assert_eq!(img.read_vec(base, 64 * 64), m.load_vec(TID, base, 64 * 64));
+    }
+
     /// The trace records exactly the PM stores and fences issued.
     #[test]
     fn trace_completeness(script in scripts()) {

@@ -244,8 +244,9 @@ impl PmDevice {
     }
 
     /// Borrowed view of one cache line's current contents (zeros if the
-    /// line was never written). This is the allocation-free snapshot
-    /// path for `memsim`'s write-back machinery; the line need only
+    /// line was never written). This is the allocation-free path
+    /// `memsim` reads the media through — loads of lines it does not
+    /// overlay, and its write-back snapshots; the line need only
     /// overlap the device range the way [`PmDevice::read`] would allow.
     pub fn line_view(&self, line: Line) -> &[u8; LINE_SIZE as usize] {
         self.store.line_view(line)
@@ -287,8 +288,9 @@ impl PmDevice {
 /// The simulated DRAM device.
 ///
 /// Identical storage behavior, but *volatile*: there is deliberately no
-/// `image()` — on a crash its contents are simply dropped, which is what
-/// forces WHISPER applications to be crash-recoverable from PM alone.
+/// `image()` and no boot from one — on a crash its contents are simply
+/// dropped, which is what forces WHISPER applications to be
+/// crash-recoverable from PM alone.
 #[derive(Debug, Clone)]
 pub struct DramDevice {
     range: AddrRange,
@@ -301,16 +303,6 @@ impl DramDevice {
         DramDevice {
             range,
             store: LineStore::new(range),
-        }
-    }
-
-    /// A device holding an image's contents — a volatile working copy
-    /// of durable bytes (`memsim` boots its functional PM view this
-    /// way). Shares the image's pages until it writes them.
-    pub fn from_image(image: &PmImage) -> DramDevice {
-        DramDevice {
-            range: image.range(),
-            store: image.store.clone(),
         }
     }
 
@@ -346,12 +338,6 @@ impl DramDevice {
         let mut v = vec![0; len];
         self.read(addr, &mut v);
         v
-    }
-
-    /// Borrowed view of one cache line's current contents (zeros if the
-    /// line was never written).
-    pub fn line_view(&self, line: Line) -> &[u8; LINE_SIZE as usize] {
-        self.store.line_view(line)
     }
 
     /// Write bytes.

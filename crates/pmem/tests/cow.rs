@@ -110,9 +110,12 @@ fn check(h: &Holder) -> Result<(), String> {
 }
 
 /// Apply one op; `kind` picks write / fork / snapshot / boot / drop.
+/// DRAM has no images, so a DRAM holder is only ever made new or
+/// forked.
 fn step(holders: &mut Vec<Holder>, (kind, who, k, v): (u8, u8, u8, u8)) {
     if holders.is_empty() {
         holders.push(Holder::Pm(PmDevice::new(range()), Lines::new()));
+        holders.push(Holder::Dram(DramDevice::new(range()), Lines::new()));
         holders.push(Holder::Map(LineMap::new(range()), BTreeMap::new()));
     }
     let i = who as usize % holders.len();
@@ -153,11 +156,9 @@ fn step(holders: &mut Vec<Holder>, (kind, who, k, v): (u8, u8, u8, u8)) {
         (Holder::Map(map, values), 4) => Some(Holder::Map(map.fork(), values.clone())),
         // Snapshots of a device, boots from an image.
         (Holder::Pm(dev, lines), 5) => Some(Holder::Image(dev.image(), lines.clone())),
-        (Holder::Image(img, lines), 5) => Some(if v % 2 == 0 {
-            Holder::Pm(PmDevice::from_image(img), lines.clone())
-        } else {
-            Holder::Dram(DramDevice::from_image(img), lines.clone())
-        }),
+        (Holder::Image(img, lines), 5) => {
+            Some(Holder::Pm(PmDevice::from_image(img), lines.clone()))
+        }
         _ => None,
     };
     holders.extend(new);

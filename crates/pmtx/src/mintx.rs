@@ -157,13 +157,6 @@ impl MinTxEngine {
         self.write(m, tid, addr, &val.to_le_bytes(), cat)
     }
 
-    /// Read with read-your-writes semantics.
-    pub fn read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
-        // An out-of-range tid has no buffered writes to overlay.
-        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
-        crate::txmem::read_through(m, tid, addr, len, active.map_or(&[], |a| &a.writes))
-    }
-
     /// Commit in exactly three epochs.
     ///
     /// # Errors
@@ -209,8 +202,12 @@ impl MinTxEngine {
 }
 
 impl crate::TxMem for MinTxEngine {
-    fn tx_read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
-        self.read(m, tid, addr, len)
+    /// Reads have read-your-writes semantics: buffered updates overlay
+    /// memory.
+    fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]) {
+        // An out-of-range tid has no buffered writes to overlay.
+        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
+        crate::txmem::read_through(m, tid, addr, buf, active.map_or(&[], |a| &a.writes));
     }
 
     fn tx_write(
@@ -236,6 +233,7 @@ impl MinTxEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TxMem;
     use memsim::{CrashSpec, MachineConfig};
     use pmtrace::analysis;
 
@@ -262,7 +260,7 @@ mod tests {
         );
         assert_eq!(eng.commit(&mut m, bad), Err(err));
         assert_eq!(eng.abort(&mut m, bad), Err(err));
-        assert_eq!(eng.read(&mut m, bad, data, 8), vec![0u8; 8]);
+        assert_eq!(eng.tx_read(&mut m, bad, data, 8), vec![0u8; 8]);
         eng.begin(&mut m, Tid(3)).unwrap();
         eng.commit(&mut m, Tid(3)).unwrap();
     }
@@ -294,7 +292,7 @@ mod tests {
         eng.write_u64(&mut m, tid, data, 77, Category::UserData)
             .unwrap();
         assert_eq!(m.load_u64(tid, data), 0, "deferred: nothing in place yet");
-        assert_eq!(eng.read(&mut m, tid, data, 8), 77u64.to_le_bytes());
+        assert_eq!(eng.tx_read(&mut m, tid, data, 8), 77u64.to_le_bytes());
         eng.commit(&mut m, tid).unwrap();
         assert!(m.is_durable(data, 8));
         assert_eq!(m.load_u64(tid, data), 77);

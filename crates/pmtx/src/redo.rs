@@ -165,20 +165,6 @@ impl RedoTxEngine {
         self.write(m, tid, addr, &val.to_le_bytes(), cat)
     }
 
-    /// Transactional read with read-your-writes semantics: buffered
-    /// updates overlay memory.
-    pub fn read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
-        // An out-of-range tid has no buffered writes to overlay.
-        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
-        crate::txmem::read_through(m, tid, addr, len, active.map_or(&[], |a| &a.writes))
-    }
-
-    /// Transactional `u64` read.
-    pub fn read_u64(&mut self, m: &mut Machine, tid: Tid, addr: Addr) -> u64 {
-        let v = self.read(m, tid, addr, 8);
-        u64::from_le_bytes(v.try_into().expect("8 bytes"))
-    }
-
     /// Commit: durable marker, in-place writeback, flush, log clear.
     ///
     /// # Errors
@@ -217,9 +203,31 @@ impl RedoTxEngine {
     }
 }
 
+impl crate::TxMem for RedoTxEngine {
+    /// Reads have read-your-writes semantics: buffered updates overlay
+    /// memory.
+    fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]) {
+        // An out-of-range tid has no buffered writes to overlay.
+        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
+        crate::txmem::read_through(m, tid, addr, buf, active.map_or(&[], |a| &a.writes));
+    }
+
+    fn tx_write(
+        &mut self,
+        m: &mut Machine,
+        tid: Tid,
+        addr: Addr,
+        bytes: &[u8],
+        cat: Category,
+    ) -> Result<(), TxError> {
+        self.write(m, tid, addr, bytes, cat)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TxMem;
     use memsim::{CrashSpec, MachineConfig};
 
     fn setup() -> (Machine, RedoTxEngine, Addr) {
@@ -247,7 +255,7 @@ mod tests {
         assert_eq!(eng.commit(&mut m, bad), Err(err));
         assert_eq!(eng.abort(&mut m, bad), Err(err));
         // Reads degrade to plain memory reads (no overlay to apply).
-        assert_eq!(eng.read(&mut m, bad, data, 8), vec![0u8; 8]);
+        assert_eq!(eng.tx_read(&mut m, bad, data, 8), vec![0u8; 8]);
         eng.begin(&mut m, Tid(3)).unwrap();
         eng.commit(&mut m, Tid(3)).unwrap();
     }
@@ -274,7 +282,7 @@ mod tests {
         // In-place data not yet written (redo buffers):
         assert_eq!(m.load_u64(tid, data), 0);
         // But the transaction reads its own write:
-        assert_eq!(eng.read_u64(&mut m, tid, data), 42);
+        assert_eq!(eng.tx_read_u64(&mut m, tid, data), 42);
         eng.commit(&mut m, tid).unwrap();
         assert_eq!(m.load_u64(tid, data), 42);
     }
@@ -303,7 +311,7 @@ mod tests {
         eng.begin(&mut m, tid).unwrap();
         eng.write(&mut m, tid, data + 4, &[0xBB; 4], Category::UserData)
             .unwrap();
-        let v = eng.read(&mut m, tid, data, 12);
+        let v = eng.tx_read(&mut m, tid, data, 12);
         assert_eq!(
             v,
             [0xAA, 0xAA, 0xAA, 0xAA, 0xBB, 0xBB, 0xBB, 0xBB, 0xAA, 0xAA, 0xAA, 0xAA]

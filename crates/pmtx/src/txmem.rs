@@ -1,6 +1,6 @@
 //! Engine-independent transactional memory access.
 
-use crate::{RedoTxEngine, TxError, UndoTxEngine};
+use crate::{TxError, UndoTxEngine};
 use memsim::Machine;
 use pmem::Addr;
 use pmtrace::{Category, Tid};
@@ -11,10 +11,19 @@ use pmtrace::{Category, Tid};
 /// runs hash tables over NVML and red-black trees over Mnemosyne.
 ///
 /// Reads have read-your-writes semantics: an undo engine writes in
-/// place, a redo engine overlays its volatile buffer.
+/// place, a redo engine overlays its volatile buffer. Every read is
+/// [`TxMem::tx_read_into`] a caller's buffer; the fixed-width readers
+/// use stack arrays, so they allocate nothing.
 pub trait TxMem {
-    /// Transactional read of `len` bytes.
-    fn tx_read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8>;
+    /// Transactional read of `buf.len()` bytes at `addr` into `buf`.
+    fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]);
+
+    /// Transactional read of `len` bytes into a fresh vector.
+    fn tx_read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
+        let mut v = vec![0; len];
+        self.tx_read_into(m, tid, addr, &mut v);
+        v
+    }
 
     /// Transactional write.
     ///
@@ -33,8 +42,9 @@ pub trait TxMem {
 
     /// Transactional little-endian `u64` read.
     fn tx_read_u64(&mut self, m: &mut Machine, tid: Tid, addr: Addr) -> u64 {
-        let v = self.tx_read(m, tid, addr, 8);
-        u64::from_le_bytes(v.try_into().expect("8 bytes"))
+        let mut b = [0; 8];
+        self.tx_read_into(m, tid, addr, &mut b);
+        u64::from_le_bytes(b)
     }
 
     /// Transactional little-endian `u64` write.
@@ -55,8 +65,9 @@ pub trait TxMem {
 
     /// Transactional little-endian `u32` read.
     fn tx_read_u32(&mut self, m: &mut Machine, tid: Tid, addr: Addr) -> u32 {
-        let v = self.tx_read(m, tid, addr, 4);
-        u32::from_le_bytes(v.try_into().expect("4 bytes"))
+        let mut b = [0; 4];
+        self.tx_read_into(m, tid, addr, &mut b);
+        u32::from_le_bytes(b)
     }
 
     /// Transactional little-endian `u32` write.
@@ -76,40 +87,40 @@ pub trait TxMem {
     }
 }
 
-/// A read of `len` bytes at `addr` with `writes` — a transaction's
-/// buffered `(target, data, category)` writes, in program order —
-/// overlaid, as the redo and 3-epoch engines read their own writes.
+/// A read of `buf.len()` bytes at `addr` into `buf` with `writes` — a
+/// transaction's buffered `(target, data, category)` writes, in program
+/// order — overlaid, as the redo and 3-epoch engines read their own
+/// writes.
 pub(crate) fn read_through(
     m: &mut Machine,
     tid: Tid,
     addr: Addr,
-    len: usize,
+    buf: &mut [u8],
     writes: &[(Addr, Vec<u8>, Category)],
-) -> Vec<u8> {
+) {
     // A tid without a machine slot cannot account a load (and can
     // never hold buffered writes) — degrade to zeroes instead of
     // panicking deep in the per-thread dirty state.
-    let mut data = match m.validate_tid(tid) {
-        Ok(()) => m.load_vec(tid, addr, len),
-        Err(_) => vec![0; len],
-    };
-    let (rs, re) = (addr, addr + len as u64);
+    match m.validate_tid(tid) {
+        Ok(()) => m.load(tid, addr, buf),
+        Err(_) => buf.fill(0),
+    }
+    let (rs, re) = (addr, addr + buf.len() as u64);
     for (waddr, wdata, _) in writes {
         let (ws, we) = (*waddr, *waddr + wdata.len() as u64);
         if ws < re && rs < we {
             let lo = ws.max(rs);
             let hi = we.min(re);
-            data[(lo - rs) as usize..(hi - rs) as usize]
+            buf[(lo - rs) as usize..(hi - rs) as usize]
                 .copy_from_slice(&wdata[(lo - ws) as usize..(hi - ws) as usize]);
         }
     }
-    data
 }
 
 impl TxMem for UndoTxEngine {
-    fn tx_read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
+    fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]) {
         // Undo logging writes in place; plain loads are current.
-        m.load_vec(tid, addr, len)
+        m.load(tid, addr, buf);
     }
 
     fn tx_write(
@@ -124,26 +135,10 @@ impl TxMem for UndoTxEngine {
     }
 }
 
-impl TxMem for RedoTxEngine {
-    fn tx_read(&mut self, m: &mut Machine, tid: Tid, addr: Addr, len: usize) -> Vec<u8> {
-        self.read(m, tid, addr, len)
-    }
-
-    fn tx_write(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        addr: Addr,
-        bytes: &[u8],
-        cat: Category,
-    ) -> Result<(), TxError> {
-        self.write(m, tid, addr, bytes, cat)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RedoTxEngine;
     use memsim::MachineConfig;
     use pmem::AddrRange;
 

@@ -6,6 +6,10 @@ use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
 use pmtrace::{Category, Tid};
 
+/// [`UndoTxEngine::set`] reads an old value of at most this many bytes
+/// into a stack buffer instead of a fresh vector.
+const OLD_ON_STACK: usize = 256;
+
 #[derive(Debug, Clone)]
 struct ActiveUndo {
     id: pmtrace::TxId,
@@ -119,14 +123,23 @@ impl UndoTxEngine {
         if self.active[t].is_none() {
             return Err(TxError::NoTx);
         }
-        let old = m.load_vec(tid, addr, bytes.len());
+        // The old value, on the stack when it fits.
+        let mut small = [0; OLD_ON_STACK];
+        let mut large = Vec::new();
+        let old = if bytes.len() <= OLD_ON_STACK {
+            &mut small[..bytes.len()]
+        } else {
+            large.resize(bytes.len(), 0);
+            &mut large[..]
+        };
+        m.load(tid, addr, old);
         {
             let active = self.active[t].as_mut().expect("checked above");
             // The undo record is written through the transaction's own
             // writer: its fence drags along any still-unflushed data
             // lines from earlier `set`s (the paper's alternating-epoch
             // fragmentation).
-            self.slots[t].append(m, &mut active.writer, addr, &old, false, Category::UndoLog)?;
+            self.slots[t].append(m, &mut active.writer, addr, old, false, Category::UndoLog)?;
             active.writer.ordering_fence(m);
             active.writer.write(m, addr, bytes, cat);
         }

@@ -183,7 +183,7 @@ impl Vacation {
                     .insert(m, &mut self.eng, tid, &mut self.alloc, customer, node)
                     .expect("customer");
                 if update_counter {
-                    let c = self.eng.read_u64(m, tid, self.counters[t]);
+                    let c = self.eng.tx_read_u64(m, tid, self.counters[t]);
                     self.eng
                         .write_u64(m, tid, self.counters[t], c + 1, Category::AppMeta)
                         .expect("counter");
