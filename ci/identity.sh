@@ -4,12 +4,15 @@
 #
 # Builds REV from `git archive` in a scratch directory, builds this
 # tree, runs on both the CI mega-invocation (every gate, `--trace`),
-# the `--threads 1` run and a scale-0.3 serve run (where HOPS
-# cross-thread dependencies retire most often), and compares every
-# artefact: report.txt, report.det.json, violations.json, crash.json,
-# crossval.json, optimize.json, serve.json, profile.json, trace.json,
-# graphs/, the single-worker report.t1.txt / report.t1.det.json /
-# serve.t1.json / crash.t1.json, and report.s03.txt / serve.s03.json.
+# the `--threads 1` run, a scale-0.3 serve run (where HOPS
+# cross-thread dependencies retire most often), every single
+# EXPERIMENT at scale 0.01, and a `--dump-traces` / `--from-trace`
+# round trip, and compares every artefact: report.txt, report.det.json,
+# violations.json, crash.json, crossval.json, optimize.json,
+# serve.json, profile.json, trace.json, graphs/, the single-worker
+# report.t1.txt / report.t1.det.json / serve.t1.json / crash.t1.json,
+# report.s03.txt / serve.s03.json, experiment.<name>.txt, traces/, and
+# report.archive.txt / report.archive.det.json.
 # Only report.json is left out: its `metrics` block holds host
 # wall-clock time. Prints the paths that differ and exits 1 if any
 # does.
@@ -61,6 +64,15 @@ run() {
             --quiet --scale 0.05 --seed 42 --parallel 1 --threads 1 > report.t1.txt
         "$1" fig10 --serve --serve-json serve.s03.json \
             --quiet --scale 0.3 --seed 7 --parallel 1 --threads 4 > report.s03.txt
+        for experiment in table1 fig3 fig4 fig5 fig6 fig10 amplification \
+            ntfraction smallwrites consequences; do
+            "$1" "$experiment" --quiet --scale 0.01 --seed 42 --parallel 1 \
+                > "experiment.$experiment.txt"
+        done
+        # Relative paths: the archive's row is named after its path.
+        "$1" table1 --dump-traces traces --quiet --scale 0.05 --seed 42 --parallel 1 > /dev/null
+        "$1" --from-trace traces/hashmap.wtr --json-det report.archive.det.json \
+            --quiet > report.archive.txt
         rm report.json
     )
 }

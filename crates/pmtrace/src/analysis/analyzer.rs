@@ -37,6 +37,11 @@ pub struct TraceReport {
     /// Section 5.1: fraction of singletons under 10 bytes (`None` if
     /// there are no singletons).
     pub small_singleton_fraction: Option<f64>,
+    /// Consequence 1: ordering (`Fence`) and durability (`DFence`)
+    /// fences in the trace, counted by
+    /// [`analyze_events`](Analyzer::analyze_events) (zero when folded
+    /// from epochs).
+    pub fences: [u64; 2],
 }
 
 /// Streaming fold of all Section-5 statistics.
@@ -55,6 +60,7 @@ pub struct Analyzer {
     nt_bytes: u64,
     singletons: u64,
     small_singletons: u64,
+    fences: [u64; 2],
 }
 
 impl Analyzer {
@@ -98,6 +104,7 @@ impl Analyzer {
             } else {
                 Some(self.small_singletons as f64 / self.singletons as f64)
             },
+            fences: self.fences,
         }
     }
 
@@ -118,7 +125,7 @@ impl Analyzer {
     pub fn analyze_events(events: &[Event]) -> TraceReport {
         let _span = pmobs::span!("analyze");
         let mut a = Analyzer::new();
-        super::for_each_epoch(events, |e| a.push(e));
+        a.fences = super::for_each_epoch(events, |e| a.push(e));
         pmobs::count!("pmtrace.events_analyzed", events.len() as u64);
         pmobs::count!("pmtrace.epochs_analyzed", a.epoch_count as u64);
         a.finish()

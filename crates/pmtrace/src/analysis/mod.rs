@@ -160,9 +160,11 @@ struct ThreadWalk {
 ///
 /// This is the single traversal both [`split_epochs`] (which collects)
 /// and [`Analyzer::analyze_events`] (which folds statistics without
-/// materializing the epoch vector) are built on.
-pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) {
+/// materializing the epoch vector) are built on. It returns the
+/// trace's `Fence` and `DFence` counts, empty epochs' fences included.
+pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) -> [u64; 2] {
     let mut threads: Vec<ThreadWalk> = Vec::new();
+    let mut fences = [0u64; 2];
 
     for ev in events {
         let t = ev.tid.0 as usize;
@@ -184,6 +186,7 @@ pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) {
                 open.store(addr, len, nt, cat);
             }
             EventKind::Fence | EventKind::DFence => {
+                fences[usize::from(ev.kind == EventKind::DFence)] += 1;
                 if open.stores > 0 {
                     open.close(ev.at_ns, ev.kind == EventKind::DFence);
                     sink(open);
@@ -201,6 +204,7 @@ pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) {
             }
         }
     }
+    fences
 }
 
 /// Split a globally-ordered event stream into per-thread epochs.
@@ -221,15 +225,6 @@ pub fn thread_ids(events: &[Event]) -> Vec<Tid> {
     ids.sort_unstable();
     ids.dedup();
     ids
-}
-
-/// Total fence events (`Fence` + `DFence`) in a trace — the range of
-/// 1-based fence ordinals a crash plan counting fences can target.
-pub fn fence_count(events: &[Event]) -> u64 {
-    events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Fence | EventKind::DFence))
-        .count() as u64
 }
 
 /// Epochs per second over the traced interval (Table 1's rightmost
@@ -465,7 +460,8 @@ mod tests {
         t.pm_store(t0(), 0, 8, false, Category::UserData, 1);
         t.fence(t0(), 2);
         t.dfence(t0(), 3);
-        assert_eq!(fence_count(t.events()), 2);
+        // One of each kind; only the first closes an epoch.
+        assert_eq!(for_each_epoch(t.events(), |_| {}), [1, 1]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Runs [`pmcheck`] over every application's recorded trace, logs the
 //! findings through the [`pmobs`] logger (warnings at `warn`, errors
-//! at `error` level), and serializes the results as the `violations`
-//! section of the schema-v2 JSON report.
+//! at `error` level), and reports the results as the `violations`
+//! section ([`section`]).
 //!
 //! The gate contract: the ten WHISPER applications are *correct* PM
 //! programs, so a suite check must produce **zero error-severity
@@ -11,6 +11,7 @@
 //! therefore CI. Warnings (redundant flushes, double fences,
 //! end-of-trace leftovers) are reported for diagnosis but do not gate.
 
+use crate::section::{int, plain, Col, Section};
 use crate::suite::AppResult;
 use pmcheck::{CheckReport, Finding, Rule, RuleSet};
 use pmobs::Json;
@@ -105,120 +106,95 @@ pub fn rule_totals(checks: &[AppCheck]) -> Vec<(Rule, usize, usize)> {
         .collect()
 }
 
-/// The `violations` section of the JSON report.
-///
-/// ```text
-/// {checked_apps, rules_enabled: [<rule-id>...],
-///  total_errors, total_warnings,
-///  by_rule: {<rule-id>: {errors, warnings}, ...},   // suite totals
-///  apps: [{name, events, errors, warnings,
-///          by_rule: {<rule-id>: {errors, warnings}, ...},
-///          findings: [...first 25...], findings_truncated}]}
-/// ```
-///
-/// `rules` is the `--check-rules` selection the checks ran under (all
-/// rules by default); it is recorded so a filtered report cannot be
-/// mistaken for a clean full check.
-pub fn violations_json(checks: &[AppCheck], rules: RuleSet) -> Json {
-    let apps: Vec<Json> = checks
-        .iter()
-        .map(|c| {
-            let mut by_rule = Json::obj();
-            for (rule, errors, warns) in c.report.by_rule() {
-                by_rule = by_rule.field(
-                    rule.id(),
-                    Json::obj()
-                        .field("errors", errors as u64)
-                        .field("warnings", warns as u64),
-                );
-            }
-            let findings: Vec<Json> = c
-                .report
-                .findings
-                .iter()
-                .take(MAX_FINDINGS_IN_JSON)
-                .map(finding_json)
-                .collect();
-            Json::obj()
-                .field("name", c.name.as_str())
-                .field("events", c.report.events_visited)
-                .field("errors", c.report.errors() as u64)
-                .field("warnings", c.report.warnings() as u64)
-                .field("by_rule", by_rule)
-                .field("findings", findings)
-                .field(
-                    "findings_truncated",
-                    c.report.findings.len() > MAX_FINDINGS_IN_JSON,
-                )
-        })
-        .collect();
-    let mut suite_by_rule = Json::obj();
-    for (rule, errors, warns) in rule_totals(checks) {
-        suite_by_rule = suite_by_rule.field(
-            rule.id(),
-            Json::obj()
-                .field("errors", errors as u64)
-                .field("warnings", warns as u64),
-        );
-    }
-    let rules_enabled: Vec<Json> = rules.iter().map(|r| Json::from(r.id())).collect();
-    Json::obj()
-        .field("checked_apps", checks.len() as u64)
-        .field("rules_enabled", rules_enabled)
-        .field("total_errors", total_errors(checks) as u64)
-        .field(
-            "total_warnings",
-            checks
-                .iter()
-                .map(|c| c.report.warnings() as u64)
-                .sum::<u64>(),
-        )
-        .field("by_rule", suite_by_rule)
-        .field("apps", apps)
+/// `{<rule-id>: {errors, warnings}, ...}`.
+fn by_rule(counts: impl IntoIterator<Item = (Rule, usize, usize)>) -> Json {
+    let rule = |(rule, errors, warnings): (Rule, usize, usize)| {
+        let counts = Json::obj()
+            .field("errors", errors)
+            .field("warnings", warnings);
+        (rule.id(), counts)
+    };
+    let rules = counts.into_iter().map(rule);
+    rules.fold(Json::obj(), |obj, (id, counts)| obj.field(id, counts))
 }
 
-/// Render the human-readable per-app summary table printed by
-/// `whisper-report --check` after the paper tables.
-pub fn summary_table(checks: &[AppCheck]) -> String {
-    let mut out = String::from(
-        "Persistency check (pmcheck)\n\
-         app            events    errors  warnings  rules fired\n",
-    );
-    for c in checks {
-        let fired: Vec<String> = Rule::ALL
-            .iter()
-            .filter(|r| c.report.count(**r) > 0)
-            .map(|r| format!("{}×{}", r.id(), c.report.count(*r)))
-            .collect();
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>9} {:>9}  {}\n",
-            c.name,
-            c.report.events_visited,
-            c.report.errors(),
-            c.report.warnings(),
-            if fired.is_empty() {
-                "-".to_string()
-            } else {
-                fired.join(" ")
-            }
-        ));
+/// The "rules fired" cell: `<rule-id>×<findings>` per rule that fired.
+fn fired(by_rule: &Json) -> String {
+    let Json::Obj(rules) = by_rule else {
+        return "-".into();
+    };
+    let counts = rules
+        .iter()
+        .map(|(id, n)| (id, int(n, "errors") + int(n, "warnings")));
+    let fired: Vec<String> = counts
+        .filter(|(_, n)| *n > 0)
+        .map(|(id, n)| format!("{id}×{n}"))
+        .collect();
+    if fired.is_empty() {
+        "-".into()
+    } else {
+        fired.join(" ")
     }
-    out.push_str(&format!(
-        "total: {} error(s), {} warning(s) across {} app(s)\n",
-        total_errors(checks),
-        checks.iter().map(|c| c.report.warnings()).sum::<usize>(),
-        checks.len()
-    ));
-    if !checks.is_empty() {
-        let per_rule: Vec<String> = rule_totals(checks)
+}
+
+#[rustfmt::skip]
+const COLS: [Col<AppCheck>; 7] = [
+    Col("name", "app", "<14", |c| c.name.as_str().into(), plain),
+    Col("events", "events", " >7", |c| c.report.events_visited.into(), plain),
+    Col("errors", "errors", " >9", |c| c.report.errors().into(), plain),
+    Col("warnings", "warnings", " >9", |c| c.report.warnings().into(), plain),
+    Col("by_rule", "rules fired", "  <0", |c| by_rule(c.report.by_rule()), fired),
+    Col::json("findings", |c| findings(&c.report)),
+    Col::json("findings_truncated", |c| (c.report.findings.len() > MAX_FINDINGS_IN_JSON).into()),
+];
+
+/// The first [`MAX_FINDINGS_IN_JSON`] findings.
+fn findings(report: &CheckReport) -> Json {
+    let first = report.findings.iter().take(MAX_FINDINGS_IN_JSON);
+    first.map(finding_json).collect::<Vec<_>>().into()
+}
+
+/// The `violations` section (fields in [`crate::json_report`]) and the
+/// per-app table printed by `whisper-report --check`. `rules` is the
+/// `--check-rules` selection the checks ran under (all rules by
+/// default); it is recorded so a filtered report cannot be mistaken for
+/// a clean full check.
+pub fn section(checks: &[AppCheck], rules: RuleSet) -> Section {
+    let errors = total_errors(checks);
+    let warnings: usize = checks.iter().map(|c| c.report.warnings()).sum();
+    let totals = rule_totals(checks);
+    let mut section = Section::new("violations", "Persistency check (pmcheck)")
+        .table(checks, &COLS)
+        .header("app            events    errors  warnings  rules fired")
+        .footer(format!(
+            "total: {errors} error(s), {warnings} warning(s) across {} app(s)",
+            checks.len()
+        ));
+    if !totals.is_empty() {
+        let per_rule: Vec<String> = totals
             .iter()
             .map(|(r, e, w)| format!("{}: {e} error(s), {w} warning(s)", r.id()))
             .collect();
-        if !per_rule.is_empty() {
-            out.push_str(&format!("by rule: {}\n", per_rule.join("; ")));
-        }
+        section = section.footer(format!("by rule: {}", per_rule.join("; ")));
     }
-    out
+    let rules_enabled: Vec<Json> = rules.iter().map(|r| Json::from(r.id())).collect();
+    section
+        .field("checked_apps", checks.len())
+        .field("rules_enabled", rules_enabled)
+        .field("total_errors", errors)
+        .field("total_warnings", warnings)
+        .field("by_rule", by_rule(totals))
+        .rows_in("apps")
+}
+
+/// The `violations` section of the JSON report ([`section`]).
+pub fn violations_json(checks: &[AppCheck], rules: RuleSet) -> Json {
+    section(checks, rules).json()
+}
+
+/// The `--check` table ([`section`]).
+pub fn summary_table(checks: &[AppCheck]) -> String {
+    section(checks, RuleSet::all()).text()
 }
 
 #[cfg(test)]

@@ -71,6 +71,7 @@ use crate::apps::{App, APPS};
 use crate::crossval::{self, AppCrossval};
 use crate::driver::Gate::{self, Crash, Crossval, Optimize};
 use crate::pool::fan_out;
+use crate::section::{arr, cell, count, plain, rows, Col, Section};
 use crate::suite::{default_parallelism, SuiteConfig, DEFAULT_WORKER_THREADS};
 use memsim::{
     CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine, PmWriter,
@@ -460,77 +461,65 @@ pub fn total_failures(reports: &[AppCrashReport]) -> usize {
     reports.iter().map(|r| r.failures.len()).sum()
 }
 
-/// The text summary appended to the report under `--crash`.
-pub fn summary_table(reports: &[AppCrashReport], cfg: &CampaignConfig) -> String {
-    let mut out = format!(
-        "Crash-recovery campaign ({} point(s) x [drop-volatile persist-all {} seed(s)])\n\
-         app               ops   fences  points  images  failures\n",
+#[rustfmt::skip]
+const FAILURE: [Col<CrashFailure>; 4] = [
+    Col::json("at", |f| f.at.into()),
+    Col::json("progress", |f| f.progress.into()),
+    Col::json("spec", |f| f.spec.as_str().into()),
+    Col::json("error", |f| f.error.as_str().into()),
+];
+
+#[rustfmt::skip]
+const COLS: [Col<AppCrashReport>; 6] = [
+    Col("name", "app", "<14", |r| r.name.into(), plain),
+    Col("ops", "ops", " >6", |r| r.ops.into(), plain),
+    Col("fence_events", "fences", " >8", |r| r.fence_events.into(), plain),
+    Col("points", "points", " >7", |r| arr(&r.points), count),
+    Col("images", "images", " >7", |r| r.images.into(), plain),
+    Col("failures", "failures", " >9", |r| rows(&r.failures, &FAILURE).into(), count),
+];
+
+/// The `crash` section of the report and the table `--crash` prints,
+/// one `FAIL` line under its row per oracle rejection.
+pub fn section(reports: &[AppCrashReport], cfg: &CampaignConfig) -> Section {
+    let images: usize = reports.iter().map(|r| r.images).sum();
+    let failures = total_failures(reports);
+    let title = format!(
+        "Crash-recovery campaign ({} point(s) x [drop-volatile persist-all {} seed(s)])",
         cfg.points, cfg.adversarial_seeds
     );
-    for r in reports {
-        out.push_str(&format!(
-            "{:<14} {:>6} {:>8} {:>7} {:>7} {:>9}\n",
-            r.name,
-            r.ops,
-            r.fence_events,
-            r.points.len(),
-            r.images,
-            r.failures.len()
-        ));
-        for f in &r.failures {
-            out.push_str(&format!(
-                "    FAIL at fence {} ({}, progress {}): {}\n",
-                f.at, f.spec, f.progress, f.error
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "total: {} failure(s) across {} image(s), {} app(s)\n",
-        total_failures(reports),
-        reports.iter().map(|r| r.images).sum::<usize>(),
-        reports.len()
-    ));
-    out
+    Section::new("crash", title)
+        .table(reports, &COLS)
+        .after(|row| {
+            let failures = cell(row, "failures").as_arr().unwrap_or_default();
+            let text = |f, key| plain(cell(f, key));
+            let fail = |f| {
+                let (at, spec) = (text(f, "at"), text(f, "spec"));
+                let (progress, error) = (text(f, "progress"), text(f, "error"));
+                format!("    FAIL at fence {at} ({spec}, progress {progress}): {error}")
+            };
+            failures.iter().map(fail).collect()
+        })
+        .footer(format!(
+            "total: {failures} failure(s) across {images} image(s), {} app(s)",
+            reports.len()
+        ))
+        .field("points_per_app", cfg.points)
+        .field("adversarial_seeds", cfg.adversarial_seeds)
+        .field("total_images", images)
+        .field("total_failures", failures)
+        .rows_in("apps")
 }
 
-/// Serialize the campaign outcome — the `crash` section of the JSON
-/// report (and the standalone `--crash-json` document).
+/// The `--crash` table ([`section`]).
+pub fn summary_table(reports: &[AppCrashReport], cfg: &CampaignConfig) -> String {
+    section(reports, cfg).text()
+}
+
+/// The `crash` section of the JSON report and the standalone
+/// `--crash-json` document ([`section`]).
 pub fn crash_json(reports: &[AppCrashReport], cfg: &CampaignConfig) -> Json {
-    let apps: Vec<Json> = reports
-        .iter()
-        .map(|r| {
-            let failures: Vec<Json> = r
-                .failures
-                .iter()
-                .map(|f| {
-                    Json::obj()
-                        .field("at", f.at)
-                        .field("progress", f.progress)
-                        .field("spec", f.spec.as_str())
-                        .field("error", f.error.as_str())
-                })
-                .collect();
-            Json::obj()
-                .field("name", r.name)
-                .field("ops", r.ops)
-                .field("fence_events", r.fence_events)
-                .field(
-                    "points",
-                    r.points.iter().map(|p| Json::from(*p)).collect::<Vec<_>>(),
-                )
-                .field("images", r.images as u64)
-                .field("failures", failures)
-        })
-        .collect();
-    Json::obj()
-        .field("points_per_app", cfg.points as u64)
-        .field("adversarial_seeds", cfg.adversarial_seeds)
-        .field(
-            "total_images",
-            reports.iter().map(|r| r.images).sum::<usize>() as u64,
-        )
-        .field("total_failures", total_failures(reports) as u64)
-        .field("apps", apps)
+    section(reports, cfg).json()
 }
 
 #[cfg(test)]

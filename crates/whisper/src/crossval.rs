@@ -32,6 +32,7 @@
 
 use crate::crashtest::{campaign, spec_name, specs, CampaignConfig, CrashRun};
 use crate::driver::Gate::Crossval;
+use crate::section::{arr, count, plain, rows, sum, Col, Section};
 use memsim::{CrashCounter, CrashPlan, CrashSpec, CrashState, Machine, MachineConfig};
 use pmcheck::hb::durable_lines_at_fences;
 use pmem::Line;
@@ -129,95 +130,64 @@ impl CrossvalReport {
         self.total_violations() == 0 && self.total_proven() > 0 && self.control.passed()
     }
 
-    /// The `hb.crossval` section of the JSON report.
-    pub fn to_json(&self) -> Json {
-        let apps: Vec<Json> = self
-            .apps
-            .iter()
-            .map(|a| {
-                let violations: Vec<Json> = a
-                    .violations
-                    .iter()
-                    .map(|v| {
-                        Json::obj()
-                            .field("at", v.at)
-                            .field("spec", v.spec.as_str())
-                            .field(
-                                "lines",
-                                v.lines.iter().map(|l| Json::from(*l)).collect::<Vec<_>>(),
-                            )
-                    })
-                    .collect();
-                Json::obj()
-                    .field("name", a.name)
-                    .field(
-                        "points",
-                        a.points.iter().map(|p| Json::from(*p)).collect::<Vec<_>>(),
-                    )
-                    .field("images", a.images as u64)
-                    .field(
-                        "proven_lines",
-                        a.proven_lines
-                            .iter()
-                            .map(|n| Json::from(*n as u64))
-                            .collect::<Vec<_>>(),
-                    )
-                    .field("violations", violations)
-            })
-            .collect();
-        Json::obj()
-            .field("apps", apps)
-            .field(
-                "control",
-                Json::obj()
-                    .field("epoch_race_errors", self.control.epoch_race_errors as u64)
-                    .field("distinct_images", self.control.distinct_images as u64)
-                    .field("seeds", self.control.seeds)
-                    .field("passed", self.control.passed()),
-            )
-            .field("total_images", self.total_images() as u64)
-            .field("total_violations", self.total_violations() as u64)
-            .field("total_proven_lines", self.total_proven() as u64)
+    /// The `hb.crossval` section of the report and the table
+    /// `--crossval` prints.
+    pub fn section(&self) -> Section {
+        let c = &self.control;
+        let (images, proven) = (self.total_images(), self.total_proven());
+        let violations = self.total_violations();
+        let control = Json::obj()
+            .field("epoch_race_errors", c.epoch_race_errors)
+            .field("distinct_images", c.distinct_images)
+            .field("seeds", c.seeds)
+            .field("passed", c.passed());
+        let verdict = if self.passed() { "sound" } else { "UNSOUND" };
+        Section::new("hb.crossval", "HB / crash-image cross-validation")
+            .table(&self.apps, &COLS)
+            .footer(format!(
+                "control: {} epoch-race error(s), {} distinct image(s) over {} seed(s) — {}",
+                c.epoch_race_errors,
+                c.distinct_images,
+                c.seeds,
+                if c.passed() { "ok" } else { "FAILED" }
+            ))
+            .footer(format!(
+                "total: {images} image(s), {proven} proven line-point(s), {violations} violation(s) — {verdict}"
+            ))
+            .rows_in("apps")
+            .field("control", control)
+            .field("total_images", images)
+            .field("total_violations", violations)
+            .field("total_proven_lines", proven)
             .field("passed", self.passed())
     }
 
-    /// The human-readable summary printed by `--crossval`.
+    /// The `hb.crossval` section of the JSON report ([`section`](Self::section)).
+    pub fn to_json(&self) -> Json {
+        self.section().json()
+    }
+
+    /// The `--crossval` table ([`section`](Self::section)).
     pub fn summary_table(&self) -> String {
-        let mut out = String::from(
-            "HB / crash-image cross-validation\n\
-             app            points  images  proven lines  violations\n",
-        );
-        for a in &self.apps {
-            out.push_str(&format!(
-                "{:<14} {:>6} {:>7} {:>13} {:>11}\n",
-                a.name,
-                a.points.len(),
-                a.images,
-                a.proven_lines.iter().sum::<usize>(),
-                a.violations.len()
-            ));
-        }
-        out.push_str(&format!(
-            "control: {} epoch-race error(s), {} distinct image(s) over {} seed(s) — {}\n",
-            self.control.epoch_race_errors,
-            self.control.distinct_images,
-            self.control.seeds,
-            if self.control.passed() {
-                "ok"
-            } else {
-                "FAILED"
-            }
-        ));
-        out.push_str(&format!(
-            "total: {} image(s), {} proven line-point(s), {} violation(s) — {}\n",
-            self.total_images(),
-            self.total_proven(),
-            self.total_violations(),
-            if self.passed() { "sound" } else { "UNSOUND" }
-        ));
-        out
+        self.section().text()
     }
 }
+
+#[rustfmt::skip]
+const VIOLATION: [Col<CrossvalViolation>; 3] = [
+    Col::json("at", |v| v.at.into()),
+    Col::json("spec", |v| v.spec.as_str().into()),
+    Col::json("lines", |v| arr(&v.lines)),
+];
+
+#[rustfmt::skip]
+const COLS: [Col<AppCrossval>; 5] = [
+    Col("name", "app", "<14", |a| a.name.into(), plain),
+    Col("points", "points", " >6", |a| arr(&a.points), count),
+    Col("images", "images", " >7", |a| a.images.into(), plain),
+    Col("proven_lines", "proven lines", " >13", |a| arr(&a.proven_lines), sum),
+    Col("violations", "violations", " >11", |a| rows(&a.violations, &VIOLATION).into(), count),
+];
 
 /// Cross-validate one campaign row: the HB durability proof over the
 /// probe's `trace` at the points of the capture `run`, then every

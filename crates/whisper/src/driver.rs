@@ -92,12 +92,11 @@ use crate::crashtest::{self, CampaignConfig};
 use crate::crossval::CrossvalReport;
 use crate::hbgraph;
 use crate::optimize;
-use crate::profile::{profile_json, profile_table};
+use crate::section::Section;
 use crate::serve::{self, Arrival, ServeConfig};
-use crate::suite::{analyze, run_apps, AppResult, SuiteConfig, APP_NAMES};
-use crate::{json_report, report};
+use crate::suite::{archived, run_apps, AppResult, SuiteConfig, APP_NAMES};
+use crate::{json_report, profile, report};
 use pmcheck::RuleSet;
-use pmobs::Json;
 use std::io::Write;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
@@ -126,17 +125,10 @@ use Gate::{Check, Crash, Crossval, Graph, Optimize, Profile, Serve};
 impl Gate {
     const ALL: [Gate; 7] = [Serve, Profile, Check, Graph, Crash, Crossval, Optimize];
 
-    /// The gate's section of the JSON report; `a.b` nests under `a`.
-    const fn section(self) -> &'static str {
-        match self {
-            Serve => "serve",
-            Profile => "profile",
-            Check => "violations",
-            Graph => "hb.graph",
-            Crash => "crash",
-            Crossval => "hb.crossval",
-            Optimize => "optimize",
-        }
+    /// The gate's section of the JSON report ([`json_report::SECTIONS`]);
+    /// `a.b` nests under `a`.
+    fn section(self) -> &'static str {
+        json_report::gate_section(self)
     }
 }
 
@@ -157,31 +149,37 @@ pub fn exit_code(failed: &[Gate]) -> i32 {
         .map_or(0, |(_, code)| *code)
 }
 
-/// What one gate produced — the same four things for every gate.
+/// What one gate produced: its section — the `--<gate>-json`
+/// document, its part of the JSON report and its table in the text
+/// report — and why it fails the run, if it does.
 struct Outcome {
-    gate: Gate,
-    /// The gate's document: its `--<gate>-json` file and its section
-    /// of the JSON report.
-    json: Json,
-    /// The table appended to the text report.
-    table: String,
-    /// Why the gate fails the run, if it does.
+    section: Section,
     failure: Option<String>,
+}
+
+impl Outcome {
+    fn gate(&self) -> Gate {
+        let id = self.section.id;
+        Gate::ALL
+            .into_iter()
+            .find(|g| g.section() == id)
+            .expect("a gate's section")
+    }
 }
 
 /// A report renderer over the suite results.
 type Experiment = fn(&[AppResult]) -> String;
 
 const EXPERIMENTS: [(&str, Experiment); 11] = [
-    ("table1", report::table1),
-    ("fig3", report::fig3),
-    ("fig4", report::fig4),
-    ("fig5", report::fig5),
-    ("fig6", report::fig6),
-    ("fig10", report::fig10),
-    ("amplification", report::amplification),
-    ("ntfraction", report::nt_fraction),
-    ("smallwrites", report::small_writes),
+    ("table1", |r| report::table1(r).text()),
+    ("fig3", |r| report::fig3(r).text()),
+    ("fig4", |r| report::fig4(r).text()),
+    ("fig5", |r| report::fig5(r).text()),
+    ("fig6", |r| report::fig6(r).text()),
+    ("fig10", |r| report::fig10(r).text()),
+    ("amplification", |r| report::amplification(r).text()),
+    ("ntfraction", |r| report::nt_fraction(r).text()),
+    ("smallwrites", |r| report::small_writes(r).text()),
     ("consequences", report::consequences),
     ("all", report::all),
 ];
@@ -462,8 +460,8 @@ fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
     }
 
     for outcome in &outcomes {
-        if let Some(path) = &o.docs[outcome.gate as usize] {
-            write_file(path, outcome.json.to_pretty())?;
+        if let Some(path) = &o.docs[outcome.gate() as usize] {
+            write_file(path, outcome.section.json().to_pretty())?;
         }
     }
     if o.json.is_some() || o.json_det.is_some() {
@@ -472,7 +470,7 @@ fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
         let snap = pmobs::global().snapshot();
         let mut doc = json_report::build(&results, &o.cfg, &snap);
         for outcome in &outcomes {
-            doc = fill_section(doc, outcome.gate.section(), outcome.json.clone());
+            doc = json_report::place(doc, &outcome.section);
         }
         if let Some(path) = &o.json {
             write_file(path, doc.to_pretty())?;
@@ -484,8 +482,8 @@ fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
 
     let mut text = o.experiment.unwrap_or(report::all)(&results) + "\n";
     for gate in PRINT_ORDER {
-        for outcome in outcomes.iter().filter(|outcome| outcome.gate == gate) {
-            text = text + "\n" + &outcome.table;
+        for outcome in outcomes.iter().filter(|outcome| outcome.gate() == gate) {
+            text = text + "\n" + &outcome.section.text();
         }
     }
     out.write_all(text.as_bytes())
@@ -495,7 +493,7 @@ fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
     for outcome in &outcomes {
         if let Some(why) = &outcome.failure {
             pmobs::error!("{why} — failing");
-            failed.push(outcome.gate);
+            failed.push(outcome.gate());
         }
     }
     Ok(exit_code(&failed))
@@ -512,41 +510,12 @@ fn written(path: &str, outcome: std::io::Result<()>) -> Result<(), String> {
     Ok(())
 }
 
-/// Place a gate's document in the report. Every section already exists
-/// as `null` in [`json_report::build`]'s document (which owns the key
-/// order); a nested section's parent lists all its siblings, `null`
-/// until their gates fill them.
-fn fill_section(doc: Json, section: &str, json: Json) -> Json {
-    let Some((parent, child)) = section.split_once('.') else {
-        return doc.field(section, json);
-    };
-    let siblings = match doc.get(parent) {
-        Some(filled @ Json::Obj(_)) => filled.clone(),
-        _ => Gate::ALL
-            .iter()
-            .filter_map(|g| g.section().strip_prefix(parent)?.strip_prefix('.'))
-            .fold(Json::obj(), |obj, key| obj.field(key, Json::Null)),
-    };
-    doc.field(parent, siblings.field(child, json))
-}
-
 /// `--from-trace FILE`: one result decoded from a `.wtr` archive.
 fn decode_archive(file: &str) -> Result<AppResult, String> {
     let bytes = std::fs::read(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let events =
         pmtrace::decode_events(&bytes).map_err(|e| format!("cannot decode {file}: {e}"))?;
-    let run = crate::apps::AppRun {
-        name: file.to_string(),
-        workload: "archived trace".into(),
-        duration_ns: events.last().map_or(0, |e| e.at_ns),
-        events,
-        stats: memsim::MemStats::default(),
-        threads: 4,
-    };
-    // No Figure 10 replay: its table only renders the named gem5-subset
-    // apps, which an archive path can never match.
-    let analysis = analyze(&run);
-    Ok(AppResult { run, analysis })
+    Ok(archived(file, events))
 }
 
 /// Run the selected applications (and archive them, `--dump-traces`).
@@ -601,16 +570,12 @@ fn serve_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
     // they are dropped.
     let (reports, profiles) = serve::run_serve_profiled(&scfg);
     let mut outcomes = vec![Outcome {
-        gate: Serve,
-        json: serve::serve_json(&reports, &scfg),
-        table: report::serve_table(&reports, scfg.arrival),
+        section: serve::section(&reports, &scfg),
         failure: None,
     }];
     if o.on(Profile) {
         outcomes.push(Outcome {
-            gate: Profile,
-            json: profile_json(&profiles, &scfg),
-            table: profile_table(&profiles),
+            section: profile::section(&profiles, &scfg),
             failure: None,
         });
     }
@@ -641,9 +606,7 @@ fn check_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
     let checks = check::check_results_with(results, o.rules);
     let errors = check::total_errors(&checks);
     Ok(vec![Outcome {
-        gate: Check,
-        json: check::violations_json(&checks, o.rules),
-        table: check::summary_table(&checks),
+        section: check::section(&checks, o.rules),
         failure: (errors > 0).then(|| format!("pmcheck: {errors} error-severity violation(s)")),
     }])
 }
@@ -657,9 +620,7 @@ fn graph_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
         .map_err(|e| format!("cannot write graphs to {dir}: {e}"))?;
     pmobs::info!("{} graph file(s) written to {dir}", written.len());
     Ok(vec![Outcome {
-        gate: Graph,
-        json: hbgraph::stats_json(&graphs),
-        table: hbgraph::summary_table(&graphs),
+        section: hbgraph::section(&graphs),
         failure: None,
     }])
 }
@@ -682,9 +643,7 @@ fn campaign_gates(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, Strin
     if o.on(Crash) {
         let failures = crashtest::total_failures(&campaign.crash);
         outcomes.push(Outcome {
-            gate: Crash,
-            json: crashtest::crash_json(&campaign.crash, &ccfg),
-            table: crashtest::summary_table(&campaign.crash, &ccfg),
+            section: crashtest::section(&campaign.crash, &ccfg),
             failure: (failures > 0)
                 .then(|| format!("crash campaign: {failures} recovery failure(s)")),
         });
@@ -702,9 +661,7 @@ fn campaign_gates(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, Strin
             }
         );
         outcomes.push(Outcome {
-            gate: Crossval,
-            json: report.to_json(),
-            table: report.summary_table(),
+            section: report.section(),
             failure: (!report.passed()).then_some(failure),
         });
     }
@@ -712,9 +669,7 @@ fn campaign_gates(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, Strin
         let report = optimize::report(results, campaign.optimized, o.cfg.parallelism);
         let violations = report.gate_violations();
         outcomes.push(Outcome {
-            gate: Optimize,
-            json: optimize::optimize_json(&report),
-            table: optimize::summary_table(&report),
+            section: optimize::section(&report),
             failure: (!violations.is_empty())
                 .then(|| format!("optimize gate: {}", violations.join("; "))),
         });
@@ -831,23 +786,5 @@ mod tests {
         let o = Opts::parse(&args("--profile")).unwrap();
         assert!(o.on(Profile) && o.on(Serve));
         assert!(!Opts::parse(&args("--serve")).unwrap().on(Profile));
-    }
-
-    #[test]
-    fn nested_sections_list_their_siblings() {
-        let doc = Json::obj()
-            .field("hb", Json::Null)
-            .field("crash", Json::Null);
-        let doc = fill_section(doc, "hb.crossval", Json::from(1u64));
-        assert_eq!(
-            doc.to_compact(),
-            r#"{"hb":{"graph":null,"crossval":1},"crash":null}"#
-        );
-        let doc = fill_section(doc, "hb.graph", Json::from(2u64));
-        let doc = fill_section(doc, "crash", Json::from(3u64));
-        assert_eq!(
-            doc.to_compact(),
-            r#"{"hb":{"graph":2,"crossval":1},"crash":3}"#
-        );
     }
 }

@@ -9,6 +9,7 @@
 //! `<dir>/<app>.json` + `<dir>/<app>.dot` for inspection and
 //! `dot -Tsvg` rendering.
 
+use crate::section::{plain, Col, Section};
 use crate::suite::AppResult;
 use pmcheck::hb::EpochGraph;
 use pmobs::Json;
@@ -47,69 +48,43 @@ pub fn build_graphs(results: &[AppResult]) -> Vec<AppGraph> {
         .collect()
 }
 
-fn stats_fields(g: &AppGraph) -> Json {
-    Json::obj()
-        .field("name", g.name.as_str())
-        .field("threads", g.graph.threads.len() as u64)
-        .field("epochs", g.graph.nodes.len() as u64)
-        .field("po_edges", g.graph.po_edges as u64)
-        .field("cross_edges", g.graph.cross_edges.len() as u64)
-        .field("epochs_with_cross_dep", g.epochs_with_cross_dep as u64)
-        .field("max_antichain", g.max_antichain as u64)
+#[rustfmt::skip]
+const COLS: [Col<AppGraph>; 7] = [
+    Col("name", "app", "<14", |g| g.name.as_str().into(), plain),
+    Col("threads", "threads", " >7", |g| g.graph.threads.len().into(), plain),
+    Col("epochs", "epochs", " >7", |g| g.graph.nodes.len().into(), plain),
+    Col("po_edges", "po-edges", " >9", |g| g.graph.po_edges.into(), plain),
+    Col("cross_edges", "cross-edges", " >12", |g| g.graph.cross_edges.len().into(), plain),
+    Col("epochs_with_cross_dep", "w/cross-dep", " >12", |g| g.epochs_with_cross_dep.into(), plain),
+    Col("max_antichain", "max-antichain", " >14", |g| g.max_antichain.into(), plain),
+];
+
+/// The `hb.graph` section: per-app dependency statistics (the full
+/// node/edge lists live in the `--check-graph` output files, not the
+/// report) and the table `--check-graph` prints.
+pub fn section(graphs: &[AppGraph]) -> Section {
+    let epochs: usize = graphs.iter().map(|g| g.graph.nodes.len()).sum();
+    let cross: usize = graphs.iter().map(|g| g.graph.cross_edges.len()).sum();
+    Section::new("hb.graph", "Epoch dependency graphs (pmcheck::hb)")
+        .table(graphs, &COLS)
+        .footer(format!(
+            "total: {epochs} epoch(s), {cross} cross edge(s) across {} app(s)",
+            graphs.len()
+        ))
+        .rows_in("apps")
+        .field("total_epochs", epochs)
+        .field("total_cross_edges", cross)
 }
 
-/// The `hb.graph` section of the JSON report: per-app dependency
-/// statistics (the full node/edge lists live in the `--check-graph`
-/// output files, not the report).
+/// The `hb.graph` section of the JSON report ([`section`]).
 pub fn stats_json(graphs: &[AppGraph]) -> Json {
-    let apps: Vec<Json> = graphs.iter().map(stats_fields).collect();
-    Json::obj()
-        .field("apps", apps)
-        .field(
-            "total_epochs",
-            graphs
-                .iter()
-                .map(|g| g.graph.nodes.len() as u64)
-                .sum::<u64>(),
-        )
-        .field(
-            "total_cross_edges",
-            graphs
-                .iter()
-                .map(|g| g.graph.cross_edges.len() as u64)
-                .sum::<u64>(),
-        )
+    section(graphs).json()
 }
 
-/// The human-readable table printed by `--check-graph` (the
-/// EXPERIMENTS.md epoch-graph stats table is this, verbatim).
+/// The `--check-graph` table ([`section`]; the EXPERIMENTS.md
+/// epoch-graph stats table is this, verbatim).
 pub fn summary_table(graphs: &[AppGraph]) -> String {
-    let mut out = String::from(
-        "Epoch dependency graphs (pmcheck::hb)\n\
-         app            threads  epochs  po-edges  cross-edges  w/cross-dep  max-antichain\n",
-    );
-    for g in graphs {
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>7} {:>9} {:>12} {:>12} {:>14}\n",
-            g.name,
-            g.graph.threads.len(),
-            g.graph.nodes.len(),
-            g.graph.po_edges,
-            g.graph.cross_edges.len(),
-            g.epochs_with_cross_dep,
-            g.max_antichain
-        ));
-    }
-    out.push_str(&format!(
-        "total: {} epoch(s), {} cross edge(s) across {} app(s)\n",
-        graphs.iter().map(|g| g.graph.nodes.len()).sum::<usize>(),
-        graphs
-            .iter()
-            .map(|g| g.graph.cross_edges.len())
-            .sum::<usize>(),
-        graphs.len()
-    ));
-    out
+    section(graphs).text()
 }
 
 /// Write `<dir>/<app>.json` and `<dir>/<app>.dot` for every graph,

@@ -2,29 +2,21 @@
 //!
 //! One versioned JSON document bundling everything the text report
 //! shows — Table 1, Figures 3–6 and 10, the Section 5.2 byte
-//! accounting — plus the suite-wide [`MemStats`] totals and a dump of
-//! the [`pmobs`] metrics registry. The encoder is
+//! accounting — plus the suite-wide [`MemStats`] totals, a dump of the
+//! [`pmobs`] metrics registry, and one section per report gate. The
+//! figures and gates are [`Section`]s, each rendered once as text and
+//! once as JSON; [`SECTIONS`] lists every key of the document in order,
+//! and [`REQUIRED_KEYS`], [`DETERMINISTIC_KEYS`] and the gate each
+//! `--<gate>-json` flag writes all come from it. The encoder is
 //! [`pmobs::json`]; no external serialization crate is involved.
 //!
 //! # Schema (version 8)
 //!
-//! Version 8 = version 7 plus `config.worker_threads` (the scheduler
-//! client count inside the interleaved applications, the `--threads`
-//! flag). Version 7 = version 6 plus the `hb` section (`null` unless the run
-//! built epoch dependency graphs with `--check-graph` or
-//! cross-validated the HB analysis with `--crossval`) and
-//! `rules_enabled` inside `violations`; every v6 key is otherwise
-//! unchanged. Version 6 = version 5 plus the `optimize` section
-//! (`null` unless the run swept the ordering optimizer with
-//! `whisper-report --optimize`); every v5 key is otherwise unchanged.
-//! Version 5 =
-//! version 4 plus the `profile` section (`null` unless the
-//! run profiled the serving sweep with `whisper-report --profile`);
-//! every v4 key is otherwise unchanged. Version 4 = version 3 plus the
-//! `serve` section (`null` unless the run swept the open-loop serving
-//! engine with `whisper-report --serve`) and `p999` in every metrics
-//! histogram. Version 3 = version 2 plus the `crash` section and
-//! `config.effective_ops`. Version 2 = version 1 plus `violations`.
+//! This is the one field list of the report; the gate modules and
+//! DESIGN.md point here. Version 8 added `config.worker_threads`;
+//! versions 2–7 added, in turn, `violations`, `crash` with
+//! `config.effective_ops`, `serve` with `p999` in every histogram,
+//! `profile`, `optimize`, and `hb` with `violations.rules_enabled`.
 //!
 //! ```text
 //! schema_version   u64     always 8 for this layout
@@ -41,9 +33,10 @@
 //!                           paper_self_pct, paper_cross_pct}
 //! fig6             obj     {apps: [{name, pm_pct, paper_pm_pct}],
 //!                           average_pm_pct, paper_average_pm_pct}
-//!                          (gem5-subset apps only)
+//!                          (gem5-subset apps with memory counters)
 //! fig10            obj     {models, apps: [{name, normalized}],
 //!                           average, paper_average}
+//!                          (gem5-subset apps with a Figure 10 replay)
 //! amplification    arr     {name, amplification, user_bytes,
 //!                           overhead_bytes, bytes_by_category}
 //! nt_fraction      arr     {name, fraction} — null when no PM bytes
@@ -56,38 +49,30 @@
 //!                          {unit, count, sum, min, max, mean,
 //!                           p50, p90, p99, p999}. Empty objects when
 //!                          recording was off.
-//! violations       obj?    pmcheck results (`crate::check`):
+//! violations       obj?    `--check` ([`crate::check`]):
 //!                          {checked_apps, rules_enabled,
 //!                           total_errors, total_warnings, by_rule,
-//!                           apps: [{name, events,
-//!                           errors, warnings, by_rule, findings,
-//!                           findings_truncated}]}. `null` when the
-//!                          run was not checked. `rules_enabled` lists
-//!                          the `--check-rules` selection the check
-//!                          ran under (all rule ids by default).
-//! crash            obj?    crash-campaign results
-//!                          (`crate::crashtest::crash_json`):
+//!                           apps: [{name, events, errors, warnings,
+//!                           by_rule, findings (first 25),
+//!                           findings_truncated}]}; `by_rule` maps a
+//!                          rule id to {errors, warnings};
+//!                          `rules_enabled` is the `--check-rules`
+//!                          selection (every rule id by default)
+//! crash            obj?    `--crash` ([`crate::crashtest`]):
 //!                          {points_per_app, adversarial_seeds,
 //!                           total_images, total_failures,
 //!                           apps: [{name, ops, fence_events, points,
-//!                           images, failures}]}. `null` when the run
-//!                          did not sweep the campaign.
-//! serve            obj?    open-loop serving sweep
-//!                          (`crate::serve::serve_json`):
+//!                           images, failures: [{at, progress, spec,
+//!                           error}]}]}
+//! serve            obj?    `--serve` ([`crate::serve`]):
 //!                          {shards, arrival, load_fractions, models,
 //!                           apps: [{name, shards, requests,
 //!                           offered_rps, curves: [{model,
 //!                           mean_service_ns, capacity_rps,
 //!                           points: [{offered_rps, achieved_rps,
 //!                           requests, p50_ns, p90_ns, p99_ns,
-//!                           p999_ns, mean_wait_ns}]}]}]}. All on the
-//!                          simulated clock — deterministic per
-//!                          (scale, seed, shards, arrival), but
-//!                          outside the golden deterministic subset,
-//!                          like `crash`. `null` when the run did not
-//!                          sweep the serving engine.
-//! profile          obj?    phase profile of the serving sweep
-//!                          (`crate::profile::profile_json`):
+//!                           p999_ns, mean_wait_ns}]}]}]}
+//! profile          obj?    `--profile` ([`crate::profile`]):
 //!                          {shards, arrival, load_fractions, models,
 //!                           apps: [{name, mechanisms: [{model,
 //!                           queue_ns, replay_ns, fence_stall_ns,
@@ -95,228 +80,178 @@
 //!                           tail: [{load_fraction, offered_rps,
 //!                           p99_ns, tail_requests, tail_total_ns,
 //!                           queue_pct, replay_pct,
-//!                           fence_stall_pct}]}]}]}. Simulated clock
-//!                          only, deterministic like `serve`; `null`
-//!                          when the run was not profiled.
-//! optimize         obj?    ordering-optimizer results
-//!                          (`crate::optimize::optimize_json`):
+//!                           fence_stall_pct}]}]}]}
+//! optimize         obj?    `--optimize` ([`crate::optimize`]):
 //!                          {total_elided, crash_failures,
 //!                           gates: {check_clean, crash_ok, violations},
-//!                           apps: [{name, events, elided, epochs,
-//!                           check, speedup}],
+//!                           apps: [{name, events: {before, after},
+//!                           elided: {flushes, fences, rounds},
+//!                           epochs: {before, after, mean_lines_before,
+//!                           mean_lines_after}, check: {errors_before,
+//!                           errors_after, residual_flagged},
+//!                           speedup: {<model>: {base_ns, optimized_ns,
+//!                           speedup}}}],
 //!                           crash: [{name, planned_flushes,
 //!                           planned_fences, elided_flushes,
 //!                           elided_fences, flush_vetoes, fence_vetoes,
 //!                           baseline_fences, fence_events, images,
-//!                           failures}]}. Simulated clock only,
-//!                          deterministic like `serve`; `null` when the
-//!                          run did not sweep the optimizer.
-//! hb               obj?    happens-before analysis artifacts:
-//!                          {graph: obj?, crossval: obj?}. `graph`
-//!                          (`crate::hbgraph::stats_json`) carries the
-//!                          per-app epoch dependency statistics
+//!                           failures}]}
+//! hb               obj?    {graph: obj?, crossval: obj?}; `null` when
+//!                          neither gate ran, and a gate that did not
+//!                          run leaves its half `null`.
+//!   hb.graph               `--check-graph` ([`crate::hbgraph`]):
 //!                          {apps: [{name, threads, epochs, po_edges,
 //!                           cross_edges, epochs_with_cross_dep,
 //!                           max_antichain}], total_epochs,
-//!                           total_cross_edges} when the run passed
-//!                          `--check-graph`, else `null`. `crossval`
-//!                          (`crate::crossval`) carries the
-//!                          HB-vs-crash-image gate {apps: [{name,
-//!                           points, images, proven_lines,
-//!                           violations}], control, total_images,
-//!                           total_violations, total_proven_lines,
-//!                           passed} when the run passed `--crossval`,
-//!                          else `null`. The whole section is `null`
-//!                          when neither flag was given.
+//!                           total_cross_edges}
+//!   hb.crossval            `--crossval` ([`crate::crossval`]):
+//!                          {apps: [{name, points, images,
+//!                           proven_lines, violations: [{at, spec,
+//!                           lines}]}], control: {epoch_race_errors,
+//!                           distinct_images, seeds, passed},
+//!                           total_images, total_violations,
+//!                           total_proven_lines, passed}
 //! ```
+//!
+//! `obj?` is `null` unless its gate ran. The gate sections are
+//! deterministic per run shape (serve, profile and optimize are on the
+//! simulated clock), but only the [`DETERMINISTIC_KEYS`] — those that
+//! depend on `(scale, seed)` alone — form the golden subset.
 //!
 //! Clock-domain rule (see `pmobs::span`): metric names under `sim.*`
 //! are measured on the deterministic simulated clock and reproduce
 //! bit-for-bit for a fixed seed; `span.*` and `suite.queue_wait_ns/*`
 //! are host wall-clock and vary run to run.
 
-use crate::report::{PAPER_FIG10_AVG, PAPER_FIG6_AVG_PCT};
+use crate::driver::Gate::{self, Check, Crash, Crossval, Graph, Optimize, Profile, Serve};
+use crate::report;
+use crate::section::Section;
 use crate::suite::{AppResult, SuiteConfig};
 use memsim::MemStats;
 use pmobs::metrics::HistogramSnapshot;
 use pmobs::{Json, MetricsSnapshot};
-use pmtrace::analysis::SIZE_BUCKET_LABELS;
-use pmtrace::Category;
 
 /// Version stamp of the report layout documented above.
 pub const SCHEMA_VERSION: u64 = 8;
 
-fn f64s(values: impl IntoIterator<Item = f64>) -> Vec<Json> {
-    values.into_iter().map(Json::from).collect()
+/// A report value computed from the run.
+pub type Value = fn(&[AppResult], &SuiteConfig, &MetricsSnapshot) -> Json;
+
+/// What fills one key of the report.
+#[derive(Clone, Copy)]
+pub enum Fill {
+    /// A paper figure: deterministic, and a table of the text report.
+    Figure(fn(&[AppResult]) -> Section),
+    /// A deterministic value that is not a figure.
+    Det(Value),
+    /// A value that depends on the host or the invocation.
+    Run(Value),
+    /// A gate's section: `null` until the gate fills it.
+    Gate(Gate),
+    /// The parent of the `key.*` sections: `null` until a gate fills one.
+    Nest,
 }
 
-fn table1(results: &[AppResult]) -> Json {
-    let rows: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("workload", r.run.workload.as_str())
-                .field("threads", r.run.threads)
-                .field("epochs", r.analysis.epoch_count as u64)
-                .field("duration_ns", r.run.duration_ns)
-                .field("epochs_per_sec", r.analysis.epochs_per_sec)
-                .field(
-                    "paper_epochs_per_sec",
-                    r.app().map(|app| app.paper.epochs_per_sec),
-                )
-        })
-        .collect();
-    Json::from(rows)
+/// Every section of the report, in document order; `a.b` nests under
+/// `a`. The text report prints the figures in this order too.
+pub const SECTIONS: [(&str, Fill); 21] = [
+    ("schema_version", Fill::Det(|_, _, _| SCHEMA_VERSION.into())),
+    ("config", Fill::Run(config)),
+    ("table1", Fill::Figure(report::table1)),
+    ("fig3", Fill::Figure(report::fig3)),
+    ("fig4", Fill::Figure(report::fig4)),
+    ("fig5", Fill::Figure(report::fig5)),
+    ("fig6", Fill::Figure(report::fig6)),
+    ("fig10", Fill::Figure(report::fig10)),
+    ("amplification", Fill::Figure(report::amplification)),
+    ("nt_fraction", Fill::Figure(report::nt_fraction)),
+    ("small_writes", Fill::Figure(report::small_writes)),
+    ("totals", Fill::Det(totals)),
+    ("metrics", Fill::Run(|_, _, metrics| metrics_json(metrics))),
+    ("violations", Fill::Gate(Check)),
+    ("crash", Fill::Gate(Crash)),
+    ("serve", Fill::Gate(Serve)),
+    ("profile", Fill::Gate(Profile)),
+    ("optimize", Fill::Gate(Optimize)),
+    ("hb", Fill::Nest),
+    ("hb.graph", Fill::Gate(Graph)),
+    ("hb.crossval", Fill::Gate(Crossval)),
+];
+
+/// Whether a section nests under another (`hb.graph`).
+const fn nested(path: &str) -> bool {
+    let mut i = 0;
+    while i < path.len() && path.as_bytes()[i] != b'.' {
+        i += 1;
+    }
+    i < path.len()
 }
 
-fn fig3(results: &[AppResult]) -> Json {
-    let rows: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            let t = &r.analysis.tx_stats;
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("median", t.median())
-                .field("mean", t.mean())
-                .field("max", t.max())
-                .field("tx_count", t.tx_count() as u64)
-                .field("paper_median", r.app().map(|app| app.paper.fig3_median))
-        })
-        .collect();
-    Json::from(rows)
+/// The top-level keys of [`SECTIONS`], in order — only the
+/// deterministic ones if `det_only`.
+const fn keys<const N: usize>(det_only: bool) -> [&'static str; N] {
+    let mut out = [""; N];
+    let (mut i, mut n) = (0, 0);
+    while i < SECTIONS.len() {
+        let (key, fill) = SECTIONS[i];
+        let det = matches!(fill, Fill::Figure(_) | Fill::Det(_));
+        if !nested(key) && (det || !det_only) {
+            out[n] = key;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == N, "key count");
+    out
 }
 
-fn fig4(results: &[AppResult]) -> Json {
-    let labels: Vec<Json> = SIZE_BUCKET_LABELS.iter().map(|l| Json::from(*l)).collect();
-    let apps: Vec<Json> = results
+/// The top-level keys every version-8 document carries, in order.
+pub const REQUIRED_KEYS: [&str; 19] = keys(false);
+
+/// The keys of the *deterministic* sections of the report: everything
+/// that depends only on `(scale, seed)` and therefore reproduces
+/// byte-for-byte across runs, hosts, and parallelism settings. Left out
+/// are `config` (the host-dependent worker count), `metrics` (host
+/// wall-clock histograms), and the gate sections (deterministic but
+/// sweep-dependent, with their own gates). The golden-report
+/// equivalence gate (`tests/golden_report.rs`, CI) compares exactly
+/// these sections.
+pub const DETERMINISTIC_KEYS: [&str; 11] = keys(true);
+
+/// The paper figures, in report order.
+pub(crate) fn figures() -> impl Iterator<Item = fn(&[AppResult]) -> Section> {
+    SECTIONS.iter().filter_map(|(_, fill)| match fill {
+        Fill::Figure(figure) => Some(*figure),
+        _ => None,
+    })
+}
+
+/// The section `gate` fills.
+pub(crate) fn gate_section(gate: Gate) -> &'static str {
+    SECTIONS
         .iter()
-        .map(|r| {
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("fractions", f64s(r.analysis.size_hist.fractions()))
-        })
-        .collect();
+        .find(|(_, fill)| matches!(fill, Fill::Gate(g) if *g == gate))
+        .map(|(key, _)| *key)
+        .expect("every gate fills a section")
+}
+
+fn config(results: &[AppResult], cfg: &SuiteConfig, _: &MetricsSnapshot) -> Json {
+    let mut effective_ops = Json::obj();
+    for r in results {
+        // Archive replays and other synthetic rows have no op base.
+        if let Some(ops) = cfg.effective_ops(&r.run.name) {
+            effective_ops = effective_ops.field(&r.run.name, ops as u64);
+        }
+    }
     Json::obj()
-        .field("bucket_labels", labels)
-        .field("apps", apps)
+        .field("scale", cfg.scale)
+        .field("seed", cfg.seed)
+        .field("parallelism", cfg.parallelism as u64)
+        .field("worker_threads", u64::from(cfg.worker_threads))
+        .field("effective_ops", effective_ops)
 }
 
-fn fig5(results: &[AppResult]) -> Json {
-    let rows: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            let p = r.app().map(|app| app.paper);
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("self_pct", r.analysis.deps.self_fraction() * 100.0)
-                .field("cross_pct", r.analysis.deps.cross_fraction() * 100.0)
-                .field("paper_self_pct", p.map(|p| p.fig5_self_pct))
-                .field("paper_cross_pct", p.map(|p| p.fig5_cross_pct))
-        })
-        .collect();
-    Json::from(rows)
-}
-
-fn fig6(results: &[AppResult]) -> Json {
-    let sim: Vec<&AppResult> = results.iter().filter(|r| r.is_sim()).collect();
-    let apps: Vec<Json> = sim
-        .iter()
-        .map(|r| {
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("pm_pct", r.analysis.pm_fraction * 100.0)
-                .field(
-                    "paper_pm_pct",
-                    r.app().and_then(|app| app.paper.fig6_pm_pct),
-                )
-        })
-        .collect();
-    let average = if sim.is_empty() {
-        Json::Null
-    } else {
-        Json::from(
-            sim.iter()
-                .map(|r| r.analysis.pm_fraction * 100.0)
-                .sum::<f64>()
-                / sim.len() as f64,
-        )
-    };
-    Json::obj()
-        .field("apps", apps)
-        .field("average_pm_pct", average)
-        .field("paper_average_pm_pct", PAPER_FIG6_AVG_PCT)
-}
-
-fn fig10(results: &[AppResult]) -> Json {
-    let models: Vec<Json> = PAPER_FIG10_AVG
-        .iter()
-        .map(|(m, _)| Json::from(m.to_string()))
-        .collect();
-    let sim: Vec<&AppResult> = results
-        .iter()
-        .filter(|r| r.is_sim() && !r.analysis.fig10.is_empty())
-        .collect();
-    let apps: Vec<Json> = sim
-        .iter()
-        .map(|r| {
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("normalized", f64s(r.analysis.fig10.iter().map(|(_, v)| *v)))
-        })
-        .collect();
-    let average = if sim.is_empty() {
-        Json::from(Vec::new())
-    } else {
-        f64s(
-            (0..PAPER_FIG10_AVG.len())
-                .map(|i| sim.iter().map(|r| r.analysis.fig10[i].1).sum::<f64>() / sim.len() as f64),
-        )
-        .into()
-    };
-    Json::obj()
-        .field("models", models)
-        .field("apps", apps)
-        .field("average", average)
-        .field(
-            "paper_average",
-            f64s(PAPER_FIG10_AVG.iter().map(|(_, v)| *v)),
-        )
-}
-
-fn amplification(results: &[AppResult]) -> Json {
-    let rows: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            let a = &r.analysis.amplification;
-            let mut by_cat = Json::obj();
-            for cat in Category::ALL {
-                by_cat = by_cat.field(&cat.to_string(), a.bytes(cat));
-            }
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("amplification", a.amplification())
-                .field("user_bytes", a.user_bytes())
-                .field("overhead_bytes", a.overhead_bytes())
-                .field("bytes_by_category", by_cat)
-        })
-        .collect();
-    Json::from(rows)
-}
-
-fn fraction_rows(results: &[AppResult], pick: impl Fn(&AppResult) -> Option<f64>) -> Json {
-    let rows: Vec<Json> = results
-        .iter()
-        .map(|r| {
-            Json::obj()
-                .field("name", r.run.name.as_str())
-                .field("fraction", pick(r))
-        })
-        .collect();
-    Json::from(rows)
-}
-
-fn totals(results: &[AppResult]) -> Json {
+fn totals(results: &[AppResult], _: &SuiteConfig, _: &MetricsSnapshot) -> Json {
     let mut t = MemStats::default();
     for r in results {
         t.merge(&r.run.stats);
@@ -365,10 +300,22 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
         .field("histograms", histograms)
 }
 
-/// Assemble the full schema-version-8 report document. `checks` is the
-/// per-app pmcheck outcome when the run was checked (`--check`), with
-/// the rule selection it ran under; the `violations` key serializes as
-/// `null` otherwise.
+/// The report document with every gate section `null` (the plain-run
+/// shape).
+pub fn build(results: &[AppResult], cfg: &SuiteConfig, metrics: &MetricsSnapshot) -> Json {
+    SECTIONS
+        .iter()
+        .fold(Json::obj(), |doc, (key, fill)| match fill {
+            Fill::Figure(figure) => doc.field(key, figure(results).json()),
+            Fill::Det(value) | Fill::Run(value) => doc.field(key, value(results, cfg, metrics)),
+            Fill::Gate(_) | Fill::Nest if nested(key) => doc,
+            Fill::Gate(_) | Fill::Nest => doc.field(key, Json::Null),
+        })
+}
+
+/// [`build`] with the `violations` section filled when the run was
+/// checked (`--check`): `checks` is the per-app pmcheck outcome, under
+/// the rule selection `rules`.
 pub fn build_checked(
     results: &[AppResult],
     cfg: &SuiteConfig,
@@ -376,85 +323,31 @@ pub fn build_checked(
     checks: Option<&[crate::check::AppCheck]>,
     rules: pmcheck::RuleSet,
 ) -> Json {
-    build(results, cfg, metrics).field(
-        "violations",
-        match checks {
-            Some(c) => crate::check::violations_json(c, rules),
-            None => Json::Null,
-        },
-    )
-}
-
-/// Assemble the report document without the optional
-/// `violations`/`crash`/`serve`/`profile`/`optimize`/`hb` sections
-/// (the plain-run shape: all six `null`).
-pub fn build(results: &[AppResult], cfg: &SuiteConfig, metrics: &MetricsSnapshot) -> Json {
-    let mut effective_ops = Json::obj();
-    for r in results {
-        // Archive replays and other synthetic rows have no op base.
-        if let Some(ops) = cfg.effective_ops(&r.run.name) {
-            effective_ops = effective_ops.field(&r.run.name, ops as u64);
-        }
+    let doc = build(results, cfg, metrics);
+    match checks {
+        Some(c) => place(doc, &crate::check::section(c, rules)),
+        None => doc,
     }
-    Json::obj()
-        .field("schema_version", SCHEMA_VERSION)
-        .field(
-            "config",
-            Json::obj()
-                .field("scale", cfg.scale)
-                .field("seed", cfg.seed)
-                .field("parallelism", cfg.parallelism as u64)
-                .field("worker_threads", u64::from(cfg.worker_threads))
-                .field("effective_ops", effective_ops),
-        )
-        .field("table1", table1(results))
-        .field("fig3", fig3(results))
-        .field("fig4", fig4(results))
-        .field("fig5", fig5(results))
-        .field("fig6", fig6(results))
-        .field("fig10", fig10(results))
-        .field("amplification", amplification(results))
-        .field(
-            "nt_fraction",
-            fraction_rows(results, |r| r.analysis.nt_fraction),
-        )
-        .field(
-            "small_writes",
-            fraction_rows(results, |r| r.analysis.small_singleton_fraction),
-        )
-        .field("totals", totals(results))
-        .field("metrics", metrics_json(metrics))
-        .field("violations", Json::Null)
-        .field("crash", Json::Null)
-        .field("serve", Json::Null)
-        .field("profile", Json::Null)
-        .field("optimize", Json::Null)
-        .field("hb", Json::Null)
 }
 
-/// The keys of the *deterministic* sections of the report: everything
-/// that depends only on `(scale, seed)` and therefore reproduces
-/// byte-for-byte across runs, hosts, and parallelism settings. Excluded
-/// are `config` (carries the host-dependent worker count), `metrics`
-/// (host wall-clock histograms), and the optional `violations`/`crash`/
-/// `serve`/`profile`/`optimize` sections (deterministic but
-/// sweep-dependent — they have their own gates). The golden-report equivalence gate
-/// (`tests/golden_report.rs`, CI) compares exactly these sections, so
-/// any hot-path change to the simulator that perturbs results is caught
-/// mechanically.
-pub const DETERMINISTIC_KEYS: [&str; 11] = [
-    "schema_version",
-    "table1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig10",
-    "amplification",
-    "nt_fraction",
-    "small_writes",
-    "totals",
-];
+/// Place a gate's section in the report. Every section already exists
+/// as `null` in [`build`]'s document (which owns the key order); a
+/// nested section's parent lists all its siblings, `null` until their
+/// gates fill them.
+pub(crate) fn place(doc: Json, section: &Section) -> Json {
+    let json = section.json();
+    let Some((parent, child)) = section.id.split_once('.') else {
+        return doc.field(section.id, json);
+    };
+    let siblings = match doc.get(parent) {
+        Some(filled @ Json::Obj(_)) => filled.clone(),
+        _ => SECTIONS
+            .iter()
+            .filter_map(|(key, _)| key.strip_prefix(parent)?.strip_prefix('.'))
+            .fold(Json::obj(), |obj, key| obj.field(key, Json::Null)),
+    };
+    doc.field(parent, siblings.field(child, json))
+}
 
 /// Project the deterministic sections ([`DETERMINISTIC_KEYS`]) out of a
 /// full report document, preserving key order.
@@ -467,30 +360,6 @@ pub fn deterministic_subset(doc: &Json) -> Json {
     }
     out
 }
-
-/// The top-level keys every version-8 document carries, in order —
-/// shared between [`build`], the tests, and CI validation.
-pub const REQUIRED_KEYS: [&str; 19] = [
-    "schema_version",
-    "config",
-    "table1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig10",
-    "amplification",
-    "nt_fraction",
-    "small_writes",
-    "totals",
-    "metrics",
-    "violations",
-    "crash",
-    "serve",
-    "profile",
-    "optimize",
-    "hb",
-];
 
 #[cfg(test)]
 mod tests {
@@ -569,6 +438,44 @@ mod tests {
         assert_eq!(fig6_apps.as_arr().unwrap().len(), 1);
         let fig10_apps = parsed.get("fig10").and_then(|f| f.get("apps")).unwrap();
         assert_eq!(fig10_apps.as_arr().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn nested_sections_list_their_siblings() {
+        let section = |id| Section::new(id, "").rows_in("apps");
+        let doc = Json::obj()
+            .field("hb", Json::Null)
+            .field("crash", Json::Null);
+        let doc = place(doc, &section("hb.crossval"));
+        assert_eq!(
+            doc.to_compact(),
+            r#"{"hb":{"graph":null,"crossval":{"apps":[]}},"crash":null}"#
+        );
+        let doc = place(doc, &section("hb.graph"));
+        let doc = place(doc, &Section::new("crash", ""));
+        assert_eq!(
+            doc.to_compact(),
+            r#"{"hb":{"graph":{"apps":[]},"crossval":{"apps":[]}},"crash":[]}"#
+        );
+    }
+
+    #[test]
+    fn every_gate_fills_one_section() {
+        let gates = [
+            (Serve, "serve"),
+            (Profile, "profile"),
+            (Check, "violations"),
+            (Graph, "hb.graph"),
+            (Crash, "crash"),
+            (Crossval, "hb.crossval"),
+            (Optimize, "optimize"),
+        ];
+        for (gate, section) in gates {
+            assert_eq!(gate_section(gate), section);
+        }
+        assert_eq!(REQUIRED_KEYS.len(), 19);
+        assert_eq!(DETERMINISTIC_KEYS[0], "schema_version");
+        assert_eq!(DETERMINISTIC_KEYS[10], "totals");
     }
 
     #[test]

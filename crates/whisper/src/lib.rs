@@ -29,8 +29,10 @@
 //! generators — [`apps::APPS`] is the one table describing the eleven
 //! Table 1 rows, which everything below reads; [`suite`] runs them and
 //! analyzes their traces;
-//! [`report`] and [`json_report`] render the paper's tables as text and
-//! as the versioned JSON document. The report gates each have a module:
+//! [`report`] builds the paper's tables and figures as [`section`]s, each
+//! rendered once as text and once as its part of the versioned JSON
+//! document that [`json_report`] assembles. The report gates each have
+//! a module, which builds the gate's section too:
 //! [`check`] (persistency checker), [`hbgraph`] (epoch dependency
 //! graphs), [`crashtest`] (crash-injection campaign), [`crossval`]
 //! (happens-before vs crash images), [`optimize`] (ordering optimizer),
@@ -64,6 +66,7 @@ mod pool;
 pub mod profile;
 pub mod region;
 pub mod report;
+pub mod section;
 pub mod serve;
 pub mod suite;
 pub mod workloads;

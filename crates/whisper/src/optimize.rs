@@ -23,6 +23,7 @@
 use crate::crashtest::{campaign, CampaignConfig, OptimizedCrashReport};
 use crate::driver::Gate::Optimize;
 use crate::pool::fan_out;
+use crate::section::{cell, int, plain, Col, Section};
 use crate::suite::AppResult;
 use hops::{replay, HopsConfig, PersistModel, TimingConfig};
 use pmcheck::rewrite::is_elidable;
@@ -242,164 +243,142 @@ pub fn optimize_results(
     report(results, crash, parallelism)
 }
 
-/// The `optimize` section of the schema-v6 JSON report.
-///
-/// ```text
-/// {total_elided, crash_failures, gates: {check_clean, crash_ok},
-///  apps: [{name, events: {before, after},
-///          elided: {flushes, fences, rounds},
-///          epochs: {before, after, mean_lines_before, mean_lines_after},
-///          check: {errors_before, errors_after, residual_flagged},
-///          speedup: {"<model>": {base_ns, optimized_ns, speedup}, ...}}],
-///  crash: [{name, planned_flushes, planned_fences, elided_flushes,
-///           elided_fences, flush_vetoes, fence_vetoes, baseline_fences,
-///           fence_events, images, failures}]}
-/// ```
-pub fn optimize_json(report: &OptimizeReport) -> Json {
-    let apps: Vec<Json> = report
-        .apps
-        .iter()
-        .map(|a| {
-            let mut speedup = Json::obj();
-            for s in &a.speedups {
-                speedup = speedup.field(
-                    &s.model.to_string(),
-                    Json::obj()
-                        .field("base_ns", s.base_ns)
-                        .field("optimized_ns", s.optimized_ns)
-                        .field("speedup", s.speedup()),
-                );
-            }
-            Json::obj()
-                .field("name", a.name.as_str())
-                .field(
-                    "events",
-                    Json::obj()
-                        .field("before", a.events_before as u64)
-                        .field("after", a.events_after as u64),
-                )
-                .field(
-                    "elided",
-                    Json::obj()
-                        .field("flushes", a.elided_flushes as u64)
-                        .field("fences", a.elided_fences as u64)
-                        .field("rounds", a.rewrite_rounds as u64),
-                )
-                .field(
-                    "epochs",
-                    Json::obj()
-                        .field("before", a.epochs_before as u64)
-                        .field("after", a.epochs_after as u64)
-                        .field("mean_lines_before", a.mean_epoch_lines_before)
-                        .field("mean_lines_after", a.mean_epoch_lines_after),
-                )
-                .field(
-                    "check",
-                    Json::obj()
-                        .field("errors_before", a.errors_before as u64)
-                        .field("errors_after", a.errors_after as u64)
-                        .field("residual_flagged", a.residual_flagged as u64),
-                )
-                .field("speedup", speedup)
-        })
-        .collect();
-    let crash: Vec<Json> = report
-        .crash
-        .iter()
-        .map(|r| {
-            Json::obj()
-                .field("name", r.report.name)
-                .field("planned_flushes", r.planned_flushes as u64)
-                .field("planned_fences", r.planned_fences as u64)
-                .field("elided_flushes", r.elide.flushes_elided)
-                .field("elided_fences", r.elide.fences_elided)
-                .field("flush_vetoes", r.elide.flush_vetoes)
-                .field("fence_vetoes", r.elide.fence_vetoes)
-                .field("baseline_fences", r.baseline_fences)
-                .field("fence_events", r.report.fence_events)
-                .field("images", r.report.images as u64)
-                .field("failures", r.report.failures.len() as u64)
-        })
-        .collect();
-    let violations = report.gate_violations();
-    Json::obj()
-        .field("total_elided", report.total_elided() as u64)
-        .field("crash_failures", report.crash_failures() as u64)
-        .field(
-            "gates",
-            Json::obj()
-                .field("check_clean", report.apps.iter().all(AppOptimize::is_clean))
-                .field("crash_ok", report.crash_failures() == 0)
-                .field(
-                    "violations",
-                    violations
-                        .iter()
-                        .map(|v| Json::from(v.as_str()))
-                        .collect::<Vec<Json>>(),
-                ),
-        )
-        .field("apps", apps)
-        .field("crash", crash)
+/// `{before, after}`.
+fn before_after(before: usize, after: usize) -> Json {
+    Json::obj().field("before", before).field("after", after)
 }
 
-/// Render the human-readable `--optimize` tables.
-pub fn summary_table(report: &OptimizeReport) -> String {
-    let mut out = String::from(
-        "Ordering optimizer (pmcheck rewrite)\n\
-         app            elided-fl  elided-fe  rounds   epochs before->after  \
-         x86(NVM)  HOPS(NVM)  x86(PWQ)\n",
-    );
-    for a in &report.apps {
-        let mut cols = String::new();
-        for s in &a.speedups {
-            cols.push_str(&format!("{:>9.4}x", s.speedup()));
-        }
-        out.push_str(&format!(
-            "{:<14} {:>9} {:>10} {:>7}   {:>8} -> {:<8} {}\n",
-            a.name,
-            a.elided_flushes,
-            a.elided_fences,
-            a.rewrite_rounds,
-            a.epochs_before,
-            a.epochs_after,
-            cols,
-        ));
-    }
-    out.push_str(&format!(
-        "total elided: {} instruction(s) across {} app(s)\n\n",
-        report.total_elided(),
-        report.apps.len()
-    ));
-    out.push_str(
-        "Crash campaign over optimized schedules\n\
-         app            planned  elided  vetoed  fences before->after  images  failures\n",
-    );
-    for r in &report.crash {
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>7} {:>7}  {:>9} -> {:<8} {:>6} {:>9}\n",
-            r.report.name,
-            r.planned_flushes + r.planned_fences,
-            r.elide.elided_total(),
-            r.elide.veto_total(),
-            r.baseline_fences,
-            r.report.fence_events,
-            r.report.images,
-            r.report.failures.len(),
-        ));
-    }
+fn elided(a: &AppOptimize) -> Json {
+    Json::obj()
+        .field("flushes", a.elided_flushes)
+        .field("fences", a.elided_fences)
+        .field("rounds", a.rewrite_rounds)
+}
+
+fn epochs(a: &AppOptimize) -> Json {
+    before_after(a.epochs_before, a.epochs_after)
+        .field("mean_lines_before", a.mean_epoch_lines_before)
+        .field("mean_lines_after", a.mean_epoch_lines_after)
+}
+
+fn check(a: &AppOptimize) -> Json {
+    Json::obj()
+        .field("errors_before", a.errors_before)
+        .field("errors_after", a.errors_after)
+        .field("residual_flagged", a.residual_flagged)
+}
+
+/// `{<model>: {base_ns, optimized_ns, speedup}, ...}`.
+fn speedups(a: &AppOptimize) -> Json {
+    a.speedups.iter().fold(Json::obj(), |obj, s| {
+        let speedup = Json::obj()
+            .field("base_ns", s.base_ns)
+            .field("optimized_ns", s.optimized_ns)
+            .field("speedup", s.speedup());
+        obj.field(&s.model.to_string(), speedup)
+    })
+}
+
+/// The speedup columns: one `{:>9.4}x` per model.
+fn speedup_cells(c: &Json) -> String {
+    let Json::Obj(models) = c else {
+        return String::new();
+    };
+    let speedup = |s: &Json| cell(s, "speedup").as_f64().unwrap_or(0.0);
+    models
+        .iter()
+        .map(|(_, s)| format!("{:>9.4}x", speedup(s)))
+        .collect()
+}
+
+/// A sum of two integer cells of a row.
+fn sum2(r: &Json, a: &str, b: &str) -> String {
+    (int(r, a) + int(r, b)).to_string()
+}
+
+#[rustfmt::skip]
+const APPS: [Col<AppOptimize>; 8] = [
+    Col("name", "app", "<14", |a| a.name.as_str().into(), plain),
+    Col::json("events", |a| before_after(a.events_before, a.events_after)),
+    Col("elided", "elided-fl", " >9", elided, |c| int(c, "flushes").to_string()),
+    Col::text("elided-fe", " >10", |r| int(r, "elided.fences").to_string()),
+    Col::text("rounds", " >7", |r| int(r, "elided.rounds").to_string()),
+    Col("epochs", "epochs before->after", "   <0", epochs, |c| format!("{:>8} -> {:<8}", int(c, "before"), int(c, "after"))),
+    Col::json("check", check),
+    Col("speedup", " x86(NVM)  HOPS(NVM)  x86(PWQ)", " <0", speedups, speedup_cells),
+];
+
+#[rustfmt::skip]
+const CRASH: [Col<OptimizedCrashReport>; 15] = [
+    Col("name", "app", "<14", |r| r.report.name.into(), plain),
+    Col::json("planned_flushes", |r| r.planned_flushes.into()),
+    Col::json("planned_fences", |r| r.planned_fences.into()),
+    Col::text("planned", " >7", |r| sum2(r, "planned_flushes", "planned_fences")),
+    Col::json("elided_flushes", |r| r.elide.flushes_elided.into()),
+    Col::json("elided_fences", |r| r.elide.fences_elided.into()),
+    Col::text("elided", " >7", |r| sum2(r, "elided_flushes", "elided_fences")),
+    Col::json("flush_vetoes", |r| r.elide.flush_vetoes.into()),
+    Col::json("fence_vetoes", |r| r.elide.fence_vetoes.into()),
+    Col::text("vetoed", " >7", |r| sum2(r, "flush_vetoes", "fence_vetoes")),
+    Col::json("baseline_fences", |r| r.baseline_fences.into()),
+    Col::json("fence_events", |r| r.report.fence_events.into()),
+    Col::text("fences before->after ", "  <0", |r| format!("{:>9} -> {:<8}", int(r, "baseline_fences"), int(r, "fence_events"))),
+    Col("images", "images", " >6", |r| r.report.images.into(), plain),
+    Col("failures", "failures", " >9", |r| r.report.failures.len().into(), plain),
+];
+
+/// The `optimize` section of the report and the tables `--optimize`
+/// prints: the rewrite per app, then the crash campaign over the
+/// optimized schedules and the gate verdict.
+pub fn section(report: &OptimizeReport) -> Section {
+    let crash = Section::new("crash", "Crash campaign over optimized schedules")
+        .table(&report.crash, &CRASH);
     let violations = report.gate_violations();
+    let mut section = Section::new("optimize", "Ordering optimizer (pmcheck rewrite)")
+        .table(&report.apps, &APPS)
+        .footer(format!(
+            "total elided: {} instruction(s) across {} app(s)",
+            report.total_elided(),
+            report.apps.len()
+        ))
+        .footer("");
+    for line in crash.text().lines() {
+        section = section.footer(line);
+    }
     if violations.is_empty() {
-        out.push_str(&format!(
-            "gates: PASS — optimized traces check clean, {} crash image(s) all recovered\n",
-            report.crash.iter().map(|r| r.report.images).sum::<usize>()
+        let images: usize = report.crash.iter().map(|r| r.report.images).sum();
+        section = section.footer(format!(
+            "gates: PASS — optimized traces check clean, {images} crash image(s) all recovered"
         ));
     } else {
-        out.push_str("gates: FAIL\n");
+        section = section.footer("gates: FAIL");
         for v in &violations {
-            out.push_str(&format!("  {v}\n"));
+            section = section.footer(format!("  {v}"));
         }
     }
-    out
+    let gates = Json::obj()
+        .field("check_clean", report.apps.iter().all(AppOptimize::is_clean))
+        .field("crash_ok", report.crash_failures() == 0)
+        .field(
+            "violations",
+            violations.into_iter().map(Json::from).collect::<Vec<_>>(),
+        );
+    section
+        .field("total_elided", report.total_elided())
+        .field("crash_failures", report.crash_failures())
+        .field("gates", gates)
+        .rows_in("apps")
+        .field("crash", crash.json())
+}
+
+/// The `optimize` section of the JSON report ([`section`]).
+pub fn optimize_json(report: &OptimizeReport) -> Json {
+    section(report).json()
+}
+
+/// The `--optimize` tables ([`section`]).
+pub fn summary_table(report: &OptimizeReport) -> String {
+    section(report).text()
 }
 
 #[cfg(test)]

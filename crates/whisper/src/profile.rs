@@ -24,7 +24,8 @@
 //! is deterministic per `(scale, seed, shards, arrival)` — like
 //! `serve`, it sits outside the golden deterministic subset.
 
-use crate::serve::{ServeConfig, LOAD_FRACTIONS, SERVE_MODELS};
+use crate::section::{cell, fixed, plain, rows, Col, Section};
+use crate::serve::{sweep_shape, ServeConfig};
 use hops::PersistModel;
 use pmobs::Json;
 
@@ -33,7 +34,7 @@ use pmobs::Json;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TailPoint {
     /// Offered load as a fraction of baseline capacity
-    /// ([`LOAD_FRACTIONS`] entry).
+    /// ([`LOAD_FRACTIONS`](crate::serve::LOAD_FRACTIONS) entry).
     pub load_fraction: f64,
     /// Offered load (req/s).
     pub offered_rps: f64,
@@ -69,7 +70,7 @@ pub struct MechanismProfile {
     pub service_ns: u64,
     /// Inclusive latency: `queue_ns + service_ns`.
     pub total_ns: u64,
-    /// One row per [`LOAD_FRACTIONS`] entry.
+    /// One row per [`LOAD_FRACTIONS`](crate::serve::LOAD_FRACTIONS) entry.
     pub tail: Vec<TailPoint>,
 }
 
@@ -78,96 +79,61 @@ pub struct MechanismProfile {
 pub struct AppProfile {
     /// Table 1 name.
     pub name: String,
-    /// One entry per [`SERVE_MODELS`] entry, in that order.
+    /// One entry per [`SERVE_MODELS`](crate::serve::SERVE_MODELS) entry, in that order.
     pub mechanisms: Vec<MechanismProfile>,
 }
 
-/// Serialize profiles for the report's schema-v5 `profile` section.
-pub fn profile_json(profiles: &[AppProfile], cfg: &ServeConfig) -> Json {
-    let apps: Vec<Json> = profiles
-        .iter()
-        .map(|p| {
-            let mechanisms: Vec<Json> = p
-                .mechanisms
-                .iter()
-                .map(|m| {
-                    let tail: Vec<Json> = m
-                        .tail
-                        .iter()
-                        .map(|t| {
-                            Json::obj()
-                                .field("load_fraction", t.load_fraction)
-                                .field("offered_rps", t.offered_rps)
-                                .field("p99_ns", t.p99_ns)
-                                .field("tail_requests", t.tail_requests)
-                                .field("tail_total_ns", t.tail_total_ns)
-                                .field("queue_pct", t.queue_pct)
-                                .field("replay_pct", t.replay_pct)
-                                .field("fence_stall_pct", t.fence_stall_pct)
-                        })
-                        .collect();
-                    Json::obj()
-                        .field("model", m.model.to_string().as_str())
-                        .field("queue_ns", m.queue_ns)
-                        .field("replay_ns", m.replay_ns)
-                        .field("fence_stall_ns", m.fence_stall_ns)
-                        .field("service_ns", m.service_ns)
-                        .field("total_ns", m.total_ns)
-                        .field("tail", tail)
-                })
-                .collect();
-            Json::obj()
-                .field("name", p.name.as_str())
-                .field("mechanisms", mechanisms)
-        })
-        .collect();
-    Json::obj()
-        .field("shards", cfg.shards as u64)
-        .field("arrival", cfg.arrival.to_string().as_str())
-        .field(
-            "load_fractions",
-            LOAD_FRACTIONS
-                .iter()
-                .copied()
-                .map(Json::from)
-                .collect::<Vec<_>>(),
-        )
-        .field(
-            "models",
-            SERVE_MODELS
-                .iter()
-                .map(|m| Json::from(m.to_string()))
-                .collect::<Vec<_>>(),
-        )
-        .field("apps", apps)
+#[rustfmt::skip]
+const TAIL: [Col<TailPoint>; 8] = [
+    Col("load_fraction", "load", " >5", |t| t.load_fraction.into(), fixed::<2>),
+    Col::json("offered_rps", |t| t.offered_rps.into()),
+    Col("p99_ns", "p99 (us)", " >10", |t| t.p99_ns.into(), |c| format!("{:.1}", c.as_f64().unwrap_or(0.0) / 1000.0)),
+    Col("tail_requests", "tail-req", " >10", |t| t.tail_requests.into(), plain),
+    Col::json("tail_total_ns", |t| t.tail_total_ns.into()),
+    // Its head is one wider than its cells.
+    Col("queue_pct", "    queue%", " >9", |t| t.queue_pct.into(), fixed::<1>),
+    Col("replay_pct", "replay%", " >9", |t| t.replay_pct.into(), fixed::<1>),
+    Col("fence_stall_pct", "stall%", " >8", |t| t.fence_stall_pct.into(), fixed::<1>),
+];
+
+#[rustfmt::skip]
+const MECHANISM: [Col<MechanismProfile>; 7] = [
+    Col("model", "mechanism", "    <15", |m| m.model.to_string().into(), plain),
+    Col::json("queue_ns", |m| m.queue_ns.into()),
+    Col::json("replay_ns", |m| m.replay_ns.into()),
+    Col::json("fence_stall_ns", |m| m.fence_stall_ns.into()),
+    Col::json("service_ns", |m| m.service_ns.into()),
+    Col::json("total_ns", |m| m.total_ns.into()),
+    Col::json("tail", |m| rows(&m.tail, &TAIL).into()),
+];
+
+#[rustfmt::skip]
+const APP: [Col<AppProfile>; 2] = [
+    Col::json("name", |p| p.name.as_str().into()),
+    Col::json("mechanisms", |p| rows(&p.mechanisms, &MECHANISM).into()),
+];
+
+/// The `profile` section of the report and the tail-attribution tables
+/// `--profile` prints, one block per app.
+pub fn section(profiles: &[AppProfile], cfg: &ServeConfig) -> Section {
+    let title = "Phase profile: where p99+ tail time goes (queue / replay / fence stall)";
+    let section = Section::new("profile", title)
+        .table(profiles, &APP)
+        .cols(&MECHANISM)
+        .cols(&TAIL)
+        .expand(&["mechanisms", "tail"])
+        .before(|app| vec![String::new(), format!("  {}", plain(cell(app, "name")))]);
+    sweep_shape(section, cfg)
 }
 
-/// Render the tail-attribution tables as text (one block per app,
-/// mirroring the serve table's layout).
+/// The `profile` section of the JSON report ([`section`]).
+pub fn profile_json(profiles: &[AppProfile], cfg: &ServeConfig) -> Json {
+    section(profiles, cfg).json()
+}
+
+/// The `--profile` tables ([`section`]).
 pub fn profile_table(profiles: &[AppProfile]) -> String {
-    let mut out = String::new();
-    out.push_str("Phase profile: where p99+ tail time goes (queue / replay / fence stall)\n");
-    for p in profiles {
-        out.push_str(&format!("\n  {}\n", p.name));
-        out.push_str(
-            "    mechanism        load   p99 (us)   tail-req     queue%   replay%   stall%\n",
-        );
-        for m in &p.mechanisms {
-            for t in &m.tail {
-                out.push_str(&format!(
-                    "    {:<15} {:>5.2} {:>10.1} {:>10} {:>9.1} {:>9.1} {:>8.1}\n",
-                    m.model.to_string(),
-                    t.load_fraction,
-                    t.p99_ns as f64 / 1000.0,
-                    t.tail_requests,
-                    t.queue_pct,
-                    t.replay_pct,
-                    t.fence_stall_pct
-                ));
-            }
-        }
-    }
-    out
+    section(profiles, &ServeConfig::quick()).text()
 }
 
 #[cfg(test)]

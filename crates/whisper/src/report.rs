@@ -1,16 +1,20 @@
 //! Paper-vs-measured report tables for every experiment.
 //!
-//! Each function renders one table or figure from the paper's
-//! evaluation as text, side by side with the values the paper reports,
-//! so `whisper-report` (and EXPERIMENTS.md) can show exactly how the
-//! reproduction's *shape* compares. Absolute rates depend on the
+//! Each figure function builds one table or figure from the paper's
+//! evaluation as a [`Section`] — measured values side by side with the
+//! ones the paper reports — which renders as the text `whisper-report`
+//! prints (and EXPERIMENTS.md quotes) and as its part of the JSON
+//! report ([`crate::json_report`]). Absolute rates depend on the
 //! simulated latency model; the paper's claims are about relative
 //! magnitudes and distributions.
 
 use crate::apps::{Layer, APPS};
+use crate::section::{arr, cell, each, or_na, plain, Col, Section};
 use crate::suite::AppResult;
 use hops::PersistModel;
+use pmobs::Json;
 use pmtrace::analysis::SIZE_BUCKET_LABELS;
+use pmtrace::Category;
 use std::fmt::Write as _;
 
 /// Paper-reported values for one application row.
@@ -63,494 +67,449 @@ fn fmt_rate(r: f64) -> String {
     }
 }
 
+/// Every figure's first column: the application name.
+const NAME: Col<AppResult> = Col(
+    "name",
+    "benchmark",
+    "<14",
+    |r| r.run.name.as_str().into(),
+    plain,
+);
+
+/// A percentage with `P` decimals; `null` reads as zero.
+fn pct<const P: usize>(c: &Json) -> String {
+    format!("{:.P$}%", c.as_f64().unwrap_or(0.0))
+}
+
+/// A fraction as a whole percentage, or `n/a`.
+fn whole_pct(c: &Json) -> String {
+    or_na(c, |f| format!("{:.0}%", f * 100.0))
+}
+
+/// A rate as [`fmt_rate`] shows it; `null` as nothing.
+fn rate(c: &Json) -> String {
+    c.as_f64().map(fmt_rate).unwrap_or_default()
+}
+
+/// The row's entry of `paper`, a value per access layer: native,
+/// NVML, Mnemosyne, PMFS (the order of [`Layer`]).
+fn per_layer(r: &AppResult, paper: [&'static str; 4]) -> Json {
+    r.app().map_or("", |app| paper[app.layer as usize]).into()
+}
+
+fn bytes_by_category(r: &AppResult) -> Json {
+    let a = &r.analysis.amplification;
+    let by_cat = Category::ALL.iter();
+    by_cat.fold(Json::obj(), |o, cat| {
+        o.field(&cat.to_string(), a.bytes(*cat))
+    })
+}
+
+#[rustfmt::skip]
+const TABLE1: [Col<AppResult>; 7] = [
+    NAME,
+    Col::json("workload", |r| r.run.workload.as_str().into()),
+    Col::json("threads", |r| r.run.threads.into()),
+    Col::json("epochs", |r| r.analysis.epoch_count.into()),
+    Col::json("duration_ns", |r| r.run.duration_ns.into()),
+    Col("epochs_per_sec", "measured", " >12", |r| r.analysis.epochs_per_sec.into(), rate),
+    Col("paper_epochs_per_sec", "paper", " >12", |r| r.app().map(|a| a.paper.epochs_per_sec).into(), rate),
+];
+
+#[rustfmt::skip]
+const FIG3: [Col<AppResult>; 7] = [
+    NAME,
+    Col("median", "measured", " >10", |r| r.analysis.tx_stats.median().into(), |c| or_na(c, |m| m.to_string())),
+    Col::json("mean", |r| r.analysis.tx_stats.mean().into()),
+    Col::json("max", |r| r.analysis.tx_stats.max().into()),
+    Col::json("tx_count", |r| r.analysis.tx_stats.tx_count().into()),
+    Col::json("paper_median", |r| r.app().map(|a| a.paper.fig3_median).into()),
+    // A row without transactions shows no paper value either.
+    Col::text("paper", " >10", |r| match cell(r, "median") {
+        Json::Null => String::new(),
+        _ => plain(cell(r, "paper_median")),
+    }),
+];
+
+#[rustfmt::skip]
+const FIG4: [Col<AppResult>; 2] = [
+    NAME,
+    Col("fractions", "", "<0", |r| arr(&r.analysis.size_hist.fractions()), |c| each(c, |f| format!("{:>7.1}%", f * 100.0))),
+];
+
+/// Fig. 5's text shows each paper column beside its measured one.
+#[rustfmt::skip]
+const FIG5: [Col<AppResult>; 6] = [
+    NAME,
+    Col("self_pct", "self", " >10", |r| (r.analysis.deps.self_fraction() * 100.0).into(), pct::<2>),
+    Col::json("cross_pct", |r| (r.analysis.deps.cross_fraction() * 100.0).into()),
+    Col("paper_self_pct", "self(ppr)", " >10", |r| r.app().map(|a| a.paper.fig5_self_pct).into(), pct::<2>),
+    Col::text("cross", " >11", |r| pct::<3>(cell(r, "cross_pct"))),
+    Col("paper_cross_pct", "cross(ppr)", " >11", |r| r.app().map(|a| a.paper.fig5_cross_pct).into(), pct::<3>),
+];
+
+#[rustfmt::skip]
+const FIG6: [Col<AppResult>; 3] = [
+    NAME,
+    Col("pm_pct", "measured", " >10", |r| (r.analysis.pm_fraction * 100.0).into(), pct::<2>),
+    // Its cells are one narrower than its head.
+    Col("paper_pm_pct", "     paper", " >9", |r| r.app().and_then(|a| a.paper.fig6_pm_pct).into(), |c| {
+        c.as_f64().map(|v| format!("{v:.2}%")).unwrap_or_default()
+    }),
+];
+
+#[rustfmt::skip]
+const FIG10: [Col<AppResult>; 2] = [
+    NAME,
+    Col("normalized", "", "<0", |r| r.analysis.fig10.iter().map(|(_, v)| Json::from(*v)).collect::<Vec<_>>().into(), |c| {
+        each(c, |v| format!("{v:>16.3}"))
+    }),
+];
+
+#[rustfmt::skip]
+const AMPLIFICATION: [Col<AppResult>; 6] = [
+    NAME,
+    Col("amplification", "measured", " >10", |r| r.analysis.amplification.amplification().into(), |c| or_na(c, |a| format!("{a:.2}x"))),
+    Col::json("user_bytes", |r| r.analysis.amplification.user_bytes().into()),
+    Col::json("overhead_bytes", |r| r.analysis.amplification.overhead_bytes().into()),
+    Col::json("bytes_by_category", bytes_by_category),
+    Col("_paper", "paper", "  <0", |r| per_layer(r, ["2-14 (N-store)", "~10 (NVML)", "3-6 (Mnemosyne)", "~0.1 (PMFS)"]), plain),
+];
+
+#[rustfmt::skip]
+const NT_FRACTION: [Col<AppResult>; 3] = [
+    NAME,
+    Col("fraction", "measured", " >10", |r| r.analysis.nt_fraction.into(), whole_pct),
+    Col("_paper", "paper", "  <0", |r| per_layer(r, ["", "", "~67% (Mnemosyne)", "~96% (PMFS)"]), plain),
+];
+
+#[rustfmt::skip]
+const SMALL_WRITES: [Col<AppResult>; 2] = [
+    NAME,
+    Col("fraction", "measured", " >10", |r| r.analysis.small_singleton_fraction.into(), whole_pct),
+];
+
 /// Table 1: applications and their epochs per second.
-pub fn table1(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Table 1 — Epochs per second");
-    let _ = writeln!(
-        out,
-        "{:<14} {:>12} {:>12}",
-        "benchmark", "measured", "paper"
-    );
-    for r in results {
-        let paper = r
-            .app()
-            .map(|app| fmt_rate(app.paper.epochs_per_sec))
-            .unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "{:<14} {:>12} {:>12}",
-            r.run.name,
-            fmt_rate(r.analysis.epochs_per_sec),
-            paper
-        );
-    }
-    out
+pub fn table1(results: &[AppResult]) -> Section {
+    Section::new("table1", "Table 1 — Epochs per second").table(results, &TABLE1)
 }
 
 /// Figure 3: median epochs (ordering points) per transaction.
-pub fn fig3(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 3 — Median transaction size (epochs per transaction)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<14} {:>10} {:>10}",
-        "benchmark", "measured", "paper"
-    );
-    for r in results {
-        let Some(median) = r.analysis.tx_stats.median() else {
-            let _ = writeln!(out, "{:<14} {:>10} {:>10}", r.run.name, "n/a", "");
-            continue;
-        };
-        let paper = r
-            .app()
-            .map(|app| app.paper.fig3_median.to_string())
-            .unwrap_or_default();
-        let _ = writeln!(out, "{:<14} {:>10} {:>10}", r.run.name, median, paper);
-    }
-    out
+pub fn fig3(results: &[AppResult]) -> Section {
+    Section::new(
+        "fig3",
+        "Figure 3 — Median transaction size (epochs per transaction)",
+    )
+    .table(results, &FIG3)
 }
 
 /// Figure 4: distribution of epoch sizes in unique 64 B lines.
-pub fn fig4(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 4 — Epoch size distribution (% of epochs per bucket)"
-    );
-    let _ = write!(out, "{:<14}", "benchmark");
-    for l in SIZE_BUCKET_LABELS {
-        let _ = write!(out, "{l:>8}");
-    }
-    let _ = writeln!(out);
-    for r in results {
-        let _ = write!(out, "{:<14}", r.run.name);
-        for f in r.analysis.size_hist.fractions() {
-            let _ = write!(out, "{:>7.1}%", f * 100.0);
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(
-        out,
-        "(paper: ~75% singletons for native/library apps; PMFS apps ~30%/30% at 1-2 lines plus a >=64 mode)"
-    );
-    out
+pub fn fig4(results: &[AppResult]) -> Section {
+    let heads: String = SIZE_BUCKET_LABELS
+        .iter()
+        .map(|l| format!("{l:>8}"))
+        .collect();
+    Section::new("fig4", "Figure 4 — Epoch size distribution (% of epochs per bucket)")
+        .table(results, &FIG4)
+        .header(format!("{:<14}{heads}", "benchmark"))
+        .footer("(paper: ~75% singletons for native/library apps; PMFS apps ~30%/30% at 1-2 lines plus a >=64 mode)")
+        .field("bucket_labels", arr(&SIZE_BUCKET_LABELS))
+        .rows_in("apps")
 }
 
 /// Figure 5: self- and cross-dependent epochs as % of all epochs.
-pub fn fig5(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 5 — Epoch dependencies (% of total epochs, 50us window)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<14} {:>10} {:>10} {:>11} {:>11}",
-        "benchmark", "self", "self(ppr)", "cross", "cross(ppr)"
-    );
-    for r in results {
-        let p = r.app().map(|app| app.paper);
-        let _ = writeln!(
-            out,
-            "{:<14} {:>9.2}% {:>9.2}% {:>10.3}% {:>10.3}%",
-            r.run.name,
-            r.analysis.deps.self_fraction() * 100.0,
-            p.map(|p| p.fig5_self_pct).unwrap_or(0.0),
-            r.analysis.deps.cross_fraction() * 100.0,
-            p.map(|p| p.fig5_cross_pct).unwrap_or(0.0),
-        );
-    }
-    out
+pub fn fig5(results: &[AppResult]) -> Section {
+    Section::new(
+        "fig5",
+        "Figure 5 — Epoch dependencies (% of total epochs, 50us window)",
+    )
+    .table(results, &FIG5)
 }
 
-/// Figure 6: PM share of all memory accesses (six simulated apps).
-pub fn fig6(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure 6 — PM accesses as % of all memory accesses");
-    let _ = writeln!(
-        out,
-        "{:<14} {:>10} {:>10}",
-        "benchmark", "measured", "paper"
-    );
-    let mut sum = 0.0;
-    let mut n = 0;
-    for r in results.iter().filter(|r| r.is_sim()) {
-        let p = r.app().and_then(|app| app.paper.fig6_pm_pct);
-        let _ = writeln!(
-            out,
-            "{:<14} {:>9.2}% {:>9}",
-            r.run.name,
-            r.analysis.pm_fraction * 100.0,
-            p.map(|v| format!("{v:.2}%")).unwrap_or_default(),
-        );
-        sum += r.analysis.pm_fraction * 100.0;
-        n += 1;
-    }
-    if n > 0 {
-        let _ = writeln!(
-            out,
-            "{:<14} {:>9.2}% {:>9}",
-            "average",
-            sum / n as f64,
-            format!("{PAPER_FIG6_AVG_PCT:.2}%")
-        );
-    }
-    out
+/// Figure 6: PM share of all memory accesses (six simulated apps; an
+/// archived trace has no memory counters and no row).
+pub fn fig6(results: &[AppResult]) -> Section {
+    let sim: Vec<&AppResult> = results
+        .iter()
+        .filter(|r| r.is_sim() && r.run.stats.total() > 0)
+        .collect();
+    let sum: f64 = sim.iter().map(|r| r.analysis.pm_fraction * 100.0).sum();
+    let average = (!sim.is_empty()).then(|| sum / sim.len() as f64);
+    let fig = Section::new("fig6", "Figure 6 — PM accesses as % of all memory accesses")
+        .table(sim.iter().copied(), &FIG6)
+        .rows_in("apps")
+        .field("average_pm_pct", average)
+        .field("paper_average_pm_pct", PAPER_FIG6_AVG_PCT);
+    let Some(average) = average else { return fig };
+    let row = Json::obj()
+        .field("name", "average")
+        .field("pm_pct", average)
+        .field("paper_pm_pct", PAPER_FIG6_AVG_PCT);
+    let line = fig.line(&row);
+    fig.footer(line)
 }
 
-/// Figure 10: normalized runtimes under the five persistence models.
-pub fn fig10(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure 10 — Normalized runtime (x86-64 NVM = 1.0)");
-    let _ = write!(out, "{:<14}", "benchmark");
-    for (m, _) in PAPER_FIG10_AVG {
-        let _ = write!(out, "{:>16}", m.to_string());
-    }
-    let _ = writeln!(out);
-    let sim: Vec<&AppResult> = results.iter().filter(|r| r.is_sim()).collect();
-    let mut avgs = vec![0.0; 5];
-    for r in &sim {
-        let _ = write!(out, "{:<14}", r.run.name);
-        for (i, (_, v)) in r.analysis.fig10.iter().enumerate() {
-            let _ = write!(out, "{v:>16.3}");
-            avgs[i] += v;
-        }
-        let _ = writeln!(out);
-    }
+/// Figure 10: normalized runtimes under the five persistence models
+/// (the six simulated apps that have a Figure 10 replay).
+pub fn fig10(results: &[AppResult]) -> Section {
+    let sim: Vec<&AppResult> = results
+        .iter()
+        .filter(|r| r.is_sim() && !r.analysis.fig10.is_empty())
+        .collect();
+    let models: Vec<String> = PAPER_FIG10_AVG.iter().map(|(m, _)| m.to_string()).collect();
+    let heads: String = models.iter().map(|m| format!("{m:>16}")).collect();
+    let average: Vec<f64> = match sim.len() {
+        0 => Vec::new(),
+        n => (0..PAPER_FIG10_AVG.len())
+            .map(|i| sim.iter().map(|r| r.analysis.fig10[i].1).sum::<f64>() / n as f64)
+            .collect(),
+    };
+    let paper = PAPER_FIG10_AVG.map(|(_, v)| v);
+    let mut fig = Section::new("fig10", "Figure 10 — Normalized runtime (x86-64 NVM = 1.0)")
+        .table(sim.iter().copied(), &FIG10)
+        .header(format!("{:<14}{heads}", "benchmark"))
+        .field(
+            "models",
+            models.into_iter().map(Json::from).collect::<Vec<_>>(),
+        )
+        .rows_in("apps")
+        .field("average", arr(&average))
+        .field("paper_average", arr(&paper));
     if !sim.is_empty() {
-        let _ = write!(out, "{:<14}", "average");
-        for a in &avgs {
-            let _ = write!(out, "{:>16.3}", a / sim.len() as f64);
+        for (name, values) in [("average", &average[..]), ("paper avg", &paper)] {
+            let row = Json::obj()
+                .field("name", name)
+                .field("normalized", arr(values));
+            let line = fig.line(&row);
+            fig = fig.footer(line);
         }
-        let _ = writeln!(out);
-        let _ = write!(out, "{:<14}", "paper avg");
-        for (_, v) in PAPER_FIG10_AVG {
-            let _ = write!(out, "{v:>16.3}");
-        }
-        let _ = writeln!(out);
     }
-    out
+    fig
 }
 
 /// Section 5.2: write amplification by access layer.
-pub fn amplification(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Section 5.2 — Write amplification (overhead bytes per user byte)"
-    );
-    let _ = writeln!(out, "{:<14} {:>10}  paper", "benchmark", "measured");
-    for r in results {
-        let a = r
-            .analysis
-            .amplification
-            .amplification()
-            .map(|a| format!("{a:.2}x"))
-            .unwrap_or_else(|| "n/a".into());
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10}  {}",
-            r.run.name,
-            a,
-            r.app().map_or("", |app| match app.layer {
-                Layer::Pmfs => "~0.1 (PMFS)",
-                Layer::Mnemosyne => "3-6 (Mnemosyne)",
-                Layer::Nvml => "~10 (NVML)",
-                Layer::Native => "2-14 (N-store)",
-            })
-        );
-    }
-    out
+pub fn amplification(results: &[AppResult]) -> Section {
+    let title = "Section 5.2 — Write amplification (overhead bytes per user byte)";
+    Section::new("amplification", title).table(results, &AMPLIFICATION)
 }
 
 /// Consequence 10: non-temporal store fraction.
-pub fn nt_fraction(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Section 5.2 — Non-temporal store fraction of PM bytes");
-    let _ = writeln!(out, "{:<14} {:>10}  paper", "benchmark", "measured");
-    for r in results {
-        let v = r
-            .analysis
-            .nt_fraction
-            .map(|f| format!("{:.0}%", f * 100.0))
-            .unwrap_or_else(|| "n/a".into());
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10}  {}",
-            r.run.name,
-            v,
-            r.app().map_or("", |app| match app.layer {
-                Layer::Pmfs => "~96% (PMFS)",
-                Layer::Mnemosyne => "~67% (Mnemosyne)",
-                Layer::Nvml | Layer::Native => "",
-            })
-        );
-    }
-    out
+pub fn nt_fraction(results: &[AppResult]) -> Section {
+    let title = "Section 5.2 — Non-temporal store fraction of PM bytes";
+    Section::new("nt_fraction", title).table(results, &NT_FRACTION)
 }
 
 /// Section 5.1: fraction of singleton epochs under 10 bytes.
-pub fn small_writes(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Section 5.1 — Singleton epochs writing <10 bytes (paper: ~60%)"
-    );
-    let _ = writeln!(out, "{:<14} {:>10}", "benchmark", "measured");
-    for r in results {
-        let v = r
-            .analysis
-            .small_singleton_fraction
-            .map(|f| format!("{:.0}%", f * 100.0))
-            .unwrap_or_else(|| "n/a".into());
-        let _ = writeln!(out, "{:<14} {:>10}", r.run.name, v);
-    }
-    out
+pub fn small_writes(results: &[AppResult]) -> Section {
+    let title = "Section 5.1 — Singleton epochs writing <10 bytes (paper: ~60%)";
+    Section::new("small_writes", title).table(results, &SMALL_WRITES)
+}
+
+/// The mean of `values`, 0 for none.
+fn mean(values: impl Iterator<Item = f64>) -> f64 {
+    let values: Vec<f64> = values.collect();
+    values.iter().sum::<f64>() / values.len().max(1) as f64
 }
 
 /// The paper's eleven Consequences, each checked programmatically
 /// against the measured suite — the reproduction's executable summary
 /// of Section 5's design guidance.
 pub fn consequences(results: &[AppResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Section 5 Consequences — checked against this run");
-    let mut check = |id: u32, text: &str, pass: bool, evidence: String| {
-        let mark = if pass { "PASS" } else { "mixed" };
-        let _ = writeln!(out, "  C{id:<2} [{mark}] {text}");
-        let _ = writeln!(out, "       evidence: {evidence}");
-    };
-
+    let sum = |f: fn(&AppResult) -> u64| results.iter().map(f).sum::<u64>();
     // C1/C2: ordering points far outnumber durability points.
-    let (mut fences, mut dfences) = (0usize, 0usize);
-    for r in results {
-        for e in &r.run.events {
-            match e.kind {
-                pmtrace::EventKind::Fence => fences += 1,
-                pmtrace::EventKind::DFence => dfences += 1,
-                _ => {}
-            }
-        }
-    }
-    check(
-        1,
-        "separate ordering from durability",
-        fences > dfences,
-        format!("{fences} ordering fences vs {dfences} durability fences suite-wide"),
-    );
-    let epochs: usize = results.iter().map(|r| r.analysis.epoch_count).sum();
-    let txs: usize = results.iter().map(|r| r.analysis.tx_stats.tx_count()).sum();
-    check(
-        2,
-        "epochs are much more common than transactions",
-        epochs > 3 * txs,
-        format!("{epochs} epochs vs {txs} transactions"),
-    );
-
+    let (fences, dfences) = (sum(|r| r.analysis.fences), sum(|r| r.analysis.dfences));
+    let epochs = sum(|r| r.analysis.epoch_count as u64);
+    let txs = sum(|r| r.analysis.tx_stats.tx_count() as u64);
     // C3: singleton epochs dominate.
-    let native_lib: Vec<&AppResult> = results
+    let native_lib = results
         .iter()
-        .filter(|r| r.app().is_some_and(|app| app.layer != Layer::Pmfs))
-        .collect();
-    let avg_singleton = native_lib
-        .iter()
-        .map(|r| r.analysis.size_hist.singleton_fraction())
-        .sum::<f64>()
-        / native_lib.len().max(1) as f64;
-    check(
-        3,
-        "optimize for singleton epochs",
-        avg_singleton > 0.5,
-        format!(
-            "native/library singleton average {:.0}%",
-            avg_singleton * 100.0
-        ),
-    );
-
+        .filter(|r| r.app().is_some_and(|app| app.layer != Layer::Pmfs));
+    let singletons = mean(native_lib.map(|r| r.analysis.size_hist.singleton_fraction()));
     // C4: byte-level persistence (singletons under 10 bytes).
-    let smalls: Vec<f64> = results
-        .iter()
-        .filter_map(|r| r.analysis.small_singleton_fraction)
-        .collect();
-    let avg_small = smalls.iter().sum::<f64>() / smalls.len().max(1) as f64;
-    check(
-        4,
-        "optimize for byte-level persistence",
-        avg_small > 0.4,
-        format!(
-            "{:.0}% of singletons write <10 bytes on average",
-            avg_small * 100.0
-        ),
+    let smalls = mean(
+        results
+            .iter()
+            .filter_map(|r| r.analysis.small_singleton_fraction),
     );
-
     // C5: cross-deps exist but are uncommon. Name the actual maximum
-    // app rather than assuming NFS: the interleaved redis dict now
-    // produces genuine cross-thread collisions (see EXPERIMENTS.md
-    // known deviations), so it can outrank the PMFS apps.
+    // app rather than assuming NFS: the interleaved redis dict produces
+    // genuine cross-thread collisions (see EXPERIMENTS.md known
+    // deviations), so it can outrank the PMFS apps.
     let any_cross = results.iter().any(|r| r.analysis.deps.cross_dep_epochs > 0);
     let (max_cross_app, max_cross) = results
         .iter()
         .map(|r| (r.run.name.as_str(), r.analysis.deps.cross_fraction()))
         .fold(("none", 0.0f64), |acc, x| if x.1 > acc.1 { x } else { acc });
-    check(
-        5,
-        "handle cross-dependencies correctly, but they are uncommon",
-        any_cross && max_cross < 0.25,
-        format!(
-            "max cross-dependency share {:.1}% ({max_cross_app})",
-            max_cross * 100.0
-        ),
-    );
-
     // C6: self-dependencies frequent -> multi-versioning pays.
-    let avg_self = results
-        .iter()
-        .map(|r| r.analysis.deps.self_fraction())
-        .sum::<f64>()
-        / results.len().max(1) as f64;
-    check(
-        6,
-        "buffer multiple versions of a line (self-dependencies abound)",
-        avg_self > 0.3,
-        format!("average self-dependency share {:.0}%", avg_self * 100.0),
-    );
-
-    // C7: same-line rewrites come from app/meta structures.
-    check(
-        7,
-        "avoid designs that rewrite the same persistent lines",
-        true,
-        "log rings and sharded counters in this codebase exist precisely to reduce them".into(),
-    );
-
+    let selfs = mean(results.iter().map(|r| r.analysis.deps.self_fraction()));
     // C8: allocators dominate small-epoch traffic.
-    let alloc_bytes: u64 = results
-        .iter()
-        .map(|r| r.analysis.amplification.bytes(pmtrace::Category::AllocMeta))
-        .sum();
-    check(
-        8,
-        "relax allocator guarantees / rely on GC",
-        alloc_bytes > 0,
-        format!("{alloc_bytes} bytes of allocator metadata traced; slab GC implemented"),
-    );
-
+    let alloc_bytes = sum(|r| r.analysis.amplification.bytes(Category::AllocMeta));
     // C9: library overhead is substantial.
     let worst_amp = results
         .iter()
         .filter_map(|r| r.analysis.amplification.amplification())
         .fold(0.0f64, f64::max);
-    check(
-        9,
-        "libraries add substantial overhead for atomicity",
-        worst_amp > 2.0,
-        format!("worst write amplification {worst_amp:.1}x"),
-    );
-
     // C10: cache bypass for low-locality data.
-    let nfs_nt = results
-        .iter()
-        .find(|r| r.run.name == "nfs")
-        .and_then(|r| r.analysis.nt_fraction)
-        .unwrap_or(0.0);
-    check(
-        10,
-        "allow bypassing the cache for low-locality data",
-        nfs_nt > 0.8,
-        format!("PMFS writes {:.0}% of bytes with NTIs", nfs_nt * 100.0),
-    );
-
+    let nfs = results.iter().find(|r| r.run.name == "nfs");
+    let nfs_nt = nfs.and_then(|r| r.analysis.nt_fraction).unwrap_or(0.0);
     // C11: volatile path must stay fast.
-    let sim: Vec<&AppResult> = results.iter().filter(|r| r.is_sim()).collect();
-    let avg_pm = sim.iter().map(|r| r.analysis.pm_fraction).sum::<f64>() / sim.len().max(1) as f64;
-    check(
-        11,
-        "persistence hardware must not slow volatile accesses",
-        avg_pm < 0.15,
-        format!(
-            "PM is only {:.1}% of traffic — DRAM dominates",
-            avg_pm * 100.0
+    let sim = results.iter().filter(|r| r.is_sim());
+    let pm = mean(sim.map(|r| r.analysis.pm_fraction));
+    let claims = [
+        (
+            "separate ordering from durability",
+            fences > dfences,
+            format!("{fences} ordering fences vs {dfences} durability fences suite-wide"),
         ),
-    );
-
-    out
-}
-
-/// Saturation-curve table for the open-loop serving sweep
-/// (`whisper-report --serve`): per app and persistence mechanism, one
-/// row per offered-load point with achieved throughput and the
-/// simulated-latency tail.
-pub fn serve_table(reports: &[crate::serve::AppServe], arrival: crate::serve::Arrival) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Serving sweep — open-loop {arrival} arrivals, latency in simulated ns"
-    );
-    let _ = writeln!(
-        out,
-        "{:<14}{:<16}{:>12}{:>12}{:>10}{:>10}{:>12}{:>12}",
-        "benchmark", "mechanism", "offered/s", "achieved/s", "p50", "p90", "p99", "p999"
-    );
-    for r in reports {
-        for c in &r.curves {
-            for p in &c.points {
-                let _ = writeln!(
-                    out,
-                    "{:<14}{:<16}{:>12.0}{:>12.0}{:>10}{:>10}{:>12}{:>12}",
-                    r.name,
-                    c.model.to_string(),
-                    p.offered_rps,
-                    p.achieved_rps,
-                    p.p50_ns,
-                    p.p90_ns,
-                    p.p99_ns,
-                    p.p999_ns
-                );
-            }
-        }
+        (
+            "epochs are much more common than transactions",
+            epochs > 3 * txs,
+            format!("{epochs} epochs vs {txs} transactions"),
+        ),
+        (
+            "optimize for singleton epochs",
+            singletons > 0.5,
+            format!(
+                "native/library singleton average {:.0}%",
+                singletons * 100.0
+            ),
+        ),
+        (
+            "optimize for byte-level persistence",
+            smalls > 0.4,
+            format!(
+                "{:.0}% of singletons write <10 bytes on average",
+                smalls * 100.0
+            ),
+        ),
+        (
+            "handle cross-dependencies correctly, but they are uncommon",
+            any_cross && max_cross < 0.25,
+            format!(
+                "max cross-dependency share {:.1}% ({max_cross_app})",
+                max_cross * 100.0
+            ),
+        ),
+        (
+            "buffer multiple versions of a line (self-dependencies abound)",
+            selfs > 0.3,
+            format!("average self-dependency share {:.0}%", selfs * 100.0),
+        ),
+        // C7: same-line rewrites come from app/meta structures.
+        (
+            "avoid designs that rewrite the same persistent lines",
+            true,
+            "log rings and sharded counters in this codebase exist precisely to reduce them".into(),
+        ),
+        (
+            "relax allocator guarantees / rely on GC",
+            alloc_bytes > 0,
+            format!("{alloc_bytes} bytes of allocator metadata traced; slab GC implemented"),
+        ),
+        (
+            "libraries add substantial overhead for atomicity",
+            worst_amp > 2.0,
+            format!("worst write amplification {worst_amp:.1}x"),
+        ),
+        (
+            "allow bypassing the cache for low-locality data",
+            nfs_nt > 0.8,
+            format!("PMFS writes {:.0}% of bytes with NTIs", nfs_nt * 100.0),
+        ),
+        (
+            "persistence hardware must not slow volatile accesses",
+            pm < 0.15,
+            format!("PM is only {:.1}% of traffic — DRAM dominates", pm * 100.0),
+        ),
+    ];
+    let mut out = String::from("Section 5 Consequences — checked against this run\n");
+    for (id, (claim, pass, evidence)) in (1..).zip(claims) {
+        let mark = if pass { "PASS" } else { "mixed" };
+        let _ = writeln!(out, "  C{id:<2} [{mark}] {claim}");
+        let _ = writeln!(out, "       evidence: {evidence}");
     }
     out
 }
 
-/// Every report, concatenated.
+/// Saturation-curve table for the open-loop serving sweep
+/// (`whisper-report --serve`): the text of [`crate::serve::section`].
+pub fn serve_table(reports: &[crate::serve::AppServe], arrival: crate::serve::Arrival) -> String {
+    let cfg = crate::serve::ServeConfig {
+        arrival,
+        ..crate::serve::ServeConfig::quick()
+    };
+    crate::serve::section(reports, &cfg).text()
+}
+
+/// Every figure in report order, then the consequences.
 pub fn all(results: &[AppResult]) -> String {
-    [
-        table1(results),
-        fig3(results),
-        fig4(results),
-        fig5(results),
-        fig6(results),
-        fig10(results),
-        amplification(results),
-        nt_fraction(results),
-        small_writes(results),
-        consequences(results),
-    ]
-    .join("\n")
+    let mut texts: Vec<String> = crate::json_report::figures()
+        .map(|figure| figure(results).text())
+        .collect();
+    texts.push(consequences(results));
+    texts.join("\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::{run_app, SuiteConfig};
+    use crate::json_report;
+    use crate::suite::{archived, run_app, SuiteConfig};
+    use pmobs::MetricsSnapshot;
 
-    #[test]
-    fn reports_render_without_panicking() {
-        let cfg = SuiteConfig {
+    fn tiny() -> SuiteConfig {
+        SuiteConfig {
             scale: 0.008,
             seed: 3,
             parallelism: 1,
             worker_threads: 4,
-        };
-        let results = vec![run_app("hashmap", &cfg), run_app("nfs", &cfg)];
+        }
+    }
+
+    #[test]
+    fn reports_render_without_panicking() {
+        let results = vec![run_app("hashmap", &tiny()), run_app("nfs", &tiny())];
         let text = all(&results);
         assert!(text.contains("Table 1"));
         assert!(text.contains("Figure 10"));
         assert!(text.contains("hashmap"));
         assert!(text.contains("nfs"));
+    }
+
+    /// Both renderings are computed from the analysis alone: the raw
+    /// traces can go once a row is analyzed.
+    #[test]
+    fn the_report_reads_no_raw_trace() {
+        let cfg = tiny();
+        let mut results = vec![run_app("hashmap", &cfg), run_app("nfs", &cfg)];
+        let render = |results: &[AppResult]| {
+            let doc = json_report::build(results, &cfg, &MetricsSnapshot::default());
+            (all(results), doc.to_pretty())
+        };
+        let with_traces = render(&results);
+        for r in &mut results {
+            assert!(!r.run.events.is_empty());
+            r.run.events = Vec::new();
+        }
+        assert_eq!(render(&results), with_traces);
+        assert!(with_traces.0.contains(" ordering fences vs "));
+    }
+
+    /// An archive named after a gem5-subset app (`cp d/hashmap.wtr
+    /// hashmap; whisper-report --from-trace hashmap`) has neither memory
+    /// counters nor a Figure 10 replay, so Figures 6 and 10 leave it out
+    /// of both renderings.
+    #[test]
+    fn archived_rows_stay_out_of_figures_6_and_10() {
+        let live = run_app("hashmap", &tiny());
+        let archive = [archived("hashmap", live.run.events.clone())];
+        for figure in [fig6(&archive), fig10(&archive)] {
+            let json = figure.json();
+            assert_eq!(json.get("apps"), Some(&Json::from(Vec::new())), "{json:?}");
+            assert!(!figure.text().contains("hashmap"), "{}", figure.text());
+            assert!(!figure.text().contains("average"), "{}", figure.text());
+        }
+        assert!(fig6(&[live]).text().contains("hashmap"));
     }
 
     #[test]

@@ -41,6 +41,7 @@
 use crate::apps::{App, Setup};
 use crate::pool::fan_out;
 use crate::profile::{AppProfile, MechanismProfile, TailPoint};
+use crate::section::{arr, fixed, plain, rows, Col, Section};
 use crate::suite::{scaled_ops, SuiteConfig, APP_NAMES};
 use crate::workloads::Zipf;
 use hops::{HopsConfig, PersistModel, Replayer, TimingConfig};
@@ -613,74 +614,68 @@ pub fn serve_apps_profiled(names: &[&str], cfg: &ServeConfig) -> (Vec<AppServe>,
     .unzip()
 }
 
-/// Serialize the sweep for the report's `serve` section (schema v4).
-/// Everything here is on the simulated clock, so the section is
-/// deterministic per `(scale, seed, shards, arrival)` — but it sits
-/// outside the golden deterministic subset, like `crash`.
+/// The run shape leading the `serve` and `profile` sections.
+pub(crate) fn sweep_shape(section: Section, cfg: &ServeConfig) -> Section {
+    let models: Vec<Json> = SERVE_MODELS.iter().map(|m| m.to_string().into()).collect();
+    section
+        .field("shards", cfg.shards)
+        .field("arrival", cfg.arrival.to_string())
+        .field("load_fractions", arr(&LOAD_FRACTIONS))
+        .field("models", models)
+        .rows_in("apps")
+}
+
+#[rustfmt::skip]
+const POINT: [Col<ServePoint>; 8] = [
+    Col("offered_rps", "offered/s", ">12", |p| p.offered_rps.into(), fixed::<0>),
+    Col("achieved_rps", "achieved/s", ">12", |p| p.achieved_rps.into(), fixed::<0>),
+    Col::json("requests", |p| p.requests.into()),
+    Col("p50_ns", "p50", ">10", |p| p.p50_ns.into(), plain),
+    Col("p90_ns", "p90", ">10", |p| p.p90_ns.into(), plain),
+    Col("p99_ns", "p99", ">12", |p| p.p99_ns.into(), plain),
+    Col("p999_ns", "p999", ">12", |p| p.p999_ns.into(), plain),
+    Col::json("mean_wait_ns", |p| p.mean_wait_ns.into()),
+];
+
+#[rustfmt::skip]
+const CURVE: [Col<MechanismCurve>; 4] = [
+    Col("model", "mechanism", "<16", |c| c.model.to_string().into(), plain),
+    Col::json("mean_service_ns", |c| c.mean_service_ns.into()),
+    Col::json("capacity_rps", |c| c.capacity_rps.into()),
+    Col::json("points", |c| rows(&c.points, &POINT).into()),
+];
+
+#[rustfmt::skip]
+const APP: [Col<AppServe>; 5] = [
+    Col("name", "benchmark", "<14", |r| r.name.as_str().into(), plain),
+    Col::json("shards", |r| r.shards.into()),
+    Col::json("requests", |r| r.requests.into()),
+    Col::json("offered_rps", |r| arr(&r.offered_rps)),
+    Col::json("curves", |r| rows(&r.curves, &CURVE).into()),
+];
+
+/// The `serve` section of the report and the saturation-curve table
+/// `--serve` prints: per app and persistence mechanism, one row per
+/// offered-load point with achieved throughput and the simulated
+/// latency tail. Everything here is on the simulated clock, so the
+/// section is deterministic per `(scale, seed, shards, arrival)` — but
+/// it sits outside the golden deterministic subset, like `crash`.
+pub fn section(reports: &[AppServe], cfg: &ServeConfig) -> Section {
+    let title = format!(
+        "Serving sweep — open-loop {} arrivals, latency in simulated ns",
+        cfg.arrival
+    );
+    let section = Section::new("serve", title)
+        .table(reports, &APP)
+        .cols(&CURVE)
+        .cols(&POINT)
+        .expand(&["curves", "points"]);
+    sweep_shape(section, cfg)
+}
+
+/// The `serve` section of the JSON report ([`section`]).
 pub fn serve_json(reports: &[AppServe], cfg: &ServeConfig) -> Json {
-    let apps: Vec<Json> = reports
-        .iter()
-        .map(|r| {
-            let curves: Vec<Json> = r
-                .curves
-                .iter()
-                .map(|c| {
-                    let points: Vec<Json> = c
-                        .points
-                        .iter()
-                        .map(|p| {
-                            Json::obj()
-                                .field("offered_rps", p.offered_rps)
-                                .field("achieved_rps", p.achieved_rps)
-                                .field("requests", p.requests)
-                                .field("p50_ns", p.p50_ns)
-                                .field("p90_ns", p.p90_ns)
-                                .field("p99_ns", p.p99_ns)
-                                .field("p999_ns", p.p999_ns)
-                                .field("mean_wait_ns", p.mean_wait_ns)
-                        })
-                        .collect();
-                    Json::obj()
-                        .field("model", c.model.to_string().as_str())
-                        .field("mean_service_ns", c.mean_service_ns)
-                        .field("capacity_rps", c.capacity_rps)
-                        .field("points", points)
-                })
-                .collect();
-            Json::obj()
-                .field("name", r.name.as_str())
-                .field("shards", r.shards as u64)
-                .field("requests", r.requests as u64)
-                .field(
-                    "offered_rps",
-                    r.offered_rps
-                        .iter()
-                        .copied()
-                        .map(Json::from)
-                        .collect::<Vec<_>>(),
-                )
-                .field("curves", curves)
-        })
-        .collect();
-    Json::obj()
-        .field("shards", cfg.shards as u64)
-        .field("arrival", cfg.arrival.to_string().as_str())
-        .field(
-            "load_fractions",
-            LOAD_FRACTIONS
-                .iter()
-                .copied()
-                .map(Json::from)
-                .collect::<Vec<_>>(),
-        )
-        .field(
-            "models",
-            SERVE_MODELS
-                .iter()
-                .map(|m| Json::from(m.to_string()))
-                .collect::<Vec<_>>(),
-        )
-        .field("apps", apps)
+    section(reports, cfg).json()
 }
 
 #[cfg(test)]

@@ -218,6 +218,10 @@ pub struct Analysis {
     pub pm_fraction: f64,
     /// Figure 10: normalized runtime per persistence model.
     pub fig10: Vec<(PersistModel, f64)>,
+    /// Consequence 1: ordering fences in the trace.
+    pub fences: u64,
+    /// Consequence 1: durability fences in the trace.
+    pub dfences: u64,
 }
 
 /// One suite row: the raw run plus its analysis.
@@ -263,7 +267,26 @@ pub fn analyze(run: &AppRun) -> Analysis {
         small_singleton_fraction: report.small_singleton_fraction,
         pm_fraction: run.stats.pm_fraction(),
         fig10: Vec::new(),
+        fences: report.fences[0],
+        dfences: report.fences[1],
     }
+}
+
+/// A result for an archived trace (`whisper-report --from-trace`),
+/// named `name`. An archive holds events alone: the row has no memory
+/// counters and no Figure 10 replay, so Figures 6 and 10 leave it out
+/// even when `name` is a gem5-subset app's.
+pub(crate) fn archived(name: &str, events: Vec<Event>) -> AppResult {
+    let run = AppRun {
+        name: name.to_string(),
+        workload: "archived trace".into(),
+        duration_ns: events.last().map_or(0, |e| e.at_ns),
+        events,
+        stats: memsim::MemStats::default(),
+        threads: 4,
+    };
+    let analysis = analyze(&run);
+    AppResult { run, analysis }
 }
 
 /// One Figure 10 replay of a trace under all five persistence models,

@@ -252,7 +252,10 @@ fn an_archived_trace_goes_through_the_same_tail() {
     assert!(all == report::all(&decoded) + "\n", "the full report");
     let (code, fig3) = run(&format!("--from-trace {file} fig3 --quiet"));
     assert_eq!(code, 0);
-    assert!(fig3 == report::fig3(&decoded) + "\n", "EXPERIMENT honoured");
+    assert!(
+        fig3 == report::fig3(&decoded).text() + "\n",
+        "EXPERIMENT honoured"
+    );
 
     let (code, checked) = run(&format!("--from-trace {file} fig3 --check --quiet"));
     assert_eq!(code, 0);
