@@ -2,10 +2,11 @@
 //!
 //! A cache line is *interned* once per event to a dense `u32` id, and
 //! everything any pass knows about the line lives in that id's
-//! [`LineRec`]. Interning is page-granular: a hash map finds a 4 KiB
-//! page's array of 64 line ids, and the last page found is cached, so
-//! the 64 lines of a 4 KiB store cost one hash lookup between them.
-//! That page map is the only line-keyed hash left in the crate. Ids are
+//! [`LineRec`]. Interning is page-granular: the ids live in a
+//! [`pmem::SparseLineMap`], which hashes a 4 KiB page's number to its
+//! array of 64 line ids and caches the last page found, so the 64 lines
+//! of a 4 KiB store cost one hash lookup between them. That page index
+//! is the only line-keyed hash left in the crate. Ids are
 //! handed out in order of first touch — a record exists only for a line
 //! some event named, and lines touched together sit together.
 //!
@@ -25,14 +26,11 @@
 //! backs is skipped when the list drains. Nothing iterates a hash
 //! table, so no output order depends on a hasher.
 
-use pmem::{FxHashMap, Line};
+use pmem::{FxHashMap, Line, SparseLineMap};
 use pmtrace::Tid;
 
 /// Dense index of an interned line.
 pub(crate) type LineId = u32;
-
-/// Lines per interned page (4 KiB).
-const PAGE_LINES: u64 = 64;
 
 /// Durability progress of one cache line.
 ///
@@ -101,13 +99,8 @@ pub(crate) struct LineRec {
 /// automaton.
 #[derive(Debug, Default)]
 pub(crate) struct LineTable {
-    /// Page number → index into `page_ids`.
-    pages: FxHashMap<u64, usize>,
-    /// The last page looked up (page number, index into `page_ids`).
-    last_page: Option<(u64, usize)>,
-    /// Per interned page, per line in it: the line's id plus one, or 0
-    /// while no event has named the line.
-    page_ids: Vec<[LineId; PAGE_LINES as usize]>,
+    /// Per line: its id plus one, or 0 while no event has named it.
+    ids: SparseLineMap<LineId>,
     /// Records by id, in order of first touch.
     pub(crate) recs: Vec<LineRec>,
     slots: FxHashMap<Tid, usize>,
@@ -122,20 +115,7 @@ pub(crate) struct LineTable {
 impl LineTable {
     /// The id of `line`, allocated at first appearance.
     pub(crate) fn intern(&mut self, line: Line) -> LineId {
-        let (page, off) = (line.0 / PAGE_LINES, (line.0 % PAGE_LINES) as usize);
-        let index = match self.last_page {
-            Some((last, index)) if last == page => index,
-            _ => {
-                let next = self.page_ids.len();
-                let index = *self.pages.entry(page).or_insert(next);
-                if index == next {
-                    self.page_ids.push([0; PAGE_LINES as usize]);
-                }
-                self.last_page = Some((page, index));
-                index
-            }
-        };
-        let id_plus_one = &mut self.page_ids[index][off];
+        let id_plus_one = self.ids.slot(line);
         if *id_plus_one == 0 {
             self.recs.push(LineRec {
                 line,

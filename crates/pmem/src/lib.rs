@@ -41,6 +41,7 @@ mod image;
 mod line;
 mod linemap;
 mod range;
+mod sparse;
 
 pub use device::{DramDevice, PmDevice};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
@@ -48,6 +49,7 @@ pub use image::PmImage;
 pub use line::{lines_spanning, Line, LineSpan, LINE_SIZE};
 pub use linemap::LineMap;
 pub use range::{AddrRange, AddressMap, MemoryKind};
+pub use sparse::{SparseLineMap, SPARSE_PAGE_LINES};
 
 /// A byte address in the simulated physical address space.
 ///

@@ -81,16 +81,19 @@ impl Iterator for LineSpan {
         if self.cur >= self.end {
             return None;
         }
-        let line = Line::containing(self.cur);
-        let line_end = line.base() + LINE_SIZE;
-        let chunk_end = line_end.min(self.end);
-        let item = (line, self.cur, (chunk_end - self.cur) as usize);
-        self.cur = chunk_end;
+        // Measured from `cur`, not from the line's end: the last line's
+        // end, 2^64, is no address.
+        let len = (LINE_SIZE - self.cur % LINE_SIZE).min(self.end - self.cur);
+        let item = (Line::containing(self.cur), self.cur, len as usize);
+        self.cur += len;
         Some(item)
     }
 }
 
 /// Split the byte range `[addr, addr+len)` into per-line chunks.
+///
+/// `addr + len` must fit in an [`Addr`]; the last line of the address
+/// space is an ordinary line.
 ///
 /// ```
 /// use pmem::{lines_spanning, Line};
@@ -164,6 +167,21 @@ mod tests {
             let total: usize = lines_spanning(addr, len).map(|(_, _, n)| n).sum();
             assert_eq!(total, len);
         }
+    }
+
+    #[test]
+    fn span_at_the_top_of_the_address_space() {
+        let last = u64::MAX - 63;
+        let v: Vec<_> = lines_spanning(last - 4, 12).collect();
+        assert_eq!(
+            v,
+            vec![
+                (Line(last / 64 - 1), last - 4, 4),
+                (Line(last / 64), last, 8)
+            ]
+        );
+        let v: Vec<_> = lines_spanning(last, 63).collect();
+        assert_eq!(v, vec![(Line(u64::MAX / 64), last, 63)]);
     }
 
     #[test]

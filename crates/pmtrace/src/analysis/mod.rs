@@ -9,10 +9,12 @@
 //! to its sink as the closing fence arrives, then recycles it — no hash
 //! lookup per event, no allocation per epoch. [`Epoch::lines`] is a
 //! sorted, duplicate-free `Vec`. [`Analyzer::analyze_events`] folds the
-//! lent epochs; [`split_epochs`] clones them into a vector. Only the
-//! two accumulators that key on values a trace is free to choose —
-//! [`DepTracker`] (any address) and [`TxStatsBuilder`] (any transaction
-//! id) — hash, with [`pmem::FxHashMap`].
+//! lent epochs; [`split_epochs`] clones them into a vector. The two
+//! accumulators keyed by values a trace is free to choose keep them
+//! differently: [`DepTracker`] (any address) holds one 16-byte slot per
+//! written line in a [`pmem::SparseLineMap`], which hashes a 64-line
+//! page's number, not each line; [`TxStatsBuilder`] (any transaction
+//! id, and few of them) is a [`pmem::FxHashMap`].
 
 mod amplify;
 mod analyzer;

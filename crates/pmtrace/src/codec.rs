@@ -29,6 +29,15 @@ pub enum CodecError {
         /// The offending byte.
         tag: u8,
     },
+    /// A PM store of no bytes, or one whose end `addr + len` does not
+    /// fit in 64 bits. A recorded run writes neither, and the epoch
+    /// analysis has no lines to give either.
+    BadStore {
+        /// The store's first byte.
+        addr: u64,
+        /// Its length in bytes.
+        len: u32,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -37,6 +46,10 @@ impl std::fmt::Display for CodecError {
             CodecError::BadHeader => write!(f, "not a WHISPER trace (bad header)"),
             CodecError::Truncated => write!(f, "trace truncated"),
             CodecError::BadTag { tag } => write!(f, "unknown event tag {tag:#x}"),
+            CodecError::BadStore { addr, len } => write!(
+                f,
+                "store of {len} bytes at {addr:#x} is empty or wraps past the address space"
+            ),
         }
     }
 }
@@ -85,11 +98,12 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
     if bytes.len() < 16 || bytes[0..8] != MAGIC {
         return Err(CodecError::BadHeader);
     }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
+    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let body = &bytes[16..];
-    if body.len() != count * REC {
-        return Err(CodecError::Truncated);
-    }
+    let count = usize::try_from(count)
+        .ok()
+        .filter(|&n| n.checked_mul(REC) == Some(body.len()))
+        .ok_or(CodecError::Truncated)?;
     let mut out = Vec::with_capacity(count);
     for rec in body.chunks_exact(REC) {
         let tag = rec[0];
@@ -98,14 +112,20 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
         let b = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
         let at_ns = u64::from_le_bytes(rec[16..24].try_into().expect("8 bytes"));
         let kind = match tag {
-            0 | 1 => EventKind::PmStore {
-                addr: b,
-                len: a >> 8,
-                nt: tag == 1,
-                cat: cat_from((a & 0xff) as u8).ok_or(CodecError::BadTag {
-                    tag: (a & 0xff) as u8,
-                })?,
-            },
+            0 | 1 => {
+                let (addr, len) = (b, a >> 8);
+                if len == 0 || addr.checked_add(u64::from(len)).is_none() {
+                    return Err(CodecError::BadStore { addr, len });
+                }
+                EventKind::PmStore {
+                    addr,
+                    len,
+                    nt: tag == 1,
+                    cat: cat_from((a & 0xff) as u8).ok_or(CodecError::BadTag {
+                        tag: (a & 0xff) as u8,
+                    })?,
+                }
+            }
             2 => EventKind::Flush { addr: b },
             3 => EventKind::Fence,
             4 => EventKind::DFence,
@@ -177,6 +197,63 @@ mod tests {
             decode_events(&bytes),
             Err(CodecError::BadTag { .. })
         ));
+    }
+
+    /// A header for `count` events, then `records`.
+    fn archive(count: u64, records: &[[u8; REC]]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        for r in records {
+            bytes.extend_from_slice(r);
+        }
+        bytes
+    }
+
+    /// One record: `tag`, thread 0, then `a`, `b` and time 1.
+    fn record(tag: u8, a: u32, b: u64) -> [u8; REC] {
+        let mut r = [0; REC];
+        r[0] = tag;
+        r[4..8].copy_from_slice(&a.to_le_bytes());
+        r[8..16].copy_from_slice(&b.to_le_bytes());
+        r[16..24].copy_from_slice(&1u64.to_le_bytes());
+        r
+    }
+
+    #[test]
+    fn an_empty_store_is_rejected() {
+        let bytes = archive(2, &[record(0, 0, 0x1000), record(3, 0, 0)]);
+        assert_eq!(
+            decode_events(&bytes),
+            Err(CodecError::BadStore {
+                addr: 0x1000,
+                len: 0
+            })
+        );
+    }
+
+    #[test]
+    fn a_store_past_the_last_address_is_rejected() {
+        let addr = u64::MAX - 3;
+        let bytes = archive(2, &[record(1, 8 << 8, addr), record(3, 0, 0)]);
+        assert_eq!(
+            decode_events(&bytes),
+            Err(CodecError::BadStore { addr, len: 8 })
+        );
+        // An end of exactly 2^64 - 1 still fits.
+        let bytes = archive(1, &[record(1, 3 << 8, addr)]);
+        assert_eq!(decode_events(&bytes).map(|e| e.len()), Ok(1));
+    }
+
+    #[test]
+    fn a_count_whose_size_overflows_is_truncation() {
+        assert_eq!(
+            decode_events(&archive(1 << 61, &[])),
+            Err(CodecError::Truncated)
+        );
+        assert_eq!(
+            decode_events(&archive(u64::MAX, &[record(3, 0, 0)])),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]

@@ -510,8 +510,9 @@ fn written(path: &str, outcome: std::io::Result<()>) -> Result<(), String> {
     Ok(())
 }
 
-/// `--from-trace FILE`: one result decoded from a `.wtr` archive.
-fn decode_archive(file: &str) -> Result<AppResult, String> {
+/// `--from-trace FILE`: one result decoded from a `.wtr` archive, or
+/// the message [`run`] reports before it exits 2.
+pub fn decode_archive(file: &str) -> Result<AppResult, String> {
     let bytes = std::fs::read(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let events =
         pmtrace::decode_events(&bytes).map_err(|e| format!("cannot decode {file}: {e}"))?;

@@ -262,6 +262,47 @@ fn an_archived_trace_goes_through_the_same_tail() {
     assert!(checked.starts_with(&fig3) && checked.contains("\n\nPersistency check"));
 }
 
+/// An archive the codec refuses is a usage error, reported as such: a
+/// store of no bytes, a store that wraps past the last address, and an
+/// event count whose byte size overflows.
+#[test]
+fn malformed_archives_exit_2_and_say_why() {
+    let _turn = turn();
+    let dir = scratch("malformed");
+    let record = |tag: u8, a: u32, b: u64| {
+        let mut r = vec![tag, 0, 0, 0];
+        r.extend_from_slice(&a.to_le_bytes());
+        r.extend_from_slice(&b.to_le_bytes());
+        r.extend_from_slice(&1u64.to_le_bytes());
+        r
+    };
+    let archive = |count: u64, records: &[Vec<u8>]| {
+        let mut bytes = b"WHISPR01".to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        records.iter().for_each(|r| bytes.extend_from_slice(r));
+        bytes
+    };
+    let fence = record(3, 0, 0);
+    for (name, bytes) in [
+        ("empty", archive(2, &[record(0, 0, 0x1000), fence.clone()])),
+        (
+            "wrap",
+            archive(2, &[record(0, 8 << 8, u64::MAX - 3), fence]),
+        ),
+        ("count", archive(1 << 61, &[])),
+    ] {
+        let file = dir.join(format!("{name}.wtr")).display().to_string();
+        std::fs::write(&file, bytes).expect("archive written");
+        let (code, out) = run(&format!("--from-trace {file} --check --quiet"));
+        assert_eq!(code, 2, "{name}");
+        assert_eq!(out, "", "{name}: no report");
+        let Err(err) = driver::decode_archive(&file) else {
+            panic!("{name}: decoded");
+        };
+        assert!(err.starts_with(&format!("cannot decode {file}: ")), "{err}");
+    }
+}
+
 /// The driver runs one campaign for crash, crossval and optimize; each
 /// document must be what the one-view entry point returns. At one
 /// worker thread, so the campaign also follows `--threads`.
