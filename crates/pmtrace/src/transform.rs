@@ -1,9 +1,8 @@
-//! Owned trace transforms: elide events by index, splice ranges.
+//! Owned trace transforms: elide events by index.
 //!
-//! The checker (`pmcheck`'s rewrite pass) and any future trace
-//! editor need to produce a *new* event stream from a recorded one
-//! without disturbing the relative order or timestamps of the events
-//! that survive — the hops `Replayer` prices inter-event gaps from the
+//! The checker (`pmcheck`'s rewrite pass) needs to produce a *new*
+//! event stream from a recorded one without disturbing the relative
+//! order or timestamps of the events that survive — the hops `Replayer` prices inter-event gaps from the
 //! recorded `at_ns` values, and the crash `CrashCounter` counts
 //! surviving fences, so both stay aligned as long as survivors keep
 //! their original order and stamps. Everything here returns owned
@@ -30,19 +29,6 @@ impl TraceEdit {
     pub fn elide(&mut self, idx: usize) -> &mut TraceEdit {
         self.elide.push(idx);
         self
-    }
-
-    /// True when no elisions are queued.
-    pub fn is_empty(&self) -> bool {
-        self.elide.is_empty()
-    }
-
-    /// Number of distinct queued elisions.
-    pub fn len(&self) -> usize {
-        let mut v = self.elide.clone();
-        v.sort_unstable();
-        v.dedup();
-        v.len()
     }
 
     /// Apply the edit: returns the surviving events (original order and
@@ -77,21 +63,6 @@ pub fn elide_indices(events: &[Event], indices: &[usize]) -> Vec<Event> {
         edit.elide(i);
     }
     edit.apply(events).0
-}
-
-/// Replace `events[range]` with `replacement`, keeping everything
-/// around the range untouched. Panics (like slice indexing) if the
-/// range is out of bounds or decreasing.
-pub fn splice(
-    events: &[Event],
-    range: std::ops::Range<usize>,
-    replacement: &[Event],
-) -> Vec<Event> {
-    let mut out = Vec::with_capacity(events.len() - range.len() + replacement.len());
-    out.extend_from_slice(&events[..range.start]);
-    out.extend_from_slice(replacement);
-    out.extend_from_slice(&events[range.end..]);
-    out
 }
 
 #[cfg(test)]
@@ -134,7 +105,6 @@ mod tests {
         let (kept, origin) = edit.apply(&evs);
         assert_eq!(kept.len(), 3);
         assert_eq!(origin, vec![0, 2, 4]);
-        assert_eq!(edit.len(), 2);
     }
 
     #[test]
@@ -143,14 +113,5 @@ mod tests {
         let (kept, origin) = TraceEdit::new().apply(&evs);
         assert_eq!(kept, evs);
         assert_eq!(origin, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn splice_replaces_a_range() {
-        let evs = sample();
-        let out = splice(&evs, 1..3, &evs[3..4]);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[1].at_ns, 40);
-        assert_eq!(out[2].at_ns, 40);
     }
 }

@@ -19,16 +19,17 @@
 //! descriptor line is a (rare) cross-thread dependency.
 
 use super::{App, AppRun, Layer, Setup, VolatileArena};
-use crate::crashtest::{Arm, CrashRun};
+use crate::crashtest::{self, Workload};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::{BlockState, PmAllocator, SingleHeapAlloc};
 use pmds::{PHashMap, PLog};
-use pmem::{Addr, AddrRange, PmImage};
+use pmem::{Addr, AddrRange};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Category, Tid};
 use pmtx::{TxMem, UndoTxEngine};
+use std::collections::BTreeMap;
 
 /// Echo's Table 1 row.
 pub(crate) const APP: App = App {
@@ -46,7 +47,7 @@ pub(crate) const APP: App = App {
     setup,
     unpaced: true,
     crash_ops: 40,
-    crash_run,
+    crash_run: crashtest::run::<EchoCrash>,
 };
 
 const STATUS_INPROGRESS: u32 = 1;
@@ -234,98 +235,82 @@ pub fn run_unpaced(transactions: usize, seed: u64) -> AppRun {
     APP.run_unpaced(transactions, seed)
 }
 
-/// Crash workload + recovery oracle for the campaign (see
-/// [`crate::crashtest`]): single-update batches over a small keyspace,
-/// each operation = one client submit transaction + one master apply
-/// transaction, progress noted after the master's commit. The oracle
-/// recovers the engine, re-opens the master KVS, and checks every
-/// key's version chain against the committed operation prefix —
-/// allowing the one in-flight operation to be wholly present or wholly
-/// absent, never torn.
-pub(crate) fn crash_run(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
-    const CRASH_KEYSPACE: u64 = 24;
-    let mut m = Machine::new(MachineConfig::asplos17());
-    let mut st = EchoState::build(&mut m);
-    m.trace_mut().set_enabled(false);
-    let mut arena = VolatileArena::new(&mut m, 1 << 20);
-    let mut rng = SmallRng::seed_from_u64(0xec40);
-    // Pre-generate the operation list so the oracle can replay it.
-    let plan_ops: Vec<(u64, [u8; 16])> = (0..ops)
-        .map(|i| {
-            let key = rng.gen_range(0..CRASH_KEYSPACE);
-            let mut val = [0u8; 16];
-            val[0..8].copy_from_slice(&key.to_le_bytes());
-            val[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-            (key, val)
-        })
-        .collect();
+/// Echo's crash workload (see [`crate::crashtest`]): single-update
+/// batches over a small keyspace, each operation one client submit
+/// transaction plus one master apply transaction. Recovery re-opens the
+/// master KVS and reads back every key's version chain.
+pub(crate) struct EchoCrash {
+    st: EchoState,
+    arena: VolatileArena,
+    /// Planned operations: no chain can be longer.
+    ops: usize,
+}
 
-    arm.apply(&mut m);
-    for (i, (key, val)) in plan_ops.iter().enumerate() {
-        let tid = Tid((i % ECHO_CLIENTS as usize) as u32);
-        st.client_submit(&mut m, tid, &mut arena, &[(*key, *val)]);
-        st.master_apply(&mut m, tid.0 as usize, &mut arena);
-        m.note_progress(i as u64 + 1);
+const CRASH_KEYSPACE: u64 = 24;
+
+impl Workload for EchoCrash {
+    /// An update: key and value.
+    type Op = (u64, [u8; 16]);
+    /// Each updated key's version chain, oldest first: (seq, value).
+    type Model = BTreeMap<u64, Vec<(u64, [u8; 16])>>;
+
+    fn build(m: &mut Machine, ops: usize, _workers: u32) -> EchoCrash {
+        let st = EchoState::build(m);
+        let arena = VolatileArena::new(m, 1 << 20);
+        EchoCrash { st, arena, ops }
     }
 
-    let log_region = st.log_region;
-    let master_head = st.master_head;
-    let total = plan_ops.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
-        let mut eng2 = UndoTxEngine::recover(&mut m2, Tid(0), log_region, ECHO_CLIENTS);
-        let master2 = PHashMap::open(&mut m2, Tid(0), master_head)
+    fn plan(ops: usize, _workers: u32) -> Vec<(Tid, Self::Op)> {
+        let mut rng = SmallRng::seed_from_u64(0xec40);
+        (0..ops)
+            .map(|i| {
+                let key = rng.gen_range(0..CRASH_KEYSPACE);
+                let mut val = [0u8; 16];
+                val[0..8].copy_from_slice(&key.to_le_bytes());
+                val[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
+                (Tid((i % ECHO_CLIENTS as usize) as u32), (key, val))
+            })
+            .collect()
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, _seq: u64, &(key, val): &Self::Op) {
+        self.st
+            .client_submit(m, tid, &mut self.arena, &[(key, val)]);
+        self.st.master_apply(m, tid.0 as usize, &mut self.arena);
+    }
+
+    fn model(model: &mut Self::Model, _seq: u64, &(key, val): &Self::Op) {
+        let chain = model.entry(key).or_default();
+        chain.push((chain.len() as u64 + 1, val));
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<Self::Model, String> {
+        let mut eng = UndoTxEngine::recover(m, Tid(0), self.st.log_region, ECHO_CLIENTS);
+        let master = PHashMap::open(m, Tid(0), self.st.master_head)
             .map_err(|e| format!("master KVS open failed: {e:?}"))?;
-        let committed = &plan_ops[..progress as usize];
-        let in_flight = plan_ops.get(progress as usize);
+        let mut view = Self::Model::new();
         for key in 0..CRASH_KEYSPACE {
-            let expected: Vec<[u8; 16]> = committed
-                .iter()
-                .filter(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
-                .collect();
-            let mut chain: Vec<(u64, [u8; 16])> = Vec::new();
-            if let Some(h) = master2.get(&mut m2, &mut eng2, Tid(0), &key.to_le_bytes()) {
-                let mut node = u64::from_le_bytes(h[0..8].try_into().expect("8-byte head"));
-                while node != 0 {
-                    if chain.len() > expected.len() + 2 {
-                        return Err(format!("key {key}: chain exceeds history (cycle?)"));
-                    }
-                    let seq = m2.load_u64(Tid(0), node + 8);
-                    let mut val = [0u8; 16];
-                    val.copy_from_slice(&m2.load_vec(Tid(0), node + 16, 16));
-                    chain.push((seq, val));
-                    node = m2.load_u64(Tid(0), node);
+            let Some(head) = master.get(m, &mut eng, Tid(0), &key.to_le_bytes()) else {
+                continue;
+            };
+            let mut node = u64::from_le_bytes(head[0..8].try_into().expect("8-byte head"));
+            let mut chain = Vec::new();
+            while node != 0 {
+                if chain.len() > self.ops {
+                    return Err(format!("key {key}: chain exceeds history (cycle?)"));
                 }
+                let mut val = [0u8; 16];
+                m.load(Tid(0), node + 16, &mut val);
+                chain.push((m.load_u64(Tid(0), node + 8), val));
+                node = m.load_u64(Tid(0), node);
             }
-            chain.reverse(); // oldest first; seqs must run 1..=len
-            let matches = |chain: &[(u64, [u8; 16])], want: &[[u8; 16]]| {
-                chain.len() == want.len()
-                    && chain
-                        .iter()
-                        .zip(want)
-                        .enumerate()
-                        .all(|(i, ((seq, v), w))| *seq == i as u64 + 1 && v == w)
-            };
-            let extra_ok = match in_flight {
-                Some((k, v)) if *k == key => {
-                    chain.len() == expected.len() + 1
-                        && matches(&chain[..expected.len()], &expected)
-                        && chain.last() == Some(&(expected.len() as u64 + 1, *v))
-                }
-                _ => false,
-            };
-            if !(matches(&chain, &expected) || extra_ok) {
-                return Err(format!(
-                    "key {key}: chain {:?} does not extend the {} committed update(s)",
-                    chain.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-                    expected.len()
-                ));
+            if !chain.is_empty() {
+                chain.reverse();
+                view.insert(key, chain);
             }
         }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, total, oracle)
+        Ok(view)
+    }
 }
 
 /// Echo's setup: format the engine, allocator, master KVS and client

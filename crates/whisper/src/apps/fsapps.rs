@@ -11,14 +11,15 @@
 //! is why Table 1 spans 6250 epochs/s (Exim) to 250 K (NFS).
 
 use super::{App, AppRun, Layer, Setup, VolatileArena};
-use crate::crashtest::{Arm, CrashRun};
+use crate::crashtest::{self, Workload};
 use crate::report::PaperRow;
 use crate::workloads::{self, FileserverOp};
 use memsim::{Machine, MachineConfig};
-use pmem::{AddrRange, PmImage};
+use pmem::AddrRange;
 use pmfs::{Pmfs, PmfsConfig};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::Tid;
+use std::collections::BTreeMap;
 
 /// NFS-over-PMFS's Table 1 row.
 pub(crate) const NFS: App = App {
@@ -36,7 +37,7 @@ pub(crate) const NFS: App = App {
     setup: setup_nfs,
     unpaced: false,
     crash_ops: 40,
-    crash_run: crash_run_nfs,
+    crash_run: crashtest::run::<NfsCrash>,
 };
 
 /// Exim-over-PMFS's Table 1 row.
@@ -55,7 +56,7 @@ pub(crate) const EXIM: App = App {
     setup: setup_exim,
     unpaced: false,
     crash_ops: 16,
-    crash_run: crash_run_exim,
+    crash_run: crashtest::run::<EximCrash>,
 };
 
 /// MySQL-over-PMFS's Table 1 row.
@@ -74,7 +75,7 @@ pub(crate) const MYSQL: App = App {
     setup: setup_mysql,
     unpaced: false,
     crash_ops: 24,
-    crash_run: crash_run_mysql,
+    crash_run: crashtest::run::<MysqlCrash>,
 };
 
 const THREADS: u32 = 4;
@@ -90,9 +91,17 @@ fn build_fs(m: &mut Machine) -> (Pmfs, AddrRange) {
     (fs, region)
 }
 
+/// Mount the PMFS volume at `region` on a rebooted machine (journal
+/// recovery included).
+fn mount(m: &mut Machine, region: AddrRange) -> Result<Pmfs, String> {
+    Pmfs::mount(m, Tid(0), region)
+        .map(|(fs, _)| fs)
+        .map_err(|e| format!("mount failed: {e:?}"))
+}
+
 /// One NFS crash-campaign operation.
 #[derive(Debug, Clone, Copy)]
-enum NfsOp {
+pub(crate) enum NfsOp {
     /// Replace `/export/f{file}` wholesale: unlink, create, write
     /// `size` bytes of `fill`.
     CreateWrite { file: u64, fill: u8, size: usize },
@@ -100,122 +109,116 @@ enum NfsOp {
     Append { fill: u8, len: usize },
 }
 
-/// Crash workload + recovery oracle for NFS-over-PMFS (see
-/// [`crate::crashtest`]). Whole-file replacements rotate over a small
-/// set, with appends growing a shared log file across block
-/// boundaries. PMFS journals metadata but not user data, so the
-/// journal's undo makes each create/write/unlink all-or-nothing at the
-/// size level: the oracle mounts the image (journal recovery must
-/// succeed) and requires every committed file to read back exactly,
-/// with the in-flight replacement observed as old, absent, empty, or
-/// complete — never a torn length.
-pub(crate) fn crash_run_nfs(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
-    const N_FILES: u64 = 6;
-    let mut m = Machine::new(MachineConfig::asplos17());
-    m.trace_mut().set_enabled(false);
-    let (mut fs, region) = build_fs(&mut m);
-    fs.mkdir(&mut m, Tid(0), "/export").expect("mkdir");
-    fs.create(&mut m, Tid(0), "/export/biglog").expect("biglog");
-    let mut rng = SmallRng::seed_from_u64(0x9f5c);
-    let plan_ops: Vec<NfsOp> = (0..ops)
-        .map(|i| {
-            let fill = (i % 251 + 1) as u8;
-            if i % 4 == 3 {
-                NfsOp::Append {
-                    fill,
-                    len: rng.gen_range(200..2200),
-                }
-            } else {
-                NfsOp::CreateWrite {
-                    file: rng.gen_range(0..N_FILES),
-                    fill,
-                    size: rng.gen_range(256..2048),
-                }
-            }
-        })
-        .collect();
+/// What NFS's recovery reads back: the export's files.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct NfsModel {
+    /// Each present `/export/f{file}`'s bytes.
+    files: BTreeMap<u64, Vec<u8>>,
+    /// `/export/biglog`'s bytes.
+    biglog: Vec<u8>,
+}
 
-    arm.apply(&mut m);
-    for (i, op) in plan_ops.iter().enumerate() {
-        let tid = Tid((i % THREADS as usize) as u32);
+const N_FILES: u64 = 6;
+
+fn nfs_path(file: u64) -> String {
+    format!("/export/f{file:04}")
+}
+
+/// NFS-over-PMFS's crash workload (see [`crate::crashtest`]): whole-file
+/// replacements rotate over a small set, with appends growing a shared
+/// log file across block boundaries. PMFS journals metadata but not user
+/// data, so the journal's undo makes each create/write/unlink
+/// all-or-nothing at the size level; recovery mounts the image and reads
+/// every file back.
+pub(crate) struct NfsCrash {
+    fs: Pmfs,
+    /// The volume to re-mount.
+    region: AddrRange,
+}
+
+impl Workload for NfsCrash {
+    type Op = NfsOp;
+    type Model = NfsModel;
+
+    fn build(m: &mut Machine, _ops: usize, _workers: u32) -> NfsCrash {
+        let (mut fs, region) = build_fs(m);
+        fs.mkdir(m, Tid(0), "/export").expect("mkdir");
+        fs.create(m, Tid(0), "/export/biglog").expect("biglog");
+        NfsCrash { fs, region }
+    }
+
+    fn plan(ops: usize, _workers: u32) -> Vec<(Tid, NfsOp)> {
+        let mut rng = SmallRng::seed_from_u64(0x9f5c);
+        (0..ops)
+            .map(|i| {
+                let fill = (i % 251 + 1) as u8;
+                let op = if i % 4 == 3 {
+                    NfsOp::Append {
+                        fill,
+                        len: rng.gen_range(200..2200),
+                    }
+                } else {
+                    NfsOp::CreateWrite {
+                        file: rng.gen_range(0..N_FILES),
+                        fill,
+                        size: rng.gen_range(256..2048),
+                    }
+                };
+                (Tid((i % THREADS as usize) as u32), op)
+            })
+            .collect()
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, _seq: u64, op: &NfsOp) {
+        let fs = &mut self.fs;
         match *op {
             NfsOp::CreateWrite { file, fill, size } => {
-                let p = format!("/export/f{file:04}");
-                let _ = fs.unlink(&mut m, tid, &p);
-                fs.create(&mut m, tid, &p).expect("create");
-                fs.write(&mut m, tid, &p, 0, &vec![fill; size])
-                    .expect("write");
+                let p = nfs_path(file);
+                let _ = fs.unlink(m, tid, &p);
+                fs.create(m, tid, &p).expect("create");
+                fs.write(m, tid, &p, 0, &vec![fill; size]).expect("write");
             }
             NfsOp::Append { fill, len } => {
-                fs.append(&mut m, tid, "/export/biglog", &vec![fill; len])
+                fs.append(m, tid, "/export/biglog", &vec![fill; len])
                     .expect("append");
             }
         }
-        m.note_progress(i as u64 + 1);
     }
 
-    let total = plan_ops.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
-        let (mut fs2, _) =
-            Pmfs::mount(&mut m2, Tid(0), region).map_err(|e| format!("mount failed: {e:?}"))?;
-        // Replay the committed prefix into a volatile model.
-        let mut files: Vec<Option<(u8, usize)>> = vec![None; N_FILES as usize];
-        let mut biglog: Vec<u8> = Vec::new();
-        for op in &plan_ops[..progress as usize] {
-            match *op {
-                NfsOp::CreateWrite { file, fill, size } => {
-                    files[file as usize] = Some((fill, size));
-                }
-                NfsOp::Append { fill, len } => biglog.extend(std::iter::repeat_n(fill, len)),
+    fn model(model: &mut NfsModel, _seq: u64, op: &NfsOp) {
+        match *op {
+            NfsOp::CreateWrite { file, fill, size } => {
+                model.files.insert(file, vec![fill; size]);
             }
+            NfsOp::Append { fill, len } => model.biglog.extend(std::iter::repeat_n(fill, len)),
         }
-        let in_flight = plan_ops.get(progress as usize).copied();
-        let content = |fs2: &mut Pmfs, m2: &mut Machine, p: &str| -> Option<Vec<u8>> {
-            fs2.read_file(m2, Tid(0), p).ok()
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<NfsModel, String> {
+        let mut fs = mount(m, self.region)?;
+        let files = (0..N_FILES)
+            .filter_map(|f| Some((f, fs.read_file(m, Tid(0), &nfs_path(f)).ok()?)))
+            .collect();
+        let biglog = fs
+            .read_file(m, Tid(0), "/export/biglog")
+            .map_err(|_| "biglog missing".to_string())?;
+        Ok(NfsModel { files, biglog })
+    }
+
+    /// A replacement's unlink → create → write steps: the file absent,
+    /// then empty, before it is whole.
+    fn accept(view: &NfsModel, before: &NfsModel, _: &NfsModel, op: Option<&NfsOp>) -> bool {
+        let Some(&NfsOp::CreateWrite { file, .. }) = op else {
+            return false;
         };
-        for f in 0..N_FILES {
-            let p = format!("/export/f{f:04}");
-            let got = content(&mut fs2, &mut m2, &p);
-            let want = files[f as usize].map(|(fill, size)| vec![fill; size]);
-            let committed_ok = got == want;
-            let in_flight_ok = match in_flight {
-                Some(NfsOp::CreateWrite { file, fill, size }) if file == f => {
-                    match got.as_deref() {
-                        None => true, // unlinked, not yet recreated
-                        Some(b) => b.is_empty() || b == vec![fill; size].as_slice(),
-                    }
-                }
-                _ => false,
-            };
-            if !(committed_ok || in_flight_ok) {
-                return Err(format!(
-                    "file {p}: recovered {:?} bytes != committed {:?}",
-                    got.map(|b| b.len()),
-                    want.map(|b| b.len())
-                ));
-            }
+        let mut step = before.clone();
+        step.files.remove(&file);
+        if *view == step {
+            return true;
         }
-        let got_log =
-            content(&mut fs2, &mut m2, "/export/biglog").ok_or("biglog missing".to_string())?;
-        let log_ok = got_log == biglog
-            || matches!(
-                in_flight,
-                Some(NfsOp::Append { fill, len })
-                    if got_log.len() == biglog.len() + len
-                        && got_log[..biglog.len()] == biglog[..]
-                        && got_log[biglog.len()..].iter().all(|b| *b == fill)
-            );
-        if !log_ok {
-            return Err(format!(
-                "biglog: recovered {} bytes != committed {}",
-                got_log.len(),
-                biglog.len()
-            ));
-        }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, total, oracle)
+        step.files.insert(file, Vec::new());
+        *view == step
+    }
 }
 
 /// A fresh machine with a fresh PMFS volume, tracing off.
@@ -288,118 +291,125 @@ fn drive_nfs(
     NFS.collect(m)
 }
 
-/// Crash workload + recovery oracle for Exim-over-PMFS (see
-/// [`crate::crashtest`]). Each delivery is spool-create → spool-write
-/// → mbox-append → log-append → spool-unlink, against pre-created
-/// mailboxes. The oracle mounts the image and requires: every
-/// committed delivery's spool file gone, each mailbox equal to the
-/// concatenation of its committed bodies (the in-flight body may
-/// additionally be present in full), the main log equal to the
-/// committed delivery lines (plus at most the in-flight line), and the
-/// in-flight spool file absent, empty, or complete.
-pub(crate) fn crash_run_exim(msgs: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
-    const MBOXES: u64 = 4;
-    const BODY: usize = 600;
-    let mut m = Machine::new(MachineConfig::asplos17());
-    m.trace_mut().set_enabled(false);
-    let (mut fs, region) = build_fs(&mut m);
-    fs.mkdir(&mut m, Tid(0), "/spool").expect("mkdir");
-    fs.mkdir(&mut m, Tid(0), "/mbox").expect("mkdir");
-    fs.create(&mut m, Tid(0), "/mainlog").expect("log");
-    for u in 0..MBOXES {
-        fs.create(&mut m, Tid(0), &format!("/mbox/u{u:03}"))
-            .expect("mbox");
-    }
-    let spool_path = |i: usize| format!("/spool/m{i:04}");
-    let log_line = |i: usize, mbox: u64| format!("delivered m{i} to u{mbox:03}\n");
-    let body_fill = |i: usize| (i % 251 + 1) as u8;
+/// What Exim's recovery reads back.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct EximModel {
+    /// Each present spool file's bytes, by message.
+    spools: BTreeMap<usize, Vec<u8>>,
+    /// Each mailbox's bytes.
+    mboxes: [Vec<u8>; MBOXES as usize],
+    /// `/mainlog`'s bytes.
+    mainlog: Vec<u8>,
+}
 
-    arm.apply(&mut m);
-    for i in 0..msgs {
-        let tid = Tid((i % THREADS as usize) as u32);
-        let mbox = (i as u64 * 7 + 3) % MBOXES;
-        let spool = spool_path(i);
-        fs.create(&mut m, tid, &spool).expect("spool");
-        fs.write(&mut m, tid, &spool, 0, &[body_fill(i); BODY])
-            .expect("spool write");
-        let body = fs.read_file(&mut m, tid, &spool).expect("read spool");
-        fs.append(&mut m, tid, &format!("/mbox/u{mbox:03}"), &body)
-            .expect("deliver");
-        fs.append(&mut m, tid, "/mainlog", log_line(i, mbox).as_bytes())
-            .expect("log");
-        fs.unlink(&mut m, tid, &spool).expect("unspool");
-        m.note_progress(i as u64 + 1);
-    }
+const MBOXES: u64 = 4;
+const BODY: usize = 600;
 
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
-        let (mut fs2, _) =
-            Pmfs::mount(&mut m2, Tid(0), region).map_err(|e| format!("mount failed: {e:?}"))?;
-        let committed = progress as usize;
-        for i in 0..committed {
-            if fs2.stat(&mut m2, Tid(0), &spool_path(i)).is_ok() {
-                return Err(format!("committed spool {} still present", spool_path(i)));
-            }
-        }
-        if committed < msgs {
-            match fs2.read_file(&mut m2, Tid(0), &spool_path(committed)) {
-                Err(_) => {}
-                Ok(b) if b.is_empty() || b == vec![body_fill(committed); BODY] => {}
-                Ok(b) => {
-                    return Err(format!(
-                        "in-flight spool torn: {} bytes, expected 0 or {BODY}",
-                        b.len()
-                    ))
-                }
-            }
-        }
-        let in_flight_mbox = (committed < msgs).then(|| (committed as u64 * 7 + 3) % MBOXES);
+fn spool_path(msg: usize) -> String {
+    format!("/spool/m{msg:04}")
+}
+
+fn mbox_of(msg: usize) -> u64 {
+    (msg as u64 * 7 + 3) % MBOXES
+}
+
+fn body_fill(msg: usize) -> u8 {
+    (msg % 251 + 1) as u8
+}
+
+fn log_line(msg: usize) -> String {
+    format!("delivered m{msg} to u{:03}\n", mbox_of(msg))
+}
+
+/// Exim-over-PMFS's crash workload (see [`crate::crashtest`]): each
+/// delivery is spool-create → spool-write → mbox-append → log-append →
+/// spool-unlink, against pre-created mailboxes. Recovery mounts the
+/// image and reads back every spool file, mailbox and the main log.
+pub(crate) struct EximCrash {
+    fs: Pmfs,
+    /// The volume to re-mount.
+    region: AddrRange,
+    /// Messages planned: the spool files recovery reads.
+    msgs: usize,
+}
+
+impl Workload for EximCrash {
+    /// The message to deliver.
+    type Op = usize;
+    type Model = EximModel;
+
+    fn build(m: &mut Machine, msgs: usize, _workers: u32) -> EximCrash {
+        let (mut fs, region) = build_fs(m);
+        fs.mkdir(m, Tid(0), "/spool").expect("mkdir");
+        fs.mkdir(m, Tid(0), "/mbox").expect("mkdir");
+        fs.create(m, Tid(0), "/mainlog").expect("log");
         for u in 0..MBOXES {
-            let mut want: Vec<u8> = Vec::new();
-            for i in 0..committed {
-                if (i as u64 * 7 + 3) % MBOXES == u {
-                    want.extend(std::iter::repeat_n(body_fill(i), BODY));
-                }
-            }
-            let got = fs2
-                .read_file(&mut m2, Tid(0), &format!("/mbox/u{u:03}"))
+            fs.create(m, Tid(0), &format!("/mbox/u{u:03}"))
+                .expect("mbox");
+        }
+        EximCrash { fs, region, msgs }
+    }
+
+    fn plan(msgs: usize, _workers: u32) -> Vec<(Tid, usize)> {
+        (0..msgs)
+            .map(|i| (Tid((i % THREADS as usize) as u32), i))
+            .collect()
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, _seq: u64, &i: &usize) {
+        let fs = &mut self.fs;
+        let spool = spool_path(i);
+        fs.create(m, tid, &spool).expect("spool");
+        fs.write(m, tid, &spool, 0, &[body_fill(i); BODY])
+            .expect("spool write");
+        let body = fs.read_file(m, tid, &spool).expect("read spool");
+        fs.append(m, tid, &format!("/mbox/u{:03}", mbox_of(i)), &body)
+            .expect("deliver");
+        fs.append(m, tid, "/mainlog", log_line(i).as_bytes())
+            .expect("log");
+        fs.unlink(m, tid, &spool).expect("unspool");
+    }
+
+    fn model(model: &mut EximModel, _seq: u64, &i: &usize) {
+        model.mboxes[mbox_of(i) as usize].extend([body_fill(i); BODY]);
+        model.mainlog.extend(log_line(i).as_bytes());
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<EximModel, String> {
+        let mut fs = mount(m, self.region)?;
+        let spools = (0..self.msgs)
+            .filter_map(|i| Some((i, fs.read_file(m, Tid(0), &spool_path(i)).ok()?)))
+            .collect();
+        let mut mboxes = EximModel::default().mboxes;
+        for (u, mbox) in mboxes.iter_mut().enumerate() {
+            *mbox = fs
+                .read_file(m, Tid(0), &format!("/mbox/u{u:03}"))
                 .map_err(|e| format!("mbox u{u:03} unreadable: {e:?}"))?;
-            let plus_in_flight = in_flight_mbox == Some(u)
-                && got.len() == want.len() + BODY
-                && got[..want.len()] == want[..]
-                && got[want.len()..].iter().all(|b| *b == body_fill(committed));
-            if got != want && !plus_in_flight {
-                return Err(format!(
-                    "mbox u{u:03}: {} bytes recovered, {} committed",
-                    got.len(),
-                    want.len()
-                ));
-            }
         }
-        let mut want_log = String::new();
-        for i in 0..committed {
-            want_log.push_str(&log_line(i, (i as u64 * 7 + 3) % MBOXES));
-        }
-        let got_log = fs2
-            .read_file(&mut m2, Tid(0), "/mainlog")
+        let mainlog = fs
+            .read_file(m, Tid(0), "/mainlog")
             .map_err(|e| format!("mainlog unreadable: {e:?}"))?;
-        let with_in_flight = (committed < msgs)
-            .then(|| {
-                let mut s = want_log.clone();
-                s.push_str(&log_line(committed, (committed as u64 * 7 + 3) % MBOXES));
-                s
-            })
-            .is_some_and(|s| got_log == s.as_bytes());
-        if got_log != want_log.as_bytes() && !with_in_flight {
-            return Err(format!(
-                "mainlog: {} bytes recovered, {} committed",
-                got_log.len(),
-                want_log.len()
-            ));
-        }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, msgs as u64, oracle)
+        Ok(EximModel {
+            spools,
+            mboxes,
+            mainlog,
+        })
+    }
+
+    /// A delivery lands in stages: the mailbox and the main log each at
+    /// the prefix or one delivery on, the in-flight spool file absent,
+    /// empty or whole, every committed one gone, and later messages'
+    /// spool files unread.
+    fn accept(view: &EximModel, before: &EximModel, after: &EximModel, op: Option<&usize>) -> bool {
+        let spool_ok = |(&i, body): (&usize, &Vec<u8>)| match op {
+            Some(&p) if i == p => body.is_empty() || *body == [body_fill(p); BODY],
+            Some(&p) => i > p,
+            None => false,
+        };
+        view.spools.iter().all(spool_ok)
+            && (view.mboxes == before.mboxes || view.mboxes == after.mboxes)
+            && (view.mainlog == before.mainlog || view.mainlog == after.mainlog)
+    }
 }
 
 /// mkfs and mailbox setup are untraced.
@@ -471,115 +481,118 @@ fn drive_exim(
     EXIM.collect(m)
 }
 
-/// Crash workload + recovery oracle for MySQL-over-PMFS (see
-/// [`crate::crashtest`]). Rows live packed in `/ibdata` (preloaded
-/// before the plan arms); each operation overwrites one row in place
-/// and appends a fixed-size binlog record. PMFS does not journal user
-/// data, so an in-place row overwrite can tear at cache-line/block
-/// granularity — the oracle therefore checks the in-flight row
-/// byte-by-byte against {old fill, new fill}, while committed rows and
-/// the binlog must read back exactly (the binlog may carry at most the
-/// complete in-flight record, never a partial one: its size is
-/// journaled metadata).
-pub(crate) fn crash_run_mysql(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
-    const N_ROWS: u64 = 64;
-    const ROW: usize = 100;
-    const REC: usize = 64;
-    const PRELOAD_FILL: u8 = 0xA5;
-    let mut m = Machine::new(MachineConfig::asplos17());
-    m.trace_mut().set_enabled(false);
-    let (mut fs, region) = build_fs(&mut m);
-    fs.create(&mut m, Tid(0), "/ibdata").expect("table");
-    fs.create(&mut m, Tid(0), "/binlog").expect("binlog");
-    let total = N_ROWS as usize * ROW;
-    for off in (0..total).step_by(4096) {
-        let n = 4096.min(total - off);
-        fs.write(
-            &mut m,
-            Tid(0),
-            "/ibdata",
-            off as u64,
-            &vec![PRELOAD_FILL; n],
-        )
-        .expect("load");
-    }
-    let mut rng = SmallRng::seed_from_u64(0xdb_c4);
-    let plan_ops: Vec<(u64, u8)> = (0..ops)
-        .map(|i| (rng.gen_range(0..N_ROWS), (i % 251 + 1) as u8))
-        .collect();
+const N_ROWS: u64 = 64;
+const ROW: usize = 100;
+const REC: usize = 64;
+const PRELOAD_FILL: u8 = 0xA5;
 
-    arm.apply(&mut m);
-    for (i, (row, fill)) in plan_ops.iter().enumerate() {
-        let tid = Tid((i % THREADS as usize) as u32);
-        fs.write(&mut m, tid, "/ibdata", row * ROW as u64, &[*fill; ROW])
+/// What MySQL's recovery reads back.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MysqlModel {
+    /// `/ibdata`'s bytes: `N_ROWS` rows of `ROW` bytes.
+    table: Vec<u8>,
+    /// `/binlog`'s bytes.
+    binlog: Vec<u8>,
+}
+
+impl Default for MysqlModel {
+    /// The preloaded table and an empty binlog.
+    fn default() -> MysqlModel {
+        MysqlModel {
+            table: vec![PRELOAD_FILL; N_ROWS as usize * ROW],
+            binlog: Vec::new(),
+        }
+    }
+}
+
+/// MySQL-over-PMFS's crash workload (see [`crate::crashtest`]): rows
+/// live packed in `/ibdata` (preloaded by the build); each operation
+/// overwrites one row in place and appends a fixed-size binlog record.
+/// Recovery mounts the image and reads back the table and the binlog.
+pub(crate) struct MysqlCrash {
+    fs: Pmfs,
+    /// The volume to re-mount.
+    region: AddrRange,
+}
+
+impl Workload for MysqlCrash {
+    /// Overwrite a row with a fill byte.
+    type Op = (u64, u8);
+    type Model = MysqlModel;
+
+    fn build(m: &mut Machine, _ops: usize, _workers: u32) -> MysqlCrash {
+        let (mut fs, region) = build_fs(m);
+        fs.create(m, Tid(0), "/ibdata").expect("table");
+        fs.create(m, Tid(0), "/binlog").expect("binlog");
+        let total = N_ROWS as usize * ROW;
+        for off in (0..total).step_by(4096) {
+            let n = 4096.min(total - off);
+            fs.write(m, Tid(0), "/ibdata", off as u64, &vec![PRELOAD_FILL; n])
+                .expect("load");
+        }
+        MysqlCrash { fs, region }
+    }
+
+    fn plan(ops: usize, _workers: u32) -> Vec<(Tid, (u64, u8))> {
+        let mut rng = SmallRng::seed_from_u64(0xdb_c4);
+        (0..ops)
+            .map(|i| {
+                let op = (rng.gen_range(0..N_ROWS), (i % 251 + 1) as u8);
+                (Tid((i % THREADS as usize) as u32), op)
+            })
+            .collect()
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, _seq: u64, &(row, fill): &(u64, u8)) {
+        let fs = &mut self.fs;
+        fs.write(m, tid, "/ibdata", row * ROW as u64, &[fill; ROW])
             .expect("update");
-        fs.append(&mut m, tid, "/binlog", &[*fill; REC])
-            .expect("binlog");
-        m.note_progress(i as u64 + 1);
+        fs.append(m, tid, "/binlog", &[fill; REC]).expect("binlog");
     }
 
-    let total_ops = plan_ops.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
-        let (mut fs2, _) =
-            Pmfs::mount(&mut m2, Tid(0), region).map_err(|e| format!("mount failed: {e:?}"))?;
-        let mut rows = vec![PRELOAD_FILL; N_ROWS as usize];
-        for (row, fill) in &plan_ops[..progress as usize] {
-            rows[*row as usize] = *fill;
-        }
-        let in_flight = plan_ops.get(progress as usize).copied();
-        let table = fs2
-            .read_file(&mut m2, Tid(0), "/ibdata")
-            .map_err(|e| format!("ibdata unreadable: {e:?}"))?;
-        if table.len() != N_ROWS as usize * ROW {
-            return Err(format!("ibdata truncated to {} bytes", table.len()));
-        }
-        for r in 0..N_ROWS as usize {
-            let bytes = &table[r * ROW..(r + 1) * ROW];
-            let old = rows[r];
-            match in_flight {
-                Some((row, fill)) if row as usize == r => {
-                    // The in-flight overwrite may tear — but every byte
-                    // must be either the old or the new fill.
-                    if let Some(b) = bytes.iter().find(|b| **b != old && **b != fill) {
-                        return Err(format!(
-                            "row {r}: byte {b:#04x} is neither old {old:#04x} nor new {fill:#04x}"
-                        ));
-                    }
-                }
-                _ => {
-                    if bytes.iter().any(|b| *b != old) {
-                        return Err(format!("row {r}: committed fill {old:#04x} torn"));
-                    }
-                }
-            }
-        }
-        let binlog = fs2
-            .read_file(&mut m2, Tid(0), "/binlog")
-            .map_err(|e| format!("binlog unreadable: {e:?}"))?;
-        let committed_len = progress as usize * REC;
-        let with_in_flight = in_flight.is_some() && binlog.len() == committed_len + REC;
-        if binlog.len() != committed_len && !with_in_flight {
-            return Err(format!(
-                "binlog length {} is neither {committed_len} nor {}",
-                binlog.len(),
-                committed_len + REC
-            ));
-        }
-        for (i, (_, fill)) in plan_ops[..progress as usize].iter().enumerate() {
-            if binlog[i * REC..(i + 1) * REC].iter().any(|b| b != fill) {
-                return Err(format!("binlog record {i} torn"));
-            }
-        }
-        if with_in_flight {
-            let (_, fill) = in_flight.expect("checked");
-            if binlog[committed_len..].iter().any(|b| *b != fill) {
-                return Err("in-flight binlog record torn despite committed size".into());
-            }
-        }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, total_ops, oracle)
+    fn model(model: &mut MysqlModel, _seq: u64, &(row, fill): &(u64, u8)) {
+        let at = row as usize * ROW;
+        model.table[at..at + ROW].fill(fill);
+        model.binlog.extend([fill; REC]);
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<MysqlModel, String> {
+        let mut fs = mount(m, self.region)?;
+        let mut read = |path: &str| {
+            fs.read_file(m, Tid(0), path)
+                .map_err(|e| format!("{} unreadable: {e:?}", &path[1..]))
+        };
+        Ok(MysqlModel {
+            table: read("/ibdata")?,
+            binlog: read("/binlog")?,
+        })
+    }
+
+    /// PMFS journals metadata, not data: the in-flight row overwrite may
+    /// tear, every byte of it old or new, while its binlog record is
+    /// whole or absent (the file size is journaled metadata).
+    fn accept(
+        view: &MysqlModel,
+        before: &MysqlModel,
+        after: &MysqlModel,
+        op: Option<&(u64, u8)>,
+    ) -> bool {
+        let Some(&(row, fill)) = op else {
+            return false;
+        };
+        let torn = row as usize * ROW..(row as usize + 1) * ROW;
+        let byte_ok = |(i, (got, old)): (usize, (&u8, &u8))| {
+            got == old || (torn.contains(&i) && *got == fill)
+        };
+        (view.binlog == before.binlog || view.binlog == after.binlog)
+            && view.table.len() == before.table.len()
+            && view
+                .table
+                .iter()
+                .zip(&before.table)
+                .enumerate()
+                .all(byte_ok)
+    }
 }
 
 /// MySQL's table: rows packed 100 B each in 4 KB pages.

@@ -19,18 +19,18 @@
 //! bump, which keeps PM write traffic low at memslap's 5 % SET mix.
 
 use super::{arena_bytes, config_for, App, AppRun, Layer, Setup, VolatileArena};
-use crate::crashtest::{Arm, CrashRun};
+use crate::crashtest::{self, Workload};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
 use crate::workloads::{self, MemslapOp};
-use memsim::{Machine, PmWriter, Scheduler};
+use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
 use pmalloc::ShardedSlab;
 use pmds::{CHash, PLruList};
-use pmem::{Addr, AddrRange, PmImage};
+use pmem::{Addr, AddrRange};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::Tid;
 use pmtx::RedoTxEngine;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Memcached's Table 1 row.
 pub(crate) const APP: App = App {
@@ -48,7 +48,7 @@ pub(crate) const APP: App = App {
     setup,
     unpaced: false,
     crash_ops: 80,
-    crash_run,
+    crash_run: crashtest::run::<Memcached>,
 };
 
 #[derive(Clone)]
@@ -63,10 +63,13 @@ pub(crate) struct Memcached {
     pub(crate) lru_nodes: HashMap<u64, Addr>,
     pub(crate) log_region: AddrRange,
     pub(crate) table_region: AddrRange,
-    /// One line per worker for the crash-run fence prologue.
+    /// One line per worker for the crash workload's fence prologue
+    /// ([`Workload::scratch`]).
     pub(crate) scratch: Addr,
     /// Monotone sequence tags for the table's announce slots.
     seq: u64,
+    /// Worker threads the engine and table were formatted for.
+    workers: u32,
 }
 
 impl Memcached {
@@ -97,6 +100,7 @@ impl Memcached {
             table_region,
             scratch,
             seq: 0,
+            workers,
         }
     }
 
@@ -158,84 +162,87 @@ impl Memcached {
     }
 }
 
-/// Crash workload + recovery oracle (see [`crate::crashtest`]): a
-/// SET-only stream over a small keyspace with capacity above the
-/// operation count, so no eviction runs. A SET is the concurrent
-/// table's detectable upsert followed, for fresh keys, by the LRU redo
-/// transaction; the oracle recovers both and requires every committed
-/// key to carry its last committed value. The in-flight SET may have
-/// landed neither, only the table phase, or both — the LRU length must
-/// sit between the committed distinct-key count and one more.
-pub(crate) fn crash_run(ops: usize, workers: u32, arm: &Arm<'_>) -> CrashRun {
-    const CRASH_KEYSPACE: u64 = 24;
-    let mut m = Machine::new(config_for(workers));
-    m.trace_mut().set_enabled(false);
-    let mut mc = Memcached::build(&mut m, workers, ops);
-    let mut sched = Scheduler::new(workers, 0x3e7c);
-    let schedule: Vec<Tid> = (0..ops).map(|_| sched.next()).collect();
-    let mut rng = SmallRng::seed_from_u64(0x3e7c);
-    let plan_ops: Vec<(u64, [u8; 16])> = (0..ops)
-        .map(|i| {
-            let key = rng.gen_range(0..CRASH_KEYSPACE);
-            let mut val = [0u8; 16];
-            val[0..8].copy_from_slice(&key.to_le_bytes());
-            val[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-            (key, val)
-        })
-        .collect();
+/// What memcached's recovery reads back.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct MemcachedModel {
+    /// Key → value.
+    table: BTreeMap<u64, Vec<u8>>,
+    /// Items on the LRU list.
+    lru_len: u64,
+}
 
-    arm.apply_to_workers(&mut m, workers, mc.scratch);
-    for (i, (key, val)) in plan_ops.iter().enumerate() {
-        let tid = schedule[i];
-        mc.set(&mut m, tid, *key, val, ops + 10);
-        m.note_progress(i as u64 + 1);
+const CRASH_KEYSPACE: u64 = 24;
+
+/// Crash workload (see [`crate::crashtest`]): a SET-only stream over a
+/// small keyspace, so no eviction runs. A SET is the concurrent table's
+/// detectable upsert followed, for fresh keys, by the LRU redo
+/// transaction; recovery reads back every key and the LRU length.
+impl Workload for Memcached {
+    /// A SET: key and value.
+    type Op = (u64, [u8; 16]);
+    type Model = MemcachedModel;
+
+    fn config(workers: u32) -> MachineConfig {
+        config_for(workers)
     }
 
-    let log = mc.log_region;
-    let table_region = mc.table_region;
-    let lru = mc.lru;
-    let total = plan_ops.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(config_for(workers), img);
-        let _eng2 = RedoTxEngine::recover(&mut m2, Tid(0), log, workers);
-        let mut table2 = CHash::open(&mut m2, Tid(0), table_region)
+    fn build(m: &mut Machine, ops: usize, workers: u32) -> Memcached {
+        Memcached::build(m, workers, ops)
+    }
+
+    fn plan(ops: usize, workers: u32) -> Vec<(Tid, Self::Op)> {
+        let mut sched = Scheduler::new(workers, 0x3e7c);
+        let mut rng = SmallRng::seed_from_u64(0x3e7c);
+        (0..ops)
+            .map(|i| {
+                let key = rng.gen_range(0..CRASH_KEYSPACE);
+                let mut val = [0u8; 16];
+                val[0..8].copy_from_slice(&key.to_le_bytes());
+                val[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
+                (sched.next(), (key, val))
+            })
+            .collect()
+    }
+
+    fn scratch(&self) -> Option<Addr> {
+        Some(self.scratch)
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, _seq: u64, (key, val): &Self::Op) {
+        // Unbounded capacity: the campaign never evicts.
+        self.set(m, tid, *key, val, usize::MAX);
+    }
+
+    fn model(model: &mut MemcachedModel, _seq: u64, (key, val): &Self::Op) {
+        model.table.insert(*key, val.to_vec());
+        model.lru_len = model.table.len() as u64;
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<MemcachedModel, String> {
+        let _eng = RedoTxEngine::recover(m, Tid(0), self.log_region, self.workers);
+        let mut table = CHash::open(m, Tid(0), self.table_region)
             .map_err(|e| format!("table open failed: {e:?}"))?;
-        let _ = table2.recover(&mut m2, Tid(0));
-        let mut model: HashMap<u64, [u8; 16]> = HashMap::new();
-        for (k, v) in &plan_ops[..progress as usize] {
-            model.insert(*k, *v);
-        }
-        let in_flight = plan_ops.get(progress as usize);
-        for key in 0..CRASH_KEYSPACE {
-            let got = table2.get(&mut m2, Tid(0), &key.to_le_bytes());
-            let committed_ok = match (got.as_deref(), model.get(&key)) {
-                (Some(g), Some(w)) => g == w.as_slice(),
-                (None, None) => true,
-                _ => false,
-            };
-            let in_flight_ok = matches!(
-                in_flight,
-                Some((k, v)) if *k == key && got.as_deref() == Some(v.as_slice())
-            );
-            if !(committed_ok || in_flight_ok) {
-                return Err(format!(
-                    "key {key}: recovered {:?} != committed {:?}",
-                    got.as_deref().map(<[u8]>::to_vec),
-                    model.get(&key).map(|v| v.to_vec())
-                ));
-            }
-        }
-        let committed_distinct = model.len() as u64;
-        let lru_len = lru.len(&mut m2, Tid(0));
-        if lru_len != committed_distinct && lru_len != committed_distinct + 1 {
-            return Err(format!(
-                "LRU length {lru_len} outside [{committed_distinct}, {}]",
-                committed_distinct + 1
-            ));
-        }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, total, oracle)
+        let _ = table.recover(m, Tid(0));
+        Ok(MemcachedModel {
+            table: (0..CRASH_KEYSPACE)
+                .filter_map(|key| Some((key, table.get(m, Tid(0), &key.to_le_bytes())?)))
+                .collect(),
+            lru_len: self.lru.len(m, Tid(0)),
+        })
+    }
+
+    /// The table phase lands before the LRU phase: each key at the
+    /// prefix or the in-flight value, and the LRU length at the
+    /// committed distinct-key count or one more.
+    fn accept(
+        view: &MemcachedModel,
+        before: &MemcachedModel,
+        after: &MemcachedModel,
+        _op: Option<&Self::Op>,
+    ) -> bool {
+        (view.table == before.table || view.table == after.table)
+            && (before.lru_len..=before.lru_len + 1).contains(&view.lru_len)
+    }
 }
 
 /// Setup is untraced: the measured interval is the memslap run.

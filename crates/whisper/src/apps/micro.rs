@@ -12,17 +12,17 @@
 //! we mix in the deletes the benchmark also implements.
 
 use super::{App, AppRun, Layer, Setup, VolatileArena};
-use crate::crashtest::{Arm, CrashRun};
+use crate::crashtest::{self, Workload};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::ShardedSlab;
 use pmds::{CritBitTree, DsError, PHashMap};
-use pmem::{Addr, AddrRange, PmImage};
+use pmem::{Addr, AddrRange};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::Tid;
 use pmtx::UndoTxEngine;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The `ctree` micro-benchmark's Table 1 row.
 pub(crate) const CTREE: App = App {
@@ -40,7 +40,7 @@ pub(crate) const CTREE: App = App {
     setup: setup::<CritBitTree>,
     unpaced: true,
     crash_ops: 96,
-    crash_run: crash_run::<CritBitTree>,
+    crash_run: crashtest::run::<MicroCrash<CritBitTree>>,
 };
 
 /// The `hashmap` micro-benchmark's Table 1 row.
@@ -59,14 +59,14 @@ pub(crate) const HASHMAP: App = App {
     setup: setup::<PHashMap>,
     unpaced: true,
     crash_ops: 96,
-    crash_run: crash_run::<PHashMap>,
+    crash_run: crashtest::run::<MicroCrash<PHashMap>>,
 };
 
 const THREADS: u32 = 4;
 
 /// The benchmark's handles on its machine.
 #[derive(Clone)]
-struct MicroEnv {
+pub(crate) struct MicroEnv {
     eng: UndoTxEngine,
     /// Per-thread allocator arenas, as in NVML's per-thread allocation
     /// classes — shared allocator metadata would otherwise manufacture
@@ -80,7 +80,7 @@ struct MicroEnv {
 /// What the two micro-benchmarks ask of the persistent structure they
 /// drive. Everything else about them — driver loop, crash workload,
 /// recovery oracle — is written once below.
-trait Keyed: Copy + Send + Sync + 'static {
+pub(crate) trait Keyed: Copy + Send + Sync + 'static {
     /// The benchmark's Table 1 row.
     const ROW: App;
     /// The driver's volatile work per operation in DRAM accesses, paced
@@ -89,7 +89,7 @@ trait Keyed: Copy + Send + Sync + 'static {
     /// Seed of the crash workload's op plan.
     const CRASH_SEED: u64;
     /// A stored value, as [`Keyed::lookup`] returns it.
-    type Value: PartialEq + std::fmt::Debug;
+    type Value: Clone + PartialEq + std::fmt::Debug;
 
     /// Create the structure in a fresh region (inside the caller's
     /// transaction); also returns the address [`Keyed::reopen`] takes.
@@ -176,103 +176,95 @@ impl Keyed for PHashMap {
     }
 }
 
-/// A fresh machine and environment with an empty `S` created in its
-/// setup transaction, and the address to re-open the structure at.
-fn build<S: Keyed>() -> (Machine, MicroEnv, S, Addr) {
-    let mut m = Machine::new(MachineConfig::asplos17());
-    // Setup is untraced: the measured interval is the insert workload.
-    m.trace_mut().set_enabled(false);
+/// A fresh environment on `m` with an empty `S` created in its setup
+/// transaction.
+fn build<S: Keyed>(m: &mut Machine) -> MicroCrash<S> {
     let mut plan = RegionPlanner::new(m.config().map.pm);
     let log_region = plan.take(8 << 20);
-    let eng = UndoTxEngine::format(&mut m, log_region, THREADS);
+    let eng = UndoTxEngine::format(m, log_region, THREADS);
     let mut w = PmWriter::new(Tid(0));
     let heap = plan.take(ShardedSlab::region_bytes(96 << 20, THREADS as usize));
-    let alloc = ShardedSlab::format(&mut m, &mut w, heap.base, 96 << 20, THREADS as usize);
-    let arena = VolatileArena::new(&mut m, 1 << 20);
+    let alloc = ShardedSlab::format(m, &mut w, heap.base, 96 << 20, THREADS as usize);
+    let arena = VolatileArena::new(m, 1 << 20);
     let mut env = MicroEnv {
         eng,
         alloc,
         arena,
         log_region,
     };
-    env.eng.begin(&mut m, Tid(0)).expect("setup tx");
-    let (structure, at) = S::create_in(&mut m, &mut env, &mut plan);
-    env.eng.commit(&mut m, Tid(0)).expect("setup");
-    (m, env, structure, at)
+    env.eng.begin(m, Tid(0)).expect("setup tx");
+    let (structure, at) = S::create_in(m, &mut env, &mut plan);
+    env.eng.commit(m, Tid(0)).expect("setup");
+    MicroCrash { env, structure, at }
 }
 
-/// Crash workload + oracle for a micro-benchmark (see
-/// [`crate::crashtest`]): per-op insert/remove transactions, 85 %
-/// inserts over a small keyspace; the oracle recovers the engine,
-/// re-opens the structure, and compares every key against the
-/// committed prefix, allowing the in-flight op's key to hold either
-/// its old or its new state.
-fn crash_run<S: Keyed>(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
-    const CRASH_KEYSPACE: u64 = 32;
-    let (mut m, mut env, structure, at) = build::<S>();
-    let mut rng = SmallRng::seed_from_u64(S::CRASH_SEED);
-    let plan_ops: Vec<(bool, u64)> = (0..ops)
-        .map(|_| (rng.gen_range(0..100) < 85, rng.gen_range(0..CRASH_KEYSPACE)))
-        .collect();
+/// A micro-benchmark's crash workload (see [`crate::crashtest`]): per-op
+/// insert/remove transactions, 85 % inserts over a small keyspace.
+/// Recovery re-opens the structure and reads back every key.
+pub(crate) struct MicroCrash<S> {
+    env: MicroEnv,
+    structure: S,
+    /// Where to re-open the structure.
+    at: Addr,
+}
 
-    arm.apply(&mut m);
-    for (i, (insert, key)) in plan_ops.iter().enumerate() {
-        let tid = Tid((i % THREADS as usize) as u32);
-        env.alloc.select(tid.0 as usize);
-        env.eng.begin(&mut m, tid).expect("tx");
-        if *insert {
-            structure.put(&mut m, &mut env, tid, *key, i as u64 + 1);
-        } else {
-            structure.delete(&mut m, &mut env, tid, *key);
-        }
-        env.eng.commit(&mut m, tid).expect("commit");
-        m.note_progress(i as u64 + 1);
+const CRASH_KEYSPACE: u64 = 32;
+
+impl<S: Keyed> Workload for MicroCrash<S> {
+    /// Insert (or remove) a key.
+    type Op = (bool, u64);
+    /// Each present key's value.
+    type Model = BTreeMap<u64, S::Value>;
+
+    fn build(m: &mut Machine, _ops: usize, _workers: u32) -> MicroCrash<S> {
+        build(m)
     }
 
-    let log = env.log_region;
-    let total = plan_ops.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
-        let mut eng2 = UndoTxEngine::recover(&mut m2, Tid(0), log, THREADS);
+    fn plan(ops: usize, _workers: u32) -> Vec<(Tid, Self::Op)> {
+        let mut rng = SmallRng::seed_from_u64(S::CRASH_SEED);
+        (0..ops)
+            .map(|i| {
+                let op = (rng.gen_range(0..100) < 85, rng.gen_range(0..CRASH_KEYSPACE));
+                (Tid((i % THREADS as usize) as u32), op)
+            })
+            .collect()
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, seq: u64, &(insert, key): &Self::Op) {
+        let env = &mut self.env;
+        env.alloc.select(tid.0 as usize);
+        env.eng.begin(m, tid).expect("tx");
+        if insert {
+            self.structure.put(m, env, tid, key, seq);
+        } else {
+            self.structure.delete(m, env, tid, key);
+        }
+        env.eng.commit(m, tid).expect("commit");
+    }
+
+    fn model(model: &mut Self::Model, seq: u64, &(insert, key): &Self::Op) {
+        if insert {
+            model.insert(key, S::value(seq));
+        } else {
+            model.remove(&key);
+        }
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<Self::Model, String> {
+        let mut eng = UndoTxEngine::recover(m, Tid(0), self.env.log_region, THREADS);
         let reopened =
-            S::reopen(&mut m2, at).map_err(|e| format!("{} open failed: {e:?}", S::ROW.name))?;
-        // Key -> the op number whose value the committed prefix left.
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        for (i, (insert, key)) in plan_ops[..progress as usize].iter().enumerate() {
-            if *insert {
-                model.insert(*key, i as u64 + 1);
-            } else {
-                model.remove(key);
-            }
-        }
-        let in_flight = plan_ops.get(progress as usize);
-        for key in 0..CRASH_KEYSPACE {
-            let got = reopened.lookup(&mut m2, &mut eng2, key);
-            let want = model.get(&key).map(|seq| S::value(*seq));
-            if got == want {
-                continue;
-            }
-            let after = match in_flight {
-                Some((insert, k)) if *k == key => insert.then(|| S::value(progress + 1)),
-                _ => {
-                    return Err(format!(
-                        "key {key}: recovered {got:?} != committed {want:?}"
-                    ));
-                }
-            };
-            if got != after {
-                return Err(format!(
-                    "key {key}: recovered {got:?}, neither old {want:?} nor in-flight {after:?}"
-                ));
-            }
-        }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, total, oracle)
+            S::reopen(m, self.at).map_err(|e| format!("{} open failed: {e:?}", S::ROW.name))?;
+        Ok((0..CRASH_KEYSPACE)
+            .filter_map(|key| Some((key, reopened.lookup(m, &mut eng, key)?)))
+            .collect())
+    }
 }
 
 fn setup<S: Keyed>(ops: usize, _workers: u32) -> Setup {
-    let (m, env, structure, _) = build::<S>();
+    let mut m = Machine::new(MachineConfig::asplos17());
+    // Setup is untraced: the measured interval is the insert workload.
+    m.trace_mut().set_enabled(false);
+    let MicroCrash { env, structure, .. } = build::<S>(&mut m);
     Setup::new(m, (ops, env, structure), drive::<S>)
 }
 

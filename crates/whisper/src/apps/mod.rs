@@ -92,8 +92,9 @@ pub struct App {
     /// are tuned so every app reaches steady state while the full sweep
     /// stays test-suite fast.
     pub crash_ops: usize,
-    /// The crash workload and its recovery oracle for `(ops, workers)`
-    /// (see [`crate::crashtest`]); `workers` reaches the same three
+    /// The crash workload and its recovery oracle for `(ops, workers)`:
+    /// [`crate::crashtest::run`] for the row's
+    /// [`crate::crashtest::Workload`]. `workers` reaches the same three
     /// applications as [`App::setup`]'s.
     pub(crate) crash_run: fn(usize, u32, &Arm<'_>) -> CrashRun,
 }

@@ -17,18 +17,18 @@
 //! paper attributes to native applications.
 
 use super::{App, AppRun, Layer, Setup, VolatileArena};
-use crate::crashtest::{Arm, CrashRun};
+use crate::crashtest::{self, Workload};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
 use crate::workloads::{self, TpccTx, YcsbOp};
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::{BuddyAlloc, PmAllocator};
 use pmds::{PBTree, PHashMap};
-use pmem::{Addr, PmImage};
+use pmem::Addr;
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Category, Tid};
 use pmtx::{TxMem, UndoTxEngine};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// N-store under YCSB: Table 1's second row.
 pub(crate) const YCSB: App = App {
@@ -46,7 +46,7 @@ pub(crate) const YCSB: App = App {
     setup: setup_ycsb,
     unpaced: true,
     crash_ops: 64,
-    crash_run: crash_run_ycsb,
+    crash_run: crashtest::run::<NStoreCrash<false>>,
 };
 
 /// N-store under TPC-C: Table 1's third row.
@@ -65,7 +65,7 @@ pub(crate) const TPCC: App = App {
     setup: setup_tpcc,
     unpaced: false,
     crash_ops: 32,
-    crash_run: crash_run_tpcc,
+    crash_run: crashtest::run::<NStoreCrash<true>>,
 };
 
 const THREADS: u32 = 4;
@@ -203,20 +203,19 @@ impl NStore {
 
 /// One action inside a crash-campaign transaction.
 #[derive(Debug, Clone, Copy)]
-enum CrashAction {
+pub(crate) enum CrashAction {
     Insert { key: u64, fill: u8 },
     Update { key: u64, fields: u8, fill: u8 },
 }
 
 const CRASH_PRELOAD: u64 = 24;
 
-/// Crash workload for the YCSB-like row (see [`crate::crashtest`]):
-/// single-action transactions — 70 % field updates on preloaded keys,
-/// 30 % fresh-key inserts.
-pub(crate) fn crash_run_ycsb(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
+/// The YCSB-like row's crash plan: single-action transactions — 70 %
+/// field updates on preloaded keys, 30 % fresh-key inserts.
+fn ycsb_plan(ops: usize) -> Vec<Vec<CrashAction>> {
     let mut rng = SmallRng::seed_from_u64(0x5ca1e);
     let mut next_key = CRASH_PRELOAD;
-    let txs: Vec<Vec<CrashAction>> = (0..ops)
+    (0..ops)
         .map(|i| {
             if rng.gen_bool(0.3) {
                 let key = next_key;
@@ -230,18 +229,17 @@ pub(crate) fn crash_run_ycsb(ops: usize, _workers: u32, arm: &Arm<'_>) -> CrashR
                 }]
             }
         })
-        .collect();
-    crash_run_inner(txs, arm)
+        .collect()
 }
 
-/// Crash workload for the TPC-C-like row: multi-action transactions
-/// (order + order-line inserts + a stock update) alternating with
-/// payment-style updates — the all-or-nothing check spans every action
-/// of the in-flight transaction.
-pub(crate) fn crash_run_tpcc(txs: usize, _workers: u32, arm: &Arm<'_>) -> CrashRun {
+/// The TPC-C-like row's crash plan: multi-action transactions (order +
+/// order-line inserts + a stock update) alternating with payment-style
+/// updates — the all-or-nothing check spans every action of the
+/// in-flight transaction.
+fn tpcc_plan(txs: usize) -> Vec<Vec<CrashAction>> {
     let mut rng = SmallRng::seed_from_u64(0x79cc);
     let mut next_order = 1_000u64;
-    let plan: Vec<Vec<CrashAction>> = (0..txs)
+    (0..txs)
         .map(|i| {
             if i % 2 == 0 {
                 let order = next_order;
@@ -269,142 +267,132 @@ pub(crate) fn crash_run_tpcc(txs: usize, _workers: u32, arm: &Arm<'_>) -> CrashR
                 }]
             }
         })
-        .collect();
-    crash_run_inner(plan, arm)
+        .collect()
 }
 
-/// Replay a transaction against the volatile row model (key → per-field
-/// fill bytes).
-fn apply_model(model: &mut HashMap<u64, [u8; FIELDS]>, tx: &[CrashAction]) {
-    for a in tx {
-        match *a {
-            CrashAction::Insert { key, fill } => {
-                model.insert(key, [fill; FIELDS]);
-            }
-            CrashAction::Update { key, fields, fill } => {
-                if let Some(row) = model.get_mut(&key) {
-                    for f in row.iter_mut().take((fields as usize).min(FIELDS)) {
-                        *f = fill;
-                    }
-                }
-            }
+/// N-store's crash workload (see [`crate::crashtest`]): the preloaded
+/// database driven by the TPC-C-like plan if `TPCC`, else the YCSB-like
+/// one. Recovery rolls back the undo log, checks the ordered index and
+/// reads back every row the plan can touch.
+pub(crate) struct NStoreCrash<const TPCC: bool> {
+    db: NStore,
+    /// Every key the plan can touch: the preload and its inserts.
+    universe: Vec<u64>,
+}
+
+/// Key → per-field fill bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Rows(BTreeMap<u64, [u8; FIELDS]>);
+
+impl Default for Rows {
+    /// The preload: `CRASH_PRELOAD` rows of `0xAB`.
+    fn default() -> Rows {
+        Rows((0..CRASH_PRELOAD).map(|k| (k, [0xAB; FIELDS])).collect())
+    }
+}
+
+impl<const TPCC: bool> Workload for NStoreCrash<TPCC> {
+    /// One transaction.
+    type Op = Vec<CrashAction>;
+    type Model = Rows;
+
+    fn build(m: &mut Machine, ops: usize, workers: u32) -> NStoreCrash<TPCC> {
+        let mut db = NStore::build(m);
+        for key in 0..CRASH_PRELOAD {
+            let tid = Tid((key % THREADS as u64) as u32);
+            db.eng.begin(m, tid).expect("load tx");
+            db.insert_tuple(m, tid, key, 0xAB);
+            db.eng.commit(m, tid).expect("load commit");
         }
-    }
-}
-
-/// Shared crash-campaign runner: preload, execute the transaction plan
-/// with the plan armed, and return an oracle that requires the
-/// recovered database to equal the committed-prefix model — with the
-/// in-flight transaction applied in full or not at all.
-fn crash_run_inner(txs: Vec<Vec<CrashAction>>, arm: &Arm<'_>) -> CrashRun {
-    let mut m = Machine::new(MachineConfig::asplos17());
-    m.trace_mut().set_enabled(false);
-    let mut db = NStore::build(&mut m);
-    for key in 0..CRASH_PRELOAD {
-        let tid = Tid((key % THREADS as u64) as u32);
-        db.eng.begin(&mut m, tid).expect("load tx");
-        db.insert_tuple(&mut m, tid, key, 0xAB);
-        db.eng.commit(&mut m, tid).expect("load commit");
+        let mut universe: Vec<u64> = (0..CRASH_PRELOAD).collect();
+        let plan = Self::plan(ops, workers);
+        universe.extend(plan.iter().flat_map(|(_, tx)| tx).filter_map(|a| match a {
+            CrashAction::Insert { key, .. } => Some(*key),
+            CrashAction::Update { .. } => None,
+        }));
+        NStoreCrash { db, universe }
     }
 
-    arm.apply(&mut m);
-    for (i, tx) in txs.iter().enumerate() {
-        let tid = Tid((i % THREADS as usize) as u32);
-        db.eng.begin(&mut m, tid).expect("tx");
+    fn plan(ops: usize, _workers: u32) -> Vec<(Tid, Self::Op)> {
+        let txs = if TPCC { tpcc_plan(ops) } else { ycsb_plan(ops) };
+        let tid = |i: usize| Tid((i % THREADS as usize) as u32);
+        txs.into_iter()
+            .enumerate()
+            .map(|(i, tx)| (tid(i), tx))
+            .collect()
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, _seq: u64, tx: &Self::Op) {
+        let db = &mut self.db;
+        db.eng.begin(m, tid).expect("tx");
         let mut inserted = 0i64;
         for a in tx {
             match *a {
                 CrashAction::Insert { key, fill } => {
-                    db.insert_tuple(&mut m, tid, key, fill);
+                    db.insert_tuple(m, tid, key, fill);
                     inserted += 1;
                 }
                 CrashAction::Update { key, fields, fill } => {
-                    let t = db.find_tuple(&mut m, tid, key).expect("key preloaded");
-                    db.update_fields(&mut m, tid, t, fields, fill);
+                    let t = db.find_tuple(m, tid, key).expect("key preloaded");
+                    db.update_fields(m, tid, t, fields, fill);
                 }
             }
         }
-        db.stamp_partition(&mut m, tid, inserted);
-        db.eng.commit(&mut m, tid).expect("commit");
-        m.note_progress(i as u64 + 1);
+        db.stamp_partition(m, tid, inserted);
+        db.eng.commit(m, tid).expect("commit");
     }
 
-    let mut universe: Vec<u64> = (0..CRASH_PRELOAD).collect();
-    universe.extend(txs.iter().flatten().filter_map(|a| match a {
-        CrashAction::Insert { key, .. } => Some(*key),
-        CrashAction::Update { .. } => None,
-    }));
-    let log = db.log_region;
-    let index_head = db.index_head;
-    let ordered = db.ordered;
-    let ops = txs.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), img);
-        let mut eng2 = UndoTxEngine::recover(&mut m2, Tid(0), log, THREADS);
-        let index2 = PHashMap::open(&mut m2, Tid(0), index_head)
-            .map_err(|e| format!("index open failed: {e:?}"))?;
-        ordered
-            .check_invariants(&mut m2, Tid(0))
-            .map_err(|e| format!("ordered index invariants: {e}"))?;
-
-        let mut before: HashMap<u64, [u8; FIELDS]> =
-            (0..CRASH_PRELOAD).map(|k| (k, [0xAB; FIELDS])).collect();
-        for tx in &txs[..progress as usize] {
-            apply_model(&mut before, tx);
-        }
-        let mut after = before.clone();
-        if let Some(tx) = txs.get(progress as usize) {
-            apply_model(&mut after, tx);
-        }
-
-        let check = |m2: &mut Machine,
-                     eng2: &mut UndoTxEngine,
-                     want: &HashMap<u64, [u8; FIELDS]>|
-         -> Result<(), String> {
-            for key in &universe {
-                let got = index2.get(m2, eng2, Tid(0), &key.to_le_bytes());
-                match (got, want.get(key)) {
-                    (None, None) => {}
-                    (Some(v), Some(row)) => {
-                        let t = u64::from_le_bytes(
-                            v.try_into()
-                                .map_err(|_| format!("key {key}: bad index value"))?,
-                        );
-                        if m2.load_u64(Tid(0), t) != *key {
-                            return Err(format!("key {key}: tuple key field mismatch"));
+    fn model(Rows(model): &mut Rows, _seq: u64, tx: &Self::Op) {
+        for a in tx {
+            match *a {
+                CrashAction::Insert { key, fill } => {
+                    model.insert(key, [fill; FIELDS]);
+                }
+                CrashAction::Update { key, fields, fill } => {
+                    if let Some(row) = model.get_mut(&key) {
+                        for f in row.iter_mut().take((fields as usize).min(FIELDS)) {
+                            *f = fill;
                         }
-                        for (f, fill) in row.iter().enumerate() {
-                            let bytes =
-                                m2.load_vec(Tid(0), t + 8 + (f * FIELD_BYTES) as u64, FIELD_BYTES);
-                            if bytes != vec![*fill; FIELD_BYTES] {
-                                return Err(format!(
-                                    "key {key} field {f}: {bytes:?} != fill {fill:#x}"
-                                ));
-                            }
-                        }
-                        if ordered.get(m2, eng2, Tid(0), *key) != Some(t) {
-                            return Err(format!("key {key}: ordered index disagrees"));
-                        }
-                    }
-                    (g, w) => {
-                        return Err(format!(
-                            "key {key}: present={} but committed present={}",
-                            g.is_some(),
-                            w.is_some()
-                        ))
                     }
                 }
             }
-            Ok(())
-        };
-        if check(&mut m2, &mut eng2, &before).is_ok() {
-            return Ok(());
         }
-        check(&mut m2, &mut eng2, &after).map_err(|e| {
-            format!("state matches neither the committed prefix nor prefix+in-flight: {e}")
-        })
-    });
-    crate::crashtest::harvest(m, ops, oracle)
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<Rows, String> {
+        let mut eng = UndoTxEngine::recover(m, Tid(0), self.db.log_region, THREADS);
+        let index = PHashMap::open(m, Tid(0), self.db.index_head)
+            .map_err(|e| format!("index open failed: {e:?}"))?;
+        let ordered = &self.db.ordered;
+        ordered
+            .check_invariants(m, Tid(0))
+            .map_err(|e| format!("ordered index invariants: {e}"))?;
+        let mut rows = BTreeMap::new();
+        for &key in &self.universe {
+            let Some(v) = index.get(m, &mut eng, Tid(0), &key.to_le_bytes()) else {
+                continue;
+            };
+            let bad = || format!("key {key}: bad index value");
+            let t = u64::from_le_bytes(v.try_into().map_err(|_| bad())?);
+            if m.load_u64(Tid(0), t) != key {
+                return Err(format!("key {key}: tuple key field mismatch"));
+            }
+            let mut row = [0; FIELDS];
+            for (f, fill) in row.iter_mut().enumerate() {
+                let mut bytes = [0; FIELD_BYTES];
+                m.load(Tid(0), t + 8 + (f * FIELD_BYTES) as u64, &mut bytes);
+                if bytes.iter().any(|b| *b != bytes[0]) {
+                    return Err(format!("key {key} field {f}: torn {bytes:?}"));
+                }
+                *fill = bytes[0];
+            }
+            if ordered.get(m, &mut eng, Tid(0), key) != Some(t) {
+                return Err(format!("key {key}: ordered index disagrees"));
+            }
+            rows.insert(key, row);
+        }
+        Ok(Rows(rows))
+    }
 }
 
 /// YCSB without driver overhead (gem5-style, for Figures 6 and 10).

@@ -24,16 +24,16 @@
 //! traffic (Figure 6 measures redis at 0.74% PM).
 
 use super::{config_for, App, AppRun, Layer, Setup, VolatileArena};
-use crate::crashtest::{Arm, CrashRun};
+use crate::crashtest::{self, Workload};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
 use crate::workloads;
-use memsim::{Machine, Scheduler};
+use memsim::{Machine, MachineConfig, Scheduler};
 use pmds::{CHash, DurableQueue};
-use pmem::{Addr, AddrRange, PmImage};
+use pmem::{Addr, AddrRange};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::Tid;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Redis's Table 1 row.
 pub(crate) const APP: App = App {
@@ -51,7 +51,7 @@ pub(crate) const APP: App = App {
     setup,
     unpaced: true,
     crash_ops: 96,
-    crash_run,
+    crash_run: crashtest::run::<Redis>,
 };
 
 #[derive(Clone)]
@@ -60,8 +60,8 @@ pub(crate) struct Redis {
     pub(crate) backlog: DurableQueue,
     pub(crate) dict_region: AddrRange,
     pub(crate) queue_head: Addr,
-    /// One line per worker: the post-arm fence prologue in `crash_run`
-    /// touches these so every thread drains its untraced-setup entries.
+    /// One line per worker for the crash workload's fence prologue
+    /// ([`Workload::scratch`]).
     pub(crate) scratch: Addr,
     /// Monotone sequence tags for announce-slot operations (never 0).
     seq: u64,
@@ -101,7 +101,7 @@ impl Redis {
 /// the in-flight operation at any fence crash point is wholly applied
 /// or wholly absent after detectable recovery.
 #[derive(Debug, Clone, Copy)]
-enum COp {
+pub(crate) enum COp {
     /// Dictionary upsert.
     Set { key: u64, val: [u8; 16] },
     /// Dictionary tombstone.
@@ -112,160 +112,117 @@ enum COp {
     Deq,
 }
 
-/// Crash workload + recovery oracle (see [`crate::crashtest`]): a
-/// seeded-scheduler interleaving of SET/DEL/enqueue/dequeue commands
-/// over the shared [`CHash`] and [`DurableQueue`]. The oracle runs both
-/// structures' detectable recovery and requires every committed command
-/// to be fully visible — the one in-flight command may be rolled
-/// forward or discarded, never torn.
-pub(crate) fn crash_run(ops: usize, workers: u32, arm: &Arm<'_>) -> CrashRun {
-    const CRASH_KEYSPACE: u64 = 32;
-    let mut m = Machine::new(config_for(workers));
-    m.trace_mut().set_enabled(false);
-    let mut r = Redis::build(&mut m, workers, ops);
+/// What redis's detectable recovery reads back.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RedisModel {
+    /// Key → value.
+    dict: BTreeMap<u64, Vec<u8>>,
+    /// The backlog's (seq, key) items, FIFO.
+    backlog: VecDeque<(u64, Vec<u8>)>,
+}
 
-    // The global command order is a pure function of the seed: the
-    // oracle replays the same schedule below without re-running it.
-    let mut sched = Scheduler::new(workers, 0x4ed1);
-    let schedule: Vec<Tid> = (0..ops).map(|_| sched.next()).collect();
-    let mut rng = SmallRng::seed_from_u64(0x4ed1);
-    let mut planned_backlog = 0usize;
-    let plan_ops: Vec<COp> = (0..ops)
-        .map(|i| {
-            let key = rng.gen_range(0..CRASH_KEYSPACE);
-            let mut val = [0u8; 16];
-            val[0..8].copy_from_slice(&key.to_le_bytes());
-            val[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
-            if i % 4 == 3 {
-                if planned_backlog > 0 && i % 8 == 7 {
-                    planned_backlog -= 1;
-                    COp::Deq
+const CRASH_KEYSPACE: u64 = 32;
+
+/// Crash workload (see [`crate::crashtest`]): a seeded-scheduler
+/// interleaving of SET/DEL/enqueue/dequeue commands over the shared
+/// [`CHash`] and [`DurableQueue`]. Recovery runs both structures'
+/// detectable recovery and reads back every key and the backlog.
+impl Workload for Redis {
+    type Op = COp;
+    type Model = RedisModel;
+
+    fn config(workers: u32) -> MachineConfig {
+        config_for(workers)
+    }
+
+    fn build(m: &mut Machine, ops: usize, workers: u32) -> Redis {
+        Redis::build(m, workers, ops)
+    }
+
+    fn plan(ops: usize, workers: u32) -> Vec<(Tid, COp)> {
+        let mut sched = Scheduler::new(workers, 0x4ed1);
+        let mut rng = SmallRng::seed_from_u64(0x4ed1);
+        let mut planned_backlog = 0usize;
+        (0..ops)
+            .map(|i| {
+                let key = rng.gen_range(0..CRASH_KEYSPACE);
+                let mut val = [0u8; 16];
+                val[0..8].copy_from_slice(&key.to_le_bytes());
+                val[8..16].copy_from_slice(&(i as u64 + 1).to_le_bytes());
+                let op = if i % 4 == 3 {
+                    if planned_backlog > 0 && i % 8 == 7 {
+                        planned_backlog -= 1;
+                        COp::Deq
+                    } else {
+                        planned_backlog += 1;
+                        COp::Enq { key }
+                    }
+                } else if i % 5 == 4 {
+                    COp::Del { key }
                 } else {
-                    planned_backlog += 1;
-                    COp::Enq { key }
-                }
-            } else if i % 5 == 4 {
-                COp::Del { key }
-            } else {
-                COp::Set { key, val }
-            }
-        })
-        .collect();
+                    COp::Set { key, val }
+                };
+                (sched.next(), op)
+            })
+            .collect()
+    }
 
-    arm.apply_to_workers(&mut m, workers, r.scratch);
-    for (i, op) in plan_ops.iter().enumerate() {
-        let tid = schedule[i];
-        let seq = i as u64 + 1;
+    fn scratch(&self) -> Option<Addr> {
+        Some(self.scratch)
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, seq: u64, op: &COp) {
         match *op {
             COp::Set { key, val } => {
-                r.dict
-                    .upsert(&mut m, tid, tid.0, seq, &key.to_le_bytes(), &val)
+                self.dict
+                    .upsert(m, tid, tid.0, seq, &key.to_le_bytes(), &val)
                     .expect("set");
             }
             COp::Del { key } => {
-                r.dict
-                    .remove(&mut m, tid, tid.0, seq, &key.to_le_bytes())
+                self.dict
+                    .remove(m, tid, tid.0, seq, &key.to_le_bytes())
                     .expect("del");
             }
             COp::Enq { key } => {
-                r.backlog
-                    .enqueue(&mut m, tid, tid.0, seq, &key.to_le_bytes())
+                self.backlog
+                    .enqueue(m, tid, tid.0, seq, &key.to_le_bytes())
                     .expect("enqueue");
             }
             COp::Deq => {
-                r.backlog.dequeue(&mut m, tid, seq).expect("dequeue");
+                self.backlog.dequeue(m, tid, seq).expect("dequeue");
             }
         }
-        m.note_progress(i as u64 + 1);
     }
 
-    let dict_region = r.dict_region;
-    let qhead = r.queue_head;
-    let total = plan_ops.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(config_for(workers), img);
-        let mut dict2 = CHash::open(&mut m2, Tid(0), dict_region)
-            .map_err(|e| format!("dict open failed: {e:?}"))?;
-        let _ = dict2.recover(&mut m2, Tid(0));
-        let mut q2 = DurableQueue::open(&mut m2, Tid(0), qhead)
-            .map_err(|e| format!("queue open failed: {e:?}"))?;
-        let _ = q2.recover(&mut m2, Tid(0));
-
-        // Replay the committed prefix into volatile models.
-        let mut model: HashMap<u64, [u8; 16]> = HashMap::new();
-        let mut backlog: VecDeque<(u64, u64)> = VecDeque::new(); // (seq, key)
-        let apply = |model: &mut HashMap<u64, [u8; 16]>,
-                     backlog: &mut VecDeque<(u64, u64)>,
-                     i: usize,
-                     op: &COp| match *op {
+    fn model(model: &mut RedisModel, seq: u64, op: &COp) {
+        match *op {
             COp::Set { key, val } => {
-                model.insert(key, val);
+                model.dict.insert(key, val.to_vec());
             }
             COp::Del { key } => {
-                model.remove(&key);
+                model.dict.remove(&key);
             }
-            COp::Enq { key } => backlog.push_back((i as u64 + 1, key)),
+            COp::Enq { key } => model.backlog.push_back((seq, key.to_le_bytes().to_vec())),
             COp::Deq => {
-                backlog.pop_front();
-            }
-        };
-        for (i, op) in plan_ops[..progress as usize].iter().enumerate() {
-            apply(&mut model, &mut backlog, i, op);
-        }
-        let in_flight = plan_ops.get(progress as usize);
-
-        // Dictionary: every key holds its last committed value; the
-        // in-flight SET/DEL may additionally be applied in full.
-        for key in 0..CRASH_KEYSPACE {
-            let got = dict2.get(&mut m2, Tid(0), &key.to_le_bytes());
-            let committed_ok = match (got.as_deref(), model.get(&key)) {
-                (Some(g), Some(w)) => g == w.as_slice(),
-                (None, None) => true,
-                _ => false,
-            };
-            let in_flight_ok = match in_flight {
-                Some(COp::Set { key: k, val }) => *k == key && got.as_deref() == Some(&val[..]),
-                Some(COp::Del { key: k }) => *k == key && got.is_none(),
-                _ => false,
-            };
-            if !(committed_ok || in_flight_ok) {
-                return Err(format!(
-                    "key {key}: recovered {:?} != committed {:?}",
-                    got.as_deref().map(<[u8]>::to_vec),
-                    model.get(&key).map(|v| v.to_vec())
-                ));
+                model.backlog.pop_front();
             }
         }
+    }
 
-        // Backlog: FIFO order of the committed enqueues, with the
-        // in-flight enqueue possibly at the tail (rolled forward) or
-        // the in-flight dequeue possibly already taken from the head.
-        let want: Vec<(u64, Vec<u8>)> = backlog
-            .iter()
-            .map(|(s, k)| (*s, k.to_le_bytes().to_vec()))
-            .collect();
-        let snapshot = q2.iter_snapshot(&mut m2, Tid(0));
-        let queue_ok = snapshot == want
-            || match in_flight {
-                Some(COp::Enq { key }) => {
-                    let mut w = want.clone();
-                    w.push((progress + 1, key.to_le_bytes().to_vec()));
-                    snapshot == w
-                }
-                Some(COp::Deq) if !want.is_empty() => snapshot == want[1..],
-                _ => false,
-            };
-        if !queue_ok {
-            return Err(format!(
-                "backlog: recovered {} item(s) {:?} != committed {} item(s)",
-                snapshot.len(),
-                snapshot.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-                want.len()
-            ));
-        }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, total, oracle)
+    fn recover(&self, m: &mut Machine) -> Result<RedisModel, String> {
+        let mut dict = CHash::open(m, Tid(0), self.dict_region)
+            .map_err(|e| format!("dict open failed: {e:?}"))?;
+        let _ = dict.recover(m, Tid(0));
+        let mut backlog = DurableQueue::open(m, Tid(0), self.queue_head)
+            .map_err(|e| format!("queue open failed: {e:?}"))?;
+        let _ = backlog.recover(m, Tid(0));
+        Ok(RedisModel {
+            dict: (0..CRASH_KEYSPACE)
+                .filter_map(|key| Some((key, dict.get(m, Tid(0), &key.to_le_bytes())?)))
+                .collect(),
+            backlog: backlog.iter_snapshot(m, Tid(0)).into(),
+        })
+    }
 }
 
 /// lru-test without event-loop pacing (gem5-style, for Figures 6/10).

@@ -21,17 +21,17 @@
 //! query-heavy, so PM is a tiny share of traffic (Figure 6: 0.36 %).
 
 use super::{arena_bytes, config_for, App, AppRun, Layer, Setup, VolatileArena};
-use crate::crashtest::{Arm, CrashRun};
+use crate::crashtest::{self, Workload};
 use crate::region::RegionPlanner;
 use crate::report::PaperRow;
-use memsim::{Machine, PmWriter, Scheduler};
+use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
 use pmalloc::{PmAllocator, ShardedSlab};
 use pmds::{DurableQueue, PRbTree};
-use pmem::{Addr, PmImage};
+use pmem::Addr;
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Category, Tid};
 use pmtx::{RedoTxEngine, TxMem};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Vacation's Table 1 row.
 pub(crate) const APP: App = App {
@@ -49,7 +49,7 @@ pub(crate) const APP: App = App {
     setup,
     unpaced: true,
     crash_ops: 64,
-    crash_run,
+    crash_run: crashtest::run::<Vacation>,
 };
 
 /// Reservation list node: next u64, resource u64, count u64.
@@ -69,10 +69,13 @@ pub(crate) struct Vacation {
     pub(crate) journal: DurableQueue,
     pub(crate) journal_head: Addr,
     pub(crate) log_region: pmem::AddrRange,
-    /// One line per worker for the crash-run fence prologue.
+    /// One line per worker for the crash workload's fence prologue
+    /// ([`Workload::scratch`]).
     pub(crate) scratch: Addr,
     /// Monotone sequence tags for journal appends.
     seq: u64,
+    /// Worker threads the engine and journal were formatted for.
+    workers: u32,
 }
 
 impl Vacation {
@@ -134,6 +137,7 @@ impl Vacation {
             log_region,
             scratch,
             seq: 0,
+            workers,
         }
     }
 
@@ -232,7 +236,7 @@ impl Vacation {
 
 /// One crash-campaign operation.
 #[derive(Debug, Clone, Copy)]
-enum VOp {
+pub(crate) enum VOp {
     Price {
         t: usize,
         item: u64,
@@ -246,211 +250,180 @@ enum VOp {
     },
 }
 
-/// The volatile mirror of Vacation's persistent state the oracle
-/// replays committed operations into.
+/// What Vacation's recovery reads back.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct VModel {
+pub(crate) struct VModel {
     /// Per table, per item: seats available (items dense 0..CRASH_ITEMS).
     avail: [Vec<u64>; 3],
-    /// Per customer: reservation resource words, newest first.
-    cust: HashMap<u64, Vec<u64>>,
+    /// Per customer with reservations: resource words, newest first.
+    cust: BTreeMap<u64, Vec<u64>>,
     /// The three global counters.
     counters: [u64; 3],
-    /// The journal: (seq, resource word, customer), append order.
-    journal: Vec<(u64, u64, u64)>,
+    /// The journal: (seq, payload), append order.
+    journal: Vec<(u64, Vec<u8>)>,
 }
 
 const CRASH_ITEMS: u64 = 12;
 const CRASH_CUSTOMERS: u64 = 8;
 
-fn apply_vmodel(model: &mut VModel, op: &VOp) {
-    match *op {
-        VOp::Price { t, item, price } => model.avail[t][item as usize] = price,
-        VOp::Reserve {
-            t,
-            item,
-            customer,
-            update_counter,
-        } => {
-            if model.avail[t][item as usize] > 0 {
-                model.avail[t][item as usize] -= 1;
-                model
-                    .cust
-                    .entry(customer)
-                    .or_default()
-                    .insert(0, (t as u64) << 32 | item);
-                if update_counter {
-                    model.counters[t] += 1;
-                }
-                let seq = model.journal.len() as u64 + 1;
-                model.journal.push((seq, (t as u64) << 32 | item, customer));
-            }
+impl Default for VModel {
+    /// The loaded inventory: 100 seats of every item, nothing booked.
+    fn default() -> VModel {
+        VModel {
+            avail: [(); 3].map(|_| vec![100; CRASH_ITEMS as usize]),
+            cust: BTreeMap::new(),
+            counters: [0; 3],
+            journal: Vec::new(),
         }
     }
 }
 
-/// Crash workload + oracle (see [`crate::crashtest`]): alternating
-/// price updates and reservations over a small inventory, the clients
-/// interleaved by the seeded scheduler. The oracle recovers the redo
-/// engine and the journal queue, checks red-black invariants on all
-/// four trees, and requires tables, reservation lists, global counters,
-/// and the journal to match the committed-operation model — with the
-/// in-flight operation applied in full, not at all, or stopped at its
-/// transaction/journal boundary.
-pub(crate) fn crash_run(ops: usize, workers: u32, arm: &Arm<'_>) -> CrashRun {
-    let mut m = Machine::new(config_for(workers));
-    m.trace_mut().set_enabled(false);
-    let mut v = Vacation::build(&mut m, CRASH_ITEMS, workers, ops);
-    let mut sched = Scheduler::new(workers, 0x7ac4);
-    let schedule: Vec<Tid> = (0..ops).map(|_| sched.next()).collect();
-    let mut rng = SmallRng::seed_from_u64(0x7ac4);
-    let ops_plan: Vec<VOp> = (0..ops)
-        .map(|i| {
-            let t = rng.gen_range(0..3);
-            let item = rng.gen_range(0..CRASH_ITEMS);
-            if i % 2 == 0 {
-                VOp::Price {
-                    t,
-                    item,
-                    price: 200 + i as u64,
-                }
-            } else {
-                VOp::Reserve {
-                    t,
-                    item,
-                    customer: rng.gen_range(0..CRASH_CUSTOMERS),
-                    update_counter: i % 8 == 1,
-                }
-            }
-        })
-        .collect();
+/// A journal entry's payload: the resource word, then the customer.
+fn journal_payload(resource: u64, customer: u64) -> Vec<u8> {
+    [resource.to_le_bytes(), customer.to_le_bytes()].concat()
+}
 
-    arm.apply_to_workers(&mut m, workers, v.scratch);
-    for (i, op) in ops_plan.iter().enumerate() {
-        let tid = schedule[i];
+/// Crash workload (see [`crate::crashtest`]): alternating price updates
+/// and reservations over a small inventory, the clients interleaved by
+/// the seeded scheduler. Recovery replays the redo engine and the
+/// journal queue, checks red-black invariants on all four trees, and
+/// reads back tables, reservation lists, global counters and journal.
+impl Workload for Vacation {
+    type Op = VOp;
+    type Model = VModel;
+
+    fn config(workers: u32) -> MachineConfig {
+        config_for(workers)
+    }
+
+    fn build(m: &mut Machine, ops: usize, workers: u32) -> Vacation {
+        Vacation::build(m, CRASH_ITEMS, workers, ops)
+    }
+
+    fn plan(ops: usize, workers: u32) -> Vec<(Tid, VOp)> {
+        let mut sched = Scheduler::new(workers, 0x7ac4);
+        let mut rng = SmallRng::seed_from_u64(0x7ac4);
+        (0..ops)
+            .map(|i| {
+                let t = rng.gen_range(0..3);
+                let item = rng.gen_range(0..CRASH_ITEMS);
+                let op = if i % 2 == 0 {
+                    VOp::Price {
+                        t,
+                        item,
+                        price: 200 + i as u64,
+                    }
+                } else {
+                    VOp::Reserve {
+                        t,
+                        item,
+                        customer: rng.gen_range(0..CRASH_CUSTOMERS),
+                        update_counter: i % 8 == 1,
+                    }
+                };
+                (sched.next(), op)
+            })
+            .collect()
+    }
+
+    fn scratch(&self) -> Option<Addr> {
+        Some(self.scratch)
+    }
+
+    fn apply(&mut self, m: &mut Machine, tid: Tid, _seq: u64, op: &VOp) {
         match *op {
-            VOp::Price { t, item, price } => v.update_price(&mut m, tid, t, item, price),
+            VOp::Price { t, item, price } => self.update_price(m, tid, t, item, price),
             VOp::Reserve {
                 t,
                 item,
                 customer,
                 update_counter,
             } => {
-                v.reserve(&mut m, tid, t, item, customer, update_counter);
+                self.reserve(m, tid, t, item, customer, update_counter);
             }
         }
-        m.note_progress(i as u64 + 1);
     }
 
-    let log = v.log_region;
-    let tables = v.tables;
-    let customers = v.customers;
-    let counters = v.counters;
-    let journal_head = v.journal_head;
-    let total = ops_plan.len() as u64;
-    let oracle = Box::new(move |img: &PmImage, progress: u64| -> Result<(), String> {
-        let mut m2 = Machine::from_image(config_for(workers), img);
-        let mut eng2 = RedoTxEngine::recover(&mut m2, Tid(0), log, workers);
-        for (t, table) in tables.iter().enumerate() {
+    fn model(model: &mut VModel, _seq: u64, op: &VOp) {
+        match *op {
+            VOp::Price { t, item, price } => model.avail[t][item as usize] = price,
+            VOp::Reserve {
+                t,
+                item,
+                customer,
+                update_counter,
+            } => {
+                if model.avail[t][item as usize] > 0 {
+                    model.avail[t][item as usize] -= 1;
+                    let resource = (t as u64) << 32 | item;
+                    model.cust.entry(customer).or_default().insert(0, resource);
+                    if update_counter {
+                        model.counters[t] += 1;
+                    }
+                    let seq = model.journal.len() as u64 + 1;
+                    model
+                        .journal
+                        .push((seq, journal_payload(resource, customer)));
+                }
+            }
+        }
+    }
+
+    fn recover(&self, m: &mut Machine) -> Result<VModel, String> {
+        let mut eng = RedoTxEngine::recover(m, Tid(0), self.log_region, self.workers);
+        for (t, table) in self.tables.iter().enumerate() {
             table
-                .check_invariants(&mut m2, Tid(0))
+                .check_invariants(m, Tid(0))
                 .map_err(|e| format!("table {t} invariants: {e}"))?;
         }
-        customers
-            .check_invariants(&mut m2, Tid(0))
+        self.customers
+            .check_invariants(m, Tid(0))
             .map_err(|e| format!("customer tree invariants: {e}"))?;
-        let mut journal2 = DurableQueue::open(&mut m2, Tid(0), journal_head)
+        let mut journal = DurableQueue::open(m, Tid(0), self.journal_head)
             .map_err(|e| format!("journal open failed: {e:?}"))?;
-        let _ = journal2.recover(&mut m2, Tid(0));
-
-        let mut before = VModel {
-            avail: [(); 3].map(|_| vec![100u64; CRASH_ITEMS as usize]),
-            cust: HashMap::new(),
-            counters: [0; 3],
-            journal: Vec::new(),
-        };
-        for op in &ops_plan[..progress as usize] {
-            apply_vmodel(&mut before, op);
+        let _ = journal.recover(m, Tid(0));
+        let mut view = VModel::default();
+        for (t, table) in self.tables.iter().enumerate() {
+            for item in 0..CRASH_ITEMS {
+                view.avail[t][item as usize] = table
+                    .get(m, &mut eng, Tid(0), item)
+                    .ok_or_else(|| format!("table {t} item {item} missing"))?;
+            }
+            view.counters[t] = m.load_u64(Tid(0), self.counters[t]);
         }
-        let mut after = before.clone();
-        if let Some(op) = ops_plan.get(progress as usize) {
-            apply_vmodel(&mut after, op);
-        }
-
-        let check =
-            |m2: &mut Machine, eng2: &mut RedoTxEngine, want: &VModel| -> Result<(), String> {
-                for (t, table) in tables.iter().enumerate() {
-                    for item in 0..CRASH_ITEMS {
-                        let got = table.get(m2, eng2, Tid(0), item);
-                        if got != Some(want.avail[t][item as usize]) {
-                            return Err(format!(
-                                "table {t} item {item}: avail {got:?} != {}",
-                                want.avail[t][item as usize]
-                            ));
-                        }
-                    }
-                    let c = m2.load_u64(Tid(0), counters[t]);
-                    if c != want.counters[t] {
-                        return Err(format!("counter {t}: {c} != {}", want.counters[t]));
-                    }
+        for customer in 0..CRASH_CUSTOMERS {
+            let mut node = self
+                .customers
+                .get(m, &mut eng, Tid(0), customer)
+                .unwrap_or(0);
+            let mut list = Vec::new();
+            while node != 0 {
+                // No list holds more than the run's `seq` reservations.
+                if list.len() > self.seq as usize + 1 {
+                    return Err(format!("customer {customer}: list exceeds history"));
                 }
-                for customer in 0..CRASH_CUSTOMERS {
-                    let want_list = want.cust.get(&customer).cloned().unwrap_or_default();
-                    let mut node = customers.get(m2, eng2, Tid(0), customer).unwrap_or(0);
-                    let mut got_list = Vec::new();
-                    while node != 0 {
-                        if got_list.len() > want_list.len() + 2 {
-                            return Err(format!("customer {customer}: list exceeds history"));
-                        }
-                        got_list.push(m2.load_u64(Tid(0), node + 8));
-                        if m2.load_u64(Tid(0), node + 16) != 1 {
-                            return Err(format!("customer {customer}: torn reservation node"));
-                        }
-                        node = m2.load_u64(Tid(0), node);
-                    }
-                    if got_list != want_list {
-                        return Err(format!(
-                            "customer {customer}: reservations {got_list:?} != {want_list:?}"
-                        ));
-                    }
+                list.push(m.load_u64(Tid(0), node + 8));
+                if m.load_u64(Tid(0), node + 16) != 1 {
+                    return Err(format!("customer {customer}: torn reservation node"));
                 }
-                Ok(())
-            };
-        if check(&mut m2, &mut eng2, &before).is_err() {
-            check(&mut m2, &mut eng2, &after).map_err(|e| {
-                format!("state matches neither the committed prefix nor prefix+in-flight: {e}")
-            })?;
+                node = m.load_u64(Tid(0), node);
+            }
+            if !list.is_empty() {
+                view.cust.insert(customer, list);
+            }
         }
+        view.journal = journal.iter_snapshot(m, Tid(0));
+        Ok(view)
+    }
 
-        // The journal holds the committed reservations in global order,
-        // with the in-flight reservation's entry possibly rolled
-        // forward at the tail.
-        let encode = |(s, res, cust): (u64, u64, u64)| -> (u64, Vec<u8>) {
-            let mut p = Vec::with_capacity(16);
-            p.extend_from_slice(&res.to_le_bytes());
-            p.extend_from_slice(&cust.to_le_bytes());
-            (s, p)
-        };
-        let want_journal: Vec<(u64, Vec<u8>)> =
-            before.journal.iter().copied().map(encode).collect();
-        let snapshot = journal2.iter_snapshot(&mut m2, Tid(0));
-        let journal_ok = snapshot == want_journal
-            || (after.journal.len() > before.journal.len() && {
-                let mut w = want_journal.clone();
-                w.push(encode(after.journal[after.journal.len() - 1]));
-                snapshot == w
-            });
-        if !journal_ok {
-            return Err(format!(
-                "journal: recovered {} entr(ies) {:?} != committed {}",
-                snapshot.len(),
-                snapshot.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-                want_journal.len()
-            ));
-        }
-        Ok(())
-    });
-    crate::crashtest::harvest(m, total, oracle)
+    /// The journal entry rolls forward separately from the reservation
+    /// transaction: the tables, lists and counters at the prefix or
+    /// prefix + in-flight, and the journal likewise, each on its own.
+    fn accept(view: &VModel, before: &VModel, after: &VModel, _op: Option<&VOp>) -> bool {
+        let state = |v: &VModel| (v.avail.clone(), v.cust.clone(), v.counters);
+        (state(view) == state(before) || state(view) == state(after))
+            && (view.journal == before.journal || view.journal == after.journal)
+    }
 }
 
 /// Reservation mix with trimmed volatile phases (gem5-style, for

@@ -14,21 +14,48 @@
 //!
 //! # The oracle contract
 //!
-//! Each [`App`] row carries `crash_run(ops, workers, &Arm) -> CrashRun`:
-//! it drives `ops` logical operations against a fresh machine (the
+//! Each [`App`] row states its crash workload as a `Workload`: its
+//! build, its seeded plan of operations (each on a planned [`Tid`]; the
 //! scheduler-interleaved redis, memcached and vacation spread them over
-//! `workers` logical clients), arms it with `Arm::apply`, calls
+//! `workers` logical clients), how to apply one operation, how to
+//! replay one into a volatile *model* of the app's recoverable state,
+//! and how to recover the app from an image and read that state back
+//! into the model type. `run` owns everything else, once for every
+//! row: the build on a fresh untraced machine, arming (with the
+//! interleaved rows' per-worker fence prologue), the op loop that calls
 //! [`memsim::Machine::note_progress`] after each *fully committed*
-//! operation, and returns the captured states plus an oracle closure.
-//! The oracle receives a materialized image and the progress value at
-//! the capture point, re-opens the application's persistent state from
-//! the image (engine recovery + structure `open`), and must verify:
+//! operation, and the oracle. The oracle receives a materialized image
+//! and the progress value `p` at the capture point, reboots a machine
+//! from the image, lets the app recover and read its state back
+//! (recovery and structure invariants that fail are a rejection), and
+//! replays the plan's first `p` operations into the model. It accepts
+//! the recovered view when it equals
 //!
-//! * every operation with index `< progress` is fully visible;
-//! * the single in-flight operation (index `== progress`) is either
-//!   wholly absent, wholly applied, or at a transaction boundary in
-//!   between — never torn;
-//! * structural invariants of the persistent data structures hold.
+//! * the committed-prefix model (every operation with index `< p`
+//!   fully visible, nothing of operation `p`), or
+//! * the prefix plus the in-flight operation `p`, applied in full;
+//!
+//! or when the row's `Workload::accept` rule names it as one of the
+//! intermediate states that row's recovery legitimately exposes while
+//! operation `p` is in flight. Every other row's in-flight operation is
+//! never torn. The rules, each asserted by its row's `accept`:
+//!
+//! * **nfs** shows a whole-file replacement's unlink → create → write
+//!   steps: the file absent or empty in between;
+//! * **exim** delivers in stages (spool → mailbox → main log →
+//!   unspool): the mailbox and the log each at the prefix or one
+//!   delivery on, the in-flight spool file absent, empty or whole, and
+//!   files of later messages unread;
+//! * **mysql** tears the in-flight row byte by byte, every byte old or
+//!   new — PMFS journals metadata, not data — while its binlog record is
+//!   whole or absent (its size is journaled metadata);
+//! * **memcached** shows its table phase before its LRU phase: each key
+//!   at the prefix or the in-flight value, and the LRU length at the
+//!   committed distinct-key count or one more;
+//! * **vacation** rolls its journal tail forward separately from the
+//!   reservation transaction: the tables, lists and counters at the
+//!   prefix or prefix + in-flight, and the journal likewise, each on
+//!   its own.
 //!
 //! An oracle is a deterministic function of `(image, progress)`: it
 //! reboots a fresh machine from the image and holds no state across
@@ -74,11 +101,13 @@ use crate::pool::fan_out;
 use crate::section::{arr, cell, count, plain, rows, Col, Section};
 use crate::suite::{default_parallelism, SuiteConfig, DEFAULT_WORKER_THREADS};
 use memsim::{
-    CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine, PmWriter,
+    CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine, MachineConfig,
+    PmWriter,
 };
 use pmem::{Addr, PmImage};
 use pmobs::Json;
 use pmtrace::{Category, Event, EventKind, Tid};
+use std::fmt::Debug;
 
 /// A recovery oracle: given a materialized crash image and the
 /// `note_progress` value at the capture point, re-open the app's state
@@ -121,7 +150,7 @@ pub(crate) struct Arm<'a> {
 impl Arm<'_> {
     /// Arm `m` with the fence-counting crash plan and the elision plan
     /// if asked for, and record the trace from here on.
-    pub(crate) fn apply(&self, m: &mut Machine) {
+    fn apply(&self, m: &mut Machine) {
         let t = m.trace_mut();
         t.clear();
         t.set_enabled(true);
@@ -137,26 +166,136 @@ impl Arm<'_> {
             CrashPlan::at_points(CrashCounter::Fences, self.points.to_vec())
         });
     }
+}
 
-    /// [`apply`](Arm::apply) for the scheduler-interleaved apps: once
-    /// armed, every worker retires one traced durable store to its own
-    /// line of `scratch`, in fixed tid order. Untraced setup leaves
-    /// in-flight entries the HB cross-validation cannot see; its
-    /// durability proof stays vacuous until each thread appearing in
-    /// the trace has fenced once.
-    pub(crate) fn apply_to_workers(&self, m: &mut Machine, workers: u32, scratch: Addr) {
-        self.apply(m);
+/// One Table 1 row's crash workload, stated as data (see the module
+/// docs): what it builds, what it runs, and what its recovery must show.
+/// [`run`] drives and judges every row the same way.
+pub(crate) trait Workload: Send + Sync + 'static {
+    /// One planned operation.
+    type Op: Send + Sync + 'static;
+    /// The app's recoverable state: what recovery reads back from an
+    /// image, and what replaying the plan's prefix builds. `Default` is
+    /// the state [`Workload::build`] leaves.
+    type Model: Clone + Default + PartialEq + Debug;
+
+    /// The machine the row runs on, and reboots into, at `workers`
+    /// logical clients.
+    fn config(_workers: u32) -> MachineConfig {
+        MachineConfig::asplos17()
+    }
+
+    /// Build the app's persistent state on a fresh machine (recording
+    /// off) for an `ops`-operation plan at `workers` logical clients.
+    fn build(m: &mut Machine, ops: usize, workers: u32) -> Self;
+
+    /// The seeded plan: each operation and the thread it runs on.
+    fn plan(ops: usize, workers: u32) -> Vec<(Tid, Self::Op)>;
+
+    /// For the scheduler-interleaved rows (redis, memcached, vacation):
+    /// one line per worker for the fence prologue [`run`] retires once
+    /// armed. Untraced setup leaves in-flight entries the HB
+    /// cross-validation cannot see; its durability proof stays vacuous
+    /// until each thread appearing in the trace has fenced once.
+    fn scratch(&self) -> Option<Addr> {
+        None
+    }
+
+    /// Apply operation `seq` (1-based: the progress once it commits) on
+    /// `tid`.
+    fn apply(&mut self, m: &mut Machine, tid: Tid, seq: u64, op: &Self::Op);
+
+    /// Replay operation `seq` into the model.
+    fn model(model: &mut Self::Model, seq: u64, op: &Self::Op);
+
+    /// Recover the app on a machine rebooted from an image — engine
+    /// recovery, structure `open` and invariant checks — and read its
+    /// state back. `self` is the app as its run left it: the handles
+    /// and region addresses to re-open.
+    fn recover(&self, m: &mut Machine) -> Result<Self::Model, String>;
+
+    /// Whether `view` is an intermediate state this row's recovery may
+    /// legitimately expose while `op` is in flight (`None` once every
+    /// operation committed): `before` is the committed-prefix model,
+    /// `after` the prefix plus `op` (`before` when there is none). Only
+    /// consulted when `view` is neither; the default accepts nothing
+    /// else.
+    fn accept(
+        _view: &Self::Model,
+        _before: &Self::Model,
+        _after: &Self::Model,
+        _op: Option<&Self::Op>,
+    ) -> bool {
+        false
+    }
+}
+
+/// Run `W`'s crash workload for `ops` operations at `workers` logical
+/// clients, armed as `arm` says — every row's `crash_run`.
+pub(crate) fn run<W: Workload>(ops: usize, workers: u32, arm: &Arm<'_>) -> CrashRun {
+    let mut m = Machine::new(W::config(workers));
+    m.trace_mut().set_enabled(false);
+    let mut app = W::build(&mut m, ops, workers);
+    let plan = W::plan(ops, workers);
+    arm.apply(&mut m);
+    if let Some(scratch) = app.scratch() {
         for worker in 0..workers {
+            let line = scratch + u64::from(worker) * 64;
             let mut w = PmWriter::new(Tid(worker));
-            w.write_u64(m, scratch + u64::from(worker) * 64, 1, Category::AppMeta);
-            w.durability_fence(m);
+            w.write_u64(&mut m, line, 1, Category::AppMeta);
+            w.durability_fence(&mut m);
         }
     }
+    for (seq, (tid, op)) in (1..).zip(&plan) {
+        app.apply(&mut m, *tid, seq, op);
+        m.note_progress(seq);
+    }
+    let total = plan.len() as u64;
+    let oracle = Box::new(move |img: &PmImage, progress: u64| {
+        let mut m = Machine::from_image(W::config(workers), img);
+        let view = app.recover(&mut m)?;
+        let mut before = W::Model::default();
+        for (seq, (_, op)) in (1..).zip(&plan[..progress as usize]) {
+            W::model(&mut before, seq, op);
+        }
+        let op = plan.get(progress as usize).map(|(_, op)| op);
+        let mut after = before.clone();
+        if let Some(op) = op {
+            W::model(&mut after, progress + 1, op);
+        }
+        if view == before || view == after || W::accept(&view, &before, &after, op) {
+            return Ok(());
+        }
+        Err(format!(
+            "recovered state is neither the {progress} committed op(s) nor them plus the \
+             in-flight op; {}",
+            first_difference(&view, &before)
+        ))
+    });
+    harvest(m, total, oracle)
+}
+
+/// Where `got` first departs from `want`, shown as a short window of
+/// each one's `Debug` rendering.
+fn first_difference(got: &impl Debug, want: &impl Debug) -> String {
+    let got: Vec<char> = format!("{got:?}").chars().collect();
+    let want: Vec<char> = format!("{want:?}").chars().collect();
+    let at = got.iter().zip(&want).take_while(|(g, w)| g == w).count();
+    let window = |s: &[char]| -> String {
+        s[at.saturating_sub(24)..s.len().min(at + 40)]
+            .iter()
+            .collect()
+    };
+    format!(
+        "recovered …{}… where the prefix has …{}…",
+        window(&got),
+        window(&want)
+    )
 }
 
 /// Finish a crash workload: harvest the machine's event count and
 /// captured states into a [`CrashRun`].
-pub(crate) fn harvest(mut m: Machine, ops: u64, oracle: Oracle) -> CrashRun {
+fn harvest(mut m: Machine, ops: u64, oracle: Oracle) -> CrashRun {
     CrashRun {
         total_events: m.crash_event_count(),
         ops,
@@ -597,23 +736,26 @@ mod tests {
 
     #[test]
     fn oracles_reject_corrupted_images() {
-        // Guard against vacuous oracles: a zeroed image (bad engine
-        // log, bad structure headers) must be rejected.
-        let run = crate::apps::redis::crash_run(
-            24,
-            WORKERS,
-            &Arm {
-                points: &[9],
-                ..Arm::default()
-            },
-        );
-        let state = &run.states[0];
-        let mut img = state.materialize(CrashSpec::PersistAll);
-        let lines: Vec<_> = img.lines().map(|(l, _)| l).collect();
-        for l in lines {
-            img.set_line(l, [0u8; 64]);
+        // Guard against vacuous oracles: for every row, a zeroed image
+        // (bad engine log, bad structure headers) must be rejected.
+        let cfg = CampaignConfig {
+            points: 1,
+            ..CampaignConfig::quick()
+        };
+        for app in &APPS {
+            let run = plain_capture(app, &cfg);
+            let state = &run.states[0];
+            let mut img = state.materialize(CrashSpec::PersistAll);
+            let lines: Vec<_> = img.lines().map(|(l, _)| l).collect();
+            for l in lines {
+                img.set_line(l, [0u8; 64]);
+            }
+            assert!(
+                (run.oracle)(&img, state.progress()).is_err(),
+                "{}: zeroed image accepted",
+                app.name
+            );
         }
-        assert!((run.oracle)(&img, state.progress()).is_err());
     }
 
     #[test]
@@ -758,7 +900,7 @@ mod tests {
         // Three lines in flight at one point: adversarial seeds land
         // different sets of the same size, which must not share a
         // verdict. The oracle rejects every image where line 0 landed.
-        let mut m = Machine::new(memsim::MachineConfig::tiny_for_tests());
+        let mut m = Machine::new(MachineConfig::tiny_for_tests());
         let base = m.config().map.pm.base;
         m.set_crash_plan(CrashPlan::at_points(CrashCounter::Stores, vec![3]));
         for i in 0..3u8 {

@@ -24,21 +24,13 @@ use crate::crashtest::{campaign, CampaignConfig, OptimizedCrashReport};
 use crate::driver::Gate::Optimize;
 use crate::pool::fan_out;
 use crate::section::{cell, int, plain, Col, Section};
+use crate::serve::SERVE_MODELS;
 use crate::suite::AppResult;
 use hops::{replay, HopsConfig, PersistModel, TimingConfig};
 use pmcheck::rewrite::is_elidable;
 use pmobs::Json;
 use pmtrace::analysis::for_each_epoch;
 use pmtrace::Event;
-
-/// The three mechanisms the optimize section prices, mirroring the
-/// serving engine's model set: the x86-64 baseline, HOPS, and the
-/// persist-write-queue variant.
-pub const OPT_MODELS: [PersistModel; 3] = [
-    PersistModel::X86Nvm,
-    PersistModel::HopsNvm,
-    PersistModel::X86Pwq,
-];
 
 /// Original vs optimized simulated runtime under one persistence model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,7 +83,7 @@ pub struct AppOptimize {
     pub errors_after: usize,
     /// Elidable findings still present after the rewrite (gate: 0).
     pub residual_flagged: usize,
-    /// Original vs optimized runtime per mechanism, [`OPT_MODELS`] order.
+    /// Original vs optimized runtime per mechanism, [`SERVE_MODELS`] order.
     pub speedups: Vec<ModelSpeedup>,
 }
 
@@ -191,7 +183,7 @@ fn optimize_app(result: &AppResult) -> AppOptimize {
     let (epochs_after, mean_after) = mean_epoch_lines(&rw.events);
     let timing = TimingConfig::default();
     let hops_cfg = HopsConfig::default();
-    let speedups = OPT_MODELS
+    let speedups = SERVE_MODELS
         .iter()
         .map(|&model| ModelSpeedup {
             model,
@@ -428,7 +420,7 @@ mod tests {
         assert_eq!(gates.get("check_clean"), Some(&Json::Bool(true)));
         let apps = parsed.get("apps").and_then(|a| a.as_arr()).unwrap();
         let speedup = apps[0].get("speedup").unwrap();
-        for model in OPT_MODELS {
+        for model in SERVE_MODELS {
             let s = speedup.get(&model.to_string()).unwrap();
             assert!(s.get("speedup").and_then(Json::as_f64).unwrap() > 0.0);
         }

@@ -88,17 +88,30 @@ impl SuiteConfig {
     }
 
     /// Reject configurations under which any Table 1 row would scale to
-    /// zero effective operations. A zero-op run would silently report
-    /// rates for work that never happened, so this is a hard config
-    /// error (the CLI maps it to exit code 2) rather than a warning.
+    /// zero effective operations, or to more than `u32::MAX` (a finite
+    /// scale is required too: `inf` would saturate every count and never
+    /// finish). A zero-op run would silently report rates for work that
+    /// never happened, so this is a hard config error (the CLI maps it to
+    /// exit code 2) rather than a warning.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.scale.is_finite() {
+            return Err(format!("--scale {} is not a finite number", self.scale));
+        }
         for App { name, base_ops, .. } in &APPS {
-            if (*base_ops as f64 * self.scale) as usize == 0 {
+            let ops = *base_ops as f64 * self.scale;
+            if ops as usize == 0 {
                 return Err(format!(
                     "--scale {} yields 0 effective ops for {name} (base {base_ops}); \
                      use at least {} so every app runs ≥ 1 op",
                     self.scale,
                     1.0 / MIN_OP_BASE as f64
+                ));
+            }
+            if ops > f64::from(u32::MAX) {
+                return Err(format!(
+                    "--scale {} yields more than {} ops for {name} (base {base_ops})",
+                    self.scale,
+                    u32::MAX
                 ));
             }
         }
@@ -458,6 +471,21 @@ mod tests {
         assert!(err.contains("0 effective ops"), "unhelpful error: {err}");
         assert!(err.contains("echo"), "names the offending app: {err}");
         assert!(test_cfg(0.05, 1).validate().is_ok());
+    }
+
+    #[test]
+    fn non_finite_and_oversized_scales_are_config_errors() {
+        // `inf` and `1e30` used to saturate every op count to
+        // `usize::MAX` and run forever.
+        for scale in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e30] {
+            assert!(test_cfg(scale, 1).validate().is_err(), "scale {scale}");
+        }
+        // The bound is the largest row's count reaching `u32::MAX`.
+        let largest = APPS.iter().map(|app| app.base_ops).max().unwrap() as f64;
+        let edge = f64::from(u32::MAX) / largest;
+        assert!(test_cfg(edge * 0.999, 1).validate().is_ok());
+        let err = test_cfg(edge * 1.001, 1).validate().unwrap_err();
+        assert!(err.contains("4294967295"), "names the bound: {err}");
     }
 
     #[test]

@@ -59,6 +59,8 @@ fn usage_errors_exit_2_before_anything_runs() {
         "--scale",
         "--seed nine",
         "--scale 0.00001",
+        "--scale inf",
+        "--scale 1e30",
         "--threads 0",
         "--serve-shards 0",
         "--serve-arrival sometimes",
