@@ -195,14 +195,6 @@ impl CrashState {
         self.progress
     }
 
-    /// How many in-flight writes (dirty lines, pending flushes, WCB
-    /// entries) the crash gets to decide over.
-    pub fn in_flight(&self) -> usize {
-        self.dirty.iter().map(Vec::len).sum::<usize>()
-            + self.pending.iter().map(Vec::len).sum::<usize>()
-            + self.wcbs.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// The in-flight lines `spec` lets reach PM, each with the bytes it
     /// ends up holding, in ascending line order — the one place a
     /// spec's survivors are drawn.
@@ -501,8 +493,8 @@ mod tests {
         assert_eq!((states[0].at(), states[0].progress()), (1, 0));
         assert_eq!((states[1].at(), states[1].progress()), (3, 2));
         // After store 1 only line 0 is in flight; after store 3, three.
-        assert_eq!(states[0].in_flight(), 1);
-        assert_eq!(states[1].in_flight(), 3);
+        assert_eq!(states[0].landed(CrashSpec::PersistAll).len(), 1);
+        assert_eq!(states[1].landed(CrashSpec::PersistAll).len(), 3);
         let img = states[1].materialize(CrashSpec::PersistAll);
         assert_eq!(img.read_vec(pa + 2 * 64, 8), vec![3; 8]);
         assert_eq!(img.read_vec(pa + 3 * 64, 8), vec![0; 8], "store 4 later");

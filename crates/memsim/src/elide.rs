@@ -89,11 +89,6 @@ impl ElideStats {
     pub fn elided_total(&self) -> u64 {
         self.flushes_elided + self.fences_elided
     }
-
-    /// Total vetoed (planned but executed) instructions.
-    pub fn veto_total(&self) -> u64 {
-        self.flush_vetoes + self.fence_vetoes
-    }
 }
 
 /// The machine-side armed state: the plan plus per-kind ordinals seen.

@@ -1220,7 +1220,7 @@ mod tests {
         assert!(mc.is_durable(pa, 8));
         let stats = mc.elide_stats().expect("armed");
         assert_eq!((stats.flushes_elided, stats.fences_elided), (1, 1));
-        assert_eq!(stats.veto_total(), 0);
+        assert_eq!((stats.flush_vetoes, stats.fence_vetoes), (0, 0));
     }
 
     #[test]

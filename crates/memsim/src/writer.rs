@@ -79,11 +79,6 @@ impl PmWriter {
         m.store_nt(self.tid, addr, bytes, cat);
     }
 
-    /// Number of lines awaiting a flush.
-    pub fn pending_lines(&self) -> usize {
-        self.to_flush.len()
-    }
-
     fn flush_all(&mut self, m: &mut Machine) {
         for line in &self.to_flush {
             m.clwb(self.tid, line.base());
@@ -126,9 +121,9 @@ mod tests {
     fn multi_line_object_fully_flushed() {
         let (mut m, mut w, a) = setup();
         w.write(&mut m, a, &[3u8; 200], Category::UserData); // 4 lines
-        assert_eq!(w.pending_lines(), 4);
+        assert_eq!(w.to_flush.len(), 4);
         w.ordering_fence(&mut m);
-        assert_eq!(w.pending_lines(), 0);
+        assert_eq!(w.to_flush.len(), 0);
         assert!(m.is_durable(a, 200));
     }
 
@@ -136,7 +131,7 @@ mod tests {
     fn nt_write_durable_after_fence_without_flushes() {
         let (mut m, mut w, a) = setup();
         w.write_nt(&mut m, a, &[5u8; 64], Category::RedoLog);
-        assert_eq!(w.pending_lines(), 0);
+        assert_eq!(w.to_flush.len(), 0);
         w.ordering_fence(&mut m);
         assert!(m.is_durable(a, 64));
     }
@@ -162,7 +157,7 @@ mod tests {
         let (mut m, mut w, a) = setup();
         w.write_u64(&mut m, a, 1, Category::UserData);
         w.write_u64(&mut m, a + 8, 2, Category::UserData);
-        assert_eq!(w.pending_lines(), 1);
+        assert_eq!(w.to_flush.len(), 1);
         w.ordering_fence(&mut m);
         let flushes = m
             .trace()

@@ -394,7 +394,10 @@ mod tests {
         assert_eq!(new.len(), 1, "one epoch per alloc");
         assert!(new[0].is_singleton());
         assert!(new[0].bytes < 10, "bitmap update is a few bytes");
-        assert_eq!(new[0].cat_bytes(Category::AllocMeta), new[0].bytes);
+        assert_eq!(
+            new[0].bytes_by_cat[Category::AllocMeta.index()],
+            new[0].bytes
+        );
     }
 
     #[test]

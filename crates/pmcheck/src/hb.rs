@@ -746,63 +746,77 @@ impl EpochGraph {
 
     /// The largest set of pairwise HB-concurrent epochs — the graph's
     /// maximum antichain, i.e. how many epochs can be in flight
-    /// simultaneously under some legal linearization. At most one
-    /// epoch per thread qualifies (program order chains the rest), so
-    /// the search enumerates thread subsets and, per subset, runs a
-    /// monotone index-raising fixpoint: whenever the candidate of
-    /// thread `x` happens-before the candidate of thread `y`, `x`'s
-    /// candidate advances past every epoch ordered before `y`'s —
-    /// sound because later epochs only close later, complete because a
-    /// raise never skips a feasible tuple.
+    /// simultaneously under some legal linearization.
+    ///
+    /// By Dilworth's theorem that is the size of a minimum chain cover,
+    /// and by König's it is the epoch count minus a maximum matching of
+    /// each epoch to one it happens-before. The per-thread program-order
+    /// chains are already a cover of one chain per live thread, so at
+    /// most `threads − 1` augmenting searches (`merge_chains`) reach
+    /// the minimum: exact, and polynomial in the thread count.
     pub fn max_antichain(&self) -> usize {
-        let live: Vec<usize> = (0..self.per_thread.len())
-            .filter(|s| !self.per_thread[*s].is_empty())
-            .collect();
-        let mut best = 0usize;
-        for mask in 1u32..(1 << live.len()) {
-            let subset: Vec<usize> = live
-                .iter()
-                .copied()
-                .enumerate()
-                .filter_map(|(i, s)| (mask & (1 << i) != 0).then_some(s))
-                .collect();
-            if subset.len() <= best {
-                continue;
-            }
-            if self.feasible(&subset) {
-                best = subset.len();
+        let n = self.nodes.len();
+        // The cover's matching: `next[a] = b` chains epoch `a` to `b`.
+        let mut next: Vec<Option<u32>> = vec![None; n];
+        let mut prev: Vec<Option<u32>> = vec![None; n];
+        for chain in &self.per_thread {
+            for w in chain.windows(2) {
+                next[w[0] as usize] = Some(w[1]);
+                prev[w[1] as usize] = Some(w[0]);
             }
         }
-        best
+        let mut chains = self.per_thread.iter().filter(|c| !c.is_empty()).count();
+        while self.merge_chains(&mut next, &mut prev) {
+            chains -= 1;
+        }
+        chains
     }
 
-    fn feasible(&self, subset: &[usize]) -> bool {
-        let mut idx = vec![0usize; subset.len()];
-        loop {
-            let mut changed = false;
-            for j in 0..subset.len() {
-                let b = self.per_thread[subset[j]][idx[j]];
-                for i in 0..subset.len() {
-                    if i == j {
-                        continue;
-                    }
-                    let chain = &self.per_thread[subset[i]];
-                    // Advance past every epoch of thread i ordered
-                    // before b (close ticks are strictly increasing
-                    // along a chain, so the frontier is monotone).
-                    while idx[i] < chain.len() && self.node_before(chain[idx[i]], b) {
-                        idx[i] += 1;
-                        changed = true;
-                    }
-                    if idx[i] == chain.len() {
-                        return false;
+    /// One augmenting-path search over the chain cover `next`/`prev`:
+    /// from every chain's tail, follow "happens-before" to an epoch and
+    /// then that epoch's cover predecessor, until some chain's head is
+    /// reached; rewire the path and return true (one chain fewer), or
+    /// return false when the cover is minimum. The epochs one epoch
+    /// happens-before form a suffix of each thread's chain (clocks only
+    /// grow along it), so each thread keeps the start of its
+    /// already-scanned suffix and every epoch is scanned at most once:
+    /// O(threads · epochs) checks plus a binary search per scan.
+    fn merge_chains(&self, next: &mut [Option<u32>], prev: &mut [Option<u32>]) -> bool {
+        let mut scanned: Vec<usize> = self.per_thread.iter().map(Vec::len).collect();
+        let mut via = vec![u32::MAX; next.len()];
+        let mut stack: Vec<u32> = (0..next.len() as u32)
+            .filter(|a| next[*a as usize].is_none())
+            .collect();
+        while let Some(a) = stack.pop() {
+            for (chain, end) in self.per_thread.iter().zip(&mut scanned) {
+                if *end == 0 || !self.node_before(a, chain[*end - 1]) {
+                    continue;
+                }
+                let from = chain[..*end].partition_point(|&b| !self.node_before(a, b));
+                for &b in &chain[from..*end] {
+                    via[b as usize] = a;
+                    match prev[b as usize] {
+                        Some(p) => stack.push(p),
+                        None => {
+                            // Rewire: each epoch on the path takes the
+                            // one it reached, handing its old successor
+                            // back to the epoch that reached that.
+                            let mut b = b;
+                            loop {
+                                let a = via[b as usize];
+                                prev[b as usize] = Some(a);
+                                match next[a as usize].replace(b) {
+                                    Some(old) => b = old,
+                                    None => return true,
+                                }
+                            }
+                        }
                     }
                 }
-            }
-            if !changed {
-                return true;
+                *end = from;
             }
         }
+        false
     }
 
     /// JSON export: stats plus full node and edge lists.
@@ -1008,6 +1022,7 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miniprop::prelude::*;
     use pmtrace::{analysis, Category, TraceBuffer};
 
     const T0: Tid = Tid(0);
@@ -1204,6 +1219,78 @@ mod tests {
             g.to_json("x").get("max_antichain").and_then(Json::as_f64),
             Some(3.0)
         );
+    }
+
+    #[test]
+    fn max_antichain_is_exact_past_32_threads() {
+        // 40 threads on private lines, two epochs each: one epoch per
+        // thread is pairwise concurrent. A 41st thread then stores every
+        // line, acquiring all of them, so its epoch follows every other
+        // one and cannot join: the antichain is 40 of 41 threads.
+        let mut t = TraceBuffer::new();
+        let cat = Category::UserData;
+        for round in 0..2 {
+            for i in 0..40 {
+                let now = 100 * round + 2 * u64::from(i);
+                t.pm_store(Tid(i), u64::from(i) * 64, 8, false, cat, now + 1);
+                t.fence(Tid(i), now + 2);
+            }
+        }
+        for line in 0..40 {
+            t.pm_store(Tid(40), line * 64, 8, false, cat, 200 + line);
+        }
+        t.fence(Tid(40), 300);
+        let g = EpochGraph::build(t.events());
+        assert_eq!((g.threads.len(), g.nodes.len()), (41, 81));
+        assert_eq!(g.max_antichain(), 40);
+    }
+
+    /// The maximum antichain by exhaustive search: every choice of at
+    /// most one epoch per thread whose epochs are pairwise concurrent.
+    fn brute_antichain(g: &EpochGraph) -> usize {
+        fn pick(g: &EpochGraph, slot: usize, chosen: &mut Vec<u32>) -> usize {
+            let Some(chain) = g.per_thread.get(slot) else {
+                return chosen.len();
+            };
+            let mut best = pick(g, slot + 1, chosen);
+            for &b in chain {
+                if chosen
+                    .iter()
+                    .all(|&a| !g.node_before(a, b) && !g.node_before(b, a))
+                {
+                    chosen.push(b);
+                    best = best.max(pick(g, slot + 1, chosen));
+                    chosen.pop();
+                }
+            }
+            best
+        }
+        pick(g, 0, &mut Vec::new())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Random traces over up to 8 threads: runs of one thread's
+        /// epochs, each storing one of two shared lines (acquiring it
+        /// from the thread that last released it) or a private one.
+        #[test]
+        fn max_antichain_matches_exhaustive_search(
+            (threads, runs) in (1u32..=8, collection::vec((0u32..8, 0u64..3, 1u32..4), 0..16))
+        ) {
+            let mut t = TraceBuffer::new();
+            let mut now = 0;
+            for (tid, line, len) in runs {
+                let tid = Tid(tid % threads);
+                let addr = if line == 2 { u64::from(tid.0 + 2) * 64 } else { line * 64 };
+                for _ in 0..len {
+                    t.pm_store(tid, addr, 8, false, Category::UserData, now + 1);
+                    t.fence(tid, now + 2);
+                    now += 2;
+                }
+            }
+            let g = EpochGraph::build(t.events());
+            prop_assert_eq!(g.max_antichain(), brute_antichain(&g));
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use crate::checker::{CheckReport, Checker};
 use crate::rules::{Rule, RuleSet};
-use pmtrace::{transform::TraceEdit, Event, EventKind};
+use pmtrace::{Event, EventKind};
 
 /// What one [`rewrite_events`] run did.
 #[derive(Debug, Clone, Default)]
@@ -101,7 +101,6 @@ pub fn rewrite_events(events: &[Event]) -> RewriteReport {
         if targets.is_empty() {
             break;
         }
-        let mut edit = TraceEdit::new();
         for &i in &targets {
             match current[i].kind {
                 EventKind::Flush { .. } => out.elided_flushes += 1,
@@ -111,11 +110,20 @@ pub fn rewrite_events(events: &[Event]) -> RewriteReport {
                 _ => unreachable!("elidable finding anchored a non-flush/fence event"),
             }
             out.elided.push(origin[i]);
-            edit.elide(i);
         }
-        let (kept, kept_idx) = edit.apply(&current);
-        origin = kept_idx.iter().map(|&ci| origin[ci]).collect();
-        current = kept;
+        // Compact the survivors and their original indices in place,
+        // order and timestamps untouched.
+        let mut drop = targets.into_iter().peekable();
+        let mut kept = 0;
+        for i in 0..current.len() {
+            if drop.next_if_eq(&i).is_none() {
+                current[kept] = current[i];
+                origin[kept] = origin[i];
+                kept += 1;
+            }
+        }
+        current.truncate(kept);
+        origin.truncate(kept);
     }
 
     out.elided.sort_unstable();

@@ -132,11 +132,6 @@ impl RuleSet {
         self.0 & (1 << rule.bit()) != 0
     }
 
-    /// True when no rule was filtered out.
-    pub fn is_all(self) -> bool {
-        self == RuleSet::all()
-    }
-
     /// Exactly the rules in `rules`.
     pub(crate) fn of(rules: impl IntoIterator<Item = Rule>) -> RuleSet {
         RuleSet(rules.into_iter().fold(0, |set, r| set | 1 << r.bit()))
@@ -223,7 +218,6 @@ mod tests {
     #[test]
     fn rule_set_all_contains_everything() {
         let all = RuleSet::all();
-        assert!(all.is_all());
         for r in Rule::ALL {
             assert!(all.contains(r));
         }
@@ -237,7 +231,7 @@ mod tests {
         assert!(set.contains(Rule::Unflushed));
         assert!(set.contains(Rule::EpochRace));
         assert!(!set.contains(Rule::CrossDep));
-        assert!(!set.is_all());
+        assert_ne!(set, RuleSet::all());
         assert_eq!(set.iter().count(), 2);
     }
 

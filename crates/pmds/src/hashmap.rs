@@ -249,19 +249,6 @@ impl PHashMap {
             }
         }
     }
-
-    /// Addresses of every live node — for allocator GC integration.
-    pub fn node_addrs(&self, m: &mut Machine, tid: Tid) -> Vec<Addr> {
-        let mut out = Vec::new();
-        for b in 0..self.nbuckets {
-            let mut node = m.load_u64(tid, self.head + BUCKETS_OFF + b * 8);
-            while node != 0 {
-                out.push(node);
-                node = m.load_u64(tid, node);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -586,6 +573,5 @@ mod tests {
         });
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(fx.map.node_addrs(&mut fx.m, TID).len(), 10);
     }
 }

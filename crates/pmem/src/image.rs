@@ -31,18 +31,6 @@ pub struct PmImage {
 }
 
 impl PmImage {
-    /// Build an image from raw lines.
-    pub fn from_lines(
-        range: AddrRange,
-        lines: impl IntoIterator<Item = (Line, [u8; LINE_SIZE as usize])>,
-    ) -> PmImage {
-        let mut img = PmImage::empty(range);
-        for (line, data) in lines {
-            img.set_line(line, data);
-        }
-        img
-    }
-
     /// An image over a device's pages.
     pub(crate) fn from_store(range: AddrRange, store: LineStore) -> PmImage {
         PmImage { range, store }

@@ -92,7 +92,10 @@ fn check(h: &Holder) -> Result<(), String> {
                     return Err(format!("image read across line {k} differs"));
                 }
             }
-            let rebuilt = PmImage::from_lines(range(), lines.iter().map(|(l, d)| (*l, *d)));
+            let mut rebuilt = PmImage::empty(range());
+            for (l, d) in lines {
+                rebuilt.set_line(*l, *d);
+            }
             if *img != rebuilt {
                 return Err("image != the image of its lines".into());
             }

@@ -3,8 +3,8 @@
 //! The build environment vendors no external crates, so structured
 //! emission cannot lean on serde. [`Json`] is a small document model
 //! with a compact writer ([`Json::to_compact`]), a pretty writer
-//! ([`Json::to_pretty`]), a JSONL helper ([`to_jsonl`]), and a strict
-//! parser ([`parse`]) so reports can be validated without leaving Rust.
+//! ([`Json::to_pretty`]) and a strict parser ([`parse`]), so reports
+//! can be validated without leaving Rust.
 //!
 //! Object keys keep insertion order — reports read top-to-bottom the
 //! way they were built.
@@ -284,16 +284,6 @@ fn write_escaped(out: &mut String, s: &str) {
     }
     out.push_str(&s[clean_from..]);
     out.push('"');
-}
-
-/// Encode one value per line (JSON Lines).
-pub fn to_jsonl<'a>(values: impl IntoIterator<Item = &'a Json>) -> String {
-    let mut out = String::new();
-    for v in values {
-        v.write_compact(&mut out);
-        out.push('\n');
-    }
-    out
 }
 
 impl From<bool> for Json {
@@ -647,16 +637,6 @@ mod tests {
         let doc = Json::obj().field("k", 1u64).field("k", 2u64);
         assert_eq!(doc.get("k"), Some(&Json::U64(2)));
         assert_eq!(doc.to_compact(), r#"{"k":2}"#);
-    }
-
-    #[test]
-    fn jsonl_one_value_per_line() {
-        let values = [
-            Json::U64(1),
-            Json::obj().field("x", 2u64),
-            Json::from("a\nb"),
-        ];
-        assert_eq!(to_jsonl(values.iter()), "1\n{\"x\":2}\n\"a\\nb\"\n");
     }
 
     #[test]

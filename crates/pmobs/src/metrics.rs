@@ -51,11 +51,6 @@ impl Counter {
         Counter::default()
     }
 
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -400,7 +395,7 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
         let g = MaxGauge::new();
@@ -562,7 +557,7 @@ mod tests {
         let r2 = Registry::new();
         r1.counter("shared").add(2);
         r2.counter("shared").add(5);
-        r2.counter("only2").inc();
+        r2.counter("only2").add(1);
         r1.gauge("hw").observe(10);
         r2.gauge("hw").observe(4);
         r1.histogram("h", Unit::Nanos).record(1);

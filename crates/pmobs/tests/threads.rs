@@ -18,7 +18,7 @@ fn shared_registry_loses_no_updates() {
                 let h = reg.histogram("latency", Unit::Nanos);
                 let g = reg.gauge("high");
                 for i in 0..OPS {
-                    c.inc();
+                    c.add(1);
                     h.record(i);
                     g.observe(t as u64 * OPS + i);
                 }
@@ -48,7 +48,7 @@ fn per_worker_snapshots_merge_to_shared_totals() {
             let reg = Registry::new();
             let h = reg.histogram("latency", Unit::Nanos);
             for i in 0..OPS {
-                reg.counter("ops").inc();
+                reg.counter("ops").add(1);
                 h.record(i * (t as u64 + 1));
                 reg.gauge("high").observe(t as u64);
             }
@@ -65,7 +65,7 @@ fn per_worker_snapshots_merge_to_shared_totals() {
     let h = shared.histogram("latency", Unit::Nanos);
     for t in 0..THREADS {
         for i in 0..OPS {
-            shared.counter("ops").inc();
+            shared.counter("ops").add(1);
             h.record(i * (t as u64 + 1));
             shared.gauge("high").observe(t as u64);
         }

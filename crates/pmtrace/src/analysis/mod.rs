@@ -71,11 +71,6 @@ impl Epoch {
         self.lines.len() == 1
     }
 
-    /// Bytes recorded for one category.
-    pub fn cat_bytes(&self, cat: Category) -> u64 {
-        self.bytes_by_cat[cat.index()]
-    }
-
     /// Thread `tid`'s first epoch, with no store in it yet.
     fn open(tid: Tid) -> Epoch {
         Epoch {
@@ -216,17 +211,6 @@ pub fn split_epochs(events: &[Event]) -> Vec<Epoch> {
     let mut out = Vec::new();
     for_each_epoch(events, |e| out.push(e.clone()));
     out
-}
-
-/// The distinct thread ids appearing in a trace, sorted ascending.
-///
-/// Happens-before analyses allocate one vector-clock slot per thread;
-/// this is the canonical slot order.
-pub fn thread_ids(events: &[Event]) -> Vec<Tid> {
-    let mut ids: Vec<Tid> = events.iter().map(|e| e.tid).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
 }
 
 /// Epochs per second over the traced interval (Table 1's rightmost
@@ -396,9 +380,9 @@ mod tests {
         t.pm_store(t0(), 64, 24, false, Category::UndoLog, 2);
         t.fence(t0(), 3);
         let e = split_epochs(t.events());
-        assert_eq!(e[0].cat_bytes(Category::UserData), 8);
-        assert_eq!(e[0].cat_bytes(Category::UndoLog), 24);
-        assert_eq!(e[0].cat_bytes(Category::RedoLog), 0);
+        assert_eq!(e[0].bytes_by_cat[Category::UserData.index()], 8);
+        assert_eq!(e[0].bytes_by_cat[Category::UndoLog.index()], 24);
+        assert_eq!(e[0].bytes_by_cat[Category::RedoLog.index()], 0);
     }
 
     #[test]
@@ -444,16 +428,6 @@ mod tests {
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].stores, 1);
         assert_eq!(e[0].start_ns, 4);
-    }
-
-    #[test]
-    fn thread_ids_sorted_and_deduped() {
-        let mut t = TraceBuffer::new();
-        t.fence(Tid(2), 1);
-        t.fence(Tid(0), 2);
-        t.fence(Tid(2), 3);
-        assert_eq!(thread_ids(t.events()), vec![Tid(0), Tid(2)]);
-        assert!(thread_ids(&[]).is_empty());
     }
 
     #[test]

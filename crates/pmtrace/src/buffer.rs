@@ -25,14 +25,6 @@ impl TraceBuffer {
         }
     }
 
-    /// A buffer that discards everything (for untraced timing runs).
-    pub fn disabled() -> TraceBuffer {
-        TraceBuffer {
-            events: Vec::new(),
-            enabled: false,
-        }
-    }
-
     /// Whether events are being kept.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -140,7 +132,8 @@ mod tests {
 
     #[test]
     fn disabled_discards() {
-        let mut t = TraceBuffer::disabled();
+        let mut t = TraceBuffer::new();
+        t.set_enabled(false);
         t.fence(Tid(0), 1);
         assert!(t.is_empty());
         assert!(!t.is_enabled());

@@ -46,4 +46,4 @@ pub use analysis::Epoch;
 pub use buffer::TraceBuffer;
 pub use codec::{decode_events, encode_events, CodecError};
 pub use event::{Category, Event, EventKind, Tid, TxId};
-pub use transform::{elide_indices, TraceEdit};
+pub use transform::elide_indices;

@@ -146,22 +146,6 @@ impl UndoTxEngine {
         Ok(())
     }
 
-    /// Transactional `u64` update.
-    ///
-    /// # Errors
-    ///
-    /// As for [`UndoTxEngine::set`].
-    pub fn set_u64(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        addr: Addr,
-        val: u64,
-        cat: Category,
-    ) -> Result<(), TxError> {
-        self.set(m, tid, addr, &val.to_le_bytes(), cat)
-    }
-
     /// Commit: flush in-place data, durable marker, clear log.
     ///
     /// # Errors
@@ -205,6 +189,7 @@ impl UndoTxEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TxMem;
     use memsim::{CrashSpec, MachineConfig};
 
     #[test]
@@ -255,7 +240,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 77, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 77, Category::UserData)
             .unwrap();
         eng.commit(&mut m, tid).unwrap();
         assert!(m.is_durable(data, 8));
@@ -267,7 +252,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 5, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 5, Category::UserData)
             .unwrap();
         // Undo logging writes in place: a plain load sees it.
         assert_eq!(m.load_u64(tid, data), 5);
@@ -280,12 +265,12 @@ mod tests {
         let tid = Tid(0);
         // Seed committed state.
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 100, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 100, Category::UserData)
             .unwrap();
         eng.commit(&mut m, tid).unwrap();
         // Mutate and abort.
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 200, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 200, Category::UserData)
             .unwrap();
         assert_eq!(m.load_u64(tid, data), 200);
         eng.abort(&mut m, tid).unwrap();
@@ -298,13 +283,13 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 50, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 50, Category::UserData)
             .unwrap();
         eng.commit(&mut m, tid).unwrap();
         // Second tx crashes mid-flight with all in-flight data persisted
         // (worst case for undo: new data durable, no commit marker).
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 999, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 999, Category::UserData)
             .unwrap();
         let log = log_region(&m);
         let img = m.crash(CrashSpec::PersistAll);
@@ -322,11 +307,11 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 50, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 50, Category::UserData)
             .unwrap();
         eng.commit(&mut m, tid).unwrap();
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 999, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 999, Category::UserData)
             .unwrap();
         let log = log_region(&m);
         let img = m.crash(CrashSpec::DropVolatile);
@@ -343,16 +328,16 @@ mod tests {
             let (mut m, mut eng, data) = setup();
             let tid = Tid(0);
             eng.begin(&mut m, tid).unwrap();
-            eng.set_u64(&mut m, tid, data, 1, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data, 1, Category::UserData)
                 .unwrap();
-            eng.set_u64(&mut m, tid, data + 64, 1, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data + 64, 1, Category::UserData)
                 .unwrap();
             eng.commit(&mut m, tid).unwrap();
             // Second tx crashes mid-commit-path at an arbitrary point:
             eng.begin(&mut m, tid).unwrap();
-            eng.set_u64(&mut m, tid, data, 2, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data, 2, Category::UserData)
                 .unwrap();
-            eng.set_u64(&mut m, tid, data + 64, 2, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data + 64, 2, Category::UserData)
                 .unwrap();
             let log = log_region(&m);
             let img = m.crash(CrashSpec::Adversarial { seed });
@@ -370,7 +355,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.set_u64(&mut m, tid, data, 31, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 31, Category::UserData)
             .unwrap();
         let log = log_region(&m);
         let img = m.crash(CrashSpec::PersistAll);
@@ -405,7 +390,7 @@ mod tests {
             m.trace_mut().clear();
             eng.begin(&mut m, tid).unwrap();
             for i in 0..writes {
-                eng.set_u64(&mut m, tid, data + i * 64, i, Category::UserData)
+                eng.tx_write_u64(&mut m, tid, data + i * 64, i, Category::UserData)
                     .unwrap();
             }
             eng.commit(&mut m, tid).unwrap();
@@ -433,7 +418,7 @@ mod tests {
         assert_eq!(eng.commit(&mut m, tid), Err(TxError::NoTx));
         assert_eq!(eng.abort(&mut m, tid), Err(TxError::NoTx));
         assert_eq!(
-            eng.set_u64(&mut m, tid, data, 1, Category::UserData),
+            eng.tx_write_u64(&mut m, tid, data, 1, Category::UserData),
             Err(TxError::NoTx)
         );
         eng.begin(&mut m, tid).unwrap();
@@ -448,9 +433,9 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         eng.begin(&mut m, Tid(0)).unwrap();
         eng.begin(&mut m, Tid(1)).unwrap();
-        eng.set_u64(&mut m, Tid(0), data, 10, Category::UserData)
+        eng.tx_write_u64(&mut m, Tid(0), data, 10, Category::UserData)
             .unwrap();
-        eng.set_u64(&mut m, Tid(1), data + 64, 20, Category::UserData)
+        eng.tx_write_u64(&mut m, Tid(1), data + 64, 20, Category::UserData)
             .unwrap();
         eng.commit(&mut m, Tid(0)).unwrap();
         eng.abort(&mut m, Tid(1)).unwrap();

@@ -369,8 +369,13 @@ impl Opts {
         if o.trace.is_some() && o.timing {
             return Err("--trace cannot be combined with --timing, which writes no trace".into());
         }
-        for name in &o.apps {
+        for (i, name) in o.apps.iter().enumerate() {
             crate::apps::by_name(name).map_err(|unknown| unknown.to_string())?;
+            // A repeated app would run twice and write its trace and
+            // graph files twice.
+            if o.apps[..i].contains(name) {
+                return Err(format!("--apps names {name} more than once"));
+            }
         }
         // A scale that truncates any app to zero ops would silently
         // report rates for work that never ran.

@@ -17,7 +17,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One app's epoch dependency graph plus its precomputed §5.2 stats
-/// (`max_antichain` enumerates thread subsets, so it is computed once).
+/// (`max_antichain` runs up to one augmenting search per thread, so it
+/// is computed once).
 pub struct AppGraph {
     /// Table 1 application name.
     pub name: String,

@@ -38,11 +38,6 @@ impl RegionPlanner {
         self.next = base + len;
         AddrRange::new(base, len)
     }
-
-    /// Bytes still unplanned.
-    pub fn remaining(&self) -> u64 {
-        self.end.saturating_sub(self.next)
-    }
 }
 
 #[cfg(test)]
@@ -64,13 +59,5 @@ mod tests {
     fn overflow_panics() {
         let mut p = RegionPlanner::new(AddrRange::new(0, 128));
         p.take(256);
-    }
-
-    #[test]
-    fn remaining_decreases() {
-        let mut p = RegionPlanner::new(AddrRange::new(0, 1024));
-        let before = p.remaining();
-        p.take(512);
-        assert!(p.remaining() < before);
     }
 }

@@ -374,48 +374,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<AppResult> {
 /// identical — event-for-event — whatever the parallelism.
 pub fn run_apps(names: &[&str], cfg: &SuiteConfig) -> Vec<AppResult> {
     // Queue wait = time from suite dispatch until a worker claims the
-    // app; host wall-clock, so only sampled when recording is on. The
-    // per-app histograms are resolved once here — the claim loop is the
-    // dispatch hot path and must not allocate registry names per claim.
-    let waits = QueueWaits::register(names);
+    // app, recorded as `suite.queue_wait_ns/<app>`; host wall-clock, so
+    // only sampled when recording is on.
+    let dispatched = pmobs::enabled().then(std::time::Instant::now);
     fan_out(cfg.parallelism, names.len(), |i| {
-        waits.note(i);
+        if let Some(t0) = dispatched {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            pmobs::global()
+                .histogram(
+                    &format!("suite.queue_wait_ns/{}", names[i]),
+                    pmobs::Unit::Nanos,
+                )
+                .record(ns);
+        }
         run_app(names[i], cfg)
     })
-}
-
-/// Pre-registered `suite.queue_wait_ns/<app>` histograms, resolved once
-/// at dispatch so workers record by index without per-claim `format!`
-/// or registry lookups. Empty (and free) when recording is off.
-struct QueueWaits {
-    dispatched: Option<std::time::Instant>,
-    hists: Vec<std::sync::Arc<pmobs::Histogram>>,
-}
-
-impl QueueWaits {
-    fn register(names: &[&str]) -> QueueWaits {
-        let dispatched = pmobs::enabled().then(std::time::Instant::now);
-        let hists = if dispatched.is_some() {
-            names
-                .iter()
-                .map(|n| {
-                    pmobs::global()
-                        .histogram(&format!("suite.queue_wait_ns/{n}"), pmobs::Unit::Nanos)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        QueueWaits { dispatched, hists }
-    }
-
-    /// Record how long app `i` sat queued before a worker claimed it.
-    fn note(&self, i: usize) {
-        if let Some(t0) = self.dispatched {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.hists[i].record(ns);
-        }
-    }
 }
 
 #[cfg(test)]

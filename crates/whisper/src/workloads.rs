@@ -8,46 +8,16 @@
 //! reproducible.
 
 use pmrand::{Rng, SeedableRng, SmallRng};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Zipfian key sampler (YCSB's default request distribution).
 ///
 /// Uses the standard harmonic-number construction with exponent
-/// `theta`; sampling is a binary search over the precomputed CDF. The
-/// CDF is built once per `(n, theta)` and shared process-wide behind an
-/// `Arc`, so creating one generator per shard or per client stream
-/// (the serving engine builds hundreds) costs a map lookup and a
-/// refcount bump, not an O(n) harmonic-table rebuild.
+/// `theta`; sampling is a binary search over the precomputed CDF. Each
+/// generator builds its own O(n) table: a run builds a few dozen, over
+/// at most 40 000 keys each.
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Arc<[f64]>,
-}
-
-/// Process-wide cache of harmonic CDF tables, keyed by
-/// `(n, theta.to_bits())`. Tables are small (one `f64` per key) and the
-/// suite uses a handful of distinct shapes, so entries are never
-/// evicted.
-fn cdf_table(n: usize, theta: f64) -> Arc<[f64]> {
-    type TableCache = Mutex<HashMap<(usize, u64), Arc<[f64]>>>;
-    static CACHE: OnceLock<TableCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = cache.lock().unwrap();
-    guard
-        .entry((n, theta.to_bits()))
-        .or_insert_with(|| {
-            let mut cdf = Vec::with_capacity(n);
-            let mut sum = 0.0;
-            for i in 1..=n {
-                sum += 1.0 / (i as f64).powf(theta);
-                cdf.push(sum);
-            }
-            for v in &mut cdf {
-                *v /= sum;
-            }
-            cdf.into()
-        })
-        .clone()
+    cdf: Vec<f64>,
 }
 
 impl Zipf {
@@ -59,9 +29,16 @@ impl Zipf {
     /// Panics if `n` is zero.
     pub fn new(n: usize, theta: f64) -> Zipf {
         assert!(n > 0, "need at least one key");
-        Zipf {
-            cdf: cdf_table(n, theta),
+        let mut cdf = Vec::with_capacity(n);
+        let mut sum = 0.0;
+        for i in 1..=n {
+            sum += 1.0 / (i as f64).powf(theta);
+            cdf.push(sum);
         }
+        for v in &mut cdf {
+            *v /= sum;
+        }
+        Zipf { cdf }
     }
 
     /// Sample a key index in `0..n`.
@@ -350,24 +327,6 @@ mod tests {
         let mut rng3 = SmallRng::seed_from_u64(1);
         let second: Vec<usize> = (0..10).map(|_| z.sample(&mut rng3)).collect();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn zipf_tables_are_shared_not_rebuilt() {
-        // Two generators with the same shape share one CDF allocation;
-        // a different shape gets its own.
-        let a = Zipf::new(4096, 0.99);
-        let b = Zipf::new(4096, 0.99);
-        assert!(Arc::ptr_eq(&a.cdf, &b.cdf), "same (n, theta) shares");
-        let c = Zipf::new(4096, 0.9);
-        assert!(!Arc::ptr_eq(&a.cdf, &c.cdf), "distinct theta is distinct");
-        // Clones are cheap by construction and sample identically.
-        let d = a.clone();
-        let mut r1 = SmallRng::seed_from_u64(9);
-        let mut r2 = SmallRng::seed_from_u64(9);
-        let s1: Vec<usize> = (0..32).map(|_| a.sample(&mut r1)).collect();
-        let s2: Vec<usize> = (0..32).map(|_| d.sample(&mut r2)).collect();
-        assert_eq!(s1, s2);
     }
 
     #[test]

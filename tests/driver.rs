@@ -52,6 +52,7 @@ fn usage_errors_exit_2_before_anything_runs() {
     for bad in [
         "--bogus",
         "--apps nope",
+        "--apps redis,redis",
         "--check-rules P-NO-SUCH-RULE",
         "fig99",
         "fig99 --crash --optimize",
