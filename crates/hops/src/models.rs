@@ -19,6 +19,9 @@
 //!   paper finds the PWQ adds little once flushes are off the critical
 //!   path ("the PWQ only improves runtime by 1.4% for HOPS").
 //! * **IDEAL (non-CC)** — ignores all ordering; not crash-consistent.
+//!
+//! One [`Replayer::step`] body prices all five; the HOPS models differ
+//! from the others only where they step the persist buffer.
 
 use crate::config::{HopsConfig, TimingConfig};
 use crate::persist_buffer::PersistBuffer;
@@ -82,10 +85,9 @@ struct ThreadReplay {
     clock_ns: u64,
     /// Timestamp of this thread's previous event in the original run.
     last_at: u64,
-    /// x86: lines flushed/NT-written since the last fence.
-    pending_writebacks: u64,
-    /// Same counter, maintained unconditionally to reconstruct the
-    /// recording machine's fence charges under every model.
+    /// Lines flushed/NT-written since the last fence: what the recording
+    /// machine's fence waited for, and what an x86 model's fence waits
+    /// for (both models issue the recorded `clwb`s and NT stores).
     recorded_pending: u64,
     /// Ordering-stall time: fence/ofence/dfence charges plus
     /// persist-buffer-overflow stalls. Maintained unconditionally (two
@@ -181,17 +183,8 @@ impl Replayer {
 
     /// Price one event. Events must arrive in trace (time) order.
     pub fn step(&mut self, ev: &Event) {
-        // One instantiation per kind of model, so the models without a
-        // persist buffer carry none of its code.
-        if matches!(self.model, PersistModel::HopsNvm | PersistModel::HopsPwq) {
-            self.step_as::<true>(ev);
-        } else {
-            self.step_as::<false>(ev);
-        }
-    }
-
-    fn step_as<const HOPS: bool>(&mut self, ev: &Event) {
         let model = self.model;
+        let hops = matches!(model, PersistModel::HopsNvm | PersistModel::HopsPwq);
         let slot = self.pb.thread(ev.tid);
         if slot == self.threads.len() {
             self.threads.push((ev.tid, ThreadReplay::default()));
@@ -231,41 +224,30 @@ impl Replayer {
                 // Store cost is identical in every model (Consequence
                 // 11: no overhead on the access path).
                 model_charge = lines * cfg.l1_hit_ns;
-                match model {
-                    PersistModel::X86Nvm | PersistModel::X86Pwq if nt => {
-                        t.pending_writebacks += lines;
-                    }
-                    _ if HOPS => {
-                        self.pb.store(slot, addr, len as usize);
-                        // PB tracking + writeback bandwidth contention.
-                        t.clock_ns += lines * cfg.pb_contention_ns;
-                    }
-                    _ => {}
+                if hops {
+                    self.pb.store(slot, addr, len as usize);
+                    // PB tracking + writeback bandwidth contention.
+                    t.clock_ns += lines * cfg.pb_contention_ns;
                 }
             }
             EventKind::Flush { .. } => {
                 recorded_charge = rec.clwb_issue_ns;
                 t.recorded_pending += 1;
-                match model {
-                    PersistModel::X86Nvm | PersistModel::X86Pwq => {
-                        t.pending_writebacks += 1;
-                        model_charge = cfg.clwb_issue_ns;
-                    }
+                model_charge = match model {
+                    PersistModel::X86Nvm | PersistModel::X86Pwq => cfg.clwb_issue_ns,
                     // HOPS "makes data persistent without explicit
                     // flushes"; IDEAL drops them too.
-                    _ => model_charge = 0,
-                }
+                    _ => 0,
+                };
             }
             EventKind::Fence | EventKind::DFence => {
-                let n = t.pending_writebacks;
-                t.pending_writebacks = 0;
-                let rec_n = t.recorded_pending;
+                let n = t.recorded_pending;
                 t.recorded_pending = 0;
-                recorded_charge = rec.fence_ns(rec_n);
+                recorded_charge = rec.fence_ns(n);
                 model_charge = match model {
                     PersistModel::X86Nvm => cfg.sfence_ns + pipelined_ns(n, cfg.pm_write_ns),
                     PersistModel::X86Pwq => cfg.sfence_ns + pipelined_ns(n, cfg.pwq_ack_ns),
-                    _ if HOPS => {
+                    _ if hops => {
                         pb_at_fence = self.pb.len(slot);
                         if ev.kind == EventKind::DFence {
                             // Drain whatever background flushing has
@@ -301,7 +283,7 @@ impl Replayer {
         // execution ("moving most flushes from the foreground to the
         // background").
         let mut overflow_stall = 0;
-        if HOPS && self.pb.len(slot) > 0 {
+        if hops && self.pb.len(slot) > 0 {
             // A full PB stalls the thread, but only long enough for
             // the overflow to retire — not a drain to empty.
             overflow_stall = self.pb.retire(slot, volatile / self.drain_unit) * self.drain_unit;
@@ -335,11 +317,11 @@ impl Replayer {
                 s.end(start_ns + overflow_stall);
             }
             if is_fence {
-                if HOPS {
+                if hops {
                     s.counter("pb_outstanding", end_ns - model_charge, pb_at_fence);
                 }
                 if model_charge > 0 {
-                    let name = match (HOPS, ev.kind == EventKind::DFence) {
+                    let name = match (hops, ev.kind == EventKind::DFence) {
                         (true, true) => "dfence_stall",
                         (true, false) => "ofence_stall",
                         (false, _) => "fence_stall",

@@ -26,6 +26,9 @@
 //! count. The map is swept of retired lines as it grows, so it holds
 //! about what the buffers hold — a few hundred lines, whatever the
 //! trace's footprint — and a replay allocates next to nothing for it.
+//! [`PersistBuffer::retire`] has one shortcut, measured to pay for
+//! itself: a queue holding no dependency pointer retires its oldest
+//! lines without checking each entry for one.
 //! The buffer holds no bytes (`memsim` owns data): what it decides is
 //! *which* entries have landed, read by the
 //! Figure 10 replay as occupancy and by [`PersistBuffer::crash`] as a
@@ -103,9 +106,6 @@ pub struct PersistBuffer {
     /// One queue per thread, a flat vector rather than a map: traces
     /// have a handful of threads but millions of events.
     queues: Vec<Queue>,
-    /// The handle [`PersistBuffer::thread`] returned last: consecutive
-    /// events usually come from one thread.
-    last: usize,
     /// Each line's last buffered writer: queue index + 1 and the
     /// sequence number of its newest version there.
     owners: FxHashMap<Line, (u32, u64)>,
@@ -122,7 +122,6 @@ impl PersistBuffer {
             capacity: cfg.pb_entries as u64,
             coalesce: cfg.coalesce,
             queues: Vec::new(),
-            last: 0,
             owners: FxHashMap::default(),
             sweep_at: 0,
         }
@@ -131,10 +130,7 @@ impl PersistBuffer {
     /// The handle of `tid`'s buffer, created empty on first sight.
     /// Handles count up from 0 in order of first sight.
     pub fn thread(&mut self, tid: Tid) -> usize {
-        if self.queues.get(self.last).is_some_and(|q| q.tid == tid.0) {
-            return self.last;
-        }
-        self.last = self.position(tid).unwrap_or_else(|| {
+        self.position(tid).unwrap_or_else(|| {
             let (tid, epoch) = (tid.0, 1);
             self.queues.push(Queue {
                 tid,
@@ -142,8 +138,7 @@ impl PersistBuffer {
                 ..Queue::default()
             });
             self.queues.len() - 1
-        });
-        self.last
+        })
     }
 
     fn position(&self, tid: Tid) -> Option<usize> {
@@ -247,7 +242,13 @@ impl PersistBuffer {
     pub fn retire(&mut self, i: usize, k: u64) -> u64 {
         let q = &mut self.queues[i];
         if q.deps == 0 {
-            // Nothing to wait on: the oldest lines simply go.
+            // Nothing to wait on: the oldest lines simply go, as
+            // `retire_queue` would retire them. Measured to pay: this
+            // path takes 98.5-99.2 % of the calls on the benchmark's
+            // workloads; without it Figure 10's replay took 1.4x as
+            // long, and `wall_s` rose 10-19 % on trace-consumers and
+            // suite-default, worse in 7 of 10 pairs (DESIGN.md
+            // § Performance).
             let len = q.pushed - q.retired;
             let excess = len.saturating_sub(k).saturating_sub(self.capacity);
             let mut n = k.saturating_add(excess);
@@ -261,6 +262,8 @@ impl PersistBuffer {
             }
             return excess;
         }
+        // Epochs start at 1, so retiring "through epoch 0" asks for the
+        // lines alone.
         self.retire_queue(i, k, 0);
         let q = &self.queues[i];
         let excess = (q.pushed - q.retired).saturating_sub(self.capacity);

@@ -42,7 +42,8 @@
 //! * `--serve` — the open-loop serving engine ([`crate::serve`]): each
 //!   Table 1 app is calibrated across sharded machines, then swept
 //!   across offered-load points under paced or bursty arrivals
-//!   (`--serve-arrival`, default bursty; `--serve-shards`, default 4),
+//!   (`--serve-arrival`, default bursty; `--serve-shards`, default 4,
+//!   at most [`serve::SERVE_KEYS`] since requests route by key),
 //!   giving a throughput vs p50/p90/p99/p999 simulated-latency curve
 //!   per persistence mechanism. `--profile` (implies `--serve`)
 //!   attributes each request's simulated time to queue / replay /
@@ -250,6 +251,9 @@ const COUNT: Value = Some(("N", "a worker count"));
 const THREADS: Value = Some(("N", "a worker count (1..=64)"));
 const RULES: Value = Some(("ID,..", "a comma-separated rule-id list"));
 
+// `--serve-shards`' placeholder and description state this bound.
+const _: () = assert!(serve::SERVE_KEYS == 1024);
+
 const FLAGS: [Flag; 29] = [
     Flag("--scale", Some(("X", "a number")), None, |o, v| {
         value(&mut o.cfg.scale, v)
@@ -294,7 +298,7 @@ const FLAGS: [Flag; 29] = [
     ),
     Flag(
         "--serve-shards",
-        Some(("N", "a positive count")),
+        Some(("1..=1024", "a shard count (1..=1024, the serve key space)")),
         None,
         |o, v| given(&mut o.shards, v),
     ),
@@ -376,6 +380,14 @@ impl Opts {
             if o.apps[..i].contains(name) {
                 return Err(format!("--apps names {name} more than once"));
             }
+        }
+        // Requests route to `key % shards`, so a shard past the key
+        // space never receives one; each shard is a calibration run.
+        if let Some(n) = o.shards.filter(|n| n.get() > serve::SERVE_KEYS) {
+            let keys = serve::SERVE_KEYS;
+            return Err(format!(
+                "--serve-shards {n} out of range; serve routes {keys} keys, so 1..={keys} shards"
+            ));
         }
         // A scale that truncates any app to zero ops would silently
         // report rates for work that never ran.

@@ -110,7 +110,10 @@ fn latency_grows_past_the_knee() {
 
 /// The serving comparison itself: a mechanism with cheaper ordering
 /// (HOPS) sustains a higher capacity than the clwb baseline on every
-/// app.
+/// app but redis. The interleaved redis port writes its log-free dict
+/// in place, so requests carry almost no fence-stall time for HOPS to
+/// recover (EXPERIMENTS.md deviation 6): there the two tie within 5 %,
+/// HOPS a little behind (0.991 of clwb here), as in Figure 10.
 #[test]
 fn hops_outserves_the_baseline() {
     let cfg = ServeConfig {
@@ -121,29 +124,24 @@ fn hops_outserves_the_baseline() {
         parallelism: 4,
         worker_threads: 4,
     };
+    let mut not_faster = Vec::new();
     for r in run_serve_profiled(&cfg).0 {
         let base = &r.curves[0]; // x86-64 (NVM)
         let hops = &r.curves[1]; // HOPS (NVM)
-        if r.name == "redis" {
-            // The interleaved redis port writes its log-free dict in
-            // place, so requests carry almost no fence-stall time for
-            // HOPS to recover — the two mechanisms tie within
-            // sampling noise (EXPERIMENTS.md deviation 6).
+        if hops.capacity_rps <= base.capacity_rps {
             assert!(
                 hops.capacity_rps > base.capacity_rps * 0.95,
-                "{}: HOPS {} should at least tie clwb {}",
+                "{}: HOPS {} should tie clwb {}",
                 r.name,
                 hops.capacity_rps,
                 base.capacity_rps
             );
-            continue;
+            not_faster.push(r.name);
         }
-        assert!(
-            hops.capacity_rps > base.capacity_rps,
-            "{}: HOPS {} should beat clwb {}",
-            r.name,
-            hops.capacity_rps,
-            base.capacity_rps
-        );
     }
+    assert_eq!(
+        not_faster,
+        ["redis"],
+        "redis alone is not served faster under HOPS(NVM)"
+    );
 }

@@ -64,6 +64,7 @@ fn usage_errors_exit_2_before_anything_runs() {
         "--scale 1e30",
         "--threads 0",
         "--serve-shards 0",
+        "--serve --serve-shards 18446744073709551615",
         "--serve-arrival sometimes",
         "--trace t.json --timing",
     ] {
@@ -381,7 +382,7 @@ fn the_usage_text_is_the_command_line_surface() {
         "--serve",
         "--serve-json PATH",
         "--serve-arrival paced|bursty",
-        "--serve-shards N",
+        "--serve-shards 1..=1024",
         "--trace PATH",
         "--profile",
         "--profile-json PATH",

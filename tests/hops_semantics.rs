@@ -9,10 +9,15 @@ use pmtrace::Tid;
 
 #[test]
 fn fig10_ordering_on_real_app_traces() {
-    // On every simulated application's trace, the five models keep the
-    // paper's order and the paper's two headline relations hold:
-    // HOPS(NVM) beats x86-64(PWQ), and the PWQ helps HOPS far less
-    // than it helps x86-64.
+    // On every simulated application's trace, IDEAL is the floor and
+    // HOPS(NVM) beats x86-64(NVM), except on redis: its interleaved
+    // log-free dict leaves almost no persistence cost on the trace, so
+    // the persist buffer's overhead outweighs what it saves
+    // (EXPERIMENTS.md deviation 6; 1.012 here, 1.0152 in the golden).
+    // Elsewhere the paper's two headline relations hold: HOPS(NVM)
+    // beats x86-64(PWQ), and the PWQ helps HOPS far less than it helps
+    // x86-64.
+    let mut not_faster = Vec::new();
     for name in whisper::suite::SIM_APPS {
         let cfg = whisper::suite::SuiteConfig {
             scale: 0.015,
@@ -22,18 +27,15 @@ fn fig10_ordering_on_real_app_traces() {
         };
         let r = whisper::suite::run_app(name, &cfg);
         let bars = &r.analysis.fig10;
-        if name == "redis" {
-            // The interleaved log-free dict leaves almost no
-            // persistence cost on the trace, so the four real
-            // mechanisms tie within noise (EXPERIMENTS.md deviation
-            // 6); only the no-persistence IDEAL bound must still win.
-            let ideal = bars[4].1;
-            for (model, runtime) in &bars[..4] {
-                assert!(
-                    ideal <= *runtime,
-                    "{name}: IDEAL must be the fastest, but {model} ran at {runtime}"
-                );
-            }
+        let ideal = bars[4].1;
+        for (model, runtime) in &bars[..4] {
+            assert!(
+                ideal <= *runtime,
+                "{name}: IDEAL must be the fastest, but {model} ran at {runtime}"
+            );
+        }
+        if bars[2].1 >= 1.0 {
+            not_faster.push(name);
             continue;
         }
         let x86_gain = bars[0].1 - bars[1].1;
@@ -47,6 +49,11 @@ fn fig10_ordering_on_real_app_traces() {
             "{name}: HOPS(NVM) must beat x86(PWQ)"
         );
     }
+    assert_eq!(
+        not_faster,
+        ["redis"],
+        "redis alone is not faster under HOPS(NVM)"
+    );
 }
 
 #[test]
@@ -167,8 +174,73 @@ fn sparse_thread_ids_share_the_owner_index() {
     assert_eq!((pb.len(a), pb.len(b), pb.retired()), (0, 0, 2));
 }
 
+/// Retiring a dependent entry first retires its source through the
+/// epoch the dependency names, and no further.
+#[test]
+fn retiring_a_dependent_entry_retires_its_source_epoch() {
+    let mut pb = PersistBuffer::new(&HopsConfig::default());
+    let (t0, t1) = (pb.thread(Tid(0)), pb.thread(Tid(1)));
+    pb.store(t0, 0x40, 8);
+    pb.store(t0, 0x80, 8);
+    pb.store(t1, 0x40, 8); // depends on t0's epoch 1
+    pb.ofence(t0);
+    pb.store(t0, 0xc0, 8); // t0's epoch 2
+    assert_eq!(pb.retire(t1, 1), 0, "nothing past capacity");
+    assert_eq!((pb.len(t0), pb.len(t1), pb.retired()), (1, 0, 3));
+    let left: Vec<_> = pb.entries().map(|(t, e)| (t, e.first, e.epoch)).collect();
+    assert_eq!(left, [(Tid(0), Line::containing(0xc0), 2)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `retire(k)` against a closed-form model of one thread's FIFO:
+    /// it retires the `min(k, len)` oldest lines, then whatever is left
+    /// beyond capacity, and returns that overflow. Stores write 1–3
+    /// lines; `ofence` only restamps the following stores.
+    #[test]
+    fn retire_matches_a_fifo_model(
+        cap in 1usize..41,
+        script in collection::vec((0u8..3, 0u64..16, 1u64..4, 0usize..4), 1..64),
+    ) {
+        let mut pb = PersistBuffer::new(&HopsConfig {
+            pb_entries: cap,
+            ..HopsConfig::default()
+        });
+        let t = pb.thread(Tid(0));
+        // Buffered (line, epoch) pairs, oldest first.
+        let mut model: std::collections::VecDeque<(u64, u64)> = Default::default();
+        let (mut epoch, mut retired) = (1, 0);
+        for (op, line, lines, ki) in script {
+            match op {
+                0 => {
+                    pb.store(t, line * 64, lines as usize * 64);
+                    model.extend((line..line + lines).map(|l| (l, epoch)));
+                }
+                1 => {
+                    pb.ofence(t);
+                    epoch += 1;
+                }
+                _ => {
+                    let k = [0, 1, 5, u64::MAX][ki];
+                    let len = model.len() as u64;
+                    let overflow = (len - k.min(len)).saturating_sub(cap as u64);
+                    prop_assert_eq!(pb.retire(t, k), overflow);
+                    let gone = k.min(len) + overflow;
+                    model.drain(..gone as usize);
+                    retired += gone;
+                    prop_assert_eq!((pb.len(t), pb.retired()), (model.len() as u64, retired));
+                    let held: Vec<(u64, u64)> = pb
+                        .entries()
+                        .flat_map(|(_, e)| {
+                            (e.first.0..e.first.0 + e.lines).map(move |l| (l, e.epoch))
+                        })
+                        .collect();
+                    prop_assert_eq!(&held, &model.iter().copied().collect::<Vec<_>>());
+                }
+            }
+        }
+    }
 
     /// Per-thread epoch-prefix durability holds for arbitrary
     /// multi-threaded store/ofence interleavings and crash seeds.

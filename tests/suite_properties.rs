@@ -165,31 +165,33 @@ fn suite_wide_paper_claims() {
         }
     }
 
-    // Figure 10, per application: x86(PWQ) beats x86(NVM); HOPS(NVM)
-    // beats x86(PWQ) — "more importantly, outperforms the x86-64
-    // implementation with PWQ"; IDEAL is the floor.
+    // Figure 10, per application: IDEAL is the floor, and HOPS(NVM)
+    // beats x86(NVM) on every row but redis, whose interleaved
+    // log-free dict leaves almost no persistence cost on the trace
+    // (EXPERIMENTS.md deviation 6; 1.016 here, 1.0152 in the golden).
+    // On the others x86(PWQ) beats x86(NVM) and HOPS(NVM) beats
+    // x86(PWQ) — "more importantly, outperforms the x86-64
+    // implementation with PWQ".
+    let mut not_faster = Vec::new();
     for r in &sim {
         let get = |idx: usize| r.analysis.fig10[idx].1;
         let (x86, pwq, hops, hops_pwq, ideal) = (get(0), get(1), get(2), get(3), get(4));
         assert!((x86 - 1.0).abs() < 1e-9, "{}", r.run.name);
-        if r.run.name == "redis" {
-            // The interleaved log-free dict leaves almost no
-            // persistence cost on the trace, so the four real
-            // mechanisms tie within noise (EXPERIMENTS.md deviation
-            // 6); only the no-persistence IDEAL floor must hold.
-            let floor = pwq.min(hops).min(hops_pwq);
-            assert!(ideal <= floor + 1e-9, "{}: IDEAL is the floor", r.run.name);
+        let floor = pwq.min(hops).min(hops_pwq);
+        assert!(ideal <= floor + 1e-9, "{}: IDEAL is the floor", r.run.name);
+        if hops >= x86 {
+            not_faster.push(r.run.name.as_str());
             continue;
         }
         assert!(pwq < x86, "{}: PWQ should help x86", r.run.name);
         assert!(hops < pwq, "{}: HOPS(NVM) should beat x86(PWQ)", r.run.name);
         assert!(hops_pwq <= hops, "{}", r.run.name);
-        assert!(
-            ideal <= hops_pwq + 1e-9,
-            "{}: IDEAL is the floor",
-            r.run.name
-        );
     }
+    assert_eq!(
+        not_faster,
+        ["redis"],
+        "redis alone is not faster under HOPS(NVM)"
+    );
 
     // Consequence 10 shape: PMFS apps are NT-dominated; Mnemosyne apps
     // substantially NT; NVML/undo apps are cacheable.
