@@ -4,13 +4,15 @@
 #
 # Builds REV from `git archive` in a scratch directory, builds this
 # tree, runs on both the CI mega-invocation (every gate, `--trace`),
-# the `--threads 1` run, a scale-0.3 serve run (where HOPS
-# cross-thread dependencies retire most often), every single
-# EXPERIMENT at scale 0.01, and a `--dump-traces` / `--from-trace`
-# round trip, and compares every artefact: report.txt, report.det.json,
-# violations.json, crash.json, crossval.json, optimize.json,
-# serve.json, profile.json, trace.json, graphs/, the single-worker
-# report.t1.txt / report.t1.det.json / serve.t1.json / crash.t1.json,
+# the `--threads 1` run, a `--threads 64` epoch-graph run (the only
+# graphs whose vector clocks spill past their eight inline slots), a
+# scale-0.3 serve run (where HOPS cross-thread dependencies retire
+# most often), every single EXPERIMENT at scale 0.01, and a
+# `--dump-traces` / `--from-trace` round trip, and compares every
+# artefact: report.txt, report.det.json, violations.json, crash.json,
+# crossval.json, optimize.json, serve.json, profile.json, trace.json,
+# graphs/, the single-worker report.t1.txt / report.t1.det.json /
+# serve.t1.json / crash.t1.json, report.t64.txt / graphs.t64/,
 # report.s03.txt / serve.s03.json, experiment.<name>.txt, traces/, and
 # report.archive.txt / report.archive.det.json.
 # Only report.json is left out: its `metrics` block holds host
@@ -43,7 +45,7 @@ cargo build --release --workspace --quiet \
 echo "identity: building the working tree" >&2
 cargo build --release --workspace --quiet --manifest-path "$root/Cargo.toml"
 
-# run BIN OUT_DIR: the three invocations, outputs under OUT_DIR.
+# run BIN OUT_DIR: every invocation above, outputs under OUT_DIR.
 run() {
     mkdir -p "$2"
     (
@@ -62,6 +64,8 @@ run() {
             --serve --serve-json serve.t1.json \
             --crash --crash-json crash.t1.json \
             --quiet --scale 0.05 --seed 42 --parallel 1 --threads 1 > report.t1.txt
+        "$1" table1 --apps redis,memcached,vacation --threads 64 \
+            --check-graph graphs.t64 --quiet --scale 0.05 > report.t64.txt
         "$1" fig10 --serve --serve-json serve.s03.json \
             --quiet --scale 0.3 --seed 7 --parallel 1 --threads 4 > report.s03.txt
         for experiment in table1 fig3 fig4 fig5 fig6 fig10 amplification \

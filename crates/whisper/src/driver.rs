@@ -13,10 +13,10 @@
 //! Applications run in parallel across one worker per core by default;
 //! `--parallel N` overrides the worker count (`--parallel 1` forces the
 //! serial runner) and never changes a result. `--threads N` (default 4,
-//! range 1..=64) sets how many logical clients the seeded scheduler
-//! interleaves *inside* redis, memcached, and vacation (their serve and
-//! crash workloads included) — unlike `--parallel` it changes the
-//! traces (`--threads 1` removes their cross-thread epoch
+//! range 1..=[`MAX_WORKER_THREADS`]) sets how many logical clients the
+//! seeded scheduler interleaves *inside* redis, memcached, and vacation
+//! (their serve and crash workloads included) — unlike `--parallel` it
+//! changes the traces (`--threads 1` removes their cross-thread epoch
 //! dependencies), so it is echoed back as `config.worker_threads` in
 //! the JSON report.
 //!
@@ -95,7 +95,7 @@ use crate::hbgraph;
 use crate::optimize;
 use crate::section::Section;
 use crate::serve::{self, Arrival, ServeConfig};
-use crate::suite::{archived, run_apps, AppResult, SuiteConfig, APP_NAMES};
+use crate::suite::{archived, run_apps, AppResult, SuiteConfig, APP_NAMES, MAX_WORKER_THREADS};
 use crate::{json_report, profile, report};
 use pmcheck::RuleSet;
 use std::io::Write;
@@ -248,10 +248,12 @@ fn rules(o: &mut Opts, v: &str) -> Result<(), String> {
 const PATH: Value = Some(("PATH", "an output path"));
 const DIR: Value = Some(("DIR", "a directory"));
 const COUNT: Value = Some(("N", "a worker count"));
-const THREADS: Value = Some(("N", "a worker count (1..=64)"));
+const THREADS: Value = Some(("1..=64", "a worker count (1..=64)"));
 const RULES: Value = Some(("ID,..", "a comma-separated rule-id list"));
 
-// `--serve-shards`' placeholder and description state this bound.
+// `--threads`' and `--serve-shards`' placeholders and descriptions
+// state these bounds.
+const _: () = assert!(MAX_WORKER_THREADS == 64);
 const _: () = assert!(serve::SERVE_KEYS == 1024);
 
 const FLAGS: [Flag; 29] = [

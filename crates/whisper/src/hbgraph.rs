@@ -4,7 +4,9 @@
 //! recorded trace: nodes are store-containing epochs, red cross edges
 //! are release→acquire dependencies between epochs of different
 //! threads — the §5.2 dependency structure the paper reads off its
-//! Fig. 5 graphs. The summary statistics land in the JSON report's
+//! Fig. 5 graphs. Each graph carries its own statistics (computed once
+//! when it is built), so an [`AppGraph`] is just the app's name and its
+//! graph. The summary statistics land in the JSON report's
 //! `hb.graph` section; the full graphs are written next to it as
 //! `<dir>/<app>.json` + `<dir>/<app>.dot` for inspection and
 //! `dot -Tsvg` rendering.
@@ -13,37 +15,27 @@ use crate::section::{plain, Col, Section};
 use crate::suite::AppResult;
 use pmcheck::hb::EpochGraph;
 use pmobs::Json;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// One app's epoch dependency graph plus its precomputed §5.2 stats
-/// (`max_antichain` runs up to one augmenting search per thread, so it
-/// is computed once).
+/// One app's epoch dependency graph.
 pub struct AppGraph {
     /// Table 1 application name.
     pub name: String,
-    /// The dependency graph over the app's trace.
+    /// The dependency graph over the app's trace, with its §5.2
+    /// statistics.
     pub graph: EpochGraph,
-    /// Epochs that are the target of at least one cross edge.
-    pub epochs_with_cross_dep: usize,
-    /// Largest set of pairwise-concurrent epochs.
-    pub max_antichain: usize,
 }
 
-/// Build the graph (and its stats) for every suite result.
+/// Build the graph for every suite result.
 pub fn build_graphs(results: &[AppResult]) -> Vec<AppGraph> {
     results
         .iter()
         .map(|r| {
             let _span = pmobs::span!("hbgraph.build", &r.run.name);
-            let graph = EpochGraph::build(&r.run.events);
-            let epochs_with_cross_dep = graph.epochs_with_cross_dep();
-            let max_antichain = graph.max_antichain();
             AppGraph {
                 name: r.run.name.clone(),
-                graph,
-                epochs_with_cross_dep,
-                max_antichain,
+                graph: EpochGraph::build(&r.run.events),
             }
         })
         .collect()
@@ -56,8 +48,8 @@ const COLS: [Col<AppGraph>; 7] = [
     Col("epochs", "epochs", " >7", |g| g.graph.nodes.len().into(), plain),
     Col("po_edges", "po-edges", " >9", |g| g.graph.po_edges.into(), plain),
     Col("cross_edges", "cross-edges", " >12", |g| g.graph.cross_edges.len().into(), plain),
-    Col("epochs_with_cross_dep", "w/cross-dep", " >12", |g| g.epochs_with_cross_dep.into(), plain),
-    Col("max_antichain", "max-antichain", " >14", |g| g.max_antichain.into(), plain),
+    Col("epochs_with_cross_dep", "w/cross-dep", " >12", |g| g.graph.epochs_with_cross_dep().into(), plain),
+    Col("max_antichain", "max-antichain", " >14", |g| g.graph.max_antichain().into(), plain),
 ];
 
 /// The `hb.graph` section: per-app dependency statistics (the full
@@ -103,7 +95,9 @@ pub fn write_graphs(graphs: &[AppGraph], dir: &Path) -> std::io::Result<Vec<Path
         writeln!(f, "{}", g.graph.to_json(&g.name).to_pretty())?;
         written.push(json_path);
         let dot_path = dir.join(format!("{stem}.dot"));
-        std::fs::write(&dot_path, g.graph.to_dot(&g.name))?;
+        let mut dot = BufWriter::new(std::fs::File::create(&dot_path)?);
+        g.graph.write_dot(&g.name, &mut dot)?;
+        dot.flush()?;
         written.push(dot_path);
     }
     Ok(written)
@@ -127,14 +121,9 @@ mod tests {
         t.flush(Tid(1), 0, 6);
         t.flush(Tid(1), 64, 7);
         t.fence(Tid(1), 8);
-        let graph = EpochGraph::build(t.events());
-        let epochs_with_cross_dep = graph.epochs_with_cross_dep();
-        let max_antichain = graph.max_antichain();
         vec![AppGraph {
             name: "toy".into(),
-            graph,
-            epochs_with_cross_dep,
-            max_antichain,
+            graph: EpochGraph::build(t.events()),
         }]
     }
 

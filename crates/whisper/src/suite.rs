@@ -67,6 +67,10 @@ pub struct SuiteConfig {
 /// the paper's Table 1 runs them with 4 client threads.
 pub const DEFAULT_WORKER_THREADS: u32 = 4;
 
+/// Most scheduler workers a run may ask for: [`memsim::Scheduler`]
+/// supports 1..=64 (the machine's dirty-index mask is 64 bits wide).
+pub const MAX_WORKER_THREADS: u32 = 64;
+
 impl SuiteConfig {
     /// Fast configuration for unit tests and smoke runs.
     pub fn quick() -> SuiteConfig {
@@ -115,9 +119,9 @@ impl SuiteConfig {
                 ));
             }
         }
-        if !(1..=64).contains(&self.worker_threads) {
+        if !(1..=MAX_WORKER_THREADS).contains(&self.worker_threads) {
             return Err(format!(
-                "--threads {} out of range; the scheduler supports 1..=64 workers",
+                "--threads {} out of range; the scheduler supports 1..={MAX_WORKER_THREADS} workers",
                 self.worker_threads
             ));
         }

@@ -367,7 +367,7 @@ fn the_usage_text_is_the_command_line_surface() {
         "--seed N",
         "--apps a,b,c",
         "--parallel N",
-        "--threads N",
+        "--threads 1..=64",
         "--timing",
         "--json PATH",
         "--json-det PATH",
