@@ -185,9 +185,9 @@ impl Replayer {
     pub fn step(&mut self, ev: &Event) {
         let model = self.model;
         let hops = matches!(model, PersistModel::HopsNvm | PersistModel::HopsPwq);
-        let slot = self.pb.thread(ev.tid);
+        let slot = self.pb.thread(ev.tid());
         if slot == self.threads.len() {
-            self.threads.push((ev.tid, ThreadReplay::default()));
+            self.threads.push((ev.tid(), ThreadReplay::default()));
         }
         let (cfg, rec) = (&self.cfg, &self.rec);
         let t = &mut self.threads[slot].1;
@@ -195,26 +195,26 @@ impl Replayer {
             if let Some(base) = &self.trace_base {
                 t.trace = Some(pmobs::trace::TraceSink::new(format!(
                     "{base}/t{}",
-                    ev.tid.0
+                    ev.tid().0
                 )));
             }
         }
         let start_ns = t.clock_ns;
-        let is_fence = matches!(ev.kind, EventKind::Fence | EventKind::DFence);
+        let is_fence = matches!(ev.kind(), EventKind::Fence | EventKind::DFence);
         // HOPS: the persist buffer's occupancy as a fence arrives.
         let mut pb_at_fence = 0;
         // Volatile time since this thread's previous event, minus what
         // the recording machine charged for persistence then (the
         // subtraction happens implicitly: recording charges are added
         // back below only under the model's own pricing).
-        let gap = ev.at_ns.saturating_sub(t.last_at);
-        t.last_at = ev.at_ns;
+        let gap = ev.at_ns().saturating_sub(t.last_at);
+        t.last_at = ev.at_ns();
 
         // Reconstruct the recording machine's charge for this event so
         // the gap can be re-priced (the recorder runs x86-64(NVM)).
         let recorded_charge;
         let model_charge;
-        match ev.kind {
+        match ev.kind() {
             EventKind::PmStore { addr, len, nt, .. } => {
                 let lines = lines_spanning(addr, len as usize).count() as u64;
                 recorded_charge = lines * rec.l1_hit_ns;
@@ -249,7 +249,7 @@ impl Replayer {
                     PersistModel::X86Pwq => cfg.sfence_ns + pipelined_ns(n, cfg.pwq_ack_ns),
                     _ if hops => {
                         pb_at_fence = self.pb.len(slot);
-                        if ev.kind == EventKind::DFence {
+                        if ev.kind() == EventKind::DFence {
                             // Drain whatever background flushing has
                             // not yet retired, plus the final epoch's
                             // ACK round trip.
@@ -321,7 +321,7 @@ impl Replayer {
                     s.counter("pb_outstanding", end_ns - model_charge, pb_at_fence);
                 }
                 if model_charge > 0 {
-                    let name = match (hops, ev.kind == EventKind::DFence) {
+                    let name = match (hops, ev.kind() == EventKind::DFence) {
                         (true, true) => "dfence_stall",
                         (true, false) => "ofence_stall",
                         (false, _) => "fence_stall",

@@ -163,7 +163,7 @@ mod tests {
             .trace()
             .events()
             .iter()
-            .filter(|e| matches!(e.kind, pmtrace::EventKind::Flush { .. }))
+            .filter(|e| matches!(e.kind(), pmtrace::EventKind::Flush { .. }))
             .count();
         assert_eq!(flushes, 1);
     }

@@ -192,18 +192,18 @@ proptest! {
             .trace()
             .events()
             .iter()
-            .filter(|e| matches!(e.kind, pmtrace::EventKind::PmStore { .. }))
+            .filter(|e| matches!(e.kind(), pmtrace::EventKind::PmStore { .. }))
             .count();
         let got_fences = m
             .trace()
             .events()
             .iter()
-            .filter(|e| matches!(e.kind, pmtrace::EventKind::Fence | pmtrace::EventKind::DFence))
+            .filter(|e| matches!(e.kind(), pmtrace::EventKind::Fence | pmtrace::EventKind::DFence))
             .count();
         prop_assert_eq!(got_stores, stores);
         prop_assert_eq!(got_fences, fences);
         // Timestamps are monotone.
-        let ts: Vec<u64> = m.trace().events().iter().map(|e| e.at_ns).collect();
+        let ts: Vec<u64> = m.trace().events().iter().map(pmtrace::Event::at_ns).collect();
         prop_assert!(ts.windows(2).all(|p| p[0] <= p[1]));
     }
 }

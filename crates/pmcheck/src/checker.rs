@@ -210,13 +210,13 @@ impl Checker {
     pub fn push(&mut self, ev: &Event) {
         self.events_visited += 1;
         self.cur_index = Some((self.events_visited - 1) as usize);
-        self.last_ns = self.last_ns.max(ev.at_ns);
-        let s = self.slot(ev.tid);
+        self.last_ns = self.last_ns.max(ev.at_ns());
+        let s = self.slot(ev.tid());
         let hb = self.rules.needs_hb();
         if hb {
-            self.hb.begin_event_in(s, ev.at_ns);
+            self.hb.begin_event_in(s, ev.at_ns());
         }
-        match ev.kind {
+        match ev.kind() {
             EventKind::PmStore { addr, len, nt, cat } => {
                 for (line, _, _) in lines_spanning(addr, len as usize) {
                     let id = self.hb.table.intern(line);
@@ -227,7 +227,7 @@ impl Checker {
             EventKind::Fence | EventKind::DFence => {
                 self.on_fence(s, ev);
                 if hb {
-                    self.hb.fence(ev.kind == EventKind::DFence);
+                    self.hb.fence(ev.kind() == EventKind::DFence);
                 }
             }
             EventKind::TxBegin { id } => {
@@ -265,7 +265,7 @@ impl Checker {
     }
 
     fn on_store(&mut self, s: usize, ev: &Event, line: Line, id: LineId, nt: bool, cat: Category) {
-        let (tid, at_ns) = (ev.tid, ev.at_ns);
+        let (tid, at_ns) = (ev.tid(), ev.at_ns());
         let hb = self.rules.needs_hb();
         // P-CROSS-DEP: a prior store to this line by another thread is
         // happens-before-concurrent with this one — no fence, commit,
@@ -347,7 +347,7 @@ impl Checker {
     }
 
     fn on_flush(&mut self, s: usize, ev: &Event, line: Line) {
-        let (tid, at_ns) = (ev.tid, ev.at_ns);
+        let (tid, at_ns) = (ev.tid(), ev.at_ns());
         self.threads[s].pm_work = true;
         let id = self.hb.table.intern(line);
         match self.hb.table.flush(id, s, at_ns) {
@@ -396,8 +396,8 @@ impl Checker {
             self.report(
                 Rule::DoubleFence,
                 Severity::Warn,
-                ev.tid,
-                ev.at_ns,
+                ev.tid(),
+                ev.at_ns(),
                 None,
                 || "fence with no PM store or flush since the previous fence".to_string(),
             );
@@ -427,7 +427,7 @@ impl Checker {
             && !rec.durable_at_recovery
             && !rec.recovery_store
         {
-            self.report(Rule::RecoveryRead, Severity::Error, ev.tid, ev.at_ns, Some(line), || {
+            self.report(Rule::RecoveryRead, Severity::Error, ev.tid(), ev.at_ns(), Some(line), || {
                 format!(
                     "recovery reads {line}, written before the crash point but never proven durable at a preceding fence"
                 )
@@ -436,7 +436,7 @@ impl Checker {
     }
 
     fn on_tx_end(&mut self, s: usize, ev: &Event, id: TxId) {
-        let (tid, at_ns) = (ev.tid, ev.at_ns);
+        let (tid, at_ns) = (ev.tid(), ev.at_ns());
         let table = &self.hb.table;
         let mut tx_lines: Vec<(Line, LineState)> = self.threads[s]
             .tx_lines

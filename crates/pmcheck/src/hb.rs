@@ -538,8 +538,8 @@ impl HbEngine {
     /// checker instead interleaves the per-line handlers with its line
     /// state machines).
     pub fn apply(&mut self, ev: &Event) {
-        self.begin_event(ev.tid, ev.at_ns);
-        match ev.kind {
+        self.begin_event(ev.tid(), ev.at_ns());
+        match ev.kind() {
             EventKind::PmStore { addr, len, nt, .. } => {
                 for (line, _, _) in lines_spanning(addr, len as usize) {
                     let id = self.table.intern(line);
@@ -973,7 +973,7 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
     // Untraced-setup guard: how many of the trace's threads have yet to
     // drain their pre-trace in-flight entries with a traced fence.
     for ev in events {
-        table.slot(ev.tid);
+        table.slot(ev.tid());
     }
     let mut fenced = vec![false; table.tids.len()];
     let mut unfenced = fenced.len();
@@ -995,12 +995,12 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
         if next == points.len() {
             break;
         }
-        let s = table.slot(ev.tid);
-        match ev.kind {
+        let s = table.slot(ev.tid());
+        match ev.kind() {
             EventKind::PmStore { addr, len, nt, .. } => {
                 for (line, _, _) in lines_spanning(addr, len as usize) {
                     let id = table.intern(line);
-                    table.store(id, s, ev.at_ns, nt);
+                    table.store(id, s, ev.at_ns(), nt);
                     let rec = &mut table.recs[id as usize];
                     if nt {
                         wcbs[s].push((id, rec.wcb_gen));
@@ -1020,7 +1020,7 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
                 // The machine snapshots a *dirty* line into the
                 // flusher's pending set; a coverage takeover finds the
                 // line clean in the machine, so no new snapshot.
-                if let LineState::Dirty { .. } = table.flush(id, s, ev.at_ns) {
+                if let LineState::Dirty { .. } = table.flush(id, s, ev.at_ns()) {
                     snaps[s].push(id);
                     table.recs[id as usize].live += 1;
                 }

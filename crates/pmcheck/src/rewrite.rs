@@ -102,7 +102,7 @@ pub fn rewrite_events(events: &[Event]) -> RewriteReport {
             break;
         }
         for &i in &targets {
-            match current[i].kind {
+            match current[i].kind() {
                 EventKind::Flush { .. } => out.elided_flushes += 1,
                 EventKind::Fence | EventKind::DFence => out.elided_fences += 1,
                 // The flagged rules only ever anchor flushes and

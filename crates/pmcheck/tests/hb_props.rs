@@ -93,11 +93,11 @@ proptest! {
         let idx = HbIndex::of(&events);
         for a in 0..events.len() {
             for b in (a + 1)..events.len() {
-                if events[a].tid == events[b].tid {
+                if events[a].tid() == events[b].tid() {
                     prop_assert!(
                         idx.happens_before(a, b),
                         "program order {a} → {b} (tid {}) lost",
-                        events[a].tid
+                        events[a].tid()
                     );
                 }
             }
@@ -190,7 +190,7 @@ proptest! {
         let idx = HbIndex::of(&evs);
         for a in 0..evs.len() {
             for b in 0..evs.len() {
-                if evs[a].tid != evs[b].tid {
+                if evs[a].tid() != evs[b].tid() {
                     prop_assert!(
                         !idx.happens_before(a, b),
                         "disjoint threads ordered: {a} ≺ {b}"

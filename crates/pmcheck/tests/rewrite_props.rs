@@ -60,16 +60,16 @@ proptest! {
         let r = rewrite_events(&events);
         for &i in &r.elided {
             prop_assert!(matches!(
-                events[i].kind,
+                events[i].kind(),
                 EventKind::Flush { .. } | EventKind::Fence | EventKind::DFence
-            ), "elided a {:?}", events[i].kind);
+            ), "elided a {:?}", events[i].kind());
         }
         prop_assert_eq!(
             &r.events,
             &pmtrace::transform::elide_indices(&events, &r.elided)
         );
         let count = |evs: &[Event], pred: fn(&EventKind) -> bool| {
-            evs.iter().filter(|e| pred(&e.kind)).count()
+            evs.iter().filter(|e| pred(&e.kind())).count()
         };
         let anchors = |k: &EventKind| matches!(
             k,

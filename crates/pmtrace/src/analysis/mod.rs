@@ -164,7 +164,7 @@ pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) -> [u64; 2
     let mut fences = [0u64; 2];
 
     for ev in events {
-        let t = ev.tid.0 as usize;
+        let t = ev.tid().0 as usize;
         while threads.len() <= t {
             threads.push(ThreadWalk {
                 open: Epoch::open(Tid(threads.len() as u32)),
@@ -172,20 +172,20 @@ pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) -> [u64; 2
             });
         }
         let ThreadWalk { open, active_tx } = &mut threads[t];
-        match ev.kind {
+        match ev.kind() {
             EventKind::PmStore { addr, len, nt, cat } => {
                 if open.stores == 0 {
                     // First store of the epoch fixes its start time and
                     // transaction attribution.
-                    open.start_ns = ev.at_ns;
+                    open.start_ns = ev.at_ns();
                     open.tx = *active_tx;
                 }
                 open.store(addr, len, nt, cat);
             }
             EventKind::Fence | EventKind::DFence => {
-                fences[usize::from(ev.kind == EventKind::DFence)] += 1;
+                fences[usize::from(ev.kind() == EventKind::DFence)] += 1;
                 if open.stores > 0 {
-                    open.close(ev.at_ns, ev.kind == EventKind::DFence);
+                    open.close(ev.at_ns(), ev.kind() == EventKind::DFence);
                     sink(open);
                     open.reopen();
                 }

@@ -9,7 +9,8 @@ use pmem::Addr;
 /// operation as applications run — the analogue of WHISPER's `PM_*`
 /// macros feeding ftrace. Recording can be disabled to measure
 /// tracing-free runs (the paper reports 2–10× tracing overhead; ours is
-/// a vector push).
+/// a vector push of one 24-byte [`Event`] record, packed from its
+/// [`EventKind`] by [`Event::new`]).
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     events: Vec<Event>,
@@ -62,7 +63,7 @@ impl TraceBuffer {
 
     fn push(&mut self, tid: Tid, at_ns: u64, kind: EventKind) {
         if self.enabled {
-            self.events.push(Event { tid, at_ns, kind });
+            self.events.push(Event::new(tid, at_ns, kind));
         }
     }
 
@@ -126,8 +127,8 @@ mod tests {
         t.pm_store(Tid(0), 64, 8, false, Category::UserData, 1);
         t.fence(Tid(0), 2);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.events()[0].at_ns, 1);
-        assert_eq!(t.events()[1].kind, EventKind::Fence);
+        assert_eq!(t.events()[0].at_ns(), 1);
+        assert_eq!(t.events()[1].kind(), EventKind::Fence);
     }
 
     #[test]
@@ -166,6 +167,6 @@ mod tests {
         t.tx_end(Tid(1), 7, 9);
         let ev = t.into_events();
         assert_eq!(ev.len(), 2);
-        assert_eq!(ev[1].kind, EventKind::TxEnd { id: 7 });
+        assert_eq!(ev[1].kind(), EventKind::TxEnd { id: 7 });
     }
 }

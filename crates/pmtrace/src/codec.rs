@@ -10,7 +10,10 @@
 //!
 //! Layout: an 8-byte magic+version header, a little-endian `u64` event
 //! count, then fixed 24-byte records `{tag u8, tid u24, a u32, b u64,
-//! at_ns u64}` whose field meaning depends on the tag.
+//! at_ns u64}` whose field meaning depends on the tag. The record is
+//! also [`Event`]'s in-memory layout, so encoding writes each event's
+//! four words as they are; decoding checks them and rebuilds the event
+//! through [`Event::new`], which zeroes the words its tag does not use.
 
 use crate::event::{Category, Event, EventKind, Tid};
 
@@ -66,25 +69,7 @@ pub fn encode_events(events: &[Event]) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&(events.len() as u64).to_le_bytes());
     for ev in events {
-        let (tag, a, b): (u8, u32, u64) = match ev.kind {
-            EventKind::PmStore { addr, len, nt, cat } => {
-                let tag = if nt { 1 } else { 0 };
-                // a packs len (24 bits) and category (8 bits).
-                (tag, (len << 8) | cat.index() as u32, addr)
-            }
-            EventKind::Flush { addr } => (2, 0, addr),
-            EventKind::Fence => (3, 0, 0),
-            EventKind::DFence => (4, 0, 0),
-            EventKind::TxBegin { id } => (5, 0, id),
-            EventKind::TxEnd { id } => (6, 0, id),
-            EventKind::PmLoad { addr } => (7, 0, addr),
-            EventKind::RecoveryBegin => (8, 0, 0),
-        };
-        out.push(tag);
-        out.extend_from_slice(&ev.tid.0.to_le_bytes()[..3]);
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-        out.extend_from_slice(&ev.at_ns.to_le_bytes());
+        out.extend_from_slice(&ev.to_le_bytes());
     }
     out
 }
@@ -106,8 +91,8 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
         .ok_or(CodecError::Truncated)?;
     let mut out = Vec::with_capacity(count);
     for rec in body.chunks_exact(REC) {
-        let tag = rec[0];
-        let tid = Tid(u32::from_le_bytes([rec[1], rec[2], rec[3], 0]));
+        let head = u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes"));
+        let tag = head as u8;
         let a = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
         let b = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
         let at_ns = u64::from_le_bytes(rec[16..24].try_into().expect("8 bytes"));
@@ -135,7 +120,7 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
             8 => EventKind::RecoveryBegin,
             other => return Err(CodecError::BadTag { tag: other }),
         };
-        out.push(Event { tid, at_ns, kind });
+        out.push(Event::new(Tid(head >> 8), at_ns, kind));
     }
     Ok(out)
 }
@@ -197,6 +182,32 @@ mod tests {
             decode_events(&bytes),
             Err(CodecError::BadTag { .. })
         ));
+    }
+
+    #[test]
+    fn the_largest_length_and_thread_id_round_trip() {
+        let max = (1 << 24) - 1;
+        let mut t = TraceBuffer::new();
+        t.pm_store(Tid(max), 0x1000, max, true, Category::AppMeta, 1);
+        t.fence(Tid(max), 2);
+        let events = t.into_events();
+        assert_eq!(decode_events(&encode_events(&events)), Ok(events));
+    }
+
+    #[test]
+    fn a_category_code_past_the_last_is_a_bad_tag() {
+        let bytes = archive(1, &[record(0, (8 << 8) | 7, 0x1000)]);
+        assert_eq!(decode_events(&bytes), Err(CodecError::BadTag { tag: 7 }));
+        let bytes = archive(1, &[record(9, 0, 0)]);
+        assert_eq!(decode_events(&bytes), Err(CodecError::BadTag { tag: 9 }));
+    }
+
+    #[test]
+    fn words_a_tag_does_not_use_are_ignored() {
+        let clean = archive(2, &[record(3, 0, 0), record(2, 0, 0x40)]);
+        let noisy = archive(2, &[record(3, 0xdead, 0xbeef), record(2, 0xdead, 0x40)]);
+        assert_eq!(decode_events(&noisy), decode_events(&clean));
+        assert_eq!(encode_events(&decode_events(&noisy).unwrap()), clean);
     }
 
     /// A header for `count` events, then `records`.

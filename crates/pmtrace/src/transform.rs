@@ -47,7 +47,7 @@ mod tests {
         let evs = sample();
         let out = elide_indices(&evs, &[3]);
         assert_eq!(out.len(), 4);
-        let stamps: Vec<u64> = out.iter().map(|e| e.at_ns).collect();
+        let stamps: Vec<u64> = out.iter().map(Event::at_ns).collect();
         assert_eq!(stamps, vec![10, 20, 30, 50]);
     }
 

@@ -554,7 +554,7 @@ pub struct OptimizedCrashReport {
 fn elided_ordinals(trace: &[Event], elided: &[usize]) -> [Vec<u64>; 2] {
     let (mut counts, mut ordinals) = ([0, 0], [Vec::new(), Vec::new()]);
     for (i, ev) in trace.iter().enumerate() {
-        let kind = match ev.kind {
+        let kind = match ev.kind() {
             EventKind::Flush { .. } => 0,
             EventKind::Fence | EventKind::DFence => 1,
             _ => continue,

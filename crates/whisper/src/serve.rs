@@ -251,7 +251,7 @@ pub fn request_bounds(events: &[Event], n: usize) -> Vec<usize> {
         let mark = (len * i).div_ceil(n);
         let mut b = mark.max(prev);
         // Snap forward so the segment ends right after a fence.
-        while b < len && !matches!(events[b - 1].kind, EventKind::Fence | EventKind::DFence) {
+        while b < len && !matches!(events[b - 1].kind(), EventKind::Fence | EventKind::DFence) {
             b += 1;
         }
         if i == n {
@@ -731,7 +731,10 @@ mod tests {
         for &b in &bounds[..bounds.len() - 1] {
             if b < run.events.len() && b > 0 {
                 assert!(
-                    matches!(run.events[b - 1].kind, EventKind::Fence | EventKind::DFence),
+                    matches!(
+                        run.events[b - 1].kind(),
+                        EventKind::Fence | EventKind::DFence
+                    ),
                     "segment must end just after an epoch boundary"
                 );
             }

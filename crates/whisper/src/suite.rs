@@ -292,15 +292,18 @@ pub fn analyze(run: &AppRun) -> Analysis {
 /// A result for an archived trace (`whisper-report --from-trace`),
 /// named `name`. An archive holds events alone: the row has no memory
 /// counters and no Figure 10 replay, so Figures 6 and 10 leave it out
-/// even when `name` is a gem5-subset app's.
+/// even when `name` is a gem5-subset app's. Its thread count is the
+/// recording machine's, worked out from the highest thread id the
+/// trace holds.
 pub(crate) fn archived(name: &str, events: Vec<Event>) -> AppResult {
+    let workers = events.iter().map(|e| e.tid().0 + 1).max().unwrap_or(0);
     let run = AppRun {
         name: name.to_string(),
         workload: "archived trace".into(),
-        duration_ns: events.last().map_or(0, |e| e.at_ns),
+        duration_ns: events.last().map_or(0, Event::at_ns),
         events,
         stats: memsim::MemStats::default(),
-        threads: 4,
+        threads: apps::config_for(workers).threads,
     };
     let analysis = analyze(&run);
     AppResult { run, analysis }

@@ -240,7 +240,7 @@ fn an_archived_trace_goes_through_the_same_tail() {
     let run_of_archive = whisper::apps::AppRun {
         name: file.clone(),
         workload: "archived trace".into(),
-        duration_ns: events.last().map_or(0, |e| e.at_ns),
+        duration_ns: events.last().map_or(0, pmtrace::Event::at_ns),
         events,
         stats: memsim::MemStats::default(),
         threads: 4,
@@ -266,9 +266,32 @@ fn an_archived_trace_goes_through_the_same_tail() {
     assert!(checked.starts_with(&fig3) && checked.contains("\n\nPersistency check"));
 }
 
+/// An archive read back reports the thread count it was recorded with,
+/// not the default machine's four.
+#[test]
+fn an_archived_trace_keeps_its_thread_count() {
+    let _turn = turn();
+    let dir = scratch("threads");
+    let d = dir.display();
+    let (code, _) = run(&format!(
+        "table1 --apps redis --threads 16 --scale 0.02 --dump-traces {d} \
+         --json-det {d}/live.json --quiet"
+    ));
+    assert_eq!(code, 0);
+    let (code, _) = run(&format!(
+        "--from-trace {d}/redis.wtr table1 --json-det {d}/archived.json --quiet"
+    ));
+    assert_eq!(code, 0);
+    for doc in ["live.json", "archived.json"] {
+        let text = read(&dir.join(doc));
+        assert!(text.contains("\"threads\": 16,"), "{doc}: {text}");
+    }
+}
+
 /// An archive the codec refuses is a usage error, reported as such: a
-/// store of no bytes, a store that wraps past the last address, and an
-/// event count whose byte size overflows.
+/// store of no bytes, a store that wraps past the last address, an
+/// event count whose byte size overflows, an unknown tag and a store
+/// whose category code is out of range.
 #[test]
 fn malformed_archives_exit_2_and_say_why() {
     let _turn = turn();
@@ -294,6 +317,8 @@ fn malformed_archives_exit_2_and_say_why() {
             archive(2, &[record(0, 8 << 8, u64::MAX - 3), fence]),
         ),
         ("count", archive(1 << 61, &[])),
+        ("tag", archive(1, &[record(9, 0, 0)])),
+        ("category", archive(1, &[record(0, (8 << 8) | 7, 0x1000)])),
     ] {
         let file = dir.join(format!("{name}.wtr")).display().to_string();
         std::fs::write(&file, bytes).expect("archive written");

@@ -98,7 +98,7 @@ fn trace(name: &str, workers: u32) -> Vec<Event> {
 fn crash_points(events: &[Event]) -> Vec<u64> {
     let fences = events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Fence | EventKind::DFence))
+        .filter(|e| matches!(e.kind(), EventKind::Fence | EventKind::DFence))
         .count() as u64;
     let mut points: Vec<u64> = (1..=POINTS)
         .filter(|_| fences > 0)

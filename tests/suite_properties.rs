@@ -414,7 +414,7 @@ fn analysis_pipeline_consistency() {
         .iter()
         .filter(|e| {
             matches!(
-                e.kind,
+                e.kind(),
                 pmtrace::EventKind::Fence | pmtrace::EventKind::DFence
             )
         })
