@@ -4,7 +4,9 @@
 #
 # Builds REV from `git archive` in a scratch directory, builds this
 # tree, runs on both the CI mega-invocation (every gate, `--trace`),
-# the `--threads 1` run, a `--threads 64` epoch-graph run (the only
+# the `--threads 1` run, a checker run restricted to the two
+# happens-before rules (the only one where the engine runs with no
+# other rule selected), a `--threads 64` epoch-graph run (the only
 # graphs whose vector clocks spill past their eight inline slots), a
 # scale-0.3 serve run (where HOPS cross-thread dependencies retire
 # most often), every single EXPERIMENT at scale 0.01, and a
@@ -12,9 +14,10 @@
 # artefact: report.txt, report.det.json, violations.json, crash.json,
 # crossval.json, optimize.json, serve.json, profile.json, trace.json,
 # graphs/, the single-worker report.t1.txt / report.t1.det.json /
-# serve.t1.json / crash.t1.json, report.t64.txt / graphs.t64/,
-# report.s03.txt / serve.s03.json, experiment.<name>.txt, traces/, and
-# report.archive.txt / report.archive.det.json.
+# serve.t1.json / crash.t1.json, report.hb.txt / violations.hb.json,
+# report.t64.txt / graphs.t64/, report.s03.txt / serve.s03.json,
+# experiment.<name>.txt, traces/, and report.archive.txt /
+# report.archive.det.json.
 # Only report.json is left out: its `metrics` block holds host
 # wall-clock time. Prints the paths that differ and exits 1 if any
 # does.
@@ -64,6 +67,9 @@ run() {
             --serve --serve-json serve.t1.json \
             --crash --crash-json crash.t1.json \
             --quiet --scale 0.05 --seed 42 --parallel 1 --threads 1 > report.t1.txt
+        "$1" table1 --check --check-rules P-EPOCH-RACE,P-CROSS-DEP \
+            --check-json violations.hb.json \
+            --quiet --scale 0.05 --seed 42 --parallel 1 --threads 4 > report.hb.txt
         "$1" table1 --apps redis,memcached,vacation --threads 64 \
             --check-graph graphs.t64 --quiet --scale 0.05 > report.t64.txt
         "$1" fig10 --serve --serve-json serve.s03.json \

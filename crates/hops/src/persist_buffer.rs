@@ -287,12 +287,14 @@ impl PersistBuffer {
                 break;
             }
             if let Some((src, epoch)) = front.dep {
+                // A source already past `epoch`, or already retiring
+                // (a cycle), retires nothing here and records no count.
                 let s = self.position(src).expect("dependency source has a queue");
-                let pending = self.queues[s].entries.front().map(|e| e.epoch);
-                if pending.is_some_and(|e| e <= epoch) {
-                    let before = self.queues[s].retired;
-                    self.retire_queue(s, 0, epoch);
-                    pmobs::count!("hops.dep_retires", self.queues[s].retired - before);
+                let before = self.queues[s].retired;
+                self.retire_queue(s, 0, epoch);
+                let retired = self.queues[s].retired - before;
+                if retired > 0 {
+                    pmobs::count!("hops.dep_retires", retired);
                 }
             }
             let n = self.queues[i].pop_front(if lines == 0 { u64::MAX } else { lines });

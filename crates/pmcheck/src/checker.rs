@@ -2,9 +2,11 @@
 //! automaton ([`crate::table`]), plus a vector-clock happens-before
 //! engine ([`crate::hb`]) that founds the concurrency rules
 //! (`P-CROSS-DEP`, `P-EPOCH-RACE`) on provable ordering rather than the
-//! recorded interleaving.
+//! recorded interleaving. `P-EPOCH-RACE`'s pending persists are the
+//! checker's own; the engine supplies only the clocks they are judged
+//! against.
 
-use crate::hb::HbEngine;
+use crate::hb::{HbEngine, SlotTicks};
 use crate::rules::{Rule, RuleSet, Severity};
 use crate::table::{LineId, LineState};
 use pmem::{lines_spanning, Line};
@@ -117,6 +119,9 @@ struct ThreadState {
     /// Lines stored (cacheably or NT) inside the active transaction,
     /// once per store; sorted and deduplicated at commit.
     tx_lines: Vec<LineId>,
+    /// Lines with a pending persist entry for this slot, retired by
+    /// the thread's next fence.
+    open_persists: Vec<LineId>,
     /// Whether any PM store or flush happened since the last fence.
     pm_work: bool,
     /// Whether this thread has fenced before (first fence is exempt
@@ -134,6 +139,12 @@ pub struct Checker {
     /// line-state automaton) the checker works on. Its clocks are
     /// driven only when [`RuleSet::needs_hb`].
     hb: HbEngine,
+    /// Per line id: each thread slot's pending (unfenced) persist, as
+    /// the tick of the thread's clock at the persist — `P-EPOCH-RACE`'s
+    /// state. An entry for a slot is exactly membership in that slot's
+    /// `open_persists`. Grown to the line table's size when a persist
+    /// first names an id past its end.
+    persists: Vec<SlotTicks>,
     /// Which rules' findings are reported.
     rules: RuleSet,
     threads: Vec<ThreadState>,
@@ -307,7 +318,7 @@ impl Checker {
         // foreign persist of the line is still pending and unordered,
         // the device may apply the writebacks in either order.
         if nt && hb {
-            let pconf = self.hb.persist_id(id);
+            let pconf = self.persist(s, id);
             if !pconf.is_empty() {
                 self.report(Rule::EpochRace, Severity::Error, tid, at_ns, Some(line), || {
                     format!(
@@ -374,7 +385,7 @@ impl Checker {
             // [`crate::rewrite`]'s elision sound. A re-flush of a
             // still-pending line is not redundant per the rule.
             LineState::Dirty { .. } | LineState::Flushed { .. } if self.rules.needs_hb() => {
-                let pconf = self.hb.persist_id(id);
+                let pconf = self.persist(s, id);
                 if !pconf.is_empty() {
                     self.report(Rule::EpochRace, Severity::Error, tid, at_ns, Some(line), || {
                         format!(
@@ -386,6 +397,25 @@ impl Checker {
             }
             LineState::Dirty { .. } | LineState::Flushed { .. } => {}
         }
+    }
+
+    /// A persist (covering flush or NT store) of `id` by the thread in
+    /// slot `s`, whose event the engine has begun. Returns the threads
+    /// with a *pending* (unfenced) persist of the same line that is
+    /// HB-concurrent with this one — the `P-EPOCH-RACE` conflict set —
+    /// and leaves this one pending until the thread's fence.
+    fn persist(&mut self, s: usize, id: LineId) -> Vec<Tid> {
+        if self.persists.len() <= id as usize {
+            self.persists
+                .resize_with(self.hb.table.recs.len(), SlotTicks::default);
+        }
+        let clock = self.hb.clock(s);
+        let pending = &mut self.persists[id as usize];
+        let conflicts = pending.concurrent(s, clock, &self.hb.table.tids);
+        if pending.set(s, clock.get(s)).is_none() {
+            self.threads[s].open_persists.push(id);
+        }
+        conflicts
     }
 
     fn on_fence(&mut self, s: usize, ev: &Event) {
@@ -406,9 +436,13 @@ impl Checker {
         t.pm_work = false;
         t.fenced_before = true;
         t.epoch += 1;
-        // Retire this thread's pending flushes. (The happens-before
-        // engine retires its in-flight stores and pending persists in
-        // [`HbEngine::fence`], driven from [`push`](Checker::push).)
+        // Retire this thread's pending persists and pending flushes.
+        // (The happens-before engine releases the lines the epoch
+        // stored in [`HbEngine::fence`], driven from
+        // [`push`](Checker::push).)
+        for id in t.open_persists.drain(..) {
+            self.persists[id as usize].remove(s);
+        }
         self.hb.table.fence(s);
     }
 
@@ -787,6 +821,40 @@ mod tests {
         t.flush(T0, 0, 20);
         t.fence(T0, 30);
         t.pm_store(T1, 0, 8, false, Category::UserData, 40);
+        t.flush(T1, 0, 50);
+        t.fence(T1, 60);
+        let r = check_events(t.events());
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn persist_conflicts_cleared_by_fence() {
+        // Both threads persist the line before either fences: the
+        // second persist races the first. Each thread then fences,
+        // retiring its own pending persist and releasing the line; a
+        // later persist conflicts with nobody.
+        let mut t = TraceBuffer::new();
+        t.pm_store(T0, 0, 8, true, Category::UserData, 1);
+        t.pm_store(T1, 0, 8, true, Category::UserData, 2);
+        t.fence(T1, 3);
+        t.fence(T0, 4);
+        t.pm_store(T0, 0, 8, true, Category::UserData, 5);
+        t.fence(T0, 6);
+        let r = check_events_with(t.events(), RuleSet::from_ids("P-EPOCH-RACE").unwrap());
+        assert_eq!(ids(&r), vec!["P-EPOCH-RACE"], "both persists pending");
+        assert_eq!(r.findings[0].tid, T1);
+        assert_eq!(r.findings[0].at_index, Some(1));
+    }
+
+    #[test]
+    fn a_fenced_persist_never_races_a_later_foreign_flush() {
+        // T1 never acquires from T0, so only the retirement of T0's
+        // persist at its fence keeps T1's flush from racing it.
+        let mut t = TraceBuffer::new();
+        t.pm_store(T0, 0, 8, false, Category::UserData, 10);
+        t.flush(T0, 0, 20);
+        t.fence(T0, 30);
+        t.pm_store(T0, 0, 8, false, Category::UserData, 40);
         t.flush(T1, 0, 50);
         t.fence(T1, 60);
         let r = check_events(t.events());

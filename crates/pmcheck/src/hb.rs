@@ -4,7 +4,7 @@
 //! ordering the *program* guarantees — not just the one interleaving
 //! the recorder happened to observe. The model is FastTrack-shaped:
 //!
-//! - every thread carries a [`VClock`]; each trace event ticks the
+//! - every thread carries a vector clock; each trace event ticks the
 //!   issuing thread's own component;
 //! - a **fence** *releases* every line the closing epoch stored: the
 //!   thread's clock is joined into the line's release clock (an epoch
@@ -32,10 +32,12 @@
 //! (no new false positives), while transitivity lets the rules catch
 //! races the recorded interleaving hid (fewer false negatives).
 //!
-//! All per-line state — last-write and pending-persist ticks, the
-//! release clock and its releasing node — lives in the line's record
-//! in the engine's `LineTable`; the per-thread sets are id lists
-//! whose membership is read off those ticks.
+//! The engine answers clock questions only. Its per-line state — the
+//! last-write ticks, the release clock and its releasing node — sits
+//! in an array under the ids of the engine's `LineTable`; the
+//! per-thread sets are id lists whose membership is read off those
+//! ticks. The pending persists `P-EPOCH-RACE` compares belong to the
+//! checker, which reads this engine's clocks to judge them.
 
 use crate::table::{LineId, LineState, LineTable};
 use pmem::{lines_spanning, Line};
@@ -52,7 +54,7 @@ const INLINE_SLOTS: usize = 8;
 /// appearance; missing components read as 0. The first eight live
 /// inline, so clocks of the usual handful of threads never allocate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VClock {
+pub(crate) struct VClock {
     head: [u64; INLINE_SLOTS],
     /// Components of slots `8..`.
     tail: Vec<u64>,
@@ -60,7 +62,7 @@ pub struct VClock {
 
 impl VClock {
     /// The component for `slot` (0 if never set).
-    pub fn get(&self, slot: usize) -> u64 {
+    pub(crate) fn get(&self, slot: usize) -> u64 {
         match slot.checked_sub(INLINE_SLOTS) {
             None => self.head[slot],
             Some(i) => self.tail.get(i).copied().unwrap_or(0),
@@ -80,7 +82,7 @@ impl VClock {
     }
 
     /// Pointwise maximum with `other`.
-    pub fn join(&mut self, other: &VClock) {
+    pub(crate) fn join(&mut self, other: &VClock) {
         for (mine, theirs) in self.head.iter_mut().zip(&other.head) {
             *mine = (*mine).max(*theirs);
         }
@@ -96,7 +98,7 @@ impl VClock {
 /// A short list of `(thread slot, tick)` pairs in insertion order,
 /// the first stored inline — nearly every line has one writer.
 #[derive(Debug, Default)]
-struct SlotTicks {
+pub(crate) struct SlotTicks {
     /// `(slot + 1, tick)`; slot field 0 when the list is empty.
     first: (u32, u64),
     rest: Vec<(u32, u64)>,
@@ -111,9 +113,18 @@ impl SlotTicks {
             .map(|(tag, tick)| (tag as usize - 1, tick))
     }
 
+    /// The threads with an entry here that the thread in slot `s` (at
+    /// `clock`) has not observed — a conflict set, in entry order.
+    pub(crate) fn concurrent(&self, s: usize, clock: &VClock, tids: &[Tid]) -> Vec<Tid> {
+        self.iter()
+            .filter(|&(u, k)| u != s && clock.get(u) < k)
+            .map(|(u, _)| tids[u])
+            .collect()
+    }
+
     /// Set `slot`'s tick, appending the slot if it is new. Returns the
     /// tick it replaced.
-    fn set(&mut self, slot: usize, tick: u64) -> Option<u64> {
+    pub(crate) fn set(&mut self, slot: usize, tick: u64) -> Option<u64> {
         let tag = slot as u32 + 1;
         if self.first.0 == 0 {
             self.first = (tag, tick);
@@ -132,7 +143,7 @@ impl SlotTicks {
     }
 
     /// Drop `slot`'s entry, keeping the others in order.
-    fn remove(&mut self, slot: usize) {
+    pub(crate) fn remove(&mut self, slot: usize) {
         let tag = slot as u32 + 1;
         if self.first.0 == tag {
             self.first = if self.rest.is_empty() {
@@ -153,14 +164,15 @@ struct HbLine {
     /// The tick doubles as the membership stamp of the slot's
     /// open-epoch and open-transaction line lists.
     writes: SlotTicks,
-    /// Pending (unfenced) persist per thread slot. An entry for a slot
-    /// is exactly membership in that slot's open-persist list.
-    persists: SlotTicks,
     /// Join of every releasing epoch's / commit's clock.
     release: VClock,
     /// Last *fence*-releasing closed epoch node (graph provenance).
     release_node: Option<u32>,
 }
+
+// The graph pass holds one per line a trace touches: 398 377 of them
+// for the nfs trace of the benchmark's `trace-consumers` workload.
+const _: () = assert!(size_of::<HbLine>() == 136);
 
 /// Recording-mode state backing [`HbIndex`].
 #[derive(Debug, Default)]
@@ -286,8 +298,6 @@ struct HbThread {
     /// line is listed iff its write tick for this slot is newer than
     /// `epoch_tick`.
     open_lines: Vec<LineId>,
-    /// Lines with a pending persist entry for this slot.
-    open_persists: Vec<LineId>,
     /// Lines stored in the open transaction: released by its commit. A
     /// line is listed iff its write tick is newer than `tx_tick`.
     tx_lines: Vec<LineId>,
@@ -301,13 +311,14 @@ struct HbThread {
 /// Streaming vector-clock happens-before engine.
 ///
 /// Drive it either with [`apply`](HbEngine::apply) (one call per trace
-/// event) or, as [`crate::checker::Checker`] does, with
-/// [`begin_event`](HbEngine::begin_event) followed by the per-line
-/// handlers — the clock semantics are identical; only conflict
-/// *reporting* differs (persist conflicts are line-state-gated by the
-/// checker and ignored by `apply`).
+/// event, as [`HbIndex`] and [`EpochGraph`] do) or, as
+/// [`crate::checker::Checker`] does, with
+/// [`begin_event_in`](HbEngine::begin_event_in) followed by the
+/// per-line handlers — the clock semantics are identical. The checker
+/// keeps the `P-EPOCH-RACE` persist state itself and judges it against
+/// [`clock`](HbEngine::clock).
 #[derive(Debug, Default)]
-pub struct HbEngine {
+pub(crate) struct HbEngine {
     /// Lines, thread slots, and the line-state automaton. The checker
     /// shares it, so a line is interned once per event.
     pub(crate) table: LineTable,
@@ -318,36 +329,16 @@ pub struct HbEngine {
     cur: Option<(usize, u32)>,
     cur_ns: u64,
     events_seen: u32,
+    /// Per-event stamps and explicit HB edges (for [`HbIndex`]).
     record: Option<Recording>,
+    /// Epoch nodes and cross-thread edges (for [`EpochGraph`]).
     graph: Option<GraphBuilder>,
 }
 
 impl HbEngine {
-    /// A fresh engine with neither recording nor graph building.
-    pub fn new() -> HbEngine {
-        HbEngine::default()
-    }
-
-    /// Keep per-event stamps and explicit HB edges (for [`HbIndex`]).
-    fn enable_recording(&mut self) {
-        self.record = Some(Recording::default());
-    }
-
-    /// Build epoch nodes and cross-thread edges (for [`EpochGraph`]).
-    fn enable_graph(&mut self) {
-        self.graph = Some(GraphBuilder::default());
-    }
-
-    /// Start a new trace event on `tid` at `at_ns`: seals the previous
-    /// event's stamp and ticks the thread's clock. Every subsequent
-    /// per-line handler call belongs to this event.
-    pub fn begin_event(&mut self, tid: Tid, at_ns: u64) {
-        let s = self.table.slot(tid);
-        self.begin_event_in(s, at_ns);
-    }
-
-    /// [`begin_event`](HbEngine::begin_event) for a caller that
-    /// already resolved the thread's slot.
+    /// Start a new trace event on the thread in slot `s` at `at_ns`:
+    /// seals the previous event's stamp and ticks the thread's clock.
+    /// Every subsequent per-line handler call belongs to this event.
     pub(crate) fn begin_event_in(&mut self, s: usize, at_ns: u64) {
         if self.threads.len() <= s {
             self.threads.resize_with(s + 1, HbThread::default);
@@ -384,14 +375,9 @@ impl HbEngine {
         }
     }
 
-    /// The threads with an entry in `ticks` that the thread in slot `s`
-    /// (at `clock`) has not observed — a conflict set, in entry order.
-    fn concurrent(ticks: &SlotTicks, s: usize, clock: &VClock, tids: &[Tid]) -> Vec<Tid> {
-        ticks
-            .iter()
-            .filter(|&(u, k)| u != s && clock.get(u) < k)
-            .map(|(u, _)| tids[u])
-            .collect()
+    /// The clock of the thread in slot `s`, which has begun an event.
+    pub(crate) fn clock(&self, s: usize) -> &VClock {
+        &self.threads[s].clock
     }
 
     /// Join `line`'s release clock into the current thread's clock.
@@ -419,18 +405,12 @@ impl HbEngine {
     /// A store to `line` by the current event's thread. Returns the
     /// threads whose last write to the line is HB-concurrent with this
     /// one — the `P-CROSS-DEP` conflict set.
-    pub fn store(&mut self, line: Line) -> Vec<Tid> {
-        let id = self.table.intern(line);
-        self.store_id(id)
-    }
-
-    /// [`store`](HbEngine::store) of an interned line.
     pub(crate) fn store_id(&mut self, line: LineId) -> Vec<Tid> {
         let (s, event) = self.cur();
         self.acquire(s, event, line);
         let t = &mut self.threads[s];
         let l = &mut self.lines[line as usize];
-        let conflicts = Self::concurrent(&l.writes, s, &t.clock, &self.table.tids);
+        let conflicts = l.writes.concurrent(s, &t.clock, &self.table.tids);
         // This slot's previous write tick, if it wrote the line before.
         let prev = l.writes.set(s, t.clock.get(s));
         let first_in_epoch = prev.is_none_or(|k| k <= t.epoch_tick);
@@ -457,44 +437,14 @@ impl HbEngine {
 
     /// A load of `line`: acquire only (reading the line is
     /// coherence-ordered after every published epoch that wrote it).
-    pub fn load(&mut self, line: Line) {
-        let id = self.table.intern(line);
-        self.load_id(id);
-    }
-
-    /// [`load`](HbEngine::load) of an interned line.
     pub(crate) fn load_id(&mut self, line: LineId) {
         let (s, event) = self.cur();
         self.acquire(s, event, line);
     }
 
-    /// A persist operation (covering flush or NT store) of `line`.
-    /// Returns the threads with a *pending* (unfenced) persist of the
-    /// same line that is HB-concurrent with this one — the
-    /// `P-EPOCH-RACE` conflict set.
-    pub fn persist(&mut self, line: Line) -> Vec<Tid> {
-        let id = self.table.intern(line);
-        self.persist_id(id)
-    }
-
-    /// [`persist`](HbEngine::persist) of an interned line.
-    pub(crate) fn persist_id(&mut self, line: LineId) -> Vec<Tid> {
-        let (s, _) = self.cur();
-        // A flush can be the first the engine hears of a line.
-        self.cover(line);
-        let t = &mut self.threads[s];
-        let l = &mut self.lines[line as usize];
-        let conflicts = Self::concurrent(&l.persists, s, &t.clock, &self.table.tids);
-        if l.persists.set(s, t.clock.get(s)).is_none() {
-            t.open_persists.push(line);
-        }
-        conflicts
-    }
-
     /// A fence on the current event's thread: closes the epoch,
-    /// releasing every line it stored and retiring the thread's
-    /// pending persists.
-    pub fn fence(&mut self, durable: bool) {
+    /// releasing every line it stored.
+    pub(crate) fn fence(&mut self, durable: bool) {
         let (s, event) = self.cur();
         let node = match &mut self.graph {
             Some(g) => g.close(s, self.cur_ns, &self.threads[s].clock, durable),
@@ -507,14 +457,11 @@ impl HbEngine {
         let t = &mut self.threads[s];
         t.open_lines = lines;
         t.epoch_tick = t.clock.get(s);
-        for line in t.open_persists.drain(..) {
-            self.lines[line as usize].persists.remove(s);
-        }
     }
 
     /// Transaction begin: subsequent stores join the commit's release
     /// set.
-    pub fn tx_begin(&mut self) {
+    pub(crate) fn tx_begin(&mut self) {
         let (s, _) = self.cur();
         let t = &mut self.threads[s];
         t.in_tx = true;
@@ -524,7 +471,7 @@ impl HbEngine {
 
     /// Transaction commit: releases every line the transaction stored
     /// (commit publishes the writes).
-    pub fn tx_end(&mut self) {
+    pub(crate) fn tx_end(&mut self) {
         let (s, event) = self.cur();
         self.threads[s].in_tx = false;
         let mut lines = std::mem::take(&mut self.threads[s].tx_lines);
@@ -536,28 +483,26 @@ impl HbEngine {
 
     /// Fold one whole trace event (the standalone-analysis driver; the
     /// checker instead interleaves the per-line handlers with its line
-    /// state machines).
-    pub fn apply(&mut self, ev: &Event) {
-        self.begin_event(ev.tid(), ev.at_ns());
+    /// state machines). A flush only ticks the clock.
+    fn apply(&mut self, ev: &Event) {
+        let s = self.table.slot(ev.tid());
+        self.begin_event_in(s, ev.at_ns());
         match ev.kind() {
-            EventKind::PmStore { addr, len, nt, .. } => {
+            EventKind::PmStore { addr, len, .. } => {
                 for (line, _, _) in lines_spanning(addr, len as usize) {
                     let id = self.table.intern(line);
                     self.store_id(id);
-                    if nt {
-                        self.persist_id(id);
-                    }
                 }
-            }
-            EventKind::Flush { addr } => {
-                self.persist(Line::containing(addr));
             }
             EventKind::Fence => self.fence(false),
             EventKind::DFence => self.fence(true),
             EventKind::TxBegin { .. } => self.tx_begin(),
             EventKind::TxEnd { .. } => self.tx_end(),
-            EventKind::PmLoad { addr } => self.load(Line::containing(addr)),
-            EventKind::RecoveryBegin => {}
+            EventKind::PmLoad { addr } => {
+                let id = self.table.intern(Line::containing(addr));
+                self.load_id(id);
+            }
+            EventKind::Flush { .. } | EventKind::RecoveryBegin => {}
         }
     }
 }
@@ -576,8 +521,10 @@ pub struct HbIndex {
 impl HbIndex {
     /// Index a whole trace.
     pub fn of(events: &[Event]) -> HbIndex {
-        let mut eng = HbEngine::new();
-        eng.enable_recording();
+        let mut eng = HbEngine {
+            record: Some(Recording::default()),
+            ..HbEngine::default()
+        };
         for ev in events {
             eng.apply(ev);
         }
@@ -675,8 +622,10 @@ impl EpochGraph {
     /// [`build`](EpochGraph::build), also returning the order index the
     /// statistics were computed from.
     fn build_with_order(events: &[Event]) -> (EpochGraph, EpochOrder) {
-        let mut eng = HbEngine::new();
-        eng.enable_graph();
+        let mut eng = HbEngine {
+            graph: Some(GraphBuilder::default()),
+            ..HbEngine::default()
+        };
         for ev in events {
             eng.apply(ev);
         }
@@ -942,6 +891,20 @@ impl EpochOrder {
     }
 }
 
+/// The crash-point proof's in-flight write-back counters for one line.
+#[derive(Debug, Clone, Copy, Default)]
+struct InFlight {
+    /// Live in-flight write-back entries (`clwb` snapshots plus
+    /// write-combining entries) of the line, across all threads.
+    live: u32,
+    /// How many of `live` are write-combining entries.
+    wcb_live: u32,
+    /// Bumped by every cacheable store, which supersedes the line's
+    /// write-combining entries: a listed entry from an older
+    /// generation is already gone.
+    wcb_gen: u32,
+}
+
 /// Trace-level durability proof for crash-image cross-validation: for
 /// each requested 1-based fence ordinal (ascending), the lines the
 /// analysis proves **spec-invariant durable** *at that fence* — a crash
@@ -978,7 +941,7 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
     let mut fenced = vec![false; table.tids.len()];
     let mut unfenced = fenced.len();
     // Machine layer: live in-flight write-back entries, listed per
-    // thread and counted per line (`LineRec::live`). A `clwb` of a
+    // thread and counted per line (`InFlight::live`). A `clwb` of a
     // dirty line snapshots it (`snaps` — the entry lives until the
     // *flusher's* fence); an NT store occupies a WCB slot (`wcbs`, with
     // the line's WCB generation) until a fence or a superseding
@@ -987,6 +950,8 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
     // unchanged.
     let mut snaps: Vec<Vec<LineId>> = vec![Vec::new(); fenced.len()];
     let mut wcbs: Vec<Vec<(LineId, u32)>> = vec![Vec::new(); fenced.len()];
+    // Per line id, grown with the table: a new line starts at zero.
+    let mut inflight: Vec<InFlight> = Vec::new();
     let mut out = Vec::with_capacity(points.len());
     let mut next = 0usize;
     let mut ordinal = 0u64;
@@ -1001,28 +966,30 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
                 for (line, _, _) in lines_spanning(addr, len as usize) {
                     let id = table.intern(line);
                     table.store(id, s, ev.at_ns(), nt);
-                    let rec = &mut table.recs[id as usize];
+                    inflight.resize(table.recs.len(), InFlight::default());
+                    let c = &mut inflight[id as usize];
                     if nt {
-                        wcbs[s].push((id, rec.wcb_gen));
-                        rec.wcb_live += 1;
-                        rec.live += 1;
+                        wcbs[s].push((id, c.wcb_gen));
+                        c.wcb_live += 1;
+                        c.live += 1;
                     } else {
                         // A cacheable store supersedes every WCB entry
                         // of the line — but not pending snapshots.
-                        rec.live -= rec.wcb_live;
-                        rec.wcb_live = 0;
-                        rec.wcb_gen += 1;
+                        c.live -= c.wcb_live;
+                        c.wcb_live = 0;
+                        c.wcb_gen += 1;
                     }
                 }
             }
             EventKind::Flush { addr } => {
                 let id = table.intern(Line::containing(addr));
+                inflight.resize(table.recs.len(), InFlight::default());
                 // The machine snapshots a *dirty* line into the
                 // flusher's pending set; a coverage takeover finds the
                 // line clean in the machine, so no new snapshot.
                 if let LineState::Dirty { .. } = table.flush(id, s, ev.at_ns()) {
                     snaps[s].push(id);
-                    table.recs[id as usize].live += 1;
+                    inflight[id as usize].live += 1;
                 }
             }
             EventKind::Fence | EventKind::DFence => {
@@ -1030,13 +997,13 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
                 // The fence drains every in-flight entry this thread
                 // owns (stale ones included).
                 for id in snaps[s].drain(..) {
-                    table.recs[id as usize].live -= 1;
+                    inflight[id as usize].live -= 1;
                 }
                 for (id, gen) in wcbs[s].drain(..) {
-                    let rec = &mut table.recs[id as usize];
-                    if gen == rec.wcb_gen {
-                        rec.wcb_live -= 1;
-                        rec.live -= 1;
+                    let c = &mut inflight[id as usize];
+                    if gen == c.wcb_gen {
+                        c.wcb_live -= 1;
+                        c.live -= 1;
                     }
                 }
                 if !std::mem::replace(&mut fenced[s], true) {
@@ -1048,8 +1015,9 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
                         table
                             .recs
                             .iter()
-                            .filter(|rec| rec.state == LineState::Durable && rec.live == 0)
-                            .map(|rec| rec.line)
+                            .zip(&inflight)
+                            .filter(|(rec, c)| rec.state == LineState::Durable && c.live == 0)
+                            .map(|(rec, _)| rec.line)
                             .collect()
                     } else {
                         Vec::new()
@@ -1133,39 +1101,18 @@ mod tests {
 
     #[test]
     fn engine_reports_concurrent_writers() {
-        let mut eng = HbEngine::new();
-        eng.begin_event(T0, 1);
-        assert!(eng.store(Line(0)).is_empty());
-        eng.begin_event(T1, 2);
-        assert_eq!(eng.store(Line(0)), vec![T0], "unfenced WAW is concurrent");
+        let mut eng = HbEngine::default();
+        let (s0, s1) = (eng.table.slot(T0), eng.table.slot(T1));
+        let line = eng.table.intern(Line(0));
+        eng.begin_event_in(s0, 1);
+        assert!(eng.store_id(line).is_empty());
+        eng.begin_event_in(s1, 2);
+        assert_eq!(eng.store_id(line), vec![T0], "unfenced WAW is concurrent");
         // After T1 fences and T0 re-stores, the race is ordered.
-        eng.begin_event(T1, 3);
+        eng.begin_event_in(s1, 3);
         eng.fence(false);
-        eng.begin_event(T0, 4);
-        assert!(eng.store(Line(0)).is_empty(), "acquired t1's release");
-    }
-
-    #[test]
-    fn engine_persist_conflicts_cleared_by_fence() {
-        let mut eng = HbEngine::new();
-        eng.begin_event(T0, 1);
-        eng.store(Line(0));
-        assert!(eng.persist(Line(0)).is_empty());
-        eng.begin_event(T1, 2);
-        eng.store(Line(0));
-        assert_eq!(eng.persist(Line(0)), vec![T0], "both persists pending");
-        // Each thread fences, retiring its own pending persist and
-        // releasing the line; a later persist conflicts with nobody.
-        eng.begin_event(T1, 3);
-        eng.fence(false);
-        eng.begin_event(T0, 4);
-        eng.fence(false);
-        eng.begin_event(T0, 5);
-        eng.store(Line(0));
-        assert!(
-            eng.persist(Line(0)).is_empty(),
-            "no pending foreign persists"
-        );
+        eng.begin_event_in(s0, 4);
+        assert!(eng.store_id(line).is_empty(), "acquired t1's release");
     }
 
     #[test]

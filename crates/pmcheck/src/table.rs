@@ -18,6 +18,14 @@
 //! [`store`](LineTable::store), [`flush`](LineTable::flush) and
 //! [`fence`](LineTable::fence) instead of each keeping a copy.
 //!
+//! A record holds the interned line, the automaton's state and the
+//! checker's three flags, and nothing else. Every other per-line fact
+//! lives in a vector under the same ids, owned by the one pass that
+//! reads it: the happens-before engine's clocks ([`crate::hb`]), the
+//! checker's pending persists (`P-EPOCH-RACE`), and the crash proof's
+//! in-flight write-back counters. A pass that needs none of them
+//! allocates none of them.
+//!
 //! Sets of lines ("stored in thread T's open epoch", "awaiting T's
 //! fence") are `Vec<LineId>` lists owned by whoever drains them. A
 //! list never needs a hash to stay duplicate-free or to drop a member:
@@ -62,11 +70,10 @@ pub(crate) enum LineState {
     Durable,
 }
 
-/// What the automaton and its two clients know about one line. Each
-/// group of fields has one writer; the others never read it. (The
-/// happens-before engine keeps its clocks in a parallel array under the
-/// same ids — [`crate::hb`] — so a pass that skips the engine never
-/// touches them.)
+/// What the automaton and the checker know about one line. Each group
+/// of fields has one writer. The checker's flags sit here, beside
+/// `state`, because it reads both on every store it checks; the facts
+/// of the other passes live in their own vectors (see the module doc).
 #[derive(Debug)]
 pub(crate) struct LineRec {
     pub(crate) line: Line,
@@ -82,18 +89,10 @@ pub(crate) struct LineRec {
     pub(crate) durable_at_recovery: bool,
     /// Rewritten during recovery (reads of it are fine).
     pub(crate) recovery_store: bool,
-
-    // Crash-point durability proof.
-    /// Live in-flight write-back entries (`clwb` snapshots plus
-    /// write-combining entries) of the line, across all threads.
-    pub(crate) live: u32,
-    /// How many of `live` are write-combining entries.
-    pub(crate) wcb_live: u32,
-    /// Bumped by every cacheable store, which supersedes the line's
-    /// write-combining entries: a listed entry from an older
-    /// generation is already gone.
-    pub(crate) wcb_gen: u32,
 }
+
+// Every pass allocates one per line a trace touches.
+const _: () = assert!(size_of::<LineRec>() == 32);
 
 /// Line interner, per-line records, thread slots, and the line-state
 /// automaton.
@@ -123,9 +122,6 @@ impl LineTable {
                 tx_managed: false,
                 durable_at_recovery: false,
                 recovery_store: false,
-                live: 0,
-                wcb_live: 0,
-                wcb_gen: 0,
             });
             *id_plus_one =
                 LineId::try_from(self.recs.len()).expect("fewer than 2^32 interned lines");
