@@ -9,6 +9,7 @@
 #
 #   ci/profile.sh suite      # run_suite at scale 1.0 (what whisper-report costs)
 #   ci/profile.sh gates      # the CI invocation minus --trace, quick scale
+#   ci/profile.sh trace      # the same invocation with --trace
 #   ci/profile.sh consumers  # every trace reader over scale-0.3 traces
 #   ci/profile.sh gates --scale 0.05 --runs 3 --top 40 --period-us 500
 #
@@ -20,7 +21,7 @@
 # x86-64 Linux (glibc) only. One host thread: --parallel 1 throughout.
 set -eu
 cd "$(dirname "$0")/.."
-[ $# -ge 1 ] || { echo "usage: ci/profile.sh suite|gates|consumers [flags]" >&2; exit 2; }
+[ $# -ge 1 ] || { echo "usage: ci/profile.sh suite|gates|trace|consumers [flags]" >&2; exit 2; }
 RUSTFLAGS="-C force-frame-pointers=yes" \
     cargo build --release --quiet --locked --manifest-path ci/profile/Cargo.toml
 exec ci/profile/target/release/whisper-profile "$@"

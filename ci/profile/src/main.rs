@@ -17,6 +17,7 @@
 //! ```text
 //! ci/profile.sh suite      [--scale S] [--runs N] [--top N] [--period-us U]
 //! ci/profile.sh gates      ...    # the CI invocation minus --trace
+//! ci/profile.sh trace      ...    # the CI invocation, --trace included
 //! ci/profile.sh consumers  ...    # every trace reader over recorded traces
 //! ```
 //!
@@ -51,7 +52,7 @@ fn parse() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let workload = args
         .next()
-        .ok_or("usage: whisper-profile suite|gates|consumers [--scale S] [--seed N] [--runs N] [--top N] [--period-us U]")?;
+        .ok_or("usage: whisper-profile suite|gates|trace|consumers [--scale S] [--seed N] [--runs N] [--top N] [--period-us U]")?;
     let mut a = Args {
         workload,
         scale: None,
@@ -102,8 +103,9 @@ fn profile(a: &Args, stack_top: u64) -> Result<(Vec<Vec<u64>>, usize, f64), Stri
             let cfg = suite_cfg(a.scale.unwrap_or(1.0), a.seed);
             Ok(sampled(&mut || drop(run_suite(&cfg))))
         }
-        "gates" => {
+        "gates" | "trace" => {
             let dir = std::env::temp_dir().join(format!("whisper-profile-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
             let mut args = vec![
                 "--json".to_string(),
@@ -118,6 +120,9 @@ fn profile(a: &Args, stack_top: u64) -> Result<(Vec<Vec<u64>>, usize, f64), Stri
             let gates = "--check --crossval --crash --optimize --serve --profile --quiet";
             let shape = "--parallel 1 --threads 4";
             args.extend(format!("{gates} {shape}").split(' ').map(String::from));
+            if a.workload == "trace" {
+                args.extend(["--trace".to_string(), path("trace.json")]);
+            }
             let mut code = 0;
             let out = sampled(&mut || {
                 code = whisper::driver::run(&args, &mut std::io::sink());
@@ -145,7 +150,7 @@ fn profile(a: &Args, stack_top: u64) -> Result<(Vec<Vec<u64>>, usize, f64), Stri
             }))
         }
         other => Err(format!(
-            "unknown workload {other:?}; use suite|gates|consumers"
+            "unknown workload {other:?}; use suite|gates|trace|consumers"
         )),
     }
 }

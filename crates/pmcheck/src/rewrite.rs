@@ -33,7 +33,7 @@
 //! the hops `Replayer` prices the rewritten trace directly and epoch
 //! segmentation stays aligned.
 
-use crate::checker::{CheckReport, Checker};
+use crate::checker::Checker;
 use crate::rules::{Rule, RuleSet};
 use pmtrace::{Event, EventKind};
 
@@ -68,16 +68,26 @@ pub fn is_elidable(rule: Rule) -> bool {
     matches!(rule, Rule::RedundantFlush | Rule::DoubleFence)
 }
 
-/// One checking pass reporting only the elidable rules. Neither reads
-/// a vector clock, so the pass runs the line-state automaton alone.
-fn check_pass(events: &[Event]) -> CheckReport {
+/// One checking pass reporting only the elidable rules: the indices of
+/// the events its findings anchor, ascending and once each. Neither
+/// rule reads a vector clock, so the pass runs the line-state automaton
+/// alone, and its report is gone before the caller compacts the trace.
+fn elision_targets(events: &[Event]) -> Vec<usize> {
     let mut c = Checker::with_rules(RuleSet::of(
         Rule::ALL.into_iter().filter(|r| is_elidable(*r)),
     ));
     for ev in events {
         c.push(ev);
     }
-    c.finish()
+    let mut targets: Vec<usize> = c
+        .finish()
+        .findings
+        .iter()
+        .filter_map(|f| f.at_index)
+        .collect();
+    targets.sort_unstable();
+    targets.dedup();
+    targets
 }
 
 /// Rewrite `events` to a fixpoint: repeatedly check, elide every
@@ -85,22 +95,23 @@ fn check_pass(events: &[Event]) -> CheckReport {
 /// finding, and re-check until a pass reports neither rule. Findings
 /// without an anchoring event (end-of-trace warnings) are never
 /// elision candidates, and no event of any other kind is ever removed.
+/// The first pass reads `events` in place; the trace is copied only
+/// once a round has something to elide.
 pub fn rewrite_events(events: &[Event]) -> RewriteReport {
     let _span = pmobs::span!("pmcheck.rewrite");
-    let mut current: Vec<Event> = events.to_vec();
-    // origin[i] = index of current[i] in the *original* trace.
-    let mut origin: Vec<usize> = (0..events.len()).collect();
+    // The rewritten trace so far, and origin[i] = index of its i-th
+    // event in the *original* trace.
+    let mut rewritten: Option<(Vec<Event>, Vec<usize>)> = None;
     let mut out = RewriteReport::default();
 
     loop {
         out.rounds += 1;
-        let report = check_pass(&current);
-        let mut targets: Vec<usize> = report.findings.iter().filter_map(|f| f.at_index).collect();
-        targets.sort_unstable();
-        targets.dedup();
+        let targets = elision_targets(rewritten.as_ref().map_or(events, |(current, _)| current));
         if targets.is_empty() {
             break;
         }
+        let (current, origin) =
+            rewritten.get_or_insert_with(|| (events.to_vec(), (0..events.len()).collect()));
         for &i in &targets {
             match current[i].kind() {
                 EventKind::Flush { .. } => out.elided_flushes += 1,
@@ -128,7 +139,7 @@ pub fn rewrite_events(events: &[Event]) -> RewriteReport {
 
     out.elided.sort_unstable();
     pmobs::count!("pmcheck.rewrite.elided", out.elided.len() as u64);
-    out.events = current;
+    out.events = rewritten.map_or_else(|| events.to_vec(), |(current, _)| current);
     out
 }
 

@@ -10,8 +10,7 @@
 //! way they were built.
 //!
 //! Keys and string values are [`Text`]: a literal is borrowed, so a
-//! node built from literals (a trace event, millions of times) costs
-//! no allocation for its text.
+//! node built from literals costs no allocation for its text.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -102,6 +101,13 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(Text, Json)>),
+    /// Compact JSON text that is already encoded, copied verbatim by
+    /// both writers (in the pretty one it stays on one line). The
+    /// trace export holds each `traceEvents` element this way, so an
+    /// event has one encoding whether it is streamed or held. [`parse`]
+    /// never produces it, and [`Json::get`] and the `as_*` accessors
+    /// return `None` on it: to read one, parse its text.
+    Raw(Box<str>),
 }
 
 impl Json {
@@ -186,14 +192,9 @@ impl Json {
             Json::I64(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::F64(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::F64(v) => write_f64(out, *v),
             Json::Str(s) => write_escaped(out, s),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
                     items[i].write(out, indent, d);
@@ -245,8 +246,18 @@ fn write_seq(
     out.push(close);
 }
 
+/// A finite float as `Display` prints it (the shortest text that
+/// parses back to it); `null` otherwise.
+pub(crate) fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// Decimal digits of `v`, without the `fmt` machinery.
-fn write_u64(out: &mut String, mut v: u64) {
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -262,7 +273,7 @@ fn write_u64(out: &mut String, mut v: u64) {
 
 /// Everything that needs escaping is one ASCII byte, so the runs in
 /// between — the whole string, usually — are appended as slices.
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     let mut clean_from = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -697,6 +708,26 @@ mod tests {
         .field("list", vec![Json::from(Text::lit("x")), Json::from("y")]);
         assert_eq!(parse(&doc.to_compact()).unwrap(), doc);
         assert_eq!(parse(&doc.to_pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn a_raw_node_is_its_text() {
+        let raw = Json::Raw(r#"{"k":[1,2.5]}"#.into());
+        let doc = Json::obj().field("a", vec![raw.clone(), 3u64.into()]);
+        assert_eq!(doc.to_compact(), r#"{"a":[{"k":[1,2.5]},3]}"#);
+        assert_eq!(
+            doc.to_pretty(),
+            "{\n  \"a\": [\n    {\"k\":[1,2.5]},\n    3\n  ]\n}\n"
+        );
+        assert_eq!(raw.get("k"), None);
+        assert_eq!(
+            (raw.as_arr(), raw.as_str(), raw.as_f64()),
+            (None, None, None)
+        );
+        assert_eq!(
+            parse(&raw.to_compact()).unwrap(),
+            Json::obj().field("k", vec![Json::U64(1), 2.5.into()])
+        );
     }
 
     #[test]

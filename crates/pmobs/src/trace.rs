@@ -21,8 +21,10 @@
 //! * [`take_tracks`] / [`write_chrome`] — drain the collector into a
 //!   deterministic track list and stream it out as Chrome trace-event
 //!   JSON (loads in Perfetto / `chrome://tracing`; one thread lane per
-//!   track). [`export_chrome`] is the same document as a [`Json`]
-//!   value.
+//!   track), each element encoded straight into the output buffer.
+//!   [`export_chrome`] is the same document as a [`Json`] value whose
+//!   `traceEvents` elements are held as that encoded text
+//!   ([`Json::Raw`]).
 //!
 //! # Non-perturbation contract
 //!
@@ -57,9 +59,10 @@
 //! creation off for a scope (the serving engine's calibration runs,
 //! which would otherwise trace every shard's warm-up).
 
-use crate::json::{Json, Text};
+use crate::json::{self, Json};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -410,61 +413,106 @@ pub fn take_tracks() -> Vec<Track> {
     tracks
 }
 
-/// The one definition of an exported event: its fields and their
-/// order. Every key and `ph`/`name`/`s` value is a borrowed literal, so
-/// an event costs its two field vectors and nothing else.
-fn event_json(ev: &TraceEvent, tid: u64) -> Json {
-    let lit = Text::lit;
-    let (ph, args) = match ev.phase {
-        Phase::Begin => (
-            "B",
-            vec![
-                (lit("span"), ev.span.into()),
-                (lit("parent"), ev.parent.into()),
-                (lit("value"), ev.value.into()),
-            ],
-        ),
-        Phase::End => ("E", vec![(lit("span"), ev.span.into())]),
-        Phase::Instant => ("i", vec![(lit("value"), ev.value.into())]),
-        Phase::Counter => ("C", vec![(lit("value"), ev.value.into())]),
+/// Append `text` and then `v`'s digits: a key (and whatever precedes
+/// it) and its integer value.
+fn field(out: &mut String, text: &str, v: u64) {
+    out.push_str(text);
+    json::write_u64(out, v);
+}
+
+/// Append `ev`'s `traceEvents` element to `out` as compact JSON: the
+/// one definition of an exported event, its fields and their order.
+fn write_event(out: &mut String, ev: &TraceEvent, tid: u64) {
+    let ph = match ev.phase {
+        Phase::Begin => "B",
+        Phase::End => "E",
+        Phase::Instant => "i",
+        Phase::Counter => "C",
     };
-    let scoped = ev.phase == Phase::Instant;
-    let mut fields = Vec::with_capacity(6 + usize::from(scoped));
-    fields.push((lit("ph"), lit(ph).into()));
-    fields.push((lit("name"), lit(ev.name).into()));
-    fields.push((lit("pid"), 1u64.into()));
-    fields.push((lit("tid"), tid.into()));
-    fields.push((lit("ts"), (ev.at_ns as f64 / 1000.0).into()));
-    if scoped {
-        fields.push((lit("s"), lit("t").into()));
+    out.push_str(r#"{"ph":""#);
+    out.push_str(ph);
+    out.push_str(r#"","name":"#);
+    json::write_escaped(out, ev.name);
+    field(out, r#","pid":1,"tid":"#, tid);
+    out.push_str(r#","ts":"#);
+    write_ts(out, ev.at_ns);
+    if ev.phase == Phase::Instant {
+        out.push_str(r#","s":"t""#);
     }
-    fields.push((lit("args"), Json::Obj(args)));
-    Json::Obj(fields)
+    out.push_str(r#","args":{"#);
+    match ev.phase {
+        Phase::Begin => {
+            field(out, r#""span":"#, ev.span.into());
+            field(out, r#","parent":"#, ev.parent.into());
+            field(out, r#","value":"#, ev.value);
+        }
+        Phase::End => field(out, r#""span":"#, ev.span.into()),
+        Phase::Instant | Phase::Counter => field(out, r#""value":"#, ev.value),
+    }
+    out.push_str("}}");
 }
 
-/// The `M` record that names a track's `tid` lane and carries its
-/// drop count.
-fn thread_name_json(track: &Track, tid: u64) -> Json {
-    Json::obj()
-        .field("ph", "M")
-        .field("name", "thread_name")
-        .field("pid", 1u64)
-        .field("tid", tid)
-        .field(
-            "args",
-            Json::obj()
-                .field("name", track.name.as_str())
-                .field("dropped", track.dropped),
-        )
+/// Append the `M` element that names a track's `tid` lane and carries
+/// its drop count.
+fn write_thread_name(out: &mut String, track: &Track, tid: u64) {
+    field(out, r#"{"ph":"M","name":"thread_name","pid":1,"tid":"#, tid);
+    out.push_str(r#","args":{"name":"#);
+    json::write_escaped(out, &track.name);
+    field(out, r#","dropped":"#, track.dropped);
+    out.push_str("}}");
 }
 
-/// The `traceEvents` of `tracks` in document order: per track (one
-/// `tid` lane each, numbered from 1) its name record, then its events.
-fn chrome_events(tracks: &[Track]) -> impl Iterator<Item = Json> + '_ {
-    tracks.iter().zip(1u64..).flat_map(|(track, tid)| {
-        let events = track.events.iter().map(move |ev| event_json(ev, tid));
-        std::iter::once(thread_name_json(track, tid)).chain(events)
-    })
+/// Timestamps below this many nanoseconds are written from the
+/// integer (see [`write_ts`]).
+const EXACT_TS_NS: u64 = 1 << 52;
+
+/// `at_ns` in microseconds: the text `Json::F64(at_ns as f64 / 1000.0)`
+/// writes. Below 2^52 ns the quotient is below 2^42, where adjacent
+/// doubles are 2^-10 < 0.001 apart. The decimal `at_ns / 1000` (at most
+/// three digits after the point) rounds to that double, and no decimal
+/// with fewer digits does: it would lie at least 0.001 away. So the
+/// decimal is the shortest round-trip text, which is what `Display`
+/// prints, and it is written from the integer with no float in sight.
+fn write_ts(out: &mut String, at_ns: u64) {
+    if at_ns >= EXACT_TS_NS {
+        json::write_f64(out, at_ns as f64 / 1000.0);
+        return;
+    }
+    json::write_u64(out, at_ns / 1000);
+    let frac = at_ns % 1000;
+    if frac != 0 {
+        let digits = [
+            b'.',
+            b'0' + (frac / 100) as u8,
+            b'0' + (frac / 10 % 10) as u8,
+            b'0' + (frac % 10) as u8,
+        ];
+        let len = 1 + digits
+            .iter()
+            .rposition(|&d| d != b'0')
+            .expect("a digit is nonzero");
+        out.push_str(std::str::from_utf8(&digits[..len]).expect("ASCII digits"));
+    }
+}
+
+/// Append the `traceEvents` elements of `tracks` to `out` in document
+/// order, per track (one `tid` lane each, numbered from 1) its name
+/// element and then its events, handing `out` to `each` after every
+/// element.
+fn encode_events<E>(
+    tracks: &[Track],
+    out: &mut String,
+    mut each: impl FnMut(&mut String) -> Result<(), E>,
+) -> Result<(), E> {
+    for (track, tid) in tracks.iter().zip(1u64..) {
+        write_thread_name(out, track, tid);
+        each(out)?;
+        for ev in &track.events {
+            write_event(out, ev, tid);
+            each(out)?;
+        }
+    }
+    Ok(())
 }
 
 /// Tracks as a Chrome trace-event JSON document (the
@@ -472,11 +520,17 @@ fn chrome_events(tracks: &[Track]) -> impl Iterator<Item = Json> + '_ {
 /// `chrome://tracing`). One `tid` lane per track, named via `M`
 /// metadata events; timestamps are microseconds (the format's unit)
 /// derived exactly as `ns / 1000.0`, so the document is as
-/// deterministic as the events. This is the whole document in memory;
-/// [`write_chrome`] streams the same bytes.
+/// deterministic as the events. This is the whole document in memory,
+/// each `traceEvents` element held as its encoded text
+/// ([`Json::Raw`]); [`write_chrome`] streams the same bytes.
 pub fn export_chrome(tracks: &[Track]) -> Json {
     let mut events = Vec::with_capacity(tracks.iter().map(|t| t.events.len() + 1).sum());
-    events.extend(chrome_events(tracks));
+    let mut text = String::new();
+    let Ok(()) = encode_events(tracks, &mut text, |text| -> Result<(), Infallible> {
+        events.push(Json::Raw(text.as_str().into()));
+        text.clear();
+        Ok(())
+    });
     Json::obj()
         .field("displayTimeUnit", "ns")
         .field("traceEvents", events)
@@ -487,8 +541,8 @@ pub fn export_chrome(tracks: &[Track]) -> Json {
 pub const WRITE_BUF: usize = 64 * 1024;
 
 /// Write `export_chrome(tracks).to_compact()` and a newline to `out`,
-/// an event at a time through one [`WRITE_BUF`]-sized buffer — never
-/// holding the document or its text.
+/// encoding each element straight into one [`WRITE_BUF`]-sized buffer
+/// — never holding the document or its text.
 pub fn write_chrome(tracks: &[Track], out: &mut impl io::Write) -> io::Result<()> {
     let mut flush = |buf: &mut String| {
         let written = buf
@@ -499,17 +553,20 @@ pub fn write_chrome(tracks: &[Track], out: &mut impl io::Write) -> io::Result<()
         written
     };
     let mut buf = String::with_capacity(WRITE_BUF);
-    // The document around its events: the empty one, reopened.
+    // The document around its elements: the empty one, reopened.
     export_chrome(&[]).write_compact(&mut buf);
     buf.truncate(buf.len() - "]}".len());
-    let mut separator = "";
-    for event in chrome_events(tracks) {
-        buf.push_str(separator);
-        separator = ",";
-        event.write_compact(&mut buf);
+    // Each element leaves a separator behind it, held back from the
+    // flush so that the last one can be taken off again.
+    encode_events(tracks, &mut buf, |buf| -> io::Result<()> {
         if buf.len() >= WRITE_BUF {
-            flush(&mut buf)?;
+            flush(buf)?;
         }
+        buf.push(',');
+        Ok(())
+    })?;
+    if buf.ends_with(',') {
+        buf.pop();
     }
     buf.push_str("]}\n");
     flush(&mut buf)
@@ -682,7 +739,7 @@ mod tests {
         set_enabled(false);
         let tracks = take_tracks();
         let doc = export_chrome(&tracks);
-        let parsed = crate::json::parse(&doc.to_compact()).unwrap();
+        let parsed = json::parse(&doc.to_compact()).unwrap();
         let evs = parsed.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         assert_eq!(evs.len(), 4, "metadata + B + C + E");
         assert_eq!(evs[0].get("ph").and_then(|p| p.as_str()), Some("M"));

@@ -1,10 +1,72 @@
-//! The streamed trace is the document: `write_chrome` and the DOM view
-//! `export_chrome` produce the same bytes for any track list, and the
-//! stream reaches its writer in bounded pieces.
+//! The streamed trace is the document: `write_chrome` writes the bytes
+//! of a reference document built node by node from each event's fields,
+//! the DOM view `export_chrome` holds the same bytes, and the stream
+//! reaches its writer in bounded pieces.
 
 use miniprop::prelude::*;
-use pmobs::json::{parse, Json};
+use pmobs::json::{parse, Json, Text};
 use pmobs::trace::{export_chrome, write_chrome, Phase, TraceEvent, Track, WRITE_BUF};
+
+/// The reference encoding of one event: a `Json` object of its fields
+/// in export order, `ts` as the `F64` `at_ns / 1000.0`.
+fn event_json(ev: &TraceEvent, tid: u64) -> Json {
+    let lit = Text::lit;
+    let (ph, args) = match ev.phase {
+        Phase::Begin => (
+            "B",
+            vec![
+                (lit("span"), ev.span.into()),
+                (lit("parent"), ev.parent.into()),
+                (lit("value"), ev.value.into()),
+            ],
+        ),
+        Phase::End => ("E", vec![(lit("span"), ev.span.into())]),
+        Phase::Instant => ("i", vec![(lit("value"), ev.value.into())]),
+        Phase::Counter => ("C", vec![(lit("value"), ev.value.into())]),
+    };
+    let mut fields = vec![
+        (lit("ph"), lit(ph).into()),
+        (lit("name"), lit(ev.name).into()),
+        (lit("pid"), 1u64.into()),
+        (lit("tid"), tid.into()),
+        (lit("ts"), (ev.at_ns as f64 / 1000.0).into()),
+    ];
+    if ev.phase == Phase::Instant {
+        fields.push((lit("s"), lit("t").into()));
+    }
+    fields.push((lit("args"), Json::Obj(args)));
+    Json::Obj(fields)
+}
+
+/// The reference `M` element that names a track's `tid` lane.
+fn thread_name_json(track: &Track, tid: u64) -> Json {
+    Json::obj()
+        .field("ph", "M")
+        .field("name", "thread_name")
+        .field("pid", 1u64)
+        .field("tid", tid)
+        .field(
+            "args",
+            Json::obj()
+                .field("name", track.name.as_str())
+                .field("dropped", track.dropped),
+        )
+}
+
+/// The reference document: per track its name element, then its events.
+fn reference(tracks: &[Track]) -> Json {
+    let events: Vec<Json> = tracks
+        .iter()
+        .zip(1u64..)
+        .flat_map(|(track, tid)| {
+            let events = track.events.iter().map(move |ev| event_json(ev, tid));
+            std::iter::once(thread_name_json(track, tid)).chain(events)
+        })
+        .collect();
+    Json::obj()
+        .field("displayTimeUnit", "ns")
+        .field("traceEvents", events)
+}
 
 fn streamed(tracks: &[Track]) -> String {
     let mut bytes = Vec::new();
@@ -12,13 +74,18 @@ fn streamed(tracks: &[Track]) -> String {
     String::from_utf8(bytes).expect("the trace is UTF-8")
 }
 
-/// Timestamps from 0 to 2^53, whole microseconds and not.
+/// Timestamps over the whole range, whole microseconds and not, and on
+/// both sides of 2^52 ns, where the encoder stops writing `ts` from the
+/// integer.
 fn at_ns() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..=3,
         0u64..=1 << 53,
         (0u64..=1 << 43).prop_map(|us| us * 1000),
-        Just(1 << 53)
+        (1u64 << 52) - 2..=(1 << 52) + 2,
+        (1u64 << 53)..=u64::MAX,
+        Just(1 << 53),
+        Just(u64::MAX)
     ]
 }
 
@@ -75,9 +142,13 @@ fn track() -> impl Strategy<Value = Track> {
 }
 
 /// Equal as documents. A timestamp of whole microseconds is an `F64`
-/// that prints without a fraction, so it parses back as an integer.
+/// that prints without a fraction, so it parses back as an integer. An
+/// element the DOM view holds as text is compared as what it parses to.
 fn same(a: &Json, b: &Json) -> bool {
     match (a, b) {
+        (Json::Raw(text), other) | (other, Json::Raw(text)) => {
+            parse(text).is_ok_and(|parsed| same(&parsed, other))
+        }
         (Json::Arr(a), Json::Arr(b)) => {
             a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b))
         }
@@ -93,11 +164,14 @@ fn same(a: &Json, b: &Json) -> bool {
 proptest! {
     #[test]
     fn the_stream_is_the_document(tracks in collection::vec(track(), 0..6)) {
-        let doc = export_chrome(&tracks);
+        let want = reference(&tracks);
         let text = streamed(&tracks);
+        prop_assert!(text == want.to_compact() + "\n", "stream != reference:\n{text}");
+        let doc = export_chrome(&tracks);
         prop_assert!(text == doc.to_compact() + "\n", "stream != DOM view:\n{text}");
+        prop_assert!(same(&doc, &want), "DOM view != reference:\n{text}");
         let parsed = parse(&text).expect("the stream parses");
-        prop_assert!(same(&parsed, &doc), "parsed stream != DOM view:\n{text}");
+        prop_assert!(same(&parsed, &want), "parsed stream != reference:\n{text}");
     }
 }
 

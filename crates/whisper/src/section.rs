@@ -263,7 +263,7 @@ pub fn plain(c: &Json) -> String {
         Json::I64(n) => n.to_string(),
         Json::F64(x) => x.to_string(),
         Json::Str(s) => s.to_string(),
-        Json::Null | Json::Arr(_) | Json::Obj(_) => String::new(),
+        Json::Null | Json::Arr(_) | Json::Obj(_) | Json::Raw(_) => String::new(),
     }
 }
 

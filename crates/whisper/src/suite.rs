@@ -422,6 +422,26 @@ mod tests {
         }
     }
 
+    /// An archive stores no run duration, so its row clocks the run by
+    /// its last event. That reads the run's end or earlier, never later:
+    /// an archived Table 1 rate is never below the live one.
+    #[test]
+    fn an_archive_ends_no_later_than_its_run() {
+        for threads in [4, 16] {
+            for app in &APPS {
+                let run = app.run(scaled_ops(0.008, app.base_ops), 1, threads);
+                let live = run.duration_ns;
+                let archive = archived(app.name, run.events);
+                assert!(
+                    archive.run.duration_ns <= live,
+                    "{} at {threads} threads: archive {} ns > live {live} ns",
+                    app.name,
+                    archive.run.duration_ns
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "unknown app \"nope\"")]
     fn unknown_app_panics() {
