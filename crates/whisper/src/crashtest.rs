@@ -77,10 +77,10 @@
 //! against what the probe's trace proves durable, and `--optimize`
 //! ([`crate::optimize`]) rewrites the probe's trace into an elision
 //! plan, then probes and captures the row once more under it. The
-//! driver runs the campaign once for all three; [`run_campaign`],
-//! [`crate::crossval::run_crossval`] and
-//! [`crate::optimize::optimize_results`] are the same campaign with one
-//! view asked for.
+//! driver runs the campaign once for all three, over its `--apps`
+//! rows; [`run_campaign`], [`crate::crossval::run_crossval`] and
+//! [`crate::optimize::optimize_results`] are the same campaign over all
+//! eleven rows with one view asked for.
 //!
 //! # Crash-point granularity
 //!
@@ -94,12 +94,12 @@
 //! uncommitted transactions still exercise every rollback/replay path.
 //! See DESIGN.md § Crash testing.
 
-use crate::apps::{App, APPS};
+use crate::apps::{named, App};
 use crate::crossval::{self, AppCrossval};
 use crate::driver::Gate::{self, Crash, Crossval, Optimize};
 use crate::pool::fan_out;
 use crate::section::{arr, cell, count, plain, rows, Col, Section};
-use crate::suite::{default_parallelism, SuiteConfig, DEFAULT_WORKER_THREADS};
+use crate::suite::{default_parallelism, SuiteConfig, APP_NAMES, DEFAULT_WORKER_THREADS};
 use memsim::{
     CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine, MachineConfig,
     PmWriter,
@@ -506,13 +506,22 @@ fn run_row(app: &App, cfg: &CampaignConfig, asked: impl Fn(Gate) -> bool) -> Cam
 }
 
 /// Run the campaign for the gates `asked` for (any of crash, crossval
-/// and optimize) over every row across `cfg.parallelism` workers. Each
-/// row is a self-contained seeded machine, so the views are identical
-/// whatever the parallelism.
-pub(crate) fn campaign(cfg: &CampaignConfig, asked: impl Fn(Gate) -> bool + Sync) -> Campaign {
-    let run = |i| run_row(&APPS[i], cfg, &asked);
+/// and optimize) over the rows `names`, in that order, across
+/// `cfg.parallelism` workers. Each row is a self-contained seeded
+/// machine, so a row's views are identical whatever the parallelism
+/// and whichever other rows run.
+///
+/// # Panics
+///
+/// Panics on a name outside [`APP_NAMES`].
+pub(crate) fn campaign(
+    cfg: &CampaignConfig,
+    names: &[&str],
+    asked: impl Fn(Gate) -> bool + Sync,
+) -> Campaign {
+    let run = |i| run_row(named(names[i]), cfg, &asked);
     let mut out = Campaign::default();
-    for row in fan_out(cfg.parallelism, APPS.len(), run) {
+    for row in fan_out(cfg.parallelism, names.len(), run) {
         out.crash.extend(row.crash);
         out.crossval.extend(row.crossval);
         out.optimized.extend(row.optimized);
@@ -523,7 +532,7 @@ pub(crate) fn campaign(cfg: &CampaignConfig, asked: impl Fn(Gate) -> bool + Sync
 /// The crash view alone: every row's captured images judged, in
 /// Table 1 order.
 pub fn run_campaign(cfg: &CampaignConfig) -> Vec<AppCrashReport> {
-    campaign(cfg, |gate| gate == Crash).crash
+    campaign(cfg, &APP_NAMES, |gate| gate == Crash).crash
 }
 
 /// One row's outcome under the *optimized* schedule: the regular
@@ -664,7 +673,7 @@ pub fn crash_json(reports: &[AppCrashReport], cfg: &CampaignConfig) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{CRASH_RUNS, WORKERS};
+    use crate::apps::{APPS, CRASH_RUNS, WORKERS};
     use pmem::Line;
     use pmtrace::TraceBuffer;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1016,7 +1025,7 @@ mod tests {
         for (gates, runs) in pinned {
             assert!(runs <= gates.iter().map(separately).sum(), "{gates:?}");
             let got = runs_per_row(|| {
-                campaign(&cfg, |gate| gates.contains(&gate));
+                campaign(&cfg, &APP_NAMES, |gate| gates.contains(&gate));
             });
             assert_eq!(got, [runs; 11], "{gates:?}");
         }

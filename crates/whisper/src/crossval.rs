@@ -33,6 +33,7 @@
 use crate::crashtest::{campaign, spec_name, specs, CampaignConfig, CrashRun};
 use crate::driver::Gate::Crossval;
 use crate::section::{arr, count, plain, rows, sum, Col, Section};
+use crate::suite::APP_NAMES;
 use memsim::{CrashCounter, CrashPlan, CrashSpec, CrashState, Machine, MachineConfig};
 use pmcheck::hb::durable_lines_at_fences;
 use pmem::Line;
@@ -289,7 +290,8 @@ pub fn positive_control(seeds: u64) -> ControlReport {
 /// The crossval view alone: all eleven campaign rows plus the positive
 /// control.
 pub fn run_crossval(cfg: &CampaignConfig) -> CrossvalReport {
-    CrossvalReport::new(campaign(cfg, |gate| gate == Crossval).crossval, cfg)
+    let rows = campaign(cfg, &APP_NAMES, |gate| gate == Crossval).crossval;
+    CrossvalReport::new(rows, cfg)
 }
 
 #[cfg(test)]

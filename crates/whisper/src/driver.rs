@@ -20,16 +20,16 @@
 //! dependencies), so it is echoed back as `config.worker_threads` in
 //! the JSON report.
 //!
-//! `--timing` runs the selected applications twice — serially, then in
-//! parallel — and reports each app's wall-clock (both runners) and
-//! simulated durations from the same span data, plus the overall
-//! speedup, instead of a paper table. It runs no gate and writes no
-//! document, so `--trace` with it is a usage error.
+//! Every flag either changes what [`run`]'s one path does or is a
+//! usage error (exit 2, before anything runs). `--apps a,b,c` selects the rows of the suite run *and* of
+//! every gate that re-runs workloads (serve and the crash campaign).
 //!
 //! `--dump-traces DIR` archives each application's event stream as a
 //! binary `.wtr` file (the `pmtrace::codec` format); `--from-trace
 //! FILE` re-analyzes such an archive offline instead of running a
 //! workload, through the same gates and the same EXPERIMENT selection.
+//! The archive is the run's only row, so `--apps` and `--dump-traces`
+//! beside it are usage errors.
 //!
 //! # Gates
 //!
@@ -40,10 +40,11 @@
 //! when several fail, [`exit_code`] picks 3 → 4 → 6 → 5.
 //!
 //! * `--serve` — the open-loop serving engine ([`crate::serve`]): each
-//!   Table 1 app is calibrated across sharded machines, then swept
+//!   `--apps` row is calibrated across sharded machines, then swept
 //!   across offered-load points under paced or bursty arrivals
 //!   (`--serve-arrival`, default bursty; `--serve-shards`, default 4,
-//!   at most [`serve::SERVE_KEYS`] since requests route by key),
+//!   at most [`serve::SERVE_KEYS`] since requests route by key; each
+//!   implies `--serve`),
 //!   giving a throughput vs p50/p90/p99/p999 simulated-latency curve
 //!   per persistence mechanism. `--profile` (implies `--serve`)
 //!   attributes each request's simulated time to queue / replay /
@@ -64,10 +65,10 @@
 //!   ([`crate::hbgraph`], paper §5.2): statistics under `hb.graph`, full
 //!   graphs to `DIR/<app>.json` and `DIR/<app>.dot`.
 //! * `--crash` — the crash-injection campaign ([`crate::crashtest`]):
-//!   every app's crash workload is interrupted at evenly spread fence
-//!   points, each state is materialized under the crash-spec lattice,
-//!   and the app's recovery oracle judges every image; **exit 4** on
-//!   any recovery failure.
+//!   each `--apps` row's crash workload is interrupted at evenly spread
+//!   fence points, each state is materialized under the crash-spec
+//!   lattice, and the app's recovery oracle judges every image;
+//!   **exit 4** on any recovery failure.
 //! * `--crossval` — cross-validates the happens-before analysis against
 //!   the crash campaign ([`crate::crossval`]); **exit 6** if an image
 //!   contradicts a line proven durable, the proof set is vacuous, or
@@ -77,9 +78,9 @@
 //!   crash campaign over the elided schedules; **exit 5** on leftover
 //!   elidable findings, new errors, or recovery failures.
 //!
-//! Crash, crossval and optimize are three views of one crash campaign:
-//! whichever of them are selected, it runs once, computing only their
-//! views.
+//! Crash, crossval and optimize are three views of one crash campaign
+//! over the `--apps` rows: whichever of them are selected, it runs
+//! once, computing only their views.
 //!
 //! `--json PATH` writes the versioned machine-readable report
 //! ([`crate::json_report`], schema v8) and turns on `pmobs` metric
@@ -204,7 +205,6 @@ struct Opts {
     trace: Option<String>,
     dump_traces: Option<String>,
     from_trace: Option<String>,
-    timing: bool,
     quiet: bool,
     help: bool,
 }
@@ -256,7 +256,7 @@ const RULES: Value = Some(("ID,..", "a comma-separated rule-id list"));
 const _: () = assert!(MAX_WORKER_THREADS == 64);
 const _: () = assert!(serve::SERVE_KEYS == 1024);
 
-const FLAGS: [Flag; 29] = [
+const FLAGS: [Flag; 28] = [
     Flag("--scale", Some(("X", "a number")), None, |o, v| {
         value(&mut o.cfg.scale, v)
     }),
@@ -275,7 +275,6 @@ const FLAGS: [Flag; 29] = [
     Flag("--threads", THREADS, None, |o, v| {
         value(&mut o.cfg.worker_threads, v)
     }),
-    Flag("--timing", None, None, |o, v| value(&mut o.timing, v)),
     Flag("--json", PATH, None, |o, v| given(&mut o.json, v)),
     Flag("--json-det", PATH, None, |o, v| given(&mut o.json_det, v)),
     Flag("--check", None, Some(Check), |_, _| Ok(())),
@@ -295,13 +294,13 @@ const FLAGS: [Flag; 29] = [
     Flag(
         "--serve-arrival",
         Some(("paced|bursty", "paced|bursty")),
-        None,
+        Some(Serve),
         |o, v| given(&mut o.arrival, v),
     ),
     Flag(
         "--serve-shards",
         Some(("1..=1024", "a shard count (1..=1024, the serve key space)")),
-        None,
+        Some(Serve),
         |o, v| given(&mut o.shards, v),
     ),
     Flag("--trace", PATH, None, |o, v| given(&mut o.trace, v)),
@@ -348,7 +347,9 @@ impl Opts {
                 let known = EXPERIMENTS.iter().find(|(name, _)| name == arg);
                 let (_, experiment) =
                     known.ok_or_else(|| format!("unknown experiment {arg:?}\n{}", usage()))?;
-                o.experiment = Some(*experiment);
+                if o.experiment.replace(*experiment).is_some() {
+                    return Err(format!("a second EXPERIMENT {arg:?}; a run renders one"));
+                }
                 continue;
             }
             let name = if arg == "-h" { "--help" } else { arg };
@@ -372,8 +373,13 @@ impl Opts {
             }
         }
         o.gates[Serve as usize] |= o.on(Profile);
-        if o.trace.is_some() && o.timing {
-            return Err("--trace cannot be combined with --timing, which writes no trace".into());
+        // An archive is the run's only row: nothing to select among or
+        // to archive again.
+        if o.from_trace.is_some() && (!o.apps.is_empty() || o.dump_traces.is_some()) {
+            let why = "the archive is the run's only row";
+            return Err(format!(
+                "--from-trace takes neither --apps nor --dump-traces: {why}"
+            ));
         }
         for (i, name) in o.apps.iter().enumerate() {
             crate::apps::by_name(name).map_err(|unknown| unknown.to_string())?;
@@ -399,6 +405,14 @@ impl Opts {
 
     fn on(&self, gate: Gate) -> bool {
         self.gates[gate as usize]
+    }
+
+    /// The `--apps` rows, in the given order; all eleven without it.
+    fn names(&self) -> Vec<&str> {
+        match self.apps.as_slice() {
+            [] => APP_NAMES.to_vec(),
+            chosen => chosen.iter().map(String::as_str).collect(),
+        }
     }
 
     /// `--<gate>-json PATH`: also write the gate's document alone.
@@ -453,16 +467,9 @@ fn execute(o: &Opts, out: &mut dyn Write) -> Result<i32, String> {
     if o.trace.is_some() {
         pmobs::trace::set_enabled(true);
     }
-    let names: Vec<&str> = match o.apps.as_slice() {
-        [] => APP_NAMES.to_vec(),
-        chosen => chosen.iter().map(String::as_str).collect(),
-    };
-    if o.timing && o.from_trace.is_none() {
-        return timing_comparison(&names, &o.cfg, out).map(|()| 0);
-    }
     let results = match &o.from_trace {
         Some(file) => vec![decode_archive(file)?],
-        None => run_suite(&names, o)?,
+        None => run_suite(&o.names(), o)?,
     };
 
     let mut outcomes = Vec::new();
@@ -577,8 +584,8 @@ const RUN_ORDER: [(&[Gate], &str, Step); 5] = [
     ),
 ];
 
-/// `--serve`, and `--profile` riding on the same sweep. Reuses the
-/// suite's scale, seed, and worker count.
+/// `--serve`, and `--profile` riding on the same sweep, over the
+/// `--apps` rows. Reuses the suite's scale, seed, and worker count.
 fn serve_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
     let base = ServeConfig::from_suite(&o.cfg);
     let scfg = ServeConfig {
@@ -588,7 +595,7 @@ fn serve_gate(o: &Opts, _: &[AppResult]) -> Result<Vec<Outcome>, String> {
     };
     // The profiles come out of the same sweep; without `--profile`
     // they are dropped.
-    let (reports, profiles) = serve::run_serve_profiled(&scfg);
+    let (reports, profiles) = serve::serve_apps_profiled(&o.names(), &scfg);
     let mut outcomes = vec![Outcome {
         section: serve::section(&reports, &scfg),
         failure: None,
@@ -645,8 +652,8 @@ fn graph_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
     }])
 }
 
-/// `--crash`, `--crossval` and `--optimize`: one crash campaign,
-/// computing only the views of the selected gates.
+/// `--crash`, `--crossval` and `--optimize`: one crash campaign over
+/// the `--apps` rows, computing only the views of the selected gates.
 ///
 /// * crash: any recovery failure fails the run;
 /// * crossval: every crash image against the HB analysis's
@@ -658,7 +665,7 @@ fn graph_gate(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
 ///   crash-soundness violation fails the run.
 fn campaign_gates(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, String> {
     let ccfg = CampaignConfig::from_suite(&o.cfg);
-    let campaign = crashtest::campaign(&ccfg, |gate| o.on(gate));
+    let campaign = crashtest::campaign(&ccfg, &o.names(), |gate| o.on(gate));
     let mut outcomes = Vec::new();
     if o.on(Crash) {
         let failures = crashtest::total_failures(&campaign.crash);
@@ -697,86 +704,6 @@ fn campaign_gates(o: &Opts, results: &[AppResult]) -> Result<Vec<Outcome>, Strin
     Ok(outcomes)
 }
 
-/// `--timing`: the suite timing harness. Runs the selected apps
-/// serially and then with the configured parallelism, checks the two
-/// result sets agree, and reports — per app, from the same span data —
-/// the host wall-clock duration under each runner plus the simulated
-/// duration (`span.suite.run/<app>` and `sim.app_duration/<app>`; the
-/// sim column is identical across runners by construction).
-fn timing_comparison(names: &[&str], cfg: &SuiteConfig, out: &mut dyn Write) -> Result<(), String> {
-    // Spans only record while metric recording is on ([`run`] restores
-    // the caller's flag; the non-perturbation contract says the runs
-    // themselves cannot notice).
-    pmobs::set_enabled(true);
-    pmobs::info!("timing {} app(s) under {cfg:?}...", names.len());
-    let timed = |parallelism: usize| {
-        pmobs::info!("run with {parallelism} worker(s)...");
-        let started = Instant::now();
-        let cfg = SuiteConfig {
-            parallelism,
-            ..*cfg
-        };
-        let results = run_apps(names, &cfg);
-        (results, started.elapsed(), pmobs::global().snapshot())
-    };
-    let workers = cfg.parallelism.max(2);
-    let base = pmobs::global().snapshot();
-    let (serial, serial_elapsed, mid) = timed(1);
-    let (parallel, parallel_elapsed, end) = timed(workers);
-
-    for (a, b) in serial.iter().zip(&parallel) {
-        if a.run.events != b.run.events || a.run.duration_ns != b.run.duration_ns {
-            return Err(format!(
-                "determinism violation: {} differs between runners",
-                a.run.name
-            ));
-        }
-    }
-
-    let hist_sum =
-        |snap: &pmobs::MetricsSnapshot, key: &str| snap.histograms.get(key).map_or(0, |h| h.sum);
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let mut text = format!(
-        "Suite timing ({} apps, scale {}):\n  {:<14} {:>13} {:>15} {:>13}\n",
-        names.len(),
-        cfg.scale,
-        "app",
-        "serial (ms)",
-        "parallel (ms)",
-        "sim (ms)"
-    );
-    let mut totals = (0u64, 0u64, 0u64);
-    for name in names {
-        let wall_key = format!("span.suite.run/{name}");
-        let sim_key = format!("sim.app_duration/{name}");
-        let wall_serial = hist_sum(&mid, &wall_key).saturating_sub(hist_sum(&base, &wall_key));
-        let wall_parallel = hist_sum(&end, &wall_key).saturating_sub(hist_sum(&mid, &wall_key));
-        let sim = hist_sum(&mid, &sim_key).saturating_sub(hist_sum(&base, &sim_key));
-        totals.0 += wall_serial;
-        totals.1 += wall_parallel;
-        totals.2 += sim;
-        text += &format!(
-            "  {name:<14} {:>13.2} {:>15.2} {:>13.3}\n",
-            ms(wall_serial),
-            ms(wall_parallel),
-            ms(sim)
-        );
-    }
-    let speedup = serial_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64().max(1e-9);
-    text += &format!(
-        "  {:<14} {:>13.2} {:>15.2} {:>13.3}\n  \
-         serial   (1 worker):  {serial_elapsed:>10.2?}\n  \
-         parallel ({workers} workers): {parallel_elapsed:>10.2?}\n  \
-         speedup: {speedup:.2}x  (results verified identical)\n",
-        "total",
-        ms(totals.0),
-        ms(totals.1),
-        ms(totals.2)
-    );
-    out.write_all(text.as_bytes())
-        .map_err(|e| format!("cannot write the report: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,6 +732,11 @@ mod tests {
         }
         let o = Opts::parse(&args("--profile")).unwrap();
         assert!(o.on(Profile) && o.on(Serve));
+        // The serve knobs act only through the sweep, so each runs it.
+        for flag in ["--serve-shards 8", "--serve-arrival paced"] {
+            let o = Opts::parse(&args(flag)).unwrap();
+            assert!(o.on(Serve) && !o.on(Profile), "{flag} implies --serve");
+        }
         assert!(!Opts::parse(&args("--serve")).unwrap().on(Profile));
     }
 }

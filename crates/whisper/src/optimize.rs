@@ -25,7 +25,7 @@ use crate::driver::Gate::Optimize;
 use crate::pool::fan_out;
 use crate::section::{cell, int, plain, Col, Section};
 use crate::serve::SERVE_MODELS;
-use crate::suite::AppResult;
+use crate::suite::{AppResult, APP_NAMES};
 use hops::{replay, HopsConfig, PersistModel, TimingConfig};
 use pmcheck::rewrite::is_elidable;
 use pmobs::Json;
@@ -231,7 +231,7 @@ pub fn optimize_results(
     cfg: &CampaignConfig,
     parallelism: usize,
 ) -> OptimizeReport {
-    let crash = campaign(cfg, |gate| gate == Optimize).optimized;
+    let crash = campaign(cfg, &APP_NAMES, |gate| gate == Optimize).optimized;
     report(results, crash, parallelism)
 }
 

@@ -3,6 +3,7 @@
 //! campaign itself must be deterministic whatever its parallelism.
 
 use whisper::crashtest::{crash_json, run_campaign, summary_table, total_failures, CampaignConfig};
+use whisper::crossval::run_crossval;
 use whisper::suite::SuiteConfig;
 
 /// The acceptance gate: the quick campaign — every app, ≥3 points,
@@ -33,6 +34,23 @@ fn quick_campaign_recovers_every_app() {
         "campaign failures:\n{}",
         summary_table(&reports, &cfg)
     );
+}
+
+/// Every row alone proves lines durable, so `--crossval` over any
+/// `--apps` selection has teeth: no single-row gate is vacuous.
+#[test]
+fn every_crossval_row_proves_lines_durable() {
+    let report = run_crossval(&CampaignConfig::quick());
+    assert_eq!(report.apps.len(), 11);
+    for row in &report.apps {
+        let proven: usize = row.proven_lines.iter().sum();
+        assert!(
+            proven > 0,
+            "{}: vacuous proof {:?}",
+            row.name,
+            row.proven_lines
+        );
+    }
 }
 
 /// Each row is a self-contained seeded machine, so the campaign's

@@ -66,7 +66,14 @@ fn usage_errors_exit_2_before_anything_runs() {
         "--serve-shards 0",
         "--serve --serve-shards 18446744073709551615",
         "--serve-arrival sometimes",
+        // `--timing` is an unknown flag, with or without `--trace`.
         "--trace t.json --timing",
+        "--timing",
+        // An archive is the run's only row (the prefix passes `--apps`).
+        "--from-trace t.wtr",
+        "--dump-traces d --from-trace t.wtr",
+        // A second EXPERIMENT after the prefix's `table1`.
+        "fig3",
     ] {
         let (code, out) = run(&format!(
             "table1 --apps exim --scale 0.01 --parallel 1 {bad}"
@@ -365,6 +372,53 @@ fn the_shared_campaign_writes_what_each_view_returns() {
     }
 }
 
+/// `--apps` scopes every gate that re-runs workloads: each document
+/// holds exactly the named rows, in order, and a campaign row is the
+/// same whichever other rows run beside it.
+#[test]
+fn every_gate_runs_the_apps_rows() {
+    let _turn = turn();
+    let dir = scratch("apps-rows");
+    let d = dir.display();
+    let (code, _) = run(&format!(
+        "table1 --apps echo,hashmap --scale 0.01 --parallel 1 --quiet \
+         --serve-json {d}/serve.json --profile-json {d}/profile.json --crash-json {d}/crash.json \
+         --crossval-json {d}/crossval.json --optimize-json {d}/optimize.json"
+    ));
+    assert_eq!(code, 0);
+    for (file, key) in [
+        ("serve.json", "apps"),
+        ("profile.json", "apps"),
+        ("crash.json", "apps"),
+        ("crossval.json", "apps"),
+        ("optimize.json", "apps"),
+        ("optimize.json", "crash"),
+    ] {
+        let doc = pmobs::json::parse(&read(&dir.join(file))).expect(file);
+        let rows = doc.get(key).and_then(pmobs::Json::as_arr).expect(key);
+        let names: Vec<_> = rows
+            .iter()
+            .map(|row| row.get("name").and_then(pmobs::Json::as_str))
+            .collect();
+        assert_eq!(names, [Some("echo"), Some("hashmap")], "{file}: {key}");
+    }
+    let cfg = SuiteConfig {
+        scale: 0.01,
+        parallelism: 1,
+        ..SuiteConfig::default()
+    };
+    let ccfg = CampaignConfig::from_suite(&cfg);
+    let rows: Vec<_> = run_campaign(&ccfg)
+        .into_iter()
+        .filter(|r| ["echo", "hashmap"].contains(&r.name))
+        .collect();
+    let doc = crash_json(&rows, &ccfg).to_pretty();
+    assert!(
+        read(&dir.join("crash.json")) == doc,
+        "crash.json != the campaign's two rows"
+    );
+}
+
 #[test]
 fn exit_precedence_is_check_crash_crossval_optimize() {
     use Gate::{Check, Crash, Crossval, Graph, Optimize, Profile, Serve};
@@ -393,7 +447,6 @@ fn the_usage_text_is_the_command_line_surface() {
         "--apps a,b,c",
         "--parallel N",
         "--threads 1..=64",
-        "--timing",
         "--json PATH",
         "--json-det PATH",
         "--check",
