@@ -17,7 +17,8 @@
 # serve.t1.json / crash.t1.json, report.hb.txt / violations.hb.json,
 # report.t64.txt / graphs.t64/, report.s03.txt / serve.s03.json,
 # experiment.<name>.txt, traces/, and report.archive.txt /
-# report.archive.det.json.
+# report.archive.det.json / violations.archive.json (the archive run
+# goes through the checker too).
 # Only report.json is left out: its `metrics` block holds host
 # wall-clock time. Prints the paths that differ and exits 1 if any
 # does.
@@ -82,7 +83,7 @@ run() {
         # Relative paths: the archive's row is named after its path.
         "$1" table1 --dump-traces traces --quiet --scale 0.05 --seed 42 --parallel 1 > /dev/null
         "$1" --from-trace traces/hashmap.wtr --json-det report.archive.det.json \
-            --quiet > report.archive.txt
+            --check --check-json violations.archive.json --quiet > report.archive.txt
         rm report.json
     )
 }

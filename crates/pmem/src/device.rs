@@ -1,4 +1,10 @@
-//! The memory devices: sparse line-granular byte stores.
+//! The memory device: a sparse line-granular byte store, written once
+//! as [`Device`] over a kind — [`PmDevice`] (`Device<Pm>`) and
+//! [`DramDevice`] (`Device<Dram>`). Both kinds read, write, fork and
+//! count pages alike; only PM has [`PmDevice::image`],
+//! [`PmDevice::from_image`], [`PmDevice::line_view`] and
+//! [`PmDevice::lines_in_use`], so the type system refuses to image
+//! DRAM.
 //!
 //! Backing storage is a lazily-allocated page table rather than a
 //! `HashMap<Line, [u8; 64]>`: the device range is divided into 64 KiB
@@ -10,11 +16,13 @@
 //! range holds no directory slots and no pages until its first write.
 //!
 //! Its pages are copy-on-write (see [`crate::linemap`]), which is what
-//! makes the snapshot operations cheap: [`PmDevice::fork`],
-//! [`DramDevice::fork`] and [`PmDevice::image`] share the device's
-//! pages instead of copying its lines, and [`PmDevice::from_image`]
-//! boots from the image's pages. Each costs one pointer per page; a
-//! page is copied only when one of its holders first writes it.
+//! makes the snapshot operations cheap: [`Device::fork`] and
+//! [`PmDevice::image`] share the device's pages instead of copying its
+//! lines, and [`PmDevice::from_image`] boots from the image's pages.
+//! Each costs one pointer per page; a page is copied only when one of
+//! its holders first writes it.
+
+use std::marker::PhantomData;
 
 use crate::image::PmImage;
 use crate::line::{lines_spanning, Line, LINE_SIZE};
@@ -72,7 +80,7 @@ impl Page {
     }
 }
 
-/// Backing storage shared by both device types and [`PmImage`]: a
+/// Backing storage shared by both device kinds and [`PmImage`]: a
 /// two-level page table over the device's line range. Unwritten bytes
 /// read as zero.
 #[derive(Debug, Clone)]
@@ -172,118 +180,51 @@ impl LineStore {
     }
 }
 
+/// What a [`Device`] models: [`Pm`] or [`Dram`]. The kind names the
+/// device in its panics and decides, by which `impl` blocks exist,
+/// whether the device can be imaged.
+pub trait DeviceKind {
+    /// The prefix of the device's out-of-range panics.
+    const NAME: &'static str;
+}
+
+/// Persistent memory (an NVM DIMM): bytes written are *durable*.
+#[derive(Debug, Clone, Copy)]
+pub enum Pm {}
+
+/// DRAM: *volatile*, so it has no image and no boot from one.
+#[derive(Debug, Clone, Copy)]
+pub enum Dram {}
+
+impl DeviceKind for Pm {
+    const NAME: &'static str = "PM";
+}
+
+impl DeviceKind for Dram {
+    const NAME: &'static str = "DRAM";
+}
+
+/// A simulated memory device of kind `K`: a sparse, line-granular byte
+/// store over an address range.
+///
+/// The device knows nothing about ordering; callers (the `memsim` cache
+/// model, HOPS persist buffers) decide what reaches it and when. Nor
+/// does it count writes: PM write traffic is counted once, by its
+/// caller (`memsim` counts every line that persists in
+/// `MemStats::pm_writes`, Figure 6's input).
+#[derive(Debug, Clone)]
+pub struct Device<K> {
+    range: AddrRange,
+    store: LineStore,
+    kind: PhantomData<K>,
+}
+
 /// The simulated persistent-memory device (an NVM DIMM).
 ///
 /// Bytes written here are *durable*: they survive a crash, modeled by
 /// snapshotting with [`PmDevice::image`] and rebuilding with
-/// [`PmDevice::from_image`]. The device does not count writes: PM
-/// write traffic is counted once, by its caller (`memsim` counts every
-/// line that persists in `MemStats::pm_writes`, Figure 6's input).
-///
-/// The device knows nothing about ordering; callers (the `memsim` cache
-/// model, HOPS persist buffers) decide what reaches it and when.
-#[derive(Debug, Clone)]
-pub struct PmDevice {
-    range: AddrRange,
-    store: LineStore,
-}
-
-impl PmDevice {
-    /// A fresh, zeroed device covering `range`.
-    pub fn new(range: AddrRange) -> PmDevice {
-        PmDevice {
-            range,
-            store: LineStore::new(range),
-        }
-    }
-
-    /// Rebuild a device from a crash image, preserving its contents.
-    /// The device boots from the image's pages and copies one only when
-    /// it first writes it.
-    pub fn from_image(image: &PmImage) -> PmDevice {
-        PmDevice {
-            range: image.range(),
-            store: image.store.clone(),
-        }
-    }
-
-    /// A copy-on-write copy of the device that shares every page with
-    /// this one until either writes it. Neither device sees the other's
-    /// later writes.
-    pub fn fork(&mut self) -> PmDevice {
-        PmDevice {
-            range: self.range,
-            store: self.store.share(),
-        }
-    }
-
-    /// The address range this device decodes.
-    pub fn range(&self) -> AddrRange {
-        self.range
-    }
-
-    /// Read `buf.len()` bytes starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the span falls outside the device range.
-    pub fn read(&self, addr: Addr, buf: &mut [u8]) {
-        assert!(
-            self.range.contains_span(addr, buf.len()),
-            "PM read out of range: {addr:#x}+{}",
-            buf.len()
-        );
-        self.store.read(addr, buf);
-    }
-
-    /// Convenience: read `len` bytes into a fresh vector.
-    pub fn read_vec(&self, addr: Addr, len: usize) -> Vec<u8> {
-        let mut v = vec![0; len];
-        self.read(addr, &mut v);
-        v
-    }
-
-    /// Borrowed view of one cache line's current contents (zeros if the
-    /// line was never written). This is the allocation-free path
-    /// `memsim` reads the media through — loads of lines it does not
-    /// overlay, and its write-back snapshots; the line need only
-    /// overlap the device range the way [`PmDevice::read`] would allow.
-    pub fn line_view(&self, line: Line) -> &[u8; LINE_SIZE as usize] {
-        self.store.line_view(line)
-    }
-
-    /// Write bytes to the media. This is the durability point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the span falls outside the device range.
-    pub fn write(&mut self, addr: Addr, bytes: &[u8]) {
-        assert!(
-            self.range.contains_span(addr, bytes.len()),
-            "PM write out of range: {addr:#x}+{}",
-            bytes.len()
-        );
-        self.store.write(addr, bytes);
-    }
-
-    /// Number of distinct lines ever written.
-    pub fn lines_in_use(&self) -> usize {
-        self.store.live_lines
-    }
-
-    /// `(directory slots, pages)` currently allocated: `(0, 0)` until
-    /// the first write, whatever the size of the range.
-    pub fn resident(&self) -> (usize, usize) {
-        self.store.pages.resident()
-    }
-
-    /// Snapshot the durable contents (what survives a power failure):
-    /// a frozen copy of the device's pages, shared until the device
-    /// next writes each of them.
-    pub fn image(&mut self) -> PmImage {
-        PmImage::from_store(self.range, self.store.share())
-    }
-}
+/// [`PmDevice::from_image`].
+pub type PmDevice = Device<Pm>;
 
 /// The simulated DRAM device.
 ///
@@ -291,27 +232,27 @@ impl PmDevice {
 /// `image()` and no boot from one — on a crash its contents are simply
 /// dropped, which is what forces WHISPER applications to be
 /// crash-recoverable from PM alone.
-#[derive(Debug, Clone)]
-pub struct DramDevice {
-    range: AddrRange,
-    store: LineStore,
-}
+pub type DramDevice = Device<Dram>;
 
-impl DramDevice {
+impl<K: DeviceKind> Device<K> {
     /// A fresh, zeroed device covering `range`.
-    pub fn new(range: AddrRange) -> DramDevice {
-        DramDevice {
+    pub fn new(range: AddrRange) -> Device<K> {
+        Device::over(range, LineStore::new(range))
+    }
+
+    fn over(range: AddrRange, store: LineStore) -> Device<K> {
+        Device {
             range,
-            store: LineStore::new(range),
+            store,
+            kind: PhantomData,
         }
     }
 
-    /// A copy-on-write copy of the device (see [`PmDevice::fork`]).
-    pub fn fork(&mut self) -> DramDevice {
-        DramDevice {
-            range: self.range,
-            store: self.store.share(),
-        }
+    /// A copy-on-write copy of the device that shares every page with
+    /// this one until either writes it. Neither device sees the other's
+    /// later writes.
+    pub fn fork(&mut self) -> Device<K> {
+        Device::over(self.range, self.store.share())
     }
 
     /// The address range this device decodes.
@@ -327,7 +268,8 @@ impl DramDevice {
     pub fn read(&self, addr: Addr, buf: &mut [u8]) {
         assert!(
             self.range.contains_span(addr, buf.len()),
-            "DRAM read out of range: {addr:#x}+{}",
+            "{} read out of range: {addr:#x}+{}",
+            K::NAME,
             buf.len()
         );
         self.store.read(addr, buf);
@@ -340,7 +282,7 @@ impl DramDevice {
         v
     }
 
-    /// Write bytes.
+    /// Write bytes. On PM this is the durability point.
     ///
     /// # Panics
     ///
@@ -348,7 +290,8 @@ impl DramDevice {
     pub fn write(&mut self, addr: Addr, bytes: &[u8]) {
         assert!(
             self.range.contains_span(addr, bytes.len()),
-            "DRAM write out of range: {addr:#x}+{}",
+            "{} write out of range: {addr:#x}+{}",
+            K::NAME,
             bytes.len()
         );
         self.store.write(addr, bytes);
@@ -358,6 +301,36 @@ impl DramDevice {
     /// the first write, whatever the size of the range.
     pub fn resident(&self) -> (usize, usize) {
         self.store.pages.resident()
+    }
+}
+
+impl Device<Pm> {
+    /// Rebuild a device from a crash image, preserving its contents.
+    /// The device boots from the image's pages and copies one only when
+    /// it first writes it.
+    pub fn from_image(image: &PmImage) -> PmDevice {
+        Device::over(image.range(), image.store.clone())
+    }
+
+    /// Borrowed view of one cache line's current contents (zeros if the
+    /// line was never written). This is the allocation-free path
+    /// `memsim` reads the media through — loads of lines it does not
+    /// overlay, and its write-back snapshots; the line need only
+    /// overlap the device range the way [`Device::read`] would allow.
+    pub fn line_view(&self, line: Line) -> &[u8; LINE_SIZE as usize] {
+        self.store.line_view(line)
+    }
+
+    /// Number of distinct lines ever written.
+    pub fn lines_in_use(&self) -> usize {
+        self.store.live_lines
+    }
+
+    /// Snapshot the durable contents (what survives a power failure):
+    /// a frozen copy of the device's pages, shared until the device
+    /// next writes each of them.
+    pub fn image(&mut self) -> PmImage {
+        PmImage::from_store(self.range, self.store.share())
     }
 }
 

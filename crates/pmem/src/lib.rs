@@ -5,10 +5,10 @@
 //! durability. The WHISPER paper (ASPLOS 2017) defines *persistent memory*
 //! (PM) as NVM accessed with byte addressability, at low latency, via
 //! regular memory instructions. This crate provides the lowest layer of
-//! the reproduction: the *media* — sparse, 64-byte-line-granular byte
-//! stores standing in for an NVM DIMM ([`PmDevice`]) and for DRAM
-//! ([`DramDevice`]), plus durable snapshots ([`PmImage`]) used to model
-//! power failures.
+//! the reproduction: the *media* — one sparse, 64-byte-line-granular
+//! byte store, [`Device`], standing in for an NVM DIMM ([`PmDevice`])
+//! and for DRAM ([`DramDevice`]), plus durable snapshots ([`PmImage`])
+//! used to model power failures. Only the PM kind can be imaged.
 //!
 //! Nothing in this crate models caches, fences, or ordering; that is the
 //! job of the `memsim` crate, which decides *when* bytes written by a
@@ -43,7 +43,7 @@ mod linemap;
 mod range;
 mod sparse;
 
-pub use device::{DramDevice, PmDevice};
+pub use device::{Device, DeviceKind, Dram, DramDevice, Pm, PmDevice};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use image::PmImage;
 pub use line::{lines_spanning, Line, LineSpan, LINE_SIZE};

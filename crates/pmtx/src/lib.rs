@@ -32,13 +32,23 @@
 //! 24-byte record header, differing only in their [`RingFormat`] —
 //! and each protocol issues its own fences around the ring's stores.
 //!
+//! The per-thread bookkeeping is written once too. One crate-private
+//! transaction table holds each thread's ring and, while a transaction
+//! is open, its id and the engine's own state; it owns the tid check
+//! ([`TxError::BadTid`]), [`TxError::NestedTx`] and [`TxError::NoTx`],
+//! the `TxBegin`/`TxEnd` trace markers and the read-your-writes overlay
+//! of buffered writes. The three engines are three protocols over it:
+//! each states only what it persists at begin, write, commit, abort and
+//! recovery. [`TxMem::tx_write`] is each engine's one transactional
+//! write — the engines have no inherent write method.
+//!
 //! # Example
 //!
 //! ```
 //! use memsim::{Machine, MachineConfig};
 //! use pmem::AddrRange;
 //! use pmtrace::{Category, Tid};
-//! use pmtx::UndoTxEngine;
+//! use pmtx::{TxMem, UndoTxEngine};
 //!
 //! let mut m = Machine::new(MachineConfig::asplos17());
 //! let pm = m.config().map.pm;
@@ -47,7 +57,7 @@
 //! let mut tx = UndoTxEngine::format(&mut m, log, 4);
 //! let tid = Tid(0);
 //! tx.begin(&mut m, tid)?;
-//! tx.set(&mut m, tid, data, &7u64.to_le_bytes(), Category::UserData)?;
+//! tx.tx_write_u64(&mut m, tid, data, 7, Category::UserData)?;
 //! tx.commit(&mut m, tid)?;
 //! assert!(m.is_durable(data, 8));
 //! # Ok::<(), pmtx::TxError>(())
@@ -59,6 +69,7 @@
 mod log;
 mod mintx;
 mod redo;
+mod table;
 mod txmem;
 mod undo;
 
@@ -129,20 +140,6 @@ impl std::fmt::Display for TxError {
 }
 
 impl std::error::Error for TxError {}
-
-/// The validated per-thread slot index for `tid` in an engine formatted
-/// with `slots` slots.
-pub(crate) fn slot_of(tid: pmtrace::Tid, slots: usize) -> Result<usize, TxError> {
-    let t = tid.0 as usize;
-    if t < slots {
-        Ok(t)
-    } else {
-        Err(TxError::BadTid {
-            tid,
-            threads: slots as u32,
-        })
-    }
-}
 
 /// Engines size their per-thread state from a caller-supplied count,
 /// but the machine's [`memsim::MachineConfig::threads`] is the single

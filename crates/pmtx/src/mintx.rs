@@ -20,8 +20,9 @@
 //! idempotent (their writebacks completed before the next transaction
 //! began), so stale records overwritten mid-ring are harmless.
 
-use crate::log::{carve, format_rings, LogRing, RingFormat};
-use crate::TxError;
+use crate::log::{carve, format_rings, RingFormat};
+use crate::table::TxTable;
+use crate::{TxError, TxMem};
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
 use pmtrace::{Category, Tid};
@@ -35,20 +36,14 @@ const MINTX_LOG: RingFormat = RingFormat {
 /// Largest single loggable write.
 pub const MIN_TX_MAX_DATA: usize = MINTX_LOG.max_data();
 
-#[derive(Debug)]
-struct ActiveMin {
-    id: pmtrace::TxId,
-    writes: Vec<(Addr, Vec<u8>, Category)>,
-}
-
 /// Deferred-commit transactions with exactly three epochs each.
 ///
 /// Same read-your-writes interface as [`crate::RedoTxEngine`]; see the
 /// module docs for the protocol.
 #[derive(Debug)]
 pub struct MinTxEngine {
-    slots: Vec<LogRing>,
-    active: Vec<Option<ActiveMin>>,
+    /// An open transaction is its buffered writes alone.
+    table: TxTable<()>,
     #[cfg(test)]
     region: AddrRange,
 }
@@ -61,8 +56,7 @@ impl MinTxEngine {
     /// Panics if the region cannot hold four records per thread.
     pub fn format(m: &mut Machine, region: AddrRange, threads: u32) -> MinTxEngine {
         MinTxEngine {
-            slots: format_rings(m, MINTX_LOG, region, threads),
-            active: (0..threads).map(|_| None).collect(),
+            table: TxTable::new(format_rings(m, MINTX_LOG, region, threads)),
             #[cfg(test)]
             region,
         }
@@ -88,16 +82,10 @@ impl MinTxEngine {
             }
         }
         MinTxEngine {
-            slots,
-            active: (0..threads).map(|_| None).collect(),
+            table: TxTable::new(slots),
             #[cfg(test)]
             region,
         }
-    }
-
-    /// The validated slot index for `tid`.
-    fn slot_of(&self, tid: Tid) -> Result<usize, TxError> {
-        crate::slot_of(tid, self.active.len())
     }
 
     /// Start a transaction.
@@ -106,55 +94,7 @@ impl MinTxEngine {
     ///
     /// [`TxError::NestedTx`] if one is already open on this thread.
     pub fn begin(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        if self.active[t].is_some() {
-            return Err(TxError::NestedTx);
-        }
-        let id = m.fresh_tx_id(tid);
-        m.tx_begin(tid, id);
-        self.active[t] = Some(ActiveMin {
-            id,
-            writes: Vec::new(),
-        });
-        Ok(())
-    }
-
-    /// Buffer a transactional write (volatile until commit).
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::NoTx`] without an open transaction;
-    /// [`TxError::EntryTooLarge`]/[`TxError::LogFull`] on capacity.
-    pub fn write(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        addr: Addr,
-        bytes: &[u8],
-        cat: Category,
-    ) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let active = self.active[t].as_mut().ok_or(TxError::NoTx)?;
-        self.slots[t].fits(bytes.len(), active.writes.len())?;
-        let _ = m; // buffered only; nothing touches PM until commit
-        active.writes.push((addr, bytes.to_vec(), cat));
-        Ok(())
-    }
-
-    /// Buffered `u64` write.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MinTxEngine::write`].
-    pub fn write_u64(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        addr: Addr,
-        val: u64,
-        cat: Category,
-    ) -> Result<(), TxError> {
-        self.write(m, tid, addr, &val.to_le_bytes(), cat)
+        self.table.begin(m, tid, ()).map(drop)
     }
 
     /// Commit in exactly three epochs.
@@ -163,29 +103,26 @@ impl MinTxEngine {
     ///
     /// [`TxError::NoTx`] without an open transaction.
     pub fn commit(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let active = self.active[t].take().ok_or(TxError::NoTx)?;
-        let ring = &mut self.slots[t];
-        let mut w = PmWriter::new(tid);
-        // Epoch 1: every log record, one fence.
-        for (addr, data, _) in &active.writes {
-            ring.append(m, &mut w, *addr, data, true, Category::RedoLog)
-                .expect("`write` sized the batch to the ring");
-        }
-        if !active.writes.is_empty() {
+        self.table.end(m, tid, |m, ring, open| {
+            let mut w = PmWriter::new(tid);
+            // Epoch 1: every log record, one fence.
+            for (addr, data, _) in &open.writes {
+                ring.append(m, &mut w, *addr, data, true, Category::RedoLog)
+                    .expect("`tx_write` sized the batch to the ring");
+            }
+            if !open.writes.is_empty() {
+                w.ordering_fence(m);
+            }
+            // Epoch 2: the commit marker naming those records, one store.
+            let seqs = ring.seal();
+            ring.mark_committed(m, &mut w, seqs);
             w.ordering_fence(m);
-        }
-        // Epoch 2: the commit marker naming those records, one store.
-        let seqs = ring.seal();
-        ring.mark_committed(m, &mut w, seqs);
-        w.ordering_fence(m);
-        // Epoch 3: in-place data, flushed, durable.
-        for (addr, data, cat) in &active.writes {
-            w.write(m, *addr, data, *cat);
-        }
-        w.durability_fence(m);
-        m.tx_end(tid, active.id);
-        Ok(())
+            // Epoch 3: in-place data, flushed, durable.
+            for (addr, data, cat) in &open.writes {
+                w.write(m, *addr, data, *cat);
+            }
+            w.durability_fence(m);
+        })
     }
 
     /// Abort: drop the buffer; PM was never touched.
@@ -194,31 +131,36 @@ impl MinTxEngine {
     ///
     /// [`TxError::NoTx`] without an open transaction.
     pub fn abort(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let active = self.active[t].take().ok_or(TxError::NoTx)?;
-        m.tx_end(tid, active.id);
-        Ok(())
+        self.table.end(m, tid, |_, _, _| {})
     }
 }
 
-impl crate::TxMem for MinTxEngine {
+impl TxMem for MinTxEngine {
     /// Reads have read-your-writes semantics: buffered updates overlay
     /// memory.
     fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]) {
-        // An out-of-range tid has no buffered writes to overlay.
-        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
-        crate::txmem::read_through(m, tid, addr, buf, active.map_or(&[], |a| &a.writes));
+        self.table.read_through(m, tid, addr, buf);
     }
 
+    /// Buffer a transactional write (volatile until commit).
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::NoTx`] without an open transaction;
+    /// [`TxError::EntryTooLarge`]/[`TxError::LogFull`] on capacity.
     fn tx_write(
         &mut self,
-        m: &mut Machine,
+        _: &mut Machine,
         tid: Tid,
         addr: Addr,
         bytes: &[u8],
         cat: Category,
     ) -> Result<(), TxError> {
-        self.write(m, tid, addr, bytes, cat)
+        // Buffered only; nothing touches PM until commit.
+        let (ring, open) = self.table.open(tid)?;
+        ring.fits(bytes.len(), open.writes.len())?;
+        open.writes.push((addr, bytes.to_vec(), cat));
+        Ok(())
     }
 }
 
@@ -233,7 +175,6 @@ impl MinTxEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TxMem;
     use memsim::{CrashSpec, MachineConfig};
     use pmtrace::analysis;
 
@@ -255,7 +196,7 @@ mod tests {
         };
         assert_eq!(eng.begin(&mut m, bad), Err(err));
         assert_eq!(
-            eng.write(&mut m, bad, data, &[1u8; 8], Category::UserData),
+            eng.tx_write(&mut m, bad, data, &[1u8; 8], Category::UserData),
             Err(err)
         );
         assert_eq!(eng.commit(&mut m, bad), Err(err));
@@ -275,7 +216,7 @@ mod tests {
             m.trace_mut().clear();
             eng.begin(&mut m, tid).unwrap();
             for i in 0..writes as u64 {
-                eng.write_u64(&mut m, tid, data + i * 64, i, Category::UserData)
+                eng.tx_write_u64(&mut m, tid, data + i * 64, i, Category::UserData)
                     .unwrap();
             }
             eng.commit(&mut m, tid).unwrap();
@@ -289,7 +230,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 77, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 77, Category::UserData)
             .unwrap();
         assert_eq!(m.load_u64(tid, data), 0, "deferred: nothing in place yet");
         assert_eq!(eng.tx_read(&mut m, tid, data, 8), 77u64.to_le_bytes());
@@ -303,7 +244,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 5, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 5, Category::UserData)
             .unwrap();
         // Crash before commit: buffer was volatile, log not written.
         let log = eng.region();
@@ -319,7 +260,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 1234, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 1234, Category::UserData)
             .unwrap();
         // Drive the first two epochs by hand via commit, then drop the
         // in-place writes: DropVolatile after commit keeps everything
@@ -344,16 +285,16 @@ mod tests {
             let (mut m, mut eng, data) = setup();
             let tid = Tid(0);
             eng.begin(&mut m, tid).unwrap();
-            eng.write_u64(&mut m, tid, data, 1, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data, 1, Category::UserData)
                 .unwrap();
-            eng.write_u64(&mut m, tid, data + 64, 1, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data + 64, 1, Category::UserData)
                 .unwrap();
             eng.commit(&mut m, tid).unwrap();
             // Second tx: crash with everything in flight undetermined.
             eng.begin(&mut m, tid).unwrap();
-            eng.write_u64(&mut m, tid, data, 2, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data, 2, Category::UserData)
                 .unwrap();
-            eng.write_u64(&mut m, tid, data + 64, 2, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data + 64, 2, Category::UserData)
                 .unwrap();
             // Crash in the middle of commit: emulate by crashing right
             // after the log epoch would be durable — adversarial covers
@@ -375,7 +316,7 @@ mod tests {
         let tid = Tid(0);
         for i in 1..=5u64 {
             eng.begin(&mut m, tid).unwrap();
-            eng.write_u64(&mut m, tid, data, i * 10, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data, i * 10, Category::UserData)
                 .unwrap();
             eng.commit(&mut m, tid).unwrap();
         }
@@ -396,14 +337,14 @@ mod tests {
         let tid = Tid(0);
         assert_eq!(eng.commit(&mut m, tid), Err(TxError::NoTx));
         assert_eq!(
-            eng.write_u64(&mut m, tid, data, 1, Category::UserData),
+            eng.tx_write_u64(&mut m, tid, data, 1, Category::UserData),
             Err(TxError::NoTx)
         );
         eng.begin(&mut m, tid).unwrap();
         assert_eq!(eng.begin(&mut m, tid), Err(TxError::NestedTx));
         let big = vec![0u8; MIN_TX_MAX_DATA + 1];
         assert!(matches!(
-            eng.write(&mut m, tid, data, &big, Category::UserData),
+            eng.tx_write(&mut m, tid, data, &big, Category::UserData),
             Err(TxError::EntryTooLarge { .. })
         ));
         eng.abort(&mut m, tid).unwrap();

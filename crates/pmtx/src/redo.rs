@@ -1,20 +1,13 @@
 //! Mnemosyne-style redo-log transactions.
 
-use crate::log::{format_rings, recover_rings, retire, LogRing, TxStatus, TX_LOG};
-use crate::{ClearPolicy, TxError};
+use crate::log::{format_rings, recover_rings, retire, TxStatus, TX_LOG};
+use crate::table::TxTable;
+use crate::{ClearPolicy, TxError, TxMem};
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
 use pmtrace::{Category, Tid};
 
 const SCRATCH_BYTES: u64 = 64 * 1024;
-
-#[derive(Debug, Clone)]
-struct ActiveRedo {
-    id: pmtrace::TxId,
-    /// Volatile write set, in program order: (target, data, category).
-    writes: Vec<(Addr, Vec<u8>, Category)>,
-    scratch_cursor: u64,
-}
 
 /// Durable transactions via a redo log, in the style of Mnemosyne
 /// (Section 3.1).
@@ -30,8 +23,8 @@ struct ActiveRedo {
 /// written in place — is untouched.
 #[derive(Debug, Clone)]
 pub struct RedoTxEngine {
-    slots: Vec<LogRing>,
-    active: Vec<Option<ActiveRedo>>,
+    /// Per open transaction: its cursor into the thread's scratch.
+    table: TxTable<u64>,
     /// Per-thread DRAM scratch base for the volatile write buffer (so
     /// buffering shows up as DRAM traffic, as in the real system).
     scratch: Vec<Addr>,
@@ -45,14 +38,9 @@ impl RedoTxEngine {
     ///
     /// Panics if `region` is too small for `threads` ≥4 KB slots.
     pub fn format(m: &mut Machine, region: AddrRange, threads: u32) -> RedoTxEngine {
-        let slots = format_rings(m, TX_LOG, region, threads);
-        let scratch = (0..threads)
-            .map(|_| m.alloc_dram(SCRATCH_BYTES, 64))
-            .collect();
         RedoTxEngine {
-            slots,
-            active: (0..threads).map(|_| None).collect(),
-            scratch,
+            table: TxTable::new(format_rings(m, TX_LOG, region, threads)),
+            scratch: scratch(m, threads),
             clear_policy: ClearPolicy::default(),
         }
     }
@@ -61,13 +49,10 @@ impl RedoTxEngine {
     /// durable, discard the rest. Returns the engine, ready for new
     /// transactions. `tid` is the recovery thread.
     pub fn recover(m: &mut Machine, tid: Tid, region: AddrRange, threads: u32) -> RedoTxEngine {
-        let scratch = (0..threads)
-            .map(|_| m.alloc_dram(SCRATCH_BYTES, 64))
-            .collect();
-        let slots = recover_rings(m, tid, region, threads, TxStatus::Committed, false);
+        let scratch = scratch(m, threads);
+        let rings = recover_rings(m, tid, region, threads, TxStatus::Committed, false);
         RedoTxEngine {
-            slots,
-            active: (0..threads).map(|_| None).collect(),
+            table: TxTable::new(rings),
             scratch,
             clear_policy: ClearPolicy::default(),
         }
@@ -82,12 +67,7 @@ impl RedoTxEngine {
     /// Whether `tid` has an open transaction (false for an
     /// out-of-range `tid`, which can never have one).
     pub fn in_tx(&self, tid: Tid) -> bool {
-        self.active.get(tid.0 as usize).is_some_and(Option::is_some)
-    }
-
-    /// The validated slot index for `tid`.
-    fn slot_of(&self, tid: Tid) -> Result<usize, TxError> {
-        crate::slot_of(tid, self.active.len())
+        self.table.in_tx(tid)
     }
 
     /// Start a durable transaction on `tid`.
@@ -97,72 +77,10 @@ impl RedoTxEngine {
     /// [`TxError::NestedTx`] if one is already open;
     /// [`TxError::BadTid`] for a thread the engine has no slot for.
     pub fn begin(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        if self.active[t].is_some() {
-            return Err(TxError::NestedTx);
-        }
-        let id = m.fresh_tx_id(tid);
-        m.tx_begin(tid, id);
         // No persistent status write at begin: a redo log without a
         // durable commit marker is simply discarded at recovery, so
         // Mnemosyne-style transactions start for free.
-        self.active[t] = Some(ActiveRedo {
-            id,
-            writes: Vec::new(),
-            scratch_cursor: 0,
-        });
-        Ok(())
-    }
-
-    /// Transactional write: buffered in DRAM, logged persistently with
-    /// non-temporal stores (one epoch per record).
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::NoTx`] without an open transaction;
-    /// [`TxError::BadTid`] for a thread the engine has no slot for;
-    /// log-capacity errors from the slot.
-    pub fn write(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        addr: Addr,
-        bytes: &[u8],
-        cat: Category,
-    ) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let scratch_base = self.scratch[t];
-        let active = self.active[t].as_mut().ok_or(TxError::NoTx)?;
-        // Buffer in DRAM scratch (counts as volatile traffic).
-        let off = active.scratch_cursor % (SCRATCH_BYTES - bytes.len().min(4096) as u64).max(1);
-        m.store(
-            tid,
-            scratch_base + off,
-            &bytes[..bytes.len().min(4096)],
-            cat,
-        );
-        active.scratch_cursor = off + bytes.len() as u64;
-        active.writes.push((addr, bytes.to_vec(), cat));
-        let mut w = PmWriter::new(tid);
-        self.slots[t].append(m, &mut w, addr, bytes, true, Category::RedoLog)?;
-        w.ordering_fence(m);
-        Ok(())
-    }
-
-    /// Transactional `u64` write.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RedoTxEngine::write`].
-    pub fn write_u64(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        addr: Addr,
-        val: u64,
-        cat: Category,
-    ) -> Result<(), TxError> {
-        self.write(m, tid, addr, &val.to_le_bytes(), cat)
+        self.table.begin(m, tid, 0).map(drop)
     }
 
     /// Commit: durable marker, in-place writeback, flush, log clear.
@@ -171,21 +89,20 @@ impl RedoTxEngine {
     ///
     /// [`TxError::NoTx`] without an open transaction.
     pub fn commit(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let active = self.active[t].take().ok_or(TxError::NoTx)?;
-        let mut w = PmWriter::new(tid);
-        // 1. Commit marker durable: the transaction's durability point.
-        self.slots[t].set_status(m, &mut w, TxStatus::Committed);
-        w.durability_fence(m);
-        // 2. In-place updates with cacheable stores, then flush+fence.
-        for (addr, data, cat) in &active.writes {
-            w.write(m, *addr, data, *cat);
-        }
-        w.durability_fence(m);
-        // 3. Clear each log entry in its own epoch, then go idle.
-        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
-        m.tx_end(tid, active.id);
-        Ok(())
+        let policy = self.clear_policy;
+        self.table.end(m, tid, |m, ring, open| {
+            let mut w = PmWriter::new(tid);
+            // 1. Commit marker durable: the transaction's durability point.
+            ring.set_status(m, &mut w, TxStatus::Committed);
+            w.durability_fence(m);
+            // 2. In-place updates with cacheable stores, then flush+fence.
+            for (addr, data, cat) in &open.writes {
+                w.write(m, *addr, data, *cat);
+            }
+            w.durability_fence(m);
+            // 3. Clear each log entry in its own epoch, then go idle.
+            retire(ring, m, &mut w, policy);
+        })
     }
 
     /// Abort: discard the buffer and log; data was never written.
@@ -194,24 +111,29 @@ impl RedoTxEngine {
     ///
     /// [`TxError::NoTx`] without an open transaction.
     pub fn abort(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let active = self.active[t].take().ok_or(TxError::NoTx)?;
-        let mut w = PmWriter::new(tid);
-        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
-        m.tx_end(tid, active.id);
-        Ok(())
+        let policy = self.clear_policy;
+        self.table.end(m, tid, |m, ring, _| {
+            retire(ring, m, &mut PmWriter::new(tid), policy);
+        })
     }
 }
 
-impl crate::TxMem for RedoTxEngine {
+/// One DRAM scratch buffer per thread.
+fn scratch(m: &mut Machine, threads: u32) -> Vec<Addr> {
+    (0..threads)
+        .map(|_| m.alloc_dram(SCRATCH_BYTES, 64))
+        .collect()
+}
+
+impl TxMem for RedoTxEngine {
     /// Reads have read-your-writes semantics: buffered updates overlay
     /// memory.
     fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]) {
-        // An out-of-range tid has no buffered writes to overlay.
-        let active = self.active.get(tid.0 as usize).and_then(Option::as_ref);
-        crate::txmem::read_through(m, tid, addr, buf, active.map_or(&[], |a| &a.writes));
+        self.table.read_through(m, tid, addr, buf);
     }
 
+    /// Transactional write: buffered in DRAM, logged persistently with
+    /// non-temporal stores (one epoch per record).
     fn tx_write(
         &mut self,
         m: &mut Machine,
@@ -220,14 +142,23 @@ impl crate::TxMem for RedoTxEngine {
         bytes: &[u8],
         cat: Category,
     ) -> Result<(), TxError> {
-        self.write(m, tid, addr, bytes, cat)
+        let (ring, open) = self.table.open(tid)?;
+        // Buffer in DRAM scratch (counts as volatile traffic).
+        let kept = bytes.len().min(4096);
+        let off = open.state % (SCRATCH_BYTES - kept as u64).max(1);
+        m.store(tid, self.scratch[tid.0 as usize] + off, &bytes[..kept], cat);
+        open.state = off + bytes.len() as u64;
+        open.writes.push((addr, bytes.to_vec(), cat));
+        let mut w = PmWriter::new(tid);
+        ring.append(m, &mut w, addr, bytes, true, Category::RedoLog)?;
+        w.ordering_fence(m);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TxMem;
     use memsim::{CrashSpec, MachineConfig};
 
     fn setup() -> (Machine, RedoTxEngine, Addr) {
@@ -249,7 +180,7 @@ mod tests {
         assert!(!eng.in_tx(bad));
         assert_eq!(eng.begin(&mut m, bad), Err(err));
         assert_eq!(
-            eng.write(&mut m, bad, data, &[1u8; 8], Category::UserData),
+            eng.tx_write(&mut m, bad, data, &[1u8; 8], Category::UserData),
             Err(err)
         );
         assert_eq!(eng.commit(&mut m, bad), Err(err));
@@ -265,7 +196,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 99, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 99, Category::UserData)
             .unwrap();
         eng.commit(&mut m, tid).unwrap();
         assert!(m.is_durable(data, 8));
@@ -277,7 +208,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 42, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 42, Category::UserData)
             .unwrap();
         // In-place data not yet written (redo buffers):
         assert_eq!(m.load_u64(tid, data), 0);
@@ -292,7 +223,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 13, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 13, Category::UserData)
             .unwrap();
         eng.abort(&mut m, tid).unwrap();
         assert_eq!(m.load_u64(tid, data), 0);
@@ -309,7 +240,7 @@ mod tests {
         let tid = Tid(0);
         m.store(tid, data, &[0xAA; 16], Category::UserData);
         eng.begin(&mut m, tid).unwrap();
-        eng.write(&mut m, tid, data + 4, &[0xBB; 4], Category::UserData)
+        eng.tx_write(&mut m, tid, data + 4, &[0xBB; 4], Category::UserData)
             .unwrap();
         let v = eng.tx_read(&mut m, tid, data, 12);
         assert_eq!(
@@ -325,7 +256,7 @@ mod tests {
         let tid = Tid(0);
         assert_eq!(eng.commit(&mut m, tid), Err(TxError::NoTx));
         assert_eq!(
-            eng.write_u64(&mut m, tid, data, 1, Category::UserData),
+            eng.tx_write_u64(&mut m, tid, data, 1, Category::UserData),
             Err(TxError::NoTx)
         );
         eng.begin(&mut m, tid).unwrap();
@@ -338,7 +269,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 7, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 7, Category::UserData)
             .unwrap();
         // Crash with everything in flight persisted — log entries are
         // durable but no commit marker.
@@ -359,12 +290,13 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 1234, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 1234, Category::UserData)
             .unwrap();
         // Reach into the commit sequence: set the marker durably, then
         // "crash" before the data writeback by dropping volatile state.
         let mut w = PmWriter::new(tid);
-        eng.slots[0].set_status(&mut m, &mut w, TxStatus::Committed);
+        let log = AddrRange::new(m.config().map.pm.base, 1 << 20);
+        crate::log::carve(TX_LOG, log, 4)[0].set_status(&mut m, &mut w, TxStatus::Committed);
         w.durability_fence(&mut m);
         let img = m.crash(CrashSpec::DropVolatile);
         let mut m2 = Machine::from_image(MachineConfig::asplos17(), &img);
@@ -378,7 +310,7 @@ mod tests {
         let (mut m, mut eng, data) = setup();
         let tid = Tid(0);
         eng.begin(&mut m, tid).unwrap();
-        eng.write_u64(&mut m, tid, data, 5, Category::UserData)
+        eng.tx_write_u64(&mut m, tid, data, 5, Category::UserData)
             .unwrap();
         eng.commit(&mut m, tid).unwrap();
         let img = m.crash(CrashSpec::DropVolatile);
@@ -397,7 +329,7 @@ mod tests {
         let tid = Tid(0);
         for i in 0..20u64 {
             eng.begin(&mut m, tid).unwrap();
-            eng.write_u64(&mut m, tid, data + i * 8, i, Category::UserData)
+            eng.tx_write_u64(&mut m, tid, data + i * 8, i, Category::UserData)
                 .unwrap();
             eng.commit(&mut m, tid).unwrap();
         }
@@ -418,7 +350,7 @@ mod tests {
             m.trace_mut().clear();
             eng.begin(&mut m, tid).unwrap();
             for i in 0..6u64 {
-                eng.write_u64(&mut m, tid, data + i * 64, i, Category::UserData)
+                eng.tx_write_u64(&mut m, tid, data + i * 64, i, Category::UserData)
                     .unwrap();
             }
             eng.commit(&mut m, tid).unwrap();
@@ -441,7 +373,7 @@ mod tests {
             m.trace_mut().clear();
             eng.begin(&mut m, tid).unwrap();
             for i in 0..writes {
-                eng.write_u64(&mut m, tid, data + i * 64, i, Category::UserData)
+                eng.tx_write_u64(&mut m, tid, data + i * 64, i, Category::UserData)
                     .unwrap();
             }
             eng.commit(&mut m, tid).unwrap();

@@ -1,19 +1,22 @@
 //! Engine-independent transactional memory access.
 
-use crate::{TxError, UndoTxEngine};
+use crate::TxError;
 use memsim::Machine;
 use pmem::Addr;
 use pmtrace::{Category, Tid};
 
 /// Uniform read/write interface over an open transaction, implemented
-/// by both engines so persistent data structures (the `pmds` crate) can
-/// be written once and mounted over either library — the way WHISPER
-/// runs hash tables over NVML and red-black trees over Mnemosyne.
+/// by all three engines so persistent data structures (the `pmds`
+/// crate) can be written once and mounted over any of them — the way
+/// WHISPER runs hash tables over NVML and red-black trees over
+/// Mnemosyne.
 ///
-/// Reads have read-your-writes semantics: an undo engine writes in
-/// place, a redo engine overlays its volatile buffer. Every read is
-/// [`TxMem::tx_read_into`] a caller's buffer; the fixed-width readers
-/// use stack arrays, so they allocate nothing.
+/// [`TxMem::tx_write`] *is* each engine's transactional write: the
+/// engines have no other. Reads have read-your-writes semantics: an
+/// undo engine writes in place, a redo or 3-epoch engine overlays its
+/// buffered writes. Every read is [`TxMem::tx_read_into`] a caller's
+/// buffer; the fixed-width readers use stack arrays, so they allocate
+/// nothing.
 pub trait TxMem {
     /// Transactional read of `buf.len()` bytes at `addr` into `buf`.
     fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]);
@@ -25,12 +28,14 @@ pub trait TxMem {
         v
     }
 
-    /// Transactional write.
+    /// Transactional write of `bytes` at `addr`: the engine's protocol
+    /// step for one write.
     ///
     /// # Errors
     ///
-    /// Propagates the engine's [`TxError`]s (no open transaction, log
-    /// capacity).
+    /// [`TxError::NoTx`] without an open transaction;
+    /// [`TxError::BadTid`] for a thread the engine has no slot for;
+    /// [`TxError::EntryTooLarge`]/[`TxError::LogFull`] on log capacity.
     fn tx_write(
         &mut self,
         m: &mut Machine,
@@ -87,58 +92,10 @@ pub trait TxMem {
     }
 }
 
-/// A read of `buf.len()` bytes at `addr` into `buf` with `writes` — a
-/// transaction's buffered `(target, data, category)` writes, in program
-/// order — overlaid, as the redo and 3-epoch engines read their own
-/// writes.
-pub(crate) fn read_through(
-    m: &mut Machine,
-    tid: Tid,
-    addr: Addr,
-    buf: &mut [u8],
-    writes: &[(Addr, Vec<u8>, Category)],
-) {
-    // A tid without a machine slot cannot account a load (and can
-    // never hold buffered writes) — degrade to zeroes instead of
-    // panicking deep in the per-thread dirty state.
-    match m.validate_tid(tid) {
-        Ok(()) => m.load(tid, addr, buf),
-        Err(_) => buf.fill(0),
-    }
-    let (rs, re) = (addr, addr + buf.len() as u64);
-    for (waddr, wdata, _) in writes {
-        let (ws, we) = (*waddr, *waddr + wdata.len() as u64);
-        if ws < re && rs < we {
-            let lo = ws.max(rs);
-            let hi = we.min(re);
-            buf[(lo - rs) as usize..(hi - rs) as usize]
-                .copy_from_slice(&wdata[(lo - ws) as usize..(hi - ws) as usize]);
-        }
-    }
-}
-
-impl TxMem for UndoTxEngine {
-    fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]) {
-        // Undo logging writes in place; plain loads are current.
-        m.load(tid, addr, buf);
-    }
-
-    fn tx_write(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        addr: Addr,
-        bytes: &[u8],
-        cat: Category,
-    ) -> Result<(), TxError> {
-        self.set(m, tid, addr, bytes, cat)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RedoTxEngine;
+    use crate::{RedoTxEngine, UndoTxEngine};
     use memsim::MachineConfig;
     use pmem::AddrRange;
 

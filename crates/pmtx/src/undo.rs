@@ -1,31 +1,25 @@
 //! NVML-style undo-log transactions.
 
-use crate::log::{format_rings, recover_rings, retire, LogRing, TxStatus, TX_LOG};
-use crate::{ClearPolicy, TxError};
+use crate::log::{format_rings, recover_rings, retire, TxStatus, TX_LOG};
+use crate::table::TxTable;
+use crate::{ClearPolicy, TxError, TxMem};
 use memsim::{Machine, PmWriter};
 use pmem::{Addr, AddrRange};
 use pmtrace::{Category, Tid};
 
-/// [`UndoTxEngine::set`] reads an old value of at most this many bytes
+/// [`TxMem::tx_write`] reads an old value of at most this many bytes
 /// into a stack buffer instead of a fresh vector.
 const OLD_ON_STACK: usize = 256;
-
-#[derive(Debug, Clone)]
-struct ActiveUndo {
-    id: pmtrace::TxId,
-    /// Data lines written in place, to be flushed at commit.
-    writer: PmWriter,
-}
 
 /// Durable transactions via an undo log, in the style of NVML
 /// (Section 3.1).
 ///
-/// Every [`UndoTxEngine::set`] first persists the *old* value as an
+/// Every [`TxMem::tx_write`] first persists the *old* value as an
 /// undo-log entry (cacheable store + flush + fence), then writes the new
 /// value in place with cacheable stores whose flushes are deferred to
 /// commit. Because each undo record must be ordered before its data
 /// write, a transaction fragments "into a series of alternating epochs"
-/// — and any data lines still unflushed from a previous `set` get
+/// — and any data lines still unflushed from a previous write get
 /// dragged into the undo record's epoch, which is exactly the behavior
 /// the paper observed in N-store and NVML (Section 5.1).
 ///
@@ -33,8 +27,9 @@ struct ActiveUndo {
 /// re-applying the logged old values; rollback is idempotent.
 #[derive(Debug, Clone)]
 pub struct UndoTxEngine {
-    slots: Vec<LogRing>,
-    active: Vec<Option<ActiveUndo>>,
+    /// Per open transaction: the writer of its in-place data lines, to
+    /// be flushed at commit.
+    table: TxTable<PmWriter>,
     clear_policy: ClearPolicy,
 }
 
@@ -46,8 +41,7 @@ impl UndoTxEngine {
     /// Panics if `region` is too small for `threads` ≥4 KB slots.
     pub fn format(m: &mut Machine, region: AddrRange, threads: u32) -> UndoTxEngine {
         UndoTxEngine {
-            slots: format_rings(m, TX_LOG, region, threads),
-            active: (0..threads).map(|_| None).collect(),
+            table: TxTable::new(format_rings(m, TX_LOG, region, threads)),
             clear_policy: ClearPolicy::default(),
         }
     }
@@ -55,10 +49,10 @@ impl UndoTxEngine {
     /// Recover after a crash: roll back slots that were mid-transaction,
     /// discard logs of committed ones.
     pub fn recover(m: &mut Machine, tid: Tid, region: AddrRange, threads: u32) -> UndoTxEngine {
+        // Roll back: apply old values in reverse order.
+        let rings = recover_rings(m, tid, region, threads, TxStatus::Active, true);
         UndoTxEngine {
-            // Roll back: apply old values in reverse order.
-            slots: recover_rings(m, tid, region, threads, TxStatus::Active, true),
-            active: (0..threads).map(|_| None).collect(),
+            table: TxTable::new(rings),
             clear_policy: ClearPolicy::default(),
         }
     }
@@ -72,46 +66,71 @@ impl UndoTxEngine {
     /// Whether `tid` has an open transaction (false for an
     /// out-of-range `tid`, which can never have one).
     pub fn in_tx(&self, tid: Tid) -> bool {
-        self.active.get(tid.0 as usize).is_some_and(Option::is_some)
+        self.table.in_tx(tid)
     }
 
-    /// The validated slot index for `tid`.
-    fn slot_of(&self, tid: Tid) -> Result<usize, TxError> {
-        crate::slot_of(tid, self.active.len())
-    }
-
-    /// Start a durable transaction on `tid`.
+    /// Start a durable transaction on `tid`: its log goes `Active` in
+    /// an epoch of its own.
     ///
     /// # Errors
     ///
     /// [`TxError::NestedTx`] if one is already open;
     /// [`TxError::BadTid`] for a thread the engine has no slot for.
     pub fn begin(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        if self.active[t].is_some() {
-            return Err(TxError::NestedTx);
-        }
-        let id = m.fresh_tx_id(tid);
-        m.tx_begin(tid, id);
+        let ring = self.table.begin(m, tid, PmWriter::new(tid))?;
         let mut w = PmWriter::new(tid);
-        self.slots[t].set_status(m, &mut w, TxStatus::Active);
+        ring.set_status(m, &mut w, TxStatus::Active);
         w.ordering_fence(m);
-        self.active[t] = Some(ActiveUndo {
-            id,
-            writer: PmWriter::new(tid),
-        });
         Ok(())
+    }
+
+    /// Commit: flush in-place data, durable marker, clear log.
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::NoTx`] without an open transaction.
+    pub fn commit(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
+        let policy = self.clear_policy;
+        self.table.end(m, tid, |m, ring, mut open| {
+            // 1. Data durable.
+            open.state.durability_fence(m);
+            // 2. Marker durable: rollback disarmed.
+            let mut w = PmWriter::new(tid);
+            ring.set_status(m, &mut w, TxStatus::Committed);
+            w.durability_fence(m);
+            // 3. Clear each entry in its own epoch ("NVML sets and
+            //    clears its log entries"), then idle.
+            retire(ring, m, &mut w, policy);
+        })
+    }
+
+    /// Abort: re-apply old values from the undo log, then clear it.
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::NoTx`] without an open transaction.
+    pub fn abort(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
+        let policy = self.clear_policy;
+        self.table.end(m, tid, |m, ring, _| {
+            let mut w = PmWriter::new(tid);
+            for (target, old) in ring.read_entries(m, tid).into_iter().rev() {
+                w.write(m, target, &old, Category::UserData);
+            }
+            w.durability_fence(m);
+            retire(ring, m, &mut w, policy);
+        })
+    }
+}
+
+impl TxMem for UndoTxEngine {
+    fn tx_read_into(&mut self, m: &mut Machine, tid: Tid, addr: Addr, buf: &mut [u8]) {
+        // Undo logging writes in place; plain loads are current.
+        m.load(tid, addr, buf);
     }
 
     /// Transactional in-place update: log the old value (own epoch),
     /// then write the new value with deferred flushing.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::NoTx`] without an open transaction;
-    /// [`TxError::BadTid`] for a thread the engine has no slot for;
-    /// log-capacity errors from the slot.
-    pub fn set(
+    fn tx_write(
         &mut self,
         m: &mut Machine,
         tid: Tid,
@@ -119,10 +138,7 @@ impl UndoTxEngine {
         bytes: &[u8],
         cat: Category,
     ) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        if self.active[t].is_none() {
-            return Err(TxError::NoTx);
-        }
+        let (ring, open) = self.table.open(tid)?;
         // The old value, on the stack when it fits.
         let mut small = [0; OLD_ON_STACK];
         let mut large = Vec::new();
@@ -133,55 +149,14 @@ impl UndoTxEngine {
             &mut large[..]
         };
         m.load(tid, addr, old);
-        {
-            let active = self.active[t].as_mut().expect("checked above");
-            // The undo record is written through the transaction's own
-            // writer: its fence drags along any still-unflushed data
-            // lines from earlier `set`s (the paper's alternating-epoch
-            // fragmentation).
-            self.slots[t].append(m, &mut active.writer, addr, old, false, Category::UndoLog)?;
-            active.writer.ordering_fence(m);
-            active.writer.write(m, addr, bytes, cat);
-        }
-        Ok(())
-    }
-
-    /// Commit: flush in-place data, durable marker, clear log.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::NoTx`] without an open transaction.
-    pub fn commit(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let mut active = self.active[t].take().ok_or(TxError::NoTx)?;
-        // 1. Data durable.
-        active.writer.durability_fence(m);
-        // 2. Marker durable: rollback disarmed.
-        let mut w = PmWriter::new(tid);
-        self.slots[t].set_status(m, &mut w, TxStatus::Committed);
-        w.durability_fence(m);
-        // 3. Clear each entry in its own epoch ("NVML sets and clears
-        //    its log entries"), then idle.
-        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
-        m.tx_end(tid, active.id);
-        Ok(())
-    }
-
-    /// Abort: re-apply old values from the undo log, then clear it.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::NoTx`] without an open transaction.
-    pub fn abort(&mut self, m: &mut Machine, tid: Tid) -> Result<(), TxError> {
-        let t = self.slot_of(tid)?;
-        let active = self.active[t].take().ok_or(TxError::NoTx)?;
-        let mut w = PmWriter::new(tid);
-        for (target, old) in self.slots[t].read_entries(m, tid).into_iter().rev() {
-            w.write(m, target, &old, Category::UserData);
-        }
-        w.durability_fence(m);
-        retire(&mut self.slots[t], m, &mut w, self.clear_policy);
-        m.tx_end(tid, active.id);
+        // The undo record is written through the transaction's own
+        // writer: its fence drags along any still-unflushed data lines
+        // from earlier writes (the paper's alternating-epoch
+        // fragmentation).
+        let w = &mut open.state;
+        ring.append(m, w, addr, old, false, Category::UndoLog)?;
+        w.ordering_fence(m);
+        w.write(m, addr, bytes, cat);
         Ok(())
     }
 }
@@ -189,7 +164,6 @@ impl UndoTxEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TxMem;
     use memsim::{CrashSpec, MachineConfig};
 
     #[test]
@@ -204,7 +178,7 @@ mod tests {
         assert!(!eng.in_tx(bad));
         assert_eq!(eng.begin(&mut m, bad), Err(err));
         assert_eq!(
-            eng.set(&mut m, bad, data, &[1u8; 8], Category::UserData),
+            eng.tx_write(&mut m, bad, data, &[1u8; 8], Category::UserData),
             Err(err)
         );
         assert_eq!(eng.commit(&mut m, bad), Err(err));

@@ -189,7 +189,7 @@ impl Vacation {
                 if update_counter {
                     let c = self.eng.tx_read_u64(m, tid, self.counters[t]);
                     self.eng
-                        .write_u64(m, tid, self.counters[t], c + 1, Category::AppMeta)
+                        .tx_write_u64(m, tid, self.counters[t], c + 1, Category::AppMeta)
                         .expect("counter");
                 }
             }

@@ -29,7 +29,9 @@
 //! FILE` re-analyzes such an archive offline instead of running a
 //! workload, through the same gates and the same EXPERIMENT selection.
 //! The archive is the run's only row, so `--apps` and `--dump-traces`
-//! beside it are usage errors.
+//! beside it are usage errors; so are `--serve`, `--profile`,
+//! `--crash`, `--crossval` and `--optimize` (and their `-json` forms),
+//! the gates that re-run live workloads rather than read a trace.
 //!
 //! # Gates
 //!
@@ -380,6 +382,16 @@ impl Opts {
             return Err(format!(
                 "--from-trace takes neither --apps nor --dump-traces: {why}"
             ));
+        }
+        // Serve and the crash campaign re-run live workloads, and an
+        // archive is a trace, not a workload to re-run.
+        let rerun = [Serve, Profile, Crash, Crossval, Optimize];
+        if o.from_trace.is_some() && rerun.into_iter().any(|g| o.on(g)) {
+            return Err(
+                "--from-trace takes no --serve, --profile, --crash, --crossval or --optimize: \
+                 those gates re-run live workloads, not the archive"
+                    .into(),
+            );
         }
         for (i, name) in o.apps.iter().enumerate() {
             crate::apps::by_name(name).map_err(|unknown| unknown.to_string())?;

@@ -51,15 +51,15 @@ fn trial_redo(seed: u64) -> (u64, u64) {
     let tid = Tid(0);
     let mut eng = RedoTxEngine::format(&mut m, log, 4);
     eng.begin(&mut m, tid).unwrap();
-    eng.write_u64(&mut m, tid, a, 600, Category::UserData)
+    eng.tx_write_u64(&mut m, tid, a, 600, Category::UserData)
         .unwrap();
-    eng.write_u64(&mut m, tid, b, 400, Category::UserData)
+    eng.tx_write_u64(&mut m, tid, b, 400, Category::UserData)
         .unwrap();
     eng.commit(&mut m, tid).unwrap();
     eng.begin(&mut m, tid).unwrap();
-    eng.write_u64(&mut m, tid, a, 350, Category::UserData)
+    eng.tx_write_u64(&mut m, tid, a, 350, Category::UserData)
         .unwrap();
-    eng.write_u64(&mut m, tid, b, 650, Category::UserData)
+    eng.tx_write_u64(&mut m, tid, b, 650, Category::UserData)
         .unwrap();
     let img = m.crash(CrashSpec::Adversarial { seed });
     let mut m2 = Machine::from_image(MachineConfig::asplos17(), &img);

@@ -118,12 +118,12 @@ proptest! {
         let mut eng = RedoTxEngine::format(&mut m, log, 4);
         for i in 0..n_committed as u64 {
             eng.begin(&mut m, TID).unwrap();
-            eng.write_u64(&mut m, TID, data + i * 64, i + 1, Category::UserData).unwrap();
+            eng.tx_write_u64(&mut m, TID, data + i * 64, i + 1, Category::UserData).unwrap();
             eng.commit(&mut m, TID).unwrap();
         }
         eng.begin(&mut m, TID).unwrap();
         for j in 0..n_uncommitted as u64 {
-            eng.write_u64(&mut m, TID, data + (16 + j) * 64, 0xdead, Category::UserData).unwrap();
+            eng.tx_write_u64(&mut m, TID, data + (16 + j) * 64, 0xdead, Category::UserData).unwrap();
         }
         let img = m.crash(CrashSpec::Adversarial { seed });
         let mut m2 = Machine::from_image(MachineConfig::asplos17(), &img);

@@ -419,6 +419,44 @@ fn every_gate_runs_the_apps_rows() {
     );
 }
 
+/// Serve and the crash campaign re-run live workloads, so beside an
+/// archive they are usage errors — refused before anything runs, and
+/// not because of `--apps` (refused beside `--from-trace` too). The
+/// gates that read the trace itself still run over it.
+#[test]
+fn from_trace_refuses_the_gates_that_rerun_workloads() {
+    let _turn = turn();
+    let dir = scratch("from-trace-gates");
+    let d = dir.display();
+    let (code, _) = run(&format!(
+        "table1 --apps hashmap --scale 0.01 --parallel 1 --dump-traces {d} --quiet"
+    ));
+    assert_eq!(code, 0);
+    let archive = format!("{d}/hashmap.wtr");
+    let replays = hops::fig10_invocations();
+    for gate in ["serve", "profile", "crash", "crossval", "optimize"] {
+        let doc = dir.join(format!("{gate}.json"));
+        for flag in [
+            format!("--{gate}"),
+            format!("--{gate}-json {}", doc.display()),
+        ] {
+            let (code, out) = run(&format!("--from-trace {archive} table1 --quiet {flag}"));
+            assert_eq!(code, 2, "{flag}");
+            assert_eq!(out, "", "{flag}: a usage error prints no report");
+            assert!(!doc.exists(), "{flag}: wrote {}", doc.display());
+        }
+    }
+    assert_eq!(hops::fig10_invocations(), replays, "a gate ran");
+
+    let (code, out) = run(&format!(
+        "--from-trace {archive} --check --check-graph {d}/graphs --quiet"
+    ));
+    assert_eq!(code, 0);
+    assert!(out.contains("\n\nPersistency check"), "{out}");
+    let graphs = std::fs::read_dir(dir.join("graphs")).expect("graphs/");
+    assert_eq!(graphs.count(), 2, "the archive's .json and .dot graph");
+}
+
 #[test]
 fn exit_precedence_is_check_crash_crossval_optimize() {
     use Gate::{Check, Crash, Crossval, Graph, Optimize, Profile, Serve};
