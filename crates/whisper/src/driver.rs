@@ -375,23 +375,14 @@ impl Opts {
             }
         }
         o.gates[Serve as usize] |= o.on(Profile);
-        // An archive is the run's only row: nothing to select among or
-        // to archive again.
-        if o.from_trace.is_some() && (!o.apps.is_empty() || o.dump_traces.is_some()) {
-            let why = "the archive is the run's only row";
-            return Err(format!(
-                "--from-trace takes neither --apps nor --dump-traces: {why}"
-            ));
-        }
-        // Serve and the crash campaign re-run live workloads, and an
-        // archive is a trace, not a workload to re-run.
-        let rerun = [Serve, Profile, Crash, Crossval, Optimize];
-        if o.from_trace.is_some() && rerun.into_iter().any(|g| o.on(g)) {
-            return Err(
-                "--from-trace takes no --serve, --profile, --crash, --crossval or --optimize: \
-                 those gates re-run live workloads, not the archive"
-                    .into(),
-            );
+        // An archive is the run's only row, and a trace rather than a
+        // workload: nothing to select among, archive again or re-run
+        // (serve and the crash campaign re-run live workloads; profile
+        // implies serve).
+        let rerun = o.on(Serve) || o.on(Crash) || o.on(Crossval) || o.on(Optimize);
+        if o.from_trace.is_some() && (rerun || !o.apps.is_empty() || o.dump_traces.is_some()) {
+            let what = "--apps, --dump-traces, --serve, --profile, --crash, --crossval, --optimize";
+            return Err(format!("--from-trace takes no {what}: it is the only row"));
         }
         for (i, name) in o.apps.iter().enumerate() {
             crate::apps::by_name(name).map_err(|unknown| unknown.to_string())?;
