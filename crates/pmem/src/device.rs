@@ -390,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "PM write out of range")]
     fn out_of_range_write_panics() {
         let mut d = dev();
         d.write((1 << 20) - 4, &[0; 8]);
@@ -401,6 +401,12 @@ mod tests {
     fn out_of_range_read_panics() {
         let d = dev();
         d.read_vec(1 << 20, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM write out of range")]
+    fn a_dram_panic_names_dram() {
+        DramDevice::new(AddrRange::new(0, 4096)).write(4090, &[0; 8]);
     }
 
     #[test]
