@@ -10,10 +10,10 @@ use pmtx::TxMem;
 
 const MAGIC: u64 = 0x5042_5452_4545_2121; // "PBTREE!!"
 
-/// Maximum keys per node (2t-1 for minimum degree t = 7, so an
-/// internal merge of two minimal siblings plus the separator exactly
-/// fills a node). A node is 16 B header + 13 keys + 14 children/values
-/// ≤ 256 B — one allocator class, four cache lines.
+/// Maximum keys per node (2t-1 for minimum degree t = 7, so a split
+/// leaves both halves at least minimal). A node is 16 B header +
+/// 13 keys + 14 children/values ≤ 256 B — one allocator class, four
+/// cache lines.
 const MAX_KEYS: usize = 13;
 const MIN_KEYS: usize = 6; // t - 1
 
@@ -32,9 +32,10 @@ const O_PTRS: u64 = 128;
 /// "PMFS stores user data in 4KB blocks and metadata in persistent
 /// B-trees" and N-store's OPTWAL "places tables and indexes in these
 /// segments" (Section 3) — this is that index structure, usable over
-/// either transaction engine. Insert and remove use the classic
-/// single-pass preemptive split/merge descent, so no parent pointers
-/// are stored and every mutation is a bounded set of logged writes.
+/// either transaction engine. Insert uses the classic single-pass
+/// preemptive-split descent, so no parent pointers are stored and every
+/// insert is a bounded set of logged writes. There is no delete: the
+/// index is insert, lookup and range scan, all that N-store issues.
 #[derive(Debug, Clone, Copy)]
 pub struct PBTree {
     base: Addr,
@@ -353,168 +354,6 @@ impl PBTree {
         Ok(())
     }
 
-    // -- remove -------------------------------------------------------
-
-    /// Remove `key`; returns whether it was present.
-    ///
-    /// # Errors
-    ///
-    /// Engine/allocator errors.
-    pub fn remove<E: TxMem, A: PmAllocator>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        alloc: &mut A,
-        key: u64,
-    ) -> Result<bool, DsError> {
-        let root = e.tx_read_u64(m, tid, self.base + 8);
-        let removed = self.remove_from(m, e, tid, alloc, root, key)?;
-        // Shrink the root if it emptied into a single child.
-        let (leaf, keys, ptrs) = Self::read_node(m, e, tid, root);
-        if !leaf && keys.is_empty() {
-            e.tx_write_u64(m, tid, self.base + 8, ptrs[0], Category::UserData)?;
-            let mut w = memsim::PmWriter::new(tid);
-            alloc.free(m, &mut w, root)?;
-        }
-        if removed {
-            header::bump(m, e, tid, self.base, -1)?;
-        }
-        Ok(removed)
-    }
-
-    fn remove_from<E: TxMem, A: PmAllocator>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        alloc: &mut A,
-        n: Addr,
-        key: u64,
-    ) -> Result<bool, DsError> {
-        let (leaf, keys, ptrs) = Self::read_node(m, e, tid, n);
-        if leaf {
-            return match keys.binary_search(&key) {
-                Ok(i) => {
-                    let mut keys = keys;
-                    let mut vals = ptrs;
-                    keys.remove(i);
-                    vals.remove(i);
-                    Self::write_node(m, e, tid, n, &keys, &vals)?;
-                    Ok(true)
-                }
-                Err(_) => Ok(false),
-            };
-        }
-        let mut i = keys.partition_point(|&k| k < key);
-        if i < keys.len() && keys[i] == key {
-            i += 1;
-        }
-        // Preemptively ensure the child we descend into can lose a key.
-        let child = ptrs[i];
-        let child = if Self::nkeys(m, e, tid, child) <= MIN_KEYS {
-            self.rebalance_child(m, e, tid, alloc, n, i)?
-        } else {
-            child
-        };
-        self.remove_from(m, e, tid, alloc, child, key)
-    }
-
-    /// Give the `i`-th child of `parent` an extra key by borrowing from
-    /// a sibling or merging; returns the (possibly merged) child to
-    /// descend into.
-    fn rebalance_child<E: TxMem, A: PmAllocator>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        alloc: &mut A,
-        parent: Addr,
-        i: usize,
-    ) -> Result<Addr, DsError> {
-        let (_, pkeys, pptrs) = Self::read_node(m, e, tid, parent);
-        let child = pptrs[i];
-        let (cleaf, mut ckeys, mut cptrs) = Self::read_node(m, e, tid, child);
-
-        // Borrow from the left sibling.
-        if i > 0 {
-            let left = pptrs[i - 1];
-            let (_, lkeys, lptrs) = Self::read_node(m, e, tid, left);
-            if lkeys.len() > MIN_KEYS {
-                if cleaf {
-                    ckeys.insert(0, *lkeys.last().expect("nonempty"));
-                    cptrs.insert(0, *lptrs.last().expect("nonempty"));
-                    // The parent separator becomes the moved key.
-                    let mut pk = pkeys;
-                    pk[i - 1] = ckeys[0];
-                    Self::write_node(m, e, tid, parent, &pk, &pptrs)?;
-                } else {
-                    ckeys.insert(0, pkeys[i - 1]);
-                    cptrs.insert(0, *lptrs.last().expect("nonempty"));
-                    let mut pk = pkeys;
-                    pk[i - 1] = *lkeys.last().expect("nonempty");
-                    Self::write_node(m, e, tid, parent, &pk, &pptrs)?;
-                }
-                Self::write_node(
-                    m,
-                    e,
-                    tid,
-                    left,
-                    &lkeys[..lkeys.len() - 1],
-                    &lptrs[..lptrs.len() - 1],
-                )?;
-                Self::write_node(m, e, tid, child, &ckeys, &cptrs)?;
-                return Ok(child);
-            }
-        }
-        // Borrow from the right sibling.
-        if i < pptrs.len() - 1 {
-            let right = pptrs[i + 1];
-            let (_, rkeys, rptrs) = Self::read_node(m, e, tid, right);
-            if rkeys.len() > MIN_KEYS {
-                if cleaf {
-                    ckeys.push(rkeys[0]);
-                    cptrs.push(rptrs[0]);
-                    let mut pk = pkeys;
-                    pk[i] = rkeys[1];
-                    Self::write_node(m, e, tid, parent, &pk, &pptrs)?;
-                } else {
-                    ckeys.push(pkeys[i]);
-                    cptrs.push(rptrs[0]);
-                    let mut pk = pkeys;
-                    pk[i] = rkeys[0];
-                    Self::write_node(m, e, tid, parent, &pk, &pptrs)?;
-                }
-                Self::write_node(m, e, tid, right, &rkeys[1..], &rptrs[1..])?;
-                Self::write_node(m, e, tid, child, &ckeys, &cptrs)?;
-                return Ok(child);
-            }
-        }
-        // Merge with a sibling.
-        let (li, ri) = if i > 0 { (i - 1, i) } else { (i, i + 1) };
-        let left = pptrs[li];
-        let right = pptrs[ri];
-        let (lleaf, mut lkeys, mut lptrs) = Self::read_node(m, e, tid, left);
-        let (_, rkeys, rptrs) = Self::read_node(m, e, tid, right);
-        if lleaf {
-            lkeys.extend_from_slice(&rkeys);
-            lptrs.extend_from_slice(&rptrs);
-        } else {
-            lkeys.push(pkeys[li]);
-            lkeys.extend_from_slice(&rkeys);
-            lptrs.extend_from_slice(&rptrs);
-        }
-        Self::write_node(m, e, tid, left, &lkeys, &lptrs)?;
-        let mut pk = pkeys;
-        let mut pp = pptrs;
-        pk.remove(li);
-        pp.remove(ri);
-        Self::write_node(m, e, tid, parent, &pk, &pp)?;
-        let mut w = memsim::PmWriter::new(tid);
-        alloc.free(m, &mut w, right)?;
-        Ok(left)
-    }
-
     /// Check the B-tree invariants: key order, fill factors, uniform
     /// leaf depth. Non-transactional; used by tests.
     ///
@@ -659,32 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_on_a_different_thread_keeps_len_exact() {
-        // Count shards are picked by tid: thread 1 removing what thread
-        // 0 inserted drives shard 1 negative (mod 2^64). The total
-        // must still come back to exactly 0.
-        let mut fx = setup();
-        let (t0, t1) = (Tid(0), Tid(1));
-        for k in [10u64, 20, 30] {
-            fx.eng.begin(&mut fx.m, t0).unwrap();
-            let fresh = fx
-                .tree
-                .insert(&mut fx.m, &mut fx.eng, t0, &mut fx.alloc, k, 1);
-            assert!(fresh.unwrap());
-            fx.eng.commit(&mut fx.m, t0).unwrap();
-        }
-        assert_eq!(fx.tree.len(&mut fx.m, t1), 3);
-        for k in [10u64, 20, 30] {
-            fx.eng.begin(&mut fx.m, t1).unwrap();
-            let removed = fx.tree.remove(&mut fx.m, &mut fx.eng, t1, &mut fx.alloc, k);
-            assert!(removed.unwrap());
-            fx.eng.commit(&mut fx.m, t1).unwrap();
-        }
-        assert_eq!(fx.tree.len(&mut fx.m, t0), 0);
-        assert!(fx.tree.is_empty(&mut fx.m, t1));
-    }
-
-    #[test]
     fn sequential_inserts_split_correctly() {
         let mut fx = setup();
         for i in 0..300u64 {
@@ -744,11 +557,8 @@ mod tests {
                     assert_eq!(fresh, model.insert(key, state).is_none(), "insert {key}");
                 }
                 _ => {
-                    let removed = fx
-                        .tree
-                        .remove(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, key)
-                        .unwrap();
-                    assert_eq!(removed, model.remove(&key).is_some(), "remove {key}");
+                    let got = fx.tree.get(&mut fx.m, &mut fx.eng, TID, key);
+                    assert_eq!(got, model.get(&key).copied(), "get {key}");
                 }
             });
             fx.tree.check_invariants(&mut fx.m, TID).unwrap();
@@ -761,45 +571,6 @@ mod tests {
         let scan = fx.tree.range(&mut fx.m, TID, 0, u64::MAX);
         let expect: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(scan, expect);
-    }
-
-    #[test]
-    fn remove_everything_then_reuse() {
-        let mut fx = setup();
-        for i in 0..120u64 {
-            tx(&mut fx, |fx| {
-                fx.tree
-                    .insert(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, i, i)
-                    .unwrap();
-            });
-        }
-        for i in 0..120u64 {
-            let removed = tx(&mut fx, |fx| {
-                fx.tree
-                    .remove(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, i)
-                    .unwrap()
-            });
-            assert!(removed, "key {i}");
-            fx.tree.check_invariants(&mut fx.m, TID).unwrap();
-        }
-        assert!(fx.tree.is_empty(&mut fx.m, TID));
-        tx(&mut fx, |fx| {
-            fx.tree
-                .insert(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, 7, 7)
-                .unwrap();
-        });
-        assert_eq!(fx.tree.get(&mut fx.m, &mut fx.eng, TID, 7), Some(7));
-    }
-
-    #[test]
-    fn remove_missing_is_false() {
-        let mut fx = setup();
-        let removed = tx(&mut fx, |fx| {
-            fx.tree
-                .remove(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, 42)
-                .unwrap()
-        });
-        assert!(!removed);
     }
 
     #[test]

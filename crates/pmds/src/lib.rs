@@ -17,6 +17,11 @@
 //! allocator-metadata epochs land inside transactions exactly as the
 //! paper observes.
 //!
+//! Each structure has the operations its applications issue and no
+//! more. The ordered indexes, [`PBTree`] (N-store) and [`PRbTree`]
+//! (Vacation), are insert, lookup and in-order scan with no delete, and
+//! [`PLruList`] removes only by evicting its tail.
+//!
 //! Pointers are raw PM addresses (`u64`), with 0 as null. Every
 //! structure has an `open` constructor that re-attaches to its PM
 //! header after a crash.

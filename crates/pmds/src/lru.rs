@@ -87,7 +87,7 @@ impl PLruList {
     }
 
     /// Insert `payload` at the front (most-recently-used). Returns the
-    /// node address for later `touch`/`remove`.
+    /// node address for later `touch`.
     ///
     /// # Errors
     ///
@@ -189,26 +189,6 @@ impl PLruList {
         let mut w = memsim::PmWriter::new(tid);
         alloc.free(m, &mut w, tail)?;
         Ok(Some(payload))
-    }
-
-    /// Remove a specific node; returns its payload.
-    ///
-    /// # Errors
-    ///
-    /// Engine/allocator errors.
-    pub fn remove<E: TxMem, A: PmAllocator>(
-        &self,
-        m: &mut Machine,
-        eng: &mut E,
-        tid: Tid,
-        alloc: &mut A,
-        node: Addr,
-    ) -> Result<u64, DsError> {
-        let payload = self.unlink(m, eng, tid, node)?;
-        self.set_count(m, eng, tid, -1)?;
-        let mut w = memsim::PmWriter::new(tid);
-        alloc.free(m, &mut w, node)?;
-        Ok(payload)
     }
 
     /// Payloads from most- to least-recently-used (non-transactional).
@@ -338,25 +318,6 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(evicted, None);
-    }
-
-    #[test]
-    fn remove_middle_node() {
-        let mut fx = setup();
-        let nodes = tx(&mut fx, |fx| {
-            [1u64, 2, 3].map(|p| {
-                fx.lru
-                    .push_front(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, p)
-                    .unwrap()
-            })
-        });
-        let payload = tx(&mut fx, |fx| {
-            fx.lru
-                .remove(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, nodes[1])
-                .unwrap()
-        });
-        assert_eq!(payload, 2);
-        assert_eq!(fx.lru.payloads(&mut fx.m, TID), vec![3, 1]);
     }
 
     #[test]

@@ -25,10 +25,11 @@ const BLACK: u64 = 0;
 /// Vacation "implements a key-value store using red black trees and
 /// linked lists to track customers and their reservations"
 /// (Section 3.2.2); in the WHISPER port those trees live in PM and every
-/// mutation runs inside a Mnemosyne transaction. This is a full CLRS
-/// red-black tree — insert and delete with rotations and fixup — using
-/// a PM-resident sentinel node as `nil`, so crash recovery sees a
-/// complete, balanced structure.
+/// mutation runs inside a Mnemosyne transaction. This is the CLRS
+/// red-black insert, with rotations and fixup, using a PM-resident
+/// sentinel node as `nil`, so crash recovery sees a complete, balanced
+/// structure. There is no delete: Vacation's trees are insert and
+/// lookup.
 #[derive(Debug, Clone, Copy)]
 pub struct PRbTree {
     base: Addr,
@@ -296,170 +297,6 @@ impl PRbTree {
         Ok(())
     }
 
-    fn transplant<E: TxMem>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        u: Addr,
-        v: Addr,
-    ) -> Result<(), DsError> {
-        let up = self.g(m, e, tid, u, PARENT);
-        if up == self.nil {
-            self.set_root(m, e, tid, v)?;
-        } else if u == self.g(m, e, tid, up, LEFT) {
-            self.s(m, e, tid, up, LEFT, v)?;
-        } else {
-            self.s(m, e, tid, up, RIGHT, v)?;
-        }
-        self.s(m, e, tid, v, PARENT, up)?;
-        Ok(())
-    }
-
-    fn minimum<E: TxMem>(&self, m: &mut Machine, e: &mut E, tid: Tid, mut x: Addr) -> Addr {
-        loop {
-            let l = self.g(m, e, tid, x, LEFT);
-            if l == self.nil {
-                return x;
-            }
-            x = l;
-        }
-    }
-
-    /// Remove `key`; returns whether it was present.
-    ///
-    /// # Errors
-    ///
-    /// Engine/allocator errors.
-    pub fn remove<E: TxMem, A: PmAllocator>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        alloc: &mut A,
-        key: u64,
-    ) -> Result<bool, DsError> {
-        let z = self.find_node(m, e, tid, key);
-        if z == self.nil {
-            return Ok(false);
-        }
-        let mut y = z;
-        let mut y_color = self.g(m, e, tid, y, COLOR);
-        let x;
-        let zl = self.g(m, e, tid, z, LEFT);
-        let zr = self.g(m, e, tid, z, RIGHT);
-        if zl == self.nil {
-            x = zr;
-            self.transplant(m, e, tid, z, zr)?;
-        } else if zr == self.nil {
-            x = zl;
-            self.transplant(m, e, tid, z, zl)?;
-        } else {
-            y = self.minimum(m, e, tid, zr);
-            y_color = self.g(m, e, tid, y, COLOR);
-            x = self.g(m, e, tid, y, RIGHT);
-            if self.g(m, e, tid, y, PARENT) == z {
-                self.s(m, e, tid, x, PARENT, y)?;
-            } else {
-                let yr = self.g(m, e, tid, y, RIGHT);
-                self.transplant(m, e, tid, y, yr)?;
-                let zr = self.g(m, e, tid, z, RIGHT);
-                self.s(m, e, tid, y, RIGHT, zr)?;
-                self.s(m, e, tid, zr, PARENT, y)?;
-            }
-            self.transplant(m, e, tid, z, y)?;
-            let zl = self.g(m, e, tid, z, LEFT);
-            self.s(m, e, tid, y, LEFT, zl)?;
-            self.s(m, e, tid, zl, PARENT, y)?;
-            let zc = self.g(m, e, tid, z, COLOR);
-            self.s(m, e, tid, y, COLOR, zc)?;
-        }
-        if y_color == BLACK {
-            self.delete_fixup(m, e, tid, x)?;
-        }
-        let mut w = memsim::PmWriter::new(tid);
-        alloc.free(m, &mut w, z)?;
-        header::bump(m, e, tid, self.base, -1)?;
-        Ok(true)
-    }
-
-    fn delete_fixup<E: TxMem>(
-        &self,
-        m: &mut Machine,
-        e: &mut E,
-        tid: Tid,
-        mut x: Addr,
-    ) -> Result<(), DsError> {
-        while x != self.root(m, e, tid) && self.g(m, e, tid, x, COLOR) == BLACK {
-            let xp = self.g(m, e, tid, x, PARENT);
-            if x == self.g(m, e, tid, xp, LEFT) {
-                let mut w = self.g(m, e, tid, xp, RIGHT);
-                if self.g(m, e, tid, w, COLOR) == RED {
-                    self.s(m, e, tid, w, COLOR, BLACK)?;
-                    self.s(m, e, tid, xp, COLOR, RED)?;
-                    self.rotate_left(m, e, tid, xp)?;
-                    let xp2 = self.g(m, e, tid, x, PARENT);
-                    w = self.g(m, e, tid, xp2, RIGHT);
-                }
-                let wl = self.g(m, e, tid, w, LEFT);
-                let wr = self.g(m, e, tid, w, RIGHT);
-                if self.g(m, e, tid, wl, COLOR) == BLACK && self.g(m, e, tid, wr, COLOR) == BLACK {
-                    self.s(m, e, tid, w, COLOR, RED)?;
-                    x = self.g(m, e, tid, x, PARENT);
-                } else {
-                    if self.g(m, e, tid, wr, COLOR) == BLACK {
-                        self.s(m, e, tid, wl, COLOR, BLACK)?;
-                        self.s(m, e, tid, w, COLOR, RED)?;
-                        self.rotate_right(m, e, tid, w)?;
-                        let xp2 = self.g(m, e, tid, x, PARENT);
-                        w = self.g(m, e, tid, xp2, RIGHT);
-                    }
-                    let xp = self.g(m, e, tid, x, PARENT);
-                    let xpc = self.g(m, e, tid, xp, COLOR);
-                    self.s(m, e, tid, w, COLOR, xpc)?;
-                    self.s(m, e, tid, xp, COLOR, BLACK)?;
-                    let wr = self.g(m, e, tid, w, RIGHT);
-                    self.s(m, e, tid, wr, COLOR, BLACK)?;
-                    self.rotate_left(m, e, tid, xp)?;
-                    x = self.root(m, e, tid);
-                }
-            } else {
-                let mut w = self.g(m, e, tid, xp, LEFT);
-                if self.g(m, e, tid, w, COLOR) == RED {
-                    self.s(m, e, tid, w, COLOR, BLACK)?;
-                    self.s(m, e, tid, xp, COLOR, RED)?;
-                    self.rotate_right(m, e, tid, xp)?;
-                    let xp2 = self.g(m, e, tid, x, PARENT);
-                    w = self.g(m, e, tid, xp2, LEFT);
-                }
-                let wl = self.g(m, e, tid, w, LEFT);
-                let wr = self.g(m, e, tid, w, RIGHT);
-                if self.g(m, e, tid, wr, COLOR) == BLACK && self.g(m, e, tid, wl, COLOR) == BLACK {
-                    self.s(m, e, tid, w, COLOR, RED)?;
-                    x = self.g(m, e, tid, x, PARENT);
-                } else {
-                    if self.g(m, e, tid, wl, COLOR) == BLACK {
-                        self.s(m, e, tid, wr, COLOR, BLACK)?;
-                        self.s(m, e, tid, w, COLOR, RED)?;
-                        self.rotate_left(m, e, tid, w)?;
-                        let xp2 = self.g(m, e, tid, x, PARENT);
-                        w = self.g(m, e, tid, xp2, LEFT);
-                    }
-                    let xp = self.g(m, e, tid, x, PARENT);
-                    let xpc = self.g(m, e, tid, xp, COLOR);
-                    self.s(m, e, tid, w, COLOR, xpc)?;
-                    self.s(m, e, tid, xp, COLOR, BLACK)?;
-                    let wl = self.g(m, e, tid, w, LEFT);
-                    self.s(m, e, tid, wl, COLOR, BLACK)?;
-                    self.rotate_right(m, e, tid, xp)?;
-                    x = self.root(m, e, tid);
-                }
-            }
-        }
-        self.s(m, e, tid, x, COLOR, BLACK)?;
-        Ok(())
-    }
-
     /// Visit `(key, value)` pairs in ascending key order
     /// (non-transactional).
     pub fn for_each(&self, m: &mut Machine, tid: Tid, mut f: impl FnMut(u64, u64)) {
@@ -610,32 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_on_a_different_thread_keeps_len_exact() {
-        // Count shards are picked by tid: thread 1 removing what thread
-        // 0 inserted drives shard 1 negative (mod 2^64). The total
-        // must still come back to exactly 0.
-        let mut fx = setup();
-        let (t0, t1) = (Tid(0), Tid(1));
-        for k in [10u64, 20, 30] {
-            fx.eng.begin(&mut fx.m, t0).unwrap();
-            let fresh = fx
-                .tree
-                .insert(&mut fx.m, &mut fx.eng, t0, &mut fx.alloc, k, 1);
-            assert!(fresh.unwrap());
-            fx.eng.commit(&mut fx.m, t0).unwrap();
-        }
-        assert_eq!(fx.tree.len(&mut fx.m, t1), 3);
-        for k in [10u64, 20, 30] {
-            fx.eng.begin(&mut fx.m, t1).unwrap();
-            let removed = fx.tree.remove(&mut fx.m, &mut fx.eng, t1, &mut fx.alloc, k);
-            assert!(removed.unwrap());
-            fx.eng.commit(&mut fx.m, t1).unwrap();
-        }
-        assert_eq!(fx.tree.len(&mut fx.m, t0), 0);
-        assert!(fx.tree.is_empty(&mut fx.m, t1));
-    }
-
-    #[test]
     fn sequential_inserts_stay_balanced() {
         let mut fx = setup();
         // Sequential keys are the classic BST worst case; RB fixup must
@@ -678,11 +489,8 @@ mod tests {
                     assert_eq!(fresh, model.insert(key, state).is_none());
                 }
                 _ => {
-                    let removed = fx
-                        .tree
-                        .remove(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, key)
-                        .unwrap();
-                    assert_eq!(removed, model.remove(&key).is_some());
+                    let got = fx.tree.get(&mut fx.m, &mut fx.eng, TID, key);
+                    assert_eq!(got, model.get(&key).copied());
                 }
             });
             fx.tree.check_invariants(&mut fx.m, TID).unwrap();
@@ -691,40 +499,6 @@ mod tests {
         for (k, v) in &model {
             assert_eq!(fx.tree.get(&mut fx.m, &mut fx.eng, TID, *k), Some(*v));
         }
-    }
-
-    #[test]
-    fn remove_all_keys() {
-        let mut fx = setup();
-        let keys: Vec<u64> = vec![50, 25, 75, 10, 30, 60, 90, 5, 15, 27, 35];
-        tx(&mut fx, |fx| {
-            for &k in &keys {
-                fx.tree
-                    .insert(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, k, k)
-                    .unwrap();
-            }
-        });
-        for &k in &keys {
-            let removed = tx(&mut fx, |fx| {
-                fx.tree
-                    .remove(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, k)
-                    .unwrap()
-            });
-            assert!(removed, "key {k}");
-            fx.tree.check_invariants(&mut fx.m, TID).unwrap();
-        }
-        assert!(fx.tree.is_empty(&mut fx.m, TID));
-    }
-
-    #[test]
-    fn remove_missing_is_false() {
-        let mut fx = setup();
-        let removed = tx(&mut fx, |fx| {
-            fx.tree
-                .remove(&mut fx.m, &mut fx.eng, TID, &mut fx.alloc, 42)
-                .unwrap()
-        });
-        assert!(!removed);
     }
 
     #[test]

@@ -551,7 +551,8 @@ impl Pmfs {
     ///
     /// # Errors
     ///
-    /// [`FsError::NotFound`], [`FsError::IsDir`] (use `rmdir`).
+    /// [`FsError::NotFound`], [`FsError::IsDir`] (directories are never
+    /// removed).
     pub fn unlink(&mut self, m: &mut Machine, tid: Tid, path: &str) -> Result<(), FsError> {
         let parts = self.split_path(path)?;
         let Some((name, parent_parts)) = parts.split_last() else {
@@ -581,95 +582,6 @@ impl Pmfs {
             self.free_block(m, &mut w, ind);
         }
         // Clear the inode (mode, size, pointers).
-        self.meta_write_u32(m, &mut w, inode + I_MODE, MODE_FREE);
-        self.meta_write_u64(m, &mut w, inode + I_SIZE, 0);
-        self.meta_write(
-            m,
-            &mut w,
-            inode + I_DIRECT,
-            &[0u8; (DIRECT_PTRS as usize + 1) * 8],
-        );
-        self.journal.end_op(m, &mut w);
-        Ok(())
-    }
-
-    /// Rename a file or directory within the filesystem (one journaled
-    /// metadata transaction: the new entry appears and the old one
-    /// disappears atomically, as PMFS's journal guarantees).
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::NotFound`], [`FsError::Exists`] if `to` exists,
-    /// path errors.
-    pub fn rename(
-        &mut self,
-        m: &mut Machine,
-        tid: Tid,
-        from: &str,
-        to: &str,
-    ) -> Result<(), FsError> {
-        let from_parts = self.split_path(from)?;
-        let to_parts = self.split_path(to)?;
-        let Some((from_name, from_parent)) = from_parts.split_last() else {
-            return Err(FsError::BadPath { path: from.into() });
-        };
-        let Some((to_name, to_parent)) = to_parts.split_last() else {
-            return Err(FsError::BadPath { path: to.into() });
-        };
-        let from_dir = self
-            .resolve(m, tid, &format!("/{}", from_parent.join("/")))?
-            .0;
-        let to_dir = self
-            .resolve(m, tid, &format!("/{}", to_parent.join("/")))?
-            .0;
-        let Some((ino, old_dent)) = self.lookup(m, tid, from_dir, from_name) else {
-            return Err(FsError::NotFound { path: from.into() });
-        };
-        if self.lookup(m, tid, to_dir, to_name).is_some() {
-            return Err(FsError::Exists { path: to.into() });
-        }
-        let mut w = PmWriter::new(tid);
-        self.journal.begin_op(m, &mut w);
-        self.dir_add(m, &mut w, to_dir, to_name, ino)?;
-        self.meta_write_u32(m, &mut w, old_dent, 0);
-        self.journal.end_op(m, &mut w);
-        Ok(())
-    }
-
-    /// Remove an empty directory.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::NotFound`], [`FsError::NotDir`],
-    /// [`FsError::NotEmpty`], and [`FsError::BadPath`] for the root.
-    pub fn rmdir(&mut self, m: &mut Machine, tid: Tid, path: &str) -> Result<(), FsError> {
-        let parts = self.split_path(path)?;
-        let Some((name, parent_parts)) = parts.split_last() else {
-            return Err(FsError::BadPath { path: path.into() });
-        };
-        let parent_path = format!("/{}", parent_parts.join("/"));
-        let (dir, _) = self.resolve(m, tid, &parent_path)?;
-        let Some((ino, dent)) = self.lookup(m, tid, dir, name) else {
-            return Err(FsError::NotFound { path: path.into() });
-        };
-        if self.inode_mode(m, tid, ino) != MODE_DIR {
-            return Err(FsError::NotDir { path: path.into() });
-        }
-        if !self.readdir(m, tid, path)?.is_empty() {
-            return Err(FsError::NotEmpty { path: path.into() });
-        }
-        let mut w = PmWriter::new(tid);
-        self.journal.begin_op(m, &mut w);
-        self.meta_write_u32(m, &mut w, dent, 0);
-        let inode = self.layout.inode_addr(ino);
-        // Free the (possibly allocated-then-emptied) directory blocks.
-        let size = m.load_u64(tid, inode + I_SIZE);
-        for bidx in 0..size.div_ceil(BLOCK_SIZE) {
-            let block = self.get_block(m, tid, ino, bidx);
-            if block != 0 {
-                self.free_block(m, &mut w, block);
-            }
-        }
         self.meta_write_u32(m, &mut w, inode + I_MODE, MODE_FREE);
         self.meta_write_u64(m, &mut w, inode + I_SIZE, 0);
         self.meta_write(
@@ -892,80 +804,6 @@ mod tests {
         fs.create(&mut m, TID, "/a").unwrap();
         fs.write(&mut m, TID, "/a", 0, b"new").unwrap();
         assert_eq!(fs.read_file(&mut m, TID, "/a").unwrap(), b"new");
-    }
-
-    #[test]
-    fn rename_moves_atomically() {
-        let (mut m, mut fs, region) = setup();
-        fs.mkdir(&mut m, TID, "/spool").unwrap();
-        fs.mkdir(&mut m, TID, "/inbox").unwrap();
-        fs.create(&mut m, TID, "/spool/msg").unwrap();
-        fs.append(&mut m, TID, "/spool/msg", b"mail body").unwrap();
-        fs.rename(&mut m, TID, "/spool/msg", "/inbox/msg").unwrap();
-        assert_eq!(
-            fs.read_file(&mut m, TID, "/inbox/msg").unwrap(),
-            b"mail body"
-        );
-        assert!(matches!(
-            fs.read_file(&mut m, TID, "/spool/msg"),
-            Err(FsError::NotFound { .. })
-        ));
-        // Destination collision and missing source are rejected.
-        fs.create(&mut m, TID, "/spool/other").unwrap();
-        assert!(matches!(
-            fs.rename(&mut m, TID, "/spool/other", "/inbox/msg"),
-            Err(FsError::Exists { .. })
-        ));
-        assert!(matches!(
-            fs.rename(&mut m, TID, "/spool/ghost", "/inbox/x"),
-            Err(FsError::NotFound { .. })
-        ));
-        // Crash mid-rename rolls back to exactly one name.
-        let mut w = PmWriter::new(TID);
-        fs.journal.begin_op(&mut m, &mut w);
-        let (ino, dent) = {
-            let (dir, _) = fs.resolve(&mut m, TID, "/spool").unwrap();
-            fs.lookup(&mut m, TID, dir, "other").unwrap()
-        };
-        let (to_dir, _) = fs.resolve(&mut m, TID, "/inbox").unwrap();
-        fs.dir_add(&mut m, &mut w, to_dir, "other", ino).unwrap();
-        fs.meta_write_u32(&mut m, &mut w, dent, 0);
-        // No end_op: crash with everything in flight persisted (the
-        // worst case for an uncommitted rename).
-        let img = m.crash(CrashSpec::PersistAll);
-        let mut m2 = Machine::from_image(MachineConfig::asplos17(), &img);
-        let (mut fs2, rolled_back) = Pmfs::mount(&mut m2, TID, region).unwrap();
-        assert!(rolled_back, "mid-rename journal must roll back");
-        let in_spool = fs2.stat(&mut m2, TID, "/spool/other").is_ok();
-        let in_inbox = fs2.stat(&mut m2, TID, "/inbox/other").is_ok();
-        assert!(in_spool && !in_inbox, "rename must roll back whole");
-    }
-
-    #[test]
-    fn rmdir_requires_empty() {
-        let (mut m, mut fs, _) = setup();
-        fs.mkdir(&mut m, TID, "/d").unwrap();
-        fs.create(&mut m, TID, "/d/f").unwrap();
-        assert!(matches!(
-            fs.rmdir(&mut m, TID, "/d"),
-            Err(FsError::NotEmpty { .. })
-        ));
-        fs.unlink(&mut m, TID, "/d/f").unwrap();
-        fs.rmdir(&mut m, TID, "/d").unwrap();
-        assert!(matches!(
-            fs.stat(&mut m, TID, "/d"),
-            Err(FsError::NotFound { .. })
-        ));
-        // Name reusable as a file afterwards.
-        fs.create(&mut m, TID, "/d").unwrap();
-        assert!(matches!(
-            fs.rmdir(&mut m, TID, "/d"),
-            Err(FsError::NotDir { .. })
-        ));
-        assert!(matches!(
-            fs.rmdir(&mut m, TID, "/"),
-            Err(FsError::BadPath { .. })
-        ));
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //!   returns; there is no write-back cache to flush, so there is no
 //!   `fsync`.
 //!
+//! The operations are the ones the filesystem applications issue
+//! (`create`, `mkdir`, `write`, `append`, `read`, `read_file`, `stat`,
+//! `truncate`, and `unlink` of a file), plus `readdir`, the listing the
+//! tests check. There is no rename, and a directory is never removed.
+//!
 //! Write amplification lands near the paper's ~10 % figure: a 4096-byte
 //! append writes a few hundred bytes of inode, bitmap, and journal
 //! traffic.
@@ -57,7 +62,8 @@ mod layout;
 pub use fs::{FileStat, Pmfs};
 pub use layout::PmfsConfig;
 
-/// Filesystem errors (the `errno`s of the simulated syscall layer).
+/// Filesystem errors (the `errno`s of the simulated syscall layer):
+/// one per way the operations [`Pmfs`] has can fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsError {
     /// Path does not exist.
@@ -94,11 +100,6 @@ pub enum FsError {
         /// The offending component.
         name: String,
     },
-    /// Directory not empty on `rmdir`/`unlink`.
-    NotEmpty {
-        /// The offending path.
-        path: String,
-    },
     /// Malformed path (empty, or not starting with `/`).
     BadPath {
         /// The offending path.
@@ -117,7 +118,6 @@ impl std::fmt::Display for FsError {
             FsError::NoInodes => write!(f, "no free inodes"),
             FsError::FileTooBig { size } => write!(f, "file too large: {size} bytes"),
             FsError::NameTooLong { name } => write!(f, "file name too long: {name}"),
-            FsError::NotEmpty { path } => write!(f, "directory not empty: {path}"),
             FsError::BadPath { path } => write!(f, "invalid path: {path}"),
         }
     }

@@ -17,7 +17,6 @@ enum FsOp {
     Overwrite { f: u8, off: u16, len: u16 },
     Truncate { f: u8, keep: u16 },
     Unlink { f: u8 },
-    Rename { f: u8, to: u8 },
 }
 
 fn ops() -> impl Strategy<Value = Vec<FsOp>> {
@@ -32,7 +31,6 @@ fn ops() -> impl Strategy<Value = Vec<FsOp>> {
             }),
             (0u8..8, 0u16..3000).prop_map(|(f, keep)| FsOp::Truncate { f, keep }),
             (0u8..8).prop_map(|f| FsOp::Unlink { f }),
-            (0u8..8, 0u8..8).prop_map(|(f, to)| FsOp::Rename { f, to }),
         ],
         1..30,
     )
@@ -120,16 +118,6 @@ proptest! {
                         r.unwrap();
                     } else {
                         { let matched = matches!(r, Err(FsError::NotFound { .. })); prop_assert!(matched); }
-                    }
-                }
-                FsOp::Rename { f, to } => {
-                    let r = fs.rename(&mut m, TID, &path(*f), &path(*to));
-                    if model.contains_key(f) && !model.contains_key(to) && f != to {
-                        r.unwrap();
-                        let content = model.remove(f).expect("present");
-                        model.insert(*to, content);
-                    } else {
-                        prop_assert!(r.is_err());
                     }
                 }
             }

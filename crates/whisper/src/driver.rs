@@ -742,4 +742,26 @@ mod tests {
         }
         assert!(!Opts::parse(&args("--serve")).unwrap().on(Profile));
     }
+
+    #[test]
+    fn from_trace_refuses_the_rerun_gates_before_reading_the_archive() {
+        // No `missing.wtr` exists: the refusal comes from the command
+        // line alone, in either order.
+        let args = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        for gate in ["serve", "profile", "crash", "crossval", "optimize"] {
+            for flag in [format!("--{gate}"), format!("--{gate}-json out.json")] {
+                for line in [
+                    format!("--from-trace missing.wtr {flag}"),
+                    format!("{flag} --from-trace missing.wtr"),
+                ] {
+                    let Err(why) = Opts::parse(&args(&line)) else {
+                        panic!("{line}: accepted");
+                    };
+                    assert!(why.starts_with("--from-trace takes no "), "{line}: {why}");
+                }
+            }
+        }
+        // The trace-reading gates parse; the archive is read later.
+        assert!(Opts::parse(&args("--from-trace missing.wtr --check")).is_ok());
+    }
 }
