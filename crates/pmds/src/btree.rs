@@ -81,11 +81,6 @@ impl PBTree {
         header::len(m, tid, self.base)
     }
 
-    /// Whether the tree is empty.
-    pub fn is_empty(&self, m: &mut Machine, tid: Tid) -> bool {
-        self.len(m, tid) == 0
-    }
-
     fn new_node<E: TxMem, A: PmAllocator>(
         m: &mut Machine,
         eng: &mut E,

@@ -83,11 +83,6 @@ impl PRbTree {
         header::len(m, tid, self.base)
     }
 
-    /// Whether the tree is empty.
-    pub fn is_empty(&self, m: &mut Machine, tid: Tid) -> bool {
-        self.len(m, tid) == 0
-    }
-
     fn g<E: TxMem>(&self, m: &mut Machine, e: &mut E, tid: Tid, n: Addr, off: u64) -> u64 {
         e.tx_read_u64(m, tid, n + off)
     }
