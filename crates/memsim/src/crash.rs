@@ -1,10 +1,16 @@
 //! Power-failure simulation: crash specs, planned mid-run crash
 //! points, and the image materializer recovery code runs against.
+//!
+//! A plan counts events with [`CrashCounter::counts`]; a captured
+//! state records its position in the machine's trace, so a trace
+//! reader locates a crash point by that position without counting
+//! anything itself.
 
 use crate::machine::{Machine, PendingLine};
 use pmem::hash::Fnv1a;
 use pmem::{FxHashSet, Line, PmImage, LINE_SIZE};
 use pmrand::{Rng, SeedableRng, SmallRng};
+use pmtrace::EventKind;
 use std::collections::BTreeMap;
 
 const LINE: usize = LINE_SIZE as usize;
@@ -36,45 +42,35 @@ pub enum CrashSpec {
     },
 }
 
-/// Which PM events a [`CrashPlan`]'s ordinals count.
+/// What a [`CrashPlan`]'s ordinals count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashCounter {
-    /// Cacheable and non-temporal PM store events (one per store call,
-    /// matching the trace's store events).
-    Stores,
-    /// `clwb`/`clflushopt` events.
-    Flushes,
     /// `sfence`/`sfence_durable` events.
     Fences,
     /// Every PM event: stores, flushes, and fences.
     PmEvents,
 }
 
-/// The event-kind tag the machine's hooks feed the armed plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PlanEvent {
-    Store,
-    Flush,
-    Fence,
-}
-
 impl CrashCounter {
-    pub(crate) fn matches(self, ev: PlanEvent) -> bool {
-        matches!(
-            (self, ev),
-            (CrashCounter::PmEvents, _)
-                | (CrashCounter::Stores, PlanEvent::Store)
-                | (CrashCounter::Flushes, PlanEvent::Flush)
-                | (CrashCounter::Fences, PlanEvent::Fence)
-        )
+    /// Whether this counter counts a trace event of `kind` — the one
+    /// definition of what a crash point counts. The machine's plan hook
+    /// asks it of every PM store, flush and fence it executes, so a
+    /// run's total is this predicate counted over the run's trace.
+    pub fn counts(self, kind: &EventKind) -> bool {
+        match kind {
+            EventKind::Fence | EventKind::DFence => true,
+            EventKind::PmStore { .. } | EventKind::Flush { .. } => self == CrashCounter::PmEvents,
+            _ => false,
+        }
     }
 }
 
-/// Where to interrupt a run: after the K-th matching PM event, for
+/// Where to interrupt a run: after the K-th counted PM event, for
 /// each K in the plan's point list, the machine captures a
 /// [`CrashState`] and *keeps running* — one run yields every swept
 /// crash point. Arm with [`Machine::set_crash_plan`], harvest with
-/// [`Machine::take_crash_states`].
+/// [`Machine::take_crash_states`]; each state records its position in
+/// the machine's trace ([`CrashState::trace_len`]).
 #[derive(Debug, Clone)]
 pub struct CrashPlan {
     counter: CrashCounter,
@@ -84,7 +80,7 @@ pub struct CrashPlan {
 
 impl CrashPlan {
     /// A plan capturing after each of the given event ordinals
-    /// (1-based: point 1 fires after the first matching event).
+    /// (1-based: point 1 fires after the first counted event).
     ///
     /// # Panics
     ///
@@ -99,64 +95,41 @@ impl CrashPlan {
         points.dedup();
         CrashPlan { counter, points }
     }
-
-    /// A plan that captures nothing but still counts events — arm it,
-    /// run the workload, and read [`Machine::crash_event_count`] to
-    /// learn the run's total so real points can be chosen.
-    pub fn probe(counter: CrashCounter) -> CrashPlan {
-        CrashPlan {
-            counter,
-            points: Vec::new(),
-        }
-    }
 }
 
 /// The armed per-machine plan state.
 #[derive(Debug)]
 pub(crate) struct PlanState {
-    counter: CrashCounter,
-    points: Vec<u64>,
+    plan: CrashPlan,
+    /// Counted events so far.
+    pub(crate) count: u64,
+    /// How many of the plan's points were captured.
     next: usize,
-    count: u64,
-    captured: Vec<CrashState>,
+    pub(crate) captured: Vec<CrashState>,
 }
 
 impl PlanState {
     pub(crate) fn new(plan: CrashPlan) -> PlanState {
         PlanState {
-            counter: plan.counter,
-            points: plan.points,
-            next: 0,
+            plan,
             count: 0,
+            next: 0,
             captured: Vec::new(),
         }
     }
 
-    pub(crate) fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Advance the event count; returns the just-reached ordinal when
     /// a capture is due at this event.
-    pub(crate) fn advance(&mut self, ev: PlanEvent) -> Option<u64> {
-        if !self.counter.matches(ev) {
+    pub(crate) fn advance(&mut self, kind: &EventKind) -> Option<u64> {
+        if !self.plan.counter.counts(kind) {
             return None;
         }
         self.count += 1;
-        if self.next < self.points.len() && self.count == self.points[self.next] {
-            self.next += 1;
-            Some(self.count)
-        } else {
-            None
+        if self.plan.points.get(self.next) != Some(&self.count) {
+            return None;
         }
-    }
-
-    pub(crate) fn push_captured(&mut self, state: CrashState) {
-        self.captured.push(state);
-    }
-
-    pub(crate) fn take_captured(&mut self) -> Vec<CrashState> {
-        std::mem::take(&mut self.captured)
+        self.next += 1;
+        Some(self.count)
     }
 }
 
@@ -171,6 +144,8 @@ pub struct CrashState {
     /// The 1-based ordinal of the event this state was captured after
     /// (0 for an end-of-run state with no armed plan).
     pub(crate) at: u64,
+    /// How many events the machine's trace held at capture.
+    pub(crate) trace_len: usize,
     /// The workload's last [`Machine::note_progress`] value.
     pub(crate) progress: u64,
     pub(crate) durable: PmImage,
@@ -187,6 +162,13 @@ impl CrashState {
     /// taken at end of run without a plan).
     pub fn at(&self) -> u64 {
         self.at
+    }
+
+    /// How many events the machine's trace held at capture: the state
+    /// follows exactly the trace prefix `events[..trace_len]`, whatever
+    /// the plan counted.
+    pub fn trace_len(&self) -> usize {
+        self.trace_len
     }
 
     /// The workload's [`Machine::note_progress`] value at capture —
@@ -289,6 +271,7 @@ impl CrashState {
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::default();
         h.u64(self.at);
+        h.u64(self.trace_len as u64);
         h.u64(self.progress);
         for (line, data) in self.durable.lines() {
             h.u64(line.0);
@@ -482,16 +465,17 @@ mod tests {
         let t = Tid(0);
         let mut mc = m();
         let pa = pm_base(&mc);
-        mc.set_crash_plan(CrashPlan::at_points(CrashCounter::Stores, vec![1, 3]));
+        mc.set_crash_plan(CrashPlan::at_points(CrashCounter::PmEvents, vec![1, 3]));
         for i in 0..4u64 {
             mc.store(t, pa + i * 64, &[i as u8 + 1; 8], Category::UserData);
             mc.note_progress(i + 1);
         }
-        assert_eq!(mc.crash_event_count(), 4);
         let states = mc.take_crash_states();
         assert_eq!(states.len(), 2);
         assert_eq!((states[0].at(), states[0].progress()), (1, 0));
         assert_eq!((states[1].at(), states[1].progress()), (3, 2));
+        // Only stores ran, so each state sits right after its store.
+        assert_eq!((states[0].trace_len(), states[1].trace_len()), (1, 3));
         // After store 1 only line 0 is in flight; after store 3, three.
         assert_eq!(states[0].landed(CrashSpec::PersistAll).len(), 1);
         assert_eq!(states[1].landed(CrashSpec::PersistAll).len(), 3);
@@ -508,21 +492,21 @@ mod tests {
     #[test]
     fn plan_counters_select_event_kinds() {
         let t = Tid(0);
-        let run = |counter| {
-            let mut mc = m();
-            let pa = pm_base(&mc);
-            mc.set_crash_plan(CrashPlan::probe(counter));
-            mc.store(t, pa, &[1; 8], Category::UserData);
-            mc.clwb(t, pa);
-            mc.sfence(t);
-            mc.store_nt(t, pa + 64, &[2; 8], Category::RedoLog);
-            mc.sfence_durable(t);
-            mc.crash_event_count()
+        let mut mc = m();
+        let pa = pm_base(&mc);
+        mc.tx_begin(t, 1);
+        mc.store(t, pa, &[1; 8], Category::UserData);
+        mc.clwb(t, pa);
+        mc.sfence(t);
+        mc.store_nt(t, pa + 64, &[2; 8], Category::RedoLog);
+        mc.sfence_durable(t);
+        mc.tx_end(t, 1);
+        let count = |counter: CrashCounter| {
+            let events = mc.trace().events();
+            events.iter().filter(|e| counter.counts(&e.kind())).count()
         };
-        assert_eq!(run(CrashCounter::Stores), 2);
-        assert_eq!(run(CrashCounter::Flushes), 1);
-        assert_eq!(run(CrashCounter::Fences), 2);
-        assert_eq!(run(CrashCounter::PmEvents), 5);
+        assert_eq!(count(CrashCounter::Fences), 2);
+        assert_eq!(count(CrashCounter::PmEvents), 5, "no transaction marker");
     }
 
     #[test]
@@ -560,7 +544,7 @@ mod tests {
         let run = |extra: bool| {
             let mut mc = m();
             let pa = pm_base(&mc);
-            mc.set_crash_plan(CrashPlan::at_points(CrashCounter::Stores, vec![2]));
+            mc.set_crash_plan(CrashPlan::at_points(CrashCounter::PmEvents, vec![2]));
             mc.store(t, pa, &[1; 8], Category::UserData);
             mc.store(t, pa + 64, &[2; 8], Category::UserData);
             if extra {
@@ -572,7 +556,7 @@ mod tests {
         assert_eq!(run(false), run(true), "capture precedes the extra store");
         let mut mc = m();
         let pa = pm_base(&mc);
-        mc.set_crash_plan(CrashPlan::at_points(CrashCounter::Stores, vec![1]));
+        mc.set_crash_plan(CrashPlan::at_points(CrashCounter::PmEvents, vec![1]));
         mc.store(t, pa, &[9; 8], Category::UserData);
         let other = mc.take_crash_states().pop().unwrap().digest();
         assert_ne!(run(false), other);

@@ -2,7 +2,7 @@
 
 use crate::cache::LruSet;
 use crate::config::MachineConfig;
-use crate::crash::{CrashPlan, CrashState, PlanEvent, PlanState};
+use crate::crash::{CrashPlan, CrashState, PlanState};
 use crate::elide::{ElidePlan, ElideState, ElideStats};
 use crate::overlay::Overlay;
 use crate::stats::MemStats;
@@ -10,7 +10,7 @@ use crate::wcb::WriteCombine;
 use pmem::{
     lines_spanning, Addr, DramDevice, Line, LineMap, MemoryKind, PmDevice, PmImage, LINE_SIZE,
 };
-use pmtrace::{Category, Tid, TraceBuffer, TxId};
+use pmtrace::{Category, EventKind, Tid, TraceBuffer, TxId};
 
 const LINE: usize = LINE_SIZE as usize;
 
@@ -443,7 +443,12 @@ impl Machine {
                     }
                 }
                 count_lines!("memsim.pm_store_lines", lines);
-                self.plan_event(PlanEvent::Store);
+                self.plan_event(EventKind::PmStore {
+                    addr,
+                    len: bytes.len() as u32,
+                    nt: false,
+                    cat,
+                });
             }
         }
     }
@@ -490,7 +495,12 @@ impl Machine {
             }
         }
         count_lines!("memsim.pm_nt_store_lines", lines);
-        self.plan_event(PlanEvent::Store);
+        self.plan_event(EventKind::PmStore {
+            addr,
+            len: bytes.len() as u32,
+            nt: true,
+            cat,
+        });
     }
 
     /// `line`'s current contents: its overlay line, or the media's.
@@ -562,7 +572,7 @@ impl Machine {
                 seq: self.snap_seq,
             });
         }
-        self.plan_event(PlanEvent::Flush);
+        self.plan_event(EventKind::Flush { addr });
         (line, false)
     }
 
@@ -651,7 +661,11 @@ impl Machine {
             );
             s.end(self.clock_ns);
         }
-        self.plan_event(PlanEvent::Fence);
+        self.plan_event(if durable {
+            EventKind::DFence
+        } else {
+            EventKind::Fence
+        });
     }
 
     fn write_back(&mut self, line: Line) {
@@ -703,10 +717,10 @@ impl Machine {
         self.pm_durable.image()
     }
 
-    /// Arm a crash-injection plan: the machine counts the plan's PM
-    /// events and captures a [`CrashState`] after each planned ordinal,
-    /// then keeps running. Replaces any previously armed plan (and
-    /// discards its captures).
+    /// Arm a crash-injection plan: the machine counts the PM events the
+    /// plan's [`CrashCounter`](crate::CrashCounter) counts and captures
+    /// a [`CrashState`] after each planned ordinal, then keeps running.
+    /// Replaces any previously armed plan (and discards its captures).
     pub fn set_crash_plan(&mut self, plan: CrashPlan) {
         self.plan = Some(PlanState::new(plan));
     }
@@ -725,19 +739,12 @@ impl Machine {
         self.elide.as_ref().map(|e| e.stats)
     }
 
-    /// Matching PM events seen since the plan was armed (0 when no
-    /// plan is armed). With [`CrashPlan::probe`] this measures a run's
-    /// total so sweep points can be chosen.
-    pub fn crash_event_count(&self) -> u64 {
-        self.plan.as_ref().map_or(0, PlanState::count)
-    }
-
     /// Take the crash states captured so far (the plan stays armed and
     /// keeps counting).
     pub fn take_crash_states(&mut self) -> Vec<CrashState> {
         self.plan
             .as_mut()
-            .map_or_else(Vec::new, PlanState::take_captured)
+            .map_or_else(Vec::new, |p| std::mem::take(&mut p.captured))
     }
 
     /// Record workload progress — by convention the number of fully
@@ -752,7 +759,8 @@ impl Machine {
     /// The crash-decidable state right now, consuming the machine —
     /// the end-of-run analogue of a planned capture.
     pub fn into_crash_state(mut self) -> CrashState {
-        self.capture_crash_state(self.crash_event_count())
+        let at = self.plan.as_ref().map_or(0, |p| p.count);
+        self.capture_crash_state(at)
     }
 
     /// The [`CrashState`] after event `at` — every capture, planned or
@@ -761,6 +769,7 @@ impl Machine {
     fn capture_crash_state(&mut self, at: u64) -> CrashState {
         CrashState {
             at,
+            trace_len: self.trace.len(),
             progress: self.progress,
             durable: self.pm_durable.image(),
             dirty: self
@@ -779,18 +788,12 @@ impl Machine {
     }
 
     /// The armed-plan hook at the end of every PM store/flush/fence
-    /// path. Captures happen *after* the K-th event completes.
-    fn plan_event(&mut self, ev: PlanEvent) {
-        let due = match self.plan.as_mut() {
-            None => return,
-            Some(p) => p.advance(ev),
-        };
-        if let Some(at) = due {
+    /// path, given the event the path traced. Captures happen *after*
+    /// the K-th counted event completes.
+    fn plan_event(&mut self, kind: EventKind) {
+        if let Some(at) = self.plan.as_mut().and_then(|p| p.advance(&kind)) {
             let state = self.capture_crash_state(at);
-            self.plan
-                .as_mut()
-                .expect("plan checked above")
-                .push_captured(state);
+            self.plan.as_mut().expect("armed").captured.push(state);
         }
     }
 
@@ -1248,14 +1251,18 @@ mod tests {
         let mut mc = m();
         let t = Tid(0);
         let pa = pm_base(&mc);
-        mc.set_crash_plan(CrashPlan::probe(CrashCounter::Fences));
+        mc.set_crash_plan(CrashPlan::at_points(CrashCounter::Fences, vec![2]));
         mc.set_elide_plan(ElidePlan::new([], [2]));
         mc.store(t, pa, &[1; 8], Category::UserData);
         mc.clwb(t, pa);
         mc.sfence(t); // counted
         mc.sfence(t); // elided: not counted
+        assert!(mc.take_crash_states().is_empty());
         mc.sfence(t); // counted
-        assert_eq!(mc.crash_event_count(), 2);
+        let states = mc.take_crash_states();
+        assert_eq!(states.len(), 1);
+        // Fence 2 is the trace's fourth event: store, flush, two fences.
+        assert_eq!((states[0].at(), states[0].trace_len()), (2, 4));
     }
 
     #[test]

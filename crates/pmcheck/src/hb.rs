@@ -906,11 +906,12 @@ struct InFlight {
 }
 
 /// Trace-level durability proof for crash-image cross-validation: for
-/// each requested 1-based fence ordinal (ascending), the lines the
-/// analysis proves **spec-invariant durable** *at that fence* — a crash
-/// at that ordinal must materialize these lines' durable bytes under
-/// every crash spec, so an image that disagrees on one of them exhibits
-/// a state this analysis declares order-impossible.
+/// each requested end (ascending, a trace-prefix length), the lines
+/// the analysis proves **spec-invariant durable** after
+/// `events[..end]` — a crash there must materialize these lines'
+/// durable bytes under every crash spec, so an image that disagrees on
+/// one of them exhibits a state this analysis declares
+/// order-impossible.
 ///
 /// Two conditions must hold, mirroring two layers of the machine:
 ///
@@ -930,7 +931,7 @@ struct InFlight {
 /// Every such entry drains at its owning thread's first traced fence;
 /// the proof therefore stays empty until every thread that appears in
 /// the trace has fenced at least once.
-pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line>> {
+pub fn durable_lines_at(events: &[Event], ends: &[usize]) -> Vec<Vec<Line>> {
     // Coverage layer: the line-state automaton, as the checker runs it.
     let mut table = LineTable::default();
     // Untraced-setup guard: how many of the trace's threads have yet to
@@ -952,90 +953,83 @@ pub fn durable_lines_at_fences(events: &[Event], points: &[u64]) -> Vec<Vec<Line
     let mut wcbs: Vec<Vec<(LineId, u32)>> = vec![Vec::new(); fenced.len()];
     // Per line id, grown with the table: a new line starts at zero.
     let mut inflight: Vec<InFlight> = Vec::new();
-    let mut out = Vec::with_capacity(points.len());
-    let mut next = 0usize;
-    let mut ordinal = 0u64;
-    debug_assert!(points.windows(2).all(|w| w[0] <= w[1]), "points ascending");
-    for ev in events {
-        if next == points.len() {
-            break;
-        }
-        let s = table.slot(ev.tid());
-        match ev.kind() {
-            EventKind::PmStore { addr, len, nt, .. } => {
-                for (line, _, _) in lines_spanning(addr, len as usize) {
-                    let id = table.intern(line);
-                    table.store(id, s, ev.at_ns(), nt);
+    let mut out = Vec::with_capacity(ends.len());
+    let mut done = 0usize;
+    debug_assert!(ends.windows(2).all(|w| w[0] <= w[1]), "ends ascending");
+    for &end in ends {
+        let stop = end.min(events.len());
+        for ev in &events[done..stop] {
+            let s = table.slot(ev.tid());
+            match ev.kind() {
+                EventKind::PmStore { addr, len, nt, .. } => {
+                    for (line, _, _) in lines_spanning(addr, len as usize) {
+                        let id = table.intern(line);
+                        table.store(id, s, ev.at_ns(), nt);
+                        inflight.resize(table.recs.len(), InFlight::default());
+                        let c = &mut inflight[id as usize];
+                        if nt {
+                            wcbs[s].push((id, c.wcb_gen));
+                            c.wcb_live += 1;
+                            c.live += 1;
+                        } else {
+                            // A cacheable store supersedes every WCB entry
+                            // of the line — but not pending snapshots.
+                            c.live -= c.wcb_live;
+                            c.wcb_live = 0;
+                            c.wcb_gen += 1;
+                        }
+                    }
+                }
+                EventKind::Flush { addr } => {
+                    let id = table.intern(Line::containing(addr));
                     inflight.resize(table.recs.len(), InFlight::default());
-                    let c = &mut inflight[id as usize];
-                    if nt {
-                        wcbs[s].push((id, c.wcb_gen));
-                        c.wcb_live += 1;
-                        c.live += 1;
-                    } else {
-                        // A cacheable store supersedes every WCB entry
-                        // of the line — but not pending snapshots.
-                        c.live -= c.wcb_live;
-                        c.wcb_live = 0;
-                        c.wcb_gen += 1;
+                    // The machine snapshots a *dirty* line into the
+                    // flusher's pending set; a coverage takeover finds the
+                    // line clean in the machine, so no new snapshot.
+                    if let LineState::Dirty { .. } = table.flush(id, s, ev.at_ns()) {
+                        snaps[s].push(id);
+                        inflight[id as usize].live += 1;
                     }
                 }
-            }
-            EventKind::Flush { addr } => {
-                let id = table.intern(Line::containing(addr));
-                inflight.resize(table.recs.len(), InFlight::default());
-                // The machine snapshots a *dirty* line into the
-                // flusher's pending set; a coverage takeover finds the
-                // line clean in the machine, so no new snapshot.
-                if let LineState::Dirty { .. } = table.flush(id, s, ev.at_ns()) {
-                    snaps[s].push(id);
-                    inflight[id as usize].live += 1;
-                }
-            }
-            EventKind::Fence | EventKind::DFence => {
-                table.fence(s);
-                // The fence drains every in-flight entry this thread
-                // owns (stale ones included).
-                for id in snaps[s].drain(..) {
-                    inflight[id as usize].live -= 1;
-                }
-                for (id, gen) in wcbs[s].drain(..) {
-                    let c = &mut inflight[id as usize];
-                    if gen == c.wcb_gen {
-                        c.wcb_live -= 1;
-                        c.live -= 1;
+                EventKind::Fence | EventKind::DFence => {
+                    table.fence(s);
+                    // The fence drains every in-flight entry this thread
+                    // owns (stale ones included).
+                    for id in snaps[s].drain(..) {
+                        inflight[id as usize].live -= 1;
+                    }
+                    for (id, gen) in wcbs[s].drain(..) {
+                        let c = &mut inflight[id as usize];
+                        if gen == c.wcb_gen {
+                            c.wcb_live -= 1;
+                            c.live -= 1;
+                        }
+                    }
+                    if !std::mem::replace(&mut fenced[s], true) {
+                        unfenced -= 1;
                     }
                 }
-                if !std::mem::replace(&mut fenced[s], true) {
-                    unfenced -= 1;
-                }
-                ordinal += 1;
-                while next < points.len() && points[next] == ordinal {
-                    let mut durable: Vec<Line> = if unfenced == 0 {
-                        table
-                            .recs
-                            .iter()
-                            .zip(&inflight)
-                            .filter(|(rec, c)| rec.state == LineState::Durable && c.live == 0)
-                            .map(|(rec, _)| rec.line)
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    durable.sort_unstable();
-                    out.push(durable);
-                    next += 1;
-                }
+                EventKind::TxBegin { .. }
+                | EventKind::TxEnd { .. }
+                | EventKind::PmLoad { .. }
+                | EventKind::RecoveryBegin => {}
             }
-            EventKind::TxBegin { .. }
-            | EventKind::TxEnd { .. }
-            | EventKind::PmLoad { .. }
-            | EventKind::RecoveryBegin => {}
         }
-    }
-    // Points beyond the trace's fence count: nothing is provable.
-    while out.len() < points.len() {
-        out.push(Vec::new());
+        done = stop;
+        // An end past the trace proves nothing.
+        let mut durable: Vec<Line> = if stop == end && unfenced == 0 {
+            table
+                .recs
+                .iter()
+                .zip(&inflight)
+                .filter(|(rec, c)| rec.state == LineState::Durable && c.live == 0)
+                .map(|(rec, _)| rec.line)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        durable.sort_unstable();
+        out.push(durable);
     }
     out
 }
@@ -1315,11 +1309,11 @@ mod tests {
         let mut t = TraceBuffer::new();
         t.pm_store(T0, 0, 8, false, Category::UserData, 1);
         t.flush(T0, 0, 2);
-        t.fence(T0, 3); // point 1: line 0 durable
+        t.fence(T0, 3); // end 3: line 0 durable
         t.pm_store(T0, 0, 8, false, Category::UserData, 4); // re-dirtied
         t.pm_store(T0, 64, 8, true, Category::RedoLog, 5); // NT self-flush
-        t.fence(T0, 6); // point 2: line 1 durable, line 0 not
-        let d = durable_lines_at_fences(t.events(), &[1, 2]);
+        t.fence(T0, 6); // end 6: line 1 durable, line 0 not
+        let d = durable_lines_at(t.events(), &[3, 6]);
         assert_eq!(d[0], vec![Line(0)]);
         assert_eq!(d[1], vec![Line(1)]);
     }
@@ -1331,7 +1325,7 @@ mod tests {
         t.flush(T0, 0, 2);
         t.fence(T1, 3); // not the flusher's fence: retires nothing
         t.fence(T0, 4); // the flusher's fence does
-        let d = durable_lines_at_fences(t.events(), &[1, 2]);
+        let d = durable_lines_at(t.events(), &[3, 4]);
         assert!(d[0].is_empty());
         assert_eq!(d[1], vec![Line(0)]);
     }
@@ -1349,26 +1343,26 @@ mod tests {
         t.flush(T1, 0, 3); // foreign clwb: snapshot lives in T1
         t.pm_store(T0, 0, 8, false, Category::UserData, 4);
         t.flush(T0, 0, 5);
-        t.fence(T0, 6); // point 2: durable, but T1's snapshot is live
-        t.fence(T1, 7); // point 3: snapshot drained
-        let d = durable_lines_at_fences(t.events(), &[2, 3]);
+        t.fence(T0, 6); // end 6: durable, but T1's snapshot is live
+        t.fence(T1, 7); // end 7: snapshot drained
+        let d = durable_lines_at(t.events(), &[6, 7]);
         assert!(d[0].is_empty());
         assert_eq!(d[1], vec![Line(0)]);
     }
 
     #[test]
     fn durable_lines_wait_for_every_thread_to_fence() {
-        // T1 participates in the trace but has not fenced by point 1:
+        // T1 participates in the trace but has not fenced by end 4:
         // untraced setup may have left its in-flight entries armed, so
         // nothing is provable until its first fence.
         let mut t = TraceBuffer::new();
         t.pm_store(T1, 64, 8, false, Category::UserData, 1);
         t.pm_store(T0, 0, 8, false, Category::UserData, 2);
         t.flush(T0, 0, 3);
-        t.fence(T0, 4); // point 1: T1 has never fenced
+        t.fence(T0, 4); // end 4: T1 has never fenced
         t.flush(T1, 64, 5);
-        t.fence(T1, 6); // point 2: both threads drained
-        let d = durable_lines_at_fences(t.events(), &[1, 2]);
+        t.fence(T1, 6); // end 6: both threads drained
+        let d = durable_lines_at(t.events(), &[4, 6]);
         assert!(d[0].is_empty());
         assert_eq!(d[1], vec![Line(0), Line(1)]);
     }
@@ -1379,9 +1373,34 @@ mod tests {
         t.pm_store(T0, 0, 8, false, Category::UserData, 1);
         t.flush(T0, 0, 2);
         t.fence(T0, 3);
-        let d = durable_lines_at_fences(t.events(), &[1, 9]);
+        let d = durable_lines_at(t.events(), &[3, 9]);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0], vec![Line(0)]);
         assert!(d[1].is_empty());
+    }
+
+    #[test]
+    fn durable_lines_at_any_position() {
+        // Ends between fences see each store the moment it happens.
+        let mut t = TraceBuffer::new();
+        t.pm_store(T0, 0, 8, false, Category::UserData, 1);
+        t.flush(T0, 0, 2);
+        t.fence(T0, 3); // end 3: line 0 proven
+        t.pm_store(T0, 64, 8, true, Category::RedoLog, 4); // end 4: line 1 in the WCB
+        t.pm_store(T0, 0, 8, false, Category::UserData, 5); // end 5: line 0 re-dirtied
+        t.fence(T0, 6); // end 6: line 1 proven at its fence
+        let d = durable_lines_at(t.events(), &[0, 3, 4, 5, 6]);
+        assert!(d[0].is_empty(), "T0 has not fenced");
+        assert_eq!(d[1], vec![Line(0)]);
+        assert_eq!(
+            d[2],
+            vec![Line(0)],
+            "an NT store is not durable before its fence"
+        );
+        assert!(
+            d[3].is_empty(),
+            "the store drops line 0 at its own position"
+        );
+        assert_eq!(d[4], vec![Line(1)]);
     }
 }

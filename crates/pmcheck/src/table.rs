@@ -13,8 +13,8 @@
 //! The table also owns the one **line-state automaton**
 //! (`Clean → Dirty → Flushed → Durable`, [`LineState`]) and the
 //! per-thread pending-flush lists it needs; the streaming checker and
-//! the crash-point durability proof
-//! ([`crate::hb::durable_lines_at_fences`]) both drive it through
+//! the crash-point durability proof ([`crate::hb::durable_lines_at`],
+//! asked at trace positions) both drive it through
 //! [`store`](LineTable::store), [`flush`](LineTable::flush) and
 //! [`fence`](LineTable::fence) instead of each keeping a copy.
 //!

@@ -596,7 +596,7 @@ mod tests {
 
     /// The window [`LogRing::append`] documents. A record whose payload
     /// spans three more lines than its header is appended under a
-    /// store-granular crash plan: right after its payload store some
+    /// PM-event crash plan: right after its payload store some
     /// adversarial spec lands the header line — the valid tag — without
     /// a payload line, and a scan returns the torn record. At the
     /// record's fence no spec can.
@@ -626,8 +626,9 @@ mod tests {
             }
             (torn, whole)
         };
-        // Store 1 is the header, store 2 the payload.
-        let (torn, _) = outcomes(CrashCounter::Stores, 2);
+        // PM event 1 is the header store, event 2 the payload store:
+        // nothing is flushed or fenced between them.
+        let (torn, _) = outcomes(CrashCounter::PmEvents, 2);
         assert!(
             torn > 0,
             "some spec must land the header without a payload line"

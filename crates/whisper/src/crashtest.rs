@@ -68,13 +68,15 @@
 //!
 //! # One campaign, three views
 //!
-//! Each row runs its crash workload as a **probe**, which counts the
-//! run's fences and records its machine trace, and then as a
-//! **capture** at `points` crash points spread across that fence range.
+//! Each row runs its crash workload as a **probe**, which arms no crash
+//! plan and records its machine trace, and then as a **capture** at
+//! `points` crash points spread across the probe's `COUNTER` events.
 //! Arming crash points does not change what a run does, so the probe's
-//! trace is the capture's. Three gates read the pair: `--crash` judges
-//! the capture's images, `--crossval` ([`crate::crossval`]) checks them
-//! against what the probe's trace proves durable, and `--optimize`
+//! trace is the capture's, and each captured state records where in
+//! that trace it was taken ([`CrashState::trace_len`]). Three gates
+//! read the pair: `--crash` judges the capture's images, `--crossval`
+//! ([`crate::crossval`]) checks them against what the capture's trace
+//! proves durable at those positions, and `--optimize`
 //! ([`crate::optimize`]) rewrites the probe's trace into an elision
 //! plan, then probes and captures the row once more under it. The
 //! driver runs the campaign once for all three, over its `--apps`
@@ -84,8 +86,9 @@
 //!
 //! # Crash-point granularity
 //!
-//! Points are counted in **fence events** ([`CrashCounter::Fences`]),
-//! not individual stores, because of the torn-record window stated on
+//! Points are counted in **fence events** (`COUNTER` is
+//! [`CrashCounter::Fences`]), not individual stores, because of the
+//! torn-record window stated on
 //! [`pmtx::LogRing::append`] — the one log format under the PMFS
 //! journal and the undo/redo logs. At fence boundaries the window is
 //! closed by construction — every log record is complete before its
@@ -119,15 +122,16 @@ pub type Oracle = Box<dyn Fn(&PmImage, u64) -> Result<(), String> + Send + Sync>
 /// One app's crash workload outcome: the states captured at the swept
 /// points plus the oracle that judges their images.
 pub struct CrashRun {
-    /// Total fence events the run produced (the sweepable range).
+    /// The run's `COUNTER` events, counted over its trace (the
+    /// sweepable range).
     pub total_events: u64,
     /// Logical operations the workload committed.
     pub ops: u64,
     /// One captured state per requested crash point.
     pub states: Vec<CrashState>,
-    /// The machine trace of the measured interval (arm → harvest). The
-    /// campaign reads a probe's: crossval proves durability from it,
-    /// and the optimizer rewrites it into an elision plan.
+    /// The machine trace of the measured interval (arm → harvest).
+    /// Crossval proves durability from a capture's, at its states'
+    /// positions; the optimizer rewrites a probe's into an elision plan.
     pub trace: Vec<Event>,
     /// What an armed elision plan did during the run (`None` in plain
     /// campaign runs).
@@ -136,20 +140,25 @@ pub struct CrashRun {
     pub oracle: Oracle,
 }
 
+/// What the campaign's crash points count: the one place it is
+/// decided. Captures, run totals and crossval's proof positions all
+/// follow it.
+pub(crate) const COUNTER: CrashCounter = CrashCounter::Fences;
+
 /// How a crash workload arms its machine, handed to every `crash_run`.
-/// The default is the plain probe: count fences, capture nothing.
+/// The default is the plain probe: record the trace, capture nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Arm<'a> {
-    /// Fence ordinals to capture the machine's in-flight state at;
-    /// empty probes for the run's fence total instead.
+    /// `COUNTER` ordinals to capture the machine's in-flight state
+    /// at; empty arms no crash plan.
     pub(crate) points: &'a [u64],
     /// Arm this elision plan alongside the crash plan.
     pub(crate) elide: Option<&'a ElidePlan>,
 }
 
 impl Arm<'_> {
-    /// Arm `m` with the fence-counting crash plan and the elision plan
-    /// if asked for, and record the trace from here on.
+    /// Arm `m` with the crash plan and the elision plan if asked for,
+    /// and record the trace from here on.
     fn apply(&self, m: &mut Machine) {
         let t = m.trace_mut();
         t.clear();
@@ -160,11 +169,9 @@ impl Arm<'_> {
             // starts, so finding ordinals and machine ordinals line up.
             m.set_elide_plan(plan.clone());
         }
-        m.set_crash_plan(if self.points.is_empty() {
-            CrashPlan::probe(CrashCounter::Fences)
-        } else {
-            CrashPlan::at_points(CrashCounter::Fences, self.points.to_vec())
-        });
+        if !self.points.is_empty() {
+            m.set_crash_plan(CrashPlan::at_points(COUNTER, self.points.to_vec()));
+        }
     }
 }
 
@@ -293,14 +300,15 @@ fn first_difference(got: &impl Debug, want: &impl Debug) -> String {
     )
 }
 
-/// Finish a crash workload: harvest the machine's event count and
-/// captured states into a [`CrashRun`].
+/// Finish a crash workload: harvest the machine's trace and captured
+/// states into a [`CrashRun`].
 fn harvest(mut m: Machine, ops: u64, oracle: Oracle) -> CrashRun {
+    let trace = std::mem::take(m.trace_mut()).into_events();
     CrashRun {
-        total_events: m.crash_event_count(),
+        total_events: trace.iter().filter(|e| COUNTER.counts(&e.kind())).count() as u64,
         ops,
         states: m.take_crash_states(),
-        trace: std::mem::take(m.trace_mut()).into_events(),
+        trace,
         elide: m.elide_stats(),
         oracle,
     }
@@ -312,7 +320,7 @@ fn harvest(mut m: Machine, ops: u64, oracle: Oracle) -> CrashRun {
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Crash points swept per application, spread evenly across the
-    /// run's fence events.
+    /// run's `COUNTER` events.
     pub points: usize,
     /// Adversarial persist-subset seeds tried at every point, on top of
     /// the `DropVolatile`/`PersistAll` corners.
@@ -453,7 +461,7 @@ fn judge(name: &'static str, run: &CrashRun, cfg: &CampaignConfig) -> AppCrashRe
 }
 
 /// Re-run a row under `elide` with `cfg.points` crash points spread
-/// across `probe`'s fence range, `probe` being the row's probe under
+/// across `probe`'s `COUNTER` events, `probe` being the row's probe under
 /// the same plan: the capture a campaign view judges, one state per
 /// point.
 pub(crate) fn capture(
@@ -476,7 +484,7 @@ pub(crate) fn capture(
 pub(crate) struct Campaign {
     /// `--crash`: each row's capture, judged.
     pub(crate) crash: Vec<AppCrashReport>,
-    /// `--crossval`: each row's capture against its probe's HB proof.
+    /// `--crossval`: each row's capture against its own trace's HB proof.
     pub(crate) crossval: Vec<AppCrossval>,
     /// `--optimize`: each row judged again under its elision plan.
     pub(crate) optimized: Vec<OptimizedCrashReport>,
@@ -495,8 +503,7 @@ fn run_row(app: &App, cfg: &CampaignConfig, asked: impl Fn(Gate) -> bool) -> Cam
             row.crash.push(judge(app.name, &run, cfg));
         }
         if asked(Crossval) {
-            row.crossval
-                .push(crossval::check_row(app.name, &probe.trace, &run, cfg));
+            row.crossval.push(crossval::check_row(app.name, &run, cfg));
         }
     }
     if asked(Optimize) {
@@ -911,7 +918,7 @@ mod tests {
         // verdict. The oracle rejects every image where line 0 landed.
         let mut m = Machine::new(MachineConfig::tiny_for_tests());
         let base = m.config().map.pm.base;
-        m.set_crash_plan(CrashPlan::at_points(CrashCounter::Stores, vec![3]));
+        m.set_crash_plan(CrashPlan::at_points(CrashCounter::PmEvents, vec![3]));
         for i in 0..3u8 {
             m.store(
                 Tid(0),
@@ -963,10 +970,12 @@ mod tests {
 
     #[test]
     fn every_rows_probe_records_its_captures_trace() {
-        // The one invariant the shared campaign rests on: crossval
-        // proves durability, and the optimizer plans elisions, from the
-        // probe's trace, while both read the capture's states. Arming
-        // crash points must not change what the run does.
+        // The invariants the shared campaign rests on. The optimizer
+        // plans elisions from the probe's trace and judges the
+        // capture's states, so arming crash points must not change what
+        // the run does. Crossval proves durability at each state's
+        // trace position, so a state must sit right after the counted
+        // event its ordinal names.
         for workers in [1, WORKERS] {
             let cfg = CampaignConfig {
                 worker_threads: workers,
@@ -980,6 +989,23 @@ mod tests {
                 let captured: Vec<u64> = run.states.iter().map(CrashState::at).collect();
                 assert_eq!(captured, points, "{}", app.name);
                 assert_eq!(run.total_events, probe.total_events, "{}", app.name);
+                let counted = |events: &[Event]| {
+                    events.iter().filter(|e| COUNTER.counts(&e.kind())).count() as u64
+                };
+                assert_eq!(run.total_events, counted(&run.trace), "{}", app.name);
+                // Each state ends on a counted event (a Fence or DFence
+                // while `COUNTER` counts fences), the one its ordinal names.
+                for state in &run.states {
+                    let prefix = &run.trace[..state.trace_len()];
+                    let last = prefix.last().map(Event::kind);
+                    assert!(
+                        last.is_some_and(|kind| COUNTER.counts(&kind)),
+                        "{}: state {} ends on {last:?}",
+                        app.name,
+                        state.at()
+                    );
+                    assert_eq!(counted(prefix), state.at(), "{}", app.name);
+                }
                 assert!(
                     run.trace == probe.trace,
                     "{} at {workers} worker(s): capture trace ({} events) != probe trace ({})",

@@ -8,17 +8,19 @@
 //! against each other, both ways:
 //!
 //! * **Soundness gate** — for every Table 1 row of the crash campaign
-//!   ([`crate::crashtest`]), ask [`pmcheck::hb::durable_lines_at_fences`]
-//!   which lines the row's traced probe makes *spec-invariant durable*
-//!   at each swept crash point, and judge every point of the row's
-//!   capture under the whole crash-spec lattice.
-//!   No image may disagree with the `DropVolatile` reference on a
-//!   proven line: such an image would exhibit a state the HB analysis
-//!   declares order-impossible, i.e. either the analysis over-claims
-//!   or the trace/machine fence ordinals have drifted apart. The
-//!   reference lands no in-flight line, so a spec's image departs from
-//!   it exactly on the lines [`memsim::CrashState::landed`] returns:
-//!   the check is `landed ∩ proven = ∅`, and no image is built.
+//!   ([`crate::crashtest`]), ask [`pmcheck::hb::durable_lines_at`]
+//!   which lines the row's capture trace makes *spec-invariant durable*
+//!   at each captured state's position in that trace
+//!   ([`memsim::CrashState::trace_len`]), and judge every state under
+//!   the whole crash-spec lattice. The proof counts nothing: the
+//!   campaign decides what a crash point is, and the state says where
+//!   it fell. No image may disagree with the `DropVolatile` reference
+//!   on a proven line: such an image would exhibit a state the HB
+//!   analysis declares order-impossible, i.e. the analysis
+//!   over-claims. The reference lands no in-flight line, so a spec's
+//!   image departs from it exactly on the lines
+//!   [`memsim::CrashState::landed`] returns: the check is
+//!   `landed ∩ proven = ∅`, and no image is built.
 //!
 //! * **Positive control** — a deliberately seeded `P-EPOCH-RACE`
 //!   (two happens-before-concurrent persists of one line) must do
@@ -35,10 +37,10 @@ use crate::driver::Gate::Crossval;
 use crate::section::{arr, count, plain, rows, sum, Col, Section};
 use crate::suite::APP_NAMES;
 use memsim::{CrashCounter, CrashPlan, CrashSpec, CrashState, Machine, MachineConfig};
-use pmcheck::hb::durable_lines_at_fences;
+use pmcheck::hb::durable_lines_at;
 use pmem::Line;
 use pmobs::Json;
-use pmtrace::{Category, Event, Tid};
+use pmtrace::{Category, Tid};
 
 /// One image that disagreed with the HB proof: which app and point,
 /// which spec materialized it, and the proven-durable lines it flipped.
@@ -191,16 +193,11 @@ const COLS: [Col<AppCrossval>; 5] = [
 ];
 
 /// Cross-validate one campaign row: the HB durability proof over the
-/// probe's `trace` at the points of the capture `run`, then every
+/// capture `run`'s trace at each of its states' positions, then every
 /// point × spec's landed lines checked against the proven ones.
-pub(crate) fn check_row(
-    name: &'static str,
-    trace: &[Event],
-    run: &CrashRun,
-    cfg: &CampaignConfig,
-) -> AppCrossval {
-    let points: Vec<u64> = run.states.iter().map(CrashState::at).collect();
-    let proven = durable_lines_at_fences(trace, &points);
+pub(crate) fn check_row(name: &'static str, run: &CrashRun, cfg: &CampaignConfig) -> AppCrossval {
+    let ends: Vec<usize> = run.states.iter().map(CrashState::trace_len).collect();
+    let proven = durable_lines_at(&run.trace, &ends);
     let mut images = 0usize;
     let mut violations = Vec::new();
     for (state, proven_here) in run.states.iter().zip(&proven) {
@@ -229,7 +226,7 @@ pub(crate) fn check_row(
     pmobs::count!("crossval.violations", violations.len() as u64);
     AppCrossval {
         name,
-        points,
+        points: run.states.iter().map(CrashState::at).collect(),
         images,
         proven_lines: proven.iter().map(Vec::len).collect(),
         violations,
@@ -324,7 +321,7 @@ mod tests {
         let echo = &crate::apps::echo::APP;
         let probe = echo.crash(cfg.worker_threads, &Arm::default());
         let run = crate::crashtest::capture(echo, &cfg, &probe, None);
-        let row = check_row(echo.name, &probe.trace, &run, &cfg);
+        let row = check_row(echo.name, &run, &cfg);
         assert_eq!(row.images, row.points.len() * 6); // 2 corners + 4 seeds
         assert!(
             row.violations.is_empty(),

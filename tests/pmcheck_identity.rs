@@ -12,7 +12,7 @@
 //! `cargo test --test pmcheck_identity -- --ignored --nocapture`
 //! and paste the printed table over [`PINS`].
 
-use pmcheck::hb::{durable_lines_at_fences, EpochGraph};
+use pmcheck::hb::{durable_lines_at, EpochGraph};
 use pmcheck::{check_events, rewrite_events};
 use pmtrace::{Event, EventKind};
 use whisper::suite::{run_named_threads, SuiteConfig, APP_NAMES};
@@ -108,6 +108,15 @@ fn crash_points(events: &[Event]) -> Vec<u64> {
     points
 }
 
+/// Where each fence ordinal of `points` ends the trace: the length of
+/// the prefix whose last event is that fence.
+fn fence_ends(events: &[Event], points: &[u64]) -> Vec<usize> {
+    let fences: Vec<usize> = (1..=events.len())
+        .filter(|&end| matches!(events[end - 1].kind(), EventKind::Fence | EventKind::DFence))
+        .collect();
+    points.iter().map(|&p| fences[p as usize - 1]).collect()
+}
+
 fn digests(name: &str, events: &[Event]) -> [u64; 4] {
     let mut findings = Fnv::new();
     let report = check_events(events);
@@ -143,7 +152,8 @@ fn digests(name: &str, events: &[Event]) -> [u64; 4] {
 
     let mut durable = Fnv::new();
     let points = crash_points(events);
-    for (point, lines) in points.iter().zip(durable_lines_at_fences(events, &points)) {
+    let proven = durable_lines_at(events, &fence_ends(events, &points));
+    for (point, lines) in points.iter().zip(proven) {
         durable.u64(*point).u64(lines.len() as u64);
         for l in lines {
             durable.u64(l.0);
