@@ -7,11 +7,11 @@
 //! record what they do, and `whisper-report --json` emits it in a
 //! machine-readable report.
 //!
-//! Three parts:
+//! Four parts:
 //!
-//! * [`metrics`] — named [`Counter`]s, high-water [`MaxGauge`]s, and
-//!   log2-scaled [`Histogram`]s with relaxed-atomic recording and
-//!   [mergeable snapshots](metrics::MetricsSnapshot::merge).
+//! * [`metrics`] — named [`Counter`]s and log2-scaled [`Histogram`]s
+//!   with relaxed-atomic recording, all fed into one [`global`]
+//!   registry.
 //! * [`span`](mod@span) — RAII wall-clock timing plus an explicit channel for
 //!   durations measured on the deterministic simulated clock; the two
 //!   clock domains are kept in disjoint namespaces (`span.*` / `sim.*`).
@@ -60,7 +60,7 @@ pub mod trace;
 
 pub use json::Json;
 pub use logger::Level;
-pub use metrics::{Counter, Histogram, MaxGauge, MetricsSnapshot, Registry, Unit};
+pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry, Unit};
 pub use span::{record_sim_ns, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -130,25 +130,6 @@ macro_rules! observe {
     };
 }
 
-/// Raise a high-water gauge in the [`global`] registry (no-op while
-/// recording is disabled). The registry lookup is cached per call site.
-///
-/// ```
-/// pmobs::high_water!("pb.occupancy", 12);
-/// ```
-#[macro_export]
-macro_rules! high_water {
-    ($name:expr, $v:expr) => {
-        if $crate::enabled() {
-            static __PMOBS_G: ::std::sync::OnceLock<::std::sync::Arc<$crate::MaxGauge>> =
-                ::std::sync::OnceLock::new();
-            __PMOBS_G
-                .get_or_init(|| $crate::global().gauge($name))
-                .observe($v);
-        }
-    };
-}
-
 /// Start an RAII wall-clock span recording to `span.<name>[/<label>]`.
 ///
 /// ```
@@ -183,12 +164,6 @@ macro_rules! info {
     ($($a:tt)*) => { $crate::logger::log($crate::Level::Info, ::std::format_args!($($a)*)) };
 }
 
-/// Log at debug level.
-#[macro_export]
-macro_rules! debug {
-    ($($a:tt)*) => { $crate::logger::log($crate::Level::Debug, ::std::format_args!($($a)*)) };
-}
-
 /// Serializes tests that toggle process-wide state (the enabled flag,
 /// the logger level).
 #[cfg(test)]
@@ -208,11 +183,9 @@ mod tests {
         set_enabled(false);
         count!("lib.inert_counter");
         observe!("lib.inert_hist", Unit::Count, 5);
-        high_water!("lib.inert_gauge", 5);
         let snap = global().snapshot();
         assert!(!snap.counters.contains_key("lib.inert_counter"));
         assert!(!snap.histograms.contains_key("lib.inert_hist"));
-        assert!(!snap.gauges.contains_key("lib.inert_gauge"));
     }
 
     #[test]
@@ -221,14 +194,11 @@ mod tests {
         set_enabled(true);
         count!("lib.counter");
         count!("lib.counter", 4);
-        observe!("lib.hist", Unit::Bytes, 64);
-        high_water!("lib.gauge", 9);
-        high_water!("lib.gauge", 3);
+        observe!("lib.hist", Unit::Count, 64);
         set_enabled(false);
         let snap = global().snapshot();
         assert_eq!(snap.counters["lib.counter"], 5);
         assert_eq!(snap.histograms["lib.hist"].sum, 64);
-        assert_eq!(snap.gauges["lib.gauge"], 9);
     }
 
     #[test]

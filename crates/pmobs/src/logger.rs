@@ -3,18 +3,11 @@
 //! Diagnostics must never share stdout with machine-readable output:
 //! `whisper-report --json` promises that stdout carries only the
 //! report. Everything chatty goes through here, to stderr, filtered by
-//! a global level — `--quiet` drops it to [`Level::Error`] so scripts
-//! see errors and nothing else.
-//!
-//! The default threshold can also come from the environment: until the
-//! first [`set_level`] call, the `WHISPER_LOG` variable
-//! (`error|warn|info|debug`, or the numeric levels `1`–`4`) selects the
-//! threshold, falling back to [`Level::Info`] when unset or
-//! unparseable. An explicit [`set_level`] (e.g. `--quiet`) always wins
-//! over the environment.
+//! a global level. The threshold starts at [`Level::Info`], and
+//! [`set_level`] is the only way to change it: `--quiet` drops it to
+//! [`Level::Error`] so scripts see errors and nothing else.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Log severity, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -26,8 +19,6 @@ pub enum Level {
     Warn = 2,
     /// Progress reporting (the default threshold).
     Info = 3,
-    /// Detail for debugging the harness itself.
-    Debug = 4,
 }
 
 impl Level {
@@ -35,7 +26,6 @@ impl Level {
         match v {
             1 => Level::Error,
             2 => Level::Warn,
-            4 => Level::Debug,
             _ => Level::Info,
         }
     }
@@ -46,53 +36,21 @@ impl Level {
             Level::Error => "error",
             Level::Warn => "warn",
             Level::Info => "info",
-            Level::Debug => "debug",
         }
     }
 }
 
-/// `0` = "unset": fall back to the `WHISPER_LOG` environment default.
-/// Every [`Level`] discriminant is non-zero, so an explicit
-/// [`set_level`] can never be mistaken for unset.
-static LEVEL: AtomicU8 = AtomicU8::new(0);
+static LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
 
-/// Set the maximum level that will be emitted, overriding any
-/// `WHISPER_LOG` environment default.
+/// Set the maximum level that will be emitted.
 pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// Parse a `WHISPER_LOG` value: a level name (`error|warn|info|debug`,
-/// case-insensitive) or its numeric discriminant (`1`–`4`). `None` for
-/// anything else — the caller falls back to [`Level::Info`].
-pub fn parse_level(s: &str) -> Option<Level> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "error" | "1" => Some(Level::Error),
-        "warn" | "warning" | "2" => Some(Level::Warn),
-        "info" | "3" => Some(Level::Info),
-        "debug" | "4" => Some(Level::Debug),
-        _ => None,
-    }
-}
-
-/// The `WHISPER_LOG` default, read once per process.
-fn env_level() -> Level {
-    static ENV: OnceLock<Level> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("WHISPER_LOG")
-            .ok()
-            .and_then(|v| parse_level(&v))
-            .unwrap_or(Level::Info)
-    })
-}
-
-/// The current threshold: the last [`set_level`] value, or the
-/// `WHISPER_LOG` environment default before any explicit set.
+/// The current threshold: the last [`set_level`] value, or
+/// [`Level::Info`] before any.
 pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => env_level(),
-        v => Level::from_u8(v),
-    }
+    Level::from_u8(LEVEL.load(Ordering::Relaxed))
 }
 
 /// Whether a message at `l` would currently be emitted.
@@ -101,8 +59,7 @@ pub fn enabled_at(l: Level) -> bool {
 }
 
 /// Emit one record to stderr (used by the [`error!`](crate::error) /
-/// [`warn!`](crate::warn) / [`info!`](crate::info) /
-/// [`debug!`](crate::debug) macros).
+/// [`warn!`](crate::warn) / [`info!`](crate::info) macros).
 pub fn log(l: Level, args: std::fmt::Arguments<'_>) {
     if enabled_at(l) {
         eprintln!("[{}] {}", l.as_str(), args);
@@ -119,7 +76,9 @@ mod tests {
         set_level(Level::Info);
         assert!(enabled_at(Level::Error));
         assert!(enabled_at(Level::Info));
-        assert!(!enabled_at(Level::Debug));
+        set_level(Level::Warn);
+        assert!(enabled_at(Level::Warn));
+        assert!(!enabled_at(Level::Info));
         set_level(Level::Error);
         assert!(enabled_at(Level::Error));
         assert!(!enabled_at(Level::Warn));
@@ -128,33 +87,22 @@ mod tests {
 
     #[test]
     fn level_round_trips() {
-        for l in [Level::Error, Level::Warn, Level::Info, Level::Debug] {
+        for l in [Level::Error, Level::Warn, Level::Info] {
             assert_eq!(Level::from_u8(l as u8), l);
         }
     }
 
     #[test]
-    fn whisper_log_values_parse() {
-        assert_eq!(parse_level("error"), Some(Level::Error));
-        assert_eq!(parse_level("WARN"), Some(Level::Warn));
-        assert_eq!(parse_level("warning"), Some(Level::Warn));
-        assert_eq!(parse_level(" info "), Some(Level::Info));
-        assert_eq!(parse_level("debug"), Some(Level::Debug));
-        assert_eq!(parse_level("1"), Some(Level::Error));
-        assert_eq!(parse_level("4"), Some(Level::Debug));
-        assert_eq!(parse_level("verbose"), None);
-        assert_eq!(parse_level(""), None);
-        assert_eq!(parse_level("0"), None);
-    }
-
-    #[test]
     fn explicit_set_level_overrides_env_default() {
         let _lock = crate::test_lock();
-        // Whatever WHISPER_LOG says (or doesn't), an explicit set wins.
-        set_level(Level::Debug);
-        assert_eq!(level(), Level::Debug);
+        // Every test that moves the threshold holds the lock and puts
+        // it back, so here it is still the process's starting value.
+        assert_eq!(level(), Level::Info);
+        set_level(Level::Warn);
+        assert_eq!(level(), Level::Warn);
         set_level(Level::Error);
         assert_eq!(level(), Level::Error);
         set_level(Level::Info);
+        assert_eq!(level(), Level::Info);
     }
 }

@@ -1,10 +1,10 @@
-//! Counters, high-water gauges, and log-scaled histograms.
+//! Counters and log-scaled histograms.
 //!
 //! Recording is a handful of relaxed atomic operations, so instruments
 //! can sit on hot paths; aggregation happens only when a
-//! [`Registry::snapshot`] is taken. Snapshots are plain data and
-//! [merge](MetricsSnapshot::merge), so per-worker or per-process
-//! metrics combine losslessly.
+//! [`Registry::snapshot`] is taken. Every recorder, parallel workers
+//! included, feeds the one [`global`](crate::global) registry, so a
+//! snapshot is already the whole run's totals.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,8 +24,6 @@ pub enum Unit {
     /// `span.*` histograms are host wall-clock, `sim.*` histograms are
     /// the deterministic simulated clock (see the crate docs).
     Nanos,
-    /// Bytes.
-    Bytes,
 }
 
 impl Unit {
@@ -34,7 +32,6 @@ impl Unit {
         match self {
             Unit::Count => "count",
             Unit::Nanos => "ns",
-            Unit::Bytes => "bytes",
         }
     }
 }
@@ -57,29 +54,6 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A high-water-mark gauge: keeps the maximum value ever observed.
-#[derive(Debug, Default)]
-pub struct MaxGauge {
-    value: AtomicU64,
-}
-
-impl MaxGauge {
-    /// A gauge at zero.
-    pub fn new() -> MaxGauge {
-        MaxGauge::default()
-    }
-
-    /// Raise the high-water mark to at least `v`.
-    pub fn observe(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// The highest value observed so far.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -148,11 +122,6 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of all accumulators.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
@@ -171,8 +140,7 @@ impl Histogram {
     }
 }
 
-/// Plain-data copy of a [`Histogram`], suitable for merging and
-/// serialization.
+/// Plain-data copy of a [`Histogram`], suitable for serialization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Unit of the recorded values.
@@ -240,32 +208,6 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    /// Fold another snapshot into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the units disagree — merging nanoseconds into bytes is
-    /// always a caller bug.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            self.unit, other.unit,
-            "cannot merge histograms with different units"
-        );
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
 }
 
 /// A point-in-time copy of a whole [`Registry`].
@@ -273,53 +215,22 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// High-water gauge values by name.
-    pub gauges: BTreeMap<String, u64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Fold another snapshot into this one: counters and histogram
-    /// buckets add, gauges take the maximum.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k.clone()).or_insert(0);
-            *e = (*e).max(*v);
-        }
-        for (k, v) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(h) => h.merge(v),
-                None => {
-                    self.histograms.insert(k.clone(), v.clone());
-                }
-            }
-        }
-    }
-
-    /// True when nothing has been recorded anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
 }
 
 #[derive(Debug, Default)]
 struct Instruments {
     counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, Arc<MaxGauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
 /// A named collection of instruments.
 ///
 /// Lookup takes a mutex, so callers on hot paths should resolve an
-/// instrument once and keep the `Arc` (the [`count!`](crate::count),
-/// [`observe!`](crate::observe), and [`high_water!`](crate::high_water)
-/// macros cache the lookup in a `OnceLock`). Recording through the
-/// returned handles is lock-free.
+/// instrument once and keep the `Arc` (the [`count!`](crate::count) and
+/// [`observe!`](crate::observe) macros cache the lookup in a
+/// `OnceLock`). Recording through the returned handles is lock-free.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Instruments>,
@@ -337,15 +248,6 @@ impl Registry {
         g.counters
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(Counter::new()))
-            .clone()
-    }
-
-    /// The high-water gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<MaxGauge> {
-        let mut g = self.inner.lock().unwrap();
-        g.gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(MaxGauge::new()))
             .clone()
     }
 
@@ -378,7 +280,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: g.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
             histograms: g
                 .histograms
                 .iter()
@@ -398,11 +299,6 @@ mod tests {
         c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = MaxGauge::new();
-        g.observe(3);
-        g.observe(9);
-        g.observe(7);
-        assert_eq!(g.get(), 9);
     }
 
     #[test]
@@ -494,47 +390,6 @@ mod tests {
         // reports the observed max — never past it.
         assert_eq!(s.percentile(99.9), Some(1000));
         assert_eq!(s.percentile(100.0), Some(1000));
-        // Merged snapshots estimate identically to a single histogram
-        // fed the union of values.
-        let a = Histogram::new(Unit::Nanos);
-        let b = Histogram::new(Unit::Nanos);
-        for v in 1..=1000u64 {
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        for p in [50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(merged.percentile(p), s.percentile(p), "p{p}");
-        }
-    }
-
-    #[test]
-    fn snapshot_merge_is_lossless() {
-        let a = Histogram::new(Unit::Nanos);
-        let b = Histogram::new(Unit::Nanos);
-        let whole = Histogram::new(Unit::Nanos);
-        for v in 0..50 {
-            a.record(v * 3);
-            whole.record(v * 3);
-        }
-        for v in 0..70 {
-            b.record(v * 17 + 1);
-            whole.record(v * 17 + 1);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, whole.snapshot());
-    }
-
-    #[test]
-    #[should_panic(expected = "different units")]
-    fn merge_rejects_unit_mismatch() {
-        let mut a = Histogram::new(Unit::Nanos).snapshot();
-        a.merge(&Histogram::new(Unit::Bytes).snapshot());
     }
 
     #[test]
@@ -543,32 +398,9 @@ mod tests {
         r.counter("x").add(2);
         r.counter("x").add(3);
         assert_eq!(r.counter("x").get(), 5);
-        r.gauge("g").observe(7);
-        r.histogram("h", Unit::Bytes).record(42);
+        r.histogram("h", Unit::Count).record(42);
         let s = r.snapshot();
         assert_eq!(s.counters["x"], 5);
-        assert_eq!(s.gauges["g"], 7);
         assert_eq!(s.histograms["h"].count, 1);
-    }
-
-    #[test]
-    fn metrics_snapshot_merge() {
-        let r1 = Registry::new();
-        let r2 = Registry::new();
-        r1.counter("shared").add(2);
-        r2.counter("shared").add(5);
-        r2.counter("only2").add(1);
-        r1.gauge("hw").observe(10);
-        r2.gauge("hw").observe(4);
-        r1.histogram("h", Unit::Nanos).record(1);
-        r2.histogram("h", Unit::Nanos).record(100);
-        let mut s = r1.snapshot();
-        s.merge(&r2.snapshot());
-        assert_eq!(s.counters["shared"], 7);
-        assert_eq!(s.counters["only2"], 1);
-        assert_eq!(s.gauges["hw"], 10);
-        assert_eq!(s.histograms["h"].count, 2);
-        assert_eq!(s.histograms["h"].min, Some(1));
-        assert_eq!(s.histograms["h"].max, Some(100));
     }
 }

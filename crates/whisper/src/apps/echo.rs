@@ -211,21 +211,6 @@ impl EchoState {
             )
             .expect("insert");
     }
-
-    /// Walk a key's version chain (newest first). Used by recovery
-    /// validation.
-    #[allow(dead_code)] // exercised by crash tests
-    pub(crate) fn versions(&mut self, m: &mut Machine, tid: Tid, key: &[u8]) -> Vec<u64> {
-        let mut out = Vec::new();
-        if let Some(h) = self.master.get(m, &mut self.eng, tid, key) {
-            let mut node = u64::from_le_bytes(h[0..8].try_into().expect("8 bytes"));
-            while node != 0 {
-                out.push(m.load_u64(tid, node + 8));
-                node = m.load_u64(tid, node);
-            }
-        }
-        out
-    }
 }
 
 /// Run echo-test without client pacing and with trimmed volatile
@@ -362,6 +347,21 @@ mod tests {
     use super::*;
     use crate::apps::WORKERS;
     use memsim::CrashSpec;
+
+    impl EchoState {
+        /// Walk a key's version chain (newest first).
+        fn versions(&mut self, m: &mut Machine, tid: Tid, key: &[u8]) -> Vec<u64> {
+            let mut out = Vec::new();
+            if let Some(h) = self.master.get(m, &mut self.eng, tid, key) {
+                let mut node = u64::from_le_bytes(h[0..8].try_into().expect("8 bytes"));
+                while node != 0 {
+                    out.push(m.load_u64(tid, node + 8));
+                    node = m.load_u64(tid, node);
+                }
+            }
+            out
+        }
+    }
 
     #[test]
     fn setup_leaves_the_format_in_the_trace() {

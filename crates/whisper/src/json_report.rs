@@ -48,7 +48,9 @@
 //!                          pmobs registry; histograms carry
 //!                          {unit, count, sum, min, max, mean,
 //!                           p50, p90, p99, p999}. Empty objects when
-//!                          recording was off.
+//!                          recording was off. `gauges` is always {}
+//!                          (pmobs records no gauge); the key stays
+//!                          until the next schema bump drops it.
 //! violations       obj?    `--check` ([`crate::check`]):
 //!                          {checked_apps, rules_enabled,
 //!                           total_errors, total_warnings, by_rule,
@@ -280,15 +282,11 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
 }
 
 /// Serialize a [`MetricsSnapshot`]; empty objects when nothing was
-/// recorded (recording off).
+/// recorded (recording off). `gauges` is the schema's empty object.
 pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
     let mut counters = Json::obj();
     for (name, v) in &snap.counters {
         counters = counters.field(name, *v);
-    }
-    let mut gauges = Json::obj();
-    for (name, v) in &snap.gauges {
-        gauges = gauges.field(name, *v);
     }
     let mut histograms = Json::obj();
     for (name, h) in &snap.histograms {
@@ -296,7 +294,7 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
     }
     Json::obj()
         .field("counters", counters)
-        .field("gauges", gauges)
+        .field("gauges", Json::obj())
         .field("histograms", histograms)
 }
 
@@ -513,7 +511,6 @@ mod tests {
     fn metrics_json_reflects_snapshot() {
         let reg = pmobs::Registry::new();
         reg.counter("a.count").add(3);
-        reg.gauge("a.high").observe(9);
         reg.histogram("a.hist", pmobs::Unit::Nanos).record(100);
         let doc = metrics_json(&reg.snapshot());
         assert_eq!(
@@ -522,11 +519,10 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(3.0)
         );
+        // Schema v8 keeps its `gauges` key, always empty.
         assert_eq!(
-            doc.get("gauges")
-                .and_then(|g| g.get("a.high"))
-                .and_then(Json::as_f64),
-            Some(9.0)
+            doc.get("gauges").map(Json::to_compact).as_deref(),
+            Some("{}")
         );
         let h = doc.get("histograms").and_then(|h| h.get("a.hist")).unwrap();
         assert_eq!(h.get("count").and_then(Json::as_f64), Some(1.0));
@@ -540,11 +536,10 @@ mod tests {
         // must pin the dump to lexicographic key order regardless.
         for name in ["z.last", "a.first", "m.middle"] {
             reg.counter(name).add(1);
-            reg.gauge(name).observe(1);
             reg.histogram(name, pmobs::Unit::Nanos).record(1);
         }
         let doc = metrics_json(&reg.snapshot());
-        for section in ["counters", "gauges", "histograms"] {
+        for section in ["counters", "histograms"] {
             let Some(Json::Obj(fields)) = doc.get(section) else {
                 panic!("{section} missing or not an object");
             };
