@@ -264,12 +264,8 @@ impl Replayer {
                     _ => 0,
                 };
             }
-            EventKind::TxBegin { .. }
-            | EventKind::TxEnd { .. }
-            | EventKind::PmLoad { .. }
-            | EventKind::RecoveryBegin => {
-                // Markers (and loads, which application traces never
-                // record) carry no persistence charge in any model.
+            EventKind::TxBegin { .. } | EventKind::TxEnd { .. } => {
+                // Markers carry no persistence charge in any model.
                 recorded_charge = 0;
                 model_charge = 0;
             }

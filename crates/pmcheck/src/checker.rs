@@ -93,7 +93,7 @@ impl CheckReport {
     }
 
     /// `(rule, errors, warnings)` for every rule, in reporting order.
-    pub fn by_rule(&self) -> [(Rule, usize, usize); 8] {
+    pub fn by_rule(&self) -> [(Rule, usize, usize); Rule::ALL.len()] {
         let mut out = Rule::ALL.map(|r| (r, 0usize, 0usize));
         for f in &self.findings {
             let slot = &mut out[Rule::ALL
@@ -148,8 +148,6 @@ pub struct Checker {
     /// Which rules' findings are reported.
     rules: RuleSet,
     threads: Vec<ThreadState>,
-    /// True once a `RecoveryBegin` marker was seen.
-    recovery: bool,
     findings: Vec<Finding>,
     events_visited: u64,
     last_ns: u64,
@@ -255,23 +253,6 @@ impl Checker {
                     self.hb.tx_end();
                 }
             }
-            EventKind::PmLoad { addr } => {
-                // A load only matters to the clocks and to recovery.
-                if hb || self.recovery {
-                    self.on_load(ev, Line::containing(addr));
-                }
-            }
-            EventKind::RecoveryBegin => {
-                // The marker declares: everything before it is the
-                // pre-crash execution, everything after is recovery.
-                // Snapshot what the discipline *proved* durable — the
-                // only lines recovery may rely on.
-                self.recovery = true;
-                for rec in &mut self.hb.table.recs {
-                    rec.durable_at_recovery = rec.state == LineState::Durable;
-                    rec.recovery_store = false;
-                }
-            }
         }
     }
 
@@ -299,9 +280,6 @@ impl Checker {
         // transaction is open bypasses undo/redo-log protection.
         let in_tx = self.threads[s].tx.is_some();
         let rec = &mut self.hb.table.recs[id as usize];
-        if self.recovery {
-            rec.recovery_store = true;
-        }
         if cat == Category::UserData {
             if in_tx {
                 rec.tx_managed = true;
@@ -444,29 +422,6 @@ impl Checker {
             self.persists[id as usize].remove(s);
         }
         self.hb.table.fence(s);
-    }
-
-    /// `P-RECOVERY-READ`: during recovery, a load of a line that was
-    /// written before the crash point but not proven durable at any
-    /// fence preceding it — and not rewritten by recovery itself — is
-    /// consuming a value the crash may not have preserved.
-    fn on_load(&mut self, ev: &Event, line: Line) {
-        let id = self.hb.table.intern(line);
-        if self.rules.needs_hb() {
-            self.hb.load_id(id);
-        }
-        let rec = &self.hb.table.recs[id as usize];
-        if self.recovery
-            && rec.state != LineState::Clean
-            && !rec.durable_at_recovery
-            && !rec.recovery_store
-        {
-            self.report(Rule::RecoveryRead, Severity::Error, ev.tid(), ev.at_ns(), Some(line), || {
-                format!(
-                    "recovery reads {line}, written before the crash point but never proven durable at a preceding fence"
-                )
-            });
-        }
     }
 
     fn on_tx_end(&mut self, s: usize, ev: &Event, id: TxId) {
@@ -891,37 +846,6 @@ mod tests {
         t.tx_end(T0, 1, 30);
         t.pm_store(T0, 0, 8, true, Category::RedoLog, 40); // same line, no tx
         t.dfence(T0, 50);
-        let r = check_events(t.events());
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn recovery_read_of_unproven_line_is_an_error() {
-        let mut t = TraceBuffer::new();
-        t.pm_store(T0, 0, 8, false, Category::UserData, 10); // dirty at crash
-        t.pm_store(T0, 64, 8, false, Category::UserData, 20);
-        t.flush(T0, 64, 30);
-        t.fence(T0, 40); // line 1 proven durable
-        t.recovery_begin(T0, 50);
-        t.pm_load(T0, 64, 60); // durable: fine
-        t.pm_load(T0, 0, 70); // unproven: error
-        t.pm_store(T0, 0, 8, false, Category::UserData, 80); // recovery rewrite
-        t.pm_load(T0, 0, 90); // rewritten: fine
-        t.flush(T0, 0, 100);
-        t.fence(T0, 110);
-        let r = check_events(t.events());
-        assert_eq!(ids(&r), vec!["P-RECOVERY-READ"]);
-        assert_eq!(r.findings[0].at_ns, 70);
-        assert_eq!(r.findings[0].line, Some(Line(0)));
-    }
-
-    #[test]
-    fn loads_outside_recovery_are_unchecked() {
-        let mut t = TraceBuffer::new();
-        t.pm_store(T0, 0, 8, false, Category::UserData, 10);
-        t.pm_load(T0, 0, 20); // dirty read pre-crash: not the rule's business
-        t.flush(T0, 0, 30);
-        t.fence(T0, 40);
         let r = check_events(t.events());
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }

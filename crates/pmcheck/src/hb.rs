@@ -11,9 +11,9 @@
 //!   boundary publishes its stores, §5.1);
 //! - a **transaction commit** likewise releases the lines the
 //!   transaction wrote (commit publishes);
-//! - a **store or load** of a line *acquires* its release clock — the
-//!   accessor is coherence-ordered after every published epoch that
-//!   wrote the line (observed same-line communication).
+//! - a **store** to a line *acquires* its release clock — the storer
+//!   is coherence-ordered after every published epoch that wrote the
+//!   line (observed same-line communication).
 //!
 //! Two accesses are HB-ordered iff the later one's clock has seen the
 //! earlier one's own-component tick; otherwise they are concurrent
@@ -435,13 +435,6 @@ impl HbEngine {
         conflicts
     }
 
-    /// A load of `line`: acquire only (reading the line is
-    /// coherence-ordered after every published epoch that wrote it).
-    pub(crate) fn load_id(&mut self, line: LineId) {
-        let (s, event) = self.cur();
-        self.acquire(s, event, line);
-    }
-
     /// A fence on the current event's thread: closes the epoch,
     /// releasing every line it stored.
     pub(crate) fn fence(&mut self, durable: bool) {
@@ -498,11 +491,7 @@ impl HbEngine {
             EventKind::DFence => self.fence(true),
             EventKind::TxBegin { .. } => self.tx_begin(),
             EventKind::TxEnd { .. } => self.tx_end(),
-            EventKind::PmLoad { addr } => {
-                let id = self.table.intern(Line::containing(addr));
-                self.load_id(id);
-            }
-            EventKind::Flush { .. } | EventKind::RecoveryBegin => {}
+            EventKind::Flush { .. } => {}
         }
     }
 }
@@ -1009,10 +998,7 @@ pub fn durable_lines_at(events: &[Event], ends: &[usize]) -> Vec<Vec<Line>> {
                         unfenced -= 1;
                     }
                 }
-                EventKind::TxBegin { .. }
-                | EventKind::TxEnd { .. }
-                | EventKind::PmLoad { .. }
-                | EventKind::RecoveryBegin => {}
+                EventKind::TxBegin { .. } | EventKind::TxEnd { .. } => {}
             }
         }
         done = stop;
@@ -1087,7 +1073,7 @@ mod tests {
         t.tx_begin(T0, 1, 1); // 0
         t.pm_store(T0, 0, 8, false, Category::UserData, 2); // 1
         t.tx_end(T0, 1, 3); // 2: releases line 0 (no fence!)
-        t.pm_load(T1, 0, 4); // 3: acquires
+        t.pm_store(T1, 0, 8, false, Category::UserData, 4); // 3: acquires
         let idx = HbIndex::of(t.events());
         assert!(idx.happens_before(1, 3));
         assert!(idx.happens_before(2, 3));

@@ -6,7 +6,7 @@
 //! no replay, no simulated machine — tracking a per-cache-line state
 //! machine (`Dirty → Flushed → Durable`) plus per-thread epoch and
 //! transaction context alongside a vector-clock happens-before engine
-//! ([`hb`]), and reports violations of eight rules with stable ids:
+//! ([`hb`]), and reports violations of seven rules with stable ids:
 //!
 //! | rule id             | severity     | what it catches                          |
 //! |---------------------|--------------|------------------------------------------|
@@ -17,7 +17,6 @@
 //! | `P-CROSS-DEP`       | error        | cross-thread same-line store conflict between happens-before-concurrent unfenced epochs (a durability race) |
 //! | `P-EPOCH-RACE`      | error        | conflicting persists (flush / NT store) of one line from happens-before-concurrent epochs, no ordering fence on either side |
 //! | `P-TX-ATOMICITY`    | error        | store to a transaction-managed line with no transaction open — the update bypasses undo/redo-log protection |
-//! | `P-RECOVERY-READ`   | error        | recovery-phase load of a line not proven durable at any fence preceding the crash point |
 //!
 //! The checker is deliberately *trace-shaped*: it sees exactly what the
 //! hardware persistence domain sees (PM stores, line flushes, fences,

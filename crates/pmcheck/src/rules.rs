@@ -22,7 +22,7 @@ impl std::fmt::Display for Severity {
     }
 }
 
-/// The eight persistency rules, in reporting order.
+/// The persistency rules, in reporting order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// A store was still dirty — no covering `clwb`/`clflushopt`/NT
@@ -54,16 +54,11 @@ pub enum Rule {
     /// open on the storing thread: the update bypasses undo/redo-log
     /// protection and a crash can leave the region torn.
     TxAtomicity,
-    /// A recovery-phase load of a line that was written before the
-    /// crash point but not proven durable at any fence preceding it
-    /// (and not rewritten during recovery): recovery is consuming a
-    /// value the crash may not have preserved.
-    RecoveryRead,
 }
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::Unflushed,
         Rule::Unordered,
         Rule::RedundantFlush,
@@ -71,7 +66,6 @@ impl Rule {
         Rule::CrossDep,
         Rule::EpochRace,
         Rule::TxAtomicity,
-        Rule::RecoveryRead,
     ];
 
     /// The stable identifier used in diagnostics, JSON, and tests.
@@ -84,7 +78,6 @@ impl Rule {
             Rule::CrossDep => "P-CROSS-DEP",
             Rule::EpochRace => "P-EPOCH-RACE",
             Rule::TxAtomicity => "P-TX-ATOMICITY",
-            Rule::RecoveryRead => "P-RECOVERY-READ",
         }
     }
 
@@ -194,7 +187,7 @@ mod tests {
             assert!(seen.insert(r.id()));
             assert!(r.id().starts_with("P-"));
         }
-        assert_eq!(seen.len(), 8);
+        assert_eq!(seen.len(), Rule::ALL.len());
     }
 
     #[test]

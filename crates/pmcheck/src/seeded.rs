@@ -1,9 +1,9 @@
 //! The seeded-bug "buggy log": a hand-scripted trace of a tiny
 //! two-thread append-only persistent log in which most appends follow
-//! the correct store → flush → fence → commit discipline, but nine
+//! the correct store → flush → fence → commit discipline, but eight
 //! bugs are deliberately planted — at least one for each rule,
-//! including the happens-before rules (`P-EPOCH-RACE`,
-//! `P-TX-ATOMICITY`) and the recovery-phase rule (`P-RECOVERY-READ`).
+//! including the happens-before rules (`P-CROSS-DEP`, `P-EPOCH-RACE`)
+//! and `P-TX-ATOMICITY`.
 //!
 //! `examples/buggy_log.rs` runs the checker over this trace and prints
 //! the findings; the `pmcheck` integration tests assert the exact rule
@@ -14,7 +14,7 @@ use pmtrace::{Category, Event, Tid, TraceBuffer};
 
 /// Expected findings per rule over [`buggy_log_events`]:
 /// `(rule, error_count, warn_count)` in [`Rule::ALL`] order.
-pub const EXPECTED: [(Rule, usize, usize); 8] = [
+pub const EXPECTED: [(Rule, usize, usize); Rule::ALL.len()] = [
     (Rule::Unflushed, 1, 0),      // append committed without any flush
     (Rule::Unordered, 2, 0),      // commit before fence + dependent store
     (Rule::RedundantFlush, 0, 2), // clean-line flush + re-flush after fence
@@ -22,11 +22,10 @@ pub const EXPECTED: [(Rule, usize, usize); 8] = [
     (Rule::CrossDep, 2, 0),       // two unfenced writers on one line (×2)
     (Rule::EpochRace, 1, 0),      // concurrent persists of one line
     (Rule::TxAtomicity, 1, 0),    // naked store to a tx-managed entry
-    (Rule::RecoveryRead, 1, 0),   // recovery reads an unproven entry
 ];
 
 /// Total error- and warn-severity findings in [`buggy_log_events`].
-pub const EXPECTED_ERRORS: usize = 8;
+pub const EXPECTED_ERRORS: usize = 7;
 /// See [`EXPECTED_ERRORS`].
 pub const EXPECTED_WARNINGS: usize = 3;
 
@@ -129,21 +128,6 @@ pub fn buggy_log_events() -> Vec<Event> {
     t.pm_store(t0, entry(12), 8, false, Category::UserData, 130);
     t.flush(t0, entry(12), 132);
     t.fence(t0, 134);
-
-    // -- Bug 9 (P-RECOVERY-READ): entry 13 is stored but never flushed
-    // before the crash point, while entry 14 is made properly durable.
-    // Recovery reads entry 14 (fine) and then entry 13 — a value the
-    // crash may not have preserved — before rebuilding it.
-    t.pm_store(t0, entry(13), 8, false, Category::UserData, 140);
-    t.pm_store(t1, entry(14), 8, false, Category::UserData, 142);
-    t.flush(t1, entry(14), 144);
-    t.fence(t1, 146);
-    t.recovery_begin(t0, 150);
-    t.pm_load(t0, entry(14), 152);
-    t.pm_load(t0, entry(13), 154);
-    t.pm_store(t0, entry(13), 8, false, Category::UserData, 156); // rebuild
-    t.flush(t0, entry(13), 158);
-    t.fence(t0, 160);
 
     t.into_events()
 }

@@ -19,7 +19,7 @@
 //! [`fence`](LineTable::fence) instead of each keeping a copy.
 //!
 //! A record holds the interned line, the automaton's state and the
-//! checker's three flags, and nothing else. Every other per-line fact
+//! checker's `tx_managed` flag, and nothing else. Every other per-line fact
 //! lives in a vector under the same ids, owned by the one pass that
 //! reads it: the happens-before engine's clocks ([`crate::hb`]), the
 //! checker's pending persists (`P-EPOCH-RACE`), and the crash proof's
@@ -71,7 +71,7 @@ pub(crate) enum LineState {
 }
 
 /// What the automaton and the checker know about one line. Each group
-/// of fields has one writer. The checker's flags sit here, beside
+/// of fields has one writer. The checker's flag sits here, beside
 /// `state`, because it reads both on every store it checks; the facts
 /// of the other passes live in their own vectors (see the module doc).
 #[derive(Debug)]
@@ -85,10 +85,6 @@ pub(crate) struct LineRec {
     /// Ever stored under an open durable transaction — the tx-managed
     /// region model behind `P-TX-ATOMICITY`.
     pub(crate) tx_managed: bool,
-    /// Durable at the `RecoveryBegin` marker (the crash point).
-    pub(crate) durable_at_recovery: bool,
-    /// Rewritten during recovery (reads of it are fine).
-    pub(crate) recovery_store: bool,
 }
 
 // Every pass allocates one per line a trace touches.
@@ -120,8 +116,6 @@ impl LineTable {
                 line,
                 state: LineState::Clean,
                 tx_managed: false,
-                durable_at_recovery: false,
-                recovery_store: false,
             });
             *id_plus_one =
                 LineId::try_from(self.recs.len()).expect("fewer than 2^32 interned lines");

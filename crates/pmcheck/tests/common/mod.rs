@@ -46,10 +46,6 @@ pub enum TraceOp {
         lines: u8,
         nt: bool,
     },
-    Load {
-        tid: u8,
-        slot: u8,
-    },
     Flush {
         tid: u8,
         slot: u8,
@@ -61,15 +57,13 @@ pub enum TraceOp {
     TxToggle {
         tid: u8,
     },
-    RecoveryBegin {
-        tid: u8,
-    },
 }
 
-/// The operations every checker rule and the HB engine react to.
-fn common_ops() -> Vec<BoxedStrategy<TraceOp>> {
+/// `(thread count, ops)`: traces of stores, flushes, fences and tx
+/// markers, shorter than `max_len`.
+pub fn write_ops(max_len: usize) -> impl Strategy<Value = (u8, Vec<TraceOp>)> {
     let tid = || 0..MAX_THREADS;
-    vec![
+    let arms = vec![
         (tid(), 0u8..6, 1u8..=4, any::<bool>())
             .prop_map(|(tid, slot, lines, nt)| TraceOp::Store {
                 tid,
@@ -85,31 +79,7 @@ fn common_ops() -> Vec<BoxedStrategy<TraceOp>> {
             .prop_map(|(tid, durable)| TraceOp::Fence { tid, durable })
             .boxed(),
         tid().prop_map(|tid| TraceOp::TxToggle { tid }).boxed(),
-    ]
-}
-
-/// `(thread count, ops)`: traces of stores, flushes, fences and tx
-/// markers, shorter than `max_len`.
-pub fn write_ops(max_len: usize) -> impl Strategy<Value = (u8, Vec<TraceOp>)> {
-    (
-        1..=MAX_THREADS,
-        collection::vec(miniprop::OneOf { arms: common_ops() }, 0..max_len),
-    )
-}
-
-/// [`write_ops`] plus loads and recovery markers.
-pub fn all_ops(max_len: usize) -> impl Strategy<Value = (u8, Vec<TraceOp>)> {
-    let mut arms = common_ops();
-    arms.push(
-        (0..MAX_THREADS, 0u8..6)
-            .prop_map(|(tid, slot)| TraceOp::Load { tid, slot })
-            .boxed(),
-    );
-    arms.push(
-        (0..MAX_THREADS)
-            .prop_map(|tid| TraceOp::RecoveryBegin { tid })
-            .boxed(),
-    );
+    ];
     (
         1..=MAX_THREADS,
         collection::vec(miniprop::OneOf { arms }, 0..max_len),
@@ -150,7 +120,6 @@ pub fn build_at(threads: u8, ops: &[TraceOp], layout: Layout) -> Vec<Event> {
                 let len = (u32::from(lines) - 1) * 64 + 8;
                 t.pm_store(tid_of(tid), addr_of(slot), len, nt, Category::UserData, now);
             }
-            TraceOp::Load { tid, slot } => t.pm_load(tid_of(tid), addr_of(slot), now),
             TraceOp::Flush { tid, slot } => t.flush(tid_of(tid), addr_of(slot), now),
             TraceOp::Fence { tid, durable } => {
                 if durable {
@@ -170,7 +139,6 @@ pub fn build_at(threads: u8, ops: &[TraceOp], layout: Layout) -> Vec<Event> {
                     }
                 }
             }
-            TraceOp::RecoveryBegin { tid } => t.recovery_begin(tid_of(tid), now),
         }
     }
     t.into_events()

@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{all_ops, build, build_at, Layout, STRADDLING};
+use common::{build, build_at, write_ops, Layout, STRADDLING};
 use miniprop::prelude::*;
 use pmcheck::check_events;
 use pmcheck::hb::{EpochGraph, HbIndex};
@@ -49,7 +49,7 @@ proptest! {
     /// Irreflexive and antisymmetric: no event precedes itself, and no
     /// two events precede each other.
     #[test]
-    fn hb_is_irreflexive_and_antisymmetric((threads, ops) in all_ops(40)) {
+    fn hb_is_irreflexive_and_antisymmetric((threads, ops) in write_ops(40)) {
         let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         for a in 0..idx.len() {
@@ -65,7 +65,7 @@ proptest! {
 
     /// Transitive: a ≺ b and b ≺ c imply a ≺ c.
     #[test]
-    fn hb_is_transitive((threads, ops) in all_ops(40)) {
+    fn hb_is_transitive((threads, ops) in write_ops(40)) {
         let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         let n = idx.len();
@@ -88,7 +88,7 @@ proptest! {
 
     /// Per-thread program order is always contained in HB.
     #[test]
-    fn hb_contains_program_order((threads, ops) in all_ops(40)) {
+    fn hb_contains_program_order((threads, ops) in write_ops(40)) {
         let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         for a in 0..events.len() {
@@ -108,7 +108,7 @@ proptest! {
     /// every pair: the clocks are a sound *and* complete summary of
     /// the explicit ordering edges.
     #[test]
-    fn hb_clocks_agree_with_edge_reachability((threads, ops) in all_ops(40)) {
+    fn hb_clocks_agree_with_edge_reachability((threads, ops) in write_ops(40)) {
         let events = build(threads, &ops);
         let idx = HbIndex::of(&events);
         let reach = reachability(&idx);
@@ -131,7 +131,7 @@ proptest! {
     /// slots the threads got changes neither the relation, nor the
     /// epoch graph, nor what the checker finds.
     #[test]
-    fn hb_is_invariant_under_relocation((threads, ops) in all_ops(40)) {
+    fn hb_is_invariant_under_relocation((threads, ops) in write_ops(40)) {
         let relation = |layout: Layout| {
             let events = build_at(threads, &ops, layout);
             let skip = 2 * usize::from(layout.bystanders);

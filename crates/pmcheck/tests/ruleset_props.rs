@@ -2,13 +2,13 @@
 //!
 //! The checker skips its happens-before engine when neither rule
 //! founded on it is in the [`RuleSet`]. Checked over random traces and
-//! every non-empty subset of the eight rules: a filtered pass reports
+//! every non-empty subset of the rules: a filtered pass reports
 //! exactly the findings the full pass reports for those rules — same
 //! order, same fields, same messages.
 
 mod common;
 
-use common::{all_ops, build};
+use common::{build, write_ops};
 use miniprop::prelude::*;
 use pmcheck::{check_events, check_events_with, Rule, RuleSet};
 
@@ -27,7 +27,7 @@ fn subsets() -> impl Iterator<Item = RuleSet> {
 
 proptest! {
     #[test]
-    fn filtered_pass_equals_filtered_full_pass((threads, ops) in all_ops(60)) {
+    fn filtered_pass_equals_filtered_full_pass((threads, ops) in write_ops(60)) {
         let events = build(threads, &ops);
         let full = check_events(&events);
         for set in subsets() {
@@ -50,7 +50,7 @@ proptest! {
 fn generated_traces_fire_every_rule() {
     let mut fired = [false; Rule::ALL.len()];
     miniprop::run_cases("generated_traces_fire_every_rule", 256, |rng| {
-        let (threads, ops) = all_ops(60).generate(rng);
+        let (threads, ops) = write_ops(60).generate(rng);
         for f in check_events(&build(threads, &ops)).findings {
             fired[Rule::ALL
                 .iter()

@@ -49,7 +49,6 @@ fn rule_ids_are_the_documented_strings() {
             "P-CROSS-DEP",
             "P-DOUBLE-FENCE",
             "P-EPOCH-RACE",
-            "P-RECOVERY-READ",
             "P-REDUNDANT-FLUSH",
             "P-TX-ATOMICITY",
             "P-UNFLUSHED",
@@ -128,14 +127,4 @@ fn findings_carry_context() {
     assert_eq!(atomicity.at_ns, 130);
     assert_eq!(atomicity.line, Some(pmem::Line(12)));
     assert_eq!(atomicity.tx, None);
-
-    let recovery = report
-        .findings
-        .iter()
-        .find(|f| f.rule == Rule::RecoveryRead)
-        .expect("seeded");
-    // Bug 9: recovery reads never-durable entry 13 at 154 ns.
-    assert_eq!(recovery.tid, pmtrace::Tid(0));
-    assert_eq!(recovery.at_ns, 154);
-    assert_eq!(recovery.line, Some(pmem::Line(13)));
 }

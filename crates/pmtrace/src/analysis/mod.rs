@@ -195,10 +195,6 @@ pub fn for_each_epoch(events: &[Event], mut sink: impl FnMut(&Epoch)) -> [u64; 2
             EventKind::Flush { .. } => {
                 // Ignored, per Section 5.1.
             }
-            EventKind::PmLoad { .. } | EventKind::RecoveryBegin => {
-                // Loads and recovery markers are not stores; they never
-                // open or extend an epoch.
-            }
         }
     }
     fences
@@ -413,21 +409,6 @@ mod tests {
         let e = split_epochs(t.events());
         assert_eq!(nt_fraction(&e), Some(0.25));
         assert_eq!(nt_fraction(&[]), None);
-    }
-
-    #[test]
-    fn loads_and_recovery_markers_do_not_open_epochs() {
-        let mut t = TraceBuffer::new();
-        t.pm_load(t0(), 0, 1);
-        t.recovery_begin(t0(), 2);
-        t.fence(t0(), 3); // closes nothing: no stores happened
-        t.pm_store(t0(), 0, 8, false, Category::UserData, 4);
-        t.pm_load(t0(), 64, 5); // mid-epoch load leaves stats alone
-        t.fence(t0(), 6);
-        let e = split_epochs(t.events());
-        assert_eq!(e.len(), 1);
-        assert_eq!(e[0].stores, 1);
-        assert_eq!(e[0].start_ns, 4);
     }
 
     #[test]

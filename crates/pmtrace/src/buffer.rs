@@ -104,17 +104,6 @@ impl TraceBuffer {
     pub fn tx_end(&mut self, tid: Tid, id: TxId, at_ns: u64) {
         self.push(tid, at_ns, EventKind::TxEnd { id });
     }
-
-    /// Record a PM load (synthetic/seeded traces only — application
-    /// runs do not trace their loads).
-    pub fn pm_load(&mut self, tid: Tid, addr: Addr, at_ns: u64) {
-        self.push(tid, at_ns, EventKind::PmLoad { addr });
-    }
-
-    /// Record the start of a recovery phase.
-    pub fn recovery_begin(&mut self, tid: Tid, at_ns: u64) {
-        self.push(tid, at_ns, EventKind::RecoveryBegin);
-    }
 }
 
 #[cfg(test)]

@@ -80,7 +80,9 @@ impl std::fmt::Display for Category {
     }
 }
 
-/// The kind of a trace event.
+/// The kind of a trace event: what the machine records of a PM
+/// program — writes, flushes, fences and transaction boundaries
+/// (Section 4). Loads are not traced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A store to persistent memory (cacheable or non-temporal).
@@ -115,21 +117,6 @@ pub enum EventKind {
         /// Per-thread transaction id.
         id: TxId,
     },
-    /// A load from persistent memory.
-    ///
-    /// The applications do not record their loads (WHISPER traces
-    /// writes, flushes, and fences); this event exists for synthetic
-    /// and seeded traces where the happens-before engine needs the
-    /// read side of a communication edge, and for recovery-phase
-    /// checking ([`RecoveryBegin`](EventKind::RecoveryBegin)).
-    PmLoad {
-        /// Source byte address.
-        addr: Addr,
-    },
-    /// Marks the start of a recovery phase: everything after this
-    /// event models post-crash code re-reading persistent state. Used
-    /// by seeded traces to exercise the P-RECOVERY-READ rule.
-    RecoveryBegin,
 }
 
 /// One trace record: who, when (simulated nanoseconds), what.
@@ -182,8 +169,6 @@ impl Event {
             EventKind::DFence => (4, 0, 0),
             EventKind::TxBegin { id } => (5, 0, id),
             EventKind::TxEnd { id } => (6, 0, id),
-            EventKind::PmLoad { addr } => (7, 0, addr),
-            EventKind::RecoveryBegin => (8, 0, 0),
         };
         Event {
             head: tag | (tid.0 << 8),
@@ -231,10 +216,8 @@ impl Event {
             3 => EventKind::Fence,
             4 => EventKind::DFence,
             5 => EventKind::TxBegin { id: b },
-            6 => EventKind::TxEnd { id: b },
-            7 => EventKind::PmLoad { addr: b },
-            // `new` writes tags 0..=8.
-            _ => EventKind::RecoveryBegin,
+            // `new` writes tags 0..=6.
+            _ => EventKind::TxEnd { id: b },
         }
     }
 

@@ -27,8 +27,6 @@ fn kinds() -> impl Strategy<Value = EventKind> {
         Just(EventKind::DFence),
         any::<u64>().prop_map(|id| EventKind::TxBegin { id }),
         any::<u64>().prop_map(|id| EventKind::TxEnd { id }),
-        any::<u64>().prop_map(|addr| EventKind::PmLoad { addr }),
-        Just(EventKind::RecoveryBegin),
     ]
 }
 
@@ -40,7 +38,7 @@ fn parts() -> impl Strategy<Value = (Tid, u64, EventKind)> {
 fn unused(kind: EventKind) -> (bool, bool) {
     match kind {
         EventKind::PmStore { .. } => (false, false),
-        EventKind::Fence | EventKind::DFence | EventKind::RecoveryBegin => (true, true),
+        EventKind::Fence | EventKind::DFence => (true, true),
         _ => (true, false),
     }
 }

@@ -251,7 +251,7 @@ mod tests {
             let tag = format!("{}×{}", rule.id(), errors + warns);
             assert!(table.contains(&tag), "missing {tag} in:\n{table}");
         }
-        assert!(table.contains("total: 8 error(s), 3 warning(s)"), "{table}");
+        assert!(table.contains("total: 7 error(s), 3 warning(s)"), "{table}");
         assert!(table.contains("by rule: "), "{table}");
     }
 

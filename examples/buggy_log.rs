@@ -1,11 +1,11 @@
 //! `buggy_log` — the seeded-bug showcase for the `pmcheck` checker.
 //!
 //! Replays the hand-scripted "buggy log" trace (a tiny two-thread
-//! append-only persistent log with nine planted persistency bugs,
+//! append-only persistent log with eight planted persistency bugs,
 //! `pmcheck::seeded`) through the checker and prints every finding:
-//! each of the eight rules fires at least once — including the
-//! happens-before rules (`P-CROSS-DEP`, `P-EPOCH-RACE`), the
-//! transaction-atomicity rule, and the recovery-read rule. This is the
+//! each of the seven rules fires at least once — including the
+//! happens-before rules (`P-CROSS-DEP`, `P-EPOCH-RACE`) and the
+//! transaction-atomicity rule. This is the
 //! demonstration that the checker catches what it claims to catch;
 //! the `pmcheck` integration tests assert the exact counts.
 //!

@@ -4,6 +4,7 @@
 //! outputs and orders, and the exit codes are all checked here without
 //! spawning anything.
 
+use pmcheck::Rule;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use whisper::crashtest::{crash_json, run_campaign, CampaignConfig};
@@ -54,6 +55,8 @@ fn usage_errors_exit_2_before_anything_runs() {
         "--apps nope",
         "--apps redis,redis",
         "--check-rules P-NO-SUCH-RULE",
+        // A rule retired with the load and recovery-marker events.
+        "--check-rules P-RECOVERY-READ",
         "fig99",
         "fig99 --crash --optimize",
         "--from-trace missing.wtr fig99",
@@ -187,6 +190,15 @@ fn all_gates_pass_in_order_and_do_not_depend_on_the_worker_count() {
         assert!(inner.to_pretty() == read(&serial_dir.join(file)), "{file}");
     }
     assert!(doc.get("hb").and_then(|hb| hb.get("graph")).is_some());
+    // With no `--check-rules`, every rule is checked, in reporting order.
+    let enabled = doc.get("violations").and_then(|v| v.get("rules_enabled"));
+    let enabled: Vec<&str> = enabled
+        .and_then(pmobs::Json::as_arr)
+        .expect("violations.rules_enabled")
+        .iter()
+        .map(|id| id.as_str().expect("a rule id"))
+        .collect();
+    assert_eq!(enabled, Rule::ALL.map(Rule::id));
 
     // The streamed trace.json is the DOM view of the same run, made
     // again through the library.
@@ -297,8 +309,9 @@ fn an_archived_trace_keeps_its_thread_count() {
 
 /// An archive the codec refuses is a usage error, reported as such: a
 /// store of no bytes, a store that wraps past the last address, an
-/// event count whose byte size overflows, an unknown tag and a store
-/// whose category code is out of range.
+/// event count whose byte size overflows, an unknown tag (7 and 8 were
+/// the retired load and recovery-marker events) and a store whose
+/// category code is out of range.
 #[test]
 fn malformed_archives_exit_2_and_say_why() {
     let _turn = turn();
@@ -324,6 +337,8 @@ fn malformed_archives_exit_2_and_say_why() {
             archive(2, &[record(0, 8 << 8, u64::MAX - 3), fence]),
         ),
         ("count", archive(1 << 61, &[])),
+        ("load", archive(1, &[record(7, 0, 0x1000)])),
+        ("recovery", archive(1, &[record(8, 0, 0)])),
         ("tag", archive(1, &[record(9, 0, 0)])),
         ("category", archive(1, &[record(0, (8 << 8) | 7, 0x1000)])),
     ] {

@@ -34,7 +34,7 @@ const PINS: [(&str, u64); 15] = [
     ("hbgraph", 0x7a5ea27a43cf9f10),
     ("serve", 0xd5ba2d5f70796bcc),
     ("profile", 0xa50b5e8851ea632b),
-    ("violations.json", 0x23c401e5dbea4902),
+    ("violations.json", 0x7e31c0c6883517ce),
     ("crash.json", 0xbd9990ddec12e9f1),
     ("crossval.json", 0x3e3ad3fb77eb98e9),
     ("optimize.json", 0x779ae0451354efd8),
