@@ -36,13 +36,15 @@
 use crate::checker::Checker;
 use crate::rules::{Rule, RuleSet};
 use pmtrace::{Event, EventKind};
+use std::borrow::Cow;
 
 /// What one [`rewrite_events`] run did.
 #[derive(Debug, Clone, Default)]
-pub struct RewriteReport {
+pub struct RewriteReport<'a> {
     /// The rewritten trace: the input minus every elided event, order
-    /// and timestamps untouched.
-    pub events: Vec<Event>,
+    /// and timestamps untouched. It borrows the input when no round
+    /// elided anything, and owns a compacted copy otherwise.
+    pub events: Cow<'a, [Event]>,
     /// Indices of the elided events *in the original trace*,
     /// ascending.
     pub elided: Vec<usize>,
@@ -56,7 +58,7 @@ pub struct RewriteReport {
     pub rounds: usize,
 }
 
-impl RewriteReport {
+impl RewriteReport<'_> {
     /// Total elided events.
     pub fn elided_total(&self) -> usize {
         self.elided.len()
@@ -96,8 +98,9 @@ fn elision_targets(events: &[Event]) -> Vec<usize> {
 /// without an anchoring event (end-of-trace warnings) are never
 /// elision candidates, and no event of any other kind is ever removed.
 /// The first pass reads `events` in place; the trace is copied only
-/// once a round has something to elide.
-pub fn rewrite_events(events: &[Event]) -> RewriteReport {
+/// once a round has something to elide, and a clean trace comes back
+/// borrowed.
+pub fn rewrite_events(events: &[Event]) -> RewriteReport<'_> {
     let _span = pmobs::span!("pmcheck.rewrite");
     // The rewritten trace so far, and origin[i] = index of its i-th
     // event in the *original* trace.
@@ -139,7 +142,7 @@ pub fn rewrite_events(events: &[Event]) -> RewriteReport {
 
     out.elided.sort_unstable();
     pmobs::count!("pmcheck.rewrite.elided", out.elided.len() as u64);
-    out.events = rewritten.map_or_else(|| events.to_vec(), |(current, _)| current);
+    out.events = rewritten.map_or(Cow::Borrowed(events), |(current, _)| Cow::Owned(current));
     out
 }
 

@@ -98,7 +98,7 @@ pub fn build_at(threads: u8, ops: &[TraceOp], layout: Layout) -> Vec<Event> {
     let mut t = TraceBuffer::new();
     let mut now = 0u64;
     for i in 0..u32::from(layout.bystanders) {
-        let (tid, addr) = (Tid(1_000_000 + i), (1 << 40) + u64::from(i) * 4096);
+        let (tid, addr) = (Tid(900 + i), (1 << 36) + u64::from(i) * 4096);
         t.pm_store(tid, addr, 8, false, Category::UserData, now + 1);
         t.fence(tid, now + 2);
         now += 2;

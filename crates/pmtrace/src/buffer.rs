@@ -9,7 +9,7 @@ use pmem::Addr;
 /// operation as applications run — the analogue of WHISPER's `PM_*`
 /// macros feeding ftrace. Recording can be disabled to measure
 /// tracing-free runs (the paper reports 2–10× tracing overhead; ours is
-/// a vector push of one 24-byte [`Event`] record, packed from its
+/// a vector push of one 16-byte [`Event`] record, packed from its
 /// [`EventKind`] by [`Event::new`]).
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {

@@ -10,12 +10,17 @@
 //!
 //! Layout: an 8-byte magic+version header, a little-endian `u64` event
 //! count, then fixed 24-byte records `{tag u8, tid u24, a u32, b u64,
-//! at_ns u64}` whose field meaning depends on the tag. The record is
-//! also [`Event`]'s in-memory layout, so encoding writes each event's
-//! four words as they are; decoding checks them and rebuilds the event
-//! through [`Event::new`], which zeroes the words its tag does not use.
+//! at_ns u64}` whose field meaning depends on the tag: a store's `a` is
+//! `len << 8 | category` and its `b` the address; a flush's `b` is the
+//! address, a transaction boundary's the id. The archive record is not
+//! [`Event`]'s 16-byte in-memory layout: encoding unpacks each event
+//! into it, and decoding checks every record against the event's
+//! domain (thread id < 2^10, `at_ns` < 2^48, store address < 2^40)
+//! before it rebuilds the event through [`Event::new`], which zeroes
+//! the bits its tag does not use. A record outside the domain is a
+//! [`CodecError::OutOfDomain`], never a panic.
 
-use crate::event::{Category, Event, EventKind, Tid};
+use crate::event::{Category, Event, EventKind, Tid, ADDR_BITS, TID_BITS, TIME_BITS};
 
 const MAGIC: [u8; 8] = *b"WHISPR01";
 const REC: usize = 24;
@@ -32,15 +37,53 @@ pub enum CodecError {
         /// The offending byte.
         tag: u8,
     },
-    /// A PM store of no bytes, or one whose end `addr + len` does not
-    /// fit in 64 bits. A recorded run writes neither, and the epoch
-    /// analysis has no lines to give either.
+    /// A PM store of no bytes. A recorded run writes none, and the
+    /// epoch analysis has no lines to give it.
     BadStore {
         /// The store's first byte.
         addr: u64,
         /// Its length in bytes.
         len: u32,
     },
+    /// A record part outside what an [`Event`] holds.
+    OutOfDomain {
+        /// Which part.
+        field: RecordField,
+        /// Its value in the record.
+        value: u64,
+    },
+}
+
+/// The parts of an archive record that [`Event`]'s domain bounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordField {
+    /// The thread id, below 2^10.
+    Thread,
+    /// `at_ns`, below 2^48.
+    Time,
+    /// A store's first byte, below 2^40.
+    Address,
+}
+
+impl RecordField {
+    /// The field's width in the in-memory record: its values lie below
+    /// 2 to this power.
+    fn bits(self) -> u32 {
+        match self {
+            RecordField::Thread => TID_BITS,
+            RecordField::Time => TIME_BITS,
+            RecordField::Address => ADDR_BITS,
+        }
+    }
+
+    /// `Err(OutOfDomain)` if `value` does not fit the field.
+    fn check(self, value: u64) -> Result<(), CodecError> {
+        if value >> self.bits() == 0 {
+            Ok(())
+        } else {
+            Err(CodecError::OutOfDomain { field: self, value })
+        }
+    }
 }
 
 impl std::fmt::Display for CodecError {
@@ -49,10 +92,17 @@ impl std::fmt::Display for CodecError {
             CodecError::BadHeader => write!(f, "not a WHISPER trace (bad header)"),
             CodecError::Truncated => write!(f, "trace truncated"),
             CodecError::BadTag { tag } => write!(f, "unknown event tag {tag:#x}"),
-            CodecError::BadStore { addr, len } => write!(
-                f,
-                "store of {len} bytes at {addr:#x} is empty or wraps past the address space"
-            ),
+            CodecError::BadStore { addr, len } => {
+                write!(f, "store of {len} bytes at {addr:#x} is empty")
+            }
+            CodecError::OutOfDomain { field, value } => {
+                match field {
+                    RecordField::Thread => write!(f, "thread id {value}")?,
+                    RecordField::Time => write!(f, "time {value} ns")?,
+                    RecordField::Address => write!(f, "store address {value:#x}")?,
+                }
+                write!(f, " is past the trace record's limit 2^{}", field.bits())
+            }
         }
     }
 }
@@ -69,9 +119,31 @@ pub fn encode_events(events: &[Event]) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&(events.len() as u64).to_le_bytes());
     for ev in events {
-        out.extend_from_slice(&ev.to_le_bytes());
+        out.extend_from_slice(&record_of(ev));
     }
     out
+}
+
+/// `ev`'s little-endian archive record: `tag | tid << 8`, `a`, `b`,
+/// `at_ns`.
+#[inline]
+fn record_of(ev: &Event) -> [u8; REC] {
+    let (tag, a, b) = match ev.kind() {
+        EventKind::PmStore { addr, len, nt, cat } => {
+            (u32::from(nt), (len << 8) | cat.index() as u32, addr)
+        }
+        EventKind::Flush { addr } => (2, 0, addr),
+        EventKind::Fence => (3, 0, 0),
+        EventKind::DFence => (4, 0, 0),
+        EventKind::TxBegin { id } => (5, 0, id),
+        EventKind::TxEnd { id } => (6, 0, id),
+    };
+    let mut r = [0; REC];
+    r[0..4].copy_from_slice(&(tag | (ev.tid().0 << 8)).to_le_bytes());
+    r[4..8].copy_from_slice(&a.to_le_bytes());
+    r[8..16].copy_from_slice(&b.to_le_bytes());
+    r[16..24].copy_from_slice(&ev.at_ns().to_le_bytes());
+    r
 }
 
 /// Deserialize an event stream produced by [`encode_events`].
@@ -99,7 +171,8 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
         let kind = match tag {
             0 | 1 => {
                 let (addr, len) = (b, a >> 8);
-                if len == 0 || addr.checked_add(u64::from(len)).is_none() {
+                RecordField::Address.check(addr)?;
+                if len == 0 {
                     return Err(CodecError::BadStore { addr, len });
                 }
                 EventKind::PmStore {
@@ -118,7 +191,10 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
             6 => EventKind::TxEnd { id: b },
             other => return Err(CodecError::BadTag { tag: other }),
         };
-        out.push(Event::new(Tid(head >> 8), at_ns, kind));
+        let tid = head >> 8;
+        RecordField::Thread.check(tid.into())?;
+        RecordField::Time.check(at_ns)?;
+        out.push(Event::new(Tid(tid), at_ns, kind));
     }
     Ok(out)
 }
@@ -182,10 +258,10 @@ mod tests {
 
     #[test]
     fn the_largest_length_and_thread_id_round_trip() {
-        let max = (1 << 24) - 1;
+        let (tid, len) = ((1 << TID_BITS) - 1, (1 << 24) - 1);
         let mut t = TraceBuffer::new();
-        t.pm_store(Tid(max), 0x1000, max, true, Category::AppMeta, 1);
-        t.fence(Tid(max), 2);
+        t.pm_store(Tid(tid), 0x1000, len, true, Category::AppMeta, 1);
+        t.fence(Tid(tid), 2);
         let events = t.into_events();
         assert_eq!(decode_events(&encode_events(&events)), Ok(events));
     }
@@ -240,15 +316,35 @@ mod tests {
 
     #[test]
     fn a_store_past_the_last_address_is_rejected() {
-        let addr = u64::MAX - 3;
+        let addr = 1 << ADDR_BITS;
         let bytes = archive(2, &[record(1, 8 << 8, addr), record(3, 0, 0)]);
         assert_eq!(
             decode_events(&bytes),
-            Err(CodecError::BadStore { addr, len: 8 })
+            Err(CodecError::OutOfDomain {
+                field: RecordField::Address,
+                value: addr
+            })
         );
-        // An end of exactly 2^64 - 1 still fits.
-        let bytes = archive(1, &[record(1, 3 << 8, addr)]);
+        // A store starting at 2^40 - 1 still fits, whatever its length.
+        let bytes = archive(1, &[record(1, ((1 << 24) - 1) << 8, addr - 1)]);
         assert_eq!(decode_events(&bytes).map(|e| e.len()), Ok(1));
+    }
+
+    #[test]
+    fn an_out_of_domain_error_names_the_field_and_its_value() {
+        let says = |field, value| CodecError::OutOfDomain { field, value }.to_string();
+        assert_eq!(
+            says(RecordField::Thread, 1024),
+            "thread id 1024 is past the trace record's limit 2^10"
+        );
+        assert_eq!(
+            says(RecordField::Time, 1 << 48),
+            "time 281474976710656 ns is past the trace record's limit 2^48"
+        );
+        assert_eq!(
+            says(RecordField::Address, 1 << 40),
+            "store address 0x10000000000 is past the trace record's limit 2^40"
+        );
     }
 
     #[test]

@@ -121,48 +121,85 @@ pub enum EventKind {
 
 /// One trace record: who, when (simulated nanoseconds), what.
 ///
-/// In memory an event is its 24-byte archive record (see
-/// [`crate::codec`]): four words, `head = tag | tid << 8`, `a` (a
-/// store's `len << 8 | category`), `b` (the address or transaction id)
-/// and `at_ns`. A kept trace is one such record per PM operation, so
-/// no padding is spent on the [`EventKind`] enum; [`kind`](Event::kind)
-/// rebuilds that view on demand. Every word a tag does not use is zero,
-/// so two events are equal exactly when their thread, time and kind are.
+/// In memory an event is two words, 16 bytes. `head` holds `at_ns` in
+/// its low 48 bits, then the thread id (10 bits), the record tag (3
+/// bits: store, non-temporal store, flush, fence, dfence, begin, end)
+/// and a store's category (3 bits). `body` holds a store's address in
+/// its low 40 bits and its length in the high 24, or a flush's
+/// address, or a transaction id, whole. A kept trace is one such
+/// record per PM operation; [`kind`](Event::kind) rebuilds the
+/// [`EventKind`] view on demand. Every bit a tag does not use is zero,
+/// so two events are equal exactly when their thread, time and kind
+/// are. The archive keeps its own 24-byte record ([`crate::codec`]),
+/// which the codec translates to and from this one.
+///
+/// The record's domain, which [`Event::new`] asserts:
+/// - thread id < 2^10 (the machine runs at most 64 threads);
+/// - `at_ns` < 2^48, about 3.3 days of simulated time;
+/// - store address < 2^40 (the PM map ends below 2^33);
+/// - store length < 2^24.
+///
+/// Flush addresses and transaction ids keep all 64 bits.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    head: u32,
-    a: u32,
-    b: u64,
-    at_ns: u64,
+    head: u64,
+    body: u64,
 }
 
-// A kept trace costs 24 bytes per PM operation, as its archive does.
-const _: () = assert!(size_of::<Event>() == 24);
+// A kept trace costs 16 bytes per PM operation.
+const _: () = assert!(size_of::<Event>() == 16);
 
-/// Thread ids and store lengths are 24-bit fields of the record.
-const FIELD_LIMIT: u32 = 1 << 24;
+/// Bits of `head` that hold `at_ns`; above them sit the tid, the tag and
+/// the category.
+pub(crate) const TIME_BITS: u32 = 48;
+/// Bits of the thread id.
+pub(crate) const TID_BITS: u32 = 10;
+/// Bits of `body` that hold a store's address; its length sits above.
+pub(crate) const ADDR_BITS: u32 = 40;
+/// Bits of a store's length.
+const LEN_BITS: u32 = 24;
+
+const TID_SHIFT: u32 = TIME_BITS;
+const TAG_SHIFT: u32 = TID_SHIFT + TID_BITS;
+const CAT_SHIFT: u32 = TAG_SHIFT + 3;
+const TIME_MASK: u64 = (1 << TIME_BITS) - 1;
+const TID_MASK: u64 = (1 << TID_BITS) - 1;
+const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
 
 impl Event {
     /// The record of `kind`, issued by `tid` at `at_ns`.
     ///
     /// # Panics
     ///
-    /// If `tid` or a store's `len` is 2^24 or more: the record keeps
-    /// 24 bits of each.
+    /// If a part lies outside the record's domain: a `tid` of 2^10 or
+    /// more, an `at_ns` of 2^48 or more, or a store at 2^40 or beyond
+    /// or of 2^24 bytes or more.
     #[inline]
     pub fn new(tid: Tid, at_ns: u64, kind: EventKind) -> Event {
         assert!(
-            tid.0 < FIELD_LIMIT,
-            "thread id {} does not fit the trace record's 24-bit tid (limit 2^24)",
+            u64::from(tid.0) <= TID_MASK,
+            "thread id {} does not fit the trace record's 10-bit tid (limit 2^10)",
             tid.0
         );
-        let (tag, a, b) = match kind {
+        assert!(
+            at_ns <= TIME_MASK,
+            "time {at_ns} ns does not fit the trace record's 48-bit at_ns (limit 2^48)"
+        );
+        let (tag, cat, body) = match kind {
             EventKind::PmStore { addr, len, nt, cat } => {
                 assert!(
-                    len < FIELD_LIMIT,
+                    addr <= ADDR_MASK,
+                    "store at {addr:#x} does not fit the trace record's 40-bit address (limit 2^40)"
+                );
+                assert!(
+                    len < 1 << LEN_BITS,
                     "store of {len} bytes does not fit the trace record's 24-bit length (limit 2^24)"
                 );
-                (u32::from(nt), (len << 8) | cat.index() as u32, addr)
+                (
+                    u64::from(nt),
+                    cat.index() as u64,
+                    addr | u64::from(len) << ADDR_BITS,
+                )
             }
             EventKind::Flush { addr } => (2, 0, addr),
             EventKind::Fence => (3, 0, 0),
@@ -171,38 +208,36 @@ impl Event {
             EventKind::TxEnd { id } => (6, 0, id),
         };
         Event {
-            head: tag | (tid.0 << 8),
-            a,
-            b,
-            at_ns,
+            head: at_ns | u64::from(tid.0) << TID_SHIFT | tag << TAG_SHIFT | cat << CAT_SHIFT,
+            body,
         }
     }
 
     /// Issuing hardware thread.
     #[inline]
     pub fn tid(&self) -> Tid {
-        Tid(self.head >> 8)
+        Tid(((self.head >> TID_SHIFT) & TID_MASK) as u32)
     }
 
     /// Simulated global timestamp, nanoseconds. WHISPER's traces carry
     /// "a timestamp for each operation using a global clock" (Section 4).
     #[inline]
     pub fn at_ns(&self) -> u64 {
-        self.at_ns
+        self.head & TIME_MASK
     }
 
     /// The event itself.
     #[inline]
     pub fn kind(&self) -> EventKind {
-        let b = self.b;
-        match self.head as u8 {
+        let b = self.body;
+        match (self.head >> TAG_SHIFT) & 7 {
             tag @ (0 | 1) => EventKind::PmStore {
-                addr: b,
-                len: self.a >> 8,
+                addr: b & ADDR_MASK,
+                len: (b >> ADDR_BITS) as u32,
                 nt: tag == 1,
                 // A match, not an index into `Category::ALL`: no bounds
                 // check on every store read. `new` writes codes 0..=6.
-                cat: match self.a & 0xff {
+                cat: match self.head >> CAT_SHIFT {
                     0 => Category::UserData,
                     1 => Category::RedoLog,
                     2 => Category::UndoLog,
@@ -220,24 +255,13 @@ impl Event {
             _ => EventKind::TxEnd { id: b },
         }
     }
-
-    /// The little-endian archive record: `head`, `a`, `b`, `at_ns`.
-    #[inline]
-    pub(crate) fn to_le_bytes(self) -> [u8; 24] {
-        let mut r = [0; 24];
-        r[0..4].copy_from_slice(&self.head.to_le_bytes());
-        r[4..8].copy_from_slice(&self.a.to_le_bytes());
-        r[8..16].copy_from_slice(&self.b.to_le_bytes());
-        r[16..24].copy_from_slice(&self.at_ns.to_le_bytes());
-        r
-    }
 }
 
 impl std::fmt::Debug for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Event")
             .field("tid", &self.tid())
-            .field("at_ns", &self.at_ns)
+            .field("at_ns", &self.at_ns())
             .field("kind", &self.kind())
             .finish()
     }
@@ -269,9 +293,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "24-bit tid")]
-    fn a_thread_id_of_2_pow_24_cannot_be_recorded() {
-        Event::new(Tid(1 << 24), 0, EventKind::Fence);
+    #[should_panic(expected = "10-bit tid")]
+    fn a_thread_id_of_2_pow_10_cannot_be_recorded() {
+        Event::new(Tid(1 << 10), 0, EventKind::Fence);
+    }
+
+    #[test]
+    #[should_panic(expected = "48-bit at_ns")]
+    fn a_time_of_2_pow_48_cannot_be_recorded() {
+        Event::new(Tid(0), 1 << 48, EventKind::Fence);
+    }
+
+    #[test]
+    #[should_panic(expected = "40-bit address")]
+    fn a_store_at_2_pow_40_cannot_be_recorded() {
+        let kind = EventKind::PmStore {
+            addr: 1 << 40,
+            len: 8,
+            nt: false,
+            cat: Category::UserData,
+        };
+        Event::new(Tid(0), 0, kind);
     }
 
     #[test]

@@ -44,6 +44,6 @@ pub mod transform;
 
 pub use analysis::Epoch;
 pub use buffer::TraceBuffer;
-pub use codec::{decode_events, encode_events, CodecError};
+pub use codec::{decode_events, encode_events, CodecError, RecordField};
 pub use event::{Category, Event, EventKind, Tid, TxId};
 pub use transform::elide_indices;

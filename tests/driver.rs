@@ -330,7 +330,15 @@ fn malformed_archives_exit_2_and_say_why() {
         bytes
     };
     let fence = record(3, 0, 0);
+    // A fence by thread 2^10, and one at 2^48 ns: both past the record.
+    let mut by_thread = fence.clone();
+    by_thread[0..4].copy_from_slice(&(3 | (1u32 << 10) << 8).to_le_bytes());
+    let mut at_time = fence.clone();
+    at_time[16..24].copy_from_slice(&(1u64 << 48).to_le_bytes());
     for (name, bytes) in [
+        ("thread", archive(1, &[by_thread])),
+        ("time", archive(1, &[at_time])),
+        ("address", archive(1, &[record(0, 8 << 8, 1 << 40)])),
         ("empty", archive(2, &[record(0, 0, 0x1000), fence.clone()])),
         (
             "wrap",
