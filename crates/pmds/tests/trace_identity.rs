@@ -8,8 +8,8 @@
 //! [`CrashPlan`] sweep) and at the end of the run ([`Machine::crash`]),
 //! and each image is reopened and recovered on a fresh traced machine.
 //!
-//! One FNV-1a digest per row covers the trace codec's bytes of every
-//! recorded event plus a summary of the structure's contents and, for
+//! One FNV-1a digest per row covers every recorded event's thread,
+//! time and kind plus a summary of the structure's contents and, for
 //! the crash rows, each recovery report. The crash campaign runs
 //! recovery inside untraced oracles, so these rows are the only pin on
 //! the write sequence of `recover()`.
@@ -28,18 +28,18 @@ use pmtx::{RedoTxEngine, TxMem, UndoTxEngine};
 /// `(row, digest)` in the order [`rows`] produces them.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
-    ("critbit", 0x54cca5b48fe75b0d),
-    ("hashmap", 0x26c497ee7e1113f3),
-    ("hashmap/crash", 0x9b3855493a2c8d7b),
-    ("rbtree", 0xd3dfdb389665daa4),
-    ("rbtree/crash", 0x74bc3792a2012768),
-    ("btree", 0x3c3ec07bd6bebffa),
-    ("plog", 0x6718bd3470d76262),
-    ("lru", 0x72522db964c10341),
-    ("chash", 0x88b1878b07b38f1e),
-    ("chash/crash", 0x83331fc871626a21),
-    ("dqueue", 0xac5828e7bb83dc7c),
-    ("dqueue/crash", 0x01af4c9501b1506f),
+    ("critbit", 0xd1320aaab868c57e),
+    ("hashmap", 0xa1c91980d2057caa),
+    ("hashmap/crash", 0x66bbcc4723f44468),
+    ("rbtree", 0xb4a37d2359229260),
+    ("rbtree/crash", 0x3db7127803f05a61),
+    ("btree", 0x9ae42b911aa05240),
+    ("plog", 0xb409adb3064da351),
+    ("lru", 0xc37a65a4f2a87071),
+    ("chash", 0x917fba96e6b51362),
+    ("chash/crash", 0x8c71f1da7ae4fe6f),
+    ("dqueue", 0xc8b900876c0bb0e1),
+    ("dqueue/crash", 0x0a91039bc9ca75b0),
 ];
 
 const THREADS: u32 = 4;
@@ -62,10 +62,15 @@ fn cfg() -> MachineConfig {
     MachineConfig::asplos17()
 }
 
-/// FNV-1a over the codec bytes of every event `m` recorded, then
-/// `summary`.
+/// FNV-1a over every event `m` recorded (its thread, time and kind),
+/// then `summary`.
 fn digest(m: &Machine, summary: &str) -> u64 {
-    let mut bytes = pmtrace::encode_events(m.trace().events());
+    let mut bytes = Vec::new();
+    for e in m.trace().events() {
+        bytes.extend_from_slice(&e.tid().0.to_le_bytes());
+        bytes.extend_from_slice(&e.at_ns().to_le_bytes());
+        bytes.extend_from_slice(format!("{:?}", e.kind()).as_bytes());
+    }
     bytes.extend_from_slice(summary.as_bytes());
     pmds::fnv1a(&bytes)
 }

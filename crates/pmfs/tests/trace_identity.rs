@@ -8,8 +8,8 @@
 //! and once more at the end of the run ([`Machine::crash`]); each image
 //! is mounted — journal recovery — on a fresh traced machine.
 //!
-//! One FNV-1a digest per row covers the trace codec's bytes of every
-//! recorded event plus the contents of every file and, for the crash
+//! One FNV-1a digest per row covers every recorded event's thread,
+//! time and kind plus the contents of every file and, for the crash
 //! rows, whether each mount rolled back. The crash campaign runs
 //! recovery inside untraced oracles, so these rows are the only pin on
 //! the journal's recovery write sequence.
@@ -26,8 +26,8 @@ use pmtrace::Tid;
 /// `(row, digest)` in the order [`rows`] produces them.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
-    ("run", 0xfb427edfc2107846),
-    ("crash", 0x0ba4ff26a8a5c3a9),
+    ("run", 0xda9e14c19043ea98),
+    ("crash", 0x13390e888c8a3ed4),
 ];
 
 const THREADS: u32 = 4;
@@ -50,10 +50,15 @@ fn region(m: &Machine) -> AddrRange {
     AddrRange::new(m.config().map.pm.base, 64 << 20)
 }
 
-/// FNV-1a over the codec bytes of every event `m` recorded, then
-/// `summary`.
+/// FNV-1a over every event `m` recorded (its thread, time and kind),
+/// then `summary`.
 fn digest(m: &Machine, summary: &str) -> u64 {
-    let mut bytes = pmtrace::encode_events(m.trace().events());
+    let mut bytes = Vec::new();
+    for e in m.trace().events() {
+        bytes.extend_from_slice(&e.tid().0.to_le_bytes());
+        bytes.extend_from_slice(&e.at_ns().to_le_bytes());
+        bytes.extend_from_slice(format!("{:?}", e.kind()).as_bytes());
+    }
     bytes.extend_from_slice(summary.as_bytes());
     pmem::hash::fnv1a(&bytes)
 }

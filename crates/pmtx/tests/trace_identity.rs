@@ -11,8 +11,8 @@
 //! recovered on a fresh traced machine, which then commits one more
 //! transaction on the recovered engine.
 //!
-//! One FNV-1a digest per row covers the trace codec's bytes of every
-//! recorded event plus the data region's contents and the values the
+//! One FNV-1a digest per row covers every recorded event's thread,
+//! time and kind plus the data region's contents and the values the
 //! transactions read back. The `pmds` pins never abort and use only the
 //! default clear policy, and nothing else pins [`MinTxEngine`], so these
 //! rows are the only pin on those write sequences.
@@ -29,16 +29,16 @@ use pmtx::{ClearPolicy, MinTxEngine, RedoTxEngine, TxMem, UndoTxEngine};
 /// `(row, digest)` in the order [`rows`] produces them.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
-    ("undo", 0x0d6c5ec4c6875b0b),
-    ("undo/crash", 0x2d62d73d040fc812),
-    ("undo/batched", 0x4abf76aa01426eca),
-    ("undo/batched/crash", 0xce32a12d1e13a852),
-    ("redo", 0x5c9cc0fa6eb4a82c),
-    ("redo/crash", 0x252473e50e801269),
-    ("redo/batched", 0xcde7b9f954bf8575),
-    ("redo/batched/crash", 0x8cc7c24d89ddcf41),
-    ("mintx", 0xc937ce416d22d194),
-    ("mintx/crash", 0x87aceddbe985ca3c),
+    ("undo", 0xc066536d43de7456),
+    ("undo/crash", 0xd53bc5307765469f),
+    ("undo/batched", 0xa360777842e4946b),
+    ("undo/batched/crash", 0xef1028d76e5b1d23),
+    ("redo", 0xac4036fa30073a5e),
+    ("redo/crash", 0x08b74fdfcb38430d),
+    ("redo/batched", 0x09af4d535ba3d7d0),
+    ("redo/batched/crash", 0x3cfe7f8112f80b9d),
+    ("mintx", 0xd121a0eeb5d3aba7),
+    ("mintx/crash", 0x8e6a6d1b2acdd7d3),
 ];
 
 const THREADS: u32 = 4;
@@ -68,10 +68,15 @@ fn data(m: &Machine) -> Addr {
     m.config().map.pm.base + (1 << 20)
 }
 
-/// FNV-1a over the codec bytes of every event `m` recorded, then
-/// `summary`.
+/// FNV-1a over every event `m` recorded (its thread, time and kind),
+/// then `summary`.
 fn digest(m: &Machine, summary: &str) -> u64 {
-    let mut bytes = pmtrace::encode_events(m.trace().events());
+    let mut bytes = Vec::new();
+    for e in m.trace().events() {
+        bytes.extend_from_slice(&e.tid().0.to_le_bytes());
+        bytes.extend_from_slice(&e.at_ns().to_le_bytes());
+        bytes.extend_from_slice(format!("{:?}", e.kind()).as_bytes());
+    }
     bytes.extend_from_slice(summary.as_bytes());
     pmem::hash::fnv1a(&bytes)
 }

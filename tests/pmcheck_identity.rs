@@ -26,28 +26,28 @@ const POINTS: u64 = 4;
 /// `(app, worker threads, [findings, graph, rewrite, durable])`.
 #[rustfmt::skip]
 const PINS: &[(&str, u32, [u64; 4])] = &[
-    ("echo", 4, [0x33f88b5ab349b990, 0x8efcbeb3427dcba5, 0x7261ec7d07102d9d, 0x071418d574afa670]),
-    ("nstore-ycsb", 4, [0x6f2db64c320ccd17, 0xd6154c01a511be8c, 0xa1f7a33af0247f5d, 0x123b89721df47366]),
-    ("nstore-tpcc", 4, [0x40093bfebbd04ddc, 0x44acbe85d92f041a, 0x9b7eade2c066a3ae, 0xcc83e670be54a52c]),
-    ("redis", 4, [0xb0902dce9bcea86f, 0x64805796fb8a4948, 0x020ce49c8e1f5f4b, 0x2d286a3c34d81ad2]),
-    ("ctree", 4, [0x2691a033e1185246, 0x3f6d2d886e3fbb07, 0x60246699e3d1d977, 0x77b41f77bde61165]),
-    ("hashmap", 4, [0xeda2393fc5851209, 0xc1bfed47024779b4, 0xb7ffed1dfb96011a, 0xe8201549b42521b5]),
-    ("vacation", 4, [0xf40c7ef19e05b194, 0x2cb87a599825b9f2, 0xef43477467370030, 0x5187f5dcbcfab397]),
-    ("memcached", 4, [0x9f94e0529c883176, 0xeb277a5b839dc082, 0xf387e3b2f108f1db, 0xc61176b72e8ef63a]),
-    ("nfs", 4, [0x3280f0ac871a55a6, 0x60edaf5e92018e5b, 0xb102467e6495842e, 0xcc353183ef5cd054]),
-    ("exim", 4, [0x0b98ad598c697ad9, 0xa9c2de6e9688c087, 0x86fbdfd2776424d6, 0xb72f4f34e3564ba4]),
-    ("mysql", 4, [0xae44c8db3f604788, 0xb3578c889ff62f8c, 0xc8e1ee9837026149, 0xf89b0faccc4f7be7]),
-    ("echo", 1, [0x33f88b5ab349b990, 0x8efcbeb3427dcba5, 0x7261ec7d07102d9d, 0x071418d574afa670]),
-    ("nstore-ycsb", 1, [0x6f2db64c320ccd17, 0xd6154c01a511be8c, 0xa1f7a33af0247f5d, 0x123b89721df47366]),
-    ("nstore-tpcc", 1, [0x40093bfebbd04ddc, 0x44acbe85d92f041a, 0x9b7eade2c066a3ae, 0xcc83e670be54a52c]),
-    ("redis", 1, [0xb0902dce9bcea86f, 0xa4b4e4f90127a29f, 0x6cac05a8a21eb33e, 0xe889dbe52e8dead6]),
-    ("ctree", 1, [0x2691a033e1185246, 0x3f6d2d886e3fbb07, 0x60246699e3d1d977, 0x77b41f77bde61165]),
-    ("hashmap", 1, [0xeda2393fc5851209, 0xc1bfed47024779b4, 0xb7ffed1dfb96011a, 0xe8201549b42521b5]),
-    ("vacation", 1, [0x7a6a01bd8f7786d2, 0x29e6c6a2175eed35, 0xa26af06892af9e96, 0x6d7b0c1c044f7f8f]),
-    ("memcached", 1, [0xd71ba749703af040, 0xeefa215ecf4a3e25, 0xe7f878816f06d086, 0x089f672f811c24be]),
-    ("nfs", 1, [0x3280f0ac871a55a6, 0x60edaf5e92018e5b, 0xb102467e6495842e, 0xcc353183ef5cd054]),
-    ("exim", 1, [0x0b98ad598c697ad9, 0xa9c2de6e9688c087, 0x86fbdfd2776424d6, 0xb72f4f34e3564ba4]),
-    ("mysql", 1, [0xae44c8db3f604788, 0xb3578c889ff62f8c, 0xc8e1ee9837026149, 0xf89b0faccc4f7be7]),
+    ("echo", 4, [0x33f88b5ab349b990, 0x8efcbeb3427dcba5, 0x2ea3ba100b3f6bad, 0x071418d574afa670]),
+    ("nstore-ycsb", 4, [0x6f2db64c320ccd17, 0xd6154c01a511be8c, 0x53b46e00d938f4be, 0x123b89721df47366]),
+    ("nstore-tpcc", 4, [0x40093bfebbd04ddc, 0x44acbe85d92f041a, 0x3e40e6bbecc49cab, 0xcc83e670be54a52c]),
+    ("redis", 4, [0xb0902dce9bcea86f, 0x64805796fb8a4948, 0xdbb11f846178e810, 0x2d286a3c34d81ad2]),
+    ("ctree", 4, [0x2691a033e1185246, 0x3f6d2d886e3fbb07, 0x7c4e2481324cbfae, 0x77b41f77bde61165]),
+    ("hashmap", 4, [0xeda2393fc5851209, 0xc1bfed47024779b4, 0xb61aeef57e99bc48, 0xe8201549b42521b5]),
+    ("vacation", 4, [0xf40c7ef19e05b194, 0x2cb87a599825b9f2, 0x66ebd3fdcca7cdc6, 0x5187f5dcbcfab397]),
+    ("memcached", 4, [0x9f94e0529c883176, 0xeb277a5b839dc082, 0x4f24fa9f178a7e3f, 0xc61176b72e8ef63a]),
+    ("nfs", 4, [0x3280f0ac871a55a6, 0x60edaf5e92018e5b, 0x0d5c0e0d2b0febc0, 0xcc353183ef5cd054]),
+    ("exim", 4, [0x0b98ad598c697ad9, 0xa9c2de6e9688c087, 0x8025b9f56b0c6660, 0xb72f4f34e3564ba4]),
+    ("mysql", 4, [0xae44c8db3f604788, 0xb3578c889ff62f8c, 0x2c7bbab7a0919a98, 0xf89b0faccc4f7be7]),
+    ("echo", 1, [0x33f88b5ab349b990, 0x8efcbeb3427dcba5, 0x2ea3ba100b3f6bad, 0x071418d574afa670]),
+    ("nstore-ycsb", 1, [0x6f2db64c320ccd17, 0xd6154c01a511be8c, 0x53b46e00d938f4be, 0x123b89721df47366]),
+    ("nstore-tpcc", 1, [0x40093bfebbd04ddc, 0x44acbe85d92f041a, 0x3e40e6bbecc49cab, 0xcc83e670be54a52c]),
+    ("redis", 1, [0xb0902dce9bcea86f, 0xa4b4e4f90127a29f, 0x9ef399060a2561a4, 0xe889dbe52e8dead6]),
+    ("ctree", 1, [0x2691a033e1185246, 0x3f6d2d886e3fbb07, 0x7c4e2481324cbfae, 0x77b41f77bde61165]),
+    ("hashmap", 1, [0xeda2393fc5851209, 0xc1bfed47024779b4, 0xb61aeef57e99bc48, 0xe8201549b42521b5]),
+    ("vacation", 1, [0x7a6a01bd8f7786d2, 0x29e6c6a2175eed35, 0x9e48b5c9ca6f4338, 0x6d7b0c1c044f7f8f]),
+    ("memcached", 1, [0xd71ba749703af040, 0xeefa215ecf4a3e25, 0x1d287569e0e455fb, 0x089f672f811c24be]),
+    ("nfs", 1, [0x3280f0ac871a55a6, 0x60edaf5e92018e5b, 0x0d5c0e0d2b0febc0, 0xcc353183ef5cd054]),
+    ("exim", 1, [0x0b98ad598c697ad9, 0xa9c2de6e9688c087, 0x8025b9f56b0c6660, 0xb72f4f34e3564ba4]),
+    ("mysql", 1, [0xae44c8db3f604788, 0xb3578c889ff62f8c, 0x2c7bbab7a0919a98, 0xf89b0faccc4f7be7]),
 ];
 
 #[derive(Clone, Copy)]
@@ -148,7 +148,12 @@ fn digests(name: &str, events: &[Event]) -> [u64; 4] {
     for i in &rw.elided {
         rewrite.u64(*i as u64);
     }
-    rewrite.bytes(&pmtrace::encode_events(&rw.events));
+    for e in rw.events.iter() {
+        rewrite
+            .u64(u64::from(e.tid().0))
+            .u64(e.at_ns())
+            .str(&format!("{:?}", e.kind()));
+    }
 
     let mut durable = Fnv::new();
     let points = crash_points(events);
