@@ -18,7 +18,9 @@
 # report.t64.txt / graphs.t64/, report.s03.txt / serve.s03.json,
 # experiment.<name>.txt, traces/, and report.archive.txt /
 # report.archive.det.json / violations.archive.json (the archive run
-# goes through the checker too).
+# goes through the checker too). A change to the archive format alone
+# shows up only under traces/: the report.archive.* files, read back
+# from the archive, stay identical while it carries the same events.
 # Only report.json is left out: its `metrics` block holds host
 # wall-clock time. Prints the paths that differ and exits 1 if any
 # does.

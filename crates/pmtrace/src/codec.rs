@@ -8,22 +8,19 @@
 //! `hops` timing models) later, without pulling in a serialization
 //! framework.
 //!
-//! Layout: an 8-byte magic+version header, a little-endian `u64` event
-//! count, then fixed 24-byte records `{tag u8, tid u24, a u32, b u64,
-//! at_ns u64}` whose field meaning depends on the tag: a store's `a` is
-//! `len << 8 | category` and its `b` the address; a flush's `b` is the
-//! address, a transaction boundary's the id. The archive record is not
-//! [`Event`]'s 16-byte in-memory layout: encoding unpacks each event
-//! into it, and decoding checks every record against the event's
-//! domain (thread id < 2^10, `at_ns` < 2^48, store address < 2^40)
-//! before it rebuilds the event through [`Event::new`], which zeroes
-//! the bits its tag does not use. A record outside the domain is a
-//! [`CodecError::OutOfDomain`], never a panic.
+//! Layout: the 8-byte magic+version `WHISPR02`, a little-endian `u64`
+//! event count, then each event's 16-byte record as [`Event`] holds it
+//! in memory: its `head` and `body` words, little-endian. Every pair of
+//! words lies inside the event's domain, so decoding refuses only the
+//! codes no event writes, in [`Event`]'s own check: tag 7 and category
+//! 7 ([`CodecError::BadTag`]) and a store of no bytes
+//! ([`CodecError::BadStore`]). It ignores the bits a tag does not use.
+//! Malformed input is a typed error, never a panic.
 
-use crate::event::{Category, Event, EventKind, Tid, ADDR_BITS, TID_BITS, TIME_BITS};
+use crate::event::Event;
 
-const MAGIC: [u8; 8] = *b"WHISPR01";
-const REC: usize = 24;
+const MAGIC: [u8; 8] = *b"WHISPR02";
+const REC: usize = 16;
 
 /// Errors from [`decode_events`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +31,7 @@ pub enum CodecError {
     Truncated,
     /// An unknown event tag or category code.
     BadTag {
-        /// The offending byte.
+        /// The offending code.
         tag: u8,
     },
     /// A PM store of no bytes. A recorded run writes none, and the
@@ -45,63 +42,16 @@ pub enum CodecError {
         /// Its length in bytes.
         len: u32,
     },
-    /// A record part outside what an [`Event`] holds.
-    OutOfDomain {
-        /// Which part.
-        field: RecordField,
-        /// Its value in the record.
-        value: u64,
-    },
-}
-
-/// The parts of an archive record that [`Event`]'s domain bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordField {
-    /// The thread id, below 2^10.
-    Thread,
-    /// `at_ns`, below 2^48.
-    Time,
-    /// A store's first byte, below 2^40.
-    Address,
-}
-
-impl RecordField {
-    /// The field's width in the in-memory record: its values lie below
-    /// 2 to this power.
-    fn bits(self) -> u32 {
-        match self {
-            RecordField::Thread => TID_BITS,
-            RecordField::Time => TIME_BITS,
-            RecordField::Address => ADDR_BITS,
-        }
-    }
-
-    /// `Err(OutOfDomain)` if `value` does not fit the field.
-    fn check(self, value: u64) -> Result<(), CodecError> {
-        if value >> self.bits() == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::OutOfDomain { field: self, value })
-        }
-    }
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::BadHeader => write!(f, "not a WHISPER trace (bad header)"),
+            CodecError::BadHeader => write!(f, "not a WHISPR02 trace (bad header)"),
             CodecError::Truncated => write!(f, "trace truncated"),
             CodecError::BadTag { tag } => write!(f, "unknown event tag {tag:#x}"),
             CodecError::BadStore { addr, len } => {
                 write!(f, "store of {len} bytes at {addr:#x} is empty")
-            }
-            CodecError::OutOfDomain { field, value } => {
-                match field {
-                    RecordField::Thread => write!(f, "thread id {value}")?,
-                    RecordField::Time => write!(f, "time {value} ns")?,
-                    RecordField::Address => write!(f, "store address {value:#x}")?,
-                }
-                write!(f, " is past the trace record's limit 2^{}", field.bits())
             }
         }
     }
@@ -109,41 +59,17 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn cat_from(code: u8) -> Option<Category> {
-    Category::ALL.get(code as usize).copied()
-}
-
 /// Serialize an event stream.
 pub fn encode_events(events: &[Event]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + events.len() * REC);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&(events.len() as u64).to_le_bytes());
     for ev in events {
-        out.extend_from_slice(&record_of(ev));
+        let (head, body) = ev.words();
+        out.extend_from_slice(&head.to_le_bytes());
+        out.extend_from_slice(&body.to_le_bytes());
     }
     out
-}
-
-/// `ev`'s little-endian archive record: `tag | tid << 8`, `a`, `b`,
-/// `at_ns`.
-#[inline]
-fn record_of(ev: &Event) -> [u8; REC] {
-    let (tag, a, b) = match ev.kind() {
-        EventKind::PmStore { addr, len, nt, cat } => {
-            (u32::from(nt), (len << 8) | cat.index() as u32, addr)
-        }
-        EventKind::Flush { addr } => (2, 0, addr),
-        EventKind::Fence => (3, 0, 0),
-        EventKind::DFence => (4, 0, 0),
-        EventKind::TxBegin { id } => (5, 0, id),
-        EventKind::TxEnd { id } => (6, 0, id),
-    };
-    let mut r = [0; REC];
-    r[0..4].copy_from_slice(&(tag | (ev.tid().0 << 8)).to_le_bytes());
-    r[4..8].copy_from_slice(&a.to_le_bytes());
-    r[8..16].copy_from_slice(&b.to_le_bytes());
-    r[16..24].copy_from_slice(&ev.at_ns().to_le_bytes());
-    r
 }
 
 /// Deserialize an event stream produced by [`encode_events`].
@@ -163,38 +89,8 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
         .ok_or(CodecError::Truncated)?;
     let mut out = Vec::with_capacity(count);
     for rec in body.chunks_exact(REC) {
-        let head = u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes"));
-        let tag = head as u8;
-        let a = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
-        let b = u64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-        let at_ns = u64::from_le_bytes(rec[16..24].try_into().expect("8 bytes"));
-        let kind = match tag {
-            0 | 1 => {
-                let (addr, len) = (b, a >> 8);
-                RecordField::Address.check(addr)?;
-                if len == 0 {
-                    return Err(CodecError::BadStore { addr, len });
-                }
-                EventKind::PmStore {
-                    addr,
-                    len,
-                    nt: tag == 1,
-                    cat: cat_from((a & 0xff) as u8).ok_or(CodecError::BadTag {
-                        tag: (a & 0xff) as u8,
-                    })?,
-                }
-            }
-            2 => EventKind::Flush { addr: b },
-            3 => EventKind::Fence,
-            4 => EventKind::DFence,
-            5 => EventKind::TxBegin { id: b },
-            6 => EventKind::TxEnd { id: b },
-            other => return Err(CodecError::BadTag { tag: other }),
-        };
-        let tid = head >> 8;
-        RecordField::Thread.check(tid.into())?;
-        RecordField::Time.check(at_ns)?;
-        out.push(Event::new(Tid(tid), at_ns, kind));
+        let word = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+        out.push(Event::from_words(word(0), word(8))?);
     }
     Ok(out)
 }
@@ -202,7 +98,7 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<Event>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceBuffer;
+    use crate::{Category, Tid, TraceBuffer};
 
     fn sample() -> Vec<Event> {
         let mut t = TraceBuffer::new();
@@ -220,6 +116,7 @@ mod tests {
     fn round_trip_preserves_everything() {
         let events = sample();
         let bytes = encode_events(&events);
+        assert_eq!(bytes.len(), 16 + 16 * events.len());
         let back = decode_events(&bytes).unwrap();
         assert_eq!(events, back);
     }
@@ -240,25 +137,57 @@ mod tests {
     }
 
     #[test]
+    fn a_24_byte_record_archive_is_not_read() {
+        let mut bytes = b"WHISPR01".to_vec();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        bytes.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]);
+        let err = decode_events(&bytes).unwrap_err();
+        assert_eq!(err, CodecError::BadHeader);
+        assert_eq!(err.to_string(), "not a WHISPR02 trace (bad header)");
+    }
+
+    #[test]
     fn truncation_detected() {
         let mut bytes = encode_events(&sample());
         bytes.pop();
         assert_eq!(decode_events(&bytes), Err(CodecError::Truncated));
     }
 
+    /// A record's `head` at time 1 by thread 0: `tag`, and a store's
+    /// category code `cat`.
+    fn head(tag: u64, cat: u64) -> u64 {
+        1 | tag << 58 | cat << 61
+    }
+
+    /// A header for `count` events, then `records` as word pairs.
+    fn archive(count: u64, records: &[(u64, u64)]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        for (head, body) in records {
+            bytes.extend_from_slice(&head.to_le_bytes());
+            bytes.extend_from_slice(&body.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// A store's `body`: `len` bytes at `addr`.
+    fn store(addr: u64, len: u64) -> u64 {
+        addr | len << 40
+    }
+
     #[test]
     fn bad_tag_detected() {
-        // 7 and 8 were a load and a recovery marker; no run records them.
-        for tag in [7, 8, 0x7f] {
-            let mut bytes = encode_events(&sample());
-            bytes[16] = tag; // first record's tag
-            assert_eq!(decode_events(&bytes), Err(CodecError::BadTag { tag }));
+        // Tag 7 was a load; no event writes it now.
+        for cat in 0..8 {
+            let bytes = archive(1, &[(head(7, cat), store(0x1000, 8))]);
+            assert_eq!(decode_events(&bytes), Err(CodecError::BadTag { tag: 7 }));
         }
     }
 
     #[test]
     fn the_largest_length_and_thread_id_round_trip() {
-        let (tid, len) = ((1 << TID_BITS) - 1, (1 << 24) - 1);
+        let (tid, len) = ((1 << 10) - 1, (1 << 24) - 1);
         let mut t = TraceBuffer::new();
         t.pm_store(Tid(tid), 0x1000, len, true, Category::AppMeta, 1);
         t.fence(Tid(tid), 2);
@@ -268,43 +197,23 @@ mod tests {
 
     #[test]
     fn a_category_code_past_the_last_is_a_bad_tag() {
-        let bytes = archive(1, &[record(0, (8 << 8) | 7, 0x1000)]);
-        assert_eq!(decode_events(&bytes), Err(CodecError::BadTag { tag: 7 }));
-        let bytes = archive(1, &[record(9, 0, 0)]);
-        assert_eq!(decode_events(&bytes), Err(CodecError::BadTag { tag: 9 }));
+        for tag in [0, 1] {
+            let bytes = archive(1, &[(head(tag, 7), store(0x1000, 8))]);
+            assert_eq!(decode_events(&bytes), Err(CodecError::BadTag { tag: 7 }));
+        }
     }
 
     #[test]
     fn words_a_tag_does_not_use_are_ignored() {
-        let clean = archive(2, &[record(3, 0, 0), record(2, 0, 0x40)]);
-        let noisy = archive(2, &[record(3, 0xdead, 0xbeef), record(2, 0xdead, 0x40)]);
+        let clean = archive(2, &[(head(3, 0), 0), (head(2, 0), 0x40)]);
+        let noisy = archive(2, &[(head(3, 5), 0xbeef), (head(2, 7), 0x40)]);
         assert_eq!(decode_events(&noisy), decode_events(&clean));
         assert_eq!(encode_events(&decode_events(&noisy).unwrap()), clean);
     }
 
-    /// A header for `count` events, then `records`.
-    fn archive(count: u64, records: &[[u8; REC]]) -> Vec<u8> {
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&count.to_le_bytes());
-        for r in records {
-            bytes.extend_from_slice(r);
-        }
-        bytes
-    }
-
-    /// One record: `tag`, thread 0, then `a`, `b` and time 1.
-    fn record(tag: u8, a: u32, b: u64) -> [u8; REC] {
-        let mut r = [0; REC];
-        r[0] = tag;
-        r[4..8].copy_from_slice(&a.to_le_bytes());
-        r[8..16].copy_from_slice(&b.to_le_bytes());
-        r[16..24].copy_from_slice(&1u64.to_le_bytes());
-        r
-    }
-
     #[test]
     fn an_empty_store_is_rejected() {
-        let bytes = archive(2, &[record(0, 0, 0x1000), record(3, 0, 0)]);
+        let bytes = archive(2, &[(head(0, 0), store(0x1000, 0)), (head(3, 0), 0)]);
         assert_eq!(
             decode_events(&bytes),
             Err(CodecError::BadStore {
@@ -315,46 +224,13 @@ mod tests {
     }
 
     #[test]
-    fn a_store_past_the_last_address_is_rejected() {
-        let addr = 1 << ADDR_BITS;
-        let bytes = archive(2, &[record(1, 8 << 8, addr), record(3, 0, 0)]);
-        assert_eq!(
-            decode_events(&bytes),
-            Err(CodecError::OutOfDomain {
-                field: RecordField::Address,
-                value: addr
-            })
-        );
-        // A store starting at 2^40 - 1 still fits, whatever its length.
-        let bytes = archive(1, &[record(1, ((1 << 24) - 1) << 8, addr - 1)]);
-        assert_eq!(decode_events(&bytes).map(|e| e.len()), Ok(1));
-    }
-
-    #[test]
-    fn an_out_of_domain_error_names_the_field_and_its_value() {
-        let says = |field, value| CodecError::OutOfDomain { field, value }.to_string();
-        assert_eq!(
-            says(RecordField::Thread, 1024),
-            "thread id 1024 is past the trace record's limit 2^10"
-        );
-        assert_eq!(
-            says(RecordField::Time, 1 << 48),
-            "time 281474976710656 ns is past the trace record's limit 2^48"
-        );
-        assert_eq!(
-            says(RecordField::Address, 1 << 40),
-            "store address 0x10000000000 is past the trace record's limit 2^40"
-        );
-    }
-
-    #[test]
     fn a_count_whose_size_overflows_is_truncation() {
         assert_eq!(
             decode_events(&archive(1 << 61, &[])),
             Err(CodecError::Truncated)
         );
         assert_eq!(
-            decode_events(&archive(u64::MAX, &[record(3, 0, 0)])),
+            decode_events(&archive(u64::MAX, &[(head(3, 0), 0)])),
             Err(CodecError::Truncated)
         );
     }

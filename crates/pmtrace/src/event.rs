@@ -1,5 +1,6 @@
 //! Trace event types.
 
+use crate::codec::CodecError;
 use pmem::Addr;
 
 /// A (hardware) thread identifier.
@@ -130,8 +131,8 @@ pub enum EventKind {
 /// record per PM operation; [`kind`](Event::kind) rebuilds the
 /// [`EventKind`] view on demand. Every bit a tag does not use is zero,
 /// so two events are equal exactly when their thread, time and kind
-/// are. The archive keeps its own 24-byte record ([`crate::codec`]),
-/// which the codec translates to and from this one.
+/// are. The `.wtr` archive ([`crate::codec`]) stores these two words
+/// as they are.
 ///
 /// The record's domain, which [`Event::new`] asserts:
 /// - thread id < 2^10 (the machine runs at most 64 threads);
@@ -151,11 +152,11 @@ const _: () = assert!(size_of::<Event>() == 16);
 
 /// Bits of `head` that hold `at_ns`; above them sit the tid, the tag and
 /// the category.
-pub(crate) const TIME_BITS: u32 = 48;
+const TIME_BITS: u32 = 48;
 /// Bits of the thread id.
-pub(crate) const TID_BITS: u32 = 10;
+const TID_BITS: u32 = 10;
 /// Bits of `body` that hold a store's address; its length sits above.
-pub(crate) const ADDR_BITS: u32 = 40;
+const ADDR_BITS: u32 = 40;
 /// Bits of a store's length.
 const LEN_BITS: u32 = 24;
 
@@ -211,6 +212,33 @@ impl Event {
             head: at_ns | u64::from(tid.0) << TID_SHIFT | tag << TAG_SHIFT | cat << CAT_SHIFT,
             body,
         }
+    }
+
+    /// The record's `head` and `body` words, as the archive stores them.
+    #[inline]
+    pub(crate) fn words(&self) -> (u64, u64) {
+        (self.head, self.body)
+    }
+
+    /// The event whose record words are `head` and `body`, as
+    /// [`words`](Event::words) gave them out. Every pair of words fits
+    /// the domain, so only three codes are refused: tag 7 and category
+    /// 7 as [`CodecError::BadTag`], and a store of no bytes as
+    /// [`CodecError::BadStore`]. The bits a tag does not use are
+    /// ignored: the event is rebuilt through [`Event::new`], which zeroes
+    /// them.
+    pub(crate) fn from_words(head: u64, body: u64) -> Result<Event, CodecError> {
+        let tag = (head >> TAG_SHIFT) & 7;
+        let store = tag <= 1;
+        if tag == 7 || store && head >> CAT_SHIFT == 7 {
+            return Err(CodecError::BadTag { tag: 7 });
+        }
+        if store && body >> ADDR_BITS == 0 {
+            let addr = body & ADDR_MASK;
+            return Err(CodecError::BadStore { addr, len: 0 });
+        }
+        let raw = Event { head, body };
+        Ok(Event::new(raw.tid(), raw.at_ns(), raw.kind()))
     }
 
     /// Issuing hardware thread.

@@ -4,8 +4,9 @@
 //! "emit a trace of PM updates and fences for offline analysis"
 //! (Section 4, Figure 2). This crate is the Rust equivalent: a typed
 //! event stream ([`Event`]/[`TraceBuffer`]) recorded by the `memsim`
-//! machine as applications execute, and the complete offline analysis of
-//! Section 5:
+//! machine as applications execute, a binary archive ([`codec`]) that
+//! stores each event as the same 16-byte record the program holds, and
+//! the complete offline analysis of Section 5:
 //!
 //! * epoch segmentation — stores between two fences form an [`Epoch`]
 //! * epoch sizes in unique 64 B lines (Figure 4) and singleton byte
@@ -44,6 +45,6 @@ pub mod transform;
 
 pub use analysis::Epoch;
 pub use buffer::TraceBuffer;
-pub use codec::{decode_events, encode_events, CodecError, RecordField};
+pub use codec::{decode_events, encode_events, CodecError};
 pub use event::{Category, Event, EventKind, Tid, TxId};
 pub use transform::elide_indices;

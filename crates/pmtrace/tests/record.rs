@@ -1,12 +1,10 @@
 //! Properties of the trace record: `Event` keeps its thread, time and
-//! kind exactly over its domain, compares as they do, and translates to
-//! and from the 24-byte archive record without losing a byte; an
-//! archive record outside the domain is a typed error.
+//! kind exactly over its domain, compares as they do, and is archived
+//! as its two 16-byte words; any pair of archived words decodes to the
+//! event they canonically hold or to a typed error.
 
 use miniprop::prelude::*;
-use pmtrace::{
-    decode_events, encode_events, Category, CodecError, Event, EventKind, RecordField, Tid,
-};
+use pmtrace::{decode_events, encode_events, Category, CodecError, Event, EventKind, Tid};
 
 /// The largest thread id an event holds.
 const MAX_TID: u32 = (1 << 10) - 1;
@@ -14,9 +12,11 @@ const MAX_TID: u32 = (1 << 10) - 1;
 const MAX_TIME: u64 = (1 << 48) - 1;
 /// The last address a store may start at.
 const MAX_ADDR: u64 = (1 << 40) - 1;
-/// The largest store length a record holds, and the largest thread id
-/// an archive record holds.
-const MAX24: u32 = (1 << 24) - 1;
+/// The largest store length a record holds.
+const MAX_LEN: u32 = (1 << 24) - 1;
+/// Where `head` keeps the tag and, above it, a store's category.
+const TAG_SHIFT: u32 = 58;
+const CAT_SHIFT: u32 = 61;
 
 /// `lo..=hi`, with each end drawn a third of the time.
 fn ends<T>(lo: T, hi: T) -> impl Strategy<Value = T>
@@ -31,7 +31,7 @@ fn kinds() -> impl Strategy<Value = EventKind> {
     prop_oneof![
         (
             ends(0, MAX_ADDR),
-            ends(1, MAX24),
+            ends(1, MAX_LEN),
             any::<bool>(),
             0..Category::ALL.len()
         )
@@ -53,63 +53,48 @@ fn parts() -> impl Strategy<Value = (Tid, u64, EventKind)> {
     (ends(0, MAX_TID), ends(0, MAX_TIME), kinds()).prop_map(|(t, at, k)| (Tid(t), at, k))
 }
 
-/// A one-record archive of `kind` by thread `tid` at `at`, laid out
-/// field by field as the format describes it, whatever the parts'
-/// range.
-fn archive(tid: u32, at: u64, kind: EventKind) -> Vec<u8> {
-    let (tag, a, b) = match kind {
-        EventKind::PmStore { addr, len, nt, cat } => {
-            (u32::from(nt), (len << 8) | cat.index() as u32, addr)
-        }
+/// `kind` by thread `tid` at `at` as the archive's two words, laid out
+/// field by field as the format describes them.
+fn words(tid: u32, at: u64, kind: EventKind) -> (u64, u64) {
+    let (tag, cat, body) = match kind {
+        EventKind::PmStore { addr, len, nt, cat } => (
+            u64::from(nt),
+            cat.index() as u64,
+            addr | u64::from(len) << 40,
+        ),
         EventKind::Flush { addr } => (2, 0, addr),
         EventKind::Fence => (3, 0, 0),
         EventKind::DFence => (4, 0, 0),
         EventKind::TxBegin { id } => (5, 0, id),
         EventKind::TxEnd { id } => (6, 0, id),
     };
-    let mut bytes = b"WHISPR01".to_vec();
-    bytes.extend_from_slice(&1u64.to_le_bytes());
-    bytes.extend_from_slice(&(tag | (tid << 8)).to_le_bytes());
-    bytes.extend_from_slice(&a.to_le_bytes());
-    bytes.extend_from_slice(&b.to_le_bytes());
-    bytes.extend_from_slice(&at.to_le_bytes());
+    let head = at | u64::from(tid) << 48 | tag << TAG_SHIFT | cat << CAT_SHIFT;
+    (head, body)
+}
+
+/// An archive of `records`, each a `(head, body)` pair.
+fn archive(records: &[(u64, u64)]) -> Vec<u8> {
+    let mut bytes = b"WHISPR02".to_vec();
+    bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for (head, body) in records {
+        bytes.extend_from_slice(&head.to_le_bytes());
+        bytes.extend_from_slice(&body.to_le_bytes());
+    }
     bytes
 }
 
-/// A record with one part past the domain, that part and its value.
-fn outside() -> impl Strategy<Value = (Vec<u8>, RecordField, u64)> {
-    prop_oneof![
-        (parts(), ends(MAX_TID + 1, MAX24)).prop_map(|((_, at, k), t)| (
-            archive(t, at, k),
-            RecordField::Thread,
-            u64::from(t)
-        )),
-        (parts(), ends(MAX_TIME + 1, u64::MAX)).prop_map(|((t, _, k), at)| (
-            archive(t.0, at, k),
-            RecordField::Time,
-            at
-        )),
-        (
-            parts(),
-            ends(MAX_ADDR + 1, u64::MAX),
-            ends(1, MAX24),
-            any::<bool>(),
-            0..Category::ALL.len()
-        )
-            .prop_map(|((t, at, _), addr, len, nt, c)| {
-                let cat = Category::ALL[c];
-                let store = EventKind::PmStore { addr, len, nt, cat };
-                (archive(t.0, at, store), RecordField::Address, addr)
-            }),
-    ]
-}
-
-/// Which of the record's `a` and `b` words `kind` leaves unused.
-fn unused(kind: EventKind) -> (bool, bool) {
-    match kind {
-        EventKind::PmStore { .. } => (false, false),
-        EventKind::Fence | EventKind::DFence => (true, true),
-        _ => (true, false),
+/// What decoding `(head, body)` must give: the canonical words, with
+/// the bits their tag does not use zeroed, or the error that refuses
+/// them.
+fn canonical(head: u64, body: u64) -> Result<(u64, u64), CodecError> {
+    let no_cat = head & ((1 << CAT_SHIFT) - 1);
+    match (head >> TAG_SHIFT) & 7 {
+        7 => Err(CodecError::BadTag { tag: 7 }),
+        0 | 1 if head >> CAT_SHIFT == 7 => Err(CodecError::BadTag { tag: 7 }),
+        0 | 1 if body >> 40 == 0 => Err(CodecError::BadStore { addr: body, len: 0 }),
+        0 | 1 => Ok((head, body)),
+        3 | 4 => Ok((no_cat, 0)),
+        _ => Ok((no_cat, body)),
     }
 }
 
@@ -144,36 +129,43 @@ proptest! {
     #[test]
     fn unused_words_do_not_change_the_decoded_event(
         (t, at, k) in parts(),
-        junk_a in 1..=u32::MAX,
-        junk_b in 1..=u64::MAX,
+        junk_cat in 1..=7u64,
+        junk_body in 1..=u64::MAX,
     ) {
         let e = Event::new(t, at, k);
-        let clean = encode_events(&[e]);
-        let mut noisy = clean.clone();
-        let (a_unused, b_unused) = unused(k);
-        if a_unused {
-            noisy[20..24].copy_from_slice(&junk_a.to_le_bytes());
-        }
-        if b_unused {
-            noisy[24..32].copy_from_slice(&junk_b.to_le_bytes());
-        }
-        prop_assert_eq!(decode_events(&noisy), Ok(vec![e]));
-        prop_assert_eq!(decode_events(&clean), Ok(vec![e]));
+        let (head, body) = words(t.0, at, k);
+        let noisy = match k {
+            EventKind::PmStore { .. } => (head, body),
+            EventKind::Fence | EventKind::DFence => (head | junk_cat << CAT_SHIFT, junk_body),
+            _ => (head | junk_cat << CAT_SHIFT, body),
+        };
+        prop_assert_eq!(decode_events(&archive(&[noisy])), Ok(vec![e]));
+        prop_assert_eq!(decode_events(&archive(&[(head, body)])), Ok(vec![e]));
     }
 
     #[test]
     fn a_canonical_record_survives_the_translation((t, at, k) in parts()) {
-        let bytes = archive(t.0, at, k);
+        let bytes = archive(&[words(t.0, at, k)]);
         let events = decode_events(&bytes);
         prop_assert_eq!(&events, &Ok(vec![Event::new(t, at, k)]));
         prop_assert_eq!(encode_events(&events.unwrap()), bytes);
     }
 
     #[test]
-    fn a_record_outside_the_domain_is_a_typed_error((bytes, field, value) in outside()) {
-        prop_assert_eq!(
-            decode_events(&bytes),
-            Err(CodecError::OutOfDomain { field, value })
-        );
+    fn any_pair_of_words_decodes_or_is_a_typed_error(
+        head in any::<u64>(),
+        body in prop_oneof![any::<u64>(), 0..=MAX_ADDR],
+    ) {
+        let got = decode_events(&archive(&[(head, body)]));
+        let want = canonical(head, body).map(|w| archive(&[w]));
+        prop_assert_eq!(got.map(|e| encode_events(&e)), want);
+    }
+
+    #[test]
+    fn an_archive_of_n_events_is_16_plus_16n_bytes(parts in collection::vec(parts(), 0..40)) {
+        let events: Vec<Event> = parts.into_iter().map(|(t, at, k)| Event::new(t, at, k)).collect();
+        let bytes = encode_events(&events);
+        prop_assert_eq!(bytes.len(), 16 + 16 * events.len());
+        prop_assert_eq!(decode_events(&bytes), Ok(events));
     }
 }

@@ -307,48 +307,52 @@ fn an_archived_trace_keeps_its_thread_count() {
     }
 }
 
-/// An archive the codec refuses is a usage error, reported as such: a
-/// store of no bytes, a store that wraps past the last address, an
-/// event count whose byte size overflows, an unknown tag (7 and 8 were
-/// the retired load and recovery-marker events) and a store whose
-/// category code is out of range.
+/// An archive the codec refuses is a usage error, reported as such: an
+/// event count whose byte size overflows, tag 7 (the retired load, the
+/// one code the 3-bit tag holds that no event writes), a store whose
+/// category code is 7, a store of no bytes, and an archive of the
+/// retired 24-byte record format.
 #[test]
 fn malformed_archives_exit_2_and_say_why() {
     let _turn = turn();
     let dir = scratch("malformed");
-    let record = |tag: u8, a: u32, b: u64| {
-        let mut r = vec![tag, 0, 0, 0];
-        r.extend_from_slice(&a.to_le_bytes());
-        r.extend_from_slice(&b.to_le_bytes());
-        r.extend_from_slice(&1u64.to_le_bytes());
-        r
-    };
-    let archive = |count: u64, records: &[Vec<u8>]| {
-        let mut bytes = b"WHISPR01".to_vec();
+    // A record's two words: `head` at time 1 by thread 0 with `tag` and
+    // a store's category `cat`, then `body`.
+    let record = |tag: u64, cat: u64, body: u64| [1 | tag << 58 | cat << 61, body];
+    let archive = |magic: &[u8; 8], count: u64, records: &[[u64; 2]]| {
+        let mut bytes = magic.to_vec();
         bytes.extend_from_slice(&count.to_le_bytes());
-        records.iter().for_each(|r| bytes.extend_from_slice(r));
+        for word in records.iter().flatten() {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
         bytes
     };
     let fence = record(3, 0, 0);
-    // A fence by thread 2^10, and one at 2^48 ns: both past the record.
-    let mut by_thread = fence.clone();
-    by_thread[0..4].copy_from_slice(&(3 | (1u32 << 10) << 8).to_le_bytes());
-    let mut at_time = fence.clone();
-    at_time[16..24].copy_from_slice(&(1u64 << 48).to_le_bytes());
-    for (name, bytes) in [
-        ("thread", archive(1, &[by_thread])),
-        ("time", archive(1, &[at_time])),
-        ("address", archive(1, &[record(0, 8 << 8, 1 << 40)])),
-        ("empty", archive(2, &[record(0, 0, 0x1000), fence.clone()])),
+    // 8 bytes at 0x1000; the length sits above the 40-bit address.
+    let store = 0x1000 | 8 << 40;
+    // A fence at time 1 in the retired 24-byte record
+    // `{tag u8, tid u24, a u32, b u64, at_ns u64}`.
+    let mut v1 = archive(b"WHISPR01", 1, &[[3, 0]]);
+    v1.extend_from_slice(&1u64.to_le_bytes());
+    let tag7 = "unknown event tag 0x7";
+    for (name, bytes, says) in [
         (
-            "wrap",
-            archive(2, &[record(0, 8 << 8, u64::MAX - 3), fence]),
+            "count",
+            archive(b"WHISPR02", 1 << 61, &[]),
+            "trace truncated",
         ),
-        ("count", archive(1 << 61, &[])),
-        ("load", archive(1, &[record(7, 0, 0x1000)])),
-        ("recovery", archive(1, &[record(8, 0, 0)])),
-        ("tag", archive(1, &[record(9, 0, 0)])),
-        ("category", archive(1, &[record(0, (8 << 8) | 7, 0x1000)])),
+        ("tag", archive(b"WHISPR02", 1, &[record(7, 0, 0)]), tag7),
+        (
+            "category",
+            archive(b"WHISPR02", 1, &[record(0, 7, store)]),
+            tag7,
+        ),
+        (
+            "empty",
+            archive(b"WHISPR02", 2, &[record(0, 0, 0x1000), fence]),
+            "store of 0 bytes at 0x1000 is empty",
+        ),
+        ("v1", v1, "not a WHISPR02 trace (bad header)"),
     ] {
         let file = dir.join(format!("{name}.wtr")).display().to_string();
         std::fs::write(&file, bytes).expect("archive written");
@@ -358,7 +362,7 @@ fn malformed_archives_exit_2_and_say_why() {
         let Err(err) = driver::decode_archive(&file) else {
             panic!("{name}: decoded");
         };
-        assert!(err.starts_with(&format!("cannot decode {file}: ")), "{err}");
+        assert_eq!(err, format!("cannot decode {file}: {says}"));
     }
 }
 
