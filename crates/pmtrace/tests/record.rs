@@ -1,7 +1,7 @@
 //! Properties of the trace record: `Event` keeps its thread, time and
 //! kind exactly over its domain, compares as they do, and is archived
-//! as its two 16-byte words; any pair of archived words decodes to the
-//! event they canonically hold or to a typed error.
+//! as its two words, 16 bytes; any pair of archived words decodes to
+//! the event they canonically hold or to a typed error.
 
 use miniprop::prelude::*;
 use pmtrace::{decode_events, encode_events, Category, CodecError, Event, EventKind, Tid};
@@ -159,13 +159,5 @@ proptest! {
         let got = decode_events(&archive(&[(head, body)]));
         let want = canonical(head, body).map(|w| archive(&[w]));
         prop_assert_eq!(got.map(|e| encode_events(&e)), want);
-    }
-
-    #[test]
-    fn an_archive_of_n_events_is_16_plus_16n_bytes(parts in collection::vec(parts(), 0..40)) {
-        let events: Vec<Event> = parts.into_iter().map(|(t, at, k)| Event::new(t, at, k)).collect();
-        let bytes = encode_events(&events);
-        prop_assert_eq!(bytes.len(), 16 + 16 * events.len());
-        prop_assert_eq!(decode_events(&bytes), Ok(events));
     }
 }
